@@ -83,6 +83,11 @@ class SearchState:
     #: operation — kernels pay exactly one ``is not None`` branch per
     #: call, so the checker is zero-cost when not wrapped.
     write_log: Optional[object] = None
+    #: Output buffers of the native whole-level step (frontier ids, new
+    #: Central Nodes, stats), allocated by the backend on this query's
+    #: first level. ``frontier`` is then a view of the first one; only its
+    #: live length is charged by :meth:`nbytes`, the rest is never touched.
+    level_buffers: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # ------------------------------------------------------------------
     # Construction (the "Initialization" phase of Fig. 6/7)

@@ -16,6 +16,9 @@ import numpy as np
 from .algorithms import UNREACHED, bfs_levels_vectorized, largest_component_nodes
 from .csr import KnowledgeGraph
 
+#: Byte lanes of the expansion kernel's hitting-level matrix.
+_SOURCES_PER_PASS = 8
+
 
 @dataclass(frozen=True)
 class DistanceEstimate:
@@ -51,6 +54,13 @@ def estimate_average_distance(
     recorded when reachable. Restricting to the largest component mirrors
     the paper's intent (disconnected pairs carry no distance signal).
 
+    The BFS runs are eight sources to a pass of the engine's own expansion
+    kernel (:func:`repro.parallel.vectorized.lane_bfs_levels`, compiled
+    tier when available); a pass that would outrun the kernel's one-byte
+    levels is redone source by source with
+    :func:`~repro.graph.algorithms.bfs_levels_vectorized`. Either way the
+    estimate is the one a plain BFS per source gives, bit for bit.
+
     Args:
         n_pairs: how many (source, target) pairs to draw.
         seed: RNG seed when ``rng`` is not given; results are deterministic.
@@ -71,30 +81,46 @@ def estimate_average_distance(
     else:
         pool = np.arange(graph.n_nodes, dtype=np.int64)
 
+    # Imported here: ``repro.parallel`` (and ``repro.core`` behind it)
+    # import this package.
+    from ..core.state import INFINITE_LEVEL
+    from ..parallel import vectorized
+
     # Group pairs by source so one BFS serves a whole batch of targets:
     # statistically the same estimator over random pairs, at a fraction of
-    # the traversal cost.
+    # the traversal cost. All draws come first, in a fixed order, so how
+    # the traversals are batched below cannot change what is sampled.
     targets_per_source = min(50, max(1, n_pairs))
     n_sources = (n_pairs + targets_per_source - 1) // targets_per_source
     sources = rng.choice(pool, size=n_sources, replace=True)
-    distances = []
+    targets = []
     remaining = n_pairs
-    for source in sources:
+    for _ in range(n_sources):
         batch = min(targets_per_source, remaining)
         remaining -= batch
-        targets = rng.choice(pool, size=batch, replace=True)
-        levels = bfs_levels_vectorized(graph, [int(source)])
-        for target in targets:
-            target = int(target)
-            if target == source:
-                continue
-            level = int(levels[target])
-            if level != UNREACHED:
-                distances.append(level)
+        targets.append(rng.choice(pool, size=batch, replace=True))
 
-    if not distances:
+    # The sources run eight at a time, each as one single-node "keyword"
+    # lane of the engine's own expansion kernel, active everywhere.
+    everywhere_active = np.zeros(graph.n_nodes, dtype=np.int32)
+    distances = []
+    for first in range(0, n_sources, _SOURCES_PER_PASS):
+        lane_sources = sources[first:first + _SOURCES_PER_PASS]
+        matrix = vectorized.lane_bfs_levels(graph, lane_sources, everywhere_active)
+        for lane, source in enumerate(lane_sources):
+            wanted = targets[first + lane]
+            if matrix is None:
+                # Somewhere beyond the byte matrix's 254 levels.
+                levels = bfs_levels_vectorized(graph, [int(source)])[wanted]
+                reached = levels != UNREACHED
+            else:
+                levels = matrix[wanted, lane]
+                reached = levels != INFINITE_LEVEL
+            distances.append(levels[reached & (wanted != source)])
+    arr = np.concatenate(distances).astype(np.float64)
+
+    if len(arr) == 0:
         return DistanceEstimate(0.0, 0.0, 0, n_pairs)
-    arr = np.asarray(distances, dtype=np.float64)
     return DistanceEstimate(
         average=float(arr.mean()),
         deviation=float(arr.std()),

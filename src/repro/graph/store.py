@@ -366,6 +366,10 @@ def read_info(path: Union[str, os.PathLike]) -> StoreInfo:
     )
 
 
+#: Entries decoded per block when a :class:`TextBlob` is iterated.
+_TEXT_ITER_BLOCK = 8192
+
+
 class TextBlob(Sequence[str]):
     """Lazy ``Sequence[str]`` over the text sections of an open store.
 
@@ -400,8 +404,17 @@ class TextBlob(Sequence[str]):
         return bytes(self._data[start:stop]).decode("utf-8")
 
     def __iter__(self) -> Iterator[str]:
-        for i in range(len(self)):
-            yield self[i]
+        # One offsets slice and one bytes copy per block instead of bounds
+        # checks, int() conversions and a memmap slice per entry; the
+        # block keeps a full scan of a multi-million-node store from
+        # materializing the whole text section.
+        offsets, data = self._offsets, self._data
+        for first in range(0, len(self), _TEXT_ITER_BLOCK):
+            bounds = offsets[first:first + _TEXT_ITER_BLOCK + 1].tolist()
+            base = bounds[0]
+            block = data[base:bounds[-1]].tobytes()
+            for start, stop in zip(bounds, bounds[1:]):
+                yield block[start - base:stop - base].decode("utf-8")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TextBlob({len(self)} entries)"

@@ -50,7 +50,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.state import INFINITE_LEVEL, SearchState
+from ..core.state import INFINITE_LEVEL, MAX_LEVEL, SearchState
 from ..graph.csr import KnowledgeGraph
 from ..instrumentation import KernelCounters, hot_path
 from ..obs.metrics import record_kernel_counters
@@ -499,9 +499,6 @@ class VectorizedBackend(ExpansionBackend):
         self.pull_ratio = pull_ratio
         self.native = native
         self.last_counters: Optional[KernelCounters] = None
-        # Reusable whole-level output buffers (frontier, central, stats),
-        # sized to the current graph on first use.
-        self._level_buffers: "Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]" = None
 
     def _should_pull(
         self, graph: KnowledgeGraph, state: SearchState, level: int
@@ -596,14 +593,16 @@ class VectorizedBackend(ExpansionBackend):
         if kernel is None:
             return self._run_level_numpy(graph, state, level, k, may_expand)
 
-        n = state.n_nodes
-        if self._level_buffers is None or len(self._level_buffers[0]) != n:
-            self._level_buffers = (
+        # The output buffers belong to the query: one backend serves every
+        # request thread, and the native call runs with the GIL released.
+        if state.level_buffers is None:
+            n = state.n_nodes
+            state.level_buffers = (
                 np.empty(n, dtype=np.int64),
                 np.empty(n, dtype=np.int64),
                 np.zeros(8, dtype=np.int64),
             )
-        frontier_out, central_out, stats = self._level_buffers
+        frontier_out, central_out, stats = state.level_buffers
         adj = graph.adj
         may_block = int(state.activation.max()) > level + 1
         kernel.whole_level(
@@ -627,7 +626,7 @@ class VectorizedBackend(ExpansionBackend):
             stats,
         )
         n_frontier = int(stats[0])
-        state.frontier = frontier_out[:n_frontier].copy()
+        state.frontier = frontier_out[:n_frontier]
         found = [(int(node), level) for node in central_out[: int(stats[1])]]
         state.central_nodes.extend(found)
         expanded = bool(stats[2])
@@ -681,3 +680,38 @@ class VectorizedBackend(ExpansionBackend):
             new_hits=new_hits,
             counters=counters,
         )
+
+
+@hot_path
+def lane_bfs_levels(
+    graph: KnowledgeGraph,
+    sources: np.ndarray,
+    activation: np.ndarray,
+    native: Optional[bool] = None,
+) -> Optional[np.ndarray]:
+    """Hitting levels from up to 8 single-node sources, one per byte lane.
+
+    Under an all-zero ``activation`` (every node active from level 0) a
+    lane's hitting levels are plain BFS hop distances — how the distance
+    sampler measures A with the kernel A parameterises. The levels go
+    through :meth:`VectorizedBackend.expand` alone: Central-Node
+    identification would stop a node reached by every lane from
+    expanding, and distances behind it would come out too long.
+
+    Returns:
+        The ``(n_nodes × len(sources))`` uint8 hitting-level matrix
+        (``INFINITE_LEVEL`` = unreachable), or ``None`` when a frontier
+        is still alive at level 254 — one more level would write the
+        byte that means ∞, so the caller must fall back to a wider BFS.
+    """
+    backend = VectorizedBackend(native=native)
+    state = SearchState.initialize(
+        graph.n_nodes, sources.reshape(-1, 1), activation
+    )
+    level = 0
+    while state.enqueue_frontiers():
+        if level == MAX_LEVEL:
+            return None
+        backend.expand(graph, state, level)
+        level += 1
+    return state.matrix

@@ -68,13 +68,27 @@ class InvertedIndex:
             index._postings.append(np.asarray(posting, dtype=np.int64))
         return index
 
+    def _terms_to_nodes(
+        self, node_texts: Iterable[str], first_id: int
+    ) -> Dict[str, List[int]]:
+        """Term → ascending ids of the nodes (numbered from ``first_id``)
+        whose text contains it.
+
+        Entity text repeats a small vocabulary over and over, so each
+        distinct raw token is normalized (stemmed) once per call.
+        """
+        unique_terms = self.tokenizer.unique_terms
+        memo: Dict[str, Optional[str]] = {}
+        term_to_nodes: Dict[str, List[int]] = {}
+        for node, text in enumerate(node_texts, first_id):
+            for term in unique_terms(text, memo):
+                term_to_nodes.setdefault(term, []).append(node)
+        return term_to_nodes
+
     def build(self, node_texts: Sequence[str]) -> None:
         """(Re)build postings from one text per node."""
         self._n_nodes = len(node_texts)
-        term_to_nodes: Dict[str, List[int]] = {}
-        for node, text in enumerate(node_texts):
-            for term in self.tokenizer.unique_terms(text):
-                term_to_nodes.setdefault(term, []).append(node)
+        term_to_nodes = self._terms_to_nodes(node_texts, 0)
         self.terms = Vocabulary()
         self._postings = []
         for term in sorted(term_to_nodes):
@@ -94,10 +108,7 @@ class InvertedIndex:
             The node id assigned to the first new text.
         """
         first_id = self._n_nodes
-        additions: Dict[str, List[int]] = {}
-        for offset, text in enumerate(new_node_texts):
-            for term in self.tokenizer.unique_terms(text):
-                additions.setdefault(term, []).append(first_id + offset)
+        additions = self._terms_to_nodes(new_node_texts, first_id)
         for term in sorted(additions):
             new_ids = np.asarray(additions[term], dtype=np.int64)
             term_id = self.terms.get(term)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List, Optional
 
 from .stemmer import porter_stem
 from .stopwords import is_stopword
@@ -47,29 +47,42 @@ class Tokenizer:
     def __init__(self, config: TokenizerConfig = TokenizerConfig()) -> None:
         self.config = config
 
-    def tokenize(self, text: str) -> List[str]:
-        """Normalize ``text`` into an ordered list of keyword terms."""
+    def normalize(self, token: str) -> Optional[str]:
+        """The term one lower-case raw token becomes, or ``None`` if dropped."""
         config = self.config
-        terms: List[str] = []
-        for match in _TOKEN_PATTERN.finditer(text.lower()):
-            token = match.group()
-            if not config.keep_numbers and token.isdigit():
-                continue
-            if config.remove_stopwords and is_stopword(token):
-                continue
-            if config.stem:
-                token = porter_stem(token)
-            if len(token) < config.min_length:
-                continue
-            terms.append(token)
-        return terms
+        if not config.keep_numbers and token.isdigit():
+            return None
+        if config.remove_stopwords and is_stopword(token):
+            return None
+        if config.stem:
+            token = porter_stem(token)
+        if len(token) < config.min_length:
+            return None
+        return token
 
-    def unique_terms(self, text: str) -> List[str]:
+    def tokenize(
+        self, text: str, memo: Optional[Dict[str, Optional[str]]] = None
+    ) -> List[str]:
+        """Normalize ``text`` into an ordered list of keyword terms.
+
+        Args:
+            memo: raw token → :meth:`normalize` result, owned by a caller
+                that tokenizes many texts in one go (an index build sees
+                each distinct token thousands of times). It is filled as
+                a side effect and is only valid for this tokenizer's
+                config; the tokenizer itself keeps no cache, since it
+                lives as long as the engine and also sees query strings.
+        """
+        if memo is None:
+            memo = {}
+        tokens = _TOKEN_PATTERN.findall(text.lower())
+        for token in tokens:
+            if token not in memo:
+                memo[token] = self.normalize(token)
+        return [memo[token] for token in tokens if memo[token] is not None]
+
+    def unique_terms(
+        self, text: str, memo: Optional[Dict[str, Optional[str]]] = None
+    ) -> List[str]:
         """Like :meth:`tokenize` but deduplicated, preserving first-seen order."""
-        seen = set()
-        result: List[str] = []
-        for term in self.tokenize(text):
-            if term not in seen:
-                seen.add(term)
-                result.append(term)
-        return result
+        return list(dict.fromkeys(self.tokenize(text, memo)))

@@ -1,5 +1,7 @@
 """Reference graph algorithms and the vectorized BFS equivalence."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,80 @@ def test_connected_components():
 
 def test_largest_component(star6):
     assert len(largest_component_nodes(star6)) == 7
+
+
+def _components_by_node_scan(graph):
+    """The deque walk the array code replaced: scan nodes in id order and
+    flood each unlabelled one's component with the next label."""
+    component = np.full(graph.n_nodes, UNREACHED, dtype=np.int64)
+    current = 0
+    for start in range(graph.n_nodes):
+        if component[start] != UNREACHED:
+            continue
+        component[start] = current
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            for neighbor in graph.neighbors(node):
+                if component[neighbor] == UNREACHED:
+                    component[neighbor] = current
+                    queue.append(int(neighbor))
+        current += 1
+    return component
+
+
+def _assert_components_match_node_scan(graph):
+    expected = _components_by_node_scan(graph)
+    found = connected_components(graph)
+    assert found.dtype == expected.dtype
+    assert np.array_equal(found, expected)
+    if graph.n_nodes:
+        biggest = int(np.argmax(np.bincount(expected)))
+        largest = largest_component_nodes(graph)
+        assert largest.dtype == np.int64
+        assert np.array_equal(largest, np.flatnonzero(expected == biggest))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n=st.integers(1, 60),
+    density=st.sampled_from([0.0, 0.2, 0.5, 1.0, 3.0]),
+)
+def test_components_match_node_scan_on_random_graphs(seed, n, density):
+    # Sparse draws give isolates and many small components.
+    _assert_components_match_node_scan(random_graph(n, int(n * density), seed=seed))
+
+
+def test_equal_size_components_tie_goes_to_the_lowest_node():
+    builder = GraphBuilder()
+    for i in range(10):
+        builder.add_node(str(i))
+    # {0} isolate, {1,5,8}, {2,3,9} and {4,6,7}: three tied at size 3.
+    for a, b in ((1, 5), (5, 8), (2, 3), (3, 9), (4, 6), (6, 7)):
+        builder.add_edge(a, b, "p")
+    graph = builder.build()
+    _assert_components_match_node_scan(graph)
+    assert largest_component_nodes(graph).tolist() == [1, 5, 8]
+
+
+def test_components_without_edges_and_across_scan_blocks():
+    builder = GraphBuilder()
+    for i in range(3):
+        builder.add_node(str(i))
+    isolates = builder.build()
+    _assert_components_match_node_scan(isolates)
+    assert largest_component_nodes(isolates).tolist() == [0]
+    # Wider than one block of the search for the next unlabelled node,
+    # with the second component starting far behind the first.
+    builder = GraphBuilder()
+    for i in range(10_000):
+        builder.add_node(str(i))
+    for i in range(6_000):
+        builder.add_edge(i, i + 1, "p")
+    for i in range(9_000, 9_999):
+        builder.add_edge(i, i + 1, "p")
+    _assert_components_match_node_scan(builder.build())
 
 
 def test_dijkstra_uniform_equals_bfs(random20):

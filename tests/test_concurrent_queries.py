@@ -1,0 +1,100 @@
+"""Request threads sharing one engine must not share a query's buffers.
+
+``ThreadingHTTPServer`` answers every request on its own thread, all of
+them through one :class:`SearchService`, one engine and one
+:class:`VectorizedBackend`, and the native whole-level call runs with the
+GIL released. Whatever a level writes must therefore belong to the query:
+with the output buffers cached on the backend, two queries overwrote each
+other's frontier and Central-Node lists and about a third of the answers
+at two clients were wrong.
+"""
+
+import sys
+import threading
+
+import pytest
+
+from repro.core.engine import KeywordSearchEngine
+from repro.eval.queries import KeywordWorkload
+from repro.graph.generators import wiki2018_config, wiki_like_kb
+from repro.parallel import SequentialBackend, VectorizedBackend
+from repro.service import SearchService
+
+N_THREADS = 3
+N_QUERIES = 60
+K = 5
+
+
+@pytest.fixture(scope="module")
+def engine():
+    graph, _ = wiki_like_kb(wiki2018_config())
+    return KeywordSearchEngine(graph, backend=VectorizedBackend())
+
+
+@pytest.fixture(scope="module")
+def expected(engine):
+    """Query → answer of the sequential reference route."""
+    reference = KeywordSearchEngine(
+        engine.graph,
+        backend=SequentialBackend(),
+        index=engine.index,
+        weights=engine.weights,
+        average_distance=engine.average_distance,
+    )
+    workload = KeywordWorkload(engine.index, seed=16)
+    queries = [workload.sample_query(2 + i % 3) for i in range(N_QUERIES)]
+    answers = {}
+    for query in queries:
+        result = reference.search(query, k=K)
+        answers[query] = (
+            [answer.graph.central_node for answer in result.answers],
+            [answer.score for answer in result.answers],
+            result.depth,
+            result.n_central_nodes,
+        )
+    assert len(answers) >= 50
+    return answers
+
+
+def test_threads_sharing_one_service_get_reference_answers(engine, expected):
+    service = SearchService(engine)
+    queries = list(expected)
+    wrong, errors = [], []
+
+    def client(offset):
+        try:
+            # Each client starts elsewhere in the list, so different
+            # queries are in flight at the same moment.
+            for query in queries[offset:] + queries[:offset]:
+                status, payload = service.handle_search(query, k=K)
+                nodes, scores, depth, nc = expected[query]
+                got = [answer["central_node"] for answer in payload.get("answers", [])]
+                got_scores = [answer["score"] for answer in payload.get("answers", [])]
+                if (
+                    status != 200
+                    or got != nodes
+                    or got_scores != pytest.approx(scores, abs=1e-9)
+                    or payload["depth"] != depth
+                    or payload["n_central_nodes"] != nc
+                ):
+                    wrong.append((query, status, got, nodes))
+        except Exception as error:  # reported by the main thread below
+            errors.append(error)
+
+    threads = [
+        threading.Thread(target=client, args=(i * N_QUERIES // N_THREADS,))
+        for i in range(N_THREADS)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert not wrong, f"{len(wrong)} of {N_THREADS * N_QUERIES} answers differ: {wrong[:3]}"
+    assert service.stats.queries == N_THREADS * N_QUERIES

@@ -1,10 +1,14 @@
 """Inverted keyword index."""
 
+import re
+
 import numpy as np
 import pytest
 
 from repro.graph.builder import GraphBuilder
 from repro.text.inverted_index import InvertedIndex
+from repro.text.stemmer import porter_stem
+from repro.text.stopwords import is_stopword
 from repro.text.tokenizer import Tokenizer, TokenizerConfig
 
 
@@ -100,3 +104,99 @@ def test_nbytes_and_counts(tiny_graph):
     assert index.n_terms > 50
     assert index.n_nodes == tiny_graph.n_nodes
     assert index.nbytes() > 0
+
+
+# ---------------------------------------------------------------------------
+# The per-build token memo against normalizing every token of every text
+# ---------------------------------------------------------------------------
+_MIXED_TEXTS = [
+    "The Relational DATABASES of 1999 and 2013",
+    "relational database indexing; Indexing indexes indexed",
+    "a as is it",  # one-letter tokens and stopwords only
+    "as bs cs",  # stems "a" (stopword), "b", "c": below min_length
+    "İstanbul Kelvin K 300K neo4j R2D2",  # İ lowers to i + U+0307, K to k
+    "",
+    "naïve café über straße résumé",
+    "SQL sql Sql 42 007 x86 the THE",
+    "running runs ran runner relational",
+]
+
+_CONFIGS = [
+    TokenizerConfig(),
+    TokenizerConfig(stem=False),
+    TokenizerConfig(remove_stopwords=False, min_length=1),
+    TokenizerConfig(keep_numbers=True, min_length=3),
+]
+
+
+def _normalize_every_token(text, config):
+    """The tokenizer pipeline spelled out, with no sharing across tokens."""
+    terms = []
+    for token in re.findall(r"[a-z0-9]+", text.lower()):
+        if not config.keep_numbers and token.isdigit():
+            continue
+        if config.remove_stopwords and is_stopword(token):
+            continue
+        if config.stem:
+            token = porter_stem(token)
+        if len(token) < config.min_length:
+            continue
+        if token not in terms:
+            terms.append(token)
+    return terms
+
+
+def _postings_token_by_token(texts, config):
+    term_to_nodes = {}
+    for node, text in enumerate(texts):
+        for term in _normalize_every_token(text, config):
+            term_to_nodes.setdefault(term, []).append(node)
+    return {
+        term: np.asarray(nodes, dtype=np.int64)
+        for term, nodes in sorted(term_to_nodes.items())
+    }
+
+
+def _assert_index_equals(index, expected):
+    assert list(index.terms) == list(expected)
+    for term_id, (term, nodes) in enumerate(expected.items()):
+        assert index.terms.get(term) == term_id
+        postings = index.nodes_for_normalized_term(term)
+        assert postings.dtype == np.int64
+        assert postings.tolist() == nodes.tolist(), term
+
+
+@pytest.mark.parametrize("config", _CONFIGS, ids=repr)
+def test_memoised_build_and_extend_equal_token_by_token(config):
+    texts = _MIXED_TEXTS * 3  # every token is met again after its first use
+    tokenizer = Tokenizer(config)
+    for text in texts:
+        assert tokenizer.unique_terms(text) == _normalize_every_token(text, config)
+    expected = _postings_token_by_token(texts, config)
+
+    built = InvertedIndex(tokenizer)
+    built.build(texts)
+    _assert_index_equals(built, expected)
+    assert built.n_nodes == len(texts)
+
+    # Grown in two steps: a term's id is its position at first sight, so
+    # compare per term rather than by position.
+    grown = InvertedIndex(tokenizer)
+    grown.build(texts[:4])
+    assert grown.extend(texts[4:11]) == 4
+    assert grown.extend(texts[11:]) == 11
+    assert sorted(grown.terms) == list(expected)
+    for term, nodes in expected.items():
+        postings = grown.nodes_for_normalized_term(term)
+        assert postings.dtype == np.int64
+        assert postings.tolist() == nodes.tolist(), term
+
+
+def test_tokenizer_keeps_no_cache_between_calls():
+    tokenizer = Tokenizer()
+    memo = {}
+    assert tokenizer.unique_terms("Relational databases", memo) == ["relat", "databas"]
+    assert memo == {"relational": "relat", "databases": "databas"}
+    # A memo is the caller's: nothing carries over without one.
+    assert set(vars(tokenizer)) == {"config"}
+    assert tokenizer.tokenize("the databases") == ["databas"]

@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 
 from repro.core.state import SearchState
+from repro.graph import store as store_module
+from repro.graph.algorithms import largest_component_nodes
 from repro.graph.builder import GraphBuilder, StreamingGraphBuilder
 from repro.graph.generators import (
     WikiKBConfig,
@@ -26,6 +28,7 @@ from repro.graph.generators import (
     wiki_like_kb,
 )
 from repro.graph.io import load_graph, save_graph
+from repro.graph.sampling import estimate_average_distance
 from repro.graph.store import (
     CSRStoreError,
     MAGIC,
@@ -46,6 +49,7 @@ from repro.parallel import (
     VectorizedBackend,
 )
 from repro.parallel import pool as pool_module
+from repro.text.inverted_index import InvertedIndex
 
 from test_fused_kernel import _fuzz_kb, _fuzz_problem, _run_backend
 
@@ -311,6 +315,50 @@ def test_textblob_sequence_behavior(store_path, kb_graph):
     assert list(iter(blob))[:10] == list(kb_graph.node_text[:10])
     with pytest.raises(IndexError):
         blob[len(blob)]
+
+
+def test_textblob_iterates_in_blocks_like_it_indexes(tmp_path, monkeypatch):
+    builder = GraphBuilder()
+    texts = ["İstanbul K 300K", "", "naïve café", "日本語 テキスト", "plain ascii"] * 5
+    texts.append("")  # an empty entry at the very end of the text section
+    for text in texts:
+        builder.add_node(text)
+    builder.add_edge(0, 1, "p")
+    path = tmp_path / ("blob" + STORE_SUFFIX)
+    save_store(builder.build(), path)
+    blob = open_store(path).node_text
+    # Blocks that divide the entries evenly, unevenly, and one block for all.
+    for block in (1, 4, len(texts), 8192):
+        monkeypatch.setattr(store_module, "_TEXT_ITER_BLOCK", block)
+        assert list(blob) == texts
+    assert [blob[i] for i in range(len(blob))] == texts
+    assert list(TextBlob(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.uint8))) == []
+
+
+def test_npz_and_store_give_the_same_index_and_distance(kb_graph, store_path, tmp_path):
+    npz_path = str(tmp_path / "kb")
+    save_graph(kb_graph, npz_path)
+    from_npz = load_graph(npz_path)
+    from_store = load_graph(store_path)
+    assert from_store.store is not None and from_npz.store is None
+
+    npz_index = InvertedIndex.from_graph(from_npz)
+    store_index = InvertedIndex.from_graph(from_store)
+    assert list(store_index.terms) == list(npz_index.terms)
+    assert store_index.n_nodes == npz_index.n_nodes
+    for term in npz_index.terms:
+        ours = store_index.nodes_for_normalized_term(term)
+        theirs = npz_index.nodes_for_normalized_term(term)
+        assert ours.dtype == theirs.dtype == np.int64
+        assert np.array_equal(ours, theirs)
+
+    assert np.array_equal(
+        largest_component_nodes(from_store), largest_component_nodes(from_npz)
+    )
+    for seed in (0, 5):
+        assert estimate_average_distance(
+            from_store, n_pairs=300, seed=seed
+        ) == estimate_average_distance(from_npz, n_pairs=300, seed=seed)
 
 
 # ---------------------------------------------------------------------------
