@@ -3,9 +3,8 @@
 The paper's parallel expansion is lock-free *because every racing write
 is idempotent* (Theorem V.2). Until now the repo asserted that only in
 comments; this wrapper asserts it in code. Wrap any
-:class:`~repro.parallel.backend.ExpansionBackend` and every call to
-``expand`` is verified against the invariants the theorem actually
-needs:
+:class:`~repro.parallel.backend.ExpansionBackend` and every level it
+runs is verified against the invariants the theorem actually needs:
 
 I1 **write-once per cell** — a matrix cell finite before the level is
    never overwritten (each BFS instance hits a node at exactly one
@@ -27,7 +26,10 @@ The checker works from a pre-level snapshot plus the per-thread
 :class:`~repro.analysis.writelog.WriteLog` the kernels fill in when one
 is attached to the state. Backends that cannot report writes from their
 workers (the shared-memory process pool) are checked from the snapshot
-delta alone (I1/I2/I4/I5).
+delta alone (I1/I2/I4/I5). A backend that runs the whole level in one
+call of its own (``VectorizedBackend``) is checked around that call:
+the same delta invariants plus the level's enqueue and identification
+steps (:meth:`CheckedBackend._verify_level`).
 
 Overhead is strictly opt-in: an unwrapped backend never allocates a log
 and the kernels pay a single ``is not None`` branch.
@@ -42,8 +44,9 @@ import numpy as np
 
 from ..core.state import INFINITE_LEVEL, SearchState
 from ..graph.csr import KnowledgeGraph
+from ..instrumentation import KernelCounters, PhaseTimer
 from ..obs.tracing import Tracer
-from ..parallel.backend import ExpansionBackend
+from ..parallel.backend import ExpansionBackend, LevelOutcome
 from .writelog import WriteLog
 
 #: Cap on how many individual cells one violation report enumerates.
@@ -131,15 +134,6 @@ class CheckedBackend(ExpansionBackend):
     def tracer(self, tracer: Tracer) -> None:
         self.inner.tracer = tracer
 
-    @property
-    def last_counters(self):
-        return getattr(self.inner, "last_counters", None)
-
-    @last_counters.setter
-    def last_counters(self, value) -> None:
-        if hasattr(self.inner, "last_counters"):
-            self.inner.last_counters = value
-
     def close(self) -> None:
         """Release the wrapped backend's resources."""
         self.inner.close()
@@ -147,7 +141,9 @@ class CheckedBackend(ExpansionBackend):
     # ------------------------------------------------------------------
     # Checked expansion
     # ------------------------------------------------------------------
-    def expand(self, graph: KnowledgeGraph, state: SearchState, level: int) -> None:
+    def expand(
+        self, graph: KnowledgeGraph, state: SearchState, level: int
+    ) -> Optional[KernelCounters]:
         """Run the wrapped backend's expansion, then verify invariants I1-I5."""
         pre_matrix = state.matrix.copy()
         pre_fid = state.f_identifier.copy()
@@ -157,10 +153,13 @@ class CheckedBackend(ExpansionBackend):
         previous = state.write_log
         state.write_log = log
         try:
-            self.inner.expand(graph, state, level)
+            counters = self.inner.expand(graph, state, level)
         finally:
             state.write_log = previous
-        found = self._verify(state, level, pre_matrix, pre_fid, log)
+        self._report(self._verify(state, level, pre_matrix, pre_fid, log))
+        return counters
+
+    def _report(self, found: List[InvariantViolation]) -> None:
         self.levels_checked += 1
         if found:
             self.violations.extend(found)
@@ -168,55 +167,51 @@ class CheckedBackend(ExpansionBackend):
                 raise InvariantViolationError(found)
 
     # ------------------------------------------------------------------
-    # Checked whole-level execution
+    # Checked level
     # ------------------------------------------------------------------
-    @property
-    def run_level(self):
-        # Raising AttributeError when the wrapped backend has no
-        # ``run_level`` makes BottomUpSearch's feature probe see the
-        # same surface as the bare backend.
-        inner_run_level = getattr(self.inner, "run_level", None)
-        if inner_run_level is None:
-            raise AttributeError("run_level")
+    def run_level(
+        self,
+        graph: KnowledgeGraph,
+        state: SearchState,
+        level: int,
+        k: int,
+        may_expand: bool,
+        timer: PhaseTimer,
+    ) -> LevelOutcome:
+        """Run one level of the wrapped backend under the checker.
 
-        def checked_run_level(graph, state, level, k, may_expand):
-            return self._run_level(
-                inner_run_level, graph, state, level, k, may_expand
-            )
-
-        return checked_run_level
-
-    def _run_level(self, inner_run_level, graph, state, level, k, may_expand):
-        """Run the fused whole-level step, then verify it end to end.
-
-        The fused call spans enqueue + identify + expansion, so beyond
-        the expansion invariants (I1/I2/I4/I5 from the matrix/frontier
-        delta — no write log is attached, letting the inner backend use
-        its native fused path) it verifies the level *orchestration*:
-        the drained frontier matches the pre-call FIdentifier flags, and
-        the newly identified Central Nodes are exactly the frontier
-        nodes whose M row was fully finite at entry (Lemma V.1, stamped
-        at this level).
+        A backend that inherits the composed level gets it composed
+        here, over the logged :meth:`expand` above, so the write-log
+        invariants apply to it. One that overrides ``run_level`` is
+        verified around its own call instead: beyond the expansion
+        invariants (I1/I2/I4/I5 from the matrix/frontier delta — no
+        write log is attached, letting the inner backend use its native
+        path) the level's *orchestration* is checked — the drained
+        frontier matches the pre-call FIdentifier flags, and the newly
+        identified Central Nodes are exactly the frontier nodes whose M
+        row was fully finite at entry (Lemma V.1, stamped at this
+        level).
         """
+        if type(self.inner).run_level is ExpansionBackend.run_level:
+            return super().run_level(graph, state, level, k, may_expand, timer)
         pre_matrix = state.matrix.copy()
         pre_fid = state.f_identifier.copy()
         pre_cid = state.c_identifier.copy()
-        outcome = inner_run_level(graph, state, level, k, may_expand)
-        found = self._verify_level(
-            state, level, outcome, pre_matrix, pre_fid, pre_cid
+        outcome = self.inner.run_level(
+            graph, state, level, k, may_expand, timer
         )
-        self.levels_checked += 1
-        if found:
-            self.violations.extend(found)
-            if self.raise_on_violation:
-                raise InvariantViolationError(found)
+        self._report(
+            self._verify_level(
+                state, level, outcome, pre_matrix, pre_fid, pre_cid
+            )
+        )
         return outcome
 
     def _verify_level(
         self,
         state: SearchState,
         level: int,
-        outcome,
+        outcome: LevelOutcome,
         pre_matrix: np.ndarray,
         pre_fid: np.ndarray,
         pre_cid: np.ndarray,
@@ -305,17 +300,16 @@ class CheckedBackend(ExpansionBackend):
                     f"{demoted[:_MAX_CELLS_REPORTED].tolist()}",
                 )
             )
-        if outcome is not None:
-            reported = [node for node, _ in outcome.new_central]
-            if reported != [int(node) for node in newly]:
-                found.append(
-                    InvariantViolation(
-                        "central-node",
-                        level,
-                        "outcome.new_central disagrees with the "
-                        "CIdentifier delta",
-                    )
+        reported = [node for node, _ in outcome.new_central]
+        if reported != [int(node) for node in newly]:
+            found.append(
+                InvariantViolation(
+                    "central-node",
+                    level,
+                    "outcome.new_central disagrees with the "
+                    "CIdentifier delta",
                 )
+            )
 
         bad_flag = np.flatnonzero(
             (state.f_identifier != 0) & (state.f_identifier != 1)

@@ -139,8 +139,6 @@ _ROOTS: Tuple[Tuple[str, Optional[str], Optional[str]], ...] = (
     ("core.batch", None, None),
     ("parallel.pool", None, None),
     ("parallel.locked", "LockedDictEngine", None),
-    ("bench.loadgen", None, None),
-    ("bench.service_bench", None, None),
 )
 
 

@@ -99,13 +99,6 @@ THEOREM_V2_SUPPRESSIONS: "Tuple[Tuple[str, str], ...]" = (
         "fid[v] = 1 (plus the benign live matrix re-read that dedups "
         "scatter targets).",
     ),
-    (
-        "race:fused_expand_lanes",
-        "Theorem V.2 idempotent stores in _kernel.c fused_expand_lanes: "
-        "the coalesced cross-query lane kernel writes the same "
-        "matrix[...] = next_level and fid[v] = 1 constants from every "
-        "racing lane chunk.",
-    ),
 )
 
 
@@ -676,15 +669,11 @@ def _child_parity() -> int:
         return 5
     print("parity: all backends bit-identical under sanitized native kernel")
 
-    # Drive the remaining native entry points under the sanitizers:
-    # the cross-query lane kernel (fused_expand_lanes) and the top-down
-    # fast path (build_hitting_dag + extract_closure). The checked fuzz
-    # above already runs whole_level_step and fused_expand via the
-    # backends' run_level path.
-    import numpy as np
-
+    # Drive the remaining native entry points under the sanitizers: the
+    # top-down fast path (build_hitting_dag + extract_closure). The
+    # checked fuzz above already runs whole_level_step and fused_expand
+    # via the backends' run_level.
     from ..core.bottom_up import BottomUpSearch
-    from ..core.coalesce import CoalescedBottomUp
     from ..core.top_down import TopDownConfig, process_top_down
     from ..core.weights import node_weights
     from ..parallel.vectorized import VectorizedBackend
@@ -694,12 +683,6 @@ def _child_parity() -> int:
     solo = BottomUpSearch(graph, backend=VectorizedBackend()).run(
         sets, activation, k
     )
-    outcomes = CoalescedBottomUp(graph).run([sets, sets], activation, k)
-    for outcome in outcomes:
-        if not np.array_equal(outcome.state.matrix, solo.state.matrix):
-            print("parity: coalesced lane kernel diverged from solo")
-            return 6
-    print("parity: coalesced lane kernel matches solo under sanitizers")
 
     weights = node_weights(graph)
     ranked_native = process_top_down(

@@ -203,16 +203,15 @@ class VirtualScheduleBackend(ExpansionBackend):
         self.chunks_per_thread = chunks_per_thread
         self.runner: ChunkRunner = runner or _fused_runner
         self.name = f"virtual[{schedule.name}]"
-        self.last_counters: Optional[KernelCounters] = None
         self.chunk_history: List[int] = []
 
     def expand(
         self, graph: KnowledgeGraph, state: SearchState, level: int
-    ) -> None:
+    ) -> KernelCounters:
         frontier = state.frontier
-        if len(frontier) == 0:
-            return
         counters = KernelCounters()
+        if len(frontier) == 0:
+            return counters
         n_chunks = min(
             len(frontier), self.n_threads * self.chunks_per_thread
         )
@@ -253,7 +252,7 @@ class VirtualScheduleBackend(ExpansionBackend):
         if merged is not None:
             counters.duplicates_elided += claimed - len(merged)
             counters.pairs_hit -= claimed - len(merged)
-        self.last_counters = counters
+        return counters
 
 
 def _fused_runner(

@@ -13,6 +13,7 @@ the thread-pool backend, "CPU-Par-d" the locked dynamic-memory variant,
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -23,11 +24,12 @@ from ..eval.precision import PrecisionRow, precision_rows
 from ..eval.queries import CannedQuery, KeywordWorkload, canned_queries
 from ..eval.relevance import PhraseCoOccurrenceJudge
 from ..baselines.banks import BanksConfig, BanksII
+from ..graph.generators import WikiKBConfig
 from ..parallel.locked import LockedDictEngine
 from ..parallel.sequential import SequentialBackend
 from ..parallel.threads import ThreadPoolBackend
 from ..parallel.vectorized import VectorizedBackend
-from .datasets import BenchDataset
+from .datasets import BenchDataset, build_dataset
 from ..instrumentation import (
     ALL_PHASES,
     PHASE_TOTAL,
@@ -350,3 +352,107 @@ def effectiveness_experiment(
             flags = judge.judge_node_sets(node_sets, query)
             rows.append(precision_rows(query.query_id, method, flags, cutoffs))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# Observability overhead (the REPRO_OBS kill-switch and flight-path gates)
+# ---------------------------------------------------------------------------
+def tiny_config(seed: int = 7) -> WikiKBConfig:
+    """A miniature wiki-shaped KB (a few hundred nodes) for smoke runs."""
+    return WikiKBConfig(
+        name="wiki-tiny-sim",
+        seed=seed,
+        n_papers=60,
+        n_people=30,
+        n_misc=30,
+        n_venues=8,
+        n_orgs=8,
+    )
+
+
+def measure_obs_overhead(
+    repeats: int = 5,
+    n_queries: int = 3,
+    knum: int = 4,
+    topk: int = 10,
+    seed: int = 5,
+    dataset: Optional[BenchDataset] = None,
+) -> Dict[str, float]:
+    """Best-of timing of the untraced path vs. the disabled-tracer path.
+
+    ``REPRO_OBS=0`` (or any disabled tracer) must leave the query hot
+    path untouched: the engine then uses a plain ``PhaseTimer`` and no
+    span contexts, so the only residual cost is one ``enabled`` check
+    per query. This measures both paths on a tiny workload and reports
+    the ratio; the test suite asserts it stays within measurement noise
+    (the acceptance criterion for the kill-switch).
+
+    The always-on flight-recorder path (a per-query owned tracer plus
+    one ring commit, the serving default) is measured alongside so CI
+    can watch its cost too, as is the flight path re-run under the
+    runtime lock witness (``REPRO_LOCK_WITNESS=1``, witnessed flight
+    lock): the witness pays one dict update per lock acquisition, and
+    CI gates that ``witness_ratio`` stays under the same <3x bound as
+    the flight path.
+
+    Returns:
+        ``{"plain_ms", "disabled_ms", "ratio", "flight_ms",
+        "flight_ratio", "witness_ms", "witness_ratio"}`` —
+        best-of-``repeats`` total milliseconds, disabled/plain,
+        flight-recorded/plain, and witnessed-flight/plain.
+    """
+    from ..obs.config import ENV_LOCK_WITNESS
+    from ..obs.flight import FlightRecorder
+    from ..obs.tracing import Tracer
+
+    if dataset is None:
+        dataset = build_dataset(tiny_config())
+    workload = KeywordWorkload(dataset.index, seed=seed)
+    queries = workload.sample_queries(knum, n_queries)
+
+    def best_of(
+        tracer: "Optional[Tracer]", flight: "Optional[FlightRecorder]" = None
+    ) -> float:
+        engine = KeywordSearchEngine(
+            dataset.graph,
+            backend=VectorizedBackend(),
+            index=dataset.index,
+            weights=dataset.weights,
+            average_distance=dataset.distance.average,
+            config=EngineConfig(topk=topk),
+            tracer=tracer,
+        )
+        engine.flight = flight
+        best = float("inf")
+        for _ in range(repeats):
+            elapsed = 0.0
+            for query in queries:
+                elapsed += engine.search(query, k=topk).timer.get(PHASE_TOTAL)
+            best = min(best, elapsed)
+        return best
+
+    plain = best_of(None)
+    disabled = best_of(Tracer(enabled=False))
+    flight = best_of(None, FlightRecorder(max_records=128, slow_ms=0))
+    saved_witness = os.environ.get(ENV_LOCK_WITNESS)
+    os.environ[ENV_LOCK_WITNESS] = "1"
+    try:
+        # The recorder must be built while the switch is armed so its
+        # lock comes from the witnessed factory.
+        witnessed = best_of(
+            None, FlightRecorder(max_records=128, slow_ms=0)
+        )
+    finally:
+        if saved_witness is None:
+            os.environ.pop(ENV_LOCK_WITNESS, None)
+        else:
+            os.environ[ENV_LOCK_WITNESS] = saved_witness
+    return {
+        "plain_ms": plain * 1e3,
+        "disabled_ms": disabled * 1e3,
+        "ratio": disabled / plain if plain > 0 else 1.0,
+        "flight_ms": flight * 1e3,
+        "flight_ratio": flight / plain if plain > 0 else 1.0,
+        "witness_ms": witnessed * 1e3,
+        "witness_ratio": witnessed / plain if plain > 0 else 1.0,
+    }

@@ -12,10 +12,6 @@ Commands:
 * ``search``   — run a keyword query and print ranked Central Graphs,
   optionally with predicate-level explanations or GraphViz DOT output;
 * ``bench``    — a quick single-machine profile (mini Fig. 6 row);
-* ``bench-kernel`` — fused-kernel vs. seed per-column expansion
-  microbenchmark, written to ``BENCH_kernel.json``;
-* ``bench-service`` — closed/open-loop load against the in-process HTTP
-  service (zipf workload, SLO sweep), written to ``BENCH_service.json``;
 * ``profile``  — run one query under the span tracer and emit a Chrome
   trace-event JSON (open in Perfetto / ``chrome://tracing``) or a text
   flame summary;
@@ -159,81 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--graph", help="saved graph path (default: generate)")
     bench.add_argument("--knum", type=int, default=6)
     bench.add_argument("--queries", type=int, default=5)
-
-    bench_kernel = commands.add_parser(
-        "bench-kernel",
-        help="fused-kernel vs. seed per-column microbenchmark "
-             "(writes BENCH_kernel.json)",
-    )
-    bench_kernel.add_argument(
-        "--scale", choices=("wiki2017", "wiki2018", "tiny"),
-        default="wiki2018",
-    )
-    bench_kernel.add_argument("--knum", type=int, default=8)
-    bench_kernel.add_argument("--queries", type=int, default=5)
-    bench_kernel.add_argument("--repeats", type=int, default=3)
-    bench_kernel.add_argument("--topk", type=int, default=20)
-    bench_kernel.add_argument("--seed", type=int, default=13)
-    bench_kernel.add_argument(
-        "--out", default="BENCH_kernel.json",
-        help="result JSON path ('' skips writing)",
-    )
-    bench_kernel.add_argument(
-        "--mmap-scale", choices=("none", "wiki-ooc-smoke", "wiki2018-xl"),
-        default="none",
-        help="also build an on-disk CSR store at this scale and record "
-             "RSS-vs-store-size plus cold/warm open and pool-attach "
-             "timings (the out-of-core tier entry)",
-    )
-    bench_kernel.add_argument(
-        "--mmap-workdir", default=None,
-        help="directory for the mmap benchmark's store file "
-             "(default: a temporary directory, deleted afterwards)",
-    )
-
-    bench_service = commands.add_parser(
-        "bench-service",
-        help="closed/open-loop service load bench with an SLO sweep "
-             "(writes BENCH_service.json)",
-    )
-    bench_service.add_argument(
-        "--scale", choices=("tiny", "wiki2017", "wiki2018"), default="tiny",
-    )
-    bench_service.add_argument(
-        "--duration", type=float, default=5.0,
-        help="seconds of load per sweep point",
-    )
-    bench_service.add_argument(
-        "--concurrency", default="1,2,4",
-        help="comma-separated closed-loop client counts",
-    )
-    bench_service.add_argument("--knum", type=int, default=3)
-    bench_service.add_argument(
-        "--pool-size", type=int, default=64,
-        help="distinct queries in the zipf pool",
-    )
-    bench_service.add_argument(
-        "--zipf-s", type=float, default=1.1,
-        help="zipf popularity exponent (0 = uniform)",
-    )
-    bench_service.add_argument("--seed", type=int, default=0)
-    bench_service.add_argument("-k", "--topk", type=int, default=5)
-    bench_service.add_argument(
-        "--slo-ms", type=float, default=500.0,
-        help="latency objective in milliseconds",
-    )
-    bench_service.add_argument(
-        "--percentile", choices=("p50", "p95", "p99"), default="p95",
-        help="which latency percentile the SLO constrains",
-    )
-    bench_service.add_argument(
-        "--no-open-loop", action="store_true",
-        help="skip the Poisson open-loop confirmation run",
-    )
-    bench_service.add_argument(
-        "--out", default="BENCH_service.json",
-        help="result JSON path ('' skips writing)",
-    )
 
     profile = commands.add_parser(
         "profile",
@@ -549,76 +470,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_kernel(args: argparse.Namespace) -> int:
-    from .bench.kernel_microbench import (
-        format_report,
-        run_kernel_microbench,
-        write_payload,
-    )
-
-    payload = run_kernel_microbench(
-        scale=args.scale,
-        knum=args.knum,
-        n_queries=args.queries,
-        repeats=args.repeats,
-        topk=args.topk,
-        seed=args.seed,
-    )
-    if args.mmap_scale != "none":
-        from .bench.store_bench import mmap_store_entry
-
-        payload["mmap_store"] = mmap_store_entry(
-            scale=args.mmap_scale,
-            workdir=args.mmap_workdir,
-            knum=args.knum,
-            seed=args.seed,
-        )
-    print(format_report(payload))
-    if args.out:
-        write_payload(payload, args.out)
-        print(f"wrote {args.out}")
-    return 0
-
-
-def _cmd_bench_service(args: argparse.Namespace) -> int:
-    from .bench.service_bench import (
-        format_service_report,
-        run_service_bench,
-        write_service_payload,
-    )
-
-    try:
-        concurrency = tuple(
-            int(part) for part in args.concurrency.split(",") if part.strip()
-        )
-    except ValueError:
-        print("error: --concurrency must be comma-separated integers",
-              file=sys.stderr)
-        return 2
-    if not concurrency:
-        print("error: --concurrency must name at least one client count",
-              file=sys.stderr)
-        return 2
-    payload = run_service_bench(
-        scale=args.scale,
-        duration_s=args.duration,
-        concurrency_sweep=concurrency,
-        knum=args.knum,
-        pool_size=args.pool_size,
-        zipf_s=args.zipf_s,
-        seed=args.seed,
-        k=args.topk,
-        slo_ms=args.slo_ms,
-        slo_percentile=args.percentile,
-        open_loop=not args.no_open_loop,
-    )
-    print(format_service_report(payload))
-    if args.out:
-        write_service_payload(args.out, payload)
-        print(f"wrote {args.out}")
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json
     import threading
@@ -684,8 +535,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "stats": _cmd_stats,
         "search": _cmd_search,
         "bench": _cmd_bench,
-        "bench-kernel": _cmd_bench_kernel,
-        "bench-service": _cmd_bench_service,
         "profile": _cmd_profile,
         "serve": _cmd_serve,
         "check": _cmd_check,

@@ -62,35 +62,13 @@ class BatchSearcher:
             whole search state, so this is safe with any backend; with
             pure-Python backends the GIL limits the speedup, with the
             vectorized backend NumPy releases the GIL inside kernels.
-        coalesce: drive the batch through the cross-query widened lane
-            matrix (:meth:`KeywordSearchEngine.search_coalesced`): the
-            unique queries are packed side by side and each BFS level
-            runs one kernel pass for the whole group, gathering the
-            joint frontier's CSR rows once instead of once per query.
-            Answers are identical to per-query execution. Mutually
-            exclusive with ``n_workers > 1``.
-        max_lanes: lane budget per coalesced group (keyword columns of
-            all packed queries combined).
     """
 
-    def __init__(
-        self,
-        engine: KeywordSearchEngine,
-        n_workers: int = 1,
-        coalesce: bool = False,
-        max_lanes: int = 32,
-    ) -> None:
+    def __init__(self, engine: KeywordSearchEngine, n_workers: int = 1) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be positive")
-        if coalesce and n_workers > 1:
-            raise ValueError(
-                "coalesce batches already share one loop; "
-                "use n_workers=1 with coalesce=True"
-            )
         self.engine = engine
         self.n_workers = n_workers
-        self.coalesce = coalesce
-        self.max_lanes = max_lanes
 
     def run(
         self,
@@ -111,16 +89,6 @@ class BatchSearcher:
             if query not in position:
                 position[query] = len(unique)
                 unique.append(query)
-
-        if self.coalesce:
-            outcomes, failures = self.engine.search_coalesced(
-                unique, k=k, alpha=alpha, max_lanes=self.max_lanes
-            )
-            return BatchReport(
-                results=[outcomes[position[query]] for query in queries],
-                failures=failures,
-                unique_queries=len(unique),
-            )
 
         outcomes: List[Optional[SearchResult]] = [None] * len(unique)
         failures: Dict[str, str] = {}

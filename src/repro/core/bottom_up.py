@@ -1,12 +1,14 @@
 """Bottom-up search: solve the top-(k,d) Central Graph Problem (Section V-B).
 
 One BFS-like instance per keyword expands level-synchronously from its
-source set ``T_i``. Each global level runs three joined steps (Algorithm 1):
+source set ``T_i``. Each global level runs three joined steps (Algorithm 1),
+all inside one :meth:`~repro.parallel.backend.ExpansionBackend.run_level`
+call of a pluggable backend:
 
 1. *enqueue frontiers* — drain FIdentifier into the joint frontier array;
 2. *identify Central Nodes* — frontiers whose M row is fully finite become
    Central Nodes at depth = current level (Lemma V.1);
-3. *expansion* — Algorithm 2, delegated to a pluggable backend.
+3. *expansion* — Algorithm 2.
 
 The loop stops at the smallest level ``d`` where at least ``k`` Central
 Nodes exist (Theorem V.3), when the frontier drains empty, or at the
@@ -25,13 +27,11 @@ from ..instrumentation import (
     PHASE_EXPANSION,
     PHASE_IDENTIFY,
     PHASE_INITIALIZATION,
-    KernelCounters,
     PhaseTimer,
 )
 from ..graph.csr import KnowledgeGraph
-from ..obs.config import whole_level_enabled
 from ..obs.tracing import NULL_CONTEXT, NULL_TRACER, Tracer
-from ..parallel.backend import ExpansionBackend, LevelOutcome
+from ..parallel.backend import ExpansionBackend
 from ..parallel.sequential import SequentialBackend
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .trace import SearchTrace
@@ -180,87 +180,49 @@ class BottomUpSearch:
             )
         peak_nbytes = state.nbytes()
 
-        finite_cells = state.total_finite_cells()
         level = 0
         levels_executed = 0
         terminated = TERMINATED_LEVEL_CAP
         profile: List[LevelProfile] = []
         degree_array = self.graph.adj.degree_array
-        # Whole-level fast path: backends exposing ``run_level`` execute
-        # the three joined per-level steps in one call (a single C pass
-        # on the native tier); ``REPRO_WHOLE_LEVEL=0`` pins the classic
-        # loop. The per-call time lands in the expansion phase — the
-        # enqueue/identify orchestration it absorbs is exactly the
-        # overhead the fused level eliminates.
-        run_level = getattr(self.backend, "run_level", None)
-        use_whole_level = run_level is not None and whole_level_enabled()
         while level <= self.lmax:
             level_ctx = (
                 tracer.span("level", level=level) if trace_on else NULL_CONTEXT
             )
             with level_ctx as level_span:
-                outcome: Optional[LevelOutcome] = None
-                if use_whole_level:
-                    with timer.phase(PHASE_EXPANSION):
-                        outcome = run_level(
-                            self.graph, state, level, k, level < self.lmax
-                        )
-                    n_frontier = outcome.n_frontier
-                else:
-                    with timer.phase(PHASE_ENQUEUE):
-                        n_frontier = state.enqueue_frontiers()
-                if n_frontier == 0:
+                outcome = self.backend.run_level(
+                    self.graph, state, level, k, level < self.lmax, timer
+                )
+                if outcome.n_frontier == 0:
                     terminated = TERMINATED_FRONTIER_EMPTY
                     break
                 if observer is not None:
-                    observer.on_level_start(level, n_frontier)
-                if outcome is not None:
-                    found = outcome.new_central
-                else:
-                    with timer.phase(PHASE_IDENTIFY):
-                        found = state.identify_central_nodes(level)
-                if observer is not None and found:
-                    observer.on_central_nodes(found)
+                    observer.on_level_start(level, outcome.n_frontier)
+                    if outcome.new_central:
+                        observer.on_central_nodes(outcome.new_central)
+                counters = outcome.counters
                 record = LevelProfile(
                     level=level,
-                    frontier_size=n_frontier,
+                    frontier_size=outcome.n_frontier,
                     edges_scanned=0,
-                    new_hits=0,
-                    new_central=len(found),
+                    new_hits=outcome.new_hits,
+                    new_central=len(outcome.new_central),
                 )
                 profile.append(record)
-                if state.n_central_nodes >= k:
-                    terminated = TERMINATED_ENOUGH_ANSWERS
-                    if trace_on:
-                        level_span.set_attrs(record.as_span_attributes())
-                    break
-                if level == self.lmax:
-                    if trace_on:
-                        level_span.set_attrs(record.as_span_attributes())
-                    break
-                if outcome is not None:
-                    counters: Optional[KernelCounters] = outcome.counters
-                    record.new_hits = outcome.new_hits
-                    finite_cells += outcome.new_hits
-                else:
-                    if hasattr(self.backend, "last_counters"):
-                        self.backend.last_counters = None
-                    with timer.phase(PHASE_EXPANSION):
-                        self.backend.expand(self.graph, state, level)
-                    counters = getattr(self.backend, "last_counters", None)
-                    now_finite = state.total_finite_cells()
-                    record.new_hits = now_finite - finite_cells
-                    finite_cells = now_finite
-                if counters is not None:
-                    record.edges_scanned = counters.edges_gathered
-                else:
-                    record.edges_scanned = int(
-                        degree_array[state.frontier].sum()
+                if outcome.expanded:
+                    record.edges_scanned = (
+                        counters.edges_gathered
+                        if counters is not None
+                        else int(degree_array[state.frontier].sum())
                     )
                 if trace_on:
                     level_span.set_attrs(record.as_span_attributes())
                     if counters is not None:
                         level_span.set_attrs(counters.as_dict())
+                if not outcome.expanded:
+                    if state.n_central_nodes >= k:
+                        terminated = TERMINATED_ENOUGH_ANSWERS
+                    break
                 if observer is not None:
                     observer.on_expansion_done(record.new_hits)
                     if counters is not None and hasattr(

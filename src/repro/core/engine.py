@@ -309,134 +309,6 @@ class KeywordSearchEngine:
         return result
 
     # ------------------------------------------------------------------
-    # Cross-query coalesced batches
-    # ------------------------------------------------------------------
-    def search_coalesced(
-        self,
-        queries: Sequence[str],
-        k: Optional[int] = None,
-        alpha: Optional[float] = None,
-        lam: Optional[float] = None,
-        max_lanes: int = 32,
-        native: Optional[bool] = None,
-    ) -> "tuple[List[Optional[SearchResult]], Dict[str, str]]":
-        """Answer several queries through one coalesced bottom-up pass.
-
-        Queries are packed side by side into the widened byte-lane
-        matrix (:mod:`repro.core.coalesce`) so each BFS level gathers
-        the joint frontier's CSR rows once for the whole group instead
-        of once per query; stage two then runs per query as usual.
-        Answers are identical to per-query :meth:`search` calls. The
-        shared bottom-up time is attributed evenly across the group's
-        per-query timers (expansion phase).
-
-        Args:
-            queries: raw query strings (duplicates allowed; each entry
-                is solved — deduplicate upstream, e.g. in
-                :class:`~repro.core.batch.BatchSearcher`).
-            max_lanes: lane budget per coalesced group; queries are
-                greedily packed until their summed keyword counts would
-                exceed it (a query wider than the budget still runs,
-                alone in its group).
-            native: ``False`` pins the per-lane NumPy driver.
-
-        Returns:
-            ``(results, failures)``: one result per input query (None
-            where the query matched nothing) and query → error message
-            for those failures.
-        """
-        import time
-
-        from ..instrumentation import PHASE_EXPANSION
-        from ..text.query_parser import parse_query, resolve_keyword_groups
-        from .coalesce import CoalescedBottomUp
-
-        if max_lanes < 1:
-            raise ValueError("max_lanes must be positive")
-        k = k if k is not None else self.config.topk
-        alpha = alpha if alpha is not None else self.config.alpha
-        lam = lam if lam is not None else self.config.lam
-        activation = self.activation_for(alpha)
-
-        parsed: List[Optional[tuple]] = []
-        failures: Dict[str, str] = {}
-        for query in queries:
-            pairs = resolve_keyword_groups(parse_query(query), self.index)
-            keywords = tuple(term for term, nodes in pairs if len(nodes) > 0)
-            dropped = tuple(term for term, nodes in pairs if len(nodes) == 0)
-            node_sets = [nodes for _, nodes in pairs if len(nodes) > 0]
-            if not node_sets:
-                failures[query] = (
-                    "no query term matches any node "
-                    f"(dropped: {', '.join(dropped) or '<empty query>'})"
-                )
-                parsed.append(None)
-            else:
-                parsed.append((keywords, dropped, node_sets))
-
-        groups: List[List[int]] = []
-        group: List[int] = []
-        used = 0
-        for index, entry in enumerate(parsed):
-            if entry is None:
-                continue
-            width = len(entry[2])
-            if group and used + width > max_lanes:
-                groups.append(group)
-                group, used = [], 0
-            group.append(index)
-            used += width
-        if group:
-            groups.append(group)
-
-        runner = CoalescedBottomUp(
-            self.graph, lmax=self.config.lmax, native=native
-        )
-        results: List[Optional[SearchResult]] = [None] * len(queries)
-        for group in groups:
-            start = time.perf_counter()
-            outcomes = runner.run(
-                [parsed[index][2] for index in group], activation, k
-            )
-            share = (time.perf_counter() - start) / len(group)
-            for index, outcome in zip(group, outcomes):
-                keywords, dropped, _ = parsed[index]
-                timer = PhaseTimer()
-                timer.add(PHASE_EXPANSION, share)
-                timer.add(PHASE_TOTAL, share)
-                with timer.phase(PHASE_TOTAL):
-                    ranked = process_top_down(
-                        self.graph,
-                        outcome.state,
-                        self.weights,
-                        config=TopDownConfig(
-                            k=k,
-                            lam=lam,
-                            apply_level_cover=self.config.apply_level_cover,
-                            deduplicate=self.config.deduplicate,
-                            single_path=self.config.single_path,
-                            n_threads=self.config.top_down_threads,
-                            native=self.config.top_down_native,
-                        ),
-                        timer=timer,
-                    )
-                results[index] = SearchResult(
-                    answers=[
-                        SearchAnswer(graph=g, keywords=keywords)
-                        for g in ranked
-                    ],
-                    keywords=keywords,
-                    dropped_terms=dropped,
-                    depth=outcome.depth,
-                    n_central_nodes=outcome.state.n_central_nodes,
-                    terminated=outcome.terminated,
-                    timer=timer,
-                    peak_state_nbytes=outcome.state.nbytes(),
-                    level_profile=[],
-                )
-        return results, failures
-
-    # ------------------------------------------------------------------
     # Storage accounting (Table IV)
     # ------------------------------------------------------------------
     def pre_storage_nbytes(self) -> int:

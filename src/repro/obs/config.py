@@ -8,10 +8,9 @@ registration):
 * ``REPRO_OBS`` — the observability kill-switch. ``REPRO_OBS=0``
   disables span tracing and metric recording everywhere (default
   tracers come up disabled, :func:`~repro.obs.metrics.record_kernel_counters`
-  no-ops), so the engine runs the exact seed hot path. The kernel
-  microbenchmark (:func:`repro.bench.kernel_microbench.measure_obs_overhead`)
-  asserts that this disabled path stays within measurement noise of the
-  untraced engine.
+  no-ops), so the engine runs the exact seed hot path.
+  :func:`repro.bench.harness.measure_obs_overhead` measures that this
+  disabled path stays within measurement noise of the untraced engine.
 * ``REPRO_NATIVE_KERNEL`` — the compiled-C expansion tier switch
   (``0`` pins the pure-NumPy kernel). Owned by
   :mod:`repro.parallel._native`; re-exposed here so callers configuring
@@ -25,10 +24,6 @@ registration):
   :mod:`repro.parallel._native`, driven by :mod:`repro.analysis.sanitize`.
 * ``REPRO_DATASET_CACHE`` — dataset cache directory override for the
   benchmark harness; owned by :mod:`repro.bench.datasets`.
-* ``REPRO_WHOLE_LEVEL`` — ``0`` pins the classic per-step bottom-up
-  loop instead of the fused whole-level fast path.
-* ``REPRO_POOL_PERSIST`` — ``0`` disables the persistent (warm) process
-  pool; each ``ProcessPoolBackend`` then owns a fresh pool.
 * ``REPRO_POOL_WORKERS`` — worker-count override for the persistent
   process pool.
 * ``REPRO_SLOW_MS`` — slow-query threshold (milliseconds) for the query
@@ -71,18 +66,6 @@ ENV_SANITIZE = "REPRO_SANITIZE"
 #: Owned by :mod:`repro.bench.datasets` (``CACHE_ENV_VAR``; a test pins
 #: the equality).
 ENV_DATASET_CACHE = "REPRO_DATASET_CACHE"
-
-#: Whole-level fast-path switch: ``REPRO_WHOLE_LEVEL=0`` pins the
-#: classic per-step bottom-up loop (enqueue / identify / expand as
-#: separate Python phases) even for backends that implement
-#: ``run_level``. Read by :class:`repro.core.bottom_up.BottomUpSearch`.
-ENV_WHOLE_LEVEL = "REPRO_WHOLE_LEVEL"
-
-#: Persistent worker-pool switch: ``REPRO_POOL_PERSIST=0`` makes
-#: :class:`repro.parallel.processes.ProcessPoolBackend` spawn a fresh
-#: pool per backend instance (the pre-warm-pool behavior) instead of
-#: reusing the process-wide pinned pool across queries.
-ENV_POOL_PERSIST = "REPRO_POOL_PERSIST"
 
 #: Worker-count override for the persistent pool, e.g.
 #: ``REPRO_POOL_WORKERS=8``. Unset/empty defers to the backend's
@@ -159,16 +142,6 @@ def sanitize_value() -> str:
 def dataset_cache_dir() -> Optional[str]:
     """The ``REPRO_DATASET_CACHE`` directory override, or ``None``."""
     return os.environ.get(ENV_DATASET_CACHE) or None
-
-
-def whole_level_enabled() -> bool:
-    """True unless ``REPRO_WHOLE_LEVEL=0`` pins the classic loop."""
-    return os.environ.get(ENV_WHOLE_LEVEL, "1") != "0"
-
-
-def pool_persist_enabled() -> bool:
-    """True unless ``REPRO_POOL_PERSIST=0`` disables pool reuse."""
-    return os.environ.get(ENV_POOL_PERSIST, "1") != "0"
 
 
 def pool_workers_override() -> Optional[int]:

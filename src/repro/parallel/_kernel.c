@@ -1,6 +1,6 @@
 /* Native tier of the fused expansion kernels.
  *
- * Three entry points share one byte-lane (SWAR) representation: a
+ * Two entry points share one byte-lane (SWAR) representation: a
  * node's per-instance boolean conditions live in 64-bit lane words
  * (byte lane i = BFS instance i), the per-edge hit ballot is a word
  * AND, and every matrix write is an idempotent byte store of level + 1
@@ -18,11 +18,6 @@
  *                       incremental finite-count update) in a single
  *                       call, eliminating the per-level Python round
  *                       trips.
- *   fused_expand_lanes — the (E x q) layout widened across concurrent
- *                       queries: W lane words per node cover up to
- *                       W * 8 coalesced keyword columns with per-lane
- *                       keyword exemptions, so one pass drives many
- *                       queries (core/batch.py).
  *
  * Because the matrix is read live (not from a pre-level snapshot), a
  * cell is claimed exactly once per call, so the emitted keys are the
@@ -366,105 +361,6 @@ int64_t whole_level_step(
     stats_out[5] = pruned;
     stats_out[6] = dups;
     return n_frontier;
-}
-
-/* The (E x q) lane-word layout widened across concurrent queries: each
- * node carries `n_words` lane words covering up to n_words * 8
- * coalesced keyword columns (the matrix is padded to that width with
- * always-finite zero cells, which can never ballot).  Per-lane keyword
- * exemptions replace the per-node `blocked` flag: a lane's query treats
- * the neighbor as a keyword node iff the lane's bit is set in
- * `kw_words`, so Algorithm 2's line 18-20 runs independently per
- * coalesced query with solo semantics.
- *
- *   n_chunk    rows of `chunk` / `se_words`
- *   chunk      frontier node ids
- *   se_words   (n_chunk x n_words) eligibility lane words, already
- *              masked by the per-query expand masks (frozen queries and
- *              per-query Central Nodes contribute no lanes)
- *   n_words    lane words per node (ceil(total columns / 8))
- *   indptr/indices CSR adjacency
- *   matrix     (n x n_words*8) uint8 matrix, row-major, pad cells 0
- *   kw_words   (n x n_words) per-lane keyword exemption words (NULL
- *              when no node can still block)
- *   activation per-node activation levels (int32)
- *   fid        FIdentifier flags
- *   next_level the stamp (level + 1)
- *   out_keys   capacity n * n_words * 8
- *   out_counts [0] pairs_hit  [1] duplicates_elided  [2] retries
- *
- * Returns the number of unique cell keys (node * n_words*8 + lane)
- * written to out_keys.
- */
-int64_t fused_expand_lanes(
-    int64_t n_chunk,
-    const int64_t* chunk,
-    const uint64_t* se_words,
-    int64_t n_words,
-    const int64_t* indptr,
-    const int32_t* indices,
-    uint8_t* matrix,
-    const uint64_t* kw_words,
-    const int32_t* activation,
-    uint8_t* fid,
-    uint8_t next_level,
-    int64_t* out_keys,
-    int64_t* out_counts)
-{
-    const int64_t row_q = n_words * 8;
-    const int32_t next_level_i = (int32_t)next_level;
-    int64_t n_keys = 0;
-    int64_t dups = 0;
-    int64_t retries = 0;
-
-    for (int64_t i = 0; i < n_chunk; ++i) {
-        const uint64_t* se = se_words + i * n_words;
-        const int64_t u = chunk[i];
-        int retry = 0;
-        const int64_t end = indptr[u + 1];
-        for (int64_t e = indptr[u]; e < end; ++e) {
-            const int64_t v = (int64_t)indices[e];
-            const int blocked_node =
-                kw_words && activation[v] >= next_level_i + 1;
-            int any = 0;
-            for (int64_t w = 0; w < n_words; ++w) {
-                if (!se[w])
-                    continue;
-                uint64_t m;
-                memcpy(&m, matrix + v * row_q + w * 8, 8);
-                dups += lane_sum(se[w] & eq_lanes(m, next_level));
-                uint64_t open = se[w] & inf_lanes(m);
-                if (!open)
-                    continue;
-                if (blocked_node) {
-                    /* Lanes whose query does not exempt v retry. */
-                    const uint64_t kw = kw_words[v * n_words + w];
-                    if (open & ~kw)
-                        retry = 1;
-                    open &= kw;
-                    if (!open)
-                        continue;
-                }
-                for (int c = 0; c < 8; ++c) {
-                    if ((open >> (8 * c)) & 1) {
-                        matrix[v * row_q + w * 8 + c] = next_level;
-                        out_keys[n_keys++] = v * row_q + w * 8 + c;
-                    }
-                }
-                any = 1;
-            }
-            if (any)
-                fid[v] = 1;
-        }
-        if (retry) {
-            fid[u] = 1;
-            ++retries;
-        }
-    }
-    out_counts[0] = n_keys;
-    out_counts[1] = dups;
-    out_counts[2] = retries;
-    return n_keys;
 }
 
 /* Build the Theorem V.4 qualified-predecessor relation (the hitting

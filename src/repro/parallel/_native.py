@@ -151,9 +151,9 @@ def _compile(
 class NativeKernel:
     """ctypes wrapper around the compiled kernel symbols.
 
-    Exposes the per-chunk ``fused_expand``, the per-level
+    Exposes the per-chunk ``fused_expand`` and the per-level
     ``whole_level_step`` (Algorithm 1's enqueue + identify + expansion
-    fused into one call) and the cross-query ``fused_expand_lanes``.
+    fused into one call), plus the three stage-two kernels.
     Every call releases the GIL, so concurrent chunk expansions
     (``ThreadPoolBackend``) overlap on real cores.
     """
@@ -259,25 +259,6 @@ class NativeKernel:
             i64,  # n_out
         ]
         self._graph_closure = graph_closure
-
-        lanes = library.fused_expand_lanes
-        lanes.restype = ctypes.c_int64
-        lanes.argtypes = [
-            ctypes.c_int64,  # n_chunk
-            i64,  # chunk
-            u64,  # se_words
-            ctypes.c_int64,  # n_words
-            i64,  # indptr
-            i32,  # indices
-            u8,  # matrix
-            ctypes.c_void_p,  # kw_words (nullable)
-            i32,  # activation
-            u8,  # fid
-            ctypes.c_uint8,  # next_level
-            i64,  # out_keys
-            i64,  # out_counts
-        ]
-        self._lanes = lanes
 
     def expand(
         self,
@@ -474,45 +455,6 @@ class NativeKernel:
             n_out,
         )
         return int(n_out[0]), int(n_out[1])
-
-    def expand_lanes(
-        self,
-        chunk: np.ndarray,
-        se_words: np.ndarray,
-        n_words: int,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        matrix_flat: np.ndarray,
-        kw_words: Optional[np.ndarray],
-        activation: np.ndarray,
-        f_identifier: np.ndarray,
-        next_level: int,
-        out_keys: np.ndarray,
-        out_counts: np.ndarray,
-    ) -> int:
-        """Cross-query widened expansion; returns the unique-key count.
-
-        ``out_counts`` (int64, length >= 3) receives ``[pairs_hit,
-        duplicates_elided, retries]``.
-        """
-        kw_ptr = kw_words.ctypes.data if kw_words is not None else None
-        return int(
-            self._lanes(
-                len(chunk),
-                chunk,
-                se_words,
-                n_words,
-                indptr,
-                indices,
-                matrix_flat,
-                kw_ptr,
-                activation,
-                f_identifier,
-                next_level,
-                out_keys,
-                out_counts,
-            )
-        )
 
 
 def enabled() -> bool:

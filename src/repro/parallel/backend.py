@@ -2,9 +2,14 @@
 
 The two-stage algorithm (Algorithm 1) forks worker threads/warps for the
 expansion procedure and joins between steps. In this reproduction a
-*backend* owns exactly that expansion step: given the shared
-:class:`~repro.core.state.SearchState` and the current BFS level, it
-applies Algorithm 2 to the current frontier.
+*backend* runs one bottom-up level per :meth:`ExpansionBackend.run_level`
+call — enqueue frontiers, identify Central Nodes, expansion — and the
+loop in :class:`~repro.core.bottom_up.BottomUpSearch` only decides when
+to stop. A backend supplies :meth:`ExpansionBackend.expand` (Algorithm 2
+over the current frontier of the shared
+:class:`~repro.core.state.SearchState`) and inherits a level composed
+from it; one that can do the whole level in a single pass overrides
+``run_level``.
 
 Backends must preserve the lock-free write discipline: only ever write
 ``1`` into FIdentifier and ``level + 1`` into M, so concurrent writers
@@ -18,10 +23,12 @@ opting out with
 :meth:`~repro.core.state.SearchState.invalidate_finite_count`, which
 makes Central Node identification fall back to the full row scan.
 
-Backends built on the fused kernel expose a ``last_counters`` attribute
-(:class:`~repro.instrumentation.KernelCounters`) describing the most
-recent level's flat-array work; the bottom-up loop forwards it to any
-attached :class:`~repro.core.trace.SearchTrace`.
+Backends built on the fused kernel return the level's
+:class:`~repro.instrumentation.KernelCounters` from ``expand``; they
+reach the loop, the tracer and any attached
+:class:`~repro.core.trace.SearchTrace` on the level's
+:class:`LevelOutcome` and nowhere else, so nothing about a level is
+kept on the backend that concurrent queries share.
 """
 
 from __future__ import annotations
@@ -33,20 +40,22 @@ from typing import List, Optional, Tuple, Type
 
 from ..core.state import SearchState
 from ..graph.csr import KnowledgeGraph
-from ..instrumentation import KernelCounters
+from ..instrumentation import (
+    PHASE_ENQUEUE,
+    PHASE_EXPANSION,
+    PHASE_IDENTIFY,
+    KernelCounters,
+    PhaseTimer,
+)
 from ..obs.tracing import NULL_TRACER, Tracer
 
 
 @dataclass
 class LevelOutcome:
-    """Result of one whole bottom-up level (``run_level`` backends).
+    """Result of one bottom-up level (:meth:`ExpansionBackend.run_level`).
 
-    Backends that implement ``run_level`` execute Algorithm 1's three
-    joined per-level steps — enqueue frontiers, identify Central Nodes,
-    expansion — in one call (natively in one C pass when the compiled
-    tier is available), and report what happened so the bottom-up loop
-    can keep its termination logic, tracing, and per-level profiles
-    bit-identical to the classic step-by-step path.
+    The only channel from a level to the bottom-up loop: termination,
+    tracing and the per-level profile are all decided from it.
 
     Attributes:
         n_frontier: nodes enqueued into the joint frontier (0 means the
@@ -57,7 +66,8 @@ class LevelOutcome:
         expanded: whether Algorithm 2 ran (False when the top-k target
             was met at identification or the level cap was reached).
         new_hits: unique (node, keyword) cells that became finite.
-        counters: kernel work counters for the expansion, when it ran.
+        counters: kernel work counters for the expansion, when it ran on
+            a backend that counts.
     """
 
     n_frontier: int
@@ -89,13 +99,59 @@ class ExpansionBackend(abc.ABC):
         self.tracer = tracer
 
     @abc.abstractmethod
-    def expand(self, graph: KnowledgeGraph, state: SearchState, level: int) -> None:
+    def expand(
+        self, graph: KnowledgeGraph, state: SearchState, level: int
+    ) -> Optional[KernelCounters]:
         """Run Algorithm 2 for the current frontier at BFS level ``level``.
 
         Implementations mutate ``state.matrix`` (hitting levels of newly hit
         nodes) and ``state.f_identifier`` (nodes to enqueue next level),
         and must not touch anything else.
+
+        Returns:
+            The level's kernel work counters, or ``None`` from a backend
+            that does not count.
         """
+
+    def run_level(
+        self,
+        graph: KnowledgeGraph,
+        state: SearchState,
+        level: int,
+        k: int,
+        may_expand: bool,
+        timer: PhaseTimer,
+    ) -> LevelOutcome:
+        """Execute one bottom-up level of Algorithm 1 and report it.
+
+        Enqueue frontiers, identify Central Nodes, then — unless the
+        frontier drained, ``state.n_central_nodes`` reached ``k`` or
+        ``may_expand`` is False (the level cap) — :meth:`expand`. Each
+        step's time goes to its own phase of ``timer`` (the Fig. 6-7
+        columns).
+        """
+        with timer.phase(PHASE_ENQUEUE):
+            n_frontier = state.enqueue_frontiers()
+        if n_frontier == 0:
+            return LevelOutcome(n_frontier=0)
+        with timer.phase(PHASE_IDENTIFY):
+            found = state.identify_central_nodes(level)
+        if not may_expand or state.n_central_nodes >= k:
+            return LevelOutcome(n_frontier=n_frontier, new_central=found)
+        finite_before = state.total_finite_cells()
+        with timer.phase(PHASE_EXPANSION):
+            counters = self.expand(graph, state, level)
+        return LevelOutcome(
+            n_frontier=n_frontier,
+            new_central=found,
+            expanded=True,
+            new_hits=(
+                counters.pairs_hit
+                if counters is not None
+                else state.total_finite_cells() - finite_before
+            ),
+            counters=counters,
+        )
 
     def close(self) -> None:
         """Release pooled resources (thread pools); default is a no-op."""

@@ -28,10 +28,9 @@ This module makes the pool a process-wide resource:
   module-level :func:`shutdown_all`, also registered ``atexit``) joins
   the workers and unlinks the shared segment.
 
-``REPRO_POOL_PERSIST=0`` disables the registry (each backend then owns a
-private pool, the pre-warm-pool behavior) and ``REPRO_POOL_WORKERS``
-overrides worker counts globally; both are registered in
-:mod:`repro.obs.config`.
+``ProcessPoolBackend(persistent=False)`` bypasses the registry (the
+backend then owns a private pool) and ``REPRO_POOL_WORKERS`` overrides
+worker counts globally (registered in :mod:`repro.obs.config`).
 """
 
 from __future__ import annotations

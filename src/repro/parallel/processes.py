@@ -12,13 +12,12 @@ Workers come from the **persistent pinned pool**
 (:mod:`repro.parallel.pool`): forked once per (graph, Tnum) with the CSR
 arrays pinned into their address space, kept warm across queries and
 across backend instances, respawned (and the level retried — idempotent
-writes make the re-run safe) if one crashes. ``REPRO_POOL_PERSIST=0``
-reverts to a private pool per backend. For graphs opened from an on-disk
-:mod:`repro.graph.store` file, workers attach by re-mapping the store's
-``adj`` arrays read-only instead of inheriting parent pages — one
-physical copy in the page cache regardless of Tnum, O(1) attach cost,
-and warm pools keyed by store path that survive graph reloads. Only the
-small per-query search state ever goes through shared memory.
+writes make the re-run safe) if one crashes. For graphs opened from an
+on-disk :mod:`repro.graph.store` file, workers attach by re-mapping the
+store's ``adj`` arrays read-only instead of inheriting parent pages —
+one physical copy in the page cache regardless of Tnum, O(1) attach
+cost, and warm pools keyed by store path that survive graph reloads.
+Only the small per-query search state ever goes through shared memory.
 
 Mechanics per expansion level:
 
@@ -42,7 +41,7 @@ import numpy as np
 
 from ..core.state import SearchState
 from ..graph.csr import KnowledgeGraph
-from ..obs.config import pool_persist_enabled, pool_workers_override
+from ..obs.config import pool_workers_override
 from ..obs.proc import WorkerSpanRecorder, stitch_worker_spans
 from .backend import ExpansionBackend
 from . import pool as pool_module
@@ -180,10 +179,9 @@ class ProcessPoolBackend(ExpansionBackend):
         n_processes: worker count (the paper's Tnum, with real cores);
             overridden globally by ``REPRO_POOL_WORKERS`` when set.
         chunks_per_process: dynamic-scheduling granularity.
-        persistent: ``True`` (default, unless ``REPRO_POOL_PERSIST=0``)
-            acquires the process-wide warm pool shared across backend
-            instances; ``False`` owns a private pool torn down by
-            :meth:`close`.
+        persistent: ``True`` (default) acquires the process-wide warm
+            pool shared across backend instances; ``False`` owns a
+            private pool torn down by :meth:`close`.
 
     Raises:
         RuntimeError: when the platform lacks the ``fork`` start method.
@@ -194,7 +192,7 @@ class ProcessPoolBackend(ExpansionBackend):
         graph: KnowledgeGraph,
         n_processes: int = 4,
         chunks_per_process: int = 2,
-        persistent: Optional[bool] = None,
+        persistent: bool = True,
     ) -> None:
         if n_processes < 1:
             raise ValueError("n_processes must be positive")
@@ -205,8 +203,6 @@ class ProcessPoolBackend(ExpansionBackend):
                 "ProcessPoolBackend requires the 'fork' start method"
             )
         n_processes = pool_workers_override() or n_processes
-        if persistent is None:
-            persistent = pool_persist_enabled()
         self.n_processes = n_processes
         self.chunks_per_process = chunks_per_process
         self.persistent = persistent

@@ -23,8 +23,6 @@ counts once.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional
-
 import numpy as np
 
 from ..core.state import SearchState
@@ -55,25 +53,25 @@ class ThreadPoolBackend(ExpansionBackend):
         self.n_threads = n_threads
         self.chunks_per_thread = chunks_per_thread
         self.name = f"threads[{n_threads}]"
-        self.last_counters: Optional[KernelCounters] = None
         self._pool = ThreadPoolExecutor(
             max_workers=n_threads, thread_name_prefix="expansion"
         )
 
-    def expand(self, graph: KnowledgeGraph, state: SearchState, level: int) -> None:
+    def expand(
+        self, graph: KnowledgeGraph, state: SearchState, level: int
+    ) -> KernelCounters:
         frontier = state.frontier
-        if len(frontier) == 0:
-            return
         counters = KernelCounters()
+        if len(frontier) == 0:
+            return counters
         n_chunks = min(
             len(frontier), self.n_threads * self.chunks_per_thread
         )
         if n_chunks <= 1 or self.n_threads == 1:
             keys = fused_expand_chunk(graph, state, level, frontier, counters)
             apply_hit_keys(state, keys)
-            self.last_counters = counters
             record_kernel_counters(counters, tier="threads")
-            return
+            return counters
         chunks = [
             chunk
             for chunk in np.array_split(frontier, n_chunks)
@@ -127,8 +125,8 @@ class ThreadPoolBackend(ExpansionBackend):
             # any wrote) collapse to one count — more elided duplicates.
             counters.duplicates_elided += claimed - len(merged)
             counters.pairs_hit -= claimed - len(merged)
-        self.last_counters = counters
         record_kernel_counters(counters, tier="threads")
+        return counters
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)

@@ -52,7 +52,12 @@ import numpy as np
 
 from ..core.state import INFINITE_LEVEL, MAX_LEVEL, SearchState
 from ..graph.csr import KnowledgeGraph
-from ..instrumentation import KernelCounters, hot_path
+from ..instrumentation import (
+    PHASE_EXPANSION,
+    KernelCounters,
+    PhaseTimer,
+    hot_path,
+)
 from ..obs.metrics import record_kernel_counters
 from .backend import ExpansionBackend, LevelOutcome
 
@@ -476,9 +481,9 @@ class VectorizedBackend(ExpansionBackend):
     activation level has been reached (no blocked/retry protocol left)
     and while the incremental finite counts are exact.
 
-    After each :meth:`expand`, :attr:`last_counters` holds the kernel
-    work counters of that level (edges gathered, unique cells hit,
-    duplicates elided, prefiltered sources, pull levels taken).
+    :meth:`expand` returns the kernel work counters of the level (edges
+    gathered, unique cells hit, duplicates elided, prefiltered sources,
+    pull levels taken).
 
     Args:
         pull_ratio: take the pull direction when its edge scan is
@@ -498,7 +503,6 @@ class VectorizedBackend(ExpansionBackend):
     ) -> None:
         self.pull_ratio = pull_ratio
         self.native = native
-        self.last_counters: Optional[KernelCounters] = None
 
     def _should_pull(
         self, graph: KnowledgeGraph, state: SearchState, level: int
@@ -522,11 +526,13 @@ class VectorizedBackend(ExpansionBackend):
         pull_edges = int(degree_array[state.finite_count < state.n_keywords].sum())
         return pull_edges < push_edges * self.pull_ratio
 
-    def expand(self, graph: KnowledgeGraph, state: SearchState, level: int) -> None:
+    def expand(
+        self, graph: KnowledgeGraph, state: SearchState, level: int
+    ) -> KernelCounters:
         frontier = state.frontier
-        if len(frontier) == 0:
-            return
         counters = KernelCounters()
+        if len(frontier) == 0:
+            return counters
         if self._should_pull(graph, state, level):
             keys = pull_expand(graph, state, level, counters)
             tier = "pull"
@@ -540,11 +546,11 @@ class VectorizedBackend(ExpansionBackend):
                 else "numpy"
             )
         apply_hit_keys(state, keys)
-        self.last_counters = counters
         record_kernel_counters(counters, tier=tier)
+        return counters
 
     # ------------------------------------------------------------------
-    # Whole-level fast path (Algorithm 1's joined steps in one call)
+    # Native whole level (Algorithm 1's joined steps in one C call)
     # ------------------------------------------------------------------
     def _whole_level_native(self, state: SearchState) -> "Optional[object]":
         """The compiled whole-level kernel, when this state can use it.
@@ -574,25 +580,32 @@ class VectorizedBackend(ExpansionBackend):
         level: int,
         k: int,
         may_expand: bool,
+        timer: PhaseTimer,
     ) -> LevelOutcome:
-        """Execute one complete bottom-up level (enqueue + identify +
-        expansion) and report what happened.
+        """One bottom-up level as a single C call (``whole_level_step``).
 
-        Semantics are identical to the classic step-by-step loop in
-        :class:`repro.core.bottom_up.BottomUpSearch` — same step order,
-        same termination decisions (expansion is skipped once
-        ``state.n_central_nodes`` reaches ``k`` or when ``may_expand`` is
-        False) — with the per-level Python round trips replaced by a
-        single C call whenever :func:`_native_kernel` provides the
-        ``whole_level_step`` symbol. Otherwise the level is composed
-        from the same :class:`~repro.core.state.SearchState` primitives
-        the classic loop uses, so the fallback is identical by
-        construction.
+        Same step order and same termination decisions as the inherited
+        level, which is also what runs when the compiled tier cannot
+        take this state. The steps cannot be timed apart inside one
+        call, so all of it is charged to the expansion phase.
         """
         kernel = self._whole_level_native(state)
         if kernel is None:
-            return self._run_level_numpy(graph, state, level, k, may_expand)
+            return super().run_level(graph, state, level, k, may_expand, timer)
+        with timer.phase(PHASE_EXPANSION):
+            return self._run_level_native(
+                kernel, graph, state, level, k, may_expand
+            )
 
+    def _run_level_native(
+        self,
+        kernel: "object",
+        graph: KnowledgeGraph,
+        state: SearchState,
+        level: int,
+        k: int,
+        may_expand: bool,
+    ) -> LevelOutcome:
         # The output buffers belong to the query: one backend serves every
         # request thread, and the native call runs with the GIL released.
         if state.level_buffers is None:
@@ -639,45 +652,11 @@ class VectorizedBackend(ExpansionBackend):
                 sources_pruned=int(stats[5]),
             )
             record_kernel_counters(counters, tier="whole-level")
-        self.last_counters = counters
         return LevelOutcome(
             n_frontier=n_frontier,
             new_central=found,
             expanded=expanded,
             new_hits=int(stats[4]),
-            counters=counters,
-        )
-
-    def _run_level_numpy(
-        self,
-        graph: KnowledgeGraph,
-        state: SearchState,
-        level: int,
-        k: int,
-        may_expand: bool,
-    ) -> LevelOutcome:
-        """Whole-level fallback composed from the classic primitives."""
-        n_frontier = state.enqueue_frontiers()
-        if n_frontier == 0:
-            self.last_counters = None
-            return LevelOutcome(n_frontier=0)
-        found = state.identify_central_nodes(level)
-        expanded = may_expand and state.n_central_nodes < k
-        counters: Optional[KernelCounters] = None
-        new_hits = 0
-        if expanded:
-            self.last_counters = None
-            self.expand(graph, state, level)
-            counters = self.last_counters
-            if counters is not None:
-                new_hits = counters.pairs_hit
-        else:
-            self.last_counters = None
-        return LevelOutcome(
-            n_frontier=n_frontier,
-            new_central=found,
-            expanded=expanded,
-            new_hits=new_hits,
             counters=counters,
         )
 

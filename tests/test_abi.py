@@ -92,7 +92,6 @@ def test_parse_real_kernel_exports_all_bound_symbols():
     names = {fn.name for fn in abi.parse_c_exports(source)}
     assert {
         "fused_expand",
-        "fused_expand_lanes",
         "whole_level_step",
         "build_hitting_dag",
         "extract_closure",

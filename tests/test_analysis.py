@@ -12,6 +12,7 @@ here alongside the other injection classes.
 """
 
 import textwrap
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -180,8 +181,6 @@ def test_checked_backend_delegates_name_tracer_counters():
     tracer = Tracer(enabled=False)
     checked.tracer = tracer
     assert inner.tracer is tracer
-    checked.last_counters = None
-    assert inner.last_counters is None
     checked.close()
 
 
@@ -220,27 +219,43 @@ def test_faulty_backend_rejects_unknown_mode():
 
 
 # ---------------------------------------------------------------------------
-# CheckedBackend over the whole-level fast path
+# CheckedBackend over run_level
 # ---------------------------------------------------------------------------
+def _spy(checked, method):
+    """Replace one of ``checked``'s verifiers with a call-counting wrap."""
+    spy = mock.Mock(wraps=getattr(checked, method))
+    setattr(checked, method, spy)
+    return spy
+
+
 def test_checked_backend_verifies_whole_level_path():
-    """Wrapping a run_level backend keeps the fast path *and* the checks."""
+    """A backend with its own run_level keeps it *and* is checked
+    around it (the whole-level check, not the write-log one)."""
     graph = _kb(1)
     sets, activation, k = _problem(graph, 38, q=4)
     checked = CheckedBackend(VectorizedBackend())
-    # The feature probe must see run_level through the wrapper, so the
-    # bottom-up loop stays on the one-call-per-level path while checked.
-    assert getattr(checked, "run_level", None) is not None
+    whole, logged = _spy(checked, "_verify_level"), _spy(checked, "_verify")
     result = _run(checked, graph, sets, activation, k)
-    assert checked.levels_checked > 0
+    assert checked.levels_checked == whole.call_count > 0
+    assert not logged.called
     assert not checked.violations
     reference = _run(SequentialBackend(), graph, sets, activation, k)
     assert np.array_equal(result.state.matrix, reference.state.matrix)
 
 
-def test_checked_backend_hides_run_level_of_step_backends():
-    """A step-only inner backend must not grow a phantom run_level."""
+def test_checked_backend_logs_writes_of_inherited_level():
+    """A backend that inherits the composed level runs it over the
+    checker's logged expand (the write-log check)."""
+    graph = _kb(1)
+    sets, activation, k = _problem(graph, 38, q=4)
     checked = CheckedBackend(ThreadPoolBackend(n_threads=2))
-    assert getattr(checked, "run_level", None) is None
+    whole, logged = _spy(checked, "_verify_level"), _spy(checked, "_verify")
+    result = _run(checked, graph, sets, activation, k)
+    assert checked.levels_checked == logged.call_count > 0
+    assert not whole.called
+    assert not checked.violations
+    reference = _run(SequentialBackend(), graph, sets, activation, k)
+    assert np.array_equal(result.state.matrix, reference.state.matrix)
 
 
 class _EvilWholeLevel(VectorizedBackend):
@@ -250,8 +265,10 @@ class _EvilWholeLevel(VectorizedBackend):
         super().__init__()
         self.injected = False
 
-    def run_level(self, graph, state, level, k, may_expand):
-        outcome = super().run_level(graph, state, level, k, may_expand)
+    def run_level(self, graph, state, level, k, may_expand, timer):
+        outcome = super().run_level(
+            graph, state, level, k, may_expand, timer
+        )
         if not self.injected:
             cells = np.flatnonzero(state.matrix.ravel() == level + 1)
             if len(cells):
@@ -702,7 +719,7 @@ def test_tsan_suppression_audit_clean_and_policy_enforced(monkeypatch):
     assert sanitize.audit_suppressions() == []
     # Every entry maps to a declared idempotent write site by name.
     sites = sanitize.declared_idempotent_sites()
-    assert "fused_expand" in sites and "fused_expand_lanes" in sites
+    assert "fused_expand" in sites
 
     # A blanket suppression violates the policy.
     monkeypatch.setattr(
@@ -713,7 +730,8 @@ def test_tsan_suppression_audit_clean_and_policy_enforced(monkeypatch):
     assert any(
         "banned" in problem for problem in sanitize.audit_suppressions()
     )
-    # A suppression naming a non-exported symbol violates the policy.
+    # A suppression naming a non-exported symbol violates the policy
+    # (how an entry left behind by a deleted kernel is caught).
     monkeypatch.setattr(
         sanitize,
         "THEOREM_V2_SUPPRESSIONS",

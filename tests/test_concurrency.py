@@ -200,7 +200,6 @@ def test_repo_is_clean_and_locks_discovered():
         "obs.tracing.Tracer._lock",
         "parallel.locked.LockedDictEngine._frontier_lock",
         "analysis.writelog.WriteLog._registry_lock",
-        "bench.loadgen._StatusCounts._lock",
     ):
         assert expected in report.locks, expected
     assert report.locks["parallel.locked.LockedDictEngine._locks"].kind == (

@@ -6,7 +6,9 @@ them through one :class:`SearchService`, one engine and one
 GIL released. Whatever a level writes must therefore belong to the query:
 with the output buffers cached on the backend, two queries overwrote each
 other's frontier and Central-Node lists and about a third of the answers
-at two clients were wrong.
+at two clients were wrong. The same goes for what a level *reports*: the
+NumPy tier once published a level's kernel counters through an attribute
+of the shared backend, so concurrent queries could swap level profiles.
 """
 
 import sys
@@ -17,6 +19,7 @@ import pytest
 from repro.core.engine import KeywordSearchEngine
 from repro.eval.queries import KeywordWorkload
 from repro.graph.generators import wiki2018_config, wiki_like_kb
+from repro.obs.flight import FlightRecorder
 from repro.parallel import SequentialBackend, VectorizedBackend
 from repro.service import SearchService
 
@@ -56,9 +59,31 @@ def expected(engine):
     return answers
 
 
-def test_threads_sharing_one_service_get_reference_answers(engine, expected):
-    service = SearchService(engine)
+@pytest.fixture(scope="module")
+def numpy_engine(engine):
+    return KeywordSearchEngine(
+        engine.graph,
+        backend=VectorizedBackend(native=False),
+        index=engine.index,
+        weights=engine.weights,
+        average_distance=engine.average_distance,
+    )
+
+
+def _levels(service, payload):
+    return service.flight.get(payload["query_id"]).levels
+
+
+def _assert_threads_get_serial_results(engine, expected):
+    # Every record stays in the ring until its client has read it.
+    service = SearchService(
+        engine, flight=FlightRecorder(max_records=(N_THREADS + 1) * N_QUERIES)
+    )
     queries = list(expected)
+    serial_levels = {}
+    for query in queries:
+        _, payload = service.handle_search(query, k=K)
+        serial_levels[query] = _levels(service, payload)
     wrong, errors = [], []
 
     def client(offset):
@@ -76,6 +101,7 @@ def test_threads_sharing_one_service_get_reference_answers(engine, expected):
                     or got_scores != pytest.approx(scores, abs=1e-9)
                     or payload["depth"] != depth
                     or payload["n_central_nodes"] != nc
+                    or _levels(service, payload) != serial_levels[query]
                 ):
                     wrong.append((query, status, got, nodes))
         except Exception as error:  # reported by the main thread below
@@ -97,4 +123,14 @@ def test_threads_sharing_one_service_get_reference_answers(engine, expected):
     assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
     assert not wrong, f"{len(wrong)} of {N_THREADS * N_QUERIES} answers differ: {wrong[:3]}"
-    assert service.stats.queries == N_THREADS * N_QUERIES
+    assert service.stats.queries == (N_THREADS + 1) * len(queries)
+
+
+def test_threads_sharing_one_service_get_reference_answers(engine, expected):
+    _assert_threads_get_serial_results(engine, expected)
+
+
+def test_threads_sharing_numpy_tier_get_serial_level_profiles(
+    numpy_engine, expected
+):
+    _assert_threads_get_serial_results(numpy_engine, expected)

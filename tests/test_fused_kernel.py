@@ -1,4 +1,4 @@
-"""Cross-backend parity and schema tests for the fused expansion kernel.
+"""Cross-backend parity tests for the fused expansion kernel.
 
 The fused single-pass kernel (``repro.parallel.vectorized``) replaces q
 sequential per-column passes with one pass over the (E × q) work grid,
@@ -6,22 +6,12 @@ optionally through a runtime-compiled C tier. Theorem V.2 says every
 scheduling of the idempotent writes converges to the same M — so every
 backend, and both kernel tiers, must be *bitwise* identical on M, the
 Central Node set and the search depth. This module fuzzes that claim on
-a population of hub-heavy wiki-shaped KBs and smoke-tests the
-``BENCH_kernel.json`` microbenchmark plumbing at tiny scale.
+a population of hub-heavy wiki-shaped KBs.
 """
-
-import json
 
 import numpy as np
 import pytest
 
-from repro.bench.kernel_microbench import (
-    LegacyPerColumnBackend,
-    run_kernel_microbench,
-    tiny_config,
-    validate_payload,
-    write_payload,
-)
 from repro.core.activation import activation_levels
 from repro.core.bottom_up import BottomUpSearch
 from repro.core.weights import node_weights
@@ -109,125 +99,3 @@ def test_backends_agree_on_wide_query():
     assert np.array_equal(fused.state.matrix, reference.state.matrix)
     assert sorted(fused.central_nodes) == sorted(reference.central_nodes)
     assert fused.depth == reference.depth
-
-
-def test_legacy_baseline_matches_sequential():
-    """The measured baseline must itself be a faithful seed copy."""
-    graph = _fuzz_kb(5)
-    sets, activation, k = _fuzz_problem(graph, 123, q=6)
-    reference = _run_backend(SequentialBackend(), graph, sets, activation, k)
-    legacy = _run_backend(LegacyPerColumnBackend(), graph, sets, activation, k)
-    assert np.array_equal(legacy.state.matrix, reference.state.matrix)
-    assert sorted(legacy.central_nodes) == sorted(reference.central_nodes)
-
-
-# ---------------------------------------------------------------------------
-# Microbenchmark plumbing (tiny scale, fast)
-# ---------------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def tiny_payload():
-    from repro.bench.datasets import build_dataset
-
-    dataset = build_dataset(tiny_config())
-    return run_kernel_microbench(
-        dataset=dataset,
-        knum=4,
-        n_queries=2,
-        repeats=1,
-        topk=5,
-        pool_tnums=(1, 2),
-    )
-
-
-def test_microbench_payload_schema(tiny_payload):
-    validate_payload(tiny_payload)  # raises on any schema violation
-    assert tiny_payload["answers_identical"] is True
-    assert tiny_payload["knum"] == 4
-    assert isinstance(tiny_payload["native_kernel"], bool)
-    counters = tiny_payload["fused"]["counters"]
-    assert counters["edges_gathered"] > 0
-    assert counters["pairs_hit"] > 0
-    if tiny_payload["native_kernel"]:
-        # The A/B row pinned to the NumPy tier rides along.
-        assert tiny_payload["fused_numpy"]["counters"]["pairs_hit"] > 0
-
-
-def test_microbench_whole_level_row(tiny_payload):
-    """The whole-level side must report real work: its counters come
-    from ``run_level`` outcomes, not the step-path ``last_counters``."""
-    whole = tiny_payload["whole_level"]
-    assert whole["counters"]["edges_gathered"] > 0
-    assert whole["counters"]["pairs_hit"] > 0
-    phases = whole["phases"]
-    assert phases["total_ms"] >= phases["expansion_ms"]
-    # Whole-level answers matched the seed baseline (folded into the
-    # payload-level flag) and the batched entry matched whole-level.
-    assert tiny_payload["batched"]["answers_identical"] is True
-    assert tiny_payload["speedup_whole_level"] > 0
-
-
-def test_microbench_warm_pool_entry(tiny_payload):
-    from repro.parallel.processes import ProcessPoolBackend
-
-    if not ProcessPoolBackend.is_supported():
-        assert "warm_pool" not in tiny_payload
-        pytest.skip("fork-based process pools unavailable")
-    warm_pool = tiny_payload["warm_pool"]
-    assert [row["n_workers"] for row in warm_pool["sweep"]] == [1, 2]
-    # Warm workers must never have needed a respawn mid-sweep.
-    assert all(row["respawns"] == 0 for row in warm_pool["sweep"])
-    # Every row pairs warm reuse with the cold-spawn cost it amortizes.
-    assert all(
-        row["total_ms"] > 0 and row["cold_ms"] > 0 and row["warm_speedup"] > 0
-        for row in warm_pool["sweep"]
-    )
-    assert warm_pool["host_cpus"] >= 1
-    assert warm_pool["cold_spawn_ms"] > 0
-    assert warm_pool["warm_ms"] > 0
-
-
-def test_microbench_payload_roundtrip(tiny_payload, tmp_path):
-    path = tmp_path / "BENCH_kernel.json"
-    write_payload(tiny_payload, str(path))
-    on_disk = json.loads(path.read_text(encoding="utf-8"))
-    validate_payload(on_disk)
-    assert on_disk["dataset"] == tiny_payload["dataset"]
-
-
-@pytest.mark.parametrize(
-    "corruption, message",
-    [
-        ({"schema": "bogus/v0"}, "schema"),
-        ({"knum": 0}, "knum"),
-        ({"fused": {}}, "fused"),
-        ({"speedup_expansion": -1.0}, "speedup_expansion"),
-        ({"speedup_whole_level": 0}, "speedup_whole_level"),
-        ({"answers_identical": "yes"}, "answers_identical"),
-        ({"native_kernel": 1}, "native_kernel"),
-        ({"whole_level": {}}, "whole_level"),
-        ({"batched": "fast"}, "batched"),
-        ({"warm_pool": {"sweep": []}}, "warm_pool"),
-    ],
-)
-def test_validate_payload_rejects(tiny_payload, corruption, message):
-    broken = dict(tiny_payload)
-    broken.update(corruption)
-    with pytest.raises(ValueError, match=message):
-        validate_payload(broken)
-
-
-def test_bench_kernel_cli_smoke(tmp_path, capsys):
-    from repro.cli import main
-
-    out = tmp_path / "BENCH_kernel.json"
-    code = main(
-        [
-            "bench-kernel", "--scale", "tiny", "--knum", "3",
-            "--queries", "1", "--repeats", "1", "--topk", "3",
-            "--out", str(out),
-        ]
-    )
-    assert code == 0
-    captured = capsys.readouterr().out
-    assert "kernel microbenchmark" in captured
-    validate_payload(json.loads(out.read_text(encoding="utf-8")))

@@ -442,7 +442,7 @@ def test_threaded_backend_attaches_chunk_spans(request):
 # Kill-switch overhead
 # ---------------------------------------------------------------------------
 def test_disabled_obs_within_noise_of_untraced():
-    from repro.bench.kernel_microbench import measure_obs_overhead
+    from repro.bench import measure_obs_overhead
 
     overhead = measure_obs_overhead(repeats=3, n_queries=2, knum=3, topk=5)
     # Identical code path either way; generous factor absorbs CI noise.

@@ -82,13 +82,27 @@ print(json.dumps({"status": "ok", "signatures": signatures}))
 """
 
 
+def _child_env():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 @pytest.fixture(scope="module")
 def smoke_store(tmp_path_factory):
-    from repro.bench.store_bench import build_store_subprocess
-
+    """Build the store in a child, so ``peak_rss_bytes`` is the
+    streaming builder's own peak resident set."""
     path = str(tmp_path_factory.mktemp("ooc") / "smoke.csrstore")
-    build = build_store_subprocess("wiki-ooc-smoke", path)
-    return path, build
+    completed = subprocess.run(
+        [
+            sys.executable, "-m", "repro", "build-graph",
+            "--scale", "wiki-ooc-smoke", "--out", path, "--json",
+        ],
+        env=_child_env(), capture_output=True, text=True, timeout=600,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return path, json.loads(completed.stdout.strip().splitlines()[-1])
 
 
 def _unconstrained_signatures(path):
@@ -130,12 +144,9 @@ def test_capped_process_answers_match_unconstrained(smoke_store, tmp_path):
 
     script = tmp_path / "capped_query.py"
     script.write_text(_CHILD_SCRIPT, encoding="utf-8")
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     completed = subprocess.run(
         [sys.executable, str(script), path, str(cap)],
-        env=env, capture_output=True, text=True, timeout=600,
+        env=_child_env(), capture_output=True, text=True, timeout=600,
     )
     assert completed.returncode == 0, completed.stderr
     payload = json.loads(completed.stdout.strip().splitlines()[-1])

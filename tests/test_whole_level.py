@@ -1,14 +1,14 @@
-"""Whole-level kernel: one call per bottom-up level, three-way parity.
+"""One ``run_level`` per bottom-up level, three-way parity.
 
-The whole-level fast path (``VectorizedBackend.run_level``) fuses
-frontier compaction, Central-Node identification, expansion and the
-incremental finite-count update into one native call (or an equivalent
-NumPy composition). Algorithm 1's loop semantics must be preserved
-*exactly*: these tests pin the native path, the NumPy fallback and the
-classic step-by-step loop (``REPRO_WHOLE_LEVEL=0``) to bitwise-equal
-states, and pin the native/NumPy work-counter parity (the
-``duplicates_elided`` regression: the native tier must count elided
-duplicate writes exactly like the NumPy tier, not report zero).
+``VectorizedBackend.run_level`` fuses frontier compaction, Central-Node
+identification, expansion and the incremental finite-count update into
+one native call; every other backend (and the NumPy tier) inherits the
+level composed from the same steps. Algorithm 1's loop semantics must be
+preserved *exactly*: these tests pin the native call, the NumPy tier and
+``SequentialBackend`` through the inherited level to bitwise-equal
+states and per-level outcomes, and pin the native/NumPy work-counter
+parity (the ``duplicates_elided`` regression: the native tier must count
+elided duplicate writes exactly like the NumPy tier, not report zero).
 """
 
 import numpy as np
@@ -16,9 +16,18 @@ import pytest
 
 from repro.core.bottom_up import BottomUpSearch
 from repro.core.state import TERMINATED_ENOUGH_ANSWERS
+from repro.core.trace import SearchTrace
 from repro.graph.generators import WikiKBConfig, wiki_like_kb
-from repro.obs.config import ENV_WHOLE_LEVEL
-from repro.parallel import SequentialBackend, VectorizedBackend
+from repro.instrumentation import (
+    PHASE_ENQUEUE,
+    PHASE_IDENTIFY,
+    KernelCounters,
+)
+from repro.parallel import (
+    SequentialBackend,
+    ThreadPoolBackend,
+    VectorizedBackend,
+)
 
 from conftest import zero_activation
 
@@ -60,12 +69,17 @@ def _signature(result):
         result.depth,
         result.terminated,
         result.state.finite_count.tolist(),
+        [
+            (record.frontier_size, record.new_hits, record.new_central)
+            for record in result.level_profile
+        ],
     )
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_whole_level_three_way_parity(seed, monkeypatch):
-    """Native run_level == NumPy run_level == classic step loop."""
+def test_whole_level_three_way_parity(seed):
+    """Native run_level == NumPy tier == sequential, the last two
+    through the inherited level."""
     graph = _fuzz_kb(seed)
     sets, activation, k = _fuzz_problem(graph, seed * 13 + 1)
 
@@ -75,18 +89,12 @@ def test_whole_level_three_way_parity(seed, monkeypatch):
     fallback = BottomUpSearch(
         graph, backend=VectorizedBackend(native=False)
     ).run(sets, activation, k)
-    monkeypatch.setenv(ENV_WHOLE_LEVEL, "0")
-    stepped = BottomUpSearch(graph, backend=VectorizedBackend()).run(
-        sets, activation, k
-    )
-    monkeypatch.delenv(ENV_WHOLE_LEVEL)
     reference = BottomUpSearch(graph, backend=SequentialBackend()).run(
         sets, activation, k
     )
 
     assert _signature(native) == _signature(reference)
     assert _signature(fallback) == _signature(reference)
-    assert _signature(stepped) == _signature(reference)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -100,7 +108,6 @@ def test_duplicates_elided_native_numpy_parity(seed):
     ``pull_levels`` counter — work counters describe work actually done,
     so parity is only defined direction-for-direction.
     """
-    from repro.bench.kernel_microbench import _CountingVectorizedBackend
     from repro.parallel.vectorized import _native_kernel
 
     if _native_kernel() is None:  # pragma: no cover
@@ -109,17 +116,23 @@ def test_duplicates_elided_native_numpy_parity(seed):
     sets, activation, k = _fuzz_problem(graph, seed * 7 + 3)
 
     def total_counters(backend):
-        backend.pull_ratio = 0
-        BottomUpSearch(graph, backend=backend).run(sets, activation, k)
-        assert backend.totals.pull_levels == 0
+        trace = SearchTrace()
+        BottomUpSearch(graph, backend=backend).run(
+            sets, activation, k, observer=trace
+        )
+        total = KernelCounters()
+        for record in trace.records:
+            if record.kernel is not None:
+                total.add(record.kernel)
+        assert total.pull_levels == 0
         return {
-            "edges_gathered": backend.totals.edges_gathered,
-            "pairs_hit": backend.totals.pairs_hit,
-            "duplicates_elided": backend.totals.duplicates_elided,
+            "edges_gathered": total.edges_gathered,
+            "pairs_hit": total.pairs_hit,
+            "duplicates_elided": total.duplicates_elided,
         }
 
-    native = total_counters(_CountingVectorizedBackend())
-    fallback = total_counters(_CountingVectorizedBackend(native=False))
+    native = total_counters(VectorizedBackend(pull_ratio=0))
+    fallback = total_counters(VectorizedBackend(pull_ratio=0, native=False))
     assert native == fallback
     assert native["edges_gathered"] > 0
     assert native["duplicates_elided"] > 0
@@ -142,16 +155,27 @@ def test_run_level_respects_k_and_termination():
     assert sorted(result.central_nodes) == sorted(reference.central_nodes)
 
 
-def test_whole_level_env_toggle_registered():
-    """RPR004: the switch must be a registered, documented env var."""
-    import inspect
+def test_step_backends_time_their_phases_and_report_like_vectorized():
+    """The inherited level charges enqueue and identify to their own
+    phases (Fig. 6-7 columns) and reports the same per-level outcome as
+    the native call."""
+    graph = _fuzz_kb(11)
+    sets, activation, k = _fuzz_problem(graph, 27)
 
-    from repro.analysis.lint import registered_env_vars
-    from repro.obs import config
-    from repro.obs.config import whole_level_enabled
+    def levels(backend):
+        with backend:
+            result = BottomUpSearch(graph, backend=backend).run(
+                sets, activation, k
+            )
+        return result, [
+            (r.level, r.frontier_size, r.new_hits, r.new_central)
+            for r in result.level_profile
+        ]
 
-    registered = registered_env_vars(inspect.getsource(config))
-    assert ENV_WHOLE_LEVEL in registered
-    assert config.ENV_POOL_PERSIST in registered
-    assert config.ENV_POOL_WORKERS in registered
-    assert isinstance(whole_level_enabled(), bool)
+    _, expected = levels(VectorizedBackend())
+    assert len(expected) > 1
+    for backend in (ThreadPoolBackend(n_threads=2), SequentialBackend()):
+        result, got = levels(backend)
+        assert got == expected, backend.name
+        assert result.timer.get(PHASE_ENQUEUE) > 0, backend.name
+        assert result.timer.get(PHASE_IDENTIFY) > 0, backend.name

@@ -10,8 +10,8 @@ when one crashes. These tests pin that contract:
 * a killed worker triggers exactly one respawn and the batch retries to
   the correct result;
 * shutdown unlinks the shared state segment (no /dev/shm leak);
-* ``REPRO_POOL_PERSIST`` / ``REPRO_POOL_WORKERS`` switch behavior and
-  are registered env vars (RPR004).
+* ``persistent=`` / ``REPRO_POOL_WORKERS`` switch behavior, and the
+  latter is a registered env var (RPR004).
 """
 
 import numpy as np
@@ -147,20 +147,16 @@ def test_segment_grows_and_is_reused(chain5):
     assert pool.ensure_segment(2048) is grown
 
 
-def test_persist_toggle(chain5, monkeypatch):
-    """REPRO_POOL_PERSIST=0 reverts to a private pool per backend."""
-    from repro.obs.config import ENV_POOL_PERSIST
-
-    monkeypatch.setenv(ENV_POOL_PERSIST, "0")
-    backend = ProcessPoolBackend(chain5, n_processes=1)
+def test_persist_toggle(chain5):
+    """persistent=False owns a private pool per backend."""
+    backend = ProcessPoolBackend(chain5, n_processes=1, persistent=False)
     assert backend._owns_pool
-    other = ProcessPoolBackend(chain5, n_processes=1)
+    other = ProcessPoolBackend(chain5, n_processes=1, persistent=False)
     assert other.pool is not backend.pool
     backend.close()
     assert not backend.pool.alive
     other.close()
 
-    monkeypatch.delenv(ENV_POOL_PERSIST)
     warm = ProcessPoolBackend(chain5, n_processes=1)
     assert not warm._owns_pool
     warm.close()
@@ -186,7 +182,6 @@ def test_env_toggles_registered():
     from repro.obs import config
 
     registered = registered_env_vars(inspect.getsource(config))
-    assert config.ENV_POOL_PERSIST in registered
     assert config.ENV_POOL_WORKERS in registered
 
 
