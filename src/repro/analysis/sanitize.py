@@ -669,40 +669,54 @@ def _child_parity() -> int:
         return 5
     print("parity: all backends bit-identical under sanitized native kernel")
 
-    # Drive the remaining native entry points under the sanitizers: the
-    # top-down fast path (build_hitting_dag + extract_closure). The
-    # checked fuzz above already runs whole_level_step and fused_expand
-    # via the backends' run_level.
+    # Drive the remaining native entry point under the sanitizers: stage
+    # two's extract_graph, which evaluates Theorem V.4 on the adjacency
+    # slices its backward walk scans. The checked fuzz above already runs
+    # whole_level_step and fused_expand via the backends' run_level.
+    from ..core import top_down
     from ..core.bottom_up import BottomUpSearch
     from ..core.top_down import TopDownConfig, process_top_down
     from ..core.weights import node_weights
     from ..parallel.vectorized import VectorizedBackend
     from .check import _fuzz_case
 
-    graph, sets, activation, k = _fuzz_case(0)
-    solo = BottomUpSearch(graph, backend=VectorizedBackend()).run(
-        sets, activation, k
-    )
+    def signature(ranked):
+        return [
+            (g.central_node, round(g.score, 9), sorted(g.nodes), sorted(g.edges))
+            for g in ranked
+        ]
 
-    weights = node_weights(graph)
-    ranked_native = process_top_down(
-        graph, solo.state, weights, config=TopDownConfig(k=k)
+    # Each seed twice: with the default pair buffer, then with a one-pair
+    # buffer, so the kernel's overflow exit and the grow-and-rewalk retry
+    # run under ASan/UBSan too. (This child exits right after; the
+    # constant is not restored.)
+    capacities = (top_down._INITIAL_PAIR_CAPACITY, 1)
+    for seed in range(5):
+        graph, sets, activation, k = _fuzz_case(seed)
+        state = BottomUpSearch(graph, backend=VectorizedBackend()).run(
+            sets, activation, k
+        ).state
+        weights = node_weights(graph)
+        want = signature(
+            process_top_down(
+                graph, state, weights, TopDownConfig(k=k, native=False)
+            )
+        )
+        for capacity in capacities:
+            top_down._INITIAL_PAIR_CAPACITY = capacity
+            got = signature(
+                process_top_down(graph, state, weights, TopDownConfig(k=k))
+            )
+            if got != want:
+                print(
+                    f"parity: native top-down diverged from NumPy "
+                    f"(seed {seed}, pair capacity {capacity})"
+                )
+                return 7
+    print(
+        "parity: native top-down matches NumPy under sanitizers "
+        "(5 seeds, forced pair-buffer overflow included)"
     )
-    ranked_numpy = process_top_down(
-        graph, solo.state, weights, config=TopDownConfig(k=k, native=False)
-    )
-    native_sig = [
-        (g.central_node, round(g.score, 9), tuple(sorted(g.nodes)))
-        for g in ranked_native
-    ]
-    numpy_sig = [
-        (g.central_node, round(g.score, 9), tuple(sorted(g.nodes)))
-        for g in ranked_numpy
-    ]
-    if native_sig != numpy_sig:
-        print("parity: native top-down diverged from NumPy")
-        return 7
-    print("parity: native top-down matches NumPy under sanitizers")
     return 0
 
 

@@ -30,6 +30,11 @@ from .scoring import DEFAULT_LAMBDA, TopKHeap, central_graph_score
 from .state import INFINITE_LEVEL, SearchState
 
 
+#: Pairs the per-thread extraction buffer holds before its first growth
+#: (the kernel reports what it needs; see ``HittingDAG.extract_native``).
+_INITIAL_PAIR_CAPACITY = 4096
+
+
 class HittingDAG:
     """The Theorem V.4 qualified-predecessor relation, per keyword.
 
@@ -43,10 +48,21 @@ class HittingDAG:
     (the expander cannot move before its own activation; a non-keyword
     target additionally cannot be hit before its activation).
 
-    The relation is independent of which Central Node is being extracted,
-    so it is evaluated once per query as whole-array kernels over every
-    (edge, keyword) pair, and the per-Central-Node extraction below just
-    walks the precomputed predecessor lists.
+    The relation is independent of which Central Node is being
+    extracted, but only the part a Central Node's backward walk scans is
+    ever needed. Two tiers answer it identically:
+
+    * the **native** tier (selected automatically when the compiled
+      kernel is loaded) never materialises it: construction is O(1) —
+      array references only — and ``extract_graph`` in ``_kernel.c``
+      evaluates the predicate on the adjacency slices its walk pops,
+      straight off the graph CSR (:meth:`extract_native`);
+      :meth:`predecessors` evaluates one slice on demand;
+    * the **NumPy** tier (``native=False``, or no compiler) evaluates it
+      eagerly as whole-array passes over every (edge, keyword) pair,
+      once per query, and the per-level NumPy walk follows the
+      precomputed predecessor lists (:meth:`column_arrays`). It is the
+      reference the native walk is differentially tested against.
 
     One correction on top of the bare Theorem V.4 equalities: a node that
     was identified as a Central Node stops expanding (Section III-B), so
@@ -55,12 +71,11 @@ class HittingDAG:
     Without this filter, extraction recovers paths the bottom-up search
     never walked (verified against the path-recording CPU-Par-d variant).
 
-    Two tiers build the identical relation: the per-column NumPy passes
-    below (always available, and the measured legacy baseline), and a
-    single C sweep over the (edge, column) grid
-    (:mod:`repro.parallel._native`, ``build_hitting_dag``) selected
-    automatically when the compiled kernel is loaded. ``native=False``
-    pins the NumPy build.
+    One instance serves one query. Nothing here is shared across request
+    threads: the arrays it references belong to that query's
+    ``SearchState`` (or are the read-only graph CSR), and the extraction
+    scratch lives in a ``threading.local`` owned by the instance, one
+    set per ``n_threads`` worker.
     """
 
     def __init__(
@@ -70,58 +85,29 @@ class HittingDAG:
         native: Optional[bool] = None,
     ) -> None:
         self.n_keywords = state.n_keywords
+        self._adj = graph.adj
+        self._state = state
         self._indptr: List[np.ndarray] = []
         self._preds: List[np.ndarray] = []
-        self._stacked: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._matrix: Optional[np.ndarray] = None
-        self._n_nodes = graph.n_nodes
         self._local = threading.local()
-        self._kernel = _native_kernel() if native is not False else None
-        if (
-            self._kernel is not None
-            and state.matrix.flags.c_contiguous
-            and self._build_native(graph, state)
-        ):
-            return
-        self._build_numpy(graph, state)
-
-    def _build_native(
-        self, graph: KnowledgeGraph, state: SearchState
-    ) -> bool:
-        n = graph.n_nodes
-        q = state.n_keywords
-        adj = graph.adj
-        n_edges = int(adj.indptr[n])
-        out_indptr = np.empty((q, n + 1), dtype=np.int64)
-        out_preds = np.empty((q, max(n_edges, 1)), dtype=np.int64)
-        out_counts = np.zeros(q, dtype=np.int64)
-        self._kernel.build_hitting_dag(
-            adj.indptr,
-            adj.indices,
-            state.matrix.reshape(-1),
-            q,
-            state.activation,
-            state.keyword_node.view(np.uint8),
-            state.central_level,
-            out_indptr.reshape(-1),
-            out_preds.reshape(-1),
-            out_counts,
+        self._kernel = (
+            _native_kernel()
+            if native is not False and state.matrix.flags.c_contiguous
+            else None
         )
-        # Compact the used prefixes into one stacked block (so the q x E
-        # scratch is freed) shared by the per-column views and the
-        # one-call-per-Central-Node extract_graph kernel.
-        col_offsets = np.zeros(q + 1, dtype=np.int64)
-        np.cumsum(out_counts, out=col_offsets[1:])
-        preds_all = np.empty(max(int(col_offsets[-1]), 1), dtype=np.int64)
-        for column in range(q):
-            lo = int(col_offsets[column])
-            hi = int(col_offsets[column + 1])
-            preds_all[lo:hi] = out_preds[column, : hi - lo]
-            self._indptr.append(out_indptr[column])
-            self._preds.append(preds_all[lo:hi])
-        self._stacked = (out_indptr, preds_all, col_offsets)
-        self._matrix = state.matrix
-        return True
+        if self._kernel is None:
+            self._build_numpy(graph, state)
+        else:
+            # Everything extract_graph reads, as the kernel wants it.
+            self._kernel_inputs = (
+                self._adj.indptr,
+                self._adj.indices,
+                state.matrix.reshape(-1),
+                state.n_keywords,
+                state.activation,
+                state.keyword_node.view(np.uint8),
+                state.central_level,
+            )
 
     def _build_numpy(self, graph: KnowledgeGraph, state: SearchState) -> None:
         matrix = state.matrix
@@ -162,62 +148,90 @@ class HittingDAG:
             self._preds.append(flat_preds[qualified])
 
     def predecessors(self, node: int, column: int) -> np.ndarray:
-        """Qualified keyword-``column`` predecessors of ``node``."""
-        indptr = self._indptr[column]
-        return self._preds[column][indptr[node]:indptr[node + 1]]
+        """Qualified keyword-``column`` predecessors of ``node``, in
+        adjacency order."""
+        if self._kernel is None:
+            indptr = self._indptr[column]
+            return self._preds[column][indptr[node]:indptr[node + 1]]
+        # Native tier: nothing was precomputed — evaluate the predicate
+        # over this node's adjacency slice.
+        state = self._state
+        indptr = self._adj.indptr
+        preds = self._adj.indices[indptr[node]:indptr[node + 1]].astype(
+            np.int64
+        )
+        infinite = int(INFINITE_LEVEL)
+        target_level = int(state.matrix[node, column])
+        if target_level == infinite:
+            return preds[:0]
+        pred_levels = state.matrix[preds, column].astype(np.int64)
+        floor = (
+            0 if state.keyword_node[node] else int(state.activation[node]) - 1
+        )
+        expander_levels = np.maximum(
+            np.maximum(state.activation[preds].astype(np.int64), pred_levels),
+            floor,
+        )
+        pred_central_levels = state.central_level[preds]
+        qualified = (
+            (pred_levels != infinite)
+            & (target_level == expander_levels + 1)
+            & (
+                (pred_central_levels < 0)
+                | (target_level <= pred_central_levels)
+            )
+        )
+        return preds[qualified]
 
     def column_arrays(self, column: int) -> "tuple[np.ndarray, np.ndarray]":
-        """The CSR (indptr, preds) pair for one keyword's hitting DAG."""
+        """The CSR (indptr, preds) pair for one keyword's hitting DAG
+        (NumPy tier only: the native tier never builds it)."""
         return self._indptr[column], self._preds[column]
 
     def extract_native(
         self, central_node: int
-    ) -> "Optional[tuple[np.ndarray, np.ndarray]]":
+    ) -> "tuple[np.ndarray, np.ndarray]":
         """All-column closure of one Central Node in one kernel call.
 
         Returns ``(nodes, pairs)`` — deduplicated closure nodes and the
         (pred, target) pair rows (deduplicated within each column; the
-        caller dedups across columns) — or None when the native stacked
-        build is unavailable. The returned arrays are views into
-        per-thread scratch: consume them before the next call on the
-        same thread.
+        caller dedups across columns). Native tier only. The returned
+        arrays are views into per-thread scratch: consume them before
+        the next call on the same thread.
         """
-        if self._stacked is None or self._kernel is None:
-            return None
-        scratch = getattr(self._local, "extract_scratch", None)
+        local = self._local
+        scratch = getattr(local, "scratch", None)
         if scratch is None:
-            n = self._n_nodes
-            total = int(self._stacked[2][-1])
-            scratch = (
-                np.zeros(n, dtype=np.uint8),  # visited (per column)
-                np.zeros(n, dtype=np.uint8),  # seen (across columns)
+            n = self._adj.n_nodes
+            scratch = local.scratch = (
+                np.zeros(n, dtype=np.int32),  # marks (zero between calls)
                 np.empty(n, dtype=np.int64),  # DFS stack
-                np.empty(n, dtype=np.int64),  # per-column visited list
                 np.empty(n, dtype=np.int64),  # out_nodes
-                np.empty(2 * max(total, 1), dtype=np.int64),  # out_pairs
                 np.zeros(2, dtype=np.int64),  # n_out
             )
-            self._local.extract_scratch = scratch
-        visited, seen, stack, col_nodes, out_nodes, out_pairs, n_out = scratch
-        indptr_all, preds_all, col_offsets = self._stacked
-        assert self._matrix is not None
-        n_nodes, n_pairs = self._kernel.extract_graph(
-            indptr_all.reshape(-1),
-            preds_all,
-            col_offsets,
-            self._matrix.reshape(-1),
-            self._n_nodes,
-            self.n_keywords,
-            central_node,
-            visited,
-            seen,
-            stack,
-            col_nodes,
-            out_nodes,
-            out_pairs,
-            n_out,
-        )
-        return out_nodes[:n_nodes], out_pairs[: 2 * n_pairs].reshape(-1, 2)
+            local.out_pairs = np.empty(
+                2 * _INITIAL_PAIR_CAPACITY, dtype=np.int64
+            )
+        marks, stack, out_nodes, n_out = scratch
+        while True:
+            out_pairs = local.out_pairs
+            n_nodes, n_pairs, needed = self._kernel.extract_graph(
+                *self._kernel_inputs,
+                central_node,
+                marks,
+                stack,
+                out_nodes,
+                out_pairs,
+                n_out,
+            )
+            if not needed:
+                pairs = out_pairs[: 2 * n_pairs].reshape(-1, 2)
+                return out_nodes[:n_nodes], pairs
+            # The pairs did not fit: the kernel wrote nothing past the
+            # capacity, restored its scratch and said how many it needs.
+            # Grow this thread's buffer (with headroom for the next,
+            # larger Central Graph) and walk this Central Node again.
+            local.out_pairs = np.empty(2 * 2 * needed, dtype=np.int64)
 
 
 def extract_central_graph(
@@ -268,63 +282,19 @@ def extract_central_graph(
                 if matrix[pred, column] > 0 and (pred, column) not in visited:
                     visited.add((pred, column))
                     stack.append((pred, column))
-    elif (
-        getattr(dag, "extract_native", None) is not None
-        and (bulk := dag.extract_native(central_node)) is not None
-    ):
+    elif dag._kernel is not None:
         # Native whole-graph closure: all contributing columns walked in
-        # one C call against the stacked DAG, with scratch buffers
-        # reused across Central Nodes (per thread). Produces the same
-        # node and edge sets as the per-column tiers below.
-        closure_nodes, pairs = bulk
-        nodes.update(map(int, closure_nodes.tolist()))
+        # one C call off the graph CSR, Theorem V.4 evaluated on the
+        # edges the walk scans, with scratch buffers reused across
+        # Central Nodes (per thread). Produces the same node and edge
+        # sets as the NumPy walk below.
+        closure_nodes, pairs = dag.extract_native(central_node)
+        nodes.update(closure_nodes.tolist())
         if len(pairs):
             n = graph.n_nodes
             keys = np.unique(pairs[:, 0] * np.int64(n) + pairs[:, 1])
             edge_preds, edge_targets = np.divmod(keys, np.int64(n))
             edges.update(zip(edge_preds.tolist(), edge_targets.tolist()))
-    elif getattr(dag, "_kernel", None) is not None:
-        # Native closure: one C DFS per contributing keyword column,
-        # emitting the closure's nodes and (pred, target) edges in bulk;
-        # cross-column dedup happens on flat int64 edge keys instead of
-        # per-level Python set updates. Produces the same node and edge
-        # sets as the NumPy walk below.
-        n = graph.n_nodes
-        kernel = dag._kernel
-        visited = np.zeros(n, dtype=np.uint8)
-        scratch = np.empty(n, dtype=np.int64)
-        out_nodes = np.empty(n, dtype=np.int64)
-        n_out = np.zeros(2, dtype=np.int64)
-        node_parts: List[np.ndarray] = []
-        pair_parts: List[np.ndarray] = []
-        for column in range(n_keywords):
-            if matrix[central_node, column] == 0:
-                continue
-            indptr, preds = dag.column_arrays(column)
-            out_pairs = np.empty(2 * max(len(preds), 1), dtype=np.int64)
-            n_nodes, n_pairs = kernel.extract_closure(
-                indptr,
-                preds,
-                central_node,
-                visited,
-                scratch,
-                out_nodes,
-                out_pairs,
-                n_out,
-            )
-            closure_nodes = out_nodes[:n_nodes]
-            visited[closure_nodes] = 0
-            node_parts.append(closure_nodes.copy())
-            pair_parts.append(out_pairs[: 2 * n_pairs].copy())
-        if node_parts:
-            nodes.update(map(int, np.unique(np.concatenate(node_parts))))
-        if pair_parts:
-            pairs = np.concatenate(pair_parts).reshape(-1, 2)
-            keys = np.unique(pairs[:, 0] * np.int64(n) + pairs[:, 1])
-            edge_preds, edge_targets = np.divmod(keys, np.int64(n))
-            edges.update(
-                zip(edge_preds.tolist(), edge_targets.tolist())
-            )
     else:
         # Per keyword, the Central Graph's contribution is the backward
         # closure from the Central Node over that keyword's hitting DAG.
@@ -463,11 +433,11 @@ class TopDownConfig:
             instead of multi-path Central Graphs — ablation only.
         n_threads: Central Graphs recovered in parallel when > 1 (the
             paper runs this stage on CPU threads with dynamic scheduling).
-        native: ``False`` pins the NumPy hitting-DAG build and the
-            per-level NumPy extraction walk (the measured legacy
-            baseline); ``None`` uses the compiled DAG/closure kernels
-            whenever they are available. Both tiers produce identical
-            node and edge sets.
+        native: ``False`` pins the reference tier — the eager NumPy
+            hitting-DAG build and the per-level NumPy extraction walk;
+            ``None`` uses the compiled ``extract_graph`` walk (no DAG is
+            built) whenever the kernel is available. Both tiers produce
+            identical node and edge sets.
     """
 
     k: int = 20

@@ -363,33 +363,51 @@ int64_t whole_level_step(
     return n_frontier;
 }
 
-/* Build the Theorem V.4 qualified-predecessor relation (the hitting
- * DAG) for every keyword column in one pass over the (edge, column)
- * grid.  Replaces q whole-array NumPy passes (two E-element gathers
- * plus comparisons per column) with a single scalar sweep; the output
- * layout matches the per-column CSR the extraction walks.
+/* Whole Central Graph in one call, straight off the graph CSR
+ * (Algorithm 3's extraction step): for every keyword column the
+ * Central Node was hit in at a nonzero level, a DFS walks backwards
+ * from `central`, and Theorem V.4 is evaluated on exactly the adjacency
+ * slices the walk scans -- no (edge, keyword) relation is materialised
+ * beforehand.
  *
- * A neighbor p of target t qualifies as a keyword-c predecessor iff
- * (with h = M[.][c], a = activation):
+ * A neighbor p of a popped target t qualifies as its keyword-c
+ * predecessor iff (with h = M[.][c], a = activation):
  *   h_t and h_p finite,  h_t == 1 + max(a_p, h_p, floor_t)  where
  *   floor_t = 0 for keyword nodes else a_t - 1,
  * and, because an identified Central Node stops expanding, p's
  * identification level bounds the hits it can have caused:
  *   central_level[p] < 0  or  h_t <= central_level[p].
+ * Every walked t has a finite h_t (the Central Node is hit in every
+ * column; anything else was pushed as a qualified p), and h_t == 0 has
+ * no predecessor (the right-hand side is >= 1), so keyword sources are
+ * popped without a scan.
  *
- *   n            node count
- *   indptr/indices CSR adjacency (E = indptr[n] entries)
+ * One `marks` cell per node carries both memberships: 0 = not reached
+ * yet for this Central Node, c + 1 = last visited while walking column
+ * c. So "visited in this column" is marks[p] == c + 1 (no per-column
+ * reset), and out_nodes lists each node once, on its first nonzero
+ * mark. Pairs come out in adjacency order, at most once per column,
+ * and can repeat across columns; the caller dedups the interleaved
+ * (pred, target) pairs.
+ *
+ *   indptr/indices CSR adjacency
  *   matrix       (n x q) uint8 hitting-level matrix
  *   q            keyword columns
  *   activation   per-node activation levels (int32)
  *   keyword_node uint8 mask
  *   central_level per-node identification levels (int16, -1 = none)
- *   out_indptr   q x (n + 1) per-column CSR row pointers
- *   out_preds    q x E capacity, column c's predecessors at c * E
- *   out_counts   q: per-column predecessor totals
+ *   marks        n zeroed int32 (scratch; rezeroed before returning)
+ *   stack        capacity n (DFS scratch)
+ *   out_nodes    capacity n: deduplicated closure nodes, central first
+ *   out_pairs    capacity 2 * pair_capacity, interleaved (pred, target)
+ *   n_out        [0] = node count, [1] = pair count written
+ *
+ * Returns 0 when every pair fitted. Otherwise the walk still runs to
+ * its end -- counting, never writing past pair_capacity -- and returns
+ * the pair count it needs, so one retry with a buffer of that size
+ * succeeds; out_nodes / n_out[0] are complete either way.
  */
-void build_hitting_dag(
-    int64_t n,
+int64_t extract_graph(
     const int64_t* indptr,
     const int32_t* indices,
     const uint8_t* matrix,
@@ -397,179 +415,64 @@ void build_hitting_dag(
     const int32_t* activation,
     const uint8_t* keyword_node,
     const int16_t* central_level,
-    int64_t* out_indptr,
-    int64_t* out_preds,
-    int64_t* out_counts)
+    int64_t central,
+    int32_t* marks,
+    int64_t* stack,
+    int64_t* out_nodes,
+    int64_t* out_pairs,
+    int64_t pair_capacity,
+    int64_t* n_out)
 {
-    const int64_t n_edges = indptr[n];
+    int64_t n_nodes = 0;
+    int64_t n_pairs = 0;
+    out_nodes[n_nodes++] = central;
     for (int64_t c = 0; c < q; ++c) {
-        out_counts[c] = 0;
-        out_indptr[c * (n + 1)] = 0;
-    }
-    for (int64_t t = 0; t < n; ++t) {
-        const int32_t floor_t =
-            keyword_node[t] ? 0 : activation[t] - 1;
-        const uint8_t* mt_row = matrix + t * q;
-        const int64_t end = indptr[t + 1];
-        for (int64_t e = indptr[t]; e < end; ++e) {
-            const int64_t p = (int64_t)indices[e];
-            const uint8_t* mp_row = matrix + p * q;
-            const int32_t act_p = activation[p];
-            const int16_t pc = central_level[p];
-            for (int64_t c = 0; c < q; ++c) {
-                const uint8_t mt = mt_row[c];
-                const uint8_t mp = mp_row[c];
-                if (mt == 0xFF || mp == 0xFF)
+        if (matrix[central * q + c] == 0)
+            continue;
+        const int32_t column_mark = (int32_t)(c + 1);
+        int64_t top = 0;
+        marks[central] = column_mark;
+        stack[top++] = central;
+        while (top) {
+            const int64_t t = stack[--top];
+            const int32_t mt = (int32_t)matrix[t * q + c];
+            if (mt == 0)
+                continue;
+            const int32_t floor_t =
+                keyword_node[t] ? 0 : activation[t] - 1;
+            const int64_t end = indptr[t + 1];
+            for (int64_t e = indptr[t]; e < end; ++e) {
+                const int64_t p = (int64_t)indices[e];
+                const uint8_t mp = matrix[p * q + c];
+                if (mp == 0xFF)
                     continue;
-                int32_t expander = act_p;
+                int32_t expander = activation[p];
                 if ((int32_t)mp > expander)
                     expander = (int32_t)mp;
                 if (floor_t > expander)
                     expander = floor_t;
-                if ((int32_t)mt != expander + 1)
+                if (mt != expander + 1)
                     continue;
-                if (pc >= 0 && (int32_t)mt > (int32_t)pc)
+                const int16_t pc = central_level[p];
+                if (pc >= 0 && mt > (int32_t)pc)
                     continue;
-                out_preds[c * n_edges + out_counts[c]++] = p;
-            }
-        }
-        for (int64_t c = 0; c < q; ++c)
-            out_indptr[c * (n + 1) + t + 1] = out_counts[c];
-    }
-}
-
-/* Backward closure of one Central Node over one keyword column's
- * hitting DAG (the extraction step of Algorithm 3): a DFS from
- * `central` over the per-column predecessor CSR, emitting every
- * (pred, target) hitting-path edge once and every reached node once.
- *
- *   indptr/preds column CSR from build_hitting_dag
- *   central      the Central Node
- *   visited      n zeroed bytes (scratch; left dirty)
- *   stack        capacity n (scratch)
- *   out_nodes    capacity n: closure nodes, central first
- *   out_pairs    capacity 2 * column predecessor total, interleaved
- *                (pred, target) pairs
- *   n_out        [0] = node count, [1] = pair count
- */
-void extract_closure(
-    const int64_t* indptr,
-    const int64_t* preds,
-    int64_t central,
-    uint8_t* visited,
-    int64_t* stack,
-    int64_t* out_nodes,
-    int64_t* out_pairs,
-    int64_t* n_out)
-{
-    int64_t top = 0;
-    int64_t n_nodes = 0;
-    int64_t n_pairs = 0;
-    visited[central] = 1;
-    stack[top++] = central;
-    out_nodes[n_nodes++] = central;
-    while (top) {
-        const int64_t t = stack[--top];
-        const int64_t end = indptr[t + 1];
-        for (int64_t e = indptr[t]; e < end; ++e) {
-            const int64_t p = preds[e];
-            out_pairs[2 * n_pairs] = p;
-            out_pairs[2 * n_pairs + 1] = t;
-            ++n_pairs;
-            if (!visited[p]) {
-                visited[p] = 1;
-                out_nodes[n_nodes++] = p;
-                stack[top++] = p;
-            }
-        }
-    }
-    n_out[0] = n_nodes;
-    n_out[1] = n_pairs;
-}
-
-/* Whole Central Graph in one call: the backward closures of `central`
- * over every contributing keyword column's hitting DAG (the columns
- * where the Central Node's hitting level is nonzero). Equivalent to
- * one extract_closure call per column, but a single crossing of the
- * ctypes boundary per Central Node and no per-column output
- * allocations — when hundreds of Central Nodes arrive at one depth the
- * per-call marshalling dominated the per-column variant.
- *
- * Node dedup happens here (`seen` persists across columns, so
- * out_nodes lists each node once). Pairs are emitted at most once per
- * column but can repeat across columns; the caller dedups the
- * interleaved (pred, target) pairs.
- *
- *   indptr_all   q rows of (n+1): per-column CSR offsets, each 0-based
- *                into its own column's predecessor slice
- *   preds_all    concatenated per-column predecessor arrays
- *   col_offsets  q+1: column c's slice is preds_all[col_offsets[c] ..]
- *   matrix       n x q hitting levels (0 = keyword source: skip column)
- *   visited      n zeroed bytes (per-column membership; rezeroed here)
- *   seen         n zeroed bytes (cross-column membership; rezeroed)
- *   stack        capacity n (DFS scratch)
- *   col_nodes    capacity n (per-column visited list scratch)
- *   out_nodes    capacity n: deduplicated closure nodes
- *   out_pairs    capacity 2 * col_offsets[q], interleaved (pred,
- *                target) pairs
- *   n_out        [0] = node count, [1] = pair count
- */
-void extract_graph(
-    const int64_t* indptr_all,
-    const int64_t* preds_all,
-    const int64_t* col_offsets,
-    const uint8_t* matrix,
-    int64_t n,
-    int64_t q,
-    int64_t central,
-    uint8_t* visited,
-    uint8_t* seen,
-    int64_t* stack,
-    int64_t* col_nodes,
-    int64_t* out_nodes,
-    int64_t* out_pairs,
-    int64_t* n_out)
-{
-    int64_t n_nodes = 0;
-    int64_t n_pairs = 0;
-    for (int64_t c = 0; c < q; ++c) {
-        if (matrix[central * q + c] == 0)
-            continue;
-        const int64_t* indptr = indptr_all + c * (n + 1);
-        const int64_t* preds = preds_all + col_offsets[c];
-        int64_t top = 0;
-        int64_t n_col = 0;
-        visited[central] = 1;
-        stack[top++] = central;
-        col_nodes[n_col++] = central;
-        if (!seen[central]) {
-            seen[central] = 1;
-            out_nodes[n_nodes++] = central;
-        }
-        while (top) {
-            const int64_t t = stack[--top];
-            const int64_t end = indptr[t + 1];
-            for (int64_t e = indptr[t]; e < end; ++e) {
-                const int64_t p = preds[e];
-                out_pairs[2 * n_pairs] = p;
-                out_pairs[2 * n_pairs + 1] = t;
+                if (n_pairs < pair_capacity) {
+                    out_pairs[2 * n_pairs] = p;
+                    out_pairs[2 * n_pairs + 1] = t;
+                }
                 ++n_pairs;
-                if (!visited[p]) {
-                    visited[p] = 1;
-                    stack[top++] = p;
-                    col_nodes[n_col++] = p;
-                    if (!seen[p]) {
-                        seen[p] = 1;
+                if (marks[p] != column_mark) {
+                    if (marks[p] == 0)
                         out_nodes[n_nodes++] = p;
-                    }
+                    marks[p] = column_mark;
+                    stack[top++] = p;
                 }
             }
         }
-        for (int64_t i = 0; i < n_col; ++i)
-            visited[col_nodes[i]] = 0;
     }
     for (int64_t i = 0; i < n_nodes; ++i)
-        seen[out_nodes[i]] = 0;
+        marks[out_nodes[i]] = 0;
     n_out[0] = n_nodes;
-    n_out[1] = n_pairs;
+    n_out[1] = n_pairs < pair_capacity ? n_pairs : pair_capacity;
+    return n_pairs <= pair_capacity ? 0 : n_pairs;
 }

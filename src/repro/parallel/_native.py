@@ -153,7 +153,7 @@ class NativeKernel:
 
     Exposes the per-chunk ``fused_expand`` and the per-level
     ``whole_level_step`` (Algorithm 1's enqueue + identify + expansion
-    fused into one call), plus the three stage-two kernels.
+    fused into one call), plus stage two's ``extract_graph``.
     Every call releases the GIL, so concurrent chunk expansions
     (``ThreadPoolBackend``) overlap on real cores.
     """
@@ -209,10 +209,9 @@ class NativeKernel:
         ]
         self._step = step
 
-        dag = library.build_hitting_dag
-        dag.restype = None
-        dag.argtypes = [
-            ctypes.c_int64,  # n
+        extract = library.extract_graph
+        extract.restype = ctypes.c_int64
+        extract.argtypes = [
             i64,  # indptr
             i32,  # indices
             u8,  # matrix
@@ -220,45 +219,15 @@ class NativeKernel:
             i32,  # activation
             u8,  # keyword_node
             i16,  # central_level
-            i64,  # out_indptr
-            i64,  # out_preds
-            i64,  # out_counts
-        ]
-        self._dag = dag
-
-        closure = library.extract_closure
-        closure.restype = None
-        closure.argtypes = [
-            i64,  # indptr
-            i64,  # preds
             ctypes.c_int64,  # central
-            u8,  # visited
+            i32,  # marks
             i64,  # stack
             i64,  # out_nodes
             i64,  # out_pairs
+            ctypes.c_int64,  # pair_capacity
             i64,  # n_out
         ]
-        self._closure = closure
-
-        graph_closure = library.extract_graph
-        graph_closure.restype = None
-        graph_closure.argtypes = [
-            i64,  # indptr_all
-            i64,  # preds_all
-            i64,  # col_offsets
-            u8,  # matrix
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # q
-            ctypes.c_int64,  # central
-            u8,  # visited
-            u8,  # seen
-            i64,  # stack
-            i64,  # col_nodes
-            i64,  # out_nodes
-            i64,  # out_pairs
-            i64,  # n_out
-        ]
-        self._graph_closure = graph_closure
+        self._extract = extract
 
     def expand(
         self,
@@ -351,7 +320,7 @@ class NativeKernel:
             )
         )
 
-    def build_hitting_dag(
+    def extract_graph(
         self,
         indptr: np.ndarray,
         indices: np.ndarray,
@@ -360,101 +329,44 @@ class NativeKernel:
         activation: np.ndarray,
         keyword_node_u8: np.ndarray,
         central_level: np.ndarray,
-        out_indptr: np.ndarray,
-        out_preds: np.ndarray,
-        out_counts: np.ndarray,
-    ) -> None:
-        """Theorem V.4 qualified predecessors, all columns in one pass.
-
-        ``out_indptr`` is ``q x (n + 1)``, ``out_preds`` is ``q x E``
-        (column ``c``'s predecessors land at row ``c``), ``out_counts``
-        receives the per-column totals.
-        """
-        n = len(indptr) - 1
-        self._dag(
-            n,
-            indptr,
-            indices,
-            matrix_flat,
-            q,
-            activation,
-            keyword_node_u8,
-            central_level,
-            out_indptr,
-            out_preds,
-            out_counts,
-        )
-
-    def extract_closure(
-        self,
-        indptr: np.ndarray,
-        preds: np.ndarray,
         central: int,
-        visited: np.ndarray,
+        marks: np.ndarray,
         stack: np.ndarray,
         out_nodes: np.ndarray,
         out_pairs: np.ndarray,
         n_out: np.ndarray,
-    ) -> "tuple[int, int]":
-        """Backward closure of one Central Node over one column's DAG.
+    ) -> "tuple[int, int, int]":
+        """Whole Central Graph closure in one call, off the graph CSR.
 
-        Returns ``(n_nodes, n_pairs)``; ``out_nodes`` holds the closure
-        nodes and ``out_pairs`` the interleaved (pred, target) edges.
+        Theorem V.4 is evaluated on the adjacency slices the backward
+        walk scans. Returns ``(n_nodes, n_pairs, needed)``:
+        ``out_nodes`` holds the deduplicated closure nodes and
+        ``out_pairs`` the interleaved (pred, target) edges (deduplicated
+        per column only — the caller dedups across columns). ``needed``
+        is 0 when every pair fitted ``len(out_pairs) // 2``; otherwise
+        it is the pair count a re-run needs (nothing was written past
+        the capacity). ``marks`` must arrive zeroed and is rezeroed
+        before returning, overflow or not.
         """
-        self._closure(
-            indptr,
-            preds,
-            central,
-            visited,
-            stack,
-            out_nodes,
-            out_pairs,
-            n_out,
+        needed = int(
+            self._extract(
+                indptr,
+                indices,
+                matrix_flat,
+                q,
+                activation,
+                keyword_node_u8,
+                central_level,
+                central,
+                marks,
+                stack,
+                out_nodes,
+                out_pairs,
+                len(out_pairs) // 2,
+                n_out,
+            )
         )
-        return int(n_out[0]), int(n_out[1])
-
-    def extract_graph(
-        self,
-        indptr_all: np.ndarray,
-        preds_all: np.ndarray,
-        col_offsets: np.ndarray,
-        matrix: np.ndarray,
-        n: int,
-        q: int,
-        central: int,
-        visited: np.ndarray,
-        seen: np.ndarray,
-        stack: np.ndarray,
-        col_nodes: np.ndarray,
-        out_nodes: np.ndarray,
-        out_pairs: np.ndarray,
-        n_out: np.ndarray,
-    ) -> "tuple[int, int]":
-        """Whole Central Graph closure in one call (all columns).
-
-        Returns ``(n_nodes, n_pairs)``; ``out_nodes`` holds the
-        deduplicated closure nodes and ``out_pairs`` the interleaved
-        (pred, target) edges (deduplicated per column only — the caller
-        dedups across columns). ``visited``/``seen`` must arrive zeroed
-        and are rezeroed before returning.
-        """
-        self._graph_closure(
-            indptr_all,
-            preds_all,
-            col_offsets,
-            matrix,
-            n,
-            q,
-            central,
-            visited,
-            seen,
-            stack,
-            col_nodes,
-            out_nodes,
-            out_pairs,
-            n_out,
-        )
-        return int(n_out[0]), int(n_out[1])
+        return int(n_out[0]), int(n_out[1]), needed
 
 
 def enabled() -> bool:

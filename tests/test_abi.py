@@ -89,14 +89,17 @@ def test_parse_c_structs_natural_alignment():
 
 def test_parse_real_kernel_exports_all_bound_symbols():
     source = abi.KERNEL_SOURCE_PATH.read_text(encoding="utf-8")
-    names = {fn.name for fn in abi.parse_c_exports(source)}
-    assert {
-        "fused_expand",
-        "whole_level_step",
-        "build_hitting_dag",
-        "extract_closure",
-        "extract_graph",
-    } <= names
+    exports = {fn.name: fn for fn in abi.parse_c_exports(source)}
+    # Exactly three: stage two is one kernel since the global hitting
+    # DAG build (and its two companions) was deleted.
+    assert set(exports) == {"fused_expand", "whole_level_step", "extract_graph"}
+    # extract_graph's overflow contract: an explicit int64 pair capacity
+    # in, an int64 status (0, or the pair count a retry needs) out.
+    extract = exports["extract_graph"]
+    assert str(extract.restype) == "int64"
+    params = {p.name: str(p.ctype) for p in extract.params}
+    assert params["pair_capacity"] == "int64"
+    assert params["indptr"] == "int64*" and params["indices"] == "int32*"
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +108,8 @@ def test_parse_real_kernel_exports_all_bound_symbols():
 def test_abi_check_clean_on_real_sources():
     report = abi.run_abi_check()
     assert report.ok, "\n".join(str(f) for f in report.findings)
-    assert report.functions_checked >= 6
+    # 3 kernel exports + the 2 sanitizer smoke fixtures.
+    assert report.functions_checked == 5
     assert report.sections_checked >= 4
 
 

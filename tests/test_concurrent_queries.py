@@ -9,6 +9,11 @@ other's frontier and Central-Node lists and about a third of the answers
 at two clients were wrong. The same goes for what a level *reports*: the
 NumPy tier once published a level's kernel counters through an attribute
 of the shared backend, so concurrent queries could swap level profiles.
+Stage two is checked the same way — every ranked answer's node and edge
+sets, not only its Central-Node id: a :class:`HittingDAG` is built per
+query and owns its extraction scratch in a ``threading.local``, so two
+requests walking back at the same moment must not see each other's
+``visited`` / ``seen`` marks or pair buffers.
 """
 
 import sys
@@ -26,6 +31,11 @@ from repro.service import SearchService
 N_THREADS = 3
 N_QUERIES = 60
 K = 5
+
+
+def _stage_two(nodes, edges):
+    """One ranked answer's extracted node and edge sets, comparable."""
+    return sorted(nodes), sorted(tuple(edge) for edge in edges)
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +64,8 @@ def expected(engine):
             [answer.score for answer in result.answers],
             result.depth,
             result.n_central_nodes,
+            [_stage_two(answer.graph.nodes, answer.graph.edges)
+             for answer in result.answers],
         )
     assert len(answers) >= 50
     return answers
@@ -92,13 +104,22 @@ def _assert_threads_get_serial_results(engine, expected):
             # queries are in flight at the same moment.
             for query in queries[offset:] + queries[:offset]:
                 status, payload = service.handle_search(query, k=K)
-                nodes, scores, depth, nc = expected[query]
-                got = [answer["central_node"] for answer in payload.get("answers", [])]
-                got_scores = [answer["score"] for answer in payload.get("answers", [])]
+                nodes, scores, depth, nc, graphs = expected[query]
+                answers = payload.get("answers", [])
+                got = [answer["central_node"] for answer in answers]
+                got_scores = [answer["score"] for answer in answers]
+                got_graphs = [
+                    _stage_two(
+                        (node["id"] for node in answer["nodes"]),
+                        ((edge["source"], edge["target"]) for edge in answer["edges"]),
+                    )
+                    for answer in answers
+                ]
                 if (
                     status != 200
                     or got != nodes
                     or got_scores != pytest.approx(scores, abs=1e-9)
+                    or got_graphs != graphs
                     or payload["depth"] != depth
                     or payload["n_central_nodes"] != nc
                     or _levels(service, payload) != serial_levels[query]

@@ -1,8 +1,12 @@
 """Top-down processing: extraction, level-cover, dedup, ranking."""
 
+import dataclasses
+import functools
+
 import numpy as np
 import pytest
 
+from repro.core import top_down
 from repro.core.bottom_up import BottomUpSearch
 from repro.core.central_graph import CentralGraph
 from repro.core.state import SearchState
@@ -14,10 +18,13 @@ from repro.core.top_down import (
     level_cover_prune,
     process_top_down,
 )
+from repro.core.weights import node_weights
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import chain_graph, random_graph
+from repro.parallel.vectorized import _native_kernel
 
 from conftest import zero_activation
+from test_fused_kernel import _fuzz_kb, _fuzz_problem
 
 
 def _sets(*groups):
@@ -264,3 +271,176 @@ def test_extraction_edges_satisfy_theorem_v4(fig1):
             if target_level == expected:
                 consistent_for_some_keyword = True
         assert consistent_for_some_keyword, (pred, target)
+
+
+# ---------------------------------------------------------------------------
+# Native stage two (the lazy C walk) against the eager NumPy relation
+# ---------------------------------------------------------------------------
+N_STAGE_TWO_CASES = 56
+
+needs_native = pytest.mark.skipif(
+    _native_kernel() is None, reason="compiled kernel unavailable"
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _stage_two_case(seed):
+    """(graph, finished SearchState, weights, k) of one fuzz problem."""
+    graph = _fuzz_kb(seed)
+    sets, activation, k = _fuzz_problem(graph, seed * 31 + 7, 2 + seed % 7)
+    state = BottomUpSearch(graph).run(sets, activation, k).state
+    return graph, state, node_weights(graph), k
+
+
+def _signature(answers):
+    return [
+        (
+            answer.central_node,
+            answer.score,
+            sorted(answer.nodes),
+            sorted(answer.edges),
+            sorted(answer.keyword_contributions.items()),
+        )
+        for answer in answers
+    ]
+
+
+def _every_central_graph(graph, state, weights, **config):
+    """Stage two with nothing pruned, dropped or cut off: one raw
+    Central Graph per Central Node, through the public route."""
+    answers = process_top_down(
+        graph,
+        state,
+        weights,
+        TopDownConfig(
+            k=10**6, apply_level_cover=False, deduplicate=False, **config
+        ),
+    )
+    assert len(answers) == len(state.central_nodes)
+    return _signature(answers)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_stage_two(seed):
+    """The NumPy tier's answers for one case: raw and ranked."""
+    graph, state, weights, k = _stage_two_case(seed)
+    ranked = process_top_down(
+        graph, state, weights, TopDownConfig(k=k, native=False)
+    )
+    return (
+        _every_central_graph(graph, state, weights, native=False),
+        _signature(ranked),
+    )
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_native_stage_two_matches_numpy_on_fuzz_corpus(n_threads):
+    """Lazy C walk vs. eager NumPy relation: every Central Node's node
+    set, edge set and keyword contributions, then the ranked answers."""
+    for seed in range(N_STAGE_TWO_CASES):
+        graph, state, weights, k = _stage_two_case(seed)
+        reference, ranked_reference = _reference_stage_two(seed)
+        assert reference == _every_central_graph(
+            graph, state, weights, n_threads=n_threads
+        ), seed
+        ranked = process_top_down(
+            graph, state, weights, TopDownConfig(k=k, n_threads=n_threads)
+        )
+        assert _signature(ranked) == ranked_reference, seed
+
+
+def test_fuzz_corpus_exercises_the_central_node_clause():
+    """Somewhere in the corpus the Central-Node clause removes an edge:
+    with every identification level erased the reference relation admits
+    hitting paths the search never walked. So the parity test above
+    fails if the clause ever goes missing from the C predicate."""
+    for seed in range(N_STAGE_TWO_CASES):
+        graph, state, weights, _ = _stage_two_case(seed)
+        unbounded = dataclasses.replace(
+            state, central_level=np.full_like(state.central_level, -1)
+        )
+        if _reference_stage_two(seed)[0] != _every_central_graph(
+            graph, unbounded, weights, native=False
+        ):
+            return
+    pytest.fail("no case where dropping the Central-Node clause matters")
+
+
+@needs_native
+def test_lazy_predecessors_equal_eager_relation(fig1):
+    fig1_state = BottomUpSearch(fig1.graph).run(
+        _sets(*fig1.keyword_nodes), fig1.activation, k=1
+    ).state
+    cases = [(fig1.graph, fig1_state)]
+    cases += [_stage_two_case(seed)[:2] for seed in range(24)]
+    for graph, state in cases:
+        lazy = HittingDAG(graph, state)
+        eager = HittingDAG(graph, state, native=False)
+        assert lazy._kernel is not None and not lazy._preds
+        for node in range(graph.n_nodes):
+            for column in range(state.n_keywords):
+                assert np.array_equal(
+                    lazy.predecessors(node, column),
+                    eager.predecessors(node, column),
+                ), (node, column)
+
+
+@needs_native
+def test_pair_buffer_overflow_retries_to_identical_graphs(monkeypatch):
+    """A pair buffer that is too small is grown and the Central Node
+    walked again: same graphs, scratch left zeroed."""
+    graph, state, _, _ = _stage_two_case(6)
+    assert len(state.central_nodes) > 100
+    expected = [
+        extract_central_graph(graph, state, node, depth)
+        for node, depth in state.central_nodes
+    ]
+    assert max(len(answer.edges) for answer in expected) > 1
+
+    monkeypatch.setattr(top_down, "_INITIAL_PAIR_CAPACITY", 1)
+    dag = HittingDAG(graph, state)
+    for (node, depth), want in zip(state.central_nodes, expected):
+        got = extract_central_graph(graph, state, node, depth, dag)
+        assert (got.nodes, got.edges, got.keyword_contributions) == (
+            want.nodes, want.edges, want.keyword_contributions
+        )
+        marks = dag._local.scratch[0]
+        assert not marks.any()
+    assert len(dag._local.out_pairs) > 2
+
+
+@needs_native
+def test_extract_graph_never_writes_past_its_pair_capacity():
+    graph, state, _, _ = _stage_two_case(6)
+    n = graph.n_nodes
+    central = max(
+        state.central_nodes,
+        key=lambda pair: len(
+            extract_central_graph(graph, state, *pair).edges
+        ),
+    )[0]
+    marks = np.zeros(n, np.int32)
+    out_nodes = np.empty(n, np.int64)
+    buffer = np.full(64, -7, dtype=np.int64)
+
+    def call(out_pairs):
+        return _native_kernel().extract_graph(
+            graph.adj.indptr, graph.adj.indices, state.matrix.reshape(-1),
+            state.n_keywords, state.activation,
+            state.keyword_node.view(np.uint8), state.central_level, central,
+            marks, np.empty(n, np.int64), out_nodes, out_pairs,
+            np.zeros(2, np.int64),
+        )
+
+    n_nodes, n_pairs, needed = call(buffer[:4])
+    assert needed > 2 and n_pairs == 2
+    assert (buffer[4:] == -7).all() and (buffer[:4] != -7).all()
+    assert not marks.any()
+    nodes_on_overflow = out_nodes[:n_nodes].copy()
+
+    fitted = np.empty(2 * needed, dtype=np.int64)
+    n_nodes, n_pairs, again = call(fitted)
+    assert again == 0 and n_pairs == needed
+    assert np.array_equal(out_nodes[:n_nodes], nodes_on_overflow)
+    assert np.array_equal(fitted[:4], buffer[:4])
+    assert not marks.any()
