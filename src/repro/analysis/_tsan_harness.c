@@ -44,6 +44,7 @@
 
 /* The kernel entry point under test (linked from _kernel.c). */
 int64_t fused_expand(
+    int64_t n,
     int64_t n_chunk,
     const int64_t* chunk,
     const uint64_t* se_words,
@@ -59,6 +60,7 @@ int64_t fused_expand(
 
 typedef struct {
     pthread_barrier_t* barrier;
+    int64_t n;
     int64_t n_chunk;
     const int64_t* chunk;
     const uint64_t* se_words;
@@ -79,6 +81,7 @@ static void* run_chunk(void* arg)
      * maximally — the racing window Theorem V.2 must survive. */
     pthread_barrier_wait(task->barrier);
     fused_expand(
+        task->n,
         task->n_chunk,
         task->chunk,
         task->se_words,
@@ -146,6 +149,7 @@ static int64_t run_levels(
         for (int64_t t = 0; t < n_chunks; ++t) {
             const int64_t size = base + (t < extra ? 1 : 0);
             tasks[t].barrier = &barrier;
+            tasks[t].n = n;
             tasks[t].n_chunk = size;
             tasks[t].chunk = frontier + start;
             tasks[t].se_words = se_words + start;

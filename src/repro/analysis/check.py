@@ -224,6 +224,159 @@ def run_invariant_fuzz(
     return failures
 
 
+# ---------------------------------------------------------------------------
+# Tail-guard corpus: the kernels' 8-byte row read at the end of M
+# ---------------------------------------------------------------------------
+#: Node counts of the tail-guard corpus, crossed with q = 1..8. For
+#: n in {1, 2, 3} most q give n*q < 8, where *no* row can be read a full
+#: word wide; the larger graphs have both guarded and unguarded rows.
+TAIL_GUARD_SIZES = (1, 2, 3, 5, 12, 40)
+
+
+def tail_guard_cases() -> "list[Tuple[int, int]]":
+    """Every ``(n, q)`` of the tail-guard corpus."""
+    return [(n, q) for n in TAIL_GUARD_SIZES for q in range(1, 9)]
+
+
+def _tail_guard_case(n: int, q: int):
+    """A graph whose highest-id nodes are hubs *and* keyword sources.
+
+    The last ``ceil(8 / q)`` rows of M are the ones whose word read
+    would leave the buffer; making those nodes hubs means they are read
+    on almost every edge, and seeding each keyword at one of them (plus
+    a random node) means they are written too. ``k`` exceeds ``n`` so
+    the search runs until the frontier drains.
+    """
+    from ..graph.builder import GraphBuilder
+
+    rng = np.random.default_rng(n * 8 + q)
+    builder = GraphBuilder()
+    for node in range(n):
+        builder.add_node(f"node {node}")
+    hubs = list(range(max(0, n - 9), n))
+    for hub in hubs:
+        for other in range(n):
+            if other != hub and rng.random() < 0.6:
+                builder.add_edge(other, hub, "r")
+    for node in range(1, n):
+        builder.add_edge(node - 1, node, "r")
+    graph = builder.build()
+    sets = [
+        np.unique([hubs[(column * 3) % len(hubs)], int(rng.integers(0, n))])
+        for column in range(q)
+    ]
+    if (n + q) % 2:
+        # Late-activating nodes put the blocked/retry protocol (Algorithm
+        # 2 line 18-20) on the tail rows as well.
+        activation = rng.integers(0, 4, size=n).astype(np.int32)
+    else:
+        activation = np.zeros(n, dtype=np.int32)
+    return graph, sets, activation, n + 1
+
+
+def _guarded_copy(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` in exactly ``matrix.nbytes`` bytes that end flush
+    against an unreadable page, so a read past M faults instead of
+    quietly returning what the allocator left there. Hosts without
+    ``mprotect`` get a plain exact-size copy (ASan's redzone still
+    guards that one)."""
+    import ctypes
+    import mmap
+
+    page = mmap.PAGESIZE
+    span = -(-max(matrix.nbytes, 1) // page) * page
+    region = mmap.mmap(-1, span + page)
+    base = ctypes.addressof(ctypes.c_char.from_buffer(region))
+    try:
+        libc = ctypes.CDLL(None)
+        failed = libc.mprotect(
+            ctypes.c_void_p(base + span), ctypes.c_size_t(page), 0
+        )
+    except (OSError, AttributeError):
+        failed = -1
+    if failed:
+        return matrix.copy()
+    guarded = np.frombuffer(
+        region, dtype=np.uint8, count=matrix.size, offset=span - matrix.nbytes
+    ).reshape(matrix.shape)
+    guarded[...] = matrix
+    return guarded
+
+
+def _level_snapshots(
+    backend, graph, sets, activation, k, guarded: bool = False
+) -> "list[tuple]":
+    """Run the bottom-up levels on ``backend``; after each one snapshot
+    ``(M, FIdentifier, finite_count, Central Nodes)``."""
+    from ..core.state import INFINITE_LEVEL, SearchState
+    from ..instrumentation import PhaseTimer
+
+    state = SearchState.initialize(graph.n_nodes, sets, activation)
+    if guarded:
+        state.matrix = _guarded_copy(state.matrix)
+    timer = PhaseTimer()
+    snapshots = []
+    with backend:
+        # k > n and n <= 40: the frontier drains long before level 254.
+        for level in range(INFINITE_LEVEL - 1):
+            outcome = backend.run_level(graph, state, level, k, True, timer)
+            snapshots.append(
+                (
+                    state.matrix.tobytes(),
+                    state.f_identifier.tobytes(),
+                    state.finite_count.tobytes(),
+                    sorted(state.central_nodes),
+                )
+            )
+            if not outcome.expanded:
+                break
+    return snapshots
+
+
+def check_tail_guard_case(n: int, q: int) -> "list[str]":
+    """One tail-guard case: ``whole_level_step`` and ``fused_expand``
+    (one chunk, and three racing threads) against ``SequentialBackend``,
+    level by level, on a guard-paged M and on a plain one. The NumPy
+    tier runs too: it is the kernels' other reference, and on these tiny
+    late-activating graphs it takes the pull direction, where an
+    identified Central Node with ``activation == level + 1`` was once
+    re-flagged in FIdentifier (n = 2, q = 7 is such a case).
+
+    Returns the routes that diverged (empty = bit-identical).
+    """
+    from ..parallel import SequentialBackend, ThreadPoolBackend, VectorizedBackend
+
+    graph, sets, activation, k = _tail_guard_case(n, q)
+    want = _level_snapshots(SequentialBackend(), graph, sets, activation, k)
+    routes = {
+        "whole-level": VectorizedBackend,
+        "numpy-tier": lambda: VectorizedBackend(native=False),
+        "fused-one-chunk": lambda: ThreadPoolBackend(n_threads=1),
+        "fused-threads": lambda: ThreadPoolBackend(n_threads=3),
+    }
+    diverged = []
+    for name, factory in routes.items():
+        for guarded in (True, False):
+            got = _level_snapshots(
+                factory(), graph, sets, activation, k, guarded=guarded
+            )
+            if got != want:
+                diverged.append(f"{name}{' (guard page)' if guarded else ''}")
+    return diverged
+
+
+def run_tail_guard_fuzz(print_fn: Optional[PrintFn] = None) -> int:
+    """The whole tail-guard corpus; returns the number of failed cases."""
+    emit = print_fn or (lambda message: None)
+    failures = 0
+    for n, q in tail_guard_cases():
+        diverged = check_tail_guard_case(n, q)
+        if diverged:
+            emit(f"  FAIL tail guard n={n} q={q}: {', '.join(diverged)}")
+            failures += 1
+    return failures
+
+
 def run_faulty_validation(print_fn: Optional[PrintFn] = None) -> int:
     """The checker must fire on every injected fault class."""
     emit = print_fn or (lambda message: None)

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import itertools
 import os
 import re
 import shutil
@@ -96,8 +97,10 @@ THEOREM_V2_SUPPRESSIONS: "Tuple[Tuple[str, str], ...]" = (
         "race:fused_expand",
         "Theorem V.2 idempotent stores in _kernel.c fused_expand: racing "
         "chunks store the same constants matrix[v*q+c] = next_level and "
-        "fid[v] = 1 (plus the benign live matrix re-read that dedups "
-        "scatter targets).",
+        "fid[v] = 1 as byte stores (plus the benign live 8-byte row read "
+        "that dedups scatter targets; for q < 8 it also covers up to "
+        "8 - q bytes of the next row, which the eligibility word masks "
+        "off before any use).",
     ),
 )
 
@@ -470,6 +473,12 @@ def _tsan_env(suppressions: Optional[Path]) -> Dict[str, str]:
     return env
 
 
+#: The q of the TSan fixtures. At q = 3 and q = 6 the kernel's 8-byte
+#: row read straddles two rows (three at q = 3) that other chunks are
+#: storing into; at q = 8 it covers exactly one.
+TSAN_LANE_COUNTS = (3, 6, 8)
+
+
 def run_tsan_parity(
     seeds: "Tuple[int, ...]" = (0, 1),
     n_threads: int = 8,
@@ -480,7 +489,7 @@ def run_tsan_parity(
     Green means: the suppression list passed the policy audit, the
     racing chunk replay reported **zero unsuppressed races**, and its
     final ``M``/``FIdentifier`` matched the sequential oracle bitwise on
-    every seed.
+    every (seed, q) with q in :data:`TSAN_LANE_COUNTS`.
     """
     import numpy as np
 
@@ -504,9 +513,9 @@ def run_tsan_parity(
     suppressions = write_suppressions()
     import tempfile
 
-    for seed in seeds:
-        indptr, indices, matrix, fid = _tsan_fixture(seed)
-        n, q = matrix.shape
+    for seed, q in itertools.product(seeds, TSAN_LANE_COUNTS):
+        indptr, indices, matrix, fid = _tsan_fixture(seed, q=q)
+        n = len(fid)
         level_cap = 32
         with tempfile.TemporaryDirectory(prefix="repro-tsan-") as tmp:
             in_path = Path(tmp) / "fixture.bin"
@@ -546,7 +555,7 @@ def run_tsan_parity(
                 return SanitizeResult(
                     ok=False,
                     detail=(
-                        f"seed {seed}: NEW data race outside the declared "
+                        f"seed {seed} q {q}: NEW data race outside the declared "
                         f"Theorem V.2 sites:\n{tail}"
                     ),
                     sanitizer_report=True,
@@ -554,7 +563,7 @@ def run_tsan_parity(
             if result.returncode != 0:
                 return SanitizeResult(
                     ok=False,
-                    detail=f"seed {seed}: harness exited "
+                    detail=f"seed {seed} q {q}: harness exited "
                     f"{result.returncode}:\n{combined.strip()[-800:]}",
                 )
             payload = out_path.read_bytes()
@@ -570,14 +579,15 @@ def run_tsan_parity(
             ):
                 return SanitizeResult(
                     ok=False,
-                    detail=f"seed {seed}: racing replay diverged from the "
+                    detail=f"seed {seed} q {q}: racing replay diverged from the "
                     "sequential oracle (idempotence broken)",
                 )
     return SanitizeResult(
         ok=True,
         detail=(
-            f"{len(seeds)} seed(s) x {repeats} repeats x {n_threads} "
-            "racing threads: bitwise-identical to the sequential oracle, "
+            f"{len(seeds)} seed(s) x q in {TSAN_LANE_COUNTS} x {repeats} repeats "
+            f"x {n_threads} racing threads: bitwise-identical to the "
+            "sequential oracle, "
             "0 unsuppressed races "
             f"({len(THEOREM_V2_SUPPRESSIONS)} suppression(s) audited)"
         ),
@@ -661,13 +671,24 @@ def _child_parity() -> int:
     if kernel is None:
         print("parity: sanitized native kernel failed to build/load")
         return 4
-    from .check import run_invariant_fuzz
+    from .check import run_invariant_fuzz, run_tail_guard_fuzz, tail_guard_cases
 
     failures = run_invariant_fuzz(seeds=(0, 1), print_fn=print)
     if failures:
         print(f"parity: {failures} failure(s) under sanitized kernel")
         return 5
     print("parity: all backends bit-identical under sanitized native kernel")
+
+    # The 8-byte row read at the end of M: hubs in the last rows, n*q < 8,
+    # M allocated at exactly n*q bytes. An over-read aborts right here.
+    failures = run_tail_guard_fuzz(print_fn=print)
+    if failures:
+        print(f"parity: {failures} tail-guard case(s) diverged")
+        return 6
+    print(
+        f"parity: {len(tail_guard_cases())} tail-guard cases (q = 1..8) "
+        "match the sequential backend level by level"
+    )
 
     # Drive the remaining native entry point under the sanitizers: stage
     # two's extract_graph, which evaluates Theorem V.4 on the adjacency

@@ -51,6 +51,8 @@ class SearchState:
         keyword_node: bool mask — does the node contain any query keyword?
             (Keyword nodes may be *hit* regardless of activation, Sec IV-B.)
         activation: per-node minimum activation levels a_i for this query's α.
+        max_activation: ``activation.max()`` — a constant of the query that
+            the kernels' "can any node still block?" test reads every level.
         frontier: node ids expanding at the current level.
         central_nodes: (node, depth) pairs in identification order.
         finite_count: per-node count of finite cells in the node's M row.
@@ -67,6 +69,7 @@ class SearchState:
     c_identifier: np.ndarray
     keyword_node: np.ndarray
     activation: np.ndarray
+    max_activation: int
     central_level: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int16)
     )
@@ -121,16 +124,23 @@ class SearchState:
             matrix[nodes, column] = 0
             f_identifier[nodes] = 1
             keyword_node[nodes] = True
+        # M is ∞ outside the source rows, which are exactly the rows just
+        # flagged: count finite cells there, not over all |V|·q.
+        sources = np.flatnonzero(f_identifier)
+        finite_count = np.zeros(n_nodes, dtype=np.int32)
+        finite_count[sources] = (matrix[sources] != INFINITE_LEVEL).sum(
+            axis=1, dtype=np.int32
+        )
+        activation = np.asarray(activation, dtype=np.int32)
         return cls(
             matrix=matrix,
             f_identifier=f_identifier,
             c_identifier=np.zeros(n_nodes, dtype=np.uint8),
             keyword_node=keyword_node,
-            activation=np.asarray(activation, dtype=np.int32),
+            activation=activation,
+            max_activation=int(activation.max()) if n_nodes else 0,
             central_level=np.full(n_nodes, -1, dtype=np.int16),
-            finite_count=(matrix != INFINITE_LEVEL).sum(
-                axis=1, dtype=np.int32
-            ),
+            finite_count=finite_count,
         )
 
     # ------------------------------------------------------------------

@@ -11,6 +11,14 @@
  * which skips a duplicate claim, never a required one (the racing
  * chunk claimed it).
  *
+ * Every q in 1..8 takes the same loop: a neighbour's M row is read as
+ * one 8-byte word at matrix + v*q (see load_row).  For q < 8 the lanes
+ * >= q of that word are the first bytes of the following rows; they are
+ * dead by construction, because the eligibility word `se` only ever has
+ * bits in lanes < q and every use of the row word is masked by it.  M
+ * itself stays n x q bytes, and stores stay byte stores over c < q, so
+ * a row never clobbers its neighbour.
+ *
  *   fused_expand      — one frontier chunk, one query (q <= 8 lanes);
  *                       the ThreadPool/Vectorized per-chunk kernel.
  *   whole_level_step  — one complete bottom-up level (Algorithm 1's
@@ -61,8 +69,40 @@ static inline int64_t lane_sum(uint64_t lanes)
     return (int64_t)((lanes * LSB) >> 56);
 }
 
+/* Index of the lowest nonzero lane of a nonzero word of 0x00/0x01 byte
+ * lanes; `b &= b - 1` then clears it, so a ballot's hit lanes are
+ * visited in ascending order, one byte store each. */
+static inline int64_t lowest_lane(uint64_t lanes)
+{
+    return (int64_t)(__builtin_ctzll(lanes) >> 3);
+}
+
+/* Rows [0, safe_rows) can be read 8 bytes wide without leaving the
+ * n*q-byte matrix: v*q + 8 <= n*q.  Only the last ceil(8/q) rows (all
+ * of them when n*q < 8) fall outside. */
+static inline int64_t safe_rows(int64_t n, int64_t q)
+{
+    return n * q >= 8 ? (n * q - 8) / q + 1 : 0;
+}
+
+/* Node v's M row as a lane word.  Lanes >= q hold the next rows' bytes
+ * (or 0xFF for the tail rows, whose q bytes are copied into an all-ones
+ * word instead of over-reading the buffer); callers mask them with an
+ * eligibility word that is zero there. */
+static inline uint64_t load_row(
+    const uint8_t* matrix, int64_t v, int64_t q, int64_t n_safe)
+{
+    uint64_t m = ~0ULL;
+    if (v < n_safe)
+        memcpy(&m, matrix + v * q, 8);
+    else
+        memcpy(&m, matrix + v * q, (size_t)q);
+    return m;
+}
+
 /* Expand one frontier chunk at `level` (writing `next_level`).
  *
+ *   n         node count (rows of `matrix`)
  *   n_chunk   rows of `chunk` / `se_words`
  *   chunk     frontier node ids (already filtered: non-central, active,
  *             eligible in at least one lane)
@@ -83,6 +123,7 @@ static inline int64_t lane_sum(uint64_t lanes)
  * out_keys.
  */
 int64_t fused_expand(
+    int64_t n,
     int64_t n_chunk,
     const int64_t* chunk,
     const uint64_t* se_words,
@@ -96,47 +137,10 @@ int64_t fused_expand(
     int64_t* out_keys,
     int64_t* n_dups)
 {
+    const int64_t n_safe = safe_rows(n, q);
     int64_t n_keys = 0;
     int64_t dups = 0;
 
-    if (q == 8) {
-        /* Word path: M rows are exactly one lane word wide. */
-        for (int64_t i = 0; i < n_chunk; ++i) {
-            const uint64_t se = se_words[i];
-            const int64_t u = chunk[i];
-            int retry = 0;
-            const int64_t end = indptr[u + 1];
-            for (int64_t e = indptr[u]; e < end; ++e) {
-                const int64_t v = (int64_t)indices[e];
-                uint64_t m;
-                memcpy(&m, matrix + v * 8, 8);
-                dups += lane_sum(se & eq_lanes(m, next_level));
-                const uint64_t ballot = se & inf_lanes(m);
-                if (!ballot)
-                    continue;
-                if (blocked && blocked[v]) {
-                    /* Line 18-20: the source retries at a later level. */
-                    retry = 1;
-                    continue;
-                }
-                for (int c = 0; c < 8; ++c) {
-                    if ((ballot >> (8 * c)) & 1) {
-                        matrix[v * 8 + c] = next_level;
-                        out_keys[n_keys++] = v * 8 + c;
-                    }
-                }
-                fid[v] = 1;
-            }
-            if (retry)
-                fid[u] = 1;
-        }
-        if (n_dups)
-            *n_dups = dups;
-        return n_keys;
-    }
-
-    /* Byte path for q < 8: M rows are q bytes, narrower than the lane
-     * word, so cells are tested lane by lane. */
     for (int64_t i = 0; i < n_chunk; ++i) {
         const uint64_t se = se_words[i];
         const int64_t u = chunk[i];
@@ -144,30 +148,22 @@ int64_t fused_expand(
         const int64_t end = indptr[u + 1];
         for (int64_t e = indptr[u]; e < end; ++e) {
             const int64_t v = (int64_t)indices[e];
-            uint8_t* row = matrix + v * q;
-            for (int64_t c = 0; c < q; ++c) {
-                if (((se >> (8 * c)) & 1) && row[c] == next_level)
-                    ++dups;
-            }
+            const uint64_t m = load_row(matrix, v, q, n_safe);
+            dups += lane_sum(se & eq_lanes(m, next_level));
+            const uint64_t ballot = se & inf_lanes(m);
+            if (!ballot)
+                continue;
             if (blocked && blocked[v]) {
-                for (int64_t c = 0; c < q; ++c) {
-                    if (((se >> (8 * c)) & 1) && row[c] == 0xFF) {
-                        retry = 1;
-                        break;
-                    }
-                }
+                /* Line 18-20: the source retries at a later level. */
+                retry = 1;
                 continue;
             }
-            int any = 0;
-            for (int64_t c = 0; c < q; ++c) {
-                if (((se >> (8 * c)) & 1) && row[c] == 0xFF) {
-                    row[c] = next_level;
-                    out_keys[n_keys++] = v * q + c;
-                    any = 1;
-                }
+            for (uint64_t b = ballot; b; b &= b - 1) {
+                const int64_t key = v * q + lowest_lane(b);
+                matrix[key] = next_level;
+                out_keys[n_keys++] = key;
             }
-            if (any)
-                fid[v] = 1;
+            fid[v] = 1;
         }
         if (retry)
             fid[u] = 1;
@@ -233,6 +229,7 @@ int64_t whole_level_step(
     const uint8_t next_level = (uint8_t)(level + 1);
     const int32_t level_i = (int32_t)level;
     const int32_t next_level_i = (int32_t)level + 1;
+    const int64_t n_safe = safe_rows(n, q);
     int64_t n_frontier = 0;
     int64_t n_central = 0;
     int64_t edges = 0;
@@ -288,64 +285,24 @@ int64_t whole_level_step(
                 const int64_t end = indptr[u + 1];
                 edges += end - indptr[u];
                 int retry = 0;
-                if (q == 8) {
-                    for (int64_t e = indptr[u]; e < end; ++e) {
-                        const int64_t v = (int64_t)indices[e];
-                        uint64_t m;
-                        memcpy(&m, matrix + v * 8, 8);
-                        dups += lane_sum(se & eq_lanes(m, next_level));
-                        const uint64_t ballot = se & inf_lanes(m);
-                        if (!ballot)
-                            continue;
-                        if (may_block && !keyword_node[v]
-                            && activation[v] > next_level_i) {
-                            retry = 1;
-                            continue;
-                        }
-                        int32_t written = 0;
-                        for (int c = 0; c < 8; ++c) {
-                            if ((ballot >> (8 * c)) & 1) {
-                                matrix[v * 8 + c] = next_level;
-                                ++written;
-                            }
-                        }
-                        finite_count[v] += written;
-                        hits += written;
-                        fid[v] = 1;
+                for (int64_t e = indptr[u]; e < end; ++e) {
+                    const int64_t v = (int64_t)indices[e];
+                    const uint64_t m = load_row(matrix, v, q, n_safe);
+                    dups += lane_sum(se & eq_lanes(m, next_level));
+                    const uint64_t ballot = se & inf_lanes(m);
+                    if (!ballot)
+                        continue;
+                    if (may_block && !keyword_node[v]
+                        && activation[v] > next_level_i) {
+                        retry = 1;
+                        continue;
                     }
-                } else {
-                    for (int64_t e = indptr[u]; e < end; ++e) {
-                        const int64_t v = (int64_t)indices[e];
-                        uint8_t* row = matrix + v * q;
-                        for (int64_t c = 0; c < q; ++c) {
-                            if (((se >> (8 * c)) & 1)
-                                && row[c] == next_level)
-                                ++dups;
-                        }
-                        if (may_block && !keyword_node[v]
-                            && activation[v] > next_level_i) {
-                            for (int64_t c = 0; c < q; ++c) {
-                                if (((se >> (8 * c)) & 1)
-                                    && row[c] == 0xFF) {
-                                    retry = 1;
-                                    break;
-                                }
-                            }
-                            continue;
-                        }
-                        int32_t written = 0;
-                        for (int64_t c = 0; c < q; ++c) {
-                            if (((se >> (8 * c)) & 1) && row[c] == 0xFF) {
-                                row[c] = next_level;
-                                ++written;
-                            }
-                        }
-                        if (written) {
-                            finite_count[v] += written;
-                            hits += written;
-                            fid[v] = 1;
-                        }
-                    }
+                    for (uint64_t b = ballot; b; b &= b - 1)
+                        matrix[v * q + lowest_lane(b)] = next_level;
+                    const int32_t written = (int32_t)lane_sum(ballot);
+                    finite_count[v] += written;
+                    hits += written;
+                    fid[v] = 1;
                 }
                 if (retry)
                     fid[u] = 1;

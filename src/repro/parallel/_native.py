@@ -169,6 +169,7 @@ class NativeKernel:
         fn = library.fused_expand
         fn.restype = ctypes.c_int64
         fn.argtypes = [
+            ctypes.c_int64,  # n
             ctypes.c_int64,  # n_chunk
             i64,  # chunk
             u64,  # se_words
@@ -244,14 +245,17 @@ class NativeKernel:
     ) -> "tuple[int, int]":
         """Run one chunk expansion.
 
-        Returns ``(n_keys, n_duplicates)``: the unique-key count written
-        to ``out_keys`` and the scatter duplicates elided by the live
-        matrix read (the NumPy tier's ``scattered - unique`` count).
+        The node count the kernel's tail guard needs is
+        ``len(f_identifier)``. Returns ``(n_keys, n_duplicates)``: the
+        unique-key count written to ``out_keys`` and the scatter
+        duplicates elided by the live matrix read (the NumPy tier's
+        ``scattered - unique`` count).
         """
         blocked_ptr = blocked.ctypes.data if blocked is not None else None
         n_dups = np.zeros(1, dtype=np.int64)
         count = int(
             self._fn(
+                len(f_identifier),
                 len(chunk),
                 chunk,
                 se_words,

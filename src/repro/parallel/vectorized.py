@@ -104,8 +104,8 @@ def _keys_to_rows(keys: np.ndarray, q: int) -> np.ndarray:
     """Map flat cell keys ``node * q + column`` back to node rows.
 
     ``q`` is a runtime value, so NumPy's integer division cannot be
-    strength-reduced at compile time; the ubiquitous q = 8 case gets the
-    shift it deserves.
+    strength-reduced at compile time; q = 8 (the distance sampler's
+    eight-lane passes, Knum-8 queries) gets the shift instead.
     """
     if q == 8:
         return keys >> 3
@@ -172,7 +172,10 @@ def fused_expand_chunk(
     (:mod:`repro.parallel._native`), the lane-word loop runs there
     instead: same algorithm, one C pass over the chunk's CSR segment,
     with the matrix read live so the emitted keys are deduplicated by
-    construction. Cells found already stamped with ``level + 1`` are
+    construction. Every q ≤ 8 takes that one loop: a neighbour's row is
+    read as an 8-byte word at ``node * q`` whose lanes ≥ q (the next
+    rows' bytes) are masked off by the eligibility word, and M keeps
+    its n × q layout. Cells found already stamped with ``level + 1`` are
     exactly the scatter duplicates the NumPy tier elides, and the C
     kernel counts them, so ``duplicates_elided`` agrees across tiers.
     The GIL is released during the call, so concurrent chunks overlap
@@ -229,7 +232,7 @@ def fused_expand_chunk(
 
     # Does any node still await activation at next_level? When not (the
     # common case past the first levels), the blocked test is skipped.
-    may_block = int(activation.max()) > next_level
+    may_block = state.max_activation > next_level
 
     if lanes and matrix.flags.c_contiguous and native is not False:
         kernel = _native_kernel()
@@ -421,9 +424,12 @@ def pull_expand(
     next_level = level + 1
     adj = graph.adj
 
-    # Line 5-7 for the frontier we are not walking.
+    # Line 5-7 for the frontier we are not walking (line 2-3 first: an
+    # identified Central Node never re-flags itself).
     frontier = state.frontier
-    inactive = activation[frontier] > level
+    inactive = (activation[frontier] > level) & (
+        state.c_identifier[frontier] == 0
+    )
     if inactive.any():
         f_identifier[frontier[inactive]] = 1
         if write_log is not None:
@@ -519,7 +525,7 @@ class VectorizedBackend(ExpansionBackend):
             return False
         # Any node still awaiting activation re-introduces the blocked /
         # retry protocol, which only the push kernel implements.
-        if int(state.activation.max()) > level + 1:
+        if state.max_activation > level + 1:
             return False
         degree_array = graph.adj.degree_array
         push_edges = int(degree_array[state.frontier].sum())
@@ -617,7 +623,7 @@ class VectorizedBackend(ExpansionBackend):
             )
         frontier_out, central_out, stats = state.level_buffers
         adj = graph.adj
-        may_block = int(state.activation.max()) > level + 1
+        may_block = state.max_activation > level + 1
         kernel.whole_level(
             adj.indptr,
             adj.indices,

@@ -100,6 +100,31 @@ def test_parse_real_kernel_exports_all_bound_symbols():
     params = {p.name: str(p.ctype) for p in extract.params}
     assert params["pair_capacity"] == "int64"
     assert params["indptr"] == "int64*" and params["indices"] == "int32*"
+    # Both expansion kernels lead with the row count of M: the 8-byte row
+    # read needs it to find the last rows, which are read q bytes wide.
+    for name in ("fused_expand", "whole_level_step"):
+        first = exports[name].params[0]
+        assert (first.name, str(first.ctype)) == ("n", "int64"), name
+    assert [p.name for p in exports["fused_expand"].params[:3]] == [
+        "n", "n_chunk", "chunk",
+    ]
+    assert len(exports["fused_expand"].params) == 13
+
+
+def test_tsan_harness_declares_the_kernel_prototype():
+    """The race harness links against ``_kernel.c`` through its own
+    declaration of ``fused_expand``; C does not type-check that at link
+    time, so the two parameter lists are compared here."""
+    import re
+
+    def prototype(path):
+        text = path.read_text(encoding="utf-8")
+        match = re.search(r"int64_t fused_expand\(([^)]*)\)", text)
+        assert match, path
+        return " ".join(match.group(1).split())
+
+    harness = abi.SMOKE_SOURCE_PATH.with_name("_tsan_harness.c")
+    assert prototype(harness) == prototype(abi.KERNEL_SOURCE_PATH)
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +167,19 @@ def test_abi_check_arity_mismatch_found():
     native = abi.NATIVE_SOURCE_PATH.read_text(encoding="utf-8")
     report = abi.run_abi_check(kernel_source=drifted, native_source=native)
     assert "RPRABI03" in report.codes()
+
+
+def test_abi_check_missing_row_count_found():
+    """The pre-tail-guard prototype (no leading ``n``) against today's
+    binding: every later argument would shift by one slot."""
+    kernel = abi.KERNEL_SOURCE_PATH.read_text(encoding="utf-8")
+    head = "int64_t fused_expand(\n    int64_t n,\n"
+    assert head in kernel
+    drifted = kernel.replace(head, "int64_t fused_expand(\n", 1)
+    native = abi.NATIVE_SOURCE_PATH.read_text(encoding="utf-8")
+    report = abi.run_abi_check(kernel_source=drifted, native_source=native)
+    assert "RPRABI03" in report.codes()
+    assert any("fused_expand" in f.message for f in report.findings)
 
 
 def test_abi_check_restype_mismatch_found():

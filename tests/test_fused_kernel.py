@@ -9,9 +9,20 @@ Central Node set and the search depth. This module fuzzes that claim on
 a population of hub-heavy wiki-shaped KBs.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+from repro.analysis.check import (
+    _guarded_copy,
+    check_tail_guard_case,
+    tail_guard_cases,
+)
 from repro.core.activation import activation_levels
 from repro.core.bottom_up import BottomUpSearch
 from repro.core.weights import node_weights
@@ -99,3 +110,41 @@ def test_backends_agree_on_wide_query():
     assert np.array_equal(fused.state.matrix, reference.state.matrix)
     assert sorted(fused.central_nodes) == sorted(reference.central_nodes)
     assert fused.depth == reference.depth
+
+
+@pytest.mark.parametrize("n,q", tail_guard_cases())
+def test_tail_rows_match_sequential_level_by_level(n, q):
+    """The kernels read a neighbour's row as one 8-byte word at
+    ``matrix + v*q``; the last ``ceil(8 / q)`` rows (every row when
+    ``n*q < 8``) must be read q bytes wide instead. Hubs sit in those
+    rows and seed the keywords, M is exactly ``n*q`` bytes against a
+    guard page: ``whole_level_step`` and ``fused_expand`` (one chunk,
+    three threads) stay bit-identical to ``SequentialBackend`` on M,
+    FIdentifier, finite_count and the Central Nodes after every level.
+    """
+    assert check_tail_guard_case(n, q) == []
+
+
+def test_guarded_matrix_ends_against_an_unreadable_page():
+    """The corpus above only proves something if the guard is armed."""
+    matrix = np.arange(15, dtype=np.uint8).reshape(5, 3)
+    guarded = _guarded_copy(matrix)
+    assert np.array_equal(guarded, matrix)
+    assert guarded.flags.c_contiguous and guarded.flags.writeable
+    if guarded.base is None:  # pragma: no cover - host without mprotect
+        pytest.skip("no guard page on this host")
+    probe = (
+        "import ctypes, numpy as np\n"
+        "from repro.analysis.check import _guarded_copy\n"
+        "m = _guarded_copy(np.zeros((5, 3), dtype=np.uint8))\n"
+        "end = m.ctypes.data + m.nbytes\n"
+        "assert ctypes.c_uint8.from_address(end - 1).value == 0\n"
+        "ctypes.c_uint8.from_address(end).value\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    child = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        check=False,
+    )
+    assert child.returncode < 0, "read one byte past M did not fault"

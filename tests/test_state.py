@@ -121,3 +121,66 @@ def test_nbytes_is_exact_sum_of_dynamic_arrays():
     # central_level (2 B) and activation (4 B) are per-node and were the
     # seed's undercount; the total must reflect them.
     assert state.nbytes() >= state.matrix.nbytes + (1 + 1 + 1 + 2 + 4 + 4) * 50
+
+
+def test_initialize_finite_count_matches_matrix_scan():
+    """``initialize`` counts finite cells over the flagged source rows
+    only; the answer must still be the full-matrix count — with a node
+    repeated inside one keyword set, a node in several sets, and a
+    one-node set."""
+    sets = ((4, 4, 1, 4), (1, 7), (7,), (1, 1), (0, 9, 9))
+    state = _state(n=10, sets=sets)
+    expected = (state.matrix != INFINITE_LEVEL).sum(axis=1)
+    assert state.finite_count.dtype == np.int32
+    assert np.array_equal(state.finite_count, expected)
+    assert list(expected) == [1, 3, 0, 0, 1, 0, 0, 2, 0, 1]
+    assert state.finite_count_usable()
+
+
+def test_max_activation_is_the_recomputed_maximum_on_the_fuzz_corpus():
+    """``max_activation`` replaces a per-level ``activation.max()``: the
+    field equals the recomputed value at every level of a search, on both
+    kernel tiers, so every ``may_block`` / ``_should_pull`` decision is
+    the one the recomputation gave."""
+    from repro.analysis.check import _fuzz_case
+    from repro.core.bottom_up import BottomUpSearch
+    from repro.parallel import VectorizedBackend
+
+    class Spy(VectorizedBackend):
+        def __init__(self, **kwargs):
+            super().__init__(**kwargs)
+            self.may_block = []
+
+        def run_level(self, graph, state, level, k, may_expand, timer):
+            recomputed = int(state.activation.max())
+            assert state.max_activation == recomputed
+            self.may_block.append(recomputed > level + 1)
+            return super().run_level(graph, state, level, k, may_expand, timer)
+
+        def _should_pull(self, graph, state, level):
+            cached = super()._should_pull(graph, state, level)
+            held, state.max_activation = state.max_activation, int(
+                state.activation.max()
+            )
+            assert super()._should_pull(graph, state, level) == cached
+            state.max_activation = held
+            return cached
+
+    blocking_levels = 0
+    for seed in range(12):
+        graph, sets, activation, k = _fuzz_case(seed)
+        for native in (None, False):
+            spy = Spy(native=native)
+            BottomUpSearch(graph, backend=spy).run(sets, activation, k)
+            assert spy.may_block
+            blocking_levels += sum(spy.may_block)
+    assert blocking_levels > 0  # the corpus does reach the blocked protocol
+
+
+def test_max_activation_follows_the_int32_cast_of_an_override():
+    """Override arrays (lists, int64) go through the same constructor."""
+    state = _state(n=4, sets=((0,), (3,)), activation=[0, 5, 2, 1])
+    assert state.activation.dtype == np.int32
+    assert state.max_activation == 5
+    wide = np.array([7, 0, 0, 0], dtype=np.int64)
+    assert _state(n=4, sets=((1,),), activation=wide).max_activation == 7

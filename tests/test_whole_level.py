@@ -18,6 +18,8 @@ from repro.core.bottom_up import BottomUpSearch
 from repro.core.state import TERMINATED_ENOUGH_ANSWERS
 from repro.core.trace import SearchTrace
 from repro.graph.generators import WikiKBConfig, wiki_like_kb
+from repro.graph.io import load_graph, save_graph
+from repro.graph.store import open_store, save_store
 from repro.instrumentation import (
     PHASE_ENQUEUE,
     PHASE_IDENTIFY,
@@ -97,10 +99,21 @@ def test_whole_level_three_way_parity(seed):
     assert _signature(fallback) == _signature(reference)
 
 
+_KERNEL_COUNTER_FIELDS = (
+    "edges_gathered",
+    "pairs_hit",
+    "sources_pruned",
+    "duplicates_elided",
+)
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_duplicates_elided_native_numpy_parity(seed):
-    """Regression: the native whole-level tier must report the same
-    duplicate-write count as the NumPy tier (it once reported 0).
+def test_duplicates_elided_native_numpy_parity(seed, tmp_path):
+    """The native whole-level tier must report the same work counters as
+    the NumPy tier, level by level (``duplicates_elided`` once came out
+    0), for every lane count q = 1..8 of the kernel's one lane-word loop,
+    on a graph loaded from NPZ and on the same graph memory-mapped from
+    a ``.csrstore``.
 
     Both sides are pinned to the push discipline (``pull_ratio=0``):
     a pull level legitimately gathers different edges and elides no
@@ -112,30 +125,52 @@ def test_duplicates_elided_native_numpy_parity(seed):
 
     if _native_kernel() is None:  # pragma: no cover
         pytest.skip("native kernel unavailable")
-    graph = _fuzz_kb(seed + 50)
-    sets, activation, k = _fuzz_problem(graph, seed * 7 + 3)
+    generated = _fuzz_kb(seed + 50)
+    save_graph(generated, str(tmp_path / "from-npz"))
+    save_store(generated, tmp_path / "kb.csrstore", name="whole", seed=seed)
+    graphs = {
+        "npz": load_graph(str(tmp_path / "from-npz")),
+        "csrstore": open_store(tmp_path / "kb.csrstore"),
+    }
 
-    def total_counters(backend):
+    def level_counters(graph, backend, sets, activation, k):
         trace = SearchTrace()
         BottomUpSearch(graph, backend=backend).run(
             sets, activation, k, observer=trace
         )
-        total = KernelCounters()
+        rows = []
         for record in trace.records:
-            if record.kernel is not None:
-                total.add(record.kernel)
-        assert total.pull_levels == 0
-        return {
-            "edges_gathered": total.edges_gathered,
-            "pairs_hit": total.pairs_hit,
-            "duplicates_elided": total.duplicates_elided,
-        }
+            kernel = record.kernel or KernelCounters()
+            assert kernel.pull_levels == 0
+            rows.append(
+                {name: getattr(kernel, name) for name in _KERNEL_COUNTER_FIELDS}
+            )
+        return rows
 
-    native = total_counters(VectorizedBackend(pull_ratio=0))
-    fallback = total_counters(VectorizedBackend(pull_ratio=0, native=False))
-    assert native == fallback
-    assert native["edges_gathered"] > 0
-    assert native["duplicates_elided"] > 0
+    totals = dict.fromkeys(_KERNEL_COUNTER_FIELDS, 0)
+    for q in range(1, 9):
+        sets, activation, k = _fuzz_problem(generated, seed * 7 + 3, q=q)
+        per_graph = {}
+        for form, graph in graphs.items():
+            native = level_counters(
+                graph, VectorizedBackend(pull_ratio=0), sets, activation, k
+            )
+            fallback = level_counters(
+                graph,
+                VectorizedBackend(pull_ratio=0, native=False),
+                sets,
+                activation,
+                k,
+            )
+            assert native == fallback, f"q={q} on the {form} graph"
+            per_graph[form] = native
+        assert per_graph["npz"] == per_graph["csrstore"], f"q={q}"
+        for row in per_graph["npz"]:
+            for name, value in row.items():
+                totals[name] += value
+    assert totals["edges_gathered"] > 0
+    assert totals["pairs_hit"] > 0
+    assert totals["duplicates_elided"] > 0
 
 
 def test_run_level_respects_k_and_termination():
