@@ -73,8 +73,8 @@ NATIVE_SOURCE_PATH = _PACKAGE_ROOT / "parallel" / "_native.py"
 SMOKE_SOURCE_PATH = Path(__file__).with_name("_smoke.c")
 
 #: Sections of the ``.csrstore`` header that are memmapped and handed to
-#: the native kernel (directly or through ``open_worker_arrays``), and
-#: the scalar type each kernel-side array view assumes. ``graph/store.py``
+#: the native kernel, and the scalar type each kernel-side array view
+#: assumes. ``graph/store.py``
 #: may evolve its layout freely — but these sections must keep these
 #: exact types or every store-backed query feeds the kernel garbage.
 KERNEL_VIEW_CONTRACT: Dict[str, Tuple[str, int]] = {

@@ -337,10 +337,7 @@ def check_tail_guard_case(n: int, q: int) -> "list[str]":
     """One tail-guard case: ``whole_level_step`` and ``fused_expand``
     (one chunk, and three racing threads) against ``SequentialBackend``,
     level by level, on a guard-paged M and on a plain one. The NumPy
-    tier runs too: it is the kernels' other reference, and on these tiny
-    late-activating graphs it takes the pull direction, where an
-    identified Central Node with ``activation == level + 1`` was once
-    re-flagged in FIdentifier (n = 2, q = 7 is such a case).
+    tier runs too: it is the kernels' other reference.
 
     Returns the routes that diverged (empty = bit-identical).
     """

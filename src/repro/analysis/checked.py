@@ -45,7 +45,6 @@ import numpy as np
 from ..core.state import INFINITE_LEVEL, SearchState
 from ..graph.csr import KnowledgeGraph
 from ..instrumentation import KernelCounters, PhaseTimer
-from ..obs.tracing import Tracer
 from ..parallel.backend import ExpansionBackend, LevelOutcome
 from .writelog import WriteLog
 
@@ -125,14 +124,6 @@ class CheckedBackend(ExpansionBackend):
     @property
     def name(self) -> str:  # type: ignore[override]
         return f"checked:{self.inner.name}"
-
-    @property
-    def tracer(self) -> Tracer:  # type: ignore[override]
-        return self.inner.tracer
-
-    @tracer.setter
-    def tracer(self, tracer: Tracer) -> None:
-        self.inner.tracer = tracer
 
     def close(self) -> None:
         """Release the wrapped backend's resources."""

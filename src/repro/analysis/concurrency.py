@@ -126,7 +126,6 @@ _FORK_CALLS: Dict[str, str] = {
     "Popen": "subprocess.Popen spawn",
     "Process": "multiprocessing.Process spawn",
     "WorkerPool": "WorkerPool construction",
-    "get_pool": "warm-pool acquisition (forks workers)",
     "_spawn": "pool executor spawn",
 }
 

@@ -41,12 +41,11 @@ RPR009    No copying calls (``np.asarray`` / ``np.ascontiguousarray`` /
 RPR010    No writes to store-backed (memmap) arrays outside
           ``StoreWriter``/builder code (``graph/store.py`` and
           ``graph/builder.py``): no subscript stores into arrays bound
-          from ``np.memmap`` / ``open_worker_arrays``, no
-          ``.setflags(write=True)`` on them, and no writable-mode
-          (``r+`` / ``w+``) memmap construction. The ``.csrstore``
-          tier's safety argument is that workers share *read-only*
-          pages; one stray writable view silently turns shared state
-          into per-process copy-on-write divergence.
+          from ``np.memmap``, no ``.setflags(write=True)`` on them,
+          and no writable-mode (``r+`` / ``w+``) memmap construction.
+          The ``.csrstore`` tier's safety argument is that workers
+          share *read-only* pages; one stray writable view silently
+          turns shared state into per-process copy-on-write divergence.
 RPR011    Every exported ``_kernel.c`` symbol must have a matching
           ctypes binding in ``_native.py`` and vice versa — the cheap
           regex precursor to the full ABI pass
@@ -150,7 +149,7 @@ _LOCK_FACTORY_SCOPE = "obs/locks.py"
 
 #: Calls whose result is a store-backed (memmap) array; names bound from
 #: them are tracked for RPR010.
-_MEMMAP_SOURCES = {"memmap", "open_worker_arrays"}
+_MEMMAP_SOURCES = {"memmap"}
 
 #: ``np.memmap`` modes that produce a writable mapping.
 _WRITABLE_MMAP_MODES = {"r+", "w+", "readwrite", "write"}
@@ -245,8 +244,8 @@ class _FileLinter(ast.NodeVisitor):
         # Stack of per-function "is hot path" flags; hotness is inherited
         # by nested helpers defined inside a hot kernel.
         self._hot_stack: List[bool] = []
-        # Names bound (anywhere in the module) from np.memmap /
-        # open_worker_arrays — the store-backed arrays RPR010 guards.
+        # Names bound (anywhere in the module) from np.memmap — the
+        # store-backed arrays RPR010 guards.
         self._memmap_names: Set[str] = set()
 
     # ------------------------------------------------------------------
@@ -323,10 +322,6 @@ class _FileLinter(ast.NodeVisitor):
         for target in targets:
             if isinstance(target, ast.Name):
                 self._memmap_names.add(target.id)
-            elif isinstance(target, (ast.Tuple, ast.List)):
-                for element in target.elts:
-                    if isinstance(element, ast.Name):
-                        self._memmap_names.add(element.id)
 
     def _touches_memmap_name(self, node: ast.expr) -> Optional[str]:
         for sub in ast.walk(node):
@@ -346,7 +341,7 @@ class _FileLinter(ast.NodeVisitor):
                     target,
                     "RPR010",
                     f"subscript store into store-backed array '{name}' "
-                    "(bound from np.memmap/open_worker_arrays); store "
+                    "(bound from np.memmap); store "
                     "pages are shared read-only across workers — only "
                     "StoreWriter/builder code may write them",
                 )

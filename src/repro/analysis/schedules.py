@@ -9,12 +9,12 @@ the thread pool happens never to produce — or that TSan's happens-before
 model files under the already-suppressed benign races — stays invisible.
 
 This module closes that gap with a **deterministic virtual scheduler**:
-:class:`VirtualScheduleBackend` replays the exact
-:class:`~repro.parallel.threads.ThreadPoolBackend` protocol (same
-``np.array_split`` chunking, same fused kernel per chunk, same
-sort-free cell-mask merge and duplicate accounting) but executes the
-chunks **sequentially in an arbitrary order chosen by a**
-:class:`Schedule`. Because every interleaving of idempotent writes is
+:class:`VirtualScheduleBackend` replays the
+:class:`~repro.parallel.threads.ThreadPoolBackend` protocol (the pool's
+own :func:`~repro.parallel.threads.split_frontier` and
+:func:`~repro.parallel.threads.merge_chunk_hits`, the same fused kernel
+per chunk) but executes the chunks **sequentially in an arbitrary
+order chosen by a** :class:`Schedule`. Because every interleaving of idempotent writes is
 state-equivalent to *some* sequential chunk order (the kernel reads the
 live matrix only through the monotone ``== INFINITE`` / ``<= level``
 predicates), sweeping chunk permutations explores the reachable
@@ -47,7 +47,8 @@ from ..core.state import INFINITE_LEVEL, SearchState
 from ..graph.csr import KnowledgeGraph
 from ..instrumentation import KernelCounters
 from ..parallel.backend import ExpansionBackend
-from ..parallel.vectorized import apply_hit_keys, fused_expand_chunk
+from ..parallel.threads import merge_chunk_hits, split_frontier
+from ..parallel.vectorized import fused_expand_chunk
 from .checked import CheckedBackend
 
 PrintFn = Callable[[str], None]
@@ -162,14 +163,13 @@ NAMED_SCHEDULES: Tuple[Callable[[], Schedule], ...] = (
 class VirtualScheduleBackend(ExpansionBackend):
     """Deterministic single-thread replay of the thread-pool protocol.
 
-    Splits the frontier exactly like
-    :class:`~repro.parallel.threads.ThreadPoolBackend` (``n_chunks =
-    min(len(frontier), n_threads * chunks_per_thread)`` over
-    ``np.array_split``), runs the same fused kernel once per chunk — but
-    sequentially, in the order the :class:`Schedule` dictates — and
-    merges the per-chunk cell keys through the identical sort-free
-    cell-mask dedup, so the only degree of freedom versus the real pool
-    is *when* each chunk's reads and writes land.
+    Splits the frontier with the pool's
+    :func:`~repro.parallel.threads.split_frontier`, runs the same fused
+    kernel once per chunk — but sequentially, in the order the
+    :class:`Schedule` dictates — and merges the per-chunk cell keys with
+    the pool's :func:`~repro.parallel.threads.merge_chunk_hits`, so the
+    only degree of freedom versus the real pool is *when* each chunk's
+    reads and writes land.
 
     Args:
         schedule: chunk execution order per level.
@@ -209,17 +209,11 @@ class VirtualScheduleBackend(ExpansionBackend):
         self, graph: KnowledgeGraph, state: SearchState, level: int
     ) -> KernelCounters:
         frontier = state.frontier
-        counters = KernelCounters()
         if len(frontier) == 0:
-            return counters
-        n_chunks = min(
-            len(frontier), self.n_threads * self.chunks_per_thread
+            return KernelCounters()
+        chunks = split_frontier(
+            frontier, self.n_threads, self.chunks_per_thread
         )
-        chunks = [
-            chunk
-            for chunk in np.array_split(frontier, n_chunks)
-            if len(chunk)
-        ]
         self.chunk_history.append(len(chunks))
         order = list(self.schedule.order(level, len(chunks)))
         if sorted(order) != list(range(len(chunks))):
@@ -238,21 +232,7 @@ class VirtualScheduleBackend(ExpansionBackend):
                 chunk_counters[chunk_index],
                 slot,
             )
-        claimed = sum(len(keys) for keys in key_lists)
-        merged = None
-        if claimed:
-            cell_mask = np.zeros(state.matrix.size, dtype=bool)
-            for keys in key_lists:
-                cell_mask[keys] = True
-            merged = np.flatnonzero(cell_mask)
-        if merged is not None:
-            apply_hit_keys(state, merged)
-        for chunk_counter in chunk_counters:
-            counters.add(chunk_counter)
-        if merged is not None:
-            counters.duplicates_elided += claimed - len(merged)
-            counters.pairs_hit -= claimed - len(merged)
-        return counters
+        return merge_chunk_hits(state, key_lists, chunk_counters)
 
 
 def _fused_runner(

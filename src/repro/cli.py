@@ -164,8 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--graph", help="saved graph path (default: generate)")
     profile.add_argument("-k", "--topk", type=int, default=5)
     profile.add_argument("--alpha", type=float, default=0.1)
-    profile.add_argument("--backend",
-                         choices=sorted([*_BACKENDS, "processes"]),
+    profile.add_argument("--backend", choices=sorted(_BACKENDS),
                          default="vectorized")
     profile.add_argument("--trace", metavar="FILE",
                          help="write the Chrome trace-event JSON here")
@@ -423,26 +422,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_backend(name: str, graph: KnowledgeGraph):
-    """Build an expansion backend by CLI name.
-
-    ``processes`` is constructed here rather than in ``_BACKENDS``
-    because the worker pool binds to one graph at fork time.
-    """
-    if name == "processes":
-        from .parallel.processes import ProcessPoolBackend
-
-        return ProcessPoolBackend(graph)
-    return _BACKENDS[name]()
-
-
 def _cmd_profile(args: argparse.Namespace) -> int:
     import json
 
     from .obs.tracing import Tracer
 
     graph, index = _load_or_generate(args.graph)
-    backend = _make_backend(args.backend, graph)
+    backend = _BACKENDS[args.backend]()
     tracer = Tracer(enabled=True)
     engine = KeywordSearchEngine(
         graph, backend=backend, index=index,

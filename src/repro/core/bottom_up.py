@@ -151,8 +151,8 @@ class BottomUpSearch:
                 object receiving per-level callbacks.
             tracer: optional span tracer; when enabled, each BFS level
                 runs inside a ``level`` span carrying the level profile
-                and kernel counters as attributes, and the backend is
-                pointed at the tracer so pool chunks attach child spans.
+                and kernel counters as attributes, and the tracer rides
+                on the query's state so pool chunks attach child spans.
 
         Raises:
             ValueError: if ``k < 1`` or any keyword set is empty.
@@ -168,7 +168,6 @@ class BottomUpSearch:
         timer = timer or PhaseTimer()
         tracer = tracer if tracer is not None else NULL_TRACER
         trace_on = tracer.enabled
-        self.backend.tracer = tracer
         # Seed every loop phase so short-circuited searches (e.g. all
         # sources already central at level 0) still report a full profile.
         for phase in (PHASE_ENQUEUE, PHASE_IDENTIFY, PHASE_EXPANSION):
@@ -178,6 +177,7 @@ class BottomUpSearch:
             state = SearchState.initialize(
                 self.graph.n_nodes, keyword_node_sets, activation
             )
+        state.tracer = tracer
         peak_nbytes = state.nbytes()
 
         level = 0

@@ -27,6 +27,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..obs.tracing import NULL_TRACER, Tracer
+
 INFINITE_LEVEL = np.uint8(255)
 MAX_LEVEL = 254
 
@@ -91,6 +93,9 @@ class SearchState:
     #: first level. ``frontier`` is then a view of the first one; only its
     #: live length is charged by :meth:`nbytes`, the rest is never touched.
     level_buffers: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+    #: Destination of this query's expansion spans (``chunk`` under each
+    #: ``level``); set by the bottom-up loop, a no-op otherwise.
+    tracer: Tracer = NULL_TRACER
 
     # ------------------------------------------------------------------
     # Construction (the "Initialization" phase of Fig. 6/7)

@@ -4,10 +4,7 @@ A ``CSRStore`` file holds every array of a :class:`~repro.graph.csr.KnowledgeGra
 in raw little-endian form so the graph can be reopened with ``np.memmap`` in
 read-only mode — queries then run straight off the page cache without ever
 materializing the CSR in anonymous RAM. This is what lets the engine operate
-at wiki2018-like scale (the paper's real dataset is 30.6M nodes / 271M edges)
-and lets :class:`~repro.parallel.pool.WorkerPool` workers attach to the graph
-in O(1) by mapping the same file instead of copying arrays into POSIX shared
-memory.
+at wiki2018-like scale (the paper's real dataset is 30.6M nodes / 271M edges).
 
 File layout (all offsets absolute, all values little-endian)::
 
@@ -472,16 +469,6 @@ def open_store(path: Union[str, os.PathLike], mmap: bool = True) -> KnowledgeGra
     )
     graph.store = StoreHandle(path=info.path, info=info, mmap=bool(mmap))
     return graph
-
-
-def open_worker_arrays(path: Union[str, os.PathLike]) -> Tuple[np.ndarray, np.ndarray]:
-    """Map only the arrays a pool worker needs (``adj.indptr``, ``adj.indices``).
-
-    This is the O(1) worker-attach path: no CSRAdjacency validation, no text,
-    no derived views — two ``np.memmap`` calls against the shared page cache.
-    """
-    info = read_info(path)
-    return _open_section(info, "adj_indptr", True), _open_section(info, "adj_indices", True)
 
 
 # ----------------------------------------------------------------------

@@ -163,15 +163,12 @@ class KernelCounters:
         duplicates_elided: scatter targets dropped by per-column
             deduplication — parallel in-edges and shared hub neighbors
             that the per-column implementation wrote once per edge.
-        pull_levels: BFS levels expanded in the pull (bottom-up)
-            direction instead of the push direction.
     """
 
     sources_pruned: int = 0
     edges_gathered: int = 0
     pairs_hit: int = 0
     duplicates_elided: int = 0
-    pull_levels: int = 0
 
     def add(self, other: "KernelCounters") -> None:
         """Accumulate ``other`` in place (used to merge per-chunk counters)."""
@@ -179,7 +176,6 @@ class KernelCounters:
         self.edges_gathered += other.edges_gathered
         self.pairs_hit += other.pairs_hit
         self.duplicates_elided += other.duplicates_elided
-        self.pull_levels += other.pull_levels
 
     def as_dict(self) -> "dict[str, int]":
         return {
@@ -187,7 +183,6 @@ class KernelCounters:
             "edges_gathered": self.edges_gathered,
             "pairs_hit": self.pairs_hit,
             "duplicates_elided": self.duplicates_elided,
-            "pull_levels": self.pull_levels,
         }
 
 

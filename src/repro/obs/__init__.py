@@ -16,9 +16,6 @@ One API for all telemetry:
 * :mod:`repro.obs.flight` — the query flight recorder: a ring buffer of
   the last N completed :class:`~repro.obs.flight.QueryRecord`\\ s plus
   a slow-query log (``REPRO_FLIGHT_N`` / ``REPRO_SLOW_MS``).
-* :mod:`repro.obs.proc` — cross-process span propagation for the worker
-  pool tier: worker-side :class:`~repro.obs.proc.WorkerSpanRecorder`
-  buffers, stitched under the parent query span.
 
 See ``docs/OBSERVABILITY.md`` for the span model, metric naming scheme,
 and how to scrape/open the exports.
@@ -47,7 +44,6 @@ from .metrics import (
     get_registry,
     record_kernel_counters,
 )
-from .proc import WorkerSpanRecorder, stitch_worker_spans
 from .tracing import (
     NULL_TRACER,
     NullTracer,
@@ -78,7 +74,6 @@ __all__ = [
     "Span",
     "Tracer",
     "TracingPhaseTimer",
-    "WorkerSpanRecorder",
     "flight_recorder_size",
     "get_global_tracer",
     "get_registry",
@@ -88,7 +83,6 @@ __all__ = [
     "obs_enabled",
     "record_kernel_counters",
     "slow_query_threshold_ms",
-    "stitch_worker_spans",
     "uninstall_global_tracer",
     "validate_chrome_trace",
 ]

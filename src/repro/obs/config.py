@@ -24,8 +24,6 @@ registration):
   :mod:`repro.parallel._native`, driven by :mod:`repro.analysis.sanitize`.
 * ``REPRO_DATASET_CACHE`` — dataset cache directory override for the
   benchmark harness; owned by :mod:`repro.bench.datasets`.
-* ``REPRO_POOL_WORKERS`` — worker-count override for the persistent
-  process pool.
 * ``REPRO_SLOW_MS`` — slow-query threshold (milliseconds) for the query
   flight recorder (:mod:`repro.obs.flight`): a completed query slower
   than this is promoted to the slow-query log with its full Chrome
@@ -66,11 +64,6 @@ ENV_SANITIZE = "REPRO_SANITIZE"
 #: Owned by :mod:`repro.bench.datasets` (``CACHE_ENV_VAR``; a test pins
 #: the equality).
 ENV_DATASET_CACHE = "REPRO_DATASET_CACHE"
-
-#: Worker-count override for the persistent pool, e.g.
-#: ``REPRO_POOL_WORKERS=8``. Unset/empty defers to the backend's
-#: ``n_workers`` argument.
-ENV_POOL_WORKERS = "REPRO_POOL_WORKERS"
 
 #: Slow-query threshold in milliseconds for the query flight recorder
 #: (:mod:`repro.obs.flight`). Queries at or above the threshold land in
@@ -142,20 +135,6 @@ def sanitize_value() -> str:
 def dataset_cache_dir() -> Optional[str]:
     """The ``REPRO_DATASET_CACHE`` directory override, or ``None``."""
     return os.environ.get(ENV_DATASET_CACHE) or None
-
-
-def pool_workers_override() -> Optional[int]:
-    """The ``REPRO_POOL_WORKERS`` worker count, or ``None``.
-
-    Unparsable or non-positive values are ignored (``None``) rather
-    than raised — a stray environment variable must not break queries.
-    """
-    raw = os.environ.get(ENV_POOL_WORKERS, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
 
 
 def slow_query_threshold_ms() -> float:

@@ -20,8 +20,7 @@ Wiring:
   :meth:`FlightRecorder.begin` per query. When the engine's tracer is
   disabled (the common serving configuration), the recording brings its
   *own* per-query enabled tracer, so the record still carries a span
-  tree — including worker-side spans stitched by
-  :mod:`repro.obs.proc` for the process tier.
+  tree.
 * ``REPRO_OBS=0`` vetoes everything: :attr:`FlightRecorder.enabled`
   re-checks the kill-switch per query, so the disabled engine path is
   byte-identical to the untraced seed (one attribute load and one

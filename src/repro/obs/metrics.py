@@ -383,7 +383,6 @@ KERNEL_COUNTER_METRICS: Dict[str, str] = {
         "edges_gathered",
         "pairs_hit",
         "duplicates_elided",
-        "pull_levels",
     )
 }
 

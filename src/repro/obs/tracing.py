@@ -167,17 +167,6 @@ class Tracer:
         self._epoch_ns = time.perf_counter_ns()
         self._ids = itertools.count(1)
 
-    @property
-    def epoch_ns(self) -> int:
-        """The perf-counter origin all span timestamps are relative to.
-
-        Shipped to worker processes so externally recorded intervals
-        (:mod:`repro.obs.proc`) land on the same time base: on Linux
-        ``time.perf_counter_ns`` reads the system-wide ``CLOCK_MONOTONIC``,
-        so child processes can subtract the parent's epoch directly.
-        """
-        return self._epoch_ns
-
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
@@ -237,43 +226,6 @@ class Tracer:
             stack.pop()
             with self._lock:
                 self._finished.append(span)
-
-    def adopt_span(
-        self,
-        name: str,
-        start_ns: int,
-        duration_ns: int,
-        parent: Optional[Span] = None,
-        tid: int = 0,
-        thread_name: str = "",
-        attrs: Optional[Dict[str, object]] = None,
-    ) -> Span:
-        """Record an already-finished, externally timed span.
-
-        The cross-process stitching path (:mod:`repro.obs.proc`):
-        worker processes cannot append to this tracer's span list, so
-        they ship interval buffers back and the parent adopts them here
-        — fresh ``span_id`` from this tracer's id space, explicit
-        ``parent`` handoff, timestamps already relative to
-        :attr:`epoch_ns`.
-
-        Returns the adopted :class:`Span` (recorded only when the
-        tracer is enabled, matching :meth:`span`).
-        """
-        span = Span(
-            name=name,
-            span_id=next(self._ids),
-            parent_id=parent.span_id if parent is not None else 0,
-            tid=tid,
-            thread_name=thread_name or f"tid-{tid}",
-            start_ns=max(0, int(start_ns)),
-            attrs=attrs,
-        )
-        span.duration_ns = max(0, int(duration_ns))
-        if self.enabled:
-            with self._lock:
-                self._finished.append(span)
-        return span
 
     def traced(
         self, name: Optional[str] = None

@@ -27,8 +27,9 @@ Backends built on the fused kernel return the level's
 :class:`~repro.instrumentation.KernelCounters` from ``expand``; they
 reach the loop, the tracer and any attached
 :class:`~repro.core.trace.SearchTrace` on the level's
-:class:`LevelOutcome` and nowhere else, so nothing about a level is
-kept on the backend that concurrent queries share.
+:class:`LevelOutcome` and nowhere else, and expansion spans go to the
+query's own tracer (``SearchState.tracer``), so nothing about a query
+is kept on the backend that concurrent queries share.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from ..instrumentation import (
     KernelCounters,
     PhaseTimer,
 )
-from ..obs.tracing import NULL_TRACER, Tracer
 
 
 @dataclass
@@ -89,14 +89,6 @@ class ExpansionBackend(abc.ABC):
     #: log (separate processes) leave this ``False``; the invariant
     #: checker then verifies them from state snapshots alone.
     supports_write_log: bool = False
-
-    #: Destination for expansion spans; the bottom-up loop points this at
-    #: the active query's tracer before each run (no-op by default).
-    tracer: Tracer = NULL_TRACER
-
-    def set_tracer(self, tracer: Tracer) -> None:
-        """Attach the tracer receiving this backend's expansion spans."""
-        self.tracer = tracer
 
     @abc.abstractmethod
     def expand(

@@ -1,36 +1,28 @@
-"""Persistent pinned worker pool for multi-process expansion.
+"""Fork pool for the multi-process expansion ablation (Fig. 9-10).
 
-The paper's scaling experiments (Sec. VI, Fig. 9-10) measure warm
-engines: worker threads exist before the first query and survive across
-queries. The original :class:`~repro.parallel.processes.ProcessPoolBackend`
-instead spawned a fresh fork pool per backend instance, so benchmark
-sweeps paid process startup + CSR pinning on every query and the
-core-scaling curve was masked by spawn latency.
+A :class:`WorkerPool` belongs to one
+:class:`~repro.parallel.processes.ProcessPoolBackend` for that backend's
+lifetime: the scaling benches build one backend per sweep point and
+``close()`` it at the end, so every query of the point runs on the same
+already-forked workers.
 
-This module makes the pool a process-wide resource:
-
-* **One warm pool per (graph, worker-count)** — acquired through
-  :func:`get_pool`, created on first use, reused by every subsequent
-  backend bound to the same graph. Workers are forked once with the
-  graph's CSR arrays pinned into their address space (fork-inherited
-  copy-on-write pages, never re-pickled per query).
+* **CSR by fork inheritance** — workers are forked with the graph's
+  ``adj`` arrays in their address space (copy-on-write pages for in-RAM
+  graphs, the inherited read-only mapping for mmap-store graphs); the
+  adjacency is never pickled.
 * **One shared state segment per matrix shape** — the POSIX
   shared-memory block the workers mutate is owned by the pool and kept
-  across queries, so repeated queries of the same Knum reuse the same
-  mapping.
+  across queries of the same Knum.
 * **Crash containment** — a dead worker surfaces as
   ``BrokenProcessPool`` on the next dispatch; :meth:`WorkerPool.respawn`
-  rebuilds the executor (same CSR pinning) and the caller retries the
-  level. Retrying is safe because chunk tasks only ever perform
-  idempotent writes (Theorem V.2): re-running a partially applied level
-  stores the same constants again.
-* **Deterministic shutdown** — :meth:`WorkerPool.shutdown` (or the
-  module-level :func:`shutdown_all`, also registered ``atexit``) joins
-  the workers and unlinks the shared segment.
-
-``ProcessPoolBackend(persistent=False)`` bypasses the registry (the
-backend then owns a private pool) and ``REPRO_POOL_WORKERS`` overrides
-worker counts globally (registered in :mod:`repro.obs.config`).
+  rebuilds the executor and the caller retries the level. Retrying is
+  safe because chunk tasks only ever perform idempotent writes
+  (Theorem V.2): re-running a partially applied level stores the same
+  constants again.
+* **Deterministic shutdown** — :meth:`WorkerPool.shutdown` joins the
+  workers and unlinks the shared segment; :func:`shutdown_all`
+  (registered ``atexit``) does it for every pool still alive at
+  interpreter exit.
 """
 
 from __future__ import annotations
@@ -38,56 +30,37 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Set
 
 import numpy as np
 
 from ..graph.csr import KnowledgeGraph
-from ..obs.config import obs_enabled
-from ..obs.metrics import get_registry
 
 __all__ = [
     "BrokenProcessPool",
     "WorkerPool",
-    "get_pool",
     "shutdown_all",
 ]
 
-#: Metric names as module-level constants (lint RPR012).
-METRIC_POOL_RESPAWNS = "repro_pool_respawns_total"
-METRIC_POOL_WORKERS = "repro_pool_workers"
-
-# Worker-side CSR views, populated once by the pool initializer — either
-# fork-inherited (copy-on-write) pages for in-RAM graphs, or read-only
-# memmaps of the store file for mmap-backed graphs.
+# Worker-side CSR views, populated once by the pool initializer from the
+# fork-inherited arrays (copy-on-write pages for in-RAM graphs, the
+# parent's read-only mapping for mmap-store graphs).
 _WORKER_INDPTR: Optional[np.ndarray] = None
 _WORKER_INDICES: Optional[np.ndarray] = None
-_WORKER_STORE_PATH: Optional[str] = None
+
+#: Pools not yet shut down. Held strongly, so a backend dropped without
+#: ``close()`` still has its segment unlinked by :func:`shutdown_all` at
+#: interpreter exit.
+_LIVE_POOLS: "Set[WorkerPool]" = set()
 
 
 def _init_worker(indptr: np.ndarray, indices: np.ndarray) -> None:
     global _WORKER_INDPTR, _WORKER_INDICES
     _WORKER_INDPTR = indptr
     _WORKER_INDICES = indices
-
-
-def _init_worker_store(path: str) -> None:
-    """Attach a worker to an on-disk CSR store by path.
-
-    This is the zero-copy tier: the worker maps the store's ``adj`` arrays
-    read-only, so all workers (and the parent) share one physical copy in
-    the page cache. Attach cost is O(1) in graph size — two ``mmap`` calls,
-    no array pickling, no SharedMemory copy of the CSR.
-    """
-    global _WORKER_INDPTR, _WORKER_INDICES, _WORKER_STORE_PATH
-    from ..graph.store import open_worker_arrays
-
-    _WORKER_INDPTR, _WORKER_INDICES = open_worker_arrays(path)
-    _WORKER_STORE_PATH = path
 
 
 def _worker_pid(_: object = None) -> int:
@@ -106,7 +79,7 @@ def is_supported() -> bool:
 
 
 class WorkerPool:
-    """A persistent fork pool pinned to one graph's CSR arrays.
+    """A fork pool pinned to one graph's CSR arrays.
 
     Args:
         graph: the graph whose adjacency the workers inherit.
@@ -114,8 +87,7 @@ class WorkerPool:
 
     Attributes:
         respawn_count: how many times the executor was rebuilt after a
-            worker crash (0 for a healthy pool; CI asserts it stays 0
-            across consecutive queries).
+            worker crash (0 for a healthy pool).
     """
 
     def __init__(self, graph: KnowledgeGraph, n_workers: int) -> None:
@@ -125,38 +97,24 @@ class WorkerPool:
             raise RuntimeError("WorkerPool requires the 'fork' start method")
         self.n_workers = n_workers
         self.respawn_count = 0
-        self._graph_ref = weakref.ref(graph)
         self._indptr = graph.adj.indptr
         self._indices = graph.adj.indices
-        # Store-backed graphs pin workers to the file, not to this process's
-        # pages: workers re-map the store themselves, which survives the
-        # parent dropping (and even reloading) its KnowledgeGraph object.
-        self.store_path = _store_path_of(graph)
         self._executor: Optional[ProcessPoolExecutor] = None
         self._segment: Optional[shared_memory.SharedMemory] = None
         self._segment_size = 0
         self._spawn()
+        _LIVE_POOLS.add(self)
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def _spawn(self) -> None:
-        if self.store_path is not None:
-            initializer: Callable = _init_worker_store
-            initargs: tuple = (self.store_path,)
-        else:
-            initializer = _init_worker
-            initargs = (self._indptr, self._indices)
         self._executor = ProcessPoolExecutor(
             max_workers=self.n_workers,
             mp_context=multiprocessing.get_context("fork"),
-            initializer=initializer,
-            initargs=initargs,
+            initializer=_init_worker,
+            initargs=(self._indptr, self._indices),
         )
-        if obs_enabled():
-            get_registry().gauge(
-                METRIC_POOL_WORKERS, "configured pool worker processes",
-            ).set(self.n_workers)
 
     def warm(self) -> "List[int]":
         """Force every worker to spawn; returns the live worker PIDs.
@@ -186,11 +144,6 @@ class WorkerPool:
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
         self.respawn_count += 1
-        if obs_enabled():
-            get_registry().counter(
-                METRIC_POOL_RESPAWNS,
-                "worker-pool executor rebuilds after a crash",
-            ).inc()
         self._spawn()
 
     def shutdown(self) -> None:
@@ -199,6 +152,7 @@ class WorkerPool:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
         self._release_segment()
+        _LIVE_POOLS.discard(self)
 
     @property
     def alive(self) -> bool:
@@ -264,51 +218,10 @@ class WorkerPool:
         self._segment_size = 0
 
 
-# ----------------------------------------------------------------------
-# Process-wide registry
-# ----------------------------------------------------------------------
-_POOLS: "Dict[Tuple[object, int], WorkerPool]" = {}
-
-
-def _store_path_of(graph: KnowledgeGraph) -> Optional[str]:
-    """The mmap store path backing ``graph``, or None for in-RAM graphs."""
-    store = getattr(graph, "store", None)
-    if store is not None and getattr(store, "mmap", False):
-        return str(store.path)
-    return None
-
-
-def get_pool(graph: KnowledgeGraph, n_workers: int) -> WorkerPool:
-    """The process-wide warm pool for ``(graph, n_workers)``.
-
-    Created on first use and reused by every later request for the same
-    graph and worker count — consecutive queries (and consecutive backend
-    instances) hit the same already-forked workers.
-
-    In-RAM graphs key the registry by object identity (held weakly; a stale
-    entry is replaced). Store-backed mmap graphs key by the *store path*:
-    workers attach to the file, not to the parent's arrays, so a warm pool
-    survives the graph object being dropped and reopened (ROADMAP 3a) — the
-    reloaded graph maps the same page-cache copy the workers already share.
-    """
-    store_path = _store_path_of(graph)
-    key: "Tuple[object, int]" = (store_path or id(graph), n_workers)
-    pool = _POOLS.get(key)
-    if pool is not None and pool.alive:
-        if store_path is not None or pool._graph_ref() is graph:
-            return pool
-    if pool is not None:
-        pool.shutdown()
-    pool = WorkerPool(graph, n_workers)
-    _POOLS[key] = pool
-    return pool
-
-
 def shutdown_all() -> None:
-    """Shut down every registered pool (tests, interpreter exit)."""
-    for pool in list(_POOLS.values()):
+    """Shut down every pool still alive (interpreter exit)."""
+    for pool in list(_LIVE_POOLS):
         pool.shutdown()
-    _POOLS.clear()
 
 
 atexit.register(shutdown_all)

@@ -98,8 +98,8 @@ class SequentialBackend(ExpansionBackend):
     supports_write_log = True
 
     def expand(self, graph: KnowledgeGraph, state: SearchState, level: int) -> None:
-        if self.tracer.enabled:
-            with self.tracer.span(
+        if state.tracer.enabled:
+            with state.tracer.span(
                 "expand:sequential", frontier_size=len(state.frontier)
             ):
                 expand_frontier_chunk(graph, state, level, state.frontier)

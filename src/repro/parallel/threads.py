@@ -23,6 +23,8 @@ counts once.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from typing import List, Sequence
+
 import numpy as np
 
 from ..core.state import SearchState
@@ -31,6 +33,44 @@ from ..instrumentation import KernelCounters
 from ..obs.metrics import record_kernel_counters
 from .backend import ExpansionBackend
 from .vectorized import apply_hit_keys, fused_expand_chunk
+
+
+def split_frontier(
+    frontier: np.ndarray, n_threads: int, chunks_per_thread: int
+) -> "List[np.ndarray]":
+    """Cut a non-empty frontier into at most ``n_threads *
+    chunks_per_thread`` contiguous, non-empty chunks."""
+    n_chunks = min(len(frontier), n_threads * chunks_per_thread)
+    return [
+        chunk for chunk in np.array_split(frontier, n_chunks) if len(chunk)
+    ]
+
+
+def merge_chunk_hits(
+    state: SearchState,
+    key_lists: "Sequence[np.ndarray]",
+    chunk_counters: "Sequence[KernelCounters]",
+) -> KernelCounters:
+    """Apply the chunks' reported cells once; return the level's counters.
+
+    Per-chunk key lists are already unique, so cross-chunk dedup is one
+    boolean scatter over M's cells (no sort). Cells claimed by several
+    racing chunks (each read ∞ before any wrote) collapse to one count —
+    more elided duplicates, fewer pairs hit than the chunks' sum.
+    """
+    counters = KernelCounters()
+    for chunk_counter in chunk_counters:
+        counters.add(chunk_counter)
+    claimed = sum(len(keys) for keys in key_lists)
+    if claimed:
+        cell_mask = np.zeros(state.matrix.size, dtype=bool)
+        for keys in key_lists:
+            cell_mask[keys] = True
+        merged = np.flatnonzero(cell_mask)
+        apply_hit_keys(state, merged)
+        counters.duplicates_elided += claimed - len(merged)
+        counters.pairs_hit -= claimed - len(merged)
+    return counters
 
 
 class ThreadPoolBackend(ExpansionBackend):
@@ -61,33 +101,29 @@ class ThreadPoolBackend(ExpansionBackend):
         self, graph: KnowledgeGraph, state: SearchState, level: int
     ) -> KernelCounters:
         frontier = state.frontier
-        counters = KernelCounters()
         if len(frontier) == 0:
-            return counters
-        n_chunks = min(
-            len(frontier), self.n_threads * self.chunks_per_thread
-        )
-        if n_chunks <= 1 or self.n_threads == 1:
+            return KernelCounters()
+        if len(frontier) == 1 or self.n_threads == 1:
+            counters = KernelCounters()
             keys = fused_expand_chunk(graph, state, level, frontier, counters)
             apply_hit_keys(state, keys)
             record_kernel_counters(counters, tier="threads")
             return counters
-        chunks = [
-            chunk
-            for chunk in np.array_split(frontier, n_chunks)
-            if len(chunk)
-        ]
+        chunks = split_frontier(
+            frontier, self.n_threads, self.chunks_per_thread
+        )
         chunk_counters = [KernelCounters() for _ in chunks]
-        if self.tracer.enabled:
+        tracer = state.tracer
+        if tracer.enabled:
             # Pool workers run on their own threads, whose thread-local
             # span stacks are empty — hand them the expansion span as an
             # explicit parent so chunk spans nest under this level.
-            parent = self.tracer.current_span()
+            parent = tracer.current_span()
 
             def run_chunk(
                 chunk: np.ndarray, chunk_counter: KernelCounters
             ) -> np.ndarray:
-                with self.tracer.span(
+                with tracer.span(
                     "chunk", parent=parent, chunk_size=len(chunk), level=level
                 ):
                     return fused_expand_chunk(
@@ -107,24 +143,7 @@ class ThreadPoolBackend(ExpansionBackend):
             ]
         # Surface worker exceptions instead of swallowing them.
         key_lists = [future.result() for future in futures]
-        claimed = sum(len(keys) for keys in key_lists)
-        merged = None
-        if claimed:
-            # Sort-free merge: per-chunk key lists are already unique, so
-            # cross-chunk dedup is one boolean scatter over M's cells.
-            cell_mask = np.zeros(state.matrix.size, dtype=bool)
-            for keys in key_lists:
-                cell_mask[keys] = True
-            merged = np.flatnonzero(cell_mask)
-        if merged is not None:
-            apply_hit_keys(state, merged)
-        for chunk_counter in chunk_counters:
-            counters.add(chunk_counter)
-        if merged is not None:
-            # Cells claimed by several racing chunks (each read ∞ before
-            # any wrote) collapse to one count — more elided duplicates.
-            counters.duplicates_elided += claimed - len(merged)
-            counters.pairs_hit -= claimed - len(merged)
+        counters = merge_chunk_hits(state, key_lists, chunk_counters)
         record_kernel_counters(counters, tier="threads")
         return counters
 

@@ -386,116 +386,15 @@ def apply_hit_keys(state: SearchState, keys: np.ndarray) -> None:
         state.record_hits(_keys_to_rows(keys, state.n_keywords))
 
 
-@hot_path
-def pull_expand(
-    graph: KnowledgeGraph,
-    state: SearchState,
-    level: int,
-    counters: Optional[KernelCounters] = None,
-) -> np.ndarray:
-    """One direction-optimized *pull* pass (Beamer-style bottom-up step).
-
-    Instead of pushing every frontier node's lanes along its out-edges,
-    each still-unsaturated node *pulls*: it ORs the eligibility words of
-    its neighbors (one ``bitwise_or.reduceat`` over its CSR segment) and
-    ANDs the result with its own ∞ lanes. ``finite_count`` gives the
-    candidate set in one 1-D compare, and every produced (node, column)
-    key is unique by construction — no per-edge cell expansion, no
-    dedup, no scatter conflicts. The bi-directed ``adj`` union makes a
-    node's out-list identical to its in-list, which is what lets the
-    pull direction reuse the same CSR.
-
-    Only valid when no node is still awaiting activation at
-    ``level + 1`` (so the blocked/retry protocol of Algorithm 2 line
-    18-20 cannot trigger now or at any later level) — callers go
-    through :meth:`VectorizedBackend.expand`, which checks this along
-    with the cost crossover. Deferred inactive frontiers are re-flagged
-    exactly as the push kernel's line 5-7 would, so a later switch back
-    to push sees an identical frontier.
-
-    Returns:
-        int64 array of unique ``node * q + column`` keys hit.
-    """
-    matrix = state.matrix
-    f_identifier = state.f_identifier
-    activation = state.activation
-    write_log = state.write_log
-    q = state.n_keywords
-    next_level = level + 1
-    adj = graph.adj
-
-    # Line 5-7 for the frontier we are not walking (line 2-3 first: an
-    # identified Central Node never re-flags itself).
-    frontier = state.frontier
-    inactive = (activation[frontier] > level) & (
-        state.c_identifier[frontier] == 0
-    )
-    if inactive.any():
-        f_identifier[frontier[inactive]] = 1
-        if write_log is not None:
-            write_log.record_frontier(frontier[inactive], 1, level)
-
-    candidates = np.flatnonzero(state.finite_count < q)
-    degrees = adj.degree_array[candidates]
-    nonzero = degrees > 0
-    if not nonzero.all():
-        candidates = candidates[nonzero]
-        degrees = degrees[nonzero]
-    if len(candidates) == 0:
-        return _EMPTY_KEYS
-
-    # Eligibility words of every potential source; central nodes and
-    # still-inactive nodes never expand (line 2-3 / 5-7).
-    se_words = _lane_pack(matrix <= level)
-    se_words[(state.c_identifier != 0) | (activation > level)] = 0
-
-    starts = adj.indptr[candidates]
-    total = int(degrees.sum())
-    offsets = np.concatenate(([0], np.cumsum(degrees)[:-1]))
-    positions = np.repeat(starts - offsets, degrees) + np.arange(total)
-    if counters is not None:
-        counters.edges_gathered += total
-        counters.pull_levels += 1
-    incoming = np.bitwise_or.reduceat(se_words[adj.indices64[positions]], offsets)
-    ballots = incoming & _lane_pack(matrix[candidates] == INFINITE_LEVEL)
-    flat = np.flatnonzero(ballots.view(np.bool_))
-    if len(flat) == 0:
-        return _EMPTY_KEYS
-    hit_nodes = candidates[flat >> 3]
-    col_idx = flat & 7
-    keys = hit_nodes * q + col_idx
-    if counters is not None:
-        counters.pairs_hit += len(keys)
-    if matrix.flags.c_contiguous:
-        matrix.ravel()[keys] = next_level
-    else:  # pragma: no cover - states are always built C-contiguous
-        matrix[hit_nodes, col_idx] = next_level
-    f_identifier[hit_nodes] = 1
-    if write_log is not None:
-        write_log.record_matrix(keys, next_level, level)
-        write_log.record_frontier(hit_nodes, 1, level)
-    return keys
-
-
 class VectorizedBackend(ExpansionBackend):
     """Data-parallel expansion over the fused single-pass kernel.
 
-    Direction-optimizing: each level runs either the push kernel
-    (:func:`fused_expand_chunk`) or the pull pass (:func:`pull_expand`),
-    whichever scans fewer edges — classic bottom-up BFS switching, fused
-    across all q instances. Pull is only legal once every node's
-    activation level has been reached (no blocked/retry protocol left)
-    and while the incremental finite counts are exact.
-
-    :meth:`expand` returns the kernel work counters of the level (edges
-    gathered, unique cells hit, duplicates elided, prefiltered sources,
-    pull levels taken).
+    :meth:`expand` pushes the whole frontier through
+    :func:`fused_expand_chunk` and returns the kernel work counters of
+    the level (edges gathered, unique cells hit, duplicates elided,
+    prefiltered sources).
 
     Args:
-        pull_ratio: take the pull direction when its edge scan is
-            cheaper than ``pull_ratio`` times the push scan. Pull does
-            strictly less work per edge (no cell expansion, no dedup),
-            so the crossover sits above 1; 0 disables pull entirely.
         native: ``False`` pins the backend to the pure-NumPy kernel
             (A/B benchmarking, parity tests); ``None`` uses the compiled
             C tier whenever it is available.
@@ -504,33 +403,8 @@ class VectorizedBackend(ExpansionBackend):
     name = "vectorized"
     supports_write_log = True
 
-    def __init__(
-        self, pull_ratio: float = 1.5, native: Optional[bool] = None
-    ) -> None:
-        self.pull_ratio = pull_ratio
+    def __init__(self, native: Optional[bool] = None) -> None:
         self.native = native
-
-    def _should_pull(
-        self, graph: KnowledgeGraph, state: SearchState, level: int
-    ) -> bool:
-        if self.pull_ratio <= 0:
-            return False
-        # The compiled push kernel beats the NumPy pull pass per edge;
-        # direction switching only pays off between same-tier kernels.
-        if self.native is not False and _native_kernel() is not None:
-            return False
-        if state.n_keywords > _LANES or not _LANE_SWAR_OK:
-            return False
-        if not state.finite_count_usable():
-            return False
-        # Any node still awaiting activation re-introduces the blocked /
-        # retry protocol, which only the push kernel implements.
-        if state.max_activation > level + 1:
-            return False
-        degree_array = graph.adj.degree_array
-        push_edges = int(degree_array[state.frontier].sum())
-        pull_edges = int(degree_array[state.finite_count < state.n_keywords].sum())
-        return pull_edges < push_edges * self.pull_ratio
 
     def expand(
         self, graph: KnowledgeGraph, state: SearchState, level: int
@@ -539,20 +413,18 @@ class VectorizedBackend(ExpansionBackend):
         counters = KernelCounters()
         if len(frontier) == 0:
             return counters
-        if self._should_pull(graph, state, level):
-            keys = pull_expand(graph, state, level, counters)
-            tier = "pull"
-        else:
-            keys = fused_expand_chunk(
-                graph, state, level, frontier, counters, native=self.native
-            )
-            tier = (
+        keys = fused_expand_chunk(
+            graph, state, level, frontier, counters, native=self.native
+        )
+        apply_hit_keys(state, keys)
+        record_kernel_counters(
+            counters,
+            tier=(
                 "native"
                 if self.native is not False and _native_kernel() is not None
                 else "numpy"
-            )
-        apply_hit_keys(state, keys)
-        record_kernel_counters(counters, tier=tier)
+            ),
+        )
         return counters
 
     # ------------------------------------------------------------------

@@ -172,16 +172,13 @@ def test_checked_backend_is_zero_cost_when_not_wrapped():
     assert result.state.write_log is None
 
 
-def test_checked_backend_delegates_name_tracer_counters():
-    from repro.obs.tracing import Tracer
-
+def test_checked_backend_delegates_name_and_close():
     inner = ThreadPoolBackend(n_threads=2)
     checked = CheckedBackend(inner)
     assert checked.name == f"checked:{inner.name}"
-    tracer = Tracer(enabled=False)
-    checked.tracer = tracer
-    assert inner.tracer is tracer
     checked.close()
+    with pytest.raises(RuntimeError):  # the inner pool is shut down
+        inner._pool.submit(int)
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +486,9 @@ def test_noqa_exact_id_matching_regression():
 def test_rpr010_store_backed_writes_flagged():
     source = """
         import numpy as np
-        from repro.graph.store import open_worker_arrays
 
         arr = np.memmap("x.bin", dtype="int64", mode="r")
-        indptr, indices = open_worker_arrays("g.csrstore")
+        indices = np.memmap("g.bin", dtype="int32", mode="r")
 
         def corrupt():
             arr[0] = 5
@@ -566,7 +562,7 @@ def test_rpr012_inline_metric_names_flagged():
         from repro.obs.metrics import get_registry
 
         def emit():
-            get_registry().gauge("repro_pool_workers").set(1)
+            get_registry().gauge("repro_inflight_queries").set(1)
         """
     )
     assert "RPR012" in _rules_of(
@@ -631,7 +627,7 @@ def test_repo_test_and_benchmark_trees_lint_clean():
 
 def test_hot_path_marker_is_inert():
     from repro.instrumentation import hot_path
-    from repro.parallel.vectorized import fused_expand_chunk, pull_expand
+    from repro.parallel.vectorized import fused_expand_chunk, lane_bfs_levels
 
     @hot_path
     def f(x):
@@ -641,7 +637,7 @@ def test_hot_path_marker_is_inert():
     assert f.__hot_path__ is True
     # The real kernels are marked; the sequential oracle is not.
     assert getattr(fused_expand_chunk, "__hot_path__", False)
-    assert getattr(pull_expand, "__hot_path__", False)
+    assert getattr(lane_bfs_levels, "__hot_path__", False)
     from repro.parallel.sequential import expand_frontier_chunk
 
     assert not getattr(expand_frontier_chunk, "__hot_path__", False)

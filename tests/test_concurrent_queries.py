@@ -13,19 +13,26 @@ Stage two is checked the same way — every ranked answer's node and edge
 sets, not only its Central-Node id: a :class:`HittingDAG` is built per
 query and owns its extraction scratch in a ``threading.local``, so two
 requests walking back at the same moment must not see each other's
-``visited`` / ``seen`` marks or pair buffers.
+``visited`` / ``seen`` marks or pair buffers. And for where a level's
+spans go: the tracer used to be an attribute the bottom-up loop set on
+the shared backend, so a traced query's ``chunk`` spans landed in the
+tree of whichever query started last; it travels on the query's
+``SearchState`` now.
 """
 
 import sys
 import threading
 
+import numpy as np
 import pytest
 
+from repro.core.bottom_up import BottomUpSearch
 from repro.core.engine import KeywordSearchEngine
 from repro.eval.queries import KeywordWorkload
 from repro.graph.generators import wiki2018_config, wiki_like_kb
 from repro.obs.flight import FlightRecorder
-from repro.parallel import SequentialBackend, VectorizedBackend
+from repro.obs.tracing import Tracer
+from repro.parallel import SequentialBackend, ThreadPoolBackend, VectorizedBackend
 from repro.service import SearchService
 
 N_THREADS = 3
@@ -155,3 +162,77 @@ def test_threads_sharing_numpy_tier_get_serial_level_profiles(
     numpy_engine, expected
 ):
     _assert_threads_get_serial_results(numpy_engine, expected)
+
+
+def _chunk_spans(tracer):
+    """``(level, chunk_size)`` of every ``chunk`` span of ``tracer``, each
+    checked to hang under a ``level`` span of the same tree and level."""
+    spans = {span.span_id: span for span in tracer.finished_spans()}
+    found = []
+    for span in spans.values():
+        if span.name != "chunk":
+            continue
+        parent = spans.get(span.parent_id)
+        assert parent is not None and parent.name == "level", span
+        assert parent.attrs["level"] == span.attrs["level"], span
+        found.append((span.attrs["level"], span.attrs["chunk_size"]))
+    return sorted(found)
+
+
+class _Rendezvous:
+    """Observer that holds a search after its first level until the
+    other search has run its first level too."""
+
+    def __init__(self, mine, theirs):
+        self.mine, self.theirs = mine, theirs
+
+    def on_level_start(self, level, n_frontier):
+        self.mine.set()
+        assert self.theirs.wait(timeout=60)
+
+    def on_central_nodes(self, found):
+        pass
+
+    def on_expansion_done(self, new_hits):
+        pass
+
+
+def test_traced_queries_sharing_a_thread_pool_keep_their_own_chunk_spans(engine):
+    graph = engine.graph
+    rng = np.random.default_rng(21)
+    activation = np.zeros(graph.n_nodes, dtype=np.int32)
+    problems = [
+        [rng.choice(graph.n_nodes, size=4, replace=False) for _ in range(q)]
+        for q in (2, 3)
+    ]
+    with ThreadPoolBackend(n_threads=2) as backend:
+        searcher = BottomUpSearch(graph, backend=backend)
+        serial = []
+        for sets in problems:
+            tracer = Tracer(enabled=True)
+            searcher.run(sets, activation, k=K, tracer=tracer)
+            serial.append(_chunk_spans(tracer))
+            # Chunks at several levels, or the overlap below shows nothing.
+            assert len({level for level, _ in serial[-1]}) >= 2
+
+        started = [threading.Event(), threading.Event()]
+        tracers = [Tracer(enabled=True), Tracer(enabled=True)]
+        errors = []
+
+        def client(i):
+            try:
+                searcher.run(
+                    problems[i], activation, k=K, tracer=tracers[i],
+                    observer=_Rendezvous(started[i], started[1 - i]),
+                )
+            except Exception as error:  # reported by the main thread below
+                errors.append(error)
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+    assert [_chunk_spans(tracer) for tracer in tracers] == serial

@@ -3,8 +3,7 @@
 Covers the ring-buffer/slow-log mechanics, the engine integration
 (every query recorded, errors linked by query id and phase), the
 ``REPRO_OBS=0`` parity contract (disabled path identical to the
-untraced seed), and the process tier: worker chunk spans recorded in
-the pool workers must come back stitched under the parent query span.
+untraced seed).
 """
 
 import json
@@ -14,10 +13,10 @@ import pytest
 from repro.core.engine import KeywordSearchEngine
 from repro.core.results import EmptyQueryError
 from repro.instrumentation import PhaseTimer
-from repro.obs import FlightRecorder, WorkerSpanRecorder, stitch_worker_spans
+from repro.obs import FlightRecorder
 from repro.obs.flight import query_spans, spans_to_chrome_trace
 from repro.obs.tracing import Tracer, validate_chrome_trace
-from repro.parallel import ProcessPoolBackend, VectorizedBackend
+from repro.parallel import VectorizedBackend
 
 
 @pytest.fixture()
@@ -173,61 +172,3 @@ def test_query_spans_slices_by_ancestry():
         ]
     )
     validate_chrome_trace(trace)
-
-
-# ---------------------------------------------------------------------------
-# Cross-process stitching
-# ---------------------------------------------------------------------------
-def test_stitch_worker_spans_unit():
-    tracer = Tracer(enabled=True)
-    recorder = WorkerSpanRecorder(tracer.epoch_ns)
-    with recorder.span("worker_chunk", level=1, chunk_size=4):
-        with recorder.span("attach"):
-            pass
-    buffer = recorder.payload()
-    with tracer.span("process_pool.map") as dispatch:
-        pass
-    stitch_worker_spans(tracer, dispatch, [buffer, None])
-    spans = {span.name: span for span in tracer.finished_spans()}
-    chunk = spans["worker_chunk"]
-    attach = spans["attach"]
-    assert chunk.parent_id == dispatch.span_id
-    assert attach.parent_id == chunk.span_id
-    assert chunk.attrs["level"] == 1
-    assert chunk.attrs["chunk_size"] == 4
-    assert "worker_pid" in chunk.attrs
-    assert chunk.thread_name.startswith("worker-")
-
-
-@pytest.mark.skipif(
-    not ProcessPoolBackend.is_supported(), reason="fork unavailable"
-)
-def test_process_tier_record_contains_stitched_worker_spans(tiny_kb):
-    graph, _ = tiny_kb
-    engine = KeywordSearchEngine(
-        graph, backend=ProcessPoolBackend(graph, n_processes=2)
-    )
-    flight = FlightRecorder(max_records=4, slow_ms=0)
-    engine.flight = flight
-    with engine.backend:
-        # A multi-hop query: depth > 0 guarantees pool dispatches.
-        result = engine.search("machine learning graph", k=3)
-    assert result.depth > 0
-    record = flight.get(result.query_id)
-    spans = {span["span_id"]: span for span in record.spans}
-    chunks = [s for s in record.spans if s["name"] == "worker_chunk"]
-    assert chunks, "no worker_chunk spans captured from the pool workers"
-
-    def parent_chain(span):
-        names = []
-        while span["parent_id"] in spans:
-            span = spans[span["parent_id"]]
-            names.append(span["name"])
-        return names
-
-    chain = parent_chain(chunks[0])
-    assert chain[0] == "process_pool.map"
-    assert chain[-1] == "query"
-    pids = {span["attrs"]["worker_pid"] for span in chunks}
-    assert pids  # recorded in the worker processes
-    validate_chrome_trace(record.chrome_trace())

@@ -239,14 +239,14 @@ def test_record_kernel_counters(monkeypatch):
     registry = MetricsRegistry()
     counters = KernelCounters(
         sources_pruned=1, edges_gathered=10, pairs_hit=5,
-        duplicates_elided=2, pull_levels=0,
+        duplicates_elided=0,
     )
     record_kernel_counters(counters, tier="numpy", registry=registry)
     text = registry.render_prometheus()
     assert 'repro_kernel_edges_gathered_total{tier="numpy"} 10' in text
     assert 'repro_kernel_pairs_hit_total{tier="numpy"} 5' in text
     # Zero-valued fields are skipped entirely.
-    assert "pull_levels" not in text
+    assert "duplicates_elided" not in text
     # REPRO_OBS=0 turns recording into a no-op.
     monkeypatch.setenv(ENV_OBS, "0")
     record_kernel_counters(counters, tier="numpy", registry=registry)
@@ -266,6 +266,27 @@ def test_env_switches(monkeypatch):
     assert not config.enabled
     monkeypatch.setenv(ENV_OBS, "1")
     assert Tracer().enabled
+
+
+def test_registered_env_switches_are_exactly_these_nine():
+    """Every ``REPRO_*`` switch is one more configuration to cover: a
+    new one must be added here on purpose, a retired one removed."""
+    import inspect
+
+    from repro.analysis.lint import registered_env_vars
+    from repro.obs import config
+
+    assert registered_env_vars(inspect.getsource(config)) == {
+        "REPRO_OBS",
+        "REPRO_NATIVE_KERNEL",
+        "REPRO_TRACE",
+        "REPRO_SANITIZE",
+        "REPRO_DATASET_CACHE",
+        "REPRO_SLOW_MS",
+        "REPRO_FLIGHT_N",
+        "REPRO_OOC_SMOKE",
+        "REPRO_LOCK_WITNESS",
+    }
 
 
 def test_native_kernel_env_name_matches_native_module():

@@ -15,15 +15,6 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(autouse=True)
-def _drain_warm_pools():
-    """Persistent pools outlive backend.close(); keep tests isolated."""
-    from repro.parallel import pool as pool_module
-
-    yield
-    pool_module.shutdown_all()
-
-
 def _sets(*groups):
     return [np.array(g, dtype=np.int64) for g in groups]
 
@@ -71,7 +62,7 @@ def test_matches_sequential_on_random_graphs(seed):
 
 
 def test_segment_reused_across_queries(chain5):
-    backend = ProcessPoolBackend(chain5, n_processes=2, persistent=False)
+    backend = ProcessPoolBackend(chain5, n_processes=2)
     try:
         searcher = BottomUpSearch(chain5, backend)
         searcher.run(_sets([0], [4]), zero_activation(chain5), k=1)
@@ -102,7 +93,7 @@ def test_validates_arguments(chain5):
 
 
 def test_close_releases_resources(chain5):
-    backend = ProcessPoolBackend(chain5, n_processes=1, persistent=False)
+    backend = ProcessPoolBackend(chain5, n_processes=1)
     BottomUpSearch(chain5, backend).run(
         _sets([0], [4]), zero_activation(chain5), k=1
     )

@@ -140,8 +140,8 @@ def test_initialize_finite_count_matches_matrix_scan():
 def test_max_activation_is_the_recomputed_maximum_on_the_fuzz_corpus():
     """``max_activation`` replaces a per-level ``activation.max()``: the
     field equals the recomputed value at every level of a search, on both
-    kernel tiers, so every ``may_block`` / ``_should_pull`` decision is
-    the one the recomputation gave."""
+    kernel tiers, so every ``may_block`` decision is the one the
+    recomputation gave."""
     from repro.analysis.check import _fuzz_case
     from repro.core.bottom_up import BottomUpSearch
     from repro.parallel import VectorizedBackend
@@ -156,15 +156,6 @@ def test_max_activation_is_the_recomputed_maximum_on_the_fuzz_corpus():
             assert state.max_activation == recomputed
             self.may_block.append(recomputed > level + 1)
             return super().run_level(graph, state, level, k, may_expand, timer)
-
-        def _should_pull(self, graph, state, level):
-            cached = super()._should_pull(graph, state, level)
-            held, state.max_activation = state.max_activation, int(
-                state.activation.max()
-            )
-            assert super()._should_pull(graph, state, level) == cached
-            state.max_activation = held
-            return cached
 
     blocking_levels = 0
     for seed in range(12):

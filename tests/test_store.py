@@ -37,7 +37,6 @@ from repro.graph.store import (
     allocated_nbytes,
     memmap_base,
     open_store,
-    open_worker_arrays,
     read_info,
     resident_nbytes,
     save_store,
@@ -48,16 +47,9 @@ from repro.parallel import (
     ThreadPoolBackend,
     VectorizedBackend,
 )
-from repro.parallel import pool as pool_module
 from repro.text.inverted_index import InvertedIndex
 
 from test_fused_kernel import _fuzz_kb, _fuzz_problem, _run_backend
-
-
-@pytest.fixture(autouse=True)
-def _drain_warm_pools():
-    yield
-    pool_module.shutdown_all()
 
 
 @pytest.fixture(scope="module")
@@ -263,42 +255,22 @@ def test_all_backends_bitwise_identical_on_mmap_store(tmp_path, seed):
     not ProcessPoolBackend.is_supported(),
     reason="requires the fork start method",
 )
-def test_process_pool_attaches_by_store_path_and_survives_reload(tmp_path):
+def test_process_pool_matches_sequential_on_mmap_store(tmp_path):
+    """Workers inherit the store's read-only mapping at fork."""
     graph = _fuzz_kb(6)
     path = tmp_path / ("g" + STORE_SUFFIX)
     save_store(graph, path)
     mapped = open_store(path)
+    assert memmap_base(mapped.adj.indices) is not None
     sets, activation, k = _fuzz_problem(graph, 61, q=3)
     reference = _run_backend(SequentialBackend(), graph, sets, activation, k)
-
-    backend = ProcessPoolBackend(mapped, n_processes=1, persistent=True)
-    assert backend.pool.store_path == str(mapped.store.path)
+    backend = ProcessPoolBackend(mapped, n_processes=2)
     result = _run_backend(backend, mapped, sets, activation, k)
     assert np.array_equal(result.state.matrix, reference.state.matrix)
     assert sorted(result.central_nodes) == sorted(reference.central_nodes)
-    pool_before = backend.pool
-    pids_before = pool_before.worker_pids()
-    assert pids_before, "pool should be warm after a dispatch"
-
-    # Drop the graph object entirely and reopen the same store: the
-    # path-keyed registry must hand back the very same live pool.
-    del mapped, backend, result
-    reopened = open_store(path)
-    pool_after = pool_module.get_pool(reopened, 1)
-    assert pool_after is pool_before
-    assert pool_after.worker_pids() == pids_before
-    assert pool_after.respawn_count == 0
-
-    backend2 = ProcessPoolBackend(reopened, n_processes=1, persistent=True)
-    result2 = _run_backend(backend2, reopened, sets, activation, k)
-    assert np.array_equal(result2.state.matrix, reference.state.matrix)
-
-
-def test_open_worker_arrays_match_graph(kb_graph, store_path):
-    indptr, indices = open_worker_arrays(store_path)
-    assert np.array_equal(indptr, kb_graph.adj.indptr)
-    assert np.array_equal(indices, kb_graph.adj.indices)
-    assert memmap_base(indptr) is not None
+    assert result.depth == reference.depth
+    assert backend.respawn_count == 0
+    assert not backend.pool.alive
 
 
 # ---------------------------------------------------------------------------

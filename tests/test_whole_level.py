@@ -114,12 +114,6 @@ def test_duplicates_elided_native_numpy_parity(seed, tmp_path):
     0), for every lane count q = 1..8 of the kernel's one lane-word loop,
     on a graph loaded from NPZ and on the same graph memory-mapped from
     a ``.csrstore``.
-
-    Both sides are pinned to the push discipline (``pull_ratio=0``):
-    a pull level legitimately gathers different edges and elides no
-    scatter duplicates by construction, and it announces itself via the
-    ``pull_levels`` counter — work counters describe work actually done,
-    so parity is only defined direction-for-direction.
     """
     from repro.parallel.vectorized import _native_kernel
 
@@ -141,7 +135,6 @@ def test_duplicates_elided_native_numpy_parity(seed, tmp_path):
         rows = []
         for record in trace.records:
             kernel = record.kernel or KernelCounters()
-            assert kernel.pull_levels == 0
             rows.append(
                 {name: getattr(kernel, name) for name in _KERNEL_COUNTER_FIELDS}
             )
@@ -153,14 +146,10 @@ def test_duplicates_elided_native_numpy_parity(seed, tmp_path):
         per_graph = {}
         for form, graph in graphs.items():
             native = level_counters(
-                graph, VectorizedBackend(pull_ratio=0), sets, activation, k
+                graph, VectorizedBackend(), sets, activation, k
             )
             fallback = level_counters(
-                graph,
-                VectorizedBackend(pull_ratio=0, native=False),
-                sets,
-                activation,
-                k,
+                graph, VectorizedBackend(native=False), sets, activation, k
             )
             assert native == fallback, f"q={q} on the {form} graph"
             per_graph[form] = native
