@@ -13,8 +13,7 @@ Run:  python examples/answer_analytics.py
 import numpy as np
 
 from repro import BatchSearcher, KeywordSearchEngine, VectorizedBackend
-from repro.core.bottom_up import BottomUpSearch
-from repro.core.trace import SearchTrace
+from repro.core.bottom_up import BottomUpSearch, describe_levels
 from repro.eval.redundancy import most_repeated_nodes, redundancy_stats
 from repro.graph.generators import wiki_like_kb
 from repro.viz import central_graph_to_dot
@@ -30,11 +29,10 @@ def main() -> None:
     print("=== 1. level-by-level trace ===")
     pairs = engine.index.query_node_sets(QUERY)
     sets = [nodes for _, nodes in pairs if len(nodes)]
-    trace = SearchTrace()
-    BottomUpSearch(graph, VectorizedBackend()).run(
-        sets, engine.activation_for(0.1), k=20, observer=trace
+    bottom_up = BottomUpSearch(graph, VectorizedBackend()).run(
+        sets, engine.activation_for(0.1), k=20
     )
-    print(trace.describe())
+    print(describe_levels(bottom_up.level_profile))
 
     # -- 2. batch execution ----------------------------------------------
     print("\n=== 2. batch execution ===")

@@ -91,7 +91,7 @@ def main() -> None:
     for record in result.level_profile:
         print(f"{record.level:5d} {record.frontier_size:9d} "
               f"{record.edges_scanned:9d} {record.new_hits:9d} "
-              f"{record.new_central:12d}")
+              f"{len(record.new_central):12d}")
 
 
 if __name__ == "__main__":

@@ -94,6 +94,26 @@ def _describe_cells(cells: np.ndarray, q: int) -> str:
     return shown
 
 
+def _finite_count_violations(
+    state: SearchState, level: int
+) -> List[InvariantViolation]:
+    """I5 — incremental ``finite_count`` equals a from-scratch recount."""
+    recount = (state.matrix != INFINITE_LEVEL).sum(axis=1, dtype=np.int32)
+    wrong = np.flatnonzero(recount != state.finite_count)[:_MAX_CELLS_REPORTED]
+    if not len(wrong):
+        return []
+    return [
+        InvariantViolation(
+            "finite-count",
+            level,
+            "incremental finite_count diverged from recount "
+            f"at nodes {wrong.tolist()} "
+            f"(have {state.finite_count[wrong].tolist()}, "
+            f"expect {recount[wrong].tolist()})",
+        )
+    ]
+
+
 class CheckedBackend(ExpansionBackend):
     """Invariant-checking wrapper around any expansion backend.
 
@@ -315,20 +335,7 @@ class CheckedBackend(ExpansionBackend):
                 )
             )
 
-        if state.finite_count_usable():
-            recount = (state.matrix != INFINITE_LEVEL).sum(
-                axis=1, dtype=np.int32
-            )
-            wrong = np.flatnonzero(recount != state.finite_count)
-            if len(wrong):
-                found.append(
-                    InvariantViolation(
-                        "finite-count",
-                        level,
-                        "incremental finite_count diverged from recount "
-                        f"at nodes {wrong[:_MAX_CELLS_REPORTED].tolist()}",
-                    )
-                )
+        found.extend(_finite_count_violations(state, level))
         return found
 
     # ------------------------------------------------------------------
@@ -450,21 +457,5 @@ class CheckedBackend(ExpansionBackend):
                     )
                 )
 
-        # I5 — incremental finite_count equals a from-scratch recount.
-        if state.finite_count_usable():
-            recount = (state.matrix != INFINITE_LEVEL).sum(
-                axis=1, dtype=np.int32
-            )
-            wrong = np.flatnonzero(recount != state.finite_count)
-            if len(wrong):
-                found.append(
-                    InvariantViolation(
-                        "finite-count",
-                        level,
-                        "incremental finite_count diverged from recount "
-                        f"at nodes {wrong[:_MAX_CELLS_REPORTED].tolist()} "
-                        f"(have {state.finite_count[wrong[:_MAX_CELLS_REPORTED]].tolist()}, "
-                        f"expect {recount[wrong[:_MAX_CELLS_REPORTED]].tolist()})",
-                    )
-                )
+        found.extend(_finite_count_violations(state, level))
         return found

@@ -80,7 +80,7 @@ class FaultyBackend(ExpansionBackend):
                     log.record_matrix(cells[:1], level + 1, level)
                 self.faults_injected += 1
         elif self.mode == "count-drift":
-            if state.finite_count_usable() and state.n_nodes:
+            if state.n_nodes:
                 node = int(np.argmin(state.finite_count))
                 if state.finite_count[node] < q:
                     state.finite_count[node] += 1
@@ -92,6 +92,5 @@ class FaultyBackend(ExpansionBackend):
             if len(cells):
                 matrix.ravel()[cells[0]] = level + 1
                 node = int(cells[0]) // q
-                if state.finite_count_usable():
-                    state.finite_count[node] += 1
+                state.finite_count[node] += 1
                 self.faults_injected += 1

@@ -62,6 +62,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from ..obs.config import ENV_SANITIZE
 from ..parallel import _native
 
 #: Default selection for `repro check` and CI.
@@ -165,7 +166,7 @@ def sanitized_env(
     ``repro`` package importable.
     """
     env = dict(os.environ)
-    env[_native.ENV_SANITIZE] = ",".join(selection)
+    env[ENV_SANITIZE] = ",".join(selection)
     env["ASAN_OPTIONS"] = "detect_leaks=0:abort_on_error=0:exitcode=99"
     src_dir = str(Path(__file__).resolve().parent.parent.parent)
     existing = env.get("PYTHONPATH")

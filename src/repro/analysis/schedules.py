@@ -369,7 +369,7 @@ def _compare(result, reference, schedule_name: str) -> List[ScheduleFinding]:
                 "Central Node set differs from the sequential oracle",
             )
         )
-    if result.state.finite_count_usable() and not np.array_equal(
+    if not np.array_equal(
         result.state.finite_count, reference.state.finite_count
     ):
         findings.append(

@@ -30,10 +30,9 @@ from ..graph.generators import (
 )
 from ..graph.io import load_graph, save_graph
 from ..graph.sampling import DistanceEstimate, estimate_average_distance
+from ..obs.config import dataset_cache_dir
 from ..text.index_io import load_index, save_index
 from ..text.inverted_index import InvertedIndex
-
-CACHE_ENV_VAR = "REPRO_DATASET_CACHE"
 
 
 @dataclass
@@ -189,7 +188,7 @@ def load_dataset(path_prefix: str) -> BenchDataset:
 
 
 def _disk_cache_prefix(name: str) -> Optional[str]:
-    cache_dir = os.environ.get(CACHE_ENV_VAR)
+    cache_dir = dataset_cache_dir()
     if not cache_dir:
         return None
     os.makedirs(cache_dir, exist_ok=True)

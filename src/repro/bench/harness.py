@@ -285,10 +285,10 @@ def vary_tnum(
     """Per-phase profile versus thread count (Exp-4).
 
     The paper sweeps 1–50 threads on a 52-core machine; we sweep 1–8
-    across three variants: GIL-bound threads (CPU-Par), shared-memory
-    processes (CPU-Par(proc) — real cores when the host has them), and
-    the locked dict ablation. EXPERIMENTS.md documents the host's core
-    count alongside the results.
+    across three variants: threads (CPU-Par; each chunk's kernel call
+    releases the GIL), shared-memory processes (CPU-Par(proc)), and the
+    locked dict ablation — real cores when the host has them.
+    EXPERIMENTS.md documents the host's core count alongside the results.
     """
     workload = KeywordWorkload(dataset.index, seed=seed)
     queries = workload.sample_queries(DEFAULT_KNUM, n_queries)
@@ -381,11 +381,12 @@ def measure_obs_overhead(
     """Best-of timing of the untraced path vs. the disabled-tracer path.
 
     ``REPRO_OBS=0`` (or any disabled tracer) must leave the query hot
-    path untouched: the engine then uses a plain ``PhaseTimer`` and no
-    span contexts, so the only residual cost is one ``enabled`` check
-    per query. This measures both paths on a tiny workload and reports
-    the ratio; the test suite asserts it stays within measurement noise
-    (the acceptance criterion for the kill-switch).
+    path untouched: the engine's ``PhaseTimer`` then carries no tracer
+    and opens no span contexts, so the only residual cost is one
+    ``enabled`` check per phase. This measures both paths on a tiny
+    workload and reports the ratio; the test suite asserts it stays
+    within measurement noise (the acceptance criterion for the
+    kill-switch).
 
     The always-on flight-recorder path (a per-query owned tracer plus
     one ring commit, the serving default) is measured alongside so CI

@@ -1,7 +1,7 @@
 """Core contribution: Central Graph search (weights, activation, two stages)."""
 
 from .activation import ActivationModel, activation_distribution, activation_levels
-from .bottom_up import BottomUpResult, BottomUpSearch
+from .bottom_up import BottomUpResult, BottomUpSearch, describe_levels
 from .central_graph import CentralGraph, SearchAnswer
 from .engine import EmptyQueryError, EngineConfig, KeywordSearchEngine, SearchResult
 from .scoring import DEFAULT_LAMBDA, TopKHeap, central_graph_score
@@ -35,6 +35,7 @@ __all__ = [
     "activation_levels",
     "central_graph_score",
     "deduplicate_by_containment",
+    "describe_levels",
     "extract_central_graph",
     "level_cover_prune",
     "node_weights",

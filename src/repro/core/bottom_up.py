@@ -18,7 +18,7 @@ Nodes exist (Theorem V.3), when the frontier drains empty, or at the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,12 +30,9 @@ from ..instrumentation import (
     PhaseTimer,
 )
 from ..graph.csr import KnowledgeGraph
-from ..obs.tracing import NULL_CONTEXT, NULL_TRACER, Tracer
-from ..parallel.backend import ExpansionBackend
+from ..obs.tracing import NULL_CONTEXT
+from ..parallel.backend import ExpansionBackend, LevelOutcome
 from ..parallel.sequential import SequentialBackend
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .trace import SearchTrace
-
 from .state import (
     MAX_LEVEL,
     TERMINATED_ENOUGH_ANSWERS,
@@ -45,36 +42,34 @@ from .state import (
 )
 
 
-@dataclass
-class LevelProfile:
-    """Expansion accounting for one BFS level (the Fig. 6/7 phase
-    breakdowns, resolved per level instead of per run).
+def describe_levels(
+    levels: Sequence[LevelOutcome], max_centrals_shown: int = 6
+) -> str:
+    """A Fig. 4-style textual trace of a run's ``level_profile``.
 
-    Attributes:
-        level: the global BFS level.
-        frontier_size: nodes enqueued into the joint frontier.
-        edges_scanned: CSR entries touched by expansion — the exact
-            gathered count when the backend reports kernel counters, else
-            the degree sum of the enqueued frontier (an upper bound for
-            the per-node kernel).
-        new_hits: unique (node, keyword) cells that became finite.
-        new_central: Central Nodes identified at this level.
+    The paper explains its algorithm through level-by-level traces
+    (Fig. 4, Example 4); this is the same view of a real run — frontier
+    sizes, newly hit (node, keyword) cells, Central Node discoveries.
+
+    Args:
+        levels: ``BottomUpResult.level_profile`` (or a
+            ``SearchResult``'s).
+        max_centrals_shown: central nodes listed per level before
+            collapsing the rest into a "+N more" suffix.
     """
-
-    level: int
-    frontier_size: int
-    edges_scanned: int
-    new_hits: int
-    new_central: int
-
-    def as_span_attributes(self) -> "dict[str, int]":
-        """The profile as flat span attributes (Chrome trace ``args``)."""
-        return {
-            "frontier_size": self.frontier_size,
-            "edges_scanned": self.edges_scanned,
-            "new_hits": self.new_hits,
-            "new_central": self.new_central,
-        }
+    lines = ["level  frontier  new_hits  central_nodes"]
+    for outcome in levels:
+        found = outcome.new_central
+        shown = ", ".join(
+            f"v{node}(d={depth})" for node, depth in found[:max_centrals_shown]
+        )
+        if len(found) > max_centrals_shown:
+            shown += f" (+{len(found) - max_centrals_shown} more)"
+        lines.append(
+            f"{outcome.level:5d}  {outcome.frontier_size:8d}  "
+            f"{outcome.new_hits:8d}  {shown or '-'}"
+        )
+    return "\n".join(lines)
 
 
 @dataclass
@@ -89,9 +84,9 @@ class BottomUpResult:
         levels_executed: number of expansion levels actually run.
         terminated: one of the ``TERMINATED_*`` reasons.
         peak_state_nbytes: max dynamic memory observed (Table IV).
-        level_profile: per-level expansion counters, one entry per level
-            the loop entered (including the terminal level that only
-            enqueued/identified).
+        level_profile: the :class:`~repro.parallel.backend.LevelOutcome`
+            of every level the loop entered with a non-empty frontier
+            (including the terminal level that only enqueued/identified).
     """
 
     state: SearchState
@@ -100,7 +95,7 @@ class BottomUpResult:
     terminated: str
     peak_state_nbytes: int
     timer: PhaseTimer
-    level_profile: List[LevelProfile] = field(default_factory=list)
+    level_profile: List[LevelOutcome] = field(default_factory=list)
 
     @property
     def central_nodes(self) -> List[Tuple[int, int]]:
@@ -136,8 +131,6 @@ class BottomUpSearch:
         activation: np.ndarray,
         k: int,
         timer: Optional[PhaseTimer] = None,
-        observer: Optional["SearchTrace"] = None,
-        tracer: Optional[Tracer] = None,
     ) -> BottomUpResult:
         """Search until at least ``k`` Central Nodes are identified.
 
@@ -147,12 +140,11 @@ class BottomUpSearch:
             activation: per-node minimum activation levels for this α.
             k: the top-k target; the stage collects *all* Central Nodes of
                 depth ≤ d for the smallest sufficient d (Definition 4).
-            observer: optional :class:`repro.core.trace.SearchTrace`-like
-                object receiving per-level callbacks.
-            tracer: optional span tracer; when enabled, each BFS level
-                runs inside a ``level`` span carrying the level profile
-                and kernel counters as attributes, and the tracer rides
-                on the query's state so pool chunks attach child spans.
+            timer: receives the stage's phases. When it carries an
+                enabled tracer, each BFS level also runs inside a
+                ``level`` span with the level's accounting and kernel
+                counters as attributes, and the tracer rides on the
+                query's state so pool chunks attach child spans.
 
         Raises:
             ValueError: if ``k < 1`` or any keyword set is empty.
@@ -166,7 +158,7 @@ class BottomUpSearch:
                     "drop unmatched keywords before searching"
                 )
         timer = timer or PhaseTimer()
-        tracer = tracer if tracer is not None else NULL_TRACER
+        tracer = timer.tracer
         trace_on = tracer.enabled
         # Seed every loop phase so short-circuited searches (e.g. all
         # sources already central at level 0) still report a full profile.
@@ -183,8 +175,7 @@ class BottomUpSearch:
         level = 0
         levels_executed = 0
         terminated = TERMINATED_LEVEL_CAP
-        profile: List[LevelProfile] = []
-        degree_array = self.graph.adj.degree_array
+        profile: List[LevelOutcome] = []
         while level <= self.lmax:
             level_ctx = (
                 tracer.span("level", level=level) if trace_on else NULL_CONTEXT
@@ -193,42 +184,18 @@ class BottomUpSearch:
                 outcome = self.backend.run_level(
                     self.graph, state, level, k, level < self.lmax, timer
                 )
-                if outcome.n_frontier == 0:
+                if outcome.frontier_size == 0:
                     terminated = TERMINATED_FRONTIER_EMPTY
                     break
-                if observer is not None:
-                    observer.on_level_start(level, outcome.n_frontier)
-                    if outcome.new_central:
-                        observer.on_central_nodes(outcome.new_central)
-                counters = outcome.counters
-                record = LevelProfile(
-                    level=level,
-                    frontier_size=outcome.n_frontier,
-                    edges_scanned=0,
-                    new_hits=outcome.new_hits,
-                    new_central=len(outcome.new_central),
-                )
-                profile.append(record)
-                if outcome.expanded:
-                    record.edges_scanned = (
-                        counters.edges_gathered
-                        if counters is not None
-                        else int(degree_array[state.frontier].sum())
-                    )
+                profile.append(outcome)
                 if trace_on:
-                    level_span.set_attrs(record.as_span_attributes())
-                    if counters is not None:
-                        level_span.set_attrs(counters.as_dict())
+                    level_span.set_attrs(outcome.as_span_attributes())
+                    if outcome.counters is not None:
+                        level_span.set_attrs(outcome.counters.as_dict())
                 if not outcome.expanded:
                     if state.n_central_nodes >= k:
                         terminated = TERMINATED_ENOUGH_ANSWERS
                     break
-                if observer is not None:
-                    observer.on_expansion_done(record.new_hits)
-                    if counters is not None and hasattr(
-                        observer, "on_kernel_counters"
-                    ):
-                        observer.on_kernel_counters(counters)
                 levels_executed += 1
                 peak_nbytes = max(peak_nbytes, state.nbytes())
                 level += 1

@@ -29,7 +29,6 @@ from ..instrumentation import (
 )
 from ..graph.csr import KnowledgeGraph
 from ..graph.sampling import estimate_average_distance
-from ..obs.adapter import TracingPhaseTimer
 from ..obs.tracing import Tracer, get_global_tracer
 from ..parallel.backend import ExpansionBackend
 from ..text.inverted_index import InvertedIndex
@@ -45,6 +44,11 @@ from .weights import node_weights
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.flight import FlightRecorder
+
+#: Activation mappings kept per engine, most recently used last. Each is
+#: 4·|V| bytes and ``alpha`` is a free request parameter, so the cache
+#: must not grow with the number of distinct values ever asked for.
+ACTIVATION_CACHE_SIZE = 8
 
 
 @dataclass
@@ -82,7 +86,8 @@ class KeywordSearchEngine:
 
     Construction performs the offline work (index build, Eq. 2 weights,
     A estimation); :meth:`search` is the online path. Activation levels
-    are cached per α so repeated queries pay only array lookups.
+    are cached for the :data:`ACTIVATION_CACHE_SIZE` most recently used α
+    values, so repeated queries pay only array lookups.
 
     Args:
         graph: the knowledge graph to search.
@@ -138,7 +143,7 @@ class KeywordSearchEngine:
         self._searcher = BottomUpSearch(
             graph, backend=backend, lmax=self.config.lmax
         )
-        self._activation_cache: Dict[float, ActivationModel] = {}
+        self._activation_cache: Dict[float, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Offline pieces
@@ -148,14 +153,24 @@ class KeywordSearchEngine:
         return self._searcher.backend
 
     def activation_for(self, alpha: float) -> np.ndarray:
-        """Per-node minimum activation levels for ``alpha`` (cached)."""
-        model = self._activation_cache.get(alpha)
-        if model is None:
-            model = ActivationModel.from_weights(
+        """Per-node minimum activation levels for ``alpha``.
+
+        The array is shared by every query at this α and therefore
+        read-only. Request threads call this without a lock: each step
+        below is one atomic dict operation, and two threads missing the
+        same α at once just compute equal arrays.
+        """
+        cache = self._activation_cache
+        levels = cache.pop(alpha, None)
+        if levels is None:
+            levels = ActivationModel.from_weights(
                 self.weights, self.average_distance, alpha
-            )
-            self._activation_cache[alpha] = model
-        return model.levels
+            ).levels
+            levels.setflags(write=False)
+        cache[alpha] = levels  # (re)inserted last: dict order is recency
+        for stale in list(cache)[:-ACTIVATION_CACHE_SIZE]:
+            cache.pop(stale, None)
+        return levels
 
     # ------------------------------------------------------------------
     # Online path
@@ -248,19 +263,16 @@ class KeywordSearchEngine:
             # record carries a span tree even when neither REPRO_TRACE
             # nor an engine tracer is configured.
             tracer = recording.tracer
-        # The disabled path must stay bit-for-bit the seed hot path: a
-        # plain PhaseTimer and no span context managers (REPRO_OBS=0 /
-        # no tracer installed ⇒ zero-overhead telemetry).
-        timer: PhaseTimer = (
-            TracingPhaseTimer(tracer) if tracer.enabled else PhaseTimer()
-        )
+        # With a disabled tracer the timer opens no span context
+        # (REPRO_OBS=0 / no tracer installed ⇒ the seed hot path).
+        timer = PhaseTimer(tracer=tracer)
         try:
             with tracer.span(
                 "query", knum=len(keywords), k=k, alpha=alpha
             ) as query_span:
                 with timer.phase(PHASE_TOTAL):
                     bottom_up = self._searcher.run(
-                        node_sets, activation, k, timer=timer, tracer=tracer
+                        node_sets, activation, k, timer=timer
                     )
                     ranked = process_top_down(
                         self.graph,
@@ -305,7 +317,7 @@ class KeywordSearchEngine:
             query_id=recording.query_id if recording is not None else None,
         )
         if recording is not None:
-            recording.complete(result, query_span=query_span, tracer=tracer)
+            recording.complete(result, query_span)
         return result
 
     # ------------------------------------------------------------------

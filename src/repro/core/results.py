@@ -15,7 +15,7 @@ from ..instrumentation import PhaseTimer
 from .central_graph import SearchAnswer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .bottom_up import LevelProfile
+    from ..parallel.backend import LevelOutcome
 
 
 class EmptyQueryError(ValueError):
@@ -24,7 +24,8 @@ class EmptyQueryError(ValueError):
 
 @dataclass
 class SearchResult:
-    """Everything a caller learns from one query.
+    """Everything a caller learns from one query — its one always-on
+    account: spans, flight records and the Fig. 4 text are views of it.
 
     Attributes:
         answers: final ranked answers, best first.
@@ -38,9 +39,11 @@ class SearchResult:
         terminated: stage-one termination reason.
         timer: per-phase wall-clock times.
         peak_state_nbytes: peak dynamic memory of this query (Table IV).
-        level_profile: per-BFS-level expansion accounting from stage one
-            (frontier size, edges scanned, new hits, new Central Nodes);
-            empty for engine variants that do not record it.
+        level_profile: stage one's per-level records — the
+            :class:`~repro.parallel.backend.LevelOutcome` each level
+            returned (frontier size, edges scanned, new hits, new Central
+            Nodes, kernel counters); empty for engine variants that do
+            not record it.
         query_id: the flight-recorder id of this query's
             :class:`~repro.obs.flight.QueryRecord` (the
             ``/debug/queries/<id>`` key), or ``None`` when no recorder
@@ -55,7 +58,7 @@ class SearchResult:
     terminated: str
     timer: PhaseTimer
     peak_state_nbytes: int
-    level_profile: "List[LevelProfile]" = field(default_factory=list)
+    level_profile: "List[LevelOutcome]" = field(default_factory=list)
     query_id: Optional[int] = None
 
     def __len__(self) -> int:

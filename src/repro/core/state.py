@@ -63,7 +63,7 @@ class SearchState:
             (node, keyword) writes), which turns Central Node
             identification into a 1-D ``finite_count == q`` compare instead
             of a 2-D row scan. Backends that bulk-rewrite M instead call
-            :meth:`refresh_finite_count` or :meth:`invalidate_finite_count`.
+            :meth:`refresh_finite_count` on the rows they touched.
     """
 
     matrix: np.ndarray
@@ -82,7 +82,6 @@ class SearchState:
     finite_count: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int32)
     )
-    finite_count_stale: bool = False
     #: Optional :class:`repro.analysis.writelog.WriteLog` interposed by
     #: :class:`repro.analysis.checked.CheckedBackend`. ``None`` in normal
     #: operation — kernels pay exactly one ``is not None`` branch per
@@ -190,8 +189,7 @@ class SearchState:
         the BFS level at identification time. Identified nodes become
         unavailable for future expansion (Section III-B).
 
-        When ``finite_count`` is maintained this is an O(frontier) 1-D
-        compare; with a stale count it falls back to the 2-D row scan.
+        With ``finite_count`` exact this is an O(frontier) 1-D compare.
 
         Returns:
             The (node, depth) pairs newly identified at this level.
@@ -201,13 +199,9 @@ class SearchState:
         candidates = self.frontier[self.c_identifier[self.frontier] == 0]
         if len(candidates) == 0:
             return []
-        if self.finite_count_usable():
-            complete = self.finite_count[candidates] == self.n_keywords
-        else:
-            complete = np.all(
-                self.matrix[candidates] != INFINITE_LEVEL, axis=1
-            )
-        newly_central = candidates[complete]
+        newly_central = candidates[
+            self.finite_count[candidates] == self.n_keywords
+        ]
         if len(newly_central) == 0:
             return []
         self.c_identifier[newly_central] = 1
@@ -219,13 +213,6 @@ class SearchState:
     # ------------------------------------------------------------------
     # Incremental finite-cell accounting
     # ------------------------------------------------------------------
-    def finite_count_usable(self) -> bool:
-        """True when ``finite_count`` is exact and sized for this state."""
-        return (
-            not self.finite_count_stale
-            and len(self.finite_count) == self.n_nodes
-        )
-
     def record_hits(self, nodes: np.ndarray) -> None:
         """Advance ``finite_count`` after deduplicated matrix writes.
 
@@ -235,44 +222,25 @@ class SearchState:
         than ``np.add.at`` — the buffered ufunc path is an order of
         magnitude slower on large hit batches.
         """
-        if self.finite_count_usable() and len(nodes):
+        if len(nodes):
             self.finite_count += np.bincount(
                 nodes, minlength=self.n_nodes
             ).astype(np.int32)
 
-    def refresh_finite_count(self, nodes: "Optional[np.ndarray]" = None) -> None:
-        """Recompute ``finite_count`` from M for ``nodes`` (or every node).
+    def refresh_finite_count(self, nodes: np.ndarray) -> None:
+        """Recompute ``finite_count`` from M for ``nodes``.
 
-        Backends that bulk-rewrite M (e.g. the shared-memory process pool
+        Backends that bulk-rewrite M (the shared-memory process pool
         copying its segment back) resynchronize the touched rows here.
         """
-        if len(self.finite_count) != self.n_nodes:
-            self.finite_count = np.empty(self.n_nodes, dtype=np.int32)
-            nodes = None
-        if nodes is None:
-            np.sum(
-                self.matrix != INFINITE_LEVEL,
-                axis=1,
-                dtype=np.int32,
-                out=self.finite_count,
-            )
-            self.finite_count_stale = False
-            return
         if len(nodes):
             self.finite_count[nodes] = (
                 self.matrix[nodes] != INFINITE_LEVEL
             ).sum(axis=1, dtype=np.int32)
 
-    def invalidate_finite_count(self) -> None:
-        """Mark ``finite_count`` unreliable; identification falls back to
-        the full 2-D row scan (the pre-fused-kernel behavior)."""
-        self.finite_count_stale = True
-
     def total_finite_cells(self) -> int:
         """Number of finite M cells (used for per-level hit accounting)."""
-        if self.finite_count_usable():
-            return int(self.finite_count.sum())
-        return int(np.count_nonzero(self.matrix != INFINITE_LEVEL))
+        return int(self.finite_count.sum())
 
     # ------------------------------------------------------------------
     # Storage accounting (Table IV)

@@ -13,6 +13,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, TypeVar
 
+from .obs.tracing import NULL_CONTEXT, NULL_TRACER, Tracer
+
 _F = TypeVar("_F", bound=Callable)
 
 
@@ -52,18 +54,29 @@ class PhaseTimer:
 
     Phases may be entered repeatedly (the bottom-up loop re-enters
     enqueue/identify/expand once per BFS level); durations accumulate.
+
+    Attributes:
+        seconds: accumulated wall-clock seconds per phase name.
+        tracer: the query's span tracer. When it is enabled every phase
+            entry also opens one ``phase:<name>`` span around the timed
+            window — a per-level slice in the Chrome trace while
+            ``seconds`` keeps the figure totals; the window itself is
+            the same with or without it (a fake-clock test pins this).
     """
 
     seconds: Dict[str, float] = field(default_factory=dict)
+    tracer: Tracer = field(default=NULL_TRACER, repr=False, compare=False)
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
+        tracer = self.tracer
+        with tracer.span("phase:" + name) if tracer.enabled else NULL_CONTEXT:
+            start = time.perf_counter()
+            try:
+                yield
+            finally:
+                elapsed = time.perf_counter() - start
+                self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
 
     def add(self, name: str, seconds: float) -> None:
         self.seconds[name] = self.seconds.get(name, 0.0) + seconds

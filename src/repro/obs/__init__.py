@@ -7,9 +7,6 @@ One API for all telemetry:
   summaries.
 * :mod:`repro.obs.metrics` — lock-protected counters, gauges, and
   log-bucket histograms; Prometheus text exposition and JSON snapshots.
-* :mod:`repro.obs.adapter` — :class:`TracingPhaseTimer`, the bridge
-  that keeps the paper-figure ``PhaseTimer`` numbers bit-identical
-  while mirroring phases as spans.
 * :mod:`repro.obs.config` — the ``REPRO_OBS`` kill-switch,
   ``REPRO_NATIVE_KERNEL`` propagation, and the ``REPRO_TRACE``
   bench-run trace hook.
@@ -21,14 +18,12 @@ See ``docs/OBSERVABILITY.md`` for the span model, metric naming scheme,
 and how to scrape/open the exports.
 """
 
-from .adapter import TracingPhaseTimer
 from .config import (
     ENV_FLIGHT_N,
     ENV_NATIVE_KERNEL,
     ENV_OBS,
     ENV_SLOW_MS,
     ENV_TRACE,
-    ObsConfig,
     flight_recorder_size,
     maybe_install_env_tracer,
     native_kernel_enabled,
@@ -46,7 +41,6 @@ from .metrics import (
 )
 from .tracing import (
     NULL_TRACER,
-    NullTracer,
     Span,
     Tracer,
     get_global_tracer,
@@ -67,13 +61,10 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NULL_TRACER",
-    "NullTracer",
-    "ObsConfig",
     "QueryRecord",
     "QueryRecording",
     "Span",
     "Tracer",
-    "TracingPhaseTimer",
     "flight_recorder_size",
     "get_global_tracer",
     "get_registry",

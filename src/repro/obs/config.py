@@ -12,18 +12,17 @@ registration):
   :func:`repro.bench.harness.measure_obs_overhead` measures that this
   disabled path stays within measurement noise of the untraced engine.
 * ``REPRO_NATIVE_KERNEL`` — the compiled-C expansion tier switch
-  (``0`` pins the pure-NumPy kernel). Owned by
-  :mod:`repro.parallel._native`; re-exposed here so callers configuring
-  telemetry and kernel tiers read one module.
+  (``0`` pins the pure-NumPy kernel); read by
+  :mod:`repro.parallel._native` through :func:`native_kernel_enabled`.
 * ``REPRO_TRACE`` — when set to a file path, a process-global tracer is
   installed at benchmark-harness import and the collected spans are
   written there as Chrome trace-event JSON at interpreter exit, so any
   ``benchmarks/bench_*.py`` run can dump a trace without code changes.
 * ``REPRO_SANITIZE`` — comma-separated sanitizer selection
-  (``address``, ``undefined``) for the compiled kernel tier; owned by
-  :mod:`repro.parallel._native`, driven by :mod:`repro.analysis.sanitize`.
+  (``address``, ``undefined``) for the compiled kernel tier; read by
+  :mod:`repro.parallel._native`, set by :mod:`repro.analysis.sanitize`.
 * ``REPRO_DATASET_CACHE`` — dataset cache directory override for the
-  benchmark harness; owned by :mod:`repro.bench.datasets`.
+  benchmark harness; read by :mod:`repro.bench.datasets`.
 * ``REPRO_SLOW_MS`` — slow-query threshold (milliseconds) for the query
   flight recorder (:mod:`repro.obs.flight`): a completed query slower
   than this is promoted to the slow-query log with its full Chrome
@@ -41,28 +40,26 @@ from __future__ import annotations
 
 import atexit
 import os
-from dataclasses import dataclass
 from typing import Optional
 
 #: Kill-switch for all span tracing and metric recording.
 ENV_OBS = "REPRO_OBS"
 
-#: Compiled-kernel switch (must match ``repro.parallel._native.ENV_FLAG``;
-#: a test pins the equality).
+#: Compiled-kernel switch: ``0`` forces the pure-NumPy kernel (e.g. for
+#: A/B benchmarks).
 ENV_NATIVE_KERNEL = "REPRO_NATIVE_KERNEL"
 
 #: Chrome-trace output path for benchmark runs (empty/unset = no trace).
 ENV_TRACE = "REPRO_TRACE"
 
 #: Sanitizer selection for the compiled kernel tier, e.g.
-#: ``REPRO_SANITIZE=address,undefined``. Owned by
-#: :mod:`repro.parallel._native` (``ENV_SANITIZE``; a test pins the
-#: equality); orchestrated by :mod:`repro.analysis.sanitize`.
+#: ``REPRO_SANITIZE=address,undefined``; parsed by
+#: :func:`repro.parallel._native.sanitize_selection`, orchestrated by
+#: :mod:`repro.analysis.sanitize`.
 ENV_SANITIZE = "REPRO_SANITIZE"
 
-#: Dataset download/cache directory override for the benchmark harness.
-#: Owned by :mod:`repro.bench.datasets` (``CACHE_ENV_VAR``; a test pins
-#: the equality).
+#: Dataset download/cache directory override for the benchmark harness
+#: (:mod:`repro.bench.datasets`).
 ENV_DATASET_CACHE = "REPRO_DATASET_CACHE"
 
 #: Slow-query threshold in milliseconds for the query flight recorder
@@ -164,30 +161,6 @@ def flight_recorder_size() -> int:
     except ValueError:
         return DEFAULT_FLIGHT_RECORDS
     return value if value >= 0 else DEFAULT_FLIGHT_RECORDS
-
-
-@dataclass(frozen=True)
-class ObsConfig:
-    """A snapshot of every observability switch.
-
-    Attributes:
-        enabled: span tracing / metric recording allowed (``REPRO_OBS``).
-        native_kernel: compiled expansion tier allowed
-            (``REPRO_NATIVE_KERNEL``).
-        trace_path: Chrome-trace dump path for this run (``REPRO_TRACE``).
-    """
-
-    enabled: bool
-    native_kernel: bool
-    trace_path: Optional[str]
-
-    @classmethod
-    def from_env(cls) -> "ObsConfig":
-        return cls(
-            enabled=obs_enabled(),
-            native_kernel=native_kernel_enabled(),
-            trace_path=trace_path(),
-        )
 
 
 def maybe_install_env_tracer() -> "Optional[object]":

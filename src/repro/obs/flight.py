@@ -39,67 +39,11 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .config import flight_recorder_size, obs_enabled, slow_query_threshold_ms
 from .locks import make_lock, register_lock_owner
-from .tracing import Span, Tracer
+from .tracing import Span, Tracer, chrome_trace_of
 
 #: Slow-query log capacity (independent of the ring: a burst of fast
 #: queries must not evict the evidence of the last slow one).
 SLOW_LOG_CAPACITY = 32
-
-
-def _span_as_dict(span: Span) -> Dict[str, object]:
-    return {
-        "name": span.name,
-        "span_id": span.span_id,
-        "parent_id": span.parent_id,
-        "tid": span.tid,
-        "thread_name": span.thread_name,
-        "start_ns": span.start_ns,
-        "duration_ns": span.duration_ns,
-        "attrs": dict(span.attrs),
-    }
-
-
-def spans_to_chrome_trace(
-    spans: List[Dict[str, object]]
-) -> Dict[str, object]:
-    """Chrome trace-event JSON for one record's serialized span list.
-
-    Same event shape as :meth:`repro.obs.tracing.Tracer.to_chrome_trace`
-    (passes :func:`~repro.obs.tracing.validate_chrome_trace`), built
-    from the per-query slice the flight recorder kept.
-    """
-    pid = os.getpid()
-    events: List[Dict[str, object]] = []
-    threads: Dict[int, str] = {}
-    for span in spans:
-        tid = int(span.get("tid", 0))  # type: ignore[arg-type]
-        threads.setdefault(tid, str(span.get("thread_name", "")))
-        args = dict(span.get("attrs") or {})  # type: ignore[arg-type]
-        args["span_id"] = span.get("span_id", 0)
-        args["parent_id"] = span.get("parent_id", 0)
-        events.append(
-            {
-                "name": span.get("name", ""),
-                "cat": "repro",
-                "ph": "X",
-                "ts": int(span.get("start_ns", 0)) / 1e3,  # type: ignore[arg-type]
-                "dur": int(span.get("duration_ns", 0)) / 1e3,  # type: ignore[arg-type]
-                "pid": pid,
-                "tid": tid,
-                "args": args,
-            }
-        )
-    for tid, thread_name in sorted(threads.items()):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": thread_name},
-            }
-        )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def query_spans(tracer: Tracer, query_span: Span) -> List[Span]:
@@ -157,9 +101,8 @@ class QueryRecord:
         depth / n_central_nodes / n_answers / terminated: stage-one and
             ranking outcomes.
         slow: whether ``duration_ms`` met the slow-query threshold.
-        spans: the per-query span tree, serialized.
-        trace: the full Chrome trace payload — persisted eagerly for
-            slow queries, built on demand otherwise.
+        spans: the per-query span tree; serialized only on demand
+            (:meth:`as_dict`, :meth:`chrome_trace`, the slow-trace file).
     """
 
     query_id: int
@@ -180,8 +123,7 @@ class QueryRecord:
     n_answers: int = 0
     terminated: str = ""
     slow: bool = False
-    spans: List[Dict[str, object]] = field(default_factory=list)
-    trace: Optional[Dict[str, object]] = None
+    spans: List[Span] = field(default_factory=list)
 
     def summary(self) -> Dict[str, object]:
         """The ``/debug/queries`` listing row."""
@@ -210,17 +152,27 @@ class QueryRecord:
             levels=[dict(level) for level in self.levels],
             n_central_nodes=self.n_central_nodes,
             terminated=self.terminated,
-            spans=[dict(span) for span in self.spans],
+            spans=[
+                {
+                    "name": span.name,
+                    "span_id": span.span_id,
+                    "parent_id": span.parent_id,
+                    "tid": span.tid,
+                    "thread_name": span.thread_name,
+                    "start_ns": span.start_ns,
+                    "duration_ns": span.duration_ns,
+                    "attrs": dict(span.attrs),
+                }
+                for span in self.spans
+            ],
         )
         if include_trace:
             payload["trace"] = self.chrome_trace()
         return payload
 
     def chrome_trace(self) -> Dict[str, object]:
-        """This query's Chrome trace (persisted copy or rebuilt)."""
-        if self.trace is not None:
-            return self.trace
-        return spans_to_chrome_trace(self.spans)
+        """This query's Chrome trace, built from its span slice."""
+        return chrome_trace_of(self.spans)
 
 
 class QueryRecording:
@@ -231,8 +183,8 @@ class QueryRecording:
     When the engine's own tracer is disabled the recording owns a fresh
     enabled :class:`~repro.obs.tracing.Tracer` (:attr:`tracer`) so the
     record still captures a span tree; when the engine tracer is
-    already enabled, the engine keeps it and passes it to
-    :meth:`complete` for the per-query slice.
+    already enabled, the engine keeps it and :meth:`complete` slices
+    this query's spans out of it.
     """
 
     def __init__(self, recorder: "FlightRecorder", record: QueryRecord) -> None:
@@ -249,13 +201,11 @@ class QueryRecording:
         return (time.perf_counter_ns() - self._start_ns) / 1e6
 
     def complete(
-        self,
-        result: Any,
-        query_span: Optional[Span] = None,
-        tracer: Optional[Tracer] = None,
+        self, result: Any, query_span: Optional[Span] = None
     ) -> QueryRecord:
         """Close the recording with a successful
-        :class:`~repro.core.results.SearchResult`."""
+        :class:`~repro.core.results.SearchResult` (whose timer carries
+        the tracer the query ran under)."""
         record = self.record
         record.outcome = "ok"
         record.depth = int(result.depth)
@@ -265,15 +215,15 @@ class QueryRecording:
         record.phases = result.timer.milliseconds()
         record.duration_ms = record.phases.get("total", self._elapsed_ms())
         counters: Dict[str, int] = {}
-        for profile in result.level_profile:
-            attrs = profile.as_span_attributes()
-            level_row = {"level": int(profile.level)}
+        for outcome in result.level_profile:
+            attrs = outcome.as_span_attributes()
+            level_row = {"level": int(outcome.level)}
             level_row.update({k: int(v) for k, v in attrs.items()})
             record.levels.append(level_row)
             for key, value in attrs.items():
                 counters[key] = counters.get(key, 0) + int(value)
         record.counters = counters
-        self._capture_spans(query_span, tracer)
+        self._capture_spans(query_span, result.timer.tracer)
         self._recorder._commit(record)
         return record
 
@@ -301,12 +251,10 @@ class QueryRecording:
         if not tracer.enabled:
             return
         if query_span is not None:
-            spans = query_spans(tracer, query_span)
+            self.record.spans = query_spans(tracer, query_span)
         elif tracer is self.tracer:
-            spans = tracer.finished_spans()
-        else:  # shared tracer but no anchor: no safe per-query slice
-            spans = []
-        self.record.spans = [_span_as_dict(span) for span in spans]
+            self.record.spans = tracer.finished_spans()
+        # else: shared tracer but no anchor — no safe per-query slice
 
 
 class FlightRecorder:
@@ -381,7 +329,6 @@ class FlightRecorder:
     def _commit(self, record: QueryRecord) -> None:
         if record.duration_ms >= self.slow_ms > 0.0:
             record.slow = True
-            record.trace = record.chrome_trace()
         with self._lock:
             self._ring.append(record)
             if record.slow:
@@ -451,18 +398,3 @@ class FlightRecorder:
             "recent": [record.summary() for record in self.recent(limit)],
             "slow": [record.summary() for record in self.slow_queries()],
         }
-
-    def phase_breakdown_ms(self) -> Dict[str, float]:
-        """Mean milliseconds per phase over the ring's successful
-        queries (the load bench's per-phase latency breakdown)."""
-        totals: Dict[str, float] = {}
-        count = 0
-        for record in self.recent():
-            if record.outcome != "ok" or not record.phases:
-                continue
-            count += 1
-            for phase, ms in record.phases.items():
-                totals[phase] = totals.get(phase, 0.0) + ms
-        if not count:
-            return {}
-        return {phase: total / count for phase, total in sorted(totals.items())}

@@ -15,7 +15,8 @@ Design:
   tracer's epoch, thread id, attribute dict). Finished spans accumulate
   under one lock; nothing is exported until asked.
 * Export targets: **Chrome trace-event JSON** (open in Perfetto /
-  ``chrome://tracing``) via :meth:`Tracer.to_chrome_trace`, and a
+  ``chrome://tracing``) via :meth:`Tracer.to_chrome_trace` (one
+  module-level writer, :func:`chrome_trace_of`, over any span list), and a
   human-readable **flame summary** via :meth:`Tracer.flame_summary`.
 * A disabled tracer (``Tracer(enabled=False)``, or any tracer built
   while ``REPRO_OBS=0``) short-circuits ``span()`` to a reusable no-op
@@ -40,7 +41,17 @@ import threading
 import time
 from contextlib import contextmanager
 from types import TracebackType
-from typing import Any, Callable, ContextManager, Dict, Iterator, List, Optional, Type
+from typing import (
+    Any,
+    Callable,
+    ContextManager,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Type,
+)
 
 from .config import obs_enabled
 from .locks import make_lock, register_fork_callback, register_lock_owner
@@ -269,46 +280,9 @@ class Tracer:
             self._finished.clear()
 
     def to_chrome_trace(self) -> Dict[str, object]:
-        """The collected spans as a Chrome trace-event JSON object.
-
-        Complete (``"ph": "X"``) events carry microsecond timestamps
-        relative to the tracer epoch plus the span attributes (and span
-        ids) under ``args``; thread-name metadata events label each
-        participating thread. Load the serialized form in Perfetto
-        (https://ui.perfetto.dev) or ``chrome://tracing``.
-        """
-        spans = self.finished_spans()
-        pid = os.getpid()
-        events: List[Dict[str, object]] = []
-        threads: Dict[int, str] = {}
-        for span in spans:
-            threads.setdefault(span.tid, span.thread_name)
-            args = dict(span.attrs)
-            args["span_id"] = span.span_id
-            args["parent_id"] = span.parent_id
-            events.append(
-                {
-                    "name": span.name,
-                    "cat": "repro",
-                    "ph": "X",
-                    "ts": span.start_ns / 1e3,
-                    "dur": span.duration_ns / 1e3,
-                    "pid": pid,
-                    "tid": span.tid,
-                    "args": args,
-                }
-            )
-        for tid, thread_name in sorted(threads.items()):
-            events.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"name": thread_name},
-                }
-            )
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
+        """The collected spans as a Chrome trace-event JSON object
+        (:func:`chrome_trace_of`)."""
+        return chrome_trace_of(self.finished_spans())
 
     def write_chrome_trace(self, path: str) -> None:
         """Serialize :meth:`to_chrome_trace` to ``path`` (validated)."""
@@ -354,20 +328,9 @@ class Tracer:
         return "\n".join(lines)
 
 
-class NullTracer(Tracer):
-    """A permanently disabled tracer (the default when none is given)."""
-
-    def __init__(self) -> None:
-        super().__init__(enabled=False)
-
-    def span(
-        self, name: str, parent: Optional[Span] = None, **attrs: object
-    ) -> ContextManager[Any]:
-        return NULL_CONTEXT
-
-
-#: Shared no-op tracer; safe to hand to any number of engines/backends.
-NULL_TRACER = NullTracer()
+#: Shared permanently-disabled tracer (the default when none is given);
+#: safe to hand to any number of engines and timers.
+NULL_TRACER = Tracer(enabled=False)
 
 _GLOBAL_TRACER: Tracer = NULL_TRACER
 _GLOBAL_LOCK = make_lock("obs.tracing._GLOBAL_LOCK")
@@ -400,6 +363,50 @@ def uninstall_global_tracer() -> None:
 def get_global_tracer() -> Tracer:
     """The process-default tracer (:data:`NULL_TRACER` until installed)."""
     return _GLOBAL_TRACER
+
+
+def chrome_trace_of(spans: Iterable[Span]) -> Dict[str, object]:
+    """``spans`` as a Chrome trace-event JSON object.
+
+    Complete (``"ph": "X"``) events carry microsecond timestamps
+    relative to the tracer epoch plus the span attributes (and span
+    ids) under ``args``; thread-name metadata events label each
+    participating thread. Load the serialized form in Perfetto
+    (https://ui.perfetto.dev) or ``chrome://tracing``. The one writer
+    behind :meth:`Tracer.to_chrome_trace` and the flight recorder's
+    per-query slice (:meth:`repro.obs.flight.QueryRecord.chrome_trace`).
+    """
+    pid = os.getpid()
+    events: List[Dict[str, object]] = []
+    threads: Dict[int, str] = {}
+    for span in spans:
+        threads.setdefault(span.tid, span.thread_name)
+        args = dict(span.attrs)
+        args["span_id"] = span.span_id
+        args["parent_id"] = span.parent_id
+        events.append(
+            {
+                "name": span.name,
+                "cat": "repro",
+                "ph": "X",
+                "ts": span.start_ns / 1e3,
+                "dur": span.duration_ns / 1e3,
+                "pid": pid,
+                "tid": span.tid,
+                "args": args,
+            }
+        )
+    for tid, thread_name in sorted(threads.items()):
+        events.append(
+            {
+                "name": "thread_name",
+                "ph": "M",
+                "pid": pid,
+                "tid": tid,
+                "args": {"name": thread_name},
+            }
+        )
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def validate_chrome_trace(payload: Dict[str, object]) -> None:

@@ -28,17 +28,14 @@ from typing import Optional
 
 import numpy as np
 
-#: Set to "0" to force the pure-NumPy kernel (e.g. for A/B benchmarks).
-ENV_FLAG = "REPRO_NATIVE_KERNEL"
+from ..obs.config import ENV_SANITIZE, native_kernel_enabled, sanitize_value
 
-#: Comma-separated sanitizer selection for the native tier, e.g.
-#: ``REPRO_SANITIZE=address,undefined``. A sanitized build is compiled
-#: to its own shared object (the sanitizer set is part of the cache
-#: key), so sanitized and plain kernels coexist in ``_build/``. Loading
-#: an ASan kernel into a non-ASan Python requires the ASan runtime to
-#: be preloaded — :mod:`repro.analysis.sanitize` prepares such an
-#: environment and runs the checks in a subprocess.
-ENV_SANITIZE = "REPRO_SANITIZE"
+# ``REPRO_SANITIZE`` selects a sanitized build, compiled to its own
+# shared object (the sanitizer set is part of the cache key), so
+# sanitized and plain kernels coexist in ``_build/``. Loading an ASan
+# kernel into a non-ASan Python requires the ASan runtime to be
+# preloaded — :mod:`repro.analysis.sanitize` prepares such an
+# environment and runs the checks in a subprocess.
 
 #: Sanitizers this tier knows how to wire up. ``thread`` compiles with
 #: ``-fsanitize=thread`` into its own cached object; note that the TSan
@@ -66,7 +63,7 @@ def sanitize_selection(value: Optional[str] = None) -> "tuple[str, ...]":
     Unknown names raise ``ValueError`` — a typo silently compiling an
     unsanitized kernel would defeat the whole point.
     """
-    raw = os.environ.get(ENV_SANITIZE, "") if value is None else value
+    raw = sanitize_value() if value is None else value
     selected = sorted({part.strip() for part in raw.split(",") if part.strip()})
     unknown = [name for name in selected if name not in KNOWN_SANITIZERS]
     if unknown:
@@ -373,18 +370,13 @@ class NativeKernel:
         return int(n_out[0]), int(n_out[1]), needed
 
 
-def enabled() -> bool:
-    """Native tier not vetoed by the environment."""
-    return os.environ.get(ENV_FLAG, "1") != "0"
-
-
 def load_kernel() -> Optional[NativeKernel]:
     """Compile (once) and load the native kernel, or ``None``.
 
     Never raises: any failure — missing source, no compiler, dlopen
     error — degrades to the NumPy kernel.
     """
-    if not enabled():
+    if not native_kernel_enabled():
         return None
     try:
         selection = sanitize_selection()

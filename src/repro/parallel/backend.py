@@ -17,19 +17,16 @@ race benignly (Theorem V.2).
 
 Backends additionally keep ``state.finite_count`` exact — either by
 counting deduplicated hits (sequential inline, fused kernel via returned
-cell keys), by resynchronizing touched rows
-(:meth:`~repro.core.state.SearchState.refresh_finite_count`), or by
-opting out with
-:meth:`~repro.core.state.SearchState.invalidate_finite_count`, which
-makes Central Node identification fall back to the full row scan.
+cell keys) or by resynchronizing touched rows
+(:meth:`~repro.core.state.SearchState.refresh_finite_count`, the process
+pool) — because Central Node identification is a 1-D compare on it.
 
-Backends built on the fused kernel return the level's
-:class:`~repro.instrumentation.KernelCounters` from ``expand``; they
-reach the loop, the tracer and any attached
-:class:`~repro.core.trace.SearchTrace` on the level's
-:class:`LevelOutcome` and nowhere else, and expansion spans go to the
-query's own tracer (``SearchState.tracer``), so nothing about a query
-is kept on the backend that concurrent queries share.
+Everything a level reports travels on its :class:`LevelOutcome` and
+nowhere else: the loop decides termination from it, keeps it as the
+query's per-level record (``SearchResult.level_profile``) and copies it
+onto the ``level`` span. Expansion spans go to the query's own tracer
+(``SearchState.tracer``), so nothing about a query is kept on the
+backend that concurrent queries share.
 """
 
 from __future__ import annotations
@@ -52,29 +49,48 @@ from ..instrumentation import (
 
 @dataclass
 class LevelOutcome:
-    """Result of one bottom-up level (:meth:`ExpansionBackend.run_level`).
+    """One bottom-up level, as :meth:`ExpansionBackend.run_level` reports it.
 
-    The only channel from a level to the bottom-up loop: termination,
-    tracing and the per-level profile are all decided from it.
+    The only per-level record of a query: the loop decides termination
+    from it and keeps it in ``level_profile``; the ``level`` span, the
+    flight recorder's ``levels`` rows and the Fig. 4 text
+    (:func:`~repro.core.bottom_up.describe_levels`) are views of it.
 
     Attributes:
-        n_frontier: nodes enqueued into the joint frontier (0 means the
-            search is over — ``TERMINATED_FRONTIER_EMPTY``).
+        level: the global BFS level.
+        frontier_size: nodes enqueued into the joint frontier (0 means
+            the search is over — ``TERMINATED_FRONTIER_EMPTY``).
         new_central: the (node, depth) pairs identified this level, in
             ascending node order (already appended to
             ``state.central_nodes``).
         expanded: whether Algorithm 2 ran (False when the top-k target
             was met at identification or the level cap was reached).
         new_hits: unique (node, keyword) cells that became finite.
+        edges_scanned: CSR entries touched by expansion — the exact
+            gathered count when the backend reports kernel counters, else
+            the degree sum of the enqueued frontier (an upper bound for
+            the per-node kernel).
         counters: kernel work counters for the expansion, when it ran on
             a backend that counts.
     """
 
-    n_frontier: int
+    level: int
+    frontier_size: int
     new_central: List[Tuple[int, int]] = field(default_factory=list)
     expanded: bool = False
     new_hits: int = 0
+    edges_scanned: int = 0
     counters: Optional[KernelCounters] = None
+
+    def as_span_attributes(self) -> "dict[str, int]":
+        """The level's accounting as flat span attributes (Chrome trace
+        ``args``; also the flight recorder's ``levels`` row)."""
+        return {
+            "frontier_size": self.frontier_size,
+            "edges_scanned": self.edges_scanned,
+            "new_hits": self.new_hits,
+            "new_central": len(self.new_central),
+        }
 
 
 class ExpansionBackend(abc.ABC):
@@ -123,25 +139,29 @@ class ExpansionBackend(abc.ABC):
         columns).
         """
         with timer.phase(PHASE_ENQUEUE):
-            n_frontier = state.enqueue_frontiers()
-        if n_frontier == 0:
-            return LevelOutcome(n_frontier=0)
+            frontier_size = state.enqueue_frontiers()
+        if frontier_size == 0:
+            return LevelOutcome(level, 0)
         with timer.phase(PHASE_IDENTIFY):
             found = state.identify_central_nodes(level)
         if not may_expand or state.n_central_nodes >= k:
-            return LevelOutcome(n_frontier=n_frontier, new_central=found)
+            return LevelOutcome(level, frontier_size, found)
         finite_before = state.total_finite_cells()
         with timer.phase(PHASE_EXPANSION):
             counters = self.expand(graph, state, level)
+        if counters is not None:
+            new_hits = counters.pairs_hit
+            edges_scanned = counters.edges_gathered
+        else:
+            new_hits = state.total_finite_cells() - finite_before
+            edges_scanned = int(graph.adj.degree_array[state.frontier].sum())
         return LevelOutcome(
-            n_frontier=n_frontier,
-            new_central=found,
+            level,
+            frontier_size,
+            found,
             expanded=True,
-            new_hits=(
-                counters.pairs_hit
-                if counters is not None
-                else state.total_finite_cells() - finite_before
-            ),
+            new_hits=new_hits,
+            edges_scanned=edges_scanned,
             counters=counters,
         )
 

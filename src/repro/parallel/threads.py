@@ -114,33 +114,25 @@ class ThreadPoolBackend(ExpansionBackend):
         )
         chunk_counters = [KernelCounters() for _ in chunks]
         tracer = state.tracer
-        if tracer.enabled:
-            # Pool workers run on their own threads, whose thread-local
-            # span stacks are empty — hand them the expansion span as an
-            # explicit parent so chunk spans nest under this level.
-            parent = tracer.current_span()
+        # Pool workers run on their own threads, whose thread-local span
+        # stacks are empty — hand them the expansion span as an explicit
+        # parent so chunk spans nest under this level (no-ops untraced).
+        parent = tracer.current_span()
 
-            def run_chunk(
-                chunk: np.ndarray, chunk_counter: KernelCounters
-            ) -> np.ndarray:
-                with tracer.span(
-                    "chunk", parent=parent, chunk_size=len(chunk), level=level
-                ):
-                    return fused_expand_chunk(
-                        graph, state, level, chunk, chunk_counter
-                    )
-
-            futures = [
-                self._pool.submit(run_chunk, chunk, chunk_counter)
-                for chunk, chunk_counter in zip(chunks, chunk_counters)
-            ]
-        else:
-            futures = [
-                self._pool.submit(
-                    fused_expand_chunk, graph, state, level, chunk, chunk_counter
+        def run_chunk(
+            chunk: np.ndarray, chunk_counter: KernelCounters
+        ) -> np.ndarray:
+            with tracer.span(
+                "chunk", parent=parent, chunk_size=len(chunk), level=level
+            ):
+                return fused_expand_chunk(
+                    graph, state, level, chunk, chunk_counter
                 )
-                for chunk, chunk_counter in zip(chunks, chunk_counters)
-            ]
+
+        futures = [
+            self._pool.submit(run_chunk, chunk, chunk_counter)
+            for chunk, chunk_counter in zip(chunks, chunk_counters)
+        ]
         # Surface worker exceptions instead of swallowing them.
         key_lists = [future.result() for future in futures]
         counters = merge_chunk_hits(state, key_lists, chunk_counters)

@@ -433,9 +433,8 @@ class VectorizedBackend(ExpansionBackend):
     def _whole_level_native(self, state: SearchState) -> "Optional[object]":
         """The compiled whole-level kernel, when this state can use it.
 
-        The native step reads the matrix as contiguous byte-lane rows and
-        maintains ``finite_count`` in place, so it requires the lane
-        layout (q ≤ 8, little-endian), exact incremental counts, and no
+        The native step reads the matrix as contiguous byte-lane rows,
+        so it requires the lane layout (q ≤ 8, little-endian) and no
         attached write log (the checker's NumPy composition logs every
         scatter instead).
         """
@@ -444,8 +443,6 @@ class VectorizedBackend(ExpansionBackend):
         if state.n_keywords > _LANES or not _LANE_SWAR_OK:
             return None
         if not state.matrix.flags.c_contiguous:
-            return None
-        if not state.finite_count_usable():
             return None
         if state.write_log is not None:
             return None
@@ -516,8 +513,8 @@ class VectorizedBackend(ExpansionBackend):
             central_out,
             stats,
         )
-        n_frontier = int(stats[0])
-        state.frontier = frontier_out[:n_frontier]
+        frontier_size = int(stats[0])
+        state.frontier = frontier_out[:frontier_size]
         found = [(int(node), level) for node in central_out[: int(stats[1])]]
         state.central_nodes.extend(found)
         expanded = bool(stats[2])
@@ -531,10 +528,12 @@ class VectorizedBackend(ExpansionBackend):
             )
             record_kernel_counters(counters, tier="whole-level")
         return LevelOutcome(
-            n_frontier=n_frontier,
-            new_central=found,
+            level,
+            frontier_size,
+            found,
             expanded=expanded,
             new_hits=int(stats[4]),
+            edges_scanned=int(stats[3]),
             counters=counters,
         )
 
@@ -550,10 +549,12 @@ def lane_bfs_levels(
 
     Under an all-zero ``activation`` (every node active from level 0) a
     lane's hitting levels are plain BFS hop distances — how the distance
-    sampler measures A with the kernel A parameterises. The levels go
-    through :meth:`VectorizedBackend.expand` alone: Central-Node
-    identification would stop a node reached by every lane from
-    expanding, and distances behind it would come out too long.
+    sampler measures A with the kernel A parameterises. The levels are
+    expansion alone: Central-Node identification would stop a node
+    reached by every lane from expanding, and distances behind it would
+    come out too long. This is set-up work, so it calls the kernel
+    directly and stays out of the per-query ``repro_kernel_*`` metrics
+    that :meth:`VectorizedBackend.expand` feeds.
 
     Returns:
         The ``(n_nodes × len(sources))`` uint8 hitting-level matrix
@@ -561,7 +562,6 @@ def lane_bfs_levels(
         is still alive at level 254 — one more level would write the
         byte that means ∞, so the caller must fall back to a wider BFS.
     """
-    backend = VectorizedBackend(native=native)
     state = SearchState.initialize(
         graph.n_nodes, sources.reshape(-1, 1), activation
     )
@@ -569,6 +569,9 @@ def lane_bfs_levels(
     while state.enqueue_frontiers():
         if level == MAX_LEVEL:
             return None
-        backend.expand(graph, state, level)
+        keys = fused_expand_chunk(
+            graph, state, level, state.frontier, native=native
+        )
+        apply_hit_keys(state, keys)
         level += 1
     return state.matrix

@@ -644,20 +644,26 @@ def test_hot_path_marker_is_inert():
 
 
 # ---------------------------------------------------------------------------
-# Env-var registry pins
+# Env-var registry: owners read the one spelling in repro.obs.config
 # ---------------------------------------------------------------------------
-def test_sanitize_env_var_registered_and_pinned():
+def test_sanitize_env_var_registered_and_pinned(monkeypatch):
     from repro.obs import config
     from repro.parallel import _native
 
-    assert config.ENV_SANITIZE == _native.ENV_SANITIZE
+    monkeypatch.setenv(config.ENV_SANITIZE, "undefined, address")
+    assert _native.sanitize_selection() == ("address", "undefined")
+    monkeypatch.delenv(config.ENV_SANITIZE)
+    assert _native.sanitize_selection() == ()
 
 
-def test_dataset_cache_env_var_registered_and_pinned():
+def test_dataset_cache_env_var_registered_and_pinned(monkeypatch, tmp_path):
     from repro.bench import datasets
     from repro.obs import config
 
-    assert config.ENV_DATASET_CACHE == datasets.CACHE_ENV_VAR
+    monkeypatch.setenv(config.ENV_DATASET_CACHE, str(tmp_path / "cache"))
+    assert datasets._disk_cache_prefix("kb") == str(tmp_path / "cache" / "kb")
+    monkeypatch.delenv(config.ENV_DATASET_CACHE)
+    assert datasets._disk_cache_prefix("kb") is None
 
 
 # ---------------------------------------------------------------------------
@@ -678,9 +684,10 @@ def test_sanitize_selection_parsing():
 
 
 def test_sanitize_env_typo_disables_native_tier(monkeypatch):
+    from repro.obs.config import ENV_SANITIZE
     from repro.parallel import _native
 
-    monkeypatch.setenv(_native.ENV_SANITIZE, "bogus")
+    monkeypatch.setenv(ENV_SANITIZE, "bogus")
     assert _native.load_kernel() is None
 
 

@@ -30,9 +30,15 @@ from repro.core.bottom_up import BottomUpSearch
 from repro.core.engine import KeywordSearchEngine
 from repro.eval.queries import KeywordWorkload
 from repro.graph.generators import wiki2018_config, wiki_like_kb
+from repro.instrumentation import PhaseTimer
 from repro.obs.flight import FlightRecorder
 from repro.obs.tracing import Tracer
-from repro.parallel import SequentialBackend, ThreadPoolBackend, VectorizedBackend
+from repro.parallel import (
+    ExpansionBackend,
+    SequentialBackend,
+    ThreadPoolBackend,
+    VectorizedBackend,
+)
 from repro.service import SearchService
 
 N_THREADS = 3
@@ -166,35 +172,40 @@ def test_threads_sharing_numpy_tier_get_serial_level_profiles(
 
 def _chunk_spans(tracer):
     """``(level, chunk_size)`` of every ``chunk`` span of ``tracer``, each
-    checked to hang under a ``level`` span of the same tree and level."""
+    checked to hang (through its ``phase:expansion``) under a ``level``
+    span of the same tree and level."""
     spans = {span.span_id: span for span in tracer.finished_spans()}
     found = []
     for span in spans.values():
         if span.name != "chunk":
             continue
-        parent = spans.get(span.parent_id)
+        phase = spans.get(span.parent_id)
+        assert phase is not None and phase.name == "phase:expansion", span
+        parent = spans.get(phase.parent_id)
         assert parent is not None and parent.name == "level", span
         assert parent.attrs["level"] == span.attrs["level"], span
         found.append((span.attrs["level"], span.attrs["chunk_size"]))
     return sorted(found)
 
 
-class _Rendezvous:
-    """Observer that holds a search after its first level until the
-    other search has run its first level too."""
+class _Rendezvous(ExpansionBackend):
+    """One search's handle on the shared pool: delegates every level to
+    it, and holds the search after its first level until the other
+    search has run its first level too."""
 
-    def __init__(self, mine, theirs):
-        self.mine, self.theirs = mine, theirs
+    def __init__(self, shared, mine, theirs):
+        self.shared, self.mine, self.theirs = shared, mine, theirs
 
-    def on_level_start(self, level, n_frontier):
+    def expand(self, graph, state, level):
+        raise AssertionError("levels go to the shared backend")
+
+    def run_level(self, graph, state, level, k, may_expand, timer):
+        outcome = self.shared.run_level(
+            graph, state, level, k, may_expand, timer
+        )
         self.mine.set()
         assert self.theirs.wait(timeout=60)
-
-    def on_central_nodes(self, found):
-        pass
-
-    def on_expansion_done(self, new_hits):
-        pass
+        return outcome
 
 
 def test_traced_queries_sharing_a_thread_pool_keep_their_own_chunk_spans(engine):
@@ -210,7 +221,9 @@ def test_traced_queries_sharing_a_thread_pool_keep_their_own_chunk_spans(engine)
         serial = []
         for sets in problems:
             tracer = Tracer(enabled=True)
-            searcher.run(sets, activation, k=K, tracer=tracer)
+            searcher.run(
+                sets, activation, k=K, timer=PhaseTimer(tracer=tracer)
+            )
             serial.append(_chunk_spans(tracer))
             # Chunks at several levels, or the overlap below shows nothing.
             assert len({level for level, _ in serial[-1]}) >= 2
@@ -221,9 +234,10 @@ def test_traced_queries_sharing_a_thread_pool_keep_their_own_chunk_spans(engine)
 
         def client(i):
             try:
-                searcher.run(
-                    problems[i], activation, k=K, tracer=tracers[i],
-                    observer=_Rendezvous(started[i], started[1 - i]),
+                held = _Rendezvous(backend, started[i], started[1 - i])
+                BottomUpSearch(graph, backend=held).run(
+                    problems[i], activation, k=K,
+                    timer=PhaseTimer(tracer=tracers[i]),
                 )
             except Exception as error:  # reported by the main thread below
                 errors.append(error)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.bench.datasets import (
-    CACHE_ENV_VAR,
     _cached,
     build_dataset,
     clear_cache,
@@ -12,6 +11,7 @@ from repro.bench.datasets import (
     save_dataset,
 )
 from repro.graph.generators import WikiKBConfig
+from repro.obs.config import ENV_DATASET_CACHE
 
 
 @pytest.fixture()
@@ -45,7 +45,7 @@ def test_load_missing_raises(tmp_path):
 
 
 def test_disk_cache_used_when_env_set(tmp_path, small_config, monkeypatch):
-    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    monkeypatch.setenv(ENV_DATASET_CACHE, str(tmp_path))
     clear_cache()
     first = _cached(small_config)
     # The dataset files must now exist on disk.
@@ -61,7 +61,7 @@ def test_disk_cache_used_when_env_set(tmp_path, small_config, monkeypatch):
 
 
 def test_no_disk_cache_without_env(tmp_path, small_config, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    monkeypatch.delenv(ENV_DATASET_CACHE, raising=False)
     clear_cache()
     _cached(small_config)
     assert not list(tmp_path.iterdir())

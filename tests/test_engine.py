@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.engine import (
+    ACTIVATION_CACHE_SIZE,
     EmptyQueryError,
     EngineConfig,
     KeywordSearchEngine,
@@ -83,6 +84,88 @@ def test_alpha_cache_reused(engine):
     other = engine.activation_for(0.4)
     assert other is not first
     assert (other <= first).all()
+
+
+def test_alpha_cache_is_bounded_and_read_only(tiny_kb):
+    """``alpha`` is a free request parameter and each mapping is 4·|V|
+    bytes: the cache keeps the most recently used few, read-only because
+    every query at that α shares the array."""
+    graph, _ = tiny_kb
+    engine = KeywordSearchEngine(graph, average_distance=3.0)
+    default = engine.activation_for(0.1)
+    for alpha in np.linspace(0.01, 0.99, 50):
+        levels = engine.activation_for(float(alpha))
+        engine.activation_for(0.1)  # keeps being used: never evicted
+        assert not levels.flags.writeable
+        assert len(engine._activation_cache) <= ACTIVATION_CACHE_SIZE
+    assert len(engine._activation_cache) == ACTIVATION_CACHE_SIZE
+    assert engine.activation_for(0.1) is default
+    with pytest.raises(ValueError):
+        default[0] = 7
+    # The oldest values were evicted and are recomputed equal.
+    assert 0.01 not in engine._activation_cache
+    again = engine.activation_for(0.01)
+    fresh = KeywordSearchEngine(
+        graph, index=engine.index, weights=engine.weights, average_distance=3.0
+    )
+    assert np.array_equal(again, fresh.activation_for(0.01))
+
+
+def test_threads_missing_the_same_alpha_get_equal_arrays(tiny_kb):
+    import threading
+
+    graph, _ = tiny_kb
+    engine = KeywordSearchEngine(
+        graph, backend=VectorizedBackend(), average_distance=3.0
+    )
+    expected = engine.search("machine learning", k=3, alpha=0.3)
+    for alpha in (0.37, 0.42, 0.58):  # none cached yet
+        barrier = threading.Barrier(2)
+        got, errors = [None, None], []
+
+        def client(i, alpha=alpha, barrier=barrier, got=got):
+            try:
+                barrier.wait(timeout=30)
+                levels = engine.activation_for(alpha)
+                result = engine.search("machine learning", k=3, alpha=0.3)
+                got[i] = (levels, result)
+            except Exception as error:  # reported by the main thread
+                errors.append(error)
+
+        threads = [threading.Thread(target=client, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert np.array_equal(got[0][0], got[1][0])
+        assert not got[0][0].flags.writeable
+        for _, result in got:
+            assert [a.graph.central_node for a in result.answers] == [
+                a.graph.central_node for a in expected.answers
+            ]
+            assert [a.graph.score for a in result.answers] == [
+                a.graph.score for a in expected.answers
+            ]
+
+
+def test_engine_construction_leaves_no_kernel_metrics(tiny_kb, monkeypatch):
+    """Distance sampling drives the expansion kernel at set-up; that is
+    not query work and must not show up in ``repro_kernel_*``."""
+    from repro.obs import MetricsRegistry, metrics
+
+    registry = MetricsRegistry()
+    monkeypatch.setattr(metrics, "_DEFAULT_REGISTRY", registry)
+    graph, _ = tiny_kb
+    engine = KeywordSearchEngine(graph, backend=VectorizedBackend())
+    assert engine.average_distance > 0  # the sampler did run
+    assert "repro_kernel_" not in registry.render_prometheus()
+    result = engine.search("machine learning", k=60)
+    assert any(outcome.expanded for outcome in result.level_profile)
+    text = registry.render_prometheus()
+    assert "repro_kernel_edges_gathered_total" in text
+    assert "repro_kernel_pairs_hit_total" in text
 
 
 def test_duplicate_terms_collapse(engine):

@@ -12,10 +12,14 @@ import pytest
 
 from repro.core.engine import KeywordSearchEngine
 from repro.core.results import EmptyQueryError
-from repro.instrumentation import PhaseTimer
 from repro.obs import FlightRecorder
-from repro.obs.flight import query_spans, spans_to_chrome_trace
-from repro.obs.tracing import Tracer, validate_chrome_trace
+from repro.obs.flight import query_spans
+from repro.obs.tracing import (
+    NULL_TRACER,
+    Tracer,
+    chrome_trace_of,
+    validate_chrome_trace,
+)
 from repro.parallel import VectorizedBackend
 
 
@@ -44,11 +48,60 @@ def test_engine_records_every_query(engine):
     assert record.duration_ms > 0
     assert "total" in record.phases
     # Every record carries a span tree even without an engine tracer.
-    names = {span["name"] for span in record.spans}
+    names = {span.name for span in record.spans}
     assert "query" in names
     assert any(name.startswith("phase:") for name in names)
     validate_chrome_trace(record.chrome_trace())
     engine.flight = None
+
+
+def test_record_payload_is_a_view_of_the_result(engine):
+    """``as_dict()`` keeps the ``/debug/queries/<id>`` shape: the key
+    set, one ``levels`` row per ``level_profile`` entry with the span
+    attribute keys, serialized span dicts; and the record's Chrome trace
+    is the tracer's own export of the same spans."""
+    flight = FlightRecorder(max_records=4, slow_ms=0)
+    tracer = Tracer(enabled=True)
+    engine.flight, engine.tracer = flight, tracer
+    try:
+        result = engine.search("machine learning", k=3)
+    finally:
+        engine.flight = engine.tracer = None
+    record = flight.get(result.query_id)
+    payload = record.as_dict()
+    assert set(payload) == {
+        "query_id", "query", "keywords", "backend", "outcome", "error",
+        "duration_ms", "depth", "n_answers", "slow", "started_unix",
+        "dropped_terms", "error_phase", "phases", "counters", "levels",
+        "n_central_nodes", "terminated", "spans", "trace",
+    }
+    assert payload["phases"] == result.timer.milliseconds()
+    assert payload["levels"] == [
+        {"level": o.level, **o.as_span_attributes()}
+        for o in result.level_profile
+    ]
+    assert list(payload["levels"][0]) == [
+        "level", "frontier_size", "edges_scanned", "new_hits", "new_central",
+    ]
+    assert payload["counters"] == {
+        key: sum(row[key] for row in payload["levels"])
+        for key in ("frontier_size", "edges_scanned", "new_hits", "new_central")
+    }
+    for span in payload["spans"]:
+        assert list(span) == [
+            "name", "span_id", "parent_id", "tid", "thread_name",
+            "start_ns", "duration_ns", "attrs",
+        ]
+    json.dumps(payload)
+    # One query on this tracer, so its export is the record's slice.
+    assert len(record.spans) == len(tracer.finished_spans())
+    def by_span_id(event):
+        return event["args"].get("span_id", 0)
+
+    assert sorted(
+        record.chrome_trace()["traceEvents"], key=by_span_id
+    ) == sorted(tracer.to_chrome_trace()["traceEvents"], key=by_span_id)
+    validate_chrome_trace(record.chrome_trace())
 
 
 def test_ring_evicts_but_count_is_exact(engine):
@@ -73,7 +126,7 @@ def test_slow_log_persists_trace(engine, tmp_path):
     result = engine.search("machine learning", k=1)
     record = flight.get(result.query_id)
     assert record.slow
-    assert record.trace is not None  # persisted eagerly
+    validate_chrome_trace(record.chrome_trace())
     assert flight.slow_queries()[0].query_id == result.query_id
     trace_file = tmp_path / f"slow_query_{result.query_id}.trace.json"
     assert trace_file.exists()
@@ -107,8 +160,6 @@ def test_debug_payload_shape(engine):
     assert payload["completed"] == 1
     assert payload["recent"][0]["outcome"] == "ok"
     assert payload["slow"] == []
-    breakdown = flight.phase_breakdown_ms()
-    assert "total" in breakdown and breakdown["total"] > 0
     engine.flight = None
 
 
@@ -131,9 +182,9 @@ def test_repro_obs_zero_parity(engine, monkeypatch):
     engine.flight = flight
     assert not flight.enabled  # kill-switch re-checked per query
     result = engine.search("machine learning", k=1)
-    # Plain PhaseTimer (not the tracing subclass), no query id, no
-    # record committed: byte-identical to the seed hot path.
-    assert type(result.timer) is PhaseTimer
+    # No tracer on the timer, no query id, no record committed: the
+    # seed hot path.
+    assert result.timer.tracer is NULL_TRACER
     assert result.query_id is None
     assert flight.completed == 0
     monkeypatch.delenv("REPRO_OBS")
@@ -156,19 +207,4 @@ def test_query_spans_slices_by_ancestry():
     assert {span.name for span in first_slice} == {"query", "phase:expansion"}
     second_slice = query_spans(tracer, second)
     assert {span.name for span in second_slice} == {"query", "phase:top_down"}
-    trace = spans_to_chrome_trace(
-        [
-            {
-                "name": span.name,
-                "span_id": span.span_id,
-                "parent_id": span.parent_id,
-                "tid": span.tid,
-                "thread_name": span.thread_name,
-                "start_ns": span.start_ns,
-                "duration_ns": span.duration_ns,
-                "attrs": dict(span.attrs),
-            }
-            for span in first_slice
-        ]
-    )
-    validate_chrome_trace(trace)
+    validate_chrome_trace(chrome_trace_of(first_slice))

@@ -1,4 +1,4 @@
-"""The repro.obs observability layer: tracing, metrics, config, adapter."""
+"""The repro.obs observability layer: tracing, metrics, config, phase spans."""
 
 import json
 import threading
@@ -14,13 +14,10 @@ from repro.instrumentation import (
     summarize_timers,
 )
 from repro.obs import (
-    ENV_NATIVE_KERNEL,
     ENV_OBS,
     MetricsRegistry,
-    ObsConfig,
     Span,
     Tracer,
-    TracingPhaseTimer,
     install_global_tracer,
     obs_enabled,
     record_kernel_counters,
@@ -262,8 +259,6 @@ def test_env_switches(monkeypatch):
     monkeypatch.setenv(ENV_OBS, "0")
     assert not obs_enabled()
     assert not Tracer().enabled  # default follows the kill-switch
-    config = ObsConfig.from_env()
-    assert not config.enabled
     monkeypatch.setenv(ENV_OBS, "1")
     assert Tracer().enabled
 
@@ -289,10 +284,14 @@ def test_registered_env_switches_are_exactly_these_nine():
     }
 
 
-def test_native_kernel_env_name_matches_native_module():
+def test_native_kernel_env_name_matches_native_module(monkeypatch):
+    """The native module has no spelling of its own: the switch the
+    registry names is the one ``load_kernel`` obeys."""
+    from repro.obs.config import ENV_NATIVE_KERNEL
     from repro.parallel import _native
 
-    assert ENV_NATIVE_KERNEL == _native.ENV_FLAG
+    monkeypatch.setenv(ENV_NATIVE_KERNEL, "0")
+    assert _native.load_kernel() is None
 
 
 def test_maybe_install_env_tracer(monkeypatch, tmp_path):
@@ -316,10 +315,11 @@ def test_maybe_install_env_tracer(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# PhaseTimer adapter parity
+# PhaseTimer: the same numbers with or without a tracer
 # ---------------------------------------------------------------------------
 def test_tracing_phase_timer_matches_phase_timer(monkeypatch):
-    """Under a fake clock both timers accumulate identical seconds."""
+    """Under a fake clock a tracer-carrying timer accumulates the same
+    seconds as a plain one, and opens one span per phase entry."""
     ticks = {"now": 0.0}
 
     def fake_perf_counter():
@@ -329,8 +329,9 @@ def test_tracing_phase_timer_matches_phase_timer(monkeypatch):
     import repro.instrumentation as instrumentation
 
     monkeypatch.setattr(instrumentation.time, "perf_counter", fake_perf_counter)
+    tracer = Tracer(enabled=True)
     plain = PhaseTimer()
-    traced = TracingPhaseTimer(Tracer(enabled=True))
+    traced = PhaseTimer(tracer=tracer)
     for timer in (plain, traced):
         with timer.phase("a"):
             pass
@@ -340,17 +341,39 @@ def test_tracing_phase_timer_matches_phase_timer(monkeypatch):
             pass
     assert traced.seconds == plain.seconds
     assert plain.seconds == {"a": 1.0, "b": 0.5}
+    assert [s.name for s in tracer.finished_spans()] == [
+        "phase:a", "phase:a", "phase:b",
+    ]
+    assert traced == plain  # the tracer is not part of a timer's value
 
 
 def test_tracing_phase_timer_emits_spans():
     tracer = Tracer(enabled=True)
-    timer = TracingPhaseTimer(tracer)
+    timer = PhaseTimer(tracer=tracer)
     with timer.phase(PHASE_TOTAL):
         with timer.phase("expansion"):
             pass
     names = [s.name for s in tracer.finished_spans()]
     assert names == ["phase:expansion", f"phase:{PHASE_TOTAL}"]
     assert timer.get(PHASE_TOTAL) > 0
+
+
+def test_phase_timer_without_tracer_opens_no_span_context(monkeypatch):
+    """The disabled path: ``phase`` must not call ``span`` at all."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("span() called on the disabled path")
+
+    monkeypatch.setattr(NULL_TRACER, "span", boom)
+    timer = PhaseTimer()
+    assert timer.tracer is NULL_TRACER
+    with timer.phase("a"):
+        pass
+    disabled = PhaseTimer(tracer=Tracer(enabled=False))
+    monkeypatch.setattr(disabled.tracer, "span", boom)
+    with disabled.phase("a"):
+        pass
+    assert set(timer.seconds) == set(disabled.seconds) == {"a"}
 
 
 # ---------------------------------------------------------------------------
@@ -415,13 +438,12 @@ def test_engine_emits_nested_query_phase_level_spans(traced_search):
 
 def test_engine_with_disabled_tracer_uses_plain_timer(request):
     from repro.core.engine import KeywordSearchEngine
-    from repro.instrumentation import PhaseTimer as PlainTimer
     from repro.parallel import VectorizedBackend
 
     graph, _ = request.getfixturevalue("tiny_kb")
     engine = KeywordSearchEngine(graph, backend=VectorizedBackend())
     result = engine.search("machine learning", k=2)
-    assert type(result.timer) is PlainTimer
+    assert result.timer.tracer is NULL_TRACER
     assert result.answers
 
 

@@ -134,7 +134,6 @@ def test_initialize_finite_count_matches_matrix_scan():
     assert state.finite_count.dtype == np.int32
     assert np.array_equal(state.finite_count, expected)
     assert list(expected) == [1, 3, 0, 0, 1, 0, 0, 2, 0, 1]
-    assert state.finite_count_usable()
 
 
 def test_max_activation_is_the_recomputed_maximum_on_the_fuzz_corpus():

@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.bottom_up import BottomUpSearch
 from repro.core.state import TERMINATED_ENOUGH_ANSWERS
-from repro.core.trace import SearchTrace
 from repro.graph.generators import WikiKBConfig, wiki_like_kb
 from repro.graph.io import load_graph, save_graph
 from repro.graph.store import open_store, save_store
@@ -128,13 +127,12 @@ def test_duplicates_elided_native_numpy_parity(seed, tmp_path):
     }
 
     def level_counters(graph, backend, sets, activation, k):
-        trace = SearchTrace()
-        BottomUpSearch(graph, backend=backend).run(
-            sets, activation, k, observer=trace
+        result = BottomUpSearch(graph, backend=backend).run(
+            sets, activation, k
         )
         rows = []
-        for record in trace.records:
-            kernel = record.kernel or KernelCounters()
+        for outcome in result.level_profile:
+            kernel = outcome.counters or KernelCounters()
             rows.append(
                 {name: getattr(kernel, name) for name in _KERNEL_COUNTER_FIELDS}
             )
