@@ -78,7 +78,7 @@ SMOKE_SOURCE_PATH = Path(__file__).with_name("_smoke.c")
 #: may evolve its layout freely — but these sections must keep these
 #: exact types or every store-backed query feeds the kernel garbage.
 KERNEL_VIEW_CONTRACT: Dict[str, Tuple[str, int]] = {
-    # indptr / indices of fused_expand, whole_level_step, extract_graph
+    # indptr / indices of fused_expand, whole_level_step, extract_graphs
     "adj_indptr": ("int", 64),
     "adj_indices": ("int", 32),
     "adj_indices64": ("int", 64),  # NumPy-tier fancy-index view

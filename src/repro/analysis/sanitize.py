@@ -692,54 +692,130 @@ def _child_parity() -> int:
     )
 
     # Drive the remaining native entry point under the sanitizers: stage
-    # two's extract_graph, which evaluates Theorem V.4 on the adjacency
-    # slices its backward walk scans. The checked fuzz above already runs
-    # whole_level_step and fused_expand via the backends' run_level.
-    from ..core import top_down
+    # two's extract_graphs (walks, level-cover, weight mass), with its
+    # buffers at their defaults and forced to overflow. The checked fuzz
+    # above already runs whole_level_step and fused_expand via the
+    # backends' run_level.
     from ..core.bottom_up import BottomUpSearch
-    from ..core.top_down import TopDownConfig, process_top_down
     from ..core.weights import node_weights
     from ..parallel.vectorized import VectorizedBackend
     from .check import _fuzz_case
 
+    import numpy as np
+
+    from ..core import top_down
+
+    cases = []
+    cut_nodes = 0
+    for seed in range(5):
+        graph, sets, activation, k = _fuzz_case(seed)
+        # The same problem again with its keywords confined to eight
+        # nodes: sources then carry several keywords, which is what gives
+        # level-cover something to cut (the spread sets never do).
+        rng = np.random.default_rng(1000 + seed)
+        pool = rng.choice(graph.n_nodes, size=8, replace=False)
+        pooled = [
+            np.unique(rng.choice(pool, size=int(rng.integers(1, 5))))
+            for _ in sets
+        ]
+        weights = node_weights(graph)
+        for keyword_sets in (sets, pooled):
+            state = BottomUpSearch(graph, backend=VectorizedBackend()).run(
+                keyword_sets, activation, k
+            ).state
+            cases.append((graph, state, weights, k))
+            everything, counts = top_down._batch_stage_two(
+                kernel, graph, state, weights,
+                top_down.TopDownConfig(k=10**6, deduplicate=False),
+            )
+            cut_nodes += counts["extracted_nodes"] - sum(
+                answer.n_nodes for answer in everything
+            )
+    failures = stage_two_overflow_failures(kernel, cases)
+    if not cut_nodes:
+        failures.append("level-cover cut nothing: its closure never ran")
+    for failure in failures:
+        print(f"parity: {failure}")
+    if failures:
+        return 7
+    print(
+        f"parity: batched top-down matches the reference route under "
+        f"sanitizers ({len(cases)} cases, {cut_nodes} nodes cut by "
+        "level-cover; node, edge and pair buffers each forced to "
+        "overflow, then all three)"
+    )
+    return 0
+
+
+class _ExtractSpy:
+    """Stands in for the kernel on the batch route and notes, after every
+    ``extract_graphs`` exit, whether it fitted and whether ``marks`` came
+    back zeroed."""
+
+    def __init__(self, kernel) -> None:
+        self._kernel = kernel
+        self.exits: "List[Tuple[bool, bool]]" = []
+
+    def extract_graphs(self, *args, marks, **buffers) -> bool:
+        fitted = self._kernel.extract_graphs(*args, marks=marks, **buffers)
+        self.exits.append((fitted, not marks.any()))
+        return fitted
+
+
+def stage_two_overflow_failures(kernel, cases) -> List[str]:
+    """The batch route's overflow contract on ``cases`` — ``(graph,
+    finished SearchState, weights, k)`` tuples: with the node buffer, the
+    edge buffer and the per-graph pair scratch started at one cell (each
+    alone, then all three) the answers equal the reference route's, one
+    retry is enough, and ``marks`` is zero after every kernel exit,
+    overflow or not. Returns what went wrong (empty: nothing).
+
+    Run in-process by tier-1 and under ASan/UBSan by the parity child,
+    where a write past a capacity aborts.
+    """
+    from ..core import top_down
+    from ..core.top_down import TopDownConfig, process_top_down
+
     def signature(ranked):
         return [
-            (g.central_node, round(g.score, 9), sorted(g.nodes), sorted(g.edges))
+            (g.central_node, g.score, sorted(g.nodes), sorted(g.edges))
             for g in ranked
         ]
 
-    # Each seed twice: with the default pair buffer, then with a one-pair
-    # buffer, so the kernel's overflow exit and the grow-and-rewalk retry
-    # run under ASan/UBSan too. (This child exits right after; the
-    # constant is not restored.)
-    capacities = (top_down._INITIAL_PAIR_CAPACITY, 1)
-    for seed in range(5):
-        graph, sets, activation, k = _fuzz_case(seed)
-        state = BottomUpSearch(graph, backend=VectorizedBackend()).run(
-            sets, activation, k
-        ).state
-        weights = node_weights(graph)
+    forced = [
+        {},
+        {"_node_capacity": 1},
+        {"_edge_capacity": 1},
+        {"_pair_capacity": 1},
+        {"_node_capacity": 1, "_edge_capacity": 1, "_pair_capacity": 1},
+    ]
+    failures: List[str] = []
+    retried = [False] * len(forced)
+    for number, (graph, state, weights, k) in enumerate(cases):
+        config = TopDownConfig(k=k)
         want = signature(
             process_top_down(
                 graph, state, weights, TopDownConfig(k=k, native=False)
             )
         )
-        for capacity in capacities:
-            top_down._INITIAL_PAIR_CAPACITY = capacity
-            got = signature(
-                process_top_down(graph, state, weights, TopDownConfig(k=k))
+        for position, capacities in enumerate(forced):
+            where = f"case {number}, capacities {capacities or 'default'}"
+            spy = _ExtractSpy(kernel)
+            got, _ = top_down._batch_stage_two(
+                spy, graph, state, weights, config, **capacities
             )
-            if got != want:
-                print(
-                    f"parity: native top-down diverged from NumPy "
-                    f"(seed {seed}, pair capacity {capacity})"
-                )
-                return 7
-    print(
-        "parity: native top-down matches NumPy under sanitizers "
-        "(5 seeds, forced pair-buffer overflow included)"
-    )
-    return 0
+            if signature(got) != want:
+                failures.append(f"batch answers differ from reference ({where})")
+            fits = [fitted for fitted, _ in spy.exits]
+            if fits not in ([], [True], [False, True]):
+                failures.append(f"one retry did not suffice: {fits} ({where})")
+            if not all(clean for _, clean in spy.exits):
+                failures.append(f"marks left nonzero ({where})")
+            retried[position] = retried[position] or len(fits) == 2
+    for capacities, ran in zip(forced[1:], retried[1:]):
+        if not ran:
+            failures.append(f"overflow exit never ran for {capacities}")
+    return failures
 
 
 def main(argv: Optional[List[str]] = None) -> int:

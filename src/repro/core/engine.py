@@ -61,9 +61,11 @@ class EngineConfig:
         lam: Eq. 6's λ (paper default 0.2).
         lmax: bottom-up level cap.
         top_down_threads: stage-two extraction parallelism.
-        top_down_native: ``False`` pins stage two to the NumPy
-            hitting-DAG build and extraction walk (the measured legacy
-            baseline); ``None`` uses the compiled kernels when loaded.
+        top_down_native: ``False`` pins stage two to the reference
+            route (NumPy hitting-DAG build and extraction walk, one
+            object per Central Graph); ``None`` takes the batch route —
+            one ``extract_graphs`` call per query — when the compiled
+            kernel is loaded.
         distance_sample_pairs: pairs sampled to estimate A at startup.
         apply_level_cover / deduplicate / single_path: ablation switches.
     """
@@ -125,8 +127,9 @@ class KeywordSearchEngine:
         self.flight: "Optional[FlightRecorder]" = None
         self.config = config or EngineConfig()
         self.index = index or InvertedIndex.from_graph(graph, tokenizer)
+        # Normalised once, here: stage two's kernel reads ``double*``.
         self.weights = (
-            np.asarray(weights, dtype=np.float64)
+            np.ascontiguousarray(weights, dtype=np.float64)
             if weights is not None
             else node_weights(graph)
         )

@@ -21,6 +21,17 @@ from .central_graph import CentralGraph
 DEFAULT_LAMBDA = 0.2
 
 
+def depth_factor(depth: int, lam: float = DEFAULT_LAMBDA) -> float:
+    """Eq. 6's ``d(C)^λ``.
+
+    Raises:
+        ValueError: if λ is negative (the paper requires λ ≥ 0).
+    """
+    if lam < 0:
+        raise ValueError(f"lambda must be non-negative, got {lam}")
+    return float(depth) ** lam
+
+
 def central_graph_score(
     graph: CentralGraph, weights: np.ndarray, lam: float = DEFAULT_LAMBDA
 ) -> float:
@@ -29,14 +40,14 @@ def central_graph_score(
     Raises:
         ValueError: if λ is negative (the paper requires λ ≥ 0).
     """
-    if lam < 0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
+    factor = depth_factor(graph.depth, lam)
     # Sum in sorted-node order: float addition is non-associative, and
     # ``graph.nodes`` insertion order differs between engine variants, so
     # an order-dependent sum can differ in the last ulp and flip score
-    # tie-breaks across otherwise-identical rankings.
+    # tie-breaks across otherwise-identical rankings. The batch kernel
+    # (``extract_graphs``) adds the same doubles in the same order.
     weight_mass = float(sum(weights[node] for node in sorted(graph.nodes)))
-    return float(graph.depth) ** lam * weight_mass
+    return factor * weight_mass
 
 
 @dataclass(order=True)

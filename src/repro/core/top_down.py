@@ -11,28 +11,55 @@ strategy, removes containment-repetitive answers, scores what remains
 Extraction tracks (node, keyword) pairs so that a node extracted for
 keyword ``i`` only pulls in its keyword-``i`` predecessors — exactly the
 union of hitting paths that Definition 3 prescribes.
+
+:func:`process_top_down` has two routes that return identical answers:
+
+* the **batch** route (the compiled kernel is loaded): one
+  ``extract_graphs`` call walks, prunes and weighs every Central Node
+  and returns concatenated arrays; containment dedup, scoring and the
+  top-k cut run on those arrays, and :class:`CentralGraph` objects are
+  built for the k survivors only;
+* the **reference** route (``native=False``, no compiler,
+  ``single_path``, ``prebuilt``): one :class:`CentralGraph` per Central
+  Node through :func:`extract_central_graph`, :func:`level_cover_prune`,
+  :func:`deduplicate_by_containment` and ``central_graph_score`` — what
+  the batch is differentially tested against.
 """
 
 from __future__ import annotations
 
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
 from ..instrumentation import PHASE_TOP_DOWN, PhaseTimer
 from ..graph.csr import KnowledgeGraph
+from ..parallel._native import NativeKernel
 from ..parallel.vectorized import _native_kernel
 from .central_graph import CentralGraph
-from .scoring import DEFAULT_LAMBDA, TopKHeap, central_graph_score
+from .scoring import DEFAULT_LAMBDA, TopKHeap, central_graph_score, depth_factor
 from .state import INFINITE_LEVEL, SearchState
 
 
-#: Pairs the per-thread extraction buffer holds before its first growth
-#: (the kernel reports what it needs; see ``HittingDAG.extract_native``).
-_INITIAL_PAIR_CAPACITY = 4096
+#: What the batch route's buffers hold before the kernel has said what a
+#: query needs: kept nodes and edges over all Central Graphs, and one
+#: graph's edges before cross-column dedup. Untouched pages cost nothing,
+#: a too-small buffer costs a second walk.
+_NODE_CAPACITY = 1 << 16
+_EDGE_CAPACITY = 1 << 17
+_PAIR_CAPACITY = 1 << 16
 
 
 class HittingDAG:
@@ -48,22 +75,6 @@ class HittingDAG:
     (the expander cannot move before its own activation; a non-keyword
     target additionally cannot be hit before its activation).
 
-    The relation is independent of which Central Node is being
-    extracted, but only the part a Central Node's backward walk scans is
-    ever needed. Two tiers answer it identically:
-
-    * the **native** tier (selected automatically when the compiled
-      kernel is loaded) never materialises it: construction is O(1) —
-      array references only — and ``extract_graph`` in ``_kernel.c``
-      evaluates the predicate on the adjacency slices its walk pops,
-      straight off the graph CSR (:meth:`extract_native`);
-      :meth:`predecessors` evaluates one slice on demand;
-    * the **NumPy** tier (``native=False``, or no compiler) evaluates it
-      eagerly as whole-array passes over every (edge, keyword) pair,
-      once per query, and the per-level NumPy walk follows the
-      precomputed predecessor lists (:meth:`column_arrays`). It is the
-      reference the native walk is differentially tested against.
-
     One correction on top of the bare Theorem V.4 equalities: a node that
     was identified as a Central Node stops expanding (Section III-B), so
     it cannot be the expander of a hit at any later level — a predecessor
@@ -71,45 +82,25 @@ class HittingDAG:
     Without this filter, extraction recovers paths the bottom-up search
     never walked (verified against the path-recording CPU-Par-d variant).
 
-    One instance serves one query. Nothing here is shared across request
-    threads: the arrays it references belong to that query's
-    ``SearchState`` (or are the read-only graph CSR), and the extraction
-    scratch lives in a ``threading.local`` owned by the instance, one
-    set per ``n_threads`` worker.
+    The relation is independent of which Central Node is being
+    extracted. This class is the reference route's form of it: evaluated
+    eagerly, as whole-array passes over every (edge, keyword) pair, once
+    per query, so that the per-level NumPy walk of
+    :func:`extract_central_graph` follows precomputed predecessor lists
+    (:meth:`column_arrays`). The batch route never builds it —
+    ``extract_graphs`` in ``_kernel.c`` evaluates the same predicate on
+    the adjacency slices its walks pop — and is differentially tested
+    against this one.
+
+    One instance serves one query and is read-only once built, so the
+    reference route's ``n_threads`` workers share it.
     """
 
-    def __init__(
-        self,
-        graph: KnowledgeGraph,
-        state: SearchState,
-        native: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, graph: KnowledgeGraph, state: SearchState) -> None:
         self.n_keywords = state.n_keywords
-        self._adj = graph.adj
-        self._state = state
         self._indptr: List[np.ndarray] = []
         self._preds: List[np.ndarray] = []
-        self._local = threading.local()
-        self._kernel = (
-            _native_kernel()
-            if native is not False and state.matrix.flags.c_contiguous
-            else None
-        )
-        if self._kernel is None:
-            self._build_numpy(graph, state)
-        else:
-            # Everything extract_graph reads, as the kernel wants it.
-            self._kernel_inputs = (
-                self._adj.indptr,
-                self._adj.indices,
-                state.matrix.reshape(-1),
-                state.n_keywords,
-                state.activation,
-                state.keyword_node.view(np.uint8),
-                state.central_level,
-            )
 
-    def _build_numpy(self, graph: KnowledgeGraph, state: SearchState) -> None:
         matrix = state.matrix
         activation = state.activation.astype(np.int64)
         indptr = graph.adj.indptr
@@ -150,88 +141,23 @@ class HittingDAG:
     def predecessors(self, node: int, column: int) -> np.ndarray:
         """Qualified keyword-``column`` predecessors of ``node``, in
         adjacency order."""
-        if self._kernel is None:
-            indptr = self._indptr[column]
-            return self._preds[column][indptr[node]:indptr[node + 1]]
-        # Native tier: nothing was precomputed — evaluate the predicate
-        # over this node's adjacency slice.
-        state = self._state
-        indptr = self._adj.indptr
-        preds = self._adj.indices[indptr[node]:indptr[node + 1]].astype(
-            np.int64
-        )
-        infinite = int(INFINITE_LEVEL)
-        target_level = int(state.matrix[node, column])
-        if target_level == infinite:
-            return preds[:0]
-        pred_levels = state.matrix[preds, column].astype(np.int64)
-        floor = (
-            0 if state.keyword_node[node] else int(state.activation[node]) - 1
-        )
-        expander_levels = np.maximum(
-            np.maximum(state.activation[preds].astype(np.int64), pred_levels),
-            floor,
-        )
-        pred_central_levels = state.central_level[preds]
-        qualified = (
-            (pred_levels != infinite)
-            & (target_level == expander_levels + 1)
-            & (
-                (pred_central_levels < 0)
-                | (target_level <= pred_central_levels)
-            )
-        )
-        return preds[qualified]
+        indptr = self._indptr[column]
+        return self._preds[column][indptr[node]:indptr[node + 1]]
 
     def column_arrays(self, column: int) -> "tuple[np.ndarray, np.ndarray]":
-        """The CSR (indptr, preds) pair for one keyword's hitting DAG
-        (NumPy tier only: the native tier never builds it)."""
+        """The CSR (indptr, preds) pair for one keyword's hitting DAG."""
         return self._indptr[column], self._preds[column]
 
-    def extract_native(
-        self, central_node: int
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """All-column closure of one Central Node in one kernel call.
 
-        Returns ``(nodes, pairs)`` — deduplicated closure nodes and the
-        (pred, target) pair rows (deduplicated within each column; the
-        caller dedups across columns). Native tier only. The returned
-        arrays are views into per-thread scratch: consume them before
-        the next call on the same thread.
-        """
-        local = self._local
-        scratch = getattr(local, "scratch", None)
-        if scratch is None:
-            n = self._adj.n_nodes
-            scratch = local.scratch = (
-                np.zeros(n, dtype=np.int32),  # marks (zero between calls)
-                np.empty(n, dtype=np.int64),  # DFS stack
-                np.empty(n, dtype=np.int64),  # out_nodes
-                np.zeros(2, dtype=np.int64),  # n_out
-            )
-            local.out_pairs = np.empty(
-                2 * _INITIAL_PAIR_CAPACITY, dtype=np.int64
-            )
-        marks, stack, out_nodes, n_out = scratch
-        while True:
-            out_pairs = local.out_pairs
-            n_nodes, n_pairs, needed = self._kernel.extract_graph(
-                *self._kernel_inputs,
-                central_node,
-                marks,
-                stack,
-                out_nodes,
-                out_pairs,
-                n_out,
-            )
-            if not needed:
-                pairs = out_pairs[: 2 * n_pairs].reshape(-1, 2)
-                return out_nodes[:n_nodes], pairs
-            # The pairs did not fit: the kernel wrote nothing past the
-            # capacity, restored its scratch and said how many it needs.
-            # Grow this thread's buffer (with headroom for the next,
-            # larger Central Graph) and walk this Central Node again.
-            local.out_pairs = np.empty(2 * 2 * needed, dtype=np.int64)
+def _keyword_contributions(
+    matrix: np.ndarray, members: np.ndarray
+) -> Dict[int, FrozenSet[int]]:
+    """Member node → the keyword columns it is a source of (M == 0)."""
+    accumulated: Dict[int, List[int]] = {}
+    positions, columns = np.nonzero(matrix[members] == 0)
+    for node, column in zip(members[positions].tolist(), columns.tolist()):
+        accumulated.setdefault(node, []).append(column)
+    return {node: frozenset(columns) for node, columns in accumulated.items()}
 
 
 def extract_central_graph(
@@ -244,11 +170,11 @@ def extract_central_graph(
 ) -> CentralGraph:
     """Recover the Central Graph centered at ``central_node``.
 
-    A standard BFS runs backward from the Central Node over
-    (node, keyword) pairs, following the :class:`HittingDAG` qualified
-    predecessors, so that a node reached for keyword ``i`` only pulls in
-    its keyword-``i`` hitting paths (Definition 3's union of per-keyword
-    hitting paths).
+    The reference route's extraction: a standard BFS runs backward from
+    the Central Node over (node, keyword) pairs, following the
+    :class:`HittingDAG` qualified predecessors, so that a node reached
+    for keyword ``i`` only pulls in its keyword-``i`` hitting paths
+    (Definition 3's union of per-keyword hitting paths).
 
     Args:
         single_path: ablation switch — keep only one predecessor per
@@ -282,19 +208,6 @@ def extract_central_graph(
                 if matrix[pred, column] > 0 and (pred, column) not in visited:
                     visited.add((pred, column))
                     stack.append((pred, column))
-    elif dag._kernel is not None:
-        # Native whole-graph closure: all contributing columns walked in
-        # one C call off the graph CSR, Theorem V.4 evaluated on the
-        # edges the walk scans, with scratch buffers reused across
-        # Central Nodes (per thread). Produces the same node and edge
-        # sets as the NumPy walk below.
-        closure_nodes, pairs = dag.extract_native(central_node)
-        nodes.update(closure_nodes.tolist())
-        if len(pairs):
-            n = graph.n_nodes
-            keys = np.unique(pairs[:, 0] * np.int64(n) + pairs[:, 1])
-            edge_preds, edge_targets = np.divmod(keys, np.int64(n))
-            edges.update(zip(edge_preds.tolist(), edge_targets.tolist()))
     else:
         # Per keyword, the Central Graph's contribution is the backward
         # closure from the Central Node over that keyword's hitting DAG.
@@ -333,20 +246,14 @@ def extract_central_graph(
                 visited_mask[frontier] = True
             nodes.update(map(int, np.flatnonzero(visited_mask)))
 
-    node_array = np.fromiter(nodes, dtype=np.int64, count=len(nodes))
-    zero_mask = matrix[node_array] == 0
-    accumulated: Dict[int, List[int]] = {}
-    for position, column in zip(*(index.tolist() for index in np.nonzero(zero_mask))):
-        accumulated.setdefault(int(node_array[position]), []).append(column)
-    contributions: Dict[int, FrozenSet[int]] = {
-        node: frozenset(columns) for node, columns in accumulated.items()
-    }
     return CentralGraph(
         central_node=central_node,
         depth=depth,
         nodes=nodes,
         edges=edges,
-        keyword_contributions=contributions,
+        keyword_contributions=_keyword_contributions(
+            matrix, np.fromiter(nodes, dtype=np.int64, count=len(nodes))
+        ),
     )
 
 
@@ -430,14 +337,20 @@ class TopDownConfig:
         apply_level_cover: turn the pruning strategy off for ablations.
         deduplicate: turn containment filtering off for ablations.
         single_path: tree-shaped answers (one hitting path per keyword)
-            instead of multi-path Central Graphs — ablation only.
-        n_threads: Central Graphs recovered in parallel when > 1 (the
-            paper runs this stage on CPU threads with dynamic scheduling).
-        native: ``False`` pins the reference tier — the eager NumPy
-            hitting-DAG build and the per-level NumPy extraction walk;
-            ``None`` uses the compiled ``extract_graph`` walk (no DAG is
-            built) whenever the kernel is available. Both tiers produce
-            identical node and edge sets.
+            instead of multi-path Central Graphs — ablation only, on the
+            reference route.
+        n_threads: when > 1 the Central-Node list is cut into that many
+            contiguous chunks, one batched kernel call per thread with
+            its own scratch (ctypes releases the GIL, so the walks
+            overlap — the paper runs this stage on CPU threads); on the
+            reference route, Central Graphs are recovered by a thread
+            pool of that size.
+        native: ``False`` pins the reference route — the eager NumPy
+            hitting-DAG build, the per-level NumPy extraction walk and
+            the per-object level-cover, dedup and scoring; ``None`` takes
+            the batch route (one ``extract_graphs`` call, no DAG, objects
+            for the k answers only) whenever the kernel is available.
+            Both routes return identical answers.
     """
 
     k: int = 20
@@ -447,6 +360,314 @@ class TopDownConfig:
     single_path: bool = False
     n_threads: int = 1
     native: Optional[bool] = None
+
+
+class _GraphBatch(NamedTuple):
+    """What ``extract_graphs`` wrote for a run of Central Nodes, graphs
+    concatenated in order: graph ``i`` owns ``node_counts[i]`` entries of
+    ``nodes`` (kept node ids, ascending) and ``edge_counts[i]`` of
+    ``edges`` (keys ``pred * n + target``, ascending)."""
+
+    nodes: np.ndarray
+    node_counts: np.ndarray
+    edges: np.ndarray
+    edge_counts: np.ndarray
+    raw_counts: np.ndarray  # node count before level-cover
+    mass: np.ndarray  # Eq. 6 weight mass of the kept nodes
+
+
+def _extract_batch(
+    kernel: NativeKernel,
+    graph: KnowledgeGraph,
+    state: SearchState,
+    weights: np.ndarray,
+    centrals: np.ndarray,
+    apply_level_cover: bool,
+    capacities: Tuple[int, int, int],
+) -> _GraphBatch:
+    """One batched kernel call over ``centrals`` (two if a buffer of the
+    ``(nodes, edges, pairs)`` ``capacities`` was too small: the kernel
+    says what it needs, and a call with that much always fits). All
+    scratch is allocated here, so concurrent calls share nothing."""
+    n = graph.n_nodes
+    n_graphs = len(centrals)
+    marks = np.zeros(n, dtype=np.int32)
+    stack = np.empty(n, dtype=np.int64)
+    members = np.empty(n, dtype=np.int64)
+    node_counts = np.empty(n_graphs, dtype=np.int64)
+    edge_counts = np.empty(n_graphs, dtype=np.int64)
+    raw_counts = np.empty(n_graphs, dtype=np.int64)
+    mass = np.empty(n_graphs, dtype=np.float64)
+    needed = np.empty(3, dtype=np.int64)
+    for _ in range(2):
+        out_nodes, out_edges, pairs = (
+            np.empty(capacity, dtype=np.int64) for capacity in capacities
+        )
+        if kernel.extract_graphs(
+            graph.adj.indptr,
+            graph.adj.indices,
+            state.matrix.reshape(-1),
+            state.n_keywords,
+            state.activation,
+            state.keyword_node.view(np.uint8),
+            state.central_level,
+            weights,
+            centrals,
+            apply_level_cover,
+            marks=marks,
+            stack=stack,
+            members=members,
+            pairs=pairs,
+            out_nodes=out_nodes,
+            out_edges=out_edges,
+            node_counts=node_counts,
+            edge_counts=edge_counts,
+            raw_counts=raw_counts,
+            mass=mass,
+            needed=needed,
+        ):
+            return _GraphBatch(
+                out_nodes[: needed[0]],
+                node_counts,
+                out_edges[: needed[1]],
+                edge_counts,
+                raw_counts,
+                mass,
+            )
+        capacities = tuple(np.maximum(capacities, needed).tolist())
+    raise RuntimeError("extract_graphs overflowed the capacities it asked for")
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Slice bounds of concatenated runs of the given lengths."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _containment_survivors(
+    batch: _GraphBatch, centrals: np.ndarray
+) -> np.ndarray:
+    """:func:`deduplicate_by_containment` on the batch's node slices:
+    indices of the graphs that strictly contain no kept graph.
+
+    A kept subset's Central Node is a member of its superset, so the
+    only graphs that can evict ``G`` are the smaller ones whose Central
+    Node ``G`` contains — found by look-up, not by scanning every kept
+    graph — and of those only the ones whose 64-bit membership sketch
+    ``G``'s covers are compared node by node. Whether a graph is kept
+    is settled before any larger graph asks, because the pairs are
+    visited by ascending superset size.
+    """
+    n_graphs = len(centrals)
+    nodes, sizes = batch.nodes, batch.node_counts
+    offsets = _offsets(sizes)
+    by_id = np.argsort(centrals)
+    sorted_ids = centrals[by_id]
+    slot = np.minimum(np.searchsorted(sorted_ids, nodes), n_graphs - 1)
+    # Members that are some graph's Central Node: (containing graph,
+    # graph centred there).
+    hits = np.flatnonzero(sorted_ids[slot] == nodes)
+    supersets = np.searchsorted(offsets, hits, side="right") - 1
+    subsets = by_id[slot[hits]]
+    # One bit per member, by a multiplicative hash of its id.
+    bits = np.left_shift(
+        np.uint64(1),
+        (nodes.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
+        >> np.uint64(58),
+    )
+    sketch = np.bitwise_or.reduceat(bits, offsets[:-1])
+    candidate = (sizes[subsets] < sizes[supersets]) & (
+        sketch[subsets] & ~sketch[supersets] == 0
+    )
+    supersets, subsets = supersets[candidate], subsets[candidate]
+    order = np.argsort(sizes[supersets], kind="stable")
+
+    dropped = np.zeros(n_graphs, dtype=bool)
+    member_sets: Dict[int, Set[int]] = {}
+    for big, small in zip(supersets[order].tolist(), subsets[order].tolist()):
+        if dropped[big] or dropped[small]:
+            continue
+        members = member_sets.get(big)
+        if members is None:
+            members = member_sets[big] = set(
+                nodes[offsets[big]:offsets[big + 1]].tolist()
+            )
+        if members.issuperset(nodes[offsets[small]:offsets[small + 1]].tolist()):
+            dropped[big] = True
+    return np.flatnonzero(~dropped)
+
+
+def _batch_stage_two(
+    kernel: NativeKernel,
+    graph: KnowledgeGraph,
+    state: SearchState,
+    weights: np.ndarray,
+    config: TopDownConfig,
+    *,
+    _node_capacity: int = _NODE_CAPACITY,
+    _edge_capacity: int = _EDGE_CAPACITY,
+    _pair_capacity: int = _PAIR_CAPACITY,
+) -> Tuple[List[CentralGraph], Dict[str, int]]:
+    """The batch route: ranked answers and the stage's counts.
+
+    The keyword-only capacities are where the buffers start, for tests
+    that force the overflow exit; callers leave them alone.
+    """
+    if config.k < 1:
+        raise ValueError("k must be at least 1")
+    n_graphs = len(state.central_nodes)
+    counts = {
+        "central_graphs": n_graphs,
+        "extracted_nodes": 0,
+        "kept_after_dedup": 0,
+        "answers": 0,
+    }
+    if n_graphs == 0:
+        return [], counts
+    centrals, depths = np.array(state.central_nodes, dtype=np.int64).T.copy()
+
+    def extract(chunk: np.ndarray) -> _GraphBatch:
+        return _extract_batch(
+            kernel, graph, state, weights, chunk, config.apply_level_cover,
+            (_node_capacity, _edge_capacity, _pair_capacity),
+        )
+
+    n_chunks = min(config.n_threads, n_graphs)
+    if n_chunks > 1:
+        with ThreadPoolExecutor(max_workers=n_chunks) as pool:
+            chunks = list(pool.map(extract, np.array_split(centrals, n_chunks)))
+        batch = _GraphBatch(*map(np.concatenate, zip(*chunks)))
+    else:
+        batch = extract(centrals)
+
+    survivors = (
+        _containment_survivors(batch, centrals)
+        if config.deduplicate
+        else np.arange(n_graphs)
+    )
+    # Eq. 6 as ``central_graph_score`` computes it: the Python-float power
+    # of the depth, then one IEEE multiplication per graph.
+    scores = batch.mass * [
+        depth_factor(depth, config.lam) for depth in depths.tolist()
+    ]
+    sizes = batch.node_counts
+    # TopKHeap's order: (score, n_nodes, central_node), lowest first.
+    ranked = survivors[
+        np.lexsort(
+            (centrals[survivors], sizes[survivors], scores[survivors])
+        )[: config.k]
+    ]
+
+    n = graph.n_nodes
+    node_offsets = _offsets(sizes)
+    edge_offsets = _offsets(batch.edge_counts)
+    answers = []
+    for index in ranked.tolist():
+        members = batch.nodes[node_offsets[index]:node_offsets[index + 1]]
+        keys = batch.edges[edge_offsets[index]:edge_offsets[index + 1]]
+        edge_preds, edge_targets = np.divmod(keys, n)
+        answers.append(
+            CentralGraph(
+                central_node=int(centrals[index]),
+                depth=int(depths[index]),
+                nodes=set(members.tolist()),
+                edges=set(zip(edge_preds.tolist(), edge_targets.tolist())),
+                keyword_contributions=_keyword_contributions(
+                    state.matrix, members
+                ),
+                score=float(scores[index]),
+                pruned=config.apply_level_cover,
+            )
+        )
+    counts.update(
+        extracted_nodes=int(batch.raw_counts.sum()),
+        kept_after_dedup=len(survivors),
+        answers=len(answers),
+    )
+    return answers, counts
+
+
+def _reference_stage_two(
+    graph: KnowledgeGraph,
+    state: SearchState,
+    weights: np.ndarray,
+    config: TopDownConfig,
+    prebuilt: Optional[Iterable[CentralGraph]],
+) -> Tuple[List[CentralGraph], Dict[str, int]]:
+    """The reference route: one :class:`CentralGraph` per Central Node."""
+    if prebuilt is not None:
+        extracted = list(prebuilt)
+    else:
+        central_nodes = state.central_nodes
+        dag = HittingDAG(graph, state) if central_nodes else None
+        if config.n_threads > 1 and len(central_nodes) > 1:
+            with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
+                extracted = list(
+                    pool.map(
+                        lambda pair: extract_central_graph(
+                            graph, state, pair[0], pair[1], dag,
+                            config.single_path,
+                        ),
+                        central_nodes,
+                    )
+                )
+        else:
+            extracted = [
+                extract_central_graph(
+                    graph, state, node, depth, dag, config.single_path
+                )
+                for node, depth in central_nodes
+            ]
+    counts = {
+        "central_graphs": len(extracted),
+        "extracted_nodes": sum(answer.n_nodes for answer in extracted),
+    }
+
+    n_keywords = state.n_keywords
+    if config.apply_level_cover:
+        extracted = [
+            level_cover_prune(answer, n_keywords) for answer in extracted
+        ]
+    if config.deduplicate:
+        extracted = deduplicate_by_containment(extracted)
+    for answer in extracted:
+        answer.score = central_graph_score(answer, weights, config.lam)
+    heap = TopKHeap(config.k)
+    heap.extend(extracted)
+    ranked = heap.ranked()
+    counts.update(kept_after_dedup=len(extracted), answers=len(ranked))
+    return ranked, counts
+
+
+def _batch_kernel(
+    graph: KnowledgeGraph,
+    state: SearchState,
+    weights: np.ndarray,
+    config: TopDownConfig,
+) -> Optional[NativeKernel]:
+    """The loaded kernel when this query can take the batch route: not
+    pinned to the reference, and every array the kernel reads is laid
+    out as it reads it (M row-major, ``double`` weights, one bit per
+    keyword column in a 64-bit contribution mask)."""
+    if config.native is False or config.single_path:
+        return None
+    arrays = (
+        graph.adj.indptr,
+        graph.adj.indices,
+        state.matrix,
+        state.activation,
+        state.keyword_node,
+        state.central_level,
+        weights,
+    )
+    if (
+        state.n_keywords > 64
+        or weights.dtype != np.float64
+        or not all(array.flags.c_contiguous for array in arrays)
+    ):
+        return None
+    return _native_kernel()
 
 
 def process_top_down(
@@ -471,43 +692,20 @@ def process_top_down(
     config = config or TopDownConfig()
     timer = timer or PhaseTimer()
     with timer.phase(PHASE_TOP_DOWN):
-        if prebuilt is not None:
-            extracted = list(prebuilt)
-        else:
-            central_nodes = state.central_nodes
-            dag = (
-                HittingDAG(graph, state, native=config.native)
-                if central_nodes
-                else None
+        kernel = (
+            _batch_kernel(graph, state, weights, config)
+            if prebuilt is None
+            else None
+        )
+        if kernel is not None:
+            ranked, counts = _batch_stage_two(
+                kernel, graph, state, weights, config
             )
-            if config.n_threads > 1 and len(central_nodes) > 1:
-                with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
-                    extracted = list(
-                        pool.map(
-                            lambda pair: extract_central_graph(
-                                graph, state, pair[0], pair[1], dag,
-                                config.single_path,
-                            ),
-                            central_nodes,
-                        )
-                    )
-            else:
-                extracted = [
-                    extract_central_graph(
-                        graph, state, node, depth, dag, config.single_path
-                    )
-                    for node, depth in central_nodes
-                ]
-
-        n_keywords = state.n_keywords
-        if config.apply_level_cover:
-            extracted = [
-                level_cover_prune(answer, n_keywords) for answer in extracted
-            ]
-        if config.deduplicate:
-            extracted = deduplicate_by_containment(extracted)
-        for answer in extracted:
-            answer.score = central_graph_score(answer, weights, config.lam)
-        heap = TopKHeap(config.k)
-        heap.extend(extracted)
-        return heap.ranked()
+        else:
+            ranked, counts = _reference_stage_two(
+                graph, state, weights, config, prebuilt
+            )
+        tracer = timer.tracer
+        if tracer.enabled:
+            tracer.current_span().set_attrs(counts)
+        return ranked

@@ -1,6 +1,6 @@
-/* Native tier of the fused expansion kernels.
+/* Native tier: the fused expansion kernels and stage two.
  *
- * Two entry points share one byte-lane (SWAR) representation: a
+ * Two expansion entry points share one byte-lane (SWAR) representation: a
  * node's per-instance boolean conditions live in 64-bit lane words
  * (byte lane i = BFS instance i), the per-edge hit ballot is a word
  * AND, and every matrix write is an idempotent byte store of level + 1
@@ -34,6 +34,13 @@
  * scatter duplicates the NumPy tier counts, so they are tallied here
  * as `duplicates_elided` (values <= level, 0, and 255 are the only
  * other possible byte states, so the equality test is unambiguous).
+ *
+ * Stage two is the third export:
+ *
+ *   extract_graphs    — every Central Node of a query in one call:
+ *                       extraction, level-cover and Eq. 6's weight
+ *                       mass, written as concatenated arrays (described
+ *                       at the function).
  *
  * Compiled on demand by _native.py with the system C compiler; absent a
  * compiler the NumPy kernels run alone with identical semantics.
@@ -320,15 +327,66 @@ int64_t whole_level_step(
     return n_frontier;
 }
 
-/* Whole Central Graph in one call, straight off the graph CSR
- * (Algorithm 3's extraction step): for every keyword column the
- * Central Node was hit in at a nonzero level, a DFS walks backwards
- * from `central`, and Theorem V.4 is evaluated on exactly the adjacency
- * slices the walk scans -- no (edge, keyword) relation is materialised
- * beforehand.
+/* Ascending in-place sort of node ids / edge keys (all distinct or
+ * deduplicated right after). Central Graphs are mostly a few dozen
+ * entries; the heap keeps the rare huge one O(n log n) without a stack. */
+static void sort_i64(int64_t* a, int64_t n)
+{
+    if (n < 24) {
+        for (int64_t i = 1; i < n; ++i) {
+            const int64_t x = a[i];
+            int64_t j = i;
+            for (; j > 0 && a[j - 1] > x; --j)
+                a[j] = a[j - 1];
+            a[j] = x;
+        }
+        return;
+    }
+    for (int64_t start = n / 2, end = n; end > 1;) {
+        if (start > 0) {
+            --start;
+        } else {
+            --end;
+            const int64_t x = a[end];
+            a[end] = a[0];
+            a[0] = x;
+        }
+        const int64_t x = a[start];
+        int64_t root = start;
+        for (int64_t child; (child = 2 * root + 1) < end; root = child) {
+            if (child + 1 < end && a[child + 1] > a[child])
+                ++child;
+            if (a[child] <= x)
+                break;
+            a[root] = a[child];
+        }
+        a[root] = x;
+    }
+}
+
+/* Node v's keyword contribution: bit c set iff M[v][c] == 0. */
+static inline uint64_t contribution_mask(
+    const uint8_t* matrix, int64_t v, int64_t q)
+{
+    uint64_t mask = 0;
+    for (int64_t c = 0; c < q; ++c)
+        mask |= (uint64_t)(matrix[v * q + c] == 0) << c;
+    return mask;
+}
+
+/* marks[] stamp of a node level-cover keeps (column stamps are 1..q). */
+#define KEPT (-1)
+
+/* Stage two for every Central Node of one query in a single call
+ * (Algorithm 3: extraction, level-cover, Eq. 6's weight mass), straight
+ * off the graph CSR. Per Central Node, in `centrals` order:
  *
- * A neighbor p of a popped target t qualifies as its keyword-c
- * predecessor iff (with h = M[.][c], a = activation):
+ * Extraction. For every keyword column the Central Node was hit in at a
+ * nonzero level, a DFS walks backwards from it, and Theorem V.4 is
+ * evaluated on exactly the adjacency slices the walk scans -- no
+ * (edge, keyword) relation is materialised beforehand. A neighbor p of a
+ * popped target t qualifies as its keyword-c predecessor iff (with
+ * h = M[.][c], a = activation):
  *   h_t and h_p finite,  h_t == 1 + max(a_p, h_p, floor_t)  where
  *   floor_t = 0 for keyword nodes else a_t - 1,
  * and, because an identified Central Node stops expanding, p's
@@ -337,34 +395,57 @@ int64_t whole_level_step(
  * Every walked t has a finite h_t (the Central Node is hit in every
  * column; anything else was pushed as a qualified p), and h_t == 0 has
  * no predecessor (the right-hand side is >= 1), so keyword sources are
- * popped without a scan.
+ * popped without a scan. One `marks` cell per node carries both
+ * memberships: 0 = not reached yet for this Central Node, c + 1 = last
+ * visited while walking column c. Edges are kept as keys pred * n +
+ * target; a pair repeats across columns, so the keys are sorted and
+ * deduplicated, which also groups them by pred.
  *
- * One `marks` cell per node carries both memberships: 0 = not reached
- * yet for this Central Node, c + 1 = last visited while walking column
- * c. So "visited in this column" is marks[p] == c + 1 (no per-column
- * reset), and out_nodes lists each node once, on its first nonzero
- * mark. Pairs come out in adjacency order, at most once per column,
- * and can repeat across columns; the caller dedups the interleaved
- * (pred, target) pairs.
+ * Level-cover (Fig. 5), when `apply_level_cover`. A member's
+ * contribution is the set of columns it is a source of (M == 0). The
+ * Central Node is always preserved; unless it covers every column
+ * alone, the other contributors are taken level by level -- a level is
+ * a contribution count, highest first -- until the columns preserved so
+ * far cover all q, and a level is taken whole. If that preserves every
+ * contributor the graph is left as it is. Otherwise the graph is cut to
+ * the forward closure of the preserved nodes over its own (pred ->
+ * target) edges: everything on a hitting path from a preserved node to
+ * the Central Node, with the edges among those.
+ *
+ * Eq. 6. The weight mass is a plain left-to-right double addition over
+ * the kept nodes in ascending id order: rankings carry runs of equal
+ * scores, so the summation order is part of the answer.
  *
  *   indptr/indices CSR adjacency
- *   matrix       (n x q) uint8 hitting-level matrix
- *   q            keyword columns
+ *   matrix       (n x q) uint8 hitting-level matrix, q <= 64
  *   activation   per-node activation levels (int32)
  *   keyword_node uint8 mask
  *   central_level per-node identification levels (int16, -1 = none)
+ *   weights      per-node Eq. 6 weights (double, n)
+ *   centrals     the n_centrals Central Node ids
  *   marks        n zeroed int32 (scratch; rezeroed before returning)
  *   stack        capacity n (DFS scratch)
- *   out_nodes    capacity n: deduplicated closure nodes, central first
- *   out_pairs    capacity 2 * pair_capacity, interleaved (pred, target)
- *   n_out        [0] = node count, [1] = pair count written
+ *   members      capacity n (one graph's pre-prune nodes)
+ *   pairs        capacity pair_capacity (one graph's edge keys)
+ *   out_nodes    capacity node_capacity: kept node ids, ascending per
+ *                graph, graphs concatenated
+ *   out_edges    capacity edge_capacity: kept edge keys, likewise
+ *   node_counts / edge_counts  n_centrals: how many entries of
+ *                out_nodes / out_edges each graph owns, in order
+ *   raw_counts   n_centrals: node count before level-cover
+ *   mass         n_centrals: Eq. 6 weight mass of the kept nodes
+ *   needed       [0] nodes, [1] edges, [2] largest per-graph pair count
  *
- * Returns 0 when every pair fitted. Otherwise the walk still runs to
- * its end -- counting, never writing past pair_capacity -- and returns
- * the pair count it needs, so one retry with a buffer of that size
- * succeeds; out_nodes / n_out[0] are complete either way.
+ * Returns 0 when everything fitted. Otherwise nothing was written past
+ * a capacity, every walk still ran to its end, and `needed` holds
+ * capacities with which one more call fits: exact where a graph could
+ * be finished, its pre-prune counts (an upper bound) where its pairs
+ * did not fit. The counts keep counting past the capacities, so only
+ * a call that returned 0 has usable outputs. `marks` is zero on return
+ * either way.
  */
-int64_t extract_graph(
+int64_t extract_graphs(
+    int64_t n,
     const int64_t* indptr,
     const int32_t* indices,
     const uint8_t* matrix,
@@ -372,64 +453,190 @@ int64_t extract_graph(
     const int32_t* activation,
     const uint8_t* keyword_node,
     const int16_t* central_level,
-    int64_t central,
+    const double* weights,
+    int64_t n_centrals,
+    const int64_t* centrals,
+    int64_t apply_level_cover,
     int32_t* marks,
     int64_t* stack,
-    int64_t* out_nodes,
-    int64_t* out_pairs,
+    int64_t* members,
+    int64_t* pairs,
     int64_t pair_capacity,
-    int64_t* n_out)
+    int64_t* out_nodes,
+    int64_t node_capacity,
+    int64_t* out_edges,
+    int64_t edge_capacity,
+    int64_t* node_counts,
+    int64_t* edge_counts,
+    int64_t* raw_counts,
+    double* mass,
+    int64_t* needed)
 {
-    int64_t n_nodes = 0;
-    int64_t n_pairs = 0;
-    out_nodes[n_nodes++] = central;
-    for (int64_t c = 0; c < q; ++c) {
-        if (matrix[central * q + c] == 0)
-            continue;
-        const int32_t column_mark = (int32_t)(c + 1);
-        int64_t top = 0;
-        marks[central] = column_mark;
-        stack[top++] = central;
-        while (top) {
-            const int64_t t = stack[--top];
-            const int32_t mt = (int32_t)matrix[t * q + c];
-            if (mt == 0)
+    const uint64_t all_columns = q < 64 ? (1ULL << q) - 1 : ~0ULL;
+    int64_t node_total = 0;
+    int64_t edge_total = 0;
+    int64_t most_pairs = 0;
+
+    for (int64_t g = 0; g < n_centrals; ++g) {
+        const int64_t central = centrals[g];
+        int64_t n_members = 0;
+        int64_t n_pairs = 0;
+        members[n_members++] = central;
+        for (int64_t c = 0; c < q; ++c) {
+            if (matrix[central * q + c] == 0)
                 continue;
-            const int32_t floor_t =
-                keyword_node[t] ? 0 : activation[t] - 1;
-            const int64_t end = indptr[t + 1];
-            for (int64_t e = indptr[t]; e < end; ++e) {
-                const int64_t p = (int64_t)indices[e];
-                const uint8_t mp = matrix[p * q + c];
-                if (mp == 0xFF)
+            const int32_t column_mark = (int32_t)(c + 1);
+            int64_t top = 0;
+            marks[central] = column_mark;
+            stack[top++] = central;
+            while (top) {
+                const int64_t t = stack[--top];
+                const int32_t mt = (int32_t)matrix[t * q + c];
+                if (mt == 0)
                     continue;
-                int32_t expander = activation[p];
-                if ((int32_t)mp > expander)
-                    expander = (int32_t)mp;
-                if (floor_t > expander)
-                    expander = floor_t;
-                if (mt != expander + 1)
-                    continue;
-                const int16_t pc = central_level[p];
-                if (pc >= 0 && mt > (int32_t)pc)
-                    continue;
-                if (n_pairs < pair_capacity) {
-                    out_pairs[2 * n_pairs] = p;
-                    out_pairs[2 * n_pairs + 1] = t;
-                }
-                ++n_pairs;
-                if (marks[p] != column_mark) {
-                    if (marks[p] == 0)
-                        out_nodes[n_nodes++] = p;
-                    marks[p] = column_mark;
-                    stack[top++] = p;
+                const int32_t floor_t =
+                    keyword_node[t] ? 0 : activation[t] - 1;
+                const int64_t end = indptr[t + 1];
+                for (int64_t e = indptr[t]; e < end; ++e) {
+                    const int64_t p = (int64_t)indices[e];
+                    const uint8_t mp = matrix[p * q + c];
+                    if (mp == 0xFF)
+                        continue;
+                    int32_t expander = activation[p];
+                    if ((int32_t)mp > expander)
+                        expander = (int32_t)mp;
+                    if (floor_t > expander)
+                        expander = floor_t;
+                    if (mt != expander + 1)
+                        continue;
+                    const int16_t pc = central_level[p];
+                    if (pc >= 0 && mt > (int32_t)pc)
+                        continue;
+                    if (n_pairs < pair_capacity)
+                        pairs[n_pairs] = p * n + t;
+                    ++n_pairs;
+                    if (marks[p] != column_mark) {
+                        if (marks[p] == 0)
+                            members[n_members++] = p;
+                        marks[p] = column_mark;
+                        stack[top++] = p;
+                    }
                 }
             }
         }
+        if (n_pairs > most_pairs)
+            most_pairs = n_pairs;
+        raw_counts[g] = n_members;
+
+        int64_t n_kept = n_members;
+        int64_t n_edges = n_pairs;
+        double weight_mass = 0.0;
+        if (n_pairs <= pair_capacity) {
+            sort_i64(members, n_members);
+            sort_i64(pairs, n_pairs);
+            n_edges = 0;
+            for (int64_t i = 0; i < n_pairs; ++i) {
+                if (n_edges == 0 || pairs[i] != pairs[n_edges - 1])
+                    pairs[n_edges++] = pairs[i];
+            }
+
+            int prune = 0;
+            if (apply_level_cover) {
+                uint64_t level_columns[65] = {0};
+                int64_t level_size[65] = {0};
+                int64_t contributors = 0;
+                for (int64_t i = 0; i < n_members; ++i) {
+                    if (members[i] == central)
+                        continue;
+                    const uint64_t mask =
+                        contribution_mask(matrix, members[i], q);
+                    if (!mask)
+                        continue;
+                    const int count = __builtin_popcountll(mask);
+                    level_columns[count] |= mask;
+                    ++level_size[count];
+                    ++contributors;
+                }
+                uint64_t covered = contribution_mask(matrix, central, q);
+                /* Lowest preserved level; q + 1 preserves no one. */
+                int lowest = (int)q + 1;
+                int64_t preserved = 0;
+                while (covered != all_columns && lowest > 1) {
+                    --lowest;
+                    covered |= level_columns[lowest];
+                    preserved += level_size[lowest];
+                }
+                if (preserved < contributors) {
+                    prune = 1;
+                    int64_t top = 0;
+                    marks[central] = KEPT;
+                    stack[top++] = central;
+                    for (int64_t i = 0; i < n_members; ++i) {
+                        const int64_t v = members[i];
+                        if (v != central
+                            && __builtin_popcountll(
+                                   contribution_mask(matrix, v, q))
+                                >= lowest) {
+                            marks[v] = KEPT;
+                            stack[top++] = v;
+                        }
+                    }
+                    while (top) {
+                        const int64_t u = stack[--top];
+                        int64_t lo = 0;
+                        int64_t hi = n_edges;
+                        while (lo < hi) {
+                            const int64_t mid = lo + (hi - lo) / 2;
+                            if (pairs[mid] < u * n)
+                                lo = mid + 1;
+                            else
+                                hi = mid;
+                        }
+                        for (; lo < n_edges && pairs[lo] < (u + 1) * n; ++lo) {
+                            const int64_t t = pairs[lo] - u * n;
+                            if (marks[t] != KEPT) {
+                                marks[t] = KEPT;
+                                stack[top++] = t;
+                            }
+                        }
+                    }
+                }
+            }
+
+            /* Emit (or, past a capacity, only count) what is kept. */
+            n_kept = 0;
+            for (int64_t i = 0; i < n_members; ++i) {
+                const int64_t v = members[i];
+                if (prune && marks[v] != KEPT)
+                    continue;
+                weight_mass += weights[v];
+                if (node_total + n_kept < node_capacity)
+                    out_nodes[node_total + n_kept] = v;
+                ++n_kept;
+            }
+            const int64_t n_unique = n_edges;
+            n_edges = 0;
+            for (int64_t i = 0; i < n_unique; ++i) {
+                if (prune
+                    && (marks[pairs[i] / n] != KEPT
+                        || marks[pairs[i] % n] != KEPT))
+                    continue;
+                if (edge_total + n_edges < edge_capacity)
+                    out_edges[edge_total + n_edges] = pairs[i];
+                ++n_edges;
+            }
+        }
+        for (int64_t i = 0; i < n_members; ++i)
+            marks[members[i]] = 0;
+        node_counts[g] = n_kept;
+        edge_counts[g] = n_edges;
+        mass[g] = weight_mass;
+        node_total += n_kept;
+        edge_total += n_edges;
     }
-    for (int64_t i = 0; i < n_nodes; ++i)
-        marks[out_nodes[i]] = 0;
-    n_out[0] = n_nodes;
-    n_out[1] = n_pairs < pair_capacity ? n_pairs : pair_capacity;
-    return n_pairs <= pair_capacity ? 0 : n_pairs;
+    needed[0] = node_total;
+    needed[1] = edge_total;
+    needed[2] = most_pairs;
+    return node_total > node_capacity || edge_total > edge_capacity
+        || most_pairs > pair_capacity;
 }

@@ -150,7 +150,8 @@ class NativeKernel:
 
     Exposes the per-chunk ``fused_expand`` and the per-level
     ``whole_level_step`` (Algorithm 1's enqueue + identify + expansion
-    fused into one call), plus stage two's ``extract_graph``.
+    fused into one call), plus stage two's ``extract_graphs`` (every
+    Central Node of a query in one call).
     Every call releases the GIL, so concurrent chunk expansions
     (``ThreadPoolBackend``) overlap on real cores.
     """
@@ -162,6 +163,7 @@ class NativeKernel:
         i16 = pointer(np.int16, flags="C_CONTIGUOUS")
         u64 = pointer(np.uint64, flags="C_CONTIGUOUS")
         u8 = pointer(np.uint8, flags="C_CONTIGUOUS")
+        f64 = pointer(np.float64, flags="C_CONTIGUOUS")
 
         fn = library.fused_expand
         fn.restype = ctypes.c_int64
@@ -207,9 +209,10 @@ class NativeKernel:
         ]
         self._step = step
 
-        extract = library.extract_graph
+        extract = library.extract_graphs
         extract.restype = ctypes.c_int64
         extract.argtypes = [
+            ctypes.c_int64,  # n
             i64,  # indptr
             i32,  # indices
             u8,  # matrix
@@ -217,13 +220,24 @@ class NativeKernel:
             i32,  # activation
             u8,  # keyword_node
             i16,  # central_level
-            ctypes.c_int64,  # central
+            f64,  # weights
+            ctypes.c_int64,  # n_centrals
+            i64,  # centrals
+            ctypes.c_int64,  # apply_level_cover
             i32,  # marks
             i64,  # stack
-            i64,  # out_nodes
-            i64,  # out_pairs
+            i64,  # members
+            i64,  # pairs
             ctypes.c_int64,  # pair_capacity
-            i64,  # n_out
+            i64,  # out_nodes
+            ctypes.c_int64,  # node_capacity
+            i64,  # out_edges
+            ctypes.c_int64,  # edge_capacity
+            i64,  # node_counts
+            i64,  # edge_counts
+            i64,  # raw_counts
+            f64,  # mass
+            i64,  # needed
         ]
         self._extract = extract
 
@@ -321,7 +335,7 @@ class NativeKernel:
             )
         )
 
-    def extract_graph(
+    def extract_graphs(
         self,
         indptr: np.ndarray,
         indices: np.ndarray,
@@ -330,44 +344,71 @@ class NativeKernel:
         activation: np.ndarray,
         keyword_node_u8: np.ndarray,
         central_level: np.ndarray,
-        central: int,
+        weights: np.ndarray,
+        centrals: np.ndarray,
+        apply_level_cover: bool,
         marks: np.ndarray,
         stack: np.ndarray,
+        members: np.ndarray,
+        pairs: np.ndarray,
         out_nodes: np.ndarray,
-        out_pairs: np.ndarray,
-        n_out: np.ndarray,
-    ) -> "tuple[int, int, int]":
-        """Whole Central Graph closure in one call, off the graph CSR.
+        out_edges: np.ndarray,
+        node_counts: np.ndarray,
+        edge_counts: np.ndarray,
+        raw_counts: np.ndarray,
+        mass: np.ndarray,
+        needed: np.ndarray,
+    ) -> bool:
+        """Stage two for every Central Node in ``centrals``, in one call.
 
-        Theorem V.4 is evaluated on the adjacency slices the backward
-        walk scans. Returns ``(n_nodes, n_pairs, needed)``:
-        ``out_nodes`` holds the deduplicated closure nodes and
-        ``out_pairs`` the interleaved (pred, target) edges (deduplicated
-        per column only — the caller dedups across columns). ``needed``
-        is 0 when every pair fitted ``len(out_pairs) // 2``; otherwise
-        it is the pair count a re-run needs (nothing was written past
-        the capacity). ``marks`` must arrive zeroed and is rezeroed
-        before returning, overflow or not.
+        Per Central Node: the Theorem V.4 backward walk off the graph
+        CSR, cross-column edge dedup, level-cover (when
+        ``apply_level_cover``) and Eq. 6's weight mass. The graphs'
+        kept nodes (ascending within a graph) are concatenated in
+        ``out_nodes``, ``node_counts[i]`` of them for graph ``i``; their
+        edges (keys ``pred * n + target``, ascending) likewise in
+        ``out_edges`` by ``edge_counts``;
+        ``raw_counts[i]`` is a graph's node count before level-cover and
+        ``mass[i]`` the left-to-right sum of ``weights`` over the kept
+        nodes. ``q`` must be at most 64.
+
+        The capacities are ``len(pairs)`` (one graph's edges before
+        dedup), ``len(out_nodes)`` and ``len(out_edges)``. Returns
+        ``True`` when everything fitted. Otherwise nothing was written
+        past a capacity, the outputs are unusable, and ``needed`` holds
+        ``[nodes, edges, pairs]`` capacities with which one more call
+        fits (after a call that fitted: what it used). ``marks`` must arrive zeroed and is zero on return either
+        way; ``marks``, ``stack`` and ``members`` have one cell per node.
         """
-        needed = int(
-            self._extract(
-                indptr,
-                indices,
-                matrix_flat,
-                q,
-                activation,
-                keyword_node_u8,
-                central_level,
-                central,
-                marks,
-                stack,
-                out_nodes,
-                out_pairs,
-                len(out_pairs) // 2,
-                n_out,
-            )
+        status = self._extract(
+            len(marks),
+            indptr,
+            indices,
+            matrix_flat,
+            q,
+            activation,
+            keyword_node_u8,
+            central_level,
+            weights,
+            len(centrals),
+            centrals,
+            1 if apply_level_cover else 0,
+            marks,
+            stack,
+            members,
+            pairs,
+            len(pairs),
+            out_nodes,
+            len(out_nodes),
+            out_edges,
+            len(out_edges),
+            node_counts,
+            edge_counts,
+            raw_counts,
+            mass,
+            needed,
         )
-        return int(n_out[0]), int(n_out[1]), needed
+        return status == 0
 
 
 def load_kernel() -> Optional[NativeKernel]:

@@ -90,16 +90,28 @@ def test_parse_c_structs_natural_alignment():
 def test_parse_real_kernel_exports_all_bound_symbols():
     source = abi.KERNEL_SOURCE_PATH.read_text(encoding="utf-8")
     exports = {fn.name: fn for fn in abi.parse_c_exports(source)}
-    # Exactly three: stage two is one kernel since the global hitting
-    # DAG build (and its two companions) was deleted.
-    assert set(exports) == {"fused_expand", "whole_level_step", "extract_graph"}
-    # extract_graph's overflow contract: an explicit int64 pair capacity
-    # in, an int64 status (0, or the pair count a retry needs) out.
-    extract = exports["extract_graph"]
+    # Exactly three: stage two is one kernel, called once per query for
+    # every Central Node.
+    assert set(exports) == {"fused_expand", "whole_level_step", "extract_graphs"}
+    # extract_graphs' overflow contract: an explicit int64 capacity beside
+    # each of the three buffers a query can outgrow, an int64 status out
+    # (0 = fitted; the sizes a retry needs go to `needed`), and Eq. 6's
+    # weights and mass as double*.
+    extract = exports["extract_graphs"]
     assert str(extract.restype) == "int64"
+    names = [p.name for p in extract.params]
     params = {p.name: str(p.ctype) for p in extract.params}
-    assert params["pair_capacity"] == "int64"
+    for buffer, capacity in (
+        ("pairs", "pair_capacity"),
+        ("out_nodes", "node_capacity"),
+        ("out_edges", "edge_capacity"),
+    ):
+        assert params[buffer] == "int64*" and params[capacity] == "int64"
+        assert names.index(capacity) == names.index(buffer) + 1
+    assert params["weights"] == params["mass"] == "float64*"
+    assert params["needed"] == "int64*"
     assert params["indptr"] == "int64*" and params["indices"] == "int32*"
+    assert len(extract.params) == 26
     # Both expansion kernels lead with the row count of M: the 8-byte row
     # read needs it to find the last rows, which are read q bytes wide.
     for name in ("fused_expand", "whole_level_step"):

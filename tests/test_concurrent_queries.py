@@ -10,10 +10,11 @@ at two clients were wrong. The same goes for what a level *reports*: the
 NumPy tier once published a level's kernel counters through an attribute
 of the shared backend, so concurrent queries could swap level profiles.
 Stage two is checked the same way — every ranked answer's node and edge
-sets, not only its Central-Node id: a :class:`HittingDAG` is built per
-query and owns its extraction scratch in a ``threading.local``, so two
-requests walking back at the same moment must not see each other's
-``visited`` / ``seen`` marks or pair buffers. And for where a level's
+sets, not only its Central-Node id: the batched ``extract_graphs``
+call allocates its ``marks`` / stack / member / pair scratch and its
+output buffers inside ``_extract_batch``, once per call, so two
+requests walking back at the same moment (the call runs with the GIL
+released) have nothing of each other's to see. And for where a level's
 spans go: the tracer used to be an attribute the bottom-up loop set on
 the shared backend, so a traced query's ``chunk`` spans landed in the
 tree of whichever query started last; it travels on the query's

@@ -205,6 +205,38 @@ def test_weights_length_validated(tiny_graph):
         )
 
 
+@pytest.mark.parametrize(
+    "make_weights",
+    [lambda w: w.astype(np.float32), lambda w: np.repeat(w, 2)[::2]],
+    ids=["float32", "strided"],
+)
+def test_weights_of_any_dtype_and_layout_are_normalised_once(
+    tiny_kb, make_weights
+):
+    """The batch kernel reads ``weights`` as ``double*``: whatever the
+    caller hands over becomes one C-contiguous float64 array at
+    construction, and the answers are the reference route's."""
+    graph, _ = tiny_kb
+    given = make_weights(KeywordSearchEngine(graph).weights)
+    engine, reference = (
+        KeywordSearchEngine(
+            graph,
+            weights=given,
+            average_distance=3.0,
+            config=EngineConfig(top_down_native=native),
+        )
+        for native in (None, False)
+    )
+    assert engine.weights.dtype == np.float64
+    assert engine.weights.flags.c_contiguous
+    assert np.array_equal(engine.weights, given)
+    got = engine.search("machine learning data", k=5)
+    want = reference.search("machine learning data", k=5)
+    assert [(a.graph.central_node, a.score, a.graph.nodes) for a in got.answers] == [
+        (a.graph.central_node, a.score, a.graph.nodes) for a in want.answers
+    ]
+
+
 def test_engine_accepts_precomputed_artifacts(tiny_kb):
     graph, _ = tiny_kb
     base = KeywordSearchEngine(graph)

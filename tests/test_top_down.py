@@ -19,6 +19,8 @@ from repro.core.top_down import (
     process_top_down,
 )
 from repro.core.weights import node_weights
+from repro.instrumentation import PhaseTimer
+from repro.obs.tracing import Tracer
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import chain_graph, random_graph
 from repro.parallel.vectorized import _native_kernel
@@ -274,9 +276,15 @@ def test_extraction_edges_satisfy_theorem_v4(fig1):
 
 
 # ---------------------------------------------------------------------------
-# Native stage two (the lazy C walk) against the eager NumPy relation
+# The batch route (one extract_graphs call) against the reference route
 # ---------------------------------------------------------------------------
-N_STAGE_TWO_CASES = 56
+#: The 56 fuzz problems of the expansion kernels (keyword sets drawn over
+#: the whole graph: almost every source carries one keyword, and
+#: level-cover never has anything to prune), then 16 whose keyword sets
+#: are drawn from a pool of eight nodes, so sources carry several
+#: keywords and most cases are cut by level-cover.
+N_SPREAD_CASES = 56
+N_STAGE_TWO_CASES = N_SPREAD_CASES + 16
 
 needs_native = pytest.mark.skipif(
     _native_kernel() is None, reason="compiled kernel unavailable"
@@ -286,8 +294,19 @@ needs_native = pytest.mark.skipif(
 @functools.lru_cache(maxsize=None)
 def _stage_two_case(seed):
     """(graph, finished SearchState, weights, k) of one fuzz problem."""
-    graph = _fuzz_kb(seed)
-    sets, activation, k = _fuzz_problem(graph, seed * 31 + 7, 2 + seed % 7)
+    if seed < N_SPREAD_CASES:
+        graph = _fuzz_kb(seed)
+        sets, activation, k = _fuzz_problem(graph, seed * 31 + 7, 2 + seed % 7)
+    else:
+        seed -= N_SPREAD_CASES
+        graph = _fuzz_kb(seed)
+        rng = np.random.default_rng(1000 + seed)
+        pool = rng.choice(graph.n_nodes, size=8, replace=False)
+        sets = [
+            np.unique(rng.choice(pool, size=int(rng.integers(1, 5))))
+            for _ in range(2 + seed % 5)
+        ]
+        _, activation, k = _fuzz_problem(graph, seed, 1)
     state = BottomUpSearch(graph).run(sets, activation, k).state
     return graph, state, node_weights(graph), k
 
@@ -300,6 +319,7 @@ def _signature(answers):
             sorted(answer.nodes),
             sorted(answer.edges),
             sorted(answer.keyword_contributions.items()),
+            answer.pruned,
         )
         for answer in answers
     ]
@@ -322,7 +342,7 @@ def _every_central_graph(graph, state, weights, **config):
 
 @functools.lru_cache(maxsize=None)
 def _reference_stage_two(seed):
-    """The NumPy tier's answers for one case: raw and ranked."""
+    """The reference route's answers for one case: raw and ranked."""
     graph, state, weights, k = _stage_two_case(seed)
     ranked = process_top_down(
         graph, state, weights, TopDownConfig(k=k, native=False)
@@ -335,8 +355,9 @@ def _reference_stage_two(seed):
 
 @pytest.mark.parametrize("n_threads", [1, 2])
 def test_native_stage_two_matches_numpy_on_fuzz_corpus(n_threads):
-    """Lazy C walk vs. eager NumPy relation: every Central Node's node
-    set, edge set and keyword contributions, then the ranked answers."""
+    """Batched C walk vs. eager NumPy relation: every Central Node's node
+    set, edge set, keyword contributions and score (bitwise — the weight
+    mass is added in the same order), then the ranked answers."""
     for seed in range(N_STAGE_TWO_CASES):
         graph, state, weights, k = _stage_two_case(seed)
         reference, ranked_reference = _reference_stage_two(seed)
@@ -367,80 +388,138 @@ def test_fuzz_corpus_exercises_the_central_node_clause():
 
 
 @needs_native
-def test_lazy_predecessors_equal_eager_relation(fig1):
-    fig1_state = BottomUpSearch(fig1.graph).run(
-        _sets(*fig1.keyword_nodes), fig1.activation, k=1
-    ).state
-    cases = [(fig1.graph, fig1_state)]
-    cases += [_stage_two_case(seed)[:2] for seed in range(24)]
-    for graph, state in cases:
-        lazy = HittingDAG(graph, state)
-        eager = HittingDAG(graph, state, native=False)
-        assert lazy._kernel is not None and not lazy._preds
-        for node in range(graph.n_nodes):
-            for column in range(state.n_keywords):
-                assert np.array_equal(
-                    lazy.predecessors(node, column),
-                    eager.predecessors(node, column),
-                ), (node, column)
-
-
-@needs_native
-def test_pair_buffer_overflow_retries_to_identical_graphs(monkeypatch):
-    """A pair buffer that is too small is grown and the Central Node
-    walked again: same graphs, scratch left zeroed."""
-    graph, state, _, _ = _stage_two_case(6)
+def test_batch_route_builds_objects_for_the_answers_only(monkeypatch):
+    """The batch route allocates a CentralGraph per *returned* answer."""
+    graph, state, weights, _ = _stage_two_case(6)
     assert len(state.central_nodes) > 100
-    expected = [
-        extract_central_graph(graph, state, node, depth)
-        for node, depth in state.central_nodes
-    ]
-    assert max(len(answer.edges) for answer in expected) > 1
-
-    monkeypatch.setattr(top_down, "_INITIAL_PAIR_CAPACITY", 1)
-    dag = HittingDAG(graph, state)
-    for (node, depth), want in zip(state.central_nodes, expected):
-        got = extract_central_graph(graph, state, node, depth, dag)
-        assert (got.nodes, got.edges, got.keyword_contributions) == (
-            want.nodes, want.edges, want.keyword_contributions
-        )
-        marks = dag._local.scratch[0]
-        assert not marks.any()
-    assert len(dag._local.out_pairs) > 2
+    built = []
+    real = top_down.CentralGraph
+    monkeypatch.setattr(
+        top_down,
+        "CentralGraph",
+        lambda **fields: built.append(1) or real(**fields),
+    )
+    ranked = process_top_down(graph, state, weights, TopDownConfig(k=3))
+    assert len(ranked) == len(built) == 3
 
 
 @needs_native
-def test_extract_graph_never_writes_past_its_pair_capacity():
-    graph, state, _, _ = _stage_two_case(6)
-    n = graph.n_nodes
-    central = max(
-        state.central_nodes,
-        key=lambda pair: len(
-            extract_central_graph(graph, state, *pair).edges
-        ),
-    )[0]
-    marks = np.zeros(n, np.int32)
-    out_nodes = np.empty(n, np.int64)
-    buffer = np.full(64, -7, dtype=np.int64)
+def test_both_routes_report_the_same_stage_two_counts():
+    """``process_top_down`` puts its own counts on the
+    ``phase:top_down_processing`` span, equal on the two routes, and
+    opens no span when the timer's tracer is disabled."""
+    graph, state, weights, k = _stage_two_case(60)  # level-cover prunes here
 
-    def call(out_pairs):
-        return _native_kernel().extract_graph(
+    def traced(native):
+        tracer = Tracer(enabled=True)
+        ranked = process_top_down(
+            graph, state, weights, TopDownConfig(k=k, native=native),
+            timer=PhaseTimer(tracer=tracer),
+        )
+        (span,) = tracer.finished_spans()
+        assert span.name == "phase:top_down_processing"
+        return ranked, dict(span.attrs)
+
+    ranked, batch_counts = traced(None)
+    _, reference_counts = traced(False)
+    assert batch_counts == reference_counts
+    central_graphs = len(state.central_nodes)
+    assert batch_counts["central_graphs"] == central_graphs > 100
+    assert batch_counts["answers"] == len(ranked)
+    assert len(ranked) <= batch_counts["kept_after_dedup"] <= central_graphs
+    raw = process_top_down(
+        graph, state, weights,
+        TopDownConfig(k=10**6, apply_level_cover=False, deduplicate=False),
+    )
+    assert batch_counts["extracted_nodes"] == sum(a.n_nodes for a in raw)
+    assert batch_counts["extracted_nodes"] > sum(
+        a.n_nodes for a in process_top_down(
+            graph, state, weights, TopDownConfig(k=10**6, deduplicate=False)
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "make_weights",
+    [lambda w: w.astype(np.float32), lambda w: np.repeat(w, 2)[::2]],
+    ids=["float32", "strided"],
+)
+def test_weights_the_kernel_cannot_read_take_the_reference_route(
+    make_weights, monkeypatch
+):
+    """``process_top_down`` hands ``weights`` to C as ``double*`` only
+    when it is that; anything else is answered by the reference route,
+    on the values it was given."""
+    graph, state, weights, k = _stage_two_case(6)
+    odd = make_weights(weights)
+    assert odd.dtype != np.float64 or not odd.flags.c_contiguous
+    want = process_top_down(
+        graph, state, odd, TopDownConfig(k=k, native=False)
+    )
+    monkeypatch.setattr(
+        top_down, "_batch_stage_two", lambda *a, **kw: pytest.fail("batch")
+    )
+    got = process_top_down(graph, state, odd, TopDownConfig(k=k))
+    assert _signature(got) == _signature(want)
+
+
+def test_stage_two_overflow_contract():
+    """Node buffer, edge buffer and per-graph pair scratch forced to one
+    cell — each alone, then all three: same answers after one retry,
+    nothing written past a capacity, ``marks`` zero after every exit.
+    (``repro check`` runs the same driver under ASan/UBSan.)"""
+    from repro.analysis.sanitize import stage_two_overflow_failures
+
+    kernel = _native_kernel()
+    if kernel is None:
+        pytest.skip("compiled kernel unavailable")
+    cases = [_stage_two_case(seed) for seed in (3, 6, 11, 60)]
+    assert max(len(state.central_nodes) for _, state, _, _ in cases) > 100
+    assert stage_two_overflow_failures(kernel, cases) == []
+
+
+@needs_native
+def test_extract_graphs_never_writes_past_its_capacities():
+    graph, state, weights, _ = _stage_two_case(6)
+    n = graph.n_nodes
+    centrals = np.array([node for node, _ in state.central_nodes])
+    marks = np.zeros(n, np.int32)
+    needed = np.zeros(3, np.int64)
+    counts = np.empty((2, len(centrals)), np.int64)
+
+    def call(out_nodes, out_edges, pairs):
+        return _native_kernel().extract_graphs(
             graph.adj.indptr, graph.adj.indices, state.matrix.reshape(-1),
             state.n_keywords, state.activation,
-            state.keyword_node.view(np.uint8), state.central_level, central,
-            marks, np.empty(n, np.int64), out_nodes, out_pairs,
-            np.zeros(2, np.int64),
+            state.keyword_node.view(np.uint8), state.central_level, weights,
+            centrals, True, marks=marks, stack=np.empty(n, np.int64),
+            members=np.empty(n, np.int64), pairs=pairs, out_nodes=out_nodes,
+            out_edges=out_edges, node_counts=counts[0],
+            edge_counts=counts[1], raw_counts=np.empty(len(centrals), np.int64),
+            mass=np.empty(len(centrals)), needed=needed,
         )
 
-    n_nodes, n_pairs, needed = call(buffer[:4])
-    assert needed > 2 and n_pairs == 2
-    assert (buffer[4:] == -7).all() and (buffer[:4] != -7).all()
-    assert not marks.any()
-    nodes_on_overflow = out_nodes[:n_nodes].copy()
+    ample = [np.empty(1 << 16, np.int64) for _ in range(3)]
+    assert call(*ample)
+    assert (needed > 4).all() and (needed <= 1 << 16).all()
+    assert np.array_equal(counts.sum(axis=1), needed[:2])
 
-    fitted = np.empty(2 * needed, dtype=np.int64)
-    n_nodes, n_pairs, again = call(fitted)
-    assert again == 0 and n_pairs == needed
-    assert np.array_equal(out_nodes[:n_nodes], nodes_on_overflow)
-    assert np.array_equal(fitted[:4], buffer[:4])
+    # Output buffers of four cells: filled, not overrun.
+    guard = np.full((3, 64), -7, dtype=np.int64)
+    assert not call(guard[0, :4], guard[1, :4], ample[2])
+    assert np.array_equal(guard[0, :4], ample[0][:4])
+    assert np.array_equal(guard[1, :4], ample[1][:4])
+    assert (guard[:, 4:] == -7).all()
     assert not marks.any()
+    totals = needed.copy()
+
+    # Pair scratch of four cells: graphs that need more are only counted.
+    assert not call(ample[0], ample[1], guard[2, :4])
+    assert (guard[2, 4:] == -7).all() and (guard[2, :4] != -7).all()
+    assert not marks.any()
+    assert (needed >= totals).all() and needed[2] == totals[2]
+
+    # What an overflowed call asks for is enough for the next one.
+    assert call(*(np.empty(size, np.int64) for size in needed))
+    assert not marks.any()
+    assert np.array_equal(needed, totals)
