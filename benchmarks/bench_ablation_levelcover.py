@@ -14,13 +14,11 @@ from repro.core.engine import EngineConfig, KeywordSearchEngine
 from repro.eval.precision import top_k_precision
 from repro.eval.queries import canned_queries
 from repro.eval.relevance import PhraseCoOccurrenceJudge
-from repro.parallel import VectorizedBackend
 
 
 def _engine(dataset, level_cover):
     return KeywordSearchEngine(
         dataset.graph,
-        backend=VectorizedBackend(),
         config=EngineConfig(apply_level_cover=level_cover),
         index=dataset.index,
         weights=dataset.weights,

@@ -15,13 +15,11 @@ from repro.core.engine import EngineConfig, KeywordSearchEngine
 from repro.eval.precision import top_k_precision
 from repro.eval.queries import canned_queries
 from repro.eval.relevance import PhraseCoOccurrenceJudge
-from repro.parallel import VectorizedBackend
 
 
 def _engine(dataset, single_path):
     return KeywordSearchEngine(
         dataset.graph,
-        backend=VectorizedBackend(),
         config=EngineConfig(single_path=single_path),
         index=dataset.index,
         weights=dataset.weights,

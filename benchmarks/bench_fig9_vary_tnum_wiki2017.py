@@ -3,13 +3,15 @@
 Paper shape on a 52-core box: CPU-Par phases accelerate with threads;
 CPU-Par-d barely benefits because locked reads/writes serialize it.
 
-Reproduction notes: CPython's GIL prevents thread speedups, and this
-benchmark host may expose a single CPU (the series then documents
-*scheduling-overhead neutrality*: adding workers must not degrade the
-runtime). The CPU-Par(proc) series uses the shared-memory process
-backend, which delivers real scaling on multi-core hosts; the host's
-core count is printed with the table. EXPERIMENTS.md discusses this
-substitution.
+Reproduction notes: every Tnum point of a series runs one backend class
+— Tnum = 1 is a one-worker ``ThreadPoolBackend`` / ``ProcessPoolBackend``,
+not the sequential reference — and CPU-Par's Tnum also threads stage
+two. The chunk kernel releases the GIL, so threads can overlap, but the
+benchmark host exposes few cores (the count is printed with the table):
+beyond that many workers the series documents scheduling-overhead
+neutrality, not scaling. The CPU-Par(proc) series uses the
+shared-memory process backend. EXPERIMENTS.md discusses the
+substitutions.
 """
 
 import os

@@ -12,7 +12,7 @@ Run:  python examples/answer_analytics.py
 
 import numpy as np
 
-from repro import BatchSearcher, KeywordSearchEngine, VectorizedBackend
+from repro import BatchSearcher, KeywordSearchEngine
 from repro.core.bottom_up import BottomUpSearch, describe_levels
 from repro.eval.redundancy import most_repeated_nodes, redundancy_stats
 from repro.graph.generators import wiki_like_kb
@@ -23,13 +23,13 @@ QUERY = "knowledge graph sparql query"
 
 def main() -> None:
     graph, _ = wiki_like_kb()
-    engine = KeywordSearchEngine(graph, backend=VectorizedBackend())
+    engine = KeywordSearchEngine(graph)
 
     # -- 1. trace the bottom-up stage -----------------------------------
     print("=== 1. level-by-level trace ===")
     pairs = engine.index.query_node_sets(QUERY)
     sets = [nodes for _, nodes in pairs if len(nodes)]
-    bottom_up = BottomUpSearch(graph, VectorizedBackend()).run(
+    bottom_up = BottomUpSearch(graph).run(
         sets, engine.activation_for(0.1), k=20
     )
     print(describe_levels(bottom_up.level_profile))

@@ -14,7 +14,7 @@ Run:  python examples/compare_baselines.py
 
 import time
 
-from repro import KeywordSearchEngine, VectorizedBackend
+from repro import KeywordSearchEngine
 from repro.baselines import BanksI, BanksII, dpbf_search
 from repro.graph.generators import wiki_like_kb
 
@@ -26,7 +26,7 @@ def main() -> None:
     print(f"graph: {graph.n_nodes} nodes, {graph.n_edges} edges")
     print(f"query: {QUERY!r}\n")
 
-    engine = KeywordSearchEngine(graph, backend=VectorizedBackend())
+    engine = KeywordSearchEngine(graph)
 
     start = time.perf_counter()
     result = engine.search(QUERY, k=5)

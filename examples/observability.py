@@ -17,7 +17,7 @@ restores the untraced hot path.
 Run:  python examples/observability.py
 """
 
-from repro import KeywordSearchEngine, Tracer, VectorizedBackend, get_registry
+from repro import KeywordSearchEngine, Tracer, get_registry
 from repro.graph.generators import wiki_like_kb
 
 
@@ -25,7 +25,7 @@ def main() -> None:
     graph, _ = wiki_like_kb()
     tracer = Tracer(enabled=True)
     engine = KeywordSearchEngine(
-        graph, backend=VectorizedBackend(), tracer=tracer
+        graph, tracer=tracer
     )
 
     result = engine.search("knowledge base rdf sparql", k=5)

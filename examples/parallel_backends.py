@@ -30,7 +30,7 @@ def main() -> None:
           f"{len(queries)} queries of 6 keywords\n")
 
     backends = [
-        ("sequential (Tnum=1)", SequentialBackend()),
+        ("sequential (reference)", SequentialBackend()),
         ("thread pool (CPU-Par)", ThreadPoolBackend(n_threads=4)),
         ("vectorized (GPU-Par analogue)", VectorizedBackend()),
     ]
@@ -78,7 +78,6 @@ def main() -> None:
     # the paper's Fig. 6/7 phase breakdowns resolved per BFS level.
     engine = KeywordSearchEngine(
         graph,
-        backend=VectorizedBackend(),
         index=reference.index,
         weights=reference.weights,
         average_distance=reference.average_distance,

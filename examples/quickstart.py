@@ -8,7 +8,7 @@ generated Wikidata-style KB.
 Run:  python examples/quickstart.py
 """
 
-from repro import KeywordSearchEngine, SequentialBackend, VectorizedBackend
+from repro import KeywordSearchEngine, SequentialBackend
 from repro.graph.generators import fig1_example, wiki_like_kb
 
 
@@ -42,7 +42,7 @@ def wiki_demo() -> None:
     print("=" * 72)
     graph, _ = wiki_like_kb()
     print(f"graph: {graph.n_nodes} nodes, {graph.n_edges} edges")
-    engine = KeywordSearchEngine(graph, backend=VectorizedBackend())
+    engine = KeywordSearchEngine(graph)
     print(f"sampled average distance A = {engine.average_distance:.2f}")
 
     for query in ("knowledge base rdf sparql", "machine translation gradient"):

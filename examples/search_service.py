@@ -13,14 +13,14 @@ import sys
 import threading
 import urllib.request
 
-from repro import KeywordSearchEngine, VectorizedBackend
+from repro import KeywordSearchEngine
 from repro.graph.generators import wiki_like_kb
 from repro.service import create_server
 
 
 def main(serve_forever: bool = False) -> None:
     graph, _ = wiki_like_kb()
-    engine = KeywordSearchEngine(graph, backend=VectorizedBackend())
+    engine = KeywordSearchEngine(graph)
     server = create_server(engine, port=8377 if serve_forever else 0)
     host, port = server.server_address
     thread = threading.Thread(target=server.serve_forever, daemon=True)

@@ -14,7 +14,7 @@ Run:  python examples/tune_alpha.py
 
 from collections import Counter
 
-from repro import KeywordSearchEngine, VectorizedBackend
+from repro import KeywordSearchEngine
 from repro.core.activation import activation_distribution
 from repro.graph.generators import ROLE_NAMES, wiki_like_kb
 
@@ -24,7 +24,7 @@ ALPHAS = (0.05, 0.1, 0.4)
 
 def main() -> None:
     graph, metadata = wiki_like_kb()
-    engine = KeywordSearchEngine(graph, backend=VectorizedBackend())
+    engine = KeywordSearchEngine(graph)
     print(f"graph: {graph.n_nodes} nodes; A = {engine.average_distance:.2f}")
     print(f"query: {QUERY!r}\n")
 

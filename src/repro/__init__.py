@@ -7,11 +7,11 @@ parallel algorithm, the BANKS baselines, and the full experiment harness.
 
 Quickstart::
 
-    from repro import KeywordSearchEngine, VectorizedBackend
+    from repro import KeywordSearchEngine
     from repro.graph.generators import wiki_like_kb
 
     graph, _ = wiki_like_kb()
-    engine = KeywordSearchEngine(graph, backend=VectorizedBackend())
+    engine = KeywordSearchEngine(graph)
     result = engine.search("knowledge base rdf sparql", k=10)
     print(result.answers[0].graph.describe(graph.node_text))
 """

@@ -180,7 +180,7 @@ def _contenders(graph) -> Iterable[Tuple[str, Callable[[], object]]]:
     yield "threads-fine", lambda: ThreadPoolBackend(
         n_threads=8, chunks_per_thread=16
     )
-    yield "vectorized", lambda: VectorizedBackend()
+    yield "vectorized", VectorizedBackend
     yield "vectorized-numpy", lambda: VectorizedBackend(native=False)
     if ProcessPoolBackend.is_supported():
         yield "processes", lambda: ProcessPoolBackend(graph, n_processes=2)

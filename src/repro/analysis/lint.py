@@ -46,11 +46,6 @@ RPR010    No writes to store-backed (memmap) arrays outside
           The ``.csrstore`` tier's safety argument is that workers
           share *read-only* pages; one stray writable view silently
           turns shared state into per-process copy-on-write divergence.
-RPR011    Every exported ``_kernel.c`` symbol must have a matching
-          ctypes binding in ``_native.py`` and vice versa — the cheap
-          regex precursor to the full ABI pass
-          (:mod:`repro.analysis.abi`), so plain ``run_lint`` still
-          flags binding drift when no compiler is present.
 RPR012    Metric names handed to ``MetricsRegistry.counter`` /
           ``.gauge`` / ``.histogram`` must be module-level constants:
           no inline string literals and especially no f-strings. An
@@ -98,7 +93,6 @@ RULES = {
     "RPR008": "wall-clock time.time() in a figure-producing path",
     "RPR009": "copy of a CSR base array inside @hot_path kernel code",
     "RPR010": "write to a store-backed memmap array outside StoreWriter/builder",
-    "RPR011": "exported kernel symbol and ctypes binding sets differ",
     "RPR012": "inline metric name in a registry call; use a module-level constant",
     "RPR013": "anonymous function-local lock; bind locks to named attributes or module constants",
 }
@@ -687,78 +681,6 @@ def package_root() -> Path:
     return Path(__file__).resolve().parent.parent
 
 
-# ---------------------------------------------------------------------------
-# RPR011 — kernel export / ctypes binding set equality (regex precursor
-# to the full ABI pass in :mod:`repro.analysis.abi`; needs no compiler)
-# ---------------------------------------------------------------------------
-_C_EXPORT = re.compile(
-    r"(?m)^(?:int64_t|int32_t|int16_t|int8_t|uint64_t|uint32_t|uint16_t"
-    r"|uint8_t|void|double|float|int|long)\s+\*?\s*"
-    r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*\("
-)
-_NATIVE_BINDING = re.compile(r"library\.(?P<name>[A-Za-z_][A-Za-z0-9_]*)")
-
-
-def kernel_binding_violations(
-    kernel_source: Optional[str] = None,
-    native_source: Optional[str] = None,
-) -> List[LintViolation]:
-    """RPR011: exported ``_kernel.c`` symbols ↔ ``_native.py`` bindings.
-
-    A symbol exported but never bound is dead (or worse: bound via a
-    stale name elsewhere); a ``library.X`` binding without a matching
-    export fails at load time only on machines with a compiler. Both
-    directions are findings.
-    """
-    kernel_path = package_root() / "parallel" / "_kernel.c"
-    native_path = package_root() / "parallel" / "_native.py"
-    if kernel_source is None:
-        kernel_source = kernel_path.read_text(encoding="utf-8")
-    if native_source is None:
-        native_source = native_path.read_text(encoding="utf-8")
-
-    exports = {}
-    for match in _C_EXPORT.finditer(kernel_source):
-        exports[match.group("name")] = (
-            kernel_source[: match.start()].count("\n") + 1
-        )
-    bindings = {}
-    for match in _NATIVE_BINDING.finditer(native_source):
-        bindings.setdefault(
-            match.group("name"),
-            native_source[: match.start()].count("\n") + 1,
-        )
-
-    violations: List[LintViolation] = []
-    for name in sorted(set(exports) - set(bindings)):
-        violations.append(
-            LintViolation(
-                path=str(kernel_path),
-                line=exports[name],
-                col=0,
-                rule="RPR011",
-                message=(
-                    f"_kernel.c exports '{name}' but _native.py never "
-                    "binds it (library.{0} missing)".format(name)
-                ),
-            )
-        )
-    for name in sorted(set(bindings) - set(exports)):
-        violations.append(
-            LintViolation(
-                path=str(native_path),
-                line=bindings[name],
-                col=0,
-                rule="RPR011",
-                message=(
-                    f"_native.py binds 'library.{name}' but _kernel.c "
-                    "exports no such symbol"
-                ),
-            )
-        )
-    return violations
-
-
 def lint_source(
     source: str,
     path: str = "<memory>",
@@ -829,7 +751,6 @@ def run_lint(
             does not misflag legitimate uses of registered variables.
     """
     root = Path(root) if root is not None else package_root()
-    is_package_root = root.resolve() == package_root()
     allowed_rules = set(allow or ())
     if registered_env is None:
         config_path = root / "obs" / "config.py"
@@ -861,13 +782,6 @@ def run_lint(
                 report.violations.append(violation)
         report.suppressed.extend(suppressed)
         report.files_checked += 1
-    if is_package_root:
-        # RPR011 spans two files, so it runs once per tree, not per file.
-        for violation in kernel_binding_violations():
-            if violation.rule in allowed_rules:
-                report.allowed.append(violation)
-            else:
-                report.violations.append(violation)
     report.violations.sort(key=lambda v: (v.path, v.line, v.col))
     return report
 

@@ -698,7 +698,6 @@ def _child_parity() -> int:
     # backends' run_level.
     from ..core.bottom_up import BottomUpSearch
     from ..core.weights import node_weights
-    from ..parallel.vectorized import VectorizedBackend
     from .check import _fuzz_case
 
     import numpy as np
@@ -720,7 +719,7 @@ def _child_parity() -> int:
         ]
         weights = node_weights(graph)
         for keyword_sets in (sets, pooled):
-            state = BottomUpSearch(graph, backend=VectorizedBackend()).run(
+            state = BottomUpSearch(graph).run(
                 keyword_sets, activation, k
             ).state
             cases.append((graph, state, weights, k))

@@ -26,9 +26,7 @@ from ..eval.relevance import PhraseCoOccurrenceJudge
 from ..baselines.banks import BanksConfig, BanksII
 from ..graph.generators import WikiKBConfig
 from ..parallel.locked import LockedDictEngine
-from ..parallel.sequential import SequentialBackend
 from ..parallel.threads import ThreadPoolBackend
-from ..parallel.vectorized import VectorizedBackend
 from .datasets import BenchDataset, build_dataset
 from ..instrumentation import (
     ALL_PHASES,
@@ -93,24 +91,25 @@ def make_engine(
         ValueError: for method names without a matrix-engine backend
             (CPU-Par-d and BANKS-II are separate classes).
     """
-    if method == METHOD_GPU_SIM:
-        backend = VectorizedBackend()
-    elif method == METHOD_CPU_PAR:
-        backend = ThreadPoolBackend(n_threads=tnum) if tnum > 1 else SequentialBackend()
+    backend = None  # GPU-Par(sim) is the engine's default backend
+    top_down_threads = 1
+    if method == METHOD_CPU_PAR:
+        # Tnum is the whole method's thread count: the expansion pool
+        # and, as in the paper, the stage-two extraction threads.
+        backend = ThreadPoolBackend(n_threads=tnum)
+        top_down_threads = tnum
     elif method == METHOD_CPU_PAR_PROC:
         from ..parallel.processes import ProcessPoolBackend
 
-        backend = (
-            ProcessPoolBackend(dataset.graph, n_processes=tnum)
-            if tnum > 1 and ProcessPoolBackend.is_supported()
-            else SequentialBackend()
-        )
-    else:
+        backend = ProcessPoolBackend(dataset.graph, n_processes=tnum)
+    elif method != METHOD_GPU_SIM:
         raise ValueError(f"no matrix-engine backend for method {method!r}")
     return KeywordSearchEngine(
         dataset.graph,
         backend=backend,
-        config=EngineConfig(topk=topk, alpha=alpha),
+        config=EngineConfig(
+            topk=topk, alpha=alpha, top_down_threads=top_down_threads
+        ),
         index=dataset.index,
         weights=dataset.weights,
         average_distance=dataset.distance.average,
@@ -128,6 +127,9 @@ def _run_matrix_method(
     engine = make_engine(dataset, method, tnum=tnum, topk=topk, alpha=alpha)
     timers: List[PhaseTimer] = []
     try:
+        if method == METHOD_CPU_PAR_PROC:
+            # Fork the workers before the clock starts.
+            engine.backend.pool.warm()
         for query in queries:
             timers.append(engine.search(query, k=topk, alpha=alpha).timer)
     finally:
@@ -286,8 +288,10 @@ def vary_tnum(
 
     The paper sweeps 1–50 threads on a 52-core machine; we sweep 1–8
     across three variants: threads (CPU-Par; each chunk's kernel call
-    releases the GIL), shared-memory processes (CPU-Par(proc)), and the
-    locked dict ablation — real cores when the host has them.
+    releases the GIL, and Tnum threads stage two as well),
+    shared-memory processes (CPU-Par(proc)), and the locked dict
+    ablation — real cores when the host has them. Every point of a
+    series runs the same backend class: Tnum = 1 is a one-worker pool.
     EXPERIMENTS.md documents the host's core count alongside the results.
     """
     workload = KeywordWorkload(dataset.index, seed=seed)
@@ -416,7 +420,6 @@ def measure_obs_overhead(
     ) -> float:
         engine = KeywordSearchEngine(
             dataset.graph,
-            backend=VectorizedBackend(),
             index=dataset.index,
             weights=dataset.weights,
             average_distance=dataset.distance.average,

@@ -409,7 +409,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     from .instrumentation import summarize_timers
 
     graph, index = _load_or_generate(args.graph)
-    engine = KeywordSearchEngine(graph, backend=VectorizedBackend(), index=index)
+    engine = KeywordSearchEngine(graph, index=index)
     workload = KeywordWorkload(index, seed=0)
     queries = workload.sample_queries(args.knum, args.queries)
     timers = [engine.search(query).timer for query in queries]
@@ -464,9 +464,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service import create_server
 
     graph, index = _load_or_generate(args.graph)
-    engine = KeywordSearchEngine(
-        graph, backend=VectorizedBackend(), index=index
-    )
+    engine = KeywordSearchEngine(graph, index=index)
     port = 0 if args.check else args.port
     server = create_server(engine, host=args.host, port=port)
     host, bound_port = server.server_address

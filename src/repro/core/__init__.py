@@ -12,6 +12,7 @@ from .top_down import (
     extract_central_graph,
     level_cover_prune,
     process_top_down,
+    rank_central_graphs,
 )
 from .weights import node_weights, normalize_weights, raw_degree_of_summary
 
@@ -41,5 +42,6 @@ __all__ = [
     "node_weights",
     "normalize_weights",
     "process_top_down",
+    "rank_central_graphs",
     "raw_degree_of_summary",
 ]

@@ -32,7 +32,7 @@ from ..instrumentation import (
 from ..graph.csr import KnowledgeGraph
 from ..obs.tracing import NULL_CONTEXT
 from ..parallel.backend import ExpansionBackend, LevelOutcome
-from ..parallel.sequential import SequentialBackend
+from ..parallel.vectorized import VectorizedBackend
 from .state import (
     MAX_LEVEL,
     TERMINATED_ENOUGH_ANSWERS,
@@ -107,7 +107,10 @@ class BottomUpSearch:
 
     Args:
         graph: the knowledge graph.
-        backend: expansion strategy; defaults to the sequential reference.
+        backend: expansion strategy; defaults to the production route,
+            :class:`~repro.parallel.VectorizedBackend`. Pass
+            :class:`~repro.parallel.SequentialBackend` for the per-node
+            reference transcription of Algorithm 2.
         lmax: hard cap on BFS levels. The node-keyword matrix stores levels
             in one byte, so ``lmax`` may not exceed 254; disconnected or
             never-activating keywords otherwise loop needlessly.
@@ -122,7 +125,7 @@ class BottomUpSearch:
         if not (1 <= lmax <= MAX_LEVEL):
             raise ValueError(f"lmax must be in [1, {MAX_LEVEL}], got {lmax}")
         self.graph = graph
-        self.backend = backend or SequentialBackend()
+        self.backend = backend or VectorizedBackend()
         self.lmax = lmax
 
     def run(

@@ -93,9 +93,11 @@ class KeywordSearchEngine:
 
     Args:
         graph: the knowledge graph to search.
-        backend: expansion backend; defaults to the sequential reference.
-            Pass :class:`~repro.parallel.VectorizedBackend` for the
-            "GPU-Par" analogue or a ``ThreadPoolBackend`` for "CPU-Par".
+        backend: expansion backend; defaults to the production route,
+            :class:`~repro.parallel.VectorizedBackend` (the "GPU-Par"
+            analogue). Pass :class:`~repro.parallel.SequentialBackend`
+            for the per-node reference or a ``ThreadPoolBackend`` for
+            "CPU-Par".
         config: engine defaults; fields are overridable per query.
         index: a prebuilt inverted index (built from the graph if omitted).
         weights: precomputed normalized weights (computed if omitted).

@@ -20,10 +20,12 @@ union of hitting paths that Definition 3 prescribes.
   top-k cut run on those arrays, and :class:`CentralGraph` objects are
   built for the k survivors only;
 * the **reference** route (``native=False``, no compiler,
-  ``single_path``, ``prebuilt``): one :class:`CentralGraph` per Central
-  Node through :func:`extract_central_graph`, :func:`level_cover_prune`,
-  :func:`deduplicate_by_containment` and ``central_graph_score`` — what
-  the batch is differentially tested against.
+  ``single_path``): one :class:`CentralGraph` per Central Node through
+  :func:`extract_central_graph`, then :func:`rank_central_graphs` —
+  :func:`level_cover_prune`, :func:`deduplicate_by_containment`,
+  ``central_graph_score`` and the top-k cut, the tail CPU-Par-d's
+  recorded graphs go through as well — what the batch is
+  differentially tested against.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
-    Iterable,
     List,
     NamedTuple,
     Optional,
@@ -588,55 +589,66 @@ def _batch_stage_two(
     return answers, counts
 
 
+def rank_central_graphs(
+    graphs: Sequence[CentralGraph],
+    n_keywords: int,
+    weights: np.ndarray,
+    config: TopDownConfig,
+) -> Tuple[List[CentralGraph], int]:
+    """Level-cover → containment dedup → Eq. 6 → top k, on materialized
+    Central Graphs: the tail of the reference route, and all of stage
+    two for CPU-Par-d, which records its graphs while searching.
+
+    Returns:
+        The ranked answers, best (lowest score) first, and how many
+        graphs were left to rank after the containment filter.
+    """
+    if config.apply_level_cover:
+        graphs = [level_cover_prune(answer, n_keywords) for answer in graphs]
+    if config.deduplicate:
+        graphs = deduplicate_by_containment(graphs)
+    for answer in graphs:
+        answer.score = central_graph_score(answer, weights, config.lam)
+    heap = TopKHeap(config.k)
+    heap.extend(graphs)
+    return heap.ranked(), len(graphs)
+
+
 def _reference_stage_two(
     graph: KnowledgeGraph,
     state: SearchState,
     weights: np.ndarray,
     config: TopDownConfig,
-    prebuilt: Optional[Iterable[CentralGraph]],
 ) -> Tuple[List[CentralGraph], Dict[str, int]]:
     """The reference route: one :class:`CentralGraph` per Central Node."""
-    if prebuilt is not None:
-        extracted = list(prebuilt)
+    central_nodes = state.central_nodes
+    dag = HittingDAG(graph, state) if central_nodes else None
+    if config.n_threads > 1 and len(central_nodes) > 1:
+        with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
+            extracted = list(
+                pool.map(
+                    lambda pair: extract_central_graph(
+                        graph, state, pair[0], pair[1], dag,
+                        config.single_path,
+                    ),
+                    central_nodes,
+                )
+            )
     else:
-        central_nodes = state.central_nodes
-        dag = HittingDAG(graph, state) if central_nodes else None
-        if config.n_threads > 1 and len(central_nodes) > 1:
-            with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
-                extracted = list(
-                    pool.map(
-                        lambda pair: extract_central_graph(
-                            graph, state, pair[0], pair[1], dag,
-                            config.single_path,
-                        ),
-                        central_nodes,
-                    )
-                )
-        else:
-            extracted = [
-                extract_central_graph(
-                    graph, state, node, depth, dag, config.single_path
-                )
-                for node, depth in central_nodes
-            ]
+        extracted = [
+            extract_central_graph(
+                graph, state, node, depth, dag, config.single_path
+            )
+            for node, depth in central_nodes
+        ]
     counts = {
         "central_graphs": len(extracted),
         "extracted_nodes": sum(answer.n_nodes for answer in extracted),
     }
-
-    n_keywords = state.n_keywords
-    if config.apply_level_cover:
-        extracted = [
-            level_cover_prune(answer, n_keywords) for answer in extracted
-        ]
-    if config.deduplicate:
-        extracted = deduplicate_by_containment(extracted)
-    for answer in extracted:
-        answer.score = central_graph_score(answer, weights, config.lam)
-    heap = TopKHeap(config.k)
-    heap.extend(extracted)
-    ranked = heap.ranked()
-    counts.update(kept_after_dedup=len(extracted), answers=len(ranked))
+    ranked, kept = rank_central_graphs(
+        extracted, state.n_keywords, weights, config
+    )
+    counts.update(kept_after_dedup=kept, answers=len(ranked))
     return ranked, counts
 
 
@@ -676,15 +688,11 @@ def process_top_down(
     weights: np.ndarray,
     config: Optional[TopDownConfig] = None,
     timer: Optional[PhaseTimer] = None,
-    prebuilt: Optional[Iterable[CentralGraph]] = None,
 ) -> List[CentralGraph]:
     """Run stage two over every identified Central Node.
 
     Args:
         weights: normalized degree-of-summary weights (for Eq. 6).
-        prebuilt: already-materialized Central Graphs (the CPU-Par-d
-            variant records paths during search and skips extraction);
-            when given, ``state.central_nodes`` is ignored.
 
     Returns:
         The final top-k answers, best (lowest score) first.
@@ -692,18 +700,14 @@ def process_top_down(
     config = config or TopDownConfig()
     timer = timer or PhaseTimer()
     with timer.phase(PHASE_TOP_DOWN):
-        kernel = (
-            _batch_kernel(graph, state, weights, config)
-            if prebuilt is None
-            else None
-        )
+        kernel = _batch_kernel(graph, state, weights, config)
         if kernel is not None:
             ranked, counts = _batch_stage_two(
                 kernel, graph, state, weights, config
             )
         else:
             ranked, counts = _reference_stage_two(
-                graph, state, weights, config, prebuilt
+                graph, state, weights, config
             )
         tracer = timer.tracer
         if tracer.enabled:

@@ -214,26 +214,6 @@ def ooc_smoke_config(seed: int = 2018) -> WikiKBConfig:
     )
 
 
-def pool_sweep_config(seed: int = 2018) -> WikiKBConfig:
-    """Preset for the multi-process core-scaling sweep (Fig. 9-10).
-
-    Process-level parallelism only pays once each level's expansion work
-    clears the inter-process dispatch floor (~2-4ms per level on
-    commodity hosts); wiki2018-sim's ~3ms levels sit right on it. This
-    preset scales the same shape ~5x so the sweep exercises the regime
-    the paper measures Tnum scaling in.
-    """
-    return WikiKBConfig(
-        name="wiki2018-sim-x5",
-        seed=seed,
-        n_papers=25000,
-        n_people=12000,
-        n_misc=12000,
-        n_venues=150,
-        n_orgs=150,
-    )
-
-
 @dataclass
 class KBMetadata:
     """Provenance and planted structure of a generated KB."""

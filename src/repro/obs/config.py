@@ -81,12 +81,6 @@ DEFAULT_SLOW_QUERY_MS = 500.0
 #: Default ``REPRO_FLIGHT_N`` when the variable is unset or unparsable.
 DEFAULT_FLIGHT_RECORDS = 128
 
-#: Opt-in gate for the out-of-core store smoke
-#: (``tests/test_store_outofcore.py``): ``REPRO_OOC_SMOKE=1`` runs the
-#: rlimit-capped subprocess test the dedicated CI job exercises; the
-#: tier-1 suite skips it.
-ENV_OOC_SMOKE = "REPRO_OOC_SMOKE"
-
 #: Runtime lock witness (:mod:`repro.obs.locks`):
 #: ``REPRO_LOCK_WITNESS=1`` makes the lock factory hand out instrumented
 #: locks that record per-thread acquisition order, held-sets, and

@@ -3,8 +3,11 @@
 Mapping to the paper's implementations:
 
 * :class:`VectorizedBackend` — "GPU-Par" (data-parallel SIMD kernels),
-* :class:`ThreadPoolBackend` — "CPU-Par" (coarse-grained dynamic scheduling),
-* :class:`SequentialBackend` — "CPU-Par" at Tnum = 1 / the semantic oracle,
+  the production route and the engine's default,
+* :class:`ThreadPoolBackend` — "CPU-Par" (coarse-grained dynamic
+  scheduling; one worker at Tnum = 1),
+* :class:`SequentialBackend` — the per-node reference transcription of
+  Algorithm 2, the semantic oracle,
 * :class:`LockedDictEngine` — "CPU-Par-d" (locked dynamic memory).
 """
 

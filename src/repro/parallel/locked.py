@@ -33,13 +33,13 @@ from ..instrumentation import (
 )
 from ..core.central_graph import CentralGraph, SearchAnswer
 from ..core.results import EmptyQueryError, SearchResult
-from ..core.scoring import DEFAULT_LAMBDA, TopKHeap, central_graph_score
+from ..core.scoring import DEFAULT_LAMBDA
 from ..core.state import (
     TERMINATED_ENOUGH_ANSWERS,
     TERMINATED_FRONTIER_EMPTY,
     TERMINATED_LEVEL_CAP,
 )
-from ..core.top_down import deduplicate_by_containment, level_cover_prune
+from ..core.top_down import TopDownConfig, rank_central_graphs
 from ..graph.csr import KnowledgeGraph
 from ..obs.locks import make_lock, make_striped_locks, register_lock_owner
 from ..text.inverted_index import InvertedIndex
@@ -309,15 +309,11 @@ class LockedDictEngine:
                 self._assemble(state, node, depth)
                 for node, depth in sorted(state.central.items())
             ]
-            graphs = [
-                level_cover_prune(graph, state.n_keywords) for graph in graphs
-            ]
-            graphs = deduplicate_by_containment(graphs)
-            for graph in graphs:
-                graph.score = central_graph_score(graph, self.weights, lam)
-            heap = TopKHeap(k)
-            heap.extend(graphs)
-            return heap.ranked()
+            ranked, _ = rank_central_graphs(
+                graphs, state.n_keywords, self.weights,
+                TopDownConfig(k=k, lam=lam),
+            )
+            return ranked
 
     def _assemble(
         self, state: _DynamicState, central_node: int, depth: int

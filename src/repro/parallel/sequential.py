@@ -92,7 +92,7 @@ def expand_frontier_chunk(
 
 
 class SequentialBackend(ExpansionBackend):
-    """Single-threaded reference backend (the paper's Tnum = 1 case)."""
+    """Single-threaded per-node reference backend (the semantic oracle)."""
 
     name = "sequential"
     supports_write_log = True

@@ -14,9 +14,10 @@ fused kernel
 1. **prefilters** the frontier to sources eligible in at least one
    column before touching the adjacency (a hub whose M row has no entry
    ≤ level would pay a full CSR gather for nothing),
-2. gathers each Algorithm 2 condition as a fused **(E × q)** boolean
-   block — eligible (line 9-11), unvisited (line 14-15), blocked
-   (line 18-20), hit (line 21-22) — instead of q sequential 1-D passes,
+2. evaluates each Algorithm 2 condition — eligible (line 9-11),
+   unvisited (line 14-15), blocked (line 18-20), hit (line 21-22) —
+   over the fused **(E × q)** grid, carried as ⌈q/8⌉ byte-lane words
+   per edge, instead of q sequential 1-D passes,
 3. **deduplicates scatter targets** per (node, column) cell, so a
    high-degree summary hub reached through hundreds of in-edges is
    written once, not once per edge.
@@ -63,9 +64,9 @@ from .backend import ExpansionBackend, LevelOutcome
 
 _EMPTY_KEYS = np.empty(0, dtype=np.int64)
 
-#: Byte-lane (SWAR) ballots assume lane 0 is the lowest-address byte of
-#: the word, i.e. a little-endian host. Big-endian hosts take the
-#: unpacked path.
+#: The C kernels' byte-lane (SWAR) ballots assume lane 0 is the
+#: lowest-address byte of the word, i.e. a little-endian host; the NumPy
+#: lane words only ever view bytes in memory order and run anywhere.
 _LANES = 8
 _LANE_SWAR_OK = sys.byteorder == "little"
 
@@ -85,19 +86,34 @@ def _native_kernel() -> "Optional[object]":
 
 
 def _lane_pack(bools: np.ndarray) -> np.ndarray:
-    """View q ≤ 8 boolean columns per row as one uint64 lane word.
+    """View each row's q boolean columns as ⌈q/8⌉ uint64 lane words.
 
-    Pads to 8 byte-lanes when q < 8 (pad lanes stay 0 and can never
-    ballot), then reinterprets each row's 8 bytes as a single ``uint64``
-    — no per-bit packing, just a zero-copy view of the padded block.
+    Pads to whole 8-byte-lane words when q is not a multiple of 8 (pad
+    lanes stay 0 and can never ballot), then reinterprets each row's
+    bytes as ``uint64`` words — no per-bit packing, just a zero-copy
+    view of the padded block. Column ``c`` is byte ``c % 8`` of word
+    ``c // 8`` in memory order, whatever the host's endianness.
     """
     rows, q = bools.shape
-    if q == _LANES:
+    width = -(-q // _LANES) * _LANES
+    if q == width:
         lanes = np.ascontiguousarray(bools)
     else:
-        lanes = np.zeros((rows, _LANES), dtype=bool)
+        lanes = np.zeros((rows, width), dtype=bool)
         lanes[:, :q] = bools
-    return lanes.view(np.uint64).ravel()
+    return lanes.view(np.uint64)
+
+
+def _any_lane(words: np.ndarray) -> np.ndarray:
+    """Rows of a ``(rows, words)`` lane block with some lane set.
+
+    ORs the few word columns together: NumPy reduces a two- or
+    three-wide last axis several times slower than that.
+    """
+    hit = words[:, 0] != 0
+    for column in range(1, words.shape[1]):
+        hit |= words[:, column] != 0
+    return hit
 
 
 def _keys_to_rows(keys: np.ndarray, q: int) -> np.ndarray:
@@ -153,33 +169,29 @@ def fused_expand_chunk(
     callers can apply them directly and multi-chunk callers can merge,
     deduplicate cells claimed by racing chunks, and apply them race-free.
 
-    For q ≤ 8 instances the (E × q) grid is carried as *byte lanes*:
-    each node's q boolean conditions live in one uint64 word (lane i =
-    instance i), so the per-edge hit test — source eligible AND target
-    still ∞ — is a single word AND, the CPU image of a warp's ballot
-    register. Saturated neighbors (all-zero ∞ word) drop out of the
+    The (E × q) grid is carried as *byte lanes* for every q: each node's
+    q boolean conditions live in ⌈q/8⌉ uint64 words (lane i = instance
+    i), so the per-edge hit test — source eligible AND target still ∞ —
+    is one word AND per lane word, the CPU image of a warp's ballot
+    register. Saturated neighbors (all-zero ∞ words) drop out of the
     ballot for free, and only lanes of hitting edges are ever expanded
     back to (node, column) cells. Dedup never sorts and never touches
     per-edge data: duplicate cell writes are idempotent, so the kernel
     scatters first and then reads the unique hit set straight off the
-    matrix ("was ∞, is now level+1") in one O(n·q) pass. (2-D
-    ``np.nonzero`` over the unpacked grid and ``np.unique`` over hit
-    keys were the two most expensive operations of earlier revisions.)
-    Queries with more than 8 keywords take an unpacked (E × q) fallback
-    with identical semantics.
+    matrix ("was ∞, is now level+1") in one O(n·q) pass.
 
     When the on-demand compiled C tier is available
-    (:mod:`repro.parallel._native`), the lane-word loop runs there
-    instead: same algorithm, one C pass over the chunk's CSR segment,
-    with the matrix read live so the emitted keys are deduplicated by
-    construction. Every q ≤ 8 takes that one loop: a neighbour's row is
-    read as an 8-byte word at ``node * q`` whose lanes ≥ q (the next
-    rows' bytes) are masked off by the eligibility word, and M keeps
-    its n × q layout. Cells found already stamped with ``level + 1`` are
-    exactly the scatter duplicates the NumPy tier elides, and the C
-    kernel counts them, so ``duplicates_elided`` agrees across tiers.
-    The GIL is released during the call, so concurrent chunks overlap
-    on real cores.
+    (:mod:`repro.parallel._native`) and q ≤ 8, the lane-word loop runs
+    there instead: same algorithm, one C pass over the chunk's CSR
+    segment, with the matrix read live so the emitted keys are
+    deduplicated by construction. A neighbour's row is read as an
+    8-byte word at ``node * q`` whose lanes ≥ q (the next rows' bytes)
+    are masked off by the eligibility word, and M keeps its n × q
+    layout. Cells found already stamped with ``level + 1`` are exactly
+    the scatter duplicates the NumPy tier elides, and the C kernel
+    counts them, so ``duplicates_elided`` agrees across tiers. The GIL
+    is released during the call, so concurrent chunks overlap on real
+    cores. Queries with more than 8 keywords run the NumPy lane words.
 
     Args:
         counters: optional accumulator for per-level kernel statistics.
@@ -195,7 +207,6 @@ def fused_expand_chunk(
     write_log = state.write_log
     q = state.n_keywords
     next_level = level + 1
-    lanes = q <= _LANES and _LANE_SWAR_OK
 
     # Line 2-3: identified Central Nodes never expand.
     chunk = chunk[state.c_identifier[chunk] == 0]
@@ -213,28 +224,26 @@ def fused_expand_chunk(
 
     # Eligibility prefilter (line 9-11 hoisted above the gather): only
     # sources hit at ≤ level in at least one instance expand at all.
-    source_eligible = matrix[chunk] <= level
-    se_words = None
-    if lanes:
-        se_words = _lane_pack(source_eligible)
-        any_eligible = se_words != 0
-    else:
-        any_eligible = source_eligible.any(axis=1)
+    se_words = _lane_pack(matrix[chunk] <= level)
+    any_eligible = _any_lane(se_words)
     if not any_eligible.all():
         if counters is not None:
             counters.sources_pruned += int(len(chunk) - any_eligible.sum())
         chunk = chunk[any_eligible]
         if len(chunk) == 0:
             return _EMPTY_KEYS
-        source_eligible = source_eligible[any_eligible]
-        if lanes:
-            se_words = se_words[any_eligible]
+        se_words = se_words.compress(any_eligible, axis=0)
 
     # Does any node still await activation at next_level? When not (the
     # common case past the first levels), the blocked test is skipped.
     may_block = state.max_activation > next_level
 
-    if lanes and matrix.flags.c_contiguous and native is not False:
+    if (
+        q <= _LANES
+        and _LANE_SWAR_OK
+        and matrix.flags.c_contiguous
+        and native is not False
+    ):
         kernel = _native_kernel()
         if kernel is not None:
             adj = graph.adj
@@ -248,7 +257,7 @@ def fused_expand_chunk(
             out_keys = np.empty(matrix.size, dtype=np.int64)
             count, dups = kernel.expand(
                 np.ascontiguousarray(chunk),
-                se_words,
+                se_words.ravel(),
                 adj.indptr,
                 adj.indices,
                 matrix.reshape(-1),
@@ -280,90 +289,58 @@ def fused_expand_chunk(
     # Pre-level ∞ snapshot; doubles as the reference for reading the
     # unique hit set back off the matrix after the scatter.
     was_infinite = matrix == INFINITE_LEVEL
-
-    if lanes:
-        inf_words = _lane_pack(was_infinite)
-        if may_block:
-            # Line 18-20 without per-edge branching: a blocked neighbor
-            # (inactive non-keyword) blocks *every* instance, so its ∞
-            # lanes are zeroed out of the availability words up front —
-            # blocked targets then drop out of the ballot exactly like
-            # saturated ones.
-            blocked_nodes = ~state.keyword_node & (activation > next_level)
-            avail_words = np.where(blocked_nodes, 0, inf_words)
-            # The retry half of line 18-20: a source stays in the
-            # frontier iff one of its eligible instances found a blocked
-            # ∞ cell next door. Per-source OR over its own CSR segment
-            # (one reduceat), then one word AND against eligibility.
-            blocked_inf = np.where(blocked_nodes, inf_words, 0)
-            gathered = blocked_inf[neighbors]
-            if gathered.any():
-                # reduceat misreads empty segments (and rejects offsets
-                # == n_edges), so clip and mask degree-0 sources.
-                retry_words = np.bitwise_or.reduceat(
-                    gathered, np.minimum(offsets, n_edges - 1)
-                )
-                retry = ((se_words & retry_words) != 0) & (degrees > 0)
-                if retry.any():
-                    f_identifier[chunk[retry]] = 1
-                    if write_log is not None:
-                        write_log.record_frontier(chunk[retry], 1, level)
-        else:
-            avail_words = inf_words
-        # Per-edge hit ballot: one word AND per edge covers all q
-        # instances. Lane bytes are 0/1 bools, so the ballot word's
-        # non-zero byte-lanes are exactly the hit (edge, instance) cells.
-        ballot = np.repeat(se_words, degrees) & avail_words[neighbors]
-        hit_edges = np.flatnonzero(ballot)
-        if len(hit_edges) == 0:
-            return _EMPTY_KEYS
-        # Scatter per lane: the hit words' bytes, viewed as a (hits × 8)
-        # block, select each instance's target rows without ever
-        # expanding the full (E × q) grid to cell indices.
-        hit_bytes = ballot[hit_edges].view(np.uint8).reshape(-1, _LANES)
-        hit_targets = neighbors[hit_edges]
-        scattered = 0
-        for column in range(q):
-            rows = hit_targets[hit_bytes[:, column] != 0]
-            if len(rows):
-                matrix[rows, column] = next_level
-                scattered += len(rows)
-                if write_log is not None:
-                    write_log.record_matrix(rows * q + column, next_level, level)
-    else:
-        # Unpacked (E × q) grid for wide queries: same conditions as the
-        # ballot path, one boolean block per condition.
-        erow = np.repeat(np.arange(len(chunk)), degrees)
-        hits = source_eligible[erow] & was_infinite[neighbors]
-        if may_block:
-            blocked = ~state.keyword_node[neighbors] & (
-                activation[neighbors] > next_level
+    inf_words = _lane_pack(was_infinite)
+    if may_block:
+        # Line 18-20 without per-edge branching: a blocked neighbor
+        # (inactive non-keyword) blocks *every* instance, so its ∞
+        # lanes are zeroed out of the availability words up front —
+        # blocked targets then drop out of the ballot exactly like
+        # saturated ones.
+        blocked_nodes = (
+            ~state.keyword_node & (activation > next_level)
+        )[:, None]
+        avail_words = np.where(blocked_nodes, 0, inf_words)
+        # The retry half of line 18-20: a source stays in the frontier
+        # iff one of its eligible instances found a blocked ∞ cell next
+        # door. Per-source OR over its own CSR segment (one reduceat),
+        # then a word AND against eligibility.
+        blocked_inf = np.where(blocked_nodes, inf_words, 0)
+        gathered = blocked_inf.take(neighbors, axis=0)
+        if gathered.any():
+            # reduceat misreads empty segments (and rejects offsets
+            # == n_edges), so clip and mask degree-0 sources.
+            retry_words = np.bitwise_or.reduceat(
+                gathered, np.minimum(offsets, n_edges - 1), axis=0
             )
-            if blocked.any():
-                retry = hits.any(axis=1) & blocked
-                if retry.any():
-                    f_identifier[chunk[erow[retry]]] = 1
-                    if write_log is not None:
-                        write_log.record_frontier(chunk[erow[retry]], 1, level)
-                hits &= ~blocked[:, None]
-        flat = np.flatnonzero(hits)
-        if len(flat) == 0:
-            return _EMPTY_KEYS
-        edge_idx, col_idx = np.divmod(flat, q)
-        keys = neighbors[edge_idx] * q + col_idx
-
-        # Line 21-22: scatter with duplicates — every write stores the
-        # same level + 1 into a previously-∞ cell, so repeats are
-        # idempotent.
-        if matrix.flags.c_contiguous:
-            # The cell keys double as flat scatter indices into the
-            # (n × q) row-major matrix.
-            matrix.ravel()[keys] = next_level
-        else:  # pragma: no cover - states are always built C-contiguous
-            matrix[keys // q, keys % q] = next_level
-        scattered = len(keys)
-        if write_log is not None:
-            write_log.record_matrix(keys, next_level, level)
+            retry = _any_lane(se_words & retry_words) & (degrees > 0)
+            if retry.any():
+                f_identifier[chunk[retry]] = 1
+                if write_log is not None:
+                    write_log.record_frontier(chunk[retry], 1, level)
+    else:
+        avail_words = inf_words
+    # Per-edge hit ballot: a word AND per edge and lane word covers all
+    # q instances. Lane bytes are 0/1 bools, so the ballot words'
+    # non-zero byte-lanes are exactly the hit (edge, instance) cells.
+    ballot = np.repeat(se_words, degrees, axis=0) & avail_words.take(
+        neighbors, axis=0
+    )
+    hit_edges = np.flatnonzero(_any_lane(ballot))
+    if len(hit_edges) == 0:
+        return _EMPTY_KEYS
+    # Scatter per lane: the hit words' bytes, viewed as a (hits × lanes)
+    # block, select each instance's target rows without ever expanding
+    # an (E × q) grid to cell indices.
+    hit_bytes = ballot.take(hit_edges, axis=0).view(np.uint8)
+    hit_targets = neighbors[hit_edges]
+    scattered = 0
+    for column in range(q):
+        rows = hit_targets[hit_bytes[:, column] != 0]
+        if len(rows):
+            matrix[rows, column] = next_level
+            scattered += len(rows)
+            if write_log is not None:
+                write_log.record_matrix(rows * q + column, next_level, level)
 
     # Read the unique hit set back off the matrix in one O(n·q) pass: a
     # cell was hit by this call iff it was ∞ at entry and is level + 1

@@ -169,6 +169,25 @@ def test_abi_check_missing_binding_found():
     assert "RPRABI01" in report.codes()
 
 
+def test_abi_check_binding_without_export_found():
+    """The other direction of binding-set drift: ``_native.py`` binds a
+    symbol the C source no longer exports (it would fail at load time,
+    and only on machines with a compiler)."""
+    kernel = abi.KERNEL_SOURCE_PATH.read_text(encoding="utf-8")
+    head = "int64_t fused_expand("
+    assert head in kernel
+    renamed = kernel.replace(head, "int64_t fused_expand_v2(", 1)
+    native = abi.NATIVE_SOURCE_PATH.read_text(encoding="utf-8")
+    report = abi.run_abi_check(kernel_source=renamed, native_source=native)
+    stale = [f for f in report.findings if f.code == "RPRABI02"]
+    assert len(stale) == 1 and "fused_expand" in stale[0].message
+    # ... and the renamed export is the unbound one.
+    assert any(
+        f.code == "RPRABI01" and "fused_expand_v2" in f.message
+        for f in report.findings
+    )
+
+
 def test_abi_check_arity_mismatch_found():
     kernel = abi.KERNEL_SOURCE_PATH.read_text(encoding="utf-8")
     # Drop one parameter from fused_expand's C prototype.

@@ -2,8 +2,8 @@
 
 Covers the shadow-memory invariant checker (CheckedBackend + WriteLog),
 its self-validation against deliberately faulty backends, the
-repo-specific AST lint rules (including the store-write rule RPR010,
-the binding-set rule RPR011, and exact-id noqa matching), the
+repo-specific AST lint rules (including the store-write rule RPR010
+and exact-id noqa matching), the
 ASan/UBSan and TSan sanitizer wiring with its suppression policy, and
 the CLI exit codes the CI ``check`` job relies on. The ABI verifier and
 schedule explorer have dedicated files (``test_abi.py``,
@@ -528,26 +528,6 @@ def test_rpr010_silent_in_store_writer_scope_and_for_reads():
     assert not violations
 
 
-def test_rpr011_kernel_binding_set_equality():
-    from repro.analysis.lint import kernel_binding_violations
-
-    # The real repo is in sync.
-    assert kernel_binding_violations() == []
-    # Export without a binding.
-    drift = kernel_binding_violations(
-        kernel_source="int64_t new_symbol(int64_t x) {\n",
-        native_source="",
-    )
-    assert [v.rule for v in drift] == ["RPR011"]
-    assert "new_symbol" in drift[0].message
-    # Binding without an export.
-    drift = kernel_binding_violations(
-        kernel_source="", native_source="fn = library.ghost_symbol\n"
-    )
-    assert [v.rule for v in drift] == ["RPR011"]
-    assert "ghost_symbol" in drift[0].message
-
-
 def test_rpr012_inline_metric_names_flagged():
     # f-string metric name on a registry receiver.
     assert "RPR012" in _rules_of(
@@ -872,6 +852,6 @@ def test_cli_check_list_rules(capsys):
 
     assert main(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in ("RPR001", "RPR008", "RPR010", "RPR011", "RPR013",
+    for rule in ("RPR001", "RPR008", "RPR010", "RPR012", "RPR013",
                  "RPRCON01", "RPRCON04"):
         assert rule in out

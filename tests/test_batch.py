@@ -4,13 +4,12 @@ import pytest
 
 from repro.core.batch import BatchSearcher
 from repro.core.engine import KeywordSearchEngine
-from repro.parallel import VectorizedBackend
 
 
 @pytest.fixture(scope="module")
 def engine(request):
     graph, _ = request.getfixturevalue("tiny_kb")
-    return KeywordSearchEngine(graph, backend=VectorizedBackend())
+    return KeywordSearchEngine(graph)
 
 
 def test_batch_preserves_order_and_length(engine):

@@ -20,6 +20,12 @@ def _sets(*groups):
     return [np.array(g, dtype=np.int64) for g in groups]
 
 
+def test_default_backend_is_the_production_route(chain5):
+    from repro.parallel import VectorizedBackend
+
+    assert type(BottomUpSearch(chain5).backend) is VectorizedBackend
+
+
 def test_fig4_trace_exact(fig1):
     """Example 4: hitting levels and the depth-4 Central Node at v2."""
     searcher = BottomUpSearch(fig1.graph)

@@ -55,7 +55,7 @@ def _stage_two(nodes, edges):
 @pytest.fixture(scope="module")
 def engine():
     graph, _ = wiki_like_kb(wiki2018_config())
-    return KeywordSearchEngine(graph, backend=VectorizedBackend())
+    return KeywordSearchEngine(graph)
 
 
 @pytest.fixture(scope="module")

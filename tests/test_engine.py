@@ -18,7 +18,7 @@ from conftest import zero_activation
 def engine(request):
     tiny_kb = request.getfixturevalue("tiny_kb")
     graph, _ = tiny_kb
-    return KeywordSearchEngine(graph, backend=VectorizedBackend())
+    return KeywordSearchEngine(graph)
 
 
 def test_fig1_end_to_end(fig1):
@@ -31,6 +31,35 @@ def test_fig1_end_to_end(fig1):
     top = result.answers[0].graph
     assert top.central_node == fig1.central_node
     assert 9 in top.nodes and 4 in top.nodes and 5 in top.nodes
+
+
+def test_default_engine_runs_the_production_route(engine):
+    """No backend argument means the vectorized backend — and the same
+    ranked answers as the per-node reference named explicitly."""
+    assert type(engine.backend) is VectorizedBackend
+    assert engine.backend.native is None
+    reference = KeywordSearchEngine(
+        engine.graph,
+        backend=SequentialBackend(),
+        config=EngineConfig(top_down_native=False),
+        index=engine.index,
+        weights=engine.weights,
+        average_distance=engine.average_distance,
+    )
+    for query in ("machine learning data", "knowledge graph query database"):
+        got = engine.search(query, k=5)
+        want = reference.search(query, k=5)
+        assert got.answers, query
+        assert (got.depth, got.n_central_nodes) == (
+            want.depth, want.n_central_nodes
+        )
+        assert [
+            (a.graph.central_node, a.score, a.graph.nodes, a.graph.edges)
+            for a in got.answers
+        ] == [
+            (a.graph.central_node, a.score, a.graph.nodes, a.graph.edges)
+            for a in want.answers
+        ]
 
 
 def test_unknown_terms_dropped(engine):
@@ -116,7 +145,7 @@ def test_threads_missing_the_same_alpha_get_equal_arrays(tiny_kb):
 
     graph, _ = tiny_kb
     engine = KeywordSearchEngine(
-        graph, backend=VectorizedBackend(), average_distance=3.0
+        graph, average_distance=3.0
     )
     expected = engine.search("machine learning", k=3, alpha=0.3)
     for alpha in (0.37, 0.42, 0.58):  # none cached yet
@@ -158,7 +187,7 @@ def test_engine_construction_leaves_no_kernel_metrics(tiny_kb, monkeypatch):
     registry = MetricsRegistry()
     monkeypatch.setattr(metrics, "_DEFAULT_REGISTRY", registry)
     graph, _ = tiny_kb
-    engine = KeywordSearchEngine(graph, backend=VectorizedBackend())
+    engine = KeywordSearchEngine(graph)
     assert engine.average_distance > 0  # the sampler did run
     assert "repro_kernel_" not in registry.render_prometheus()
     result = engine.search("machine learning", k=60)

@@ -20,13 +20,12 @@ from repro.obs.tracing import (
     chrome_trace_of,
     validate_chrome_trace,
 )
-from repro.parallel import VectorizedBackend
 
 
 @pytest.fixture()
 def engine(tiny_kb):
     graph, _ = tiny_kb
-    return KeywordSearchEngine(graph, backend=VectorizedBackend())
+    return KeywordSearchEngine(graph)
 
 
 # ---------------------------------------------------------------------------

@@ -18,15 +18,19 @@ import numpy as np
 import pytest
 
 import repro
+from repro.analysis import CheckedBackend
 from repro.analysis.check import (
     _guarded_copy,
+    _tail_guard_case,
     check_tail_guard_case,
     tail_guard_cases,
 )
 from repro.core.activation import activation_levels
 from repro.core.bottom_up import BottomUpSearch
+from repro.core.state import INFINITE_LEVEL, SearchState
 from repro.core.weights import node_weights
-from repro.graph.generators import WikiKBConfig, wiki_like_kb
+from repro.graph.generators import WikiKBConfig, chain_graph, wiki_like_kb
+from repro.instrumentation import KernelCounters, PhaseTimer
 from repro.parallel import SequentialBackend, ThreadPoolBackend, VectorizedBackend
 
 N_FUZZ_GRAPHS = 20
@@ -101,15 +105,140 @@ def test_backends_bitwise_identical_on_wiki_graphs(seed):
         assert result.depth == reference.depth, name
 
 
-def test_backends_agree_on_wide_query():
-    """q > 8 falls off the packed-word path; the unpacked path must match."""
-    graph = _fuzz_kb(99)
-    sets, activation, k = _fuzz_problem(graph, 99, q=11)
-    reference = _run_backend(SequentialBackend(), graph, sets, activation, k)
-    fused = _run_backend(VectorizedBackend(), graph, sets, activation, k)
-    assert np.array_equal(fused.state.matrix, reference.state.matrix)
-    assert sorted(fused.central_nodes) == sorted(reference.central_nodes)
-    assert fused.depth == reference.depth
+#: Past one lane word: two words with pad lanes (9, 10, 12), two full
+#: words (16), three words (17). The graphs are the tail-guard corpus's —
+#: hubs that are keyword sources in the last rows, late activations on
+#: every other case — at sizes where ``n * q`` is and is not a multiple
+#: of 8.
+WIDE_QUERY_CASES = [(n, q) for n in (3, 12, 40) for q in (9, 10, 12, 16, 17)]
+
+
+def _definition_counters(graph, state, matrix, f_identifier, c_identifier, level):
+    """One level of Algorithm 2 counted edge by edge from its definition,
+    on the state as it stood before the level's enqueue: the kernel
+    counters, and how many ∞ cells a blocked neighbour refused (each
+    one keeps its source in the frontier, line 18-20)."""
+    q = state.n_keywords
+    central = c_identifier.astype(bool)
+    frontier = np.flatnonzero(f_identifier)
+    central[frontier[(matrix[frontier] != INFINITE_LEVEL).all(axis=1)]] = True
+    counters = KernelCounters()
+    scattered = refused = 0
+    cells = set()
+    for source in frontier.tolist():
+        if central[source] or state.activation[source] > level:
+            continue
+        columns = [c for c in range(q) if matrix[source, c] <= level]
+        if not columns:
+            counters.sources_pruned += 1
+            continue
+        for target in graph.adj.neighbors(source).tolist():
+            counters.edges_gathered += 1
+            blocked = (
+                not state.keyword_node[target]
+                and state.activation[target] > level + 1
+            )
+            for column in columns:
+                if matrix[target, column] != INFINITE_LEVEL:
+                    continue
+                if blocked:
+                    refused += 1
+                else:
+                    scattered += 1
+                    cells.add((target, column))
+    counters.pairs_hit = len(cells)
+    counters.duplicates_elided = scattered - len(cells)
+    return counters, refused
+
+
+def _wide_levels(backend, graph, sets, activation, k, count=False):
+    """Run the levels on ``backend``; per level ``(M, FIdentifier,
+    finite_count, Central Nodes, frontier size, new hits)``, plus the
+    reported kernel counters and :func:`_definition_counters` of every
+    expanded level when ``count``."""
+    state = SearchState.initialize(graph.n_nodes, sets, activation)
+    timer = PhaseTimer()
+    rows, reported, defined = [], [], []
+    with backend:
+        for level in range(INFINITE_LEVEL - 1):
+            before = (
+                state.matrix.copy(),
+                state.f_identifier.copy(),
+                state.c_identifier.copy(),
+            )
+            outcome = backend.run_level(graph, state, level, k, True, timer)
+            rows.append(
+                (
+                    state.matrix.tobytes(),
+                    state.f_identifier.tobytes(),
+                    state.finite_count.tobytes(),
+                    sorted(state.central_nodes),
+                    outcome.frontier_size,
+                    outcome.new_hits,
+                )
+            )
+            if not outcome.expanded:
+                break
+            if count:
+                reported.append(outcome.counters)
+                defined.append(
+                    _definition_counters(graph, state, *before, level)
+                )
+    return rows, reported, defined
+
+
+@pytest.mark.parametrize("n,q", WIDE_QUERY_CASES)
+def test_wide_queries_match_sequential_on_lane_words(n, q):
+    """q > 8 runs the same NumPy lane words as q ≤ 8, ⌈q/8⌉ of them per
+    row: M, FIdentifier, finite_count, the Central Nodes, the frontier
+    size and the new hits equal ``SequentialBackend``'s after every
+    level, the kernel counters equal an edge-by-edge count, and under
+    ``CheckedBackend`` the write log of the per-column scatter matches
+    the matrix delta (nothing unrecorded, nothing phantom) — on one
+    chunk and on three racing ones."""
+    graph, sets, activation, k = _tail_guard_case(n, q)
+    want, _, _ = _wide_levels(SequentialBackend(), graph, sets, activation, k)
+    assert len(want) > 1, "the case never expanded"
+
+    got, reported, defined = _wide_levels(
+        VectorizedBackend(), graph, sets, activation, k, count=True
+    )
+    assert got == want
+    assert reported == [counters for counters, _ in defined]
+
+    for n_threads in (1, 3):
+        checked = CheckedBackend(ThreadPoolBackend(n_threads=n_threads))
+        got, _, _ = _wide_levels(checked, graph, sets, activation, k)
+        assert got == want, n_threads
+        assert checked.levels_checked == len(want) - 1
+        assert not checked.violations
+
+
+def test_wide_corpus_blocks_and_retries():
+    """The corpus above only covers Algorithm 2 line 18-20 past the
+    first lane word if a blocked neighbour refuses cells there."""
+    refused = 0
+    for n, q in WIDE_QUERY_CASES:
+        _, _, defined = _wide_levels(
+            VectorizedBackend(), *_tail_guard_case(n, q), count=True
+        )
+        refused += sum(cells for _, cells in defined)
+    assert refused > 0
+
+
+@pytest.mark.parametrize("q", [9, 16, 17])
+def test_retry_decided_past_the_first_lane_word(q):
+    """A source eligible in the last column only, next to a neighbour
+    that activates late: whether it stays in the frontier (line 18-20)
+    is read off the last lane word alone."""
+    graph = chain_graph(3)
+    sets = [np.array([2])] * (q - 1) + [np.array([0])]
+    activation = np.array([0, 3, 0], dtype=np.int32)
+    want, _, _ = _wide_levels(SequentialBackend(), graph, sets, activation, 4)
+    assert np.frombuffer(want[0][1], dtype=np.uint8).tolist() == [1, 0, 1]
+    for backend in (VectorizedBackend(), ThreadPoolBackend(n_threads=1)):
+        got, _, _ = _wide_levels(backend, graph, sets, activation, 4)
+        assert got == want
 
 
 @pytest.mark.parametrize("n,q", tail_guard_cases())

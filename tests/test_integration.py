@@ -19,7 +19,6 @@ from repro import (
     KeywordSearchEngine,
     LockedDictEngine,
     SequentialBackend,
-    VectorizedBackend,
 )
 from repro.baselines import BanksII, dpbf_optimal_cost
 from repro.core.activation import activation_levels
@@ -66,7 +65,7 @@ def test_full_persistence_pipeline(tmp_path, tiny_kb):
 
 def test_batch_over_service_engine(tiny_kb):
     graph, _ = tiny_kb
-    engine = KeywordSearchEngine(graph, backend=VectorizedBackend())
+    engine = KeywordSearchEngine(graph)
     batch = BatchSearcher(engine, n_workers=2).run(
         ["machine learning", "rdf sparql", "machine learning"], k=3
     )
@@ -94,7 +93,7 @@ def test_answer_invariants_on_random_graphs(seed, alpha, k):
         words_per_node=2,
     )
     engine = KeywordSearchEngine(
-        graph, backend=VectorizedBackend(), average_distance=3.0
+        graph, average_distance=3.0
     )
     try:
         result = engine.search("alpha beta gamma", k=k, alpha=alpha)
@@ -140,7 +139,7 @@ def test_three_stage_one_implementations_agree(seed):
         average_distance=3.0,
     )
     vectorized_engine = KeywordSearchEngine(
-        graph, backend=VectorizedBackend(), index=index, weights=weights,
+        graph, index=index, weights=weights,
         average_distance=3.0,
     )
     locked_engine = LockedDictEngine(graph, weights, index, n_threads=1)
@@ -195,7 +194,7 @@ def test_fig5_stanford_jeffrey_ullman_scenario(tiny_kb):
     University node and the Jeffrey Ullman node.
     """
     graph, _ = tiny_kb
-    engine = KeywordSearchEngine(graph, backend=VectorizedBackend())
+    engine = KeywordSearchEngine(graph)
     result = engine.search("stanford jeffrey ullman", k=30)
     assert result.answers
     stanford_answers = [
@@ -228,7 +227,7 @@ def test_depth_equals_max_hitting_level(fig1):
 
 def test_engine_results_are_deterministic(tiny_kb):
     graph, _ = tiny_kb
-    engine = KeywordSearchEngine(graph, backend=VectorizedBackend())
+    engine = KeywordSearchEngine(graph)
     first = engine.search("machine learning data", k=10)
     second = engine.search("machine learning data", k=10)
     assert [a.graph.central_node for a in first.answers] == [

@@ -263,7 +263,7 @@ def test_env_switches(monkeypatch):
     assert Tracer().enabled
 
 
-def test_registered_env_switches_are_exactly_these_nine():
+def test_registered_env_switches_are_exactly_these_eight():
     """Every ``REPRO_*`` switch is one more configuration to cover: a
     new one must be added here on purpose, a retired one removed."""
     import inspect
@@ -279,7 +279,6 @@ def test_registered_env_switches_are_exactly_these_nine():
         "REPRO_DATASET_CACHE",
         "REPRO_SLOW_MS",
         "REPRO_FLIGHT_N",
-        "REPRO_OOC_SMOKE",
         "REPRO_LOCK_WITNESS",
     }
 
@@ -398,13 +397,10 @@ def test_summarize_timers_reports_counts():
 @pytest.fixture(scope="module")
 def traced_search(request):
     from repro.core.engine import KeywordSearchEngine
-    from repro.parallel import VectorizedBackend
 
     graph, _ = request.getfixturevalue("tiny_kb")
     tracer = Tracer(enabled=True)
-    engine = KeywordSearchEngine(
-        graph, backend=VectorizedBackend(), tracer=tracer
-    )
+    engine = KeywordSearchEngine(graph, tracer=tracer)
     result = engine.search("machine learning", k=3)
     return tracer, result
 
@@ -438,10 +434,9 @@ def test_engine_emits_nested_query_phase_level_spans(traced_search):
 
 def test_engine_with_disabled_tracer_uses_plain_timer(request):
     from repro.core.engine import KeywordSearchEngine
-    from repro.parallel import VectorizedBackend
 
     graph, _ = request.getfixturevalue("tiny_kb")
-    engine = KeywordSearchEngine(graph, backend=VectorizedBackend())
+    engine = KeywordSearchEngine(graph)
     result = engine.search("machine learning", k=2)
     assert result.timer.tracer is NULL_TRACER
     assert result.answers
@@ -449,13 +444,12 @@ def test_engine_with_disabled_tracer_uses_plain_timer(request):
 
 def test_engine_uses_installed_global_tracer(request):
     from repro.core.engine import KeywordSearchEngine
-    from repro.parallel import VectorizedBackend
 
     graph, _ = request.getfixturevalue("tiny_kb")
     tracer = Tracer(enabled=True)
     install_global_tracer(tracer)
     try:
-        engine = KeywordSearchEngine(graph, backend=VectorizedBackend())
+        engine = KeywordSearchEngine(graph)
         engine.search("machine learning", k=2)
     finally:
         uninstall_global_tracer()

@@ -23,7 +23,6 @@ from repro.core.top_down import (
 from repro.core.weights import node_weights
 from repro.graph.algorithms import bfs_levels
 from repro.graph.generators import random_graph
-from repro.parallel import VectorizedBackend
 from repro.text.inverted_index import InvertedIndex
 
 
@@ -44,7 +43,7 @@ def _search_instance(seed, alpha=None):
         activation = np.zeros(graph.n_nodes, dtype=np.int32)
     else:
         activation = activation_levels(node_weights(graph), 3.0, alpha)
-    result = BottomUpSearch(graph, VectorizedBackend()).run(sets, activation, 5)
+    result = BottomUpSearch(graph).run(sets, activation, 5)
     return graph, sets, result
 
 

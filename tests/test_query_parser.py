@@ -99,10 +99,10 @@ def test_resolve_stopword_only_phrase_dropped():
 
 
 def test_engine_phrase_query_end_to_end(tiny_kb):
-    from repro import KeywordSearchEngine, VectorizedBackend
+    from repro import KeywordSearchEngine
 
     graph, _ = tiny_kb
-    engine = KeywordSearchEngine(graph, backend=VectorizedBackend())
+    engine = KeywordSearchEngine(graph)
     plain = engine.search("gradient descent", k=5)
     phrased = engine.search('"gradient descent"', k=5)
     # The phrase query runs one keyword group instead of two.

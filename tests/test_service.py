@@ -7,14 +7,13 @@ import urllib.request
 import pytest
 
 from repro.core.engine import KeywordSearchEngine
-from repro.parallel import VectorizedBackend
 from repro.service import SearchService, create_server
 
 
 @pytest.fixture(scope="module")
 def engine(request):
     graph, _ = request.getfixturevalue("tiny_kb")
-    return KeywordSearchEngine(graph, backend=VectorizedBackend())
+    return KeywordSearchEngine(graph)
 
 
 @pytest.fixture(scope="module")

@@ -394,7 +394,6 @@ def test_statz_reports_storage_section(store_path):
     graph = open_store(store_path)
     engine = KeywordSearchEngine(
         graph,
-        backend=VectorizedBackend(),
         index=InvertedIndex.from_graph(graph),
     )
     service = SearchService(engine, registry=MetricsRegistry())

@@ -1,8 +1,9 @@
 """Out-of-core smoke: query a store under an RSS/heap cap below its size.
 
-Gated behind ``REPRO_OOC_SMOKE=1`` (the dedicated CI job sets it; the
-tier-1 run skips it) because it stream-builds a ~160k-node store and
-forks a rlimit-capped subprocess — a few tens of seconds.
+Marked ``ooc_smoke`` and deselected by default (``pyproject.toml``); the
+dedicated CI job selects it with ``-m ooc_smoke``. It stream-builds a
+~160k-node store and forks a rlimit-capped subprocess — a few tens of
+seconds.
 
 The claim under test is the whole point of the mmap tier: a process
 whose *heap* is hard-capped below the CSR's byte size can still open the
@@ -22,10 +23,7 @@ import sys
 import numpy as np
 import pytest
 
-pytestmark = pytest.mark.skipif(
-    os.environ.get("REPRO_OOC_SMOKE") != "1",
-    reason="set REPRO_OOC_SMOKE=1 to run the out-of-core smoke",
-)
+pytestmark = pytest.mark.ooc_smoke
 
 #: Heap cap as a fraction of the CSR array bytes — comfortably below 1.0
 #: so the "materialize into heap" escape hatch cannot fit.
@@ -38,7 +36,6 @@ import numpy as np
 
 from repro.core.bottom_up import BottomUpSearch
 from repro.graph.store import open_store, read_info
-from repro.parallel import VectorizedBackend
 
 path, cap = sys.argv[1], int(sys.argv[2])
 info = read_info(path)
@@ -66,7 +63,7 @@ for seed in (3, 11):
         np.unique(rng.integers(0, graph.n_nodes, size=4))
         for _ in range(3)
     ]
-    result = BottomUpSearch(graph, backend=VectorizedBackend()).run(
+    result = BottomUpSearch(graph).run(
         sets, np.zeros(graph.n_nodes, dtype=np.int32), k=2
     )
     signatures.append({
@@ -110,7 +107,6 @@ def _unconstrained_signatures(path):
 
     from repro.core.bottom_up import BottomUpSearch
     from repro.graph.store import open_store
-    from repro.parallel import VectorizedBackend
 
     graph = open_store(path, mmap=False)  # fully materialized reference
     signatures = []
@@ -120,7 +116,7 @@ def _unconstrained_signatures(path):
             np.unique(rng.integers(0, graph.n_nodes, size=4))
             for _ in range(3)
         ]
-        result = BottomUpSearch(graph, backend=VectorizedBackend()).run(
+        result = BottomUpSearch(graph).run(
             sets, np.zeros(graph.n_nodes, dtype=np.int32), k=2
         )
         signatures.append({

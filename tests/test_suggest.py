@@ -94,11 +94,11 @@ def test_suggest_for_dropped_mapping():
 
 
 def test_service_includes_suggestions(tiny_kb):
-    from repro import KeywordSearchEngine, VectorizedBackend
+    from repro import KeywordSearchEngine
     from repro.service import SearchService
 
     graph, _ = tiny_kb
-    engine = KeywordSearchEngine(graph, backend=VectorizedBackend())
+    engine = KeywordSearchEngine(graph)
     service = SearchService(engine)
     status, payload = service.handle_search("machin learnig")  # typos
     # Either some term matched (200 with suggestions for the dropped) or

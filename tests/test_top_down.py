@@ -17,6 +17,7 @@ from repro.core.top_down import (
     extract_central_graph,
     level_cover_prune,
     process_top_down,
+    rank_central_graphs,
 )
 from repro.core.weights import node_weights
 from repro.instrumentation import PhaseTimer
@@ -238,19 +239,62 @@ def test_process_top_down_thread_parallelism_matches_serial(random20):
     assert [a.score for a in serial] == [a.score for a in threaded]
 
 
-def test_process_top_down_prebuilt_skips_extraction(chain5):
-    result = _search(chain5, ([0], [4]))
-    weights = np.ones(5)
-    prebuilt = [_manual_graph({0: (0,), 4: (1,)}, [(0, 2), (4, 2)], central=2)]
-    ranked = process_top_down(
-        chain5,
-        result.state,
-        weights,
-        TopDownConfig(k=1),
-        prebuilt=prebuilt,
+def test_rank_central_graphs_on_hand_built_graphs():
+    """The tail the reference route and CPU-Par-d share, on graphs no
+    search produced: level-cover, then the containment filter on the
+    pruned node sets, then Eq. 6, then the top-k cut."""
+
+    def graphs():
+        return [
+            # Fig. 5's shape: node 1 carries both keywords, so 2 and 3
+            # are cut and the answer shrinks to {0, 1}.
+            _manual_graph(
+                {1: (0, 1), 2: (0,), 3: (0,)}, [(1, 0), (2, 0), (3, 0)],
+                central=0, depth=2,
+            ),
+            # Contains the pruned {0, 1} — but not the unpruned answer.
+            _manual_graph({1: (0, 1)}, [(1, 0), (0, 4)], central=4, depth=3),
+            _manual_graph(
+                {7: (0,), 8: (1,)}, [(7, 6), (8, 6)], central=6, depth=1
+            ),
+            _manual_graph({10: (0, 1)}, [(10, 9)], central=9, depth=3),
+        ]
+
+    weights = np.array(
+        [0.5, 0.25, 0.125, 0.125, 0.75, 0.0, 0.3, 0.2, 0.1, 0.9, 0.05]
     )
-    assert len(ranked) == 1
-    assert ranked[0].central_node == 2
+    lam = 0.5
+
+    def score(depth, *nodes):
+        return float(depth) ** lam * float(sum(weights[n] for n in nodes))
+
+    ranked, kept = rank_central_graphs(
+        graphs(), 2, weights, TopDownConfig(k=2, lam=lam)
+    )
+    assert kept == 3
+    assert [(a.central_node, a.nodes, a.score) for a in ranked] == [
+        (6, {6, 7, 8}, score(1, 6, 7, 8)),
+        (0, {0, 1}, score(2, 0, 1)),
+    ]
+    assert all(answer.pruned for answer in ranked)
+
+    unpruned, kept = rank_central_graphs(
+        graphs(), 2, weights,
+        TopDownConfig(k=10, lam=lam, apply_level_cover=False),
+    )
+    assert kept == 4  # {0, 1, 4} no longer contains the first answer
+    assert [(a.central_node, a.score) for a in unpruned] == [
+        (6, score(1, 6, 7, 8)),
+        (0, score(2, 0, 1, 2, 3)),
+        (9, score(3, 9, 10)),
+        (4, score(3, 0, 1, 4)),
+    ]
+
+    everything, kept = rank_central_graphs(
+        graphs(), 2, weights, TopDownConfig(k=10, lam=lam, deduplicate=False)
+    )
+    assert kept == 4
+    assert [a.central_node for a in everything] == [6, 0, 9, 4]
 
 
 def test_extraction_edges_satisfy_theorem_v4(fig1):

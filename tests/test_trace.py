@@ -12,7 +12,7 @@ from repro.core.bottom_up import BottomUpSearch, describe_levels
 from repro.graph.generators import chain_graph
 from repro.instrumentation import KernelCounters, PhaseTimer
 from repro.obs.tracing import Tracer
-from repro.parallel import VectorizedBackend
+from repro.parallel import SequentialBackend, VectorizedBackend
 
 from conftest import zero_activation
 
@@ -43,7 +43,7 @@ def _kernel_rows(result):
 
 
 _BACKENDS = {
-    "sequential": lambda: None,
+    "sequential": SequentialBackend,
     "native": VectorizedBackend,
     "numpy": lambda: VectorizedBackend(native=False),
 }
@@ -145,7 +145,7 @@ def test_level_spans_carry_the_level_profile(fig1):
     """The ``level`` spans are a view of ``level_profile``: same rows,
     same keys, kernel counters appended on counting backends."""
     tracer = Tracer(enabled=True)
-    result = BottomUpSearch(fig1.graph, backend=VectorizedBackend()).run(
+    result = BottomUpSearch(fig1.graph).run(
         _sets(*fig1.keyword_nodes),
         fig1.activation,
         k=1,
