@@ -30,11 +30,9 @@ repo-specific coding contracts that protect it — into machine checks:
   fixtures) and demanding bitwise-identical results on every schedule;
 * :mod:`~repro.analysis.concurrency` — the concurrency-contract
   analyzer for the *serving shell around* the lock-free engine: an
-  interprocedural lock-order graph over every discovered lock
-  (``RPRCON01`` cycles, ``RPRCON02`` blocking-under-lock, ``RPRCON03``
-  fork-under-lock), cross-checked against the runtime lock witness
-  (``REPRO_LOCK_WITNESS=1``, :mod:`repro.obs.locks`) whose observed
-  ordering edges must all be statically predicted (``RPRCON04``);
+  interprocedural pass over every discovered lock enforcing that no
+  lock is acquired while another is held (``RPRCON01``), plus
+  ``RPRCON02`` blocking-under-lock and ``RPRCON03`` fork-under-lock;
 * :mod:`~repro.analysis.faulty` — deliberately broken backends that
   prove the checker fires;
 * :mod:`~repro.analysis.check` — the ``repro check`` gate combining all
@@ -52,8 +50,6 @@ from .concurrency import (
     ConcurrencyReport,
     LockDef,
     run_concurrency_check,
-    run_witness_exercise,
-    verify_witness,
 )
 from .faulty import FAULT_MODES, FaultyBackend
 from .lint import LintReport, LintViolation, lint_source, run_lint
@@ -78,8 +74,6 @@ __all__ = [
     "ConcurrencyReport",
     "LockDef",
     "run_concurrency_check",
-    "run_witness_exercise",
-    "verify_witness",
     "FAULT_MODES",
     "FaultyBackend",
     "LintReport",

@@ -1,4 +1,4 @@
-"""Concurrency-contract analyzer: lock-order graph + runtime witness.
+"""Concurrency-contract analyzer: no lock is acquired while another is held.
 
 The engine's expansion is lock-free by design (Theorem V.2), but the
 serving shell grown around it — service handlers, tracer, metrics,
@@ -6,35 +6,37 @@ flight recorder, worker pool, load harness, the locked ablation engine —
 holds real mutexes. Nothing in the lock-free invariant machinery
 (:mod:`repro.analysis.checked`, the TSan tier) sees those: TSan only
 instruments the C kernel, and per-level invariants say nothing about a
-service thread deadlocking the metrics registry. This module closes the
-gap with a whole-package static pass plus a runtime witness.
-
-**Static pass** (:func:`run_concurrency_check`):
+service thread deadlocking the metrics registry. The shell therefore
+keeps one rule — **no lock is acquired while another is held** — and
+this whole-package static pass (:func:`run_concurrency_check`) enforces
+it. With no nesting there is no acquisition order, so no deadlock
+between two locks is possible.
 
 1. *Lock discovery.* Every ``threading.Lock/RLock/Condition``
-   construction (and every :func:`repro.obs.locks.make_lock` /
-   ``make_striped_locks`` call, whose string literal *is* the identity)
-   bound to an instance attribute or module constant becomes a node in
-   the known-lock table. Striped arrays are one logical lock.
+   construction bound to an instance attribute or module constant
+   becomes a node in the known-lock table, named by its binding
+   (``obs.flight.FlightRecorder._lock``). A list of locks is one
+   striped lock (``parallel.locked.LockedDictEngine._locks[*]``).
 2. *Call graph.* Functions are linked by terminal callee name (an
    over-approximation: ``x.snapshot()`` reaches every repo function
-   named ``snapshot``). Property reads under a lock resolve against
+   named ``snapshot``; a bare ``f()`` reaches only module-level
+   functions and nested defs named ``f``, so the ``set()`` builtin never
+   resolves to ``Gauge.set``). Property reads under a lock resolve against
    ``@property``-decorated functions, so ``counter.value`` counts as a
    call. The graph is rooted at service handlers, engine entry points,
    pool workers, the load generator, and the locked ablation engine.
-3. *Lock-order graph.* A fixpoint over the call graph computes, for
+3. *Held-lock edges.* A fixpoint over the call graph computes, for
    every function, the locks it may transitively acquire; every
-   acquisition (or call) made while a lock is held contributes edges
-   ``held -> acquired``. Striped/self re-entry on an ``RLock`` is not an
-   edge.
+   acquisition (or call) made while a lock is held contributes an edge
+   ``held -> acquired``. The shell's graph has no edges.
 
 Findings (suppress with ``# noqa: RPRCONxx`` on the offending line):
 
 ==========  ===========================================================
 Code        Meaning
 ==========  ===========================================================
-RPRCON01    Cycle in the lock-order graph — two call paths acquire the
-            same locks in opposite orders, i.e. a potential deadlock.
+RPRCON01    A lock is acquired — directly, or through a call — while
+            another lock (or the same one) is held.
 RPRCON02    A blocking operation (``time.sleep``, subprocess, socket or
             file I/O, ``pool.map``, ``future.result``, untimed
             ``Queue.get``) is reachable while a lock is held: the lock's
@@ -42,45 +44,26 @@ RPRCON02    A blocking operation (``time.sleep``, subprocess, socket or
 RPRCON03    ``os.fork`` / ``WorkerPool`` spawn / ``ProcessPoolExecutor``
             construction reachable while a lock is held — the child
             inherits a locked, ownerless mutex.
-RPRCON04    The runtime witness observed a lock-order edge the static
-            graph did not predict (soundness violation: the discovery or
-            call graph lost a lock site).
 ==========  ===========================================================
-
-**Runtime witness** (``REPRO_LOCK_WITNESS=1``, :mod:`repro.obs.locks`):
-the lock factory hands out instrumented locks recording per-thread
-acquisition order and held-sets; :func:`verify_witness` merges the
-observed edges into the static graph and raises RPRCON04 on any edge
-the static pass missed. ``os.register_at_fork`` flags locks actually
-held across a fork. :func:`run_witness_exercise` drives a small
-service/metrics/flight workload under the witness so ``repro check``
-always has at least one real multi-lock ordering to verify.
 """
 
 from __future__ import annotations
 
 import ast
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .lint import _NOQA, _NOQA_CODE, package_root
 
 #: Finding codes and one-line summaries (``repro check`` prints these).
 CONCURRENCY_RULES = {
-    "RPRCON01": "cycle in the lock-acquisition-order graph (potential deadlock)",
+    "RPRCON01": "lock acquired while another lock is held",
     "RPRCON02": "blocking call reachable while a lock is held",
     "RPRCON03": "fork/pool spawn reachable while a lock is held",
-    "RPRCON04": "witness-observed lock edge not predicted by the static graph",
 }
 
 #: Constructors that create a lock object.
 _LOCK_CONSTRUCTORS = {"Lock", "RLock", "Condition"}
-
-#: Factory calls whose first string-literal argument names the lock.
-_FACTORY_CALLS = {"make_lock", "make_rlock", "make_condition"}
-_STRIPED_FACTORY = "make_striped_locks"
 
 #: Blocking-call table: terminal name -> (label, receiver restriction).
 #: A ``None`` restriction matches any receiver; a set restricts to
@@ -146,9 +129,8 @@ class LockDef:
     """One discovered lock entity.
 
     Attributes:
-        name: stable dotted identity, e.g.
-            ``obs.flight.FlightRecorder._lock`` — witnessed locks carry
-            the same string at runtime.
+        name: stable dotted identity derived from the binding, e.g.
+            ``obs.flight.FlightRecorder._lock``.
         kind: ``lock`` / ``rlock`` / ``condition`` / ``striped``.
         path / line: where the construction lives.
     """
@@ -179,7 +161,9 @@ class ConcurrencyReport:
     findings: List[ConcurrencyFinding] = field(default_factory=list)
     suppressed: List[ConcurrencyFinding] = field(default_factory=list)
     locks: Dict[str, LockDef] = field(default_factory=dict)
-    #: Static lock-order edges: (outer, inner) -> one example site.
+    #: Held-lock edges (outer held while acquiring inner) -> one example
+    #: site; every edge is also an RPRCON01 finding, so a clean tree has
+    #: none.
     edges: Dict[Tuple[str, str], Tuple[str, int]] = field(
         default_factory=dict
     )
@@ -220,14 +204,6 @@ def _is_lock_construction(call: ast.Call) -> Optional[str]:
         if receiver not in (None, "threading"):
             return None
     return name.lower()
-
-
-def _factory_name_literal(call: ast.Call) -> Optional[str]:
-    if call.args and isinstance(call.args[0], ast.Constant):
-        value = call.args[0].value
-        if isinstance(value, str):
-            return value
-    return None
 
 
 @dataclass
@@ -304,56 +280,29 @@ class _ModuleScanner(ast.NodeVisitor):
         value: ast.expr,
         lineno: int,
     ) -> None:
-        """Register lock constructions bound to ``target``."""
-        # Which lock-ish thing does `value` build?
+        """Register a lock construction bound to ``target``."""
         kind: Optional[str] = None
-        explicit_name: Optional[str] = None
-        striped = False
-        calls = [
-            node for node in ast.walk(value) if isinstance(node, ast.Call)
-        ]
-        for call in calls:
-            func_name = _terminal(call.func)
-            if func_name in _FACTORY_CALLS:
-                kind = {"make_lock": "lock", "make_rlock": "rlock",
-                        "make_condition": "condition"}[func_name]
-                explicit_name = _factory_name_literal(call)
-            elif func_name == _STRIPED_FACTORY:
-                kind = "striped"
-                striped = True
-                explicit_name = _factory_name_literal(call)
-            else:
-                construction = _is_lock_construction(call)
-                if construction is not None and kind is None:
-                    kind = construction
+        for node in ast.walk(value):
+            if isinstance(node, ast.Call):
+                kind = _is_lock_construction(node)
+                if kind is not None:
+                    break
         if kind is None:
             return
-        if not striped and isinstance(value, (ast.List, ast.ListComp)):
-            kind = "striped"
-            striped = True
-
-        # Name the entity from the binding target.
-        attr: Optional[str] = None
+        striped = isinstance(value, (ast.List, ast.ListComp))
         if isinstance(target, ast.Attribute):
             attr = target.attr
         elif isinstance(target, ast.Name) and not self._func_stack:
             attr = target.id
-        if attr is None and explicit_name is None:
+        else:
             return  # anonymous local lock: RPR013's department, not ours
-        name = explicit_name or self._lock_id_for(attr or "?", striped)
+        name = self._lock_id_for(attr, striped)
         cls = self._class_stack[-1] if self._class_stack else ""
-        if attr is not None:
-            self.info.lock_attrs[(cls, attr)] = name
-            if cls and isinstance(target, ast.Attribute):
-                # `self.x = ...` inside a method: also visible without
-                # class context (module-level lookup fallback).
-                pass
-            elif not cls:
-                self.info.lock_attrs[("", attr)] = name
+        self.info.lock_attrs[(cls, attr)] = name
         self._locks.append(
             LockDef(
                 name=name,
-                kind=kind,
+                kind="striped" if striped else kind,
                 path=self.info.path,
                 line=lineno,
             )
@@ -618,12 +567,20 @@ class _Analyzer:
 
     def _callees_for(self, call: _CallSite) -> Sequence[str]:
         """Repo functions a call site may reach (name-based, with the
-        container-method restriction)."""
-        if call.callee in _AMBIGUOUS_CONTAINER_METHODS and not (
-            call.bare or call.receiver == "self"
+        container-method restriction). A bare call never reaches a
+        method: ``set()`` is the builtin, not ``Gauge.set``."""
+        candidates = self.by_name.get(call.callee, ())
+        if call.bare:
+            return [
+                qual
+                for qual in candidates
+                if self.functions[qual].cls is None or ".<locals>." in qual
+            ]
+        if call.callee in _AMBIGUOUS_CONTAINER_METHODS and (
+            call.receiver != "self"
         ):
             return ()
-        return self.by_name.get(call.callee, ())
+        return candidates
 
     def reachable(self, extra_roots: Sequence[str] = ()) -> Set[str]:
         frontier = [
@@ -752,18 +709,24 @@ class _Analyzer:
         edges = self.report.edges
         raw_findings: List[ConcurrencyFinding] = []
 
-        def add_edge(outer: str, inner: str, path: str, line: int) -> None:
-            if outer == inner:
-                kind = self.locks.get(outer)
-                if kind is not None and kind.kind in ("rlock", "striped"):
-                    return  # re-entrant / data-dependent stripe
+        def add_edge(
+            outer: str, inner: str, path: str, line: int, where: str
+        ) -> None:
             edges.setdefault((outer, inner), (path, line))
+            raw_findings.append(
+                ConcurrencyFinding(
+                    code="RPRCON01",
+                    path=path,
+                    line=line,
+                    message=f"{inner!r} acquired while holding {outer!r} in {where}",
+                )
+            )
 
         for qual in reachable:
             fn = self.functions[qual]
             for acq in fn.acquisitions:
                 for outer in acq.held:
-                    add_edge(outer, acq.lock, fn.path, acq.line)
+                    add_edge(outer, acq.lock, fn.path, acq.line, qual)
             for call in fn.calls:
                 if not call.held:
                     continue
@@ -800,7 +763,10 @@ class _Analyzer:
                         continue
                     for inner in trans_acquires[callee]:
                         for outer in call.held:
-                            add_edge(outer, inner, fn.path, call.line)
+                            add_edge(
+                                outer, inner, fn.path, call.line,
+                                f"{qual} (through {callee})",
+                            )
                     for blabel, (bpath, bline, via) in trans_blocking[
                         callee
                     ].items():
@@ -840,91 +806,14 @@ class _Analyzer:
                         continue
                     for inner in trans_acquires[prop]:
                         for outer in held:
-                            add_edge(outer, inner, fn.path, line)
+                            add_edge(
+                                outer, inner, fn.path, line,
+                                f"{qual} (through {prop})",
+                            )
 
-        raw_findings.extend(self._cycle_findings())
         self._apply_suppressions(raw_findings)
         self.report.functions_analyzed = len(self.functions)
         self.report.reachable_functions = len(reachable)
-
-    def _cycle_findings(self) -> List[ConcurrencyFinding]:
-        """Tarjan SCC over the lock-order graph; every non-trivial SCC
-        (or self-loop) is a potential deadlock."""
-        graph: Dict[str, Set[str]] = {}
-        for outer, inner in self.report.edges:
-            graph.setdefault(outer, set()).add(inner)
-            graph.setdefault(inner, set())
-        index: Dict[str, int] = {}
-        low: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-        sccs: List[List[str]] = []
-        counter = [0]
-
-        def strongconnect(node: str) -> None:
-            worklist: List[Tuple[str, Optional[object]]] = [(node, None)]
-            while worklist:
-                current, iterator = worklist.pop()
-                if iterator is None:
-                    index[current] = low[current] = counter[0]
-                    counter[0] += 1
-                    stack.append(current)
-                    on_stack.add(current)
-                    iterator = iter(sorted(graph.get(current, ())))
-                advanced = False
-                for succ in iterator:
-                    if succ not in index:
-                        worklist.append((current, iterator))
-                        worklist.append((succ, None))
-                        advanced = True
-                        break
-                    if succ in on_stack:
-                        low[current] = min(low[current], index[succ])
-                if advanced:
-                    continue
-                if low[current] == index[current]:
-                    component: List[str] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == current:
-                            break
-                    sccs.append(component)
-                if worklist:  # propagate lowlink to the parent frame
-                    parent = worklist[-1][0]
-                    low[parent] = min(low[parent], low[current])
-
-        for node in sorted(graph):
-            if node not in index:
-                strongconnect(node)
-
-        findings: List[ConcurrencyFinding] = []
-        for component in sccs:
-            is_cycle = len(component) > 1 or (
-                component[0] in graph.get(component[0], ())
-            )
-            if not is_cycle:
-                continue
-            members = sorted(component)
-            example = self.report.edges.get(
-                (members[0], members[1 % len(members)]),
-                ("<lock graph>", 0),
-            )
-            findings.append(
-                ConcurrencyFinding(
-                    code="RPRCON01",
-                    path=example[0],
-                    line=example[1],
-                    message=(
-                        "lock-order cycle among "
-                        + " <-> ".join(members)
-                        + " — two paths acquire these locks in opposite "
-                        "orders (potential deadlock)"
-                    ),
-                )
-            )
-        return findings
 
     def _apply_suppressions(
         self, raw: List[ConcurrencyFinding]
@@ -1016,89 +905,3 @@ def run_concurrency_check(
     return analyze_sources(
         list(repo_sources()) + list(extra_sources), extra_roots
     )
-
-
-# ---------------------------------------------------------------------------
-# Witness merge (soundness) + the gate's dynamic exercise
-# ---------------------------------------------------------------------------
-def verify_witness(
-    witness: "object",
-    static: ConcurrencyReport,
-) -> List[ConcurrencyFinding]:
-    """Soundness check: every observed edge must be statically predicted.
-
-    ``witness`` is a :class:`repro.obs.locks.LockWitness`. Observed
-    edges over locks the static table does not know (tests construct
-    ad-hoc witnessed locks) are ignored — the contract covers the
-    package's own locks.
-    """
-    findings: List[ConcurrencyFinding] = []
-    static_edges = set(static.edges)
-    known = set(static.locks)
-    for (outer, inner), count in sorted(witness.edges().items()):
-        if outer not in known or inner not in known:
-            continue
-        if (outer, inner) not in static_edges:
-            findings.append(
-                ConcurrencyFinding(
-                    code="RPRCON04",
-                    path="<lock witness>",
-                    line=0,
-                    message=(
-                        f"observed edge {outer} -> {inner} "
-                        f"({count}x at runtime) is missing from the "
-                        "static lock-order graph — discovery or call "
-                        "graph lost a lock site"
-                    ),
-                )
-            )
-    return findings
-
-
-def run_witness_exercise() -> "object":
-    """Drive a real multi-lock workload under the witness; return it.
-
-    Temporarily arms ``REPRO_LOCK_WITNESS``, builds a tiny engine +
-    service, and serves a few requests (``/search``, ``/statz``,
-    ``/metrics``) so the service-stats -> metrics-registry ->
-    instrument ordering is actually exercised. The returned witness's
-    edges feed :func:`verify_witness`.
-    """
-    from ..obs import locks as locks_mod
-    from ..obs.config import ENV_LOCK_WITNESS
-
-    saved = os.environ.get(ENV_LOCK_WITNESS)
-    os.environ[ENV_LOCK_WITNESS] = "1"
-    try:
-        witness = locks_mod.reset_witness()
-        from ..core.engine import KeywordSearchEngine
-        from ..graph.generators import WikiKBConfig, wiki_like_kb
-        from ..obs.flight import FlightRecorder
-        from ..obs.metrics import MetricsRegistry
-        from ..service import SearchService
-
-        config = WikiKBConfig(
-            name="witness", seed=11, n_papers=40, n_people=20,
-            n_misc=20, n_venues=6, n_orgs=6,
-        )
-        graph, _ = wiki_like_kb(config)
-        engine = KeywordSearchEngine(graph)
-        service = SearchService(
-            engine,
-            registry=MetricsRegistry(),
-            flight=FlightRecorder(max_records=16, slow_ms=0),
-        )
-        vocabulary = [
-            term for term, _ in engine.index.most_frequent_terms(4)
-        ]
-        for term in vocabulary:
-            service.handle_path(f"/search?q={term}")
-        service.handle_path("/statz")
-        service.handle_path("/metrics")
-        service.handle_path("/debug/queries")
-        return witness
-    finally:
-        if saved is None:
-            os.environ.pop(ENV_LOCK_WITNESS, None)
-        else:
-            os.environ[ENV_LOCK_WITNESS] = saved

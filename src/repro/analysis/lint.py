@@ -58,11 +58,9 @@ RPR013    Every ``threading.Lock()``/``RLock()``/``Condition()``
           concurrency analyzer (:mod:`repro.analysis.concurrency`)
           derives lock identities from those bindings; an anonymous
           local lock is invisible to its known-lock table, so its
-          ordering and fork-safety are unverifiable. Prefer the
-          witnessed factory (:func:`repro.obs.locks.make_lock`), which
-          also carries the identity at runtime. The factory module
-          itself (``obs/locks.py``) is exempt — it is where plain
-          locks are legitimately manufactured.
+          nesting and fork-safety are unverifiable. The fork-safety
+          module (``obs/locks.py``) is exempt — it builds the fresh
+          locks a forked child swaps in for inherited ones.
 ========  ==============================================================
 
 Suppression: append ``# noqa: RPR00x`` (with a justification comment)
@@ -136,9 +134,9 @@ _COPYING_CALLS = {"asarray", "ascontiguousarray", "copy", "array"}
 #: arrays: the store writer itself and the streaming builder.
 _STORE_WRITER_SCOPES = ("graph/store.py", "graph/builder.py")
 
-#: The witnessed-lock factory module (relative to the package root):
-#: the one place allowed to build plain ``threading.Lock`` objects in
-#: function scope (RPR013 exemption) — every lock is born there.
+#: The fork-safety module (relative to the package root): the one place
+#: allowed to build ``threading.Lock`` objects in function scope (RPR013
+#: exemption) — the fresh locks a forked child re-binds to each owner.
 _LOCK_FACTORY_SCOPE = "obs/locks.py"
 
 #: Calls whose result is a store-backed (memmap) array; names bound from
@@ -374,8 +372,8 @@ class _FileLinter(ast.NodeVisitor):
                     "RPR013",
                     f"anonymous function-local threading.{primitive}(); "
                     "bind locks to a named attribute or module constant "
-                    "(ideally via repro.obs.locks.make_lock) so the "
-                    "concurrency analyzer's known-lock table sees them",
+                    "so the concurrency analyzer's known-lock table sees "
+                    "them",
                 )
 
     def visit_Assign(self, node: ast.Assign) -> None:

@@ -24,7 +24,7 @@ from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
-from ..obs.locks import make_lock, register_lock_owner
+from ..obs.locks import register_lock_owner
 
 #: Batch kinds: matrix (``M``) and frontier (``FIdentifier``) stores.
 KIND_MATRIX = "M"
@@ -59,9 +59,7 @@ class WriteLog:
     """Append-only, thread-partitioned record of kernel scatter-stores."""
 
     def __init__(self) -> None:
-        self._registry_lock = make_lock(
-            "analysis.writelog.WriteLog._registry_lock"
-        )
+        self._registry_lock = threading.Lock()
         register_lock_owner(self, "_registry_lock")
         self._by_thread: Dict[int, List[WriteBatch]] = {}
         self._local = threading.local()

@@ -13,7 +13,6 @@ the thread-pool backend, "CPU-Par-d" the locked dynamic-memory variant,
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -394,19 +393,13 @@ def measure_obs_overhead(
 
     The always-on flight-recorder path (a per-query owned tracer plus
     one ring commit, the serving default) is measured alongside so CI
-    can watch its cost too, as is the flight path re-run under the
-    runtime lock witness (``REPRO_LOCK_WITNESS=1``, witnessed flight
-    lock): the witness pays one dict update per lock acquisition, and
-    CI gates that ``witness_ratio`` stays under the same <3x bound as
-    the flight path.
+    can watch its cost too.
 
     Returns:
         ``{"plain_ms", "disabled_ms", "ratio", "flight_ms",
-        "flight_ratio", "witness_ms", "witness_ratio"}`` —
-        best-of-``repeats`` total milliseconds, disabled/plain,
-        flight-recorded/plain, and witnessed-flight/plain.
+        "flight_ratio"}`` — best-of-``repeats`` total milliseconds,
+        disabled/plain, and flight-recorded/plain.
     """
-    from ..obs.config import ENV_LOCK_WITNESS
     from ..obs.flight import FlightRecorder
     from ..obs.tracing import Tracer
 
@@ -438,25 +431,10 @@ def measure_obs_overhead(
     plain = best_of(None)
     disabled = best_of(Tracer(enabled=False))
     flight = best_of(None, FlightRecorder(max_records=128, slow_ms=0))
-    saved_witness = os.environ.get(ENV_LOCK_WITNESS)
-    os.environ[ENV_LOCK_WITNESS] = "1"
-    try:
-        # The recorder must be built while the switch is armed so its
-        # lock comes from the witnessed factory.
-        witnessed = best_of(
-            None, FlightRecorder(max_records=128, slow_ms=0)
-        )
-    finally:
-        if saved_witness is None:
-            os.environ.pop(ENV_LOCK_WITNESS, None)
-        else:
-            os.environ[ENV_LOCK_WITNESS] = saved_witness
     return {
         "plain_ms": plain * 1e3,
         "disabled_ms": disabled * 1e3,
         "ratio": disabled / plain if plain > 0 else 1.0,
         "flight_ms": flight * 1e3,
         "flight_ratio": flight / plain if plain > 0 else 1.0,
-        "witness_ms": witnessed * 1e3,
-        "witness_ratio": witnessed / plain if plain > 0 else 1.0,
     }

@@ -30,10 +30,6 @@ registration):
 * ``REPRO_FLIGHT_N`` — ring-buffer capacity of the flight recorder
   (how many recent :class:`~repro.obs.flight.QueryRecord`\\ s are kept).
   ``0`` disables flight recording entirely.
-* ``REPRO_LOCK_WITNESS`` — ``1`` arms the runtime lock witness
-  (:mod:`repro.obs.locks`): every lock built through the factory records
-  acquisition order, held-sets, and held-across-fork events for the
-  concurrency analyzer's soundness check. Default off (plain locks).
 """
 
 from __future__ import annotations
@@ -81,31 +77,10 @@ DEFAULT_SLOW_QUERY_MS = 500.0
 #: Default ``REPRO_FLIGHT_N`` when the variable is unset or unparsable.
 DEFAULT_FLIGHT_RECORDS = 128
 
-#: Runtime lock witness (:mod:`repro.obs.locks`):
-#: ``REPRO_LOCK_WITNESS=1`` makes the lock factory hand out instrumented
-#: locks that record per-thread acquisition order, held-sets, and
-#: locks held across ``os.fork`` into the process-wide
-#: :class:`~repro.obs.locks.LockWitness`. Unset/``0`` (the default)
-#: returns plain ``threading.Lock`` objects — a parity test pins the
-#: exact type so the serving path stays byte-identical. Observed
-#: ordering edges are cross-checked against the static lock-order graph
-#: by :mod:`repro.analysis.concurrency`.
-ENV_LOCK_WITNESS = "REPRO_LOCK_WITNESS"
-
 
 def obs_enabled() -> bool:
     """True unless ``REPRO_OBS=0`` vetoes telemetry."""
     return os.environ.get(ENV_OBS, "1") != "0"
-
-
-def lock_witness_enabled() -> bool:
-    """True only when ``REPRO_LOCK_WITNESS=1`` opts into witnessed locks.
-
-    Opt-in (default off), unlike the other switches: witnessed locks pay
-    a dict update per acquisition, so they run in the dedicated CI job
-    and in ``repro check``'s dynamic exercise, never in serving.
-    """
-    return os.environ.get(ENV_LOCK_WITNESS, "0") == "1"
 
 
 def native_kernel_enabled() -> bool:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .config import flight_recorder_size, obs_enabled, slow_query_threshold_ms
-from .locks import make_lock, register_lock_owner
+from .locks import register_lock_owner
 from .tracing import Span, Tracer, chrome_trace_of
 
 #: Slow-query log capacity (independent of the ring: a burst of fast
@@ -283,7 +283,7 @@ class FlightRecorder:
             slow_query_threshold_ms() if slow_ms is None else float(slow_ms)
         )
         self.slow_trace_dir = slow_trace_dir
-        self._lock = make_lock("obs.flight.FlightRecorder._lock")
+        self._lock = threading.Lock()
         register_lock_owner(self, "_lock")
         self._ids = itertools.count(1)
         self._ring: Deque[QueryRecord] = deque(maxlen=max(self.max_records, 1))

@@ -1,39 +1,22 @@
-"""Witnessed lock factory and fork-safety plumbing.
+"""Fork-safety plumbing for the serving shell's locks.
 
 Every lock in the serving shell (tracer, metrics, flight recorder,
-service stats, the striped ablation locks) is constructed through
-:func:`make_lock` with a stable dotted name — the same name the static
-concurrency analyzer (:mod:`repro.analysis.concurrency`) derives for it
-from the AST. That shared naming is what makes the two layers
-cross-checkable:
+service stats, the striped ablation locks) is a plain
+``threading.Lock`` bound to a named attribute or module constant, and
+no lock is acquired while another is held — the static concurrency
+analyzer (:mod:`repro.analysis.concurrency`) reports any nesting as
+``RPRCON01``.
 
-* With ``REPRO_LOCK_WITNESS`` unset (the default), :func:`make_lock`
-  returns a plain ``threading.Lock`` — byte-identical behavior to the
-  pre-witness code, pinned by a parity test.
-* With ``REPRO_LOCK_WITNESS=1``, it returns a :class:`_WitnessedLock`
-  that records, into the process-wide :class:`LockWitness`, every
-  acquisition: per-thread held-sets, the **lock-order edges** actually
-  exercised (lock A held while acquiring lock B), and exact acquisition
-  counts. :func:`repro.analysis.concurrency.verify_witness` then demands
-  that every observed edge was predicted by the static lock-order graph
-  (the soundness direction: the dynamic run may see fewer orderings than
-  the static over-approximation, never more).
-
-Fork safety (the gap this PR closes): :class:`WorkerPool` forks workers
-while service/metrics threads may be mid-critical-section. A child
-forked at that instant inherits a locked mutex with no owner — the
-classic post-fork deadlock, invisible to TSan because it only
-instruments the C kernel. Two mechanisms here:
-
-* ``os.register_at_fork(before=...)`` — when the witness is active, any
-  lock held by *any* thread at fork time is recorded as a
-  ``held-at-fork`` event (:meth:`LockWitness.held_at_fork_events`).
-* ``os.register_at_fork(after_in_child=...)`` — every lock owner
-  registered via :func:`register_lock_owner` (the flight recorder, the
-  metrics registry and its instruments, tracers) gets a **fresh** lock
-  in the child, and module-level callbacks registered via
-  :func:`register_fork_callback` run (the global-tracer lock), so a pool
-  worker can never block on a mutex its parent's sibling thread held.
+:class:`WorkerPool` forks workers while service/metrics threads may be
+mid-critical-section. A child forked at that instant inherits a locked
+mutex with no owner — the classic post-fork deadlock, invisible to TSan
+because it only instruments the C kernel. So an
+``os.register_at_fork(after_in_child=...)`` hook gives every lock owner
+registered via :func:`register_lock_owner` (the flight recorder, the
+metrics registry and its instruments, tracers) a **fresh** lock in the
+child, and runs the module-level callbacks registered via
+:func:`register_fork_callback` (the global-tracer lock), so a pool
+worker can never block on a mutex its parent's sibling thread held.
 """
 
 from __future__ import annotations
@@ -41,258 +24,14 @@ from __future__ import annotations
 import os
 import threading
 import weakref
-from typing import Callable, Dict, Iterator, List, Tuple
-
-from .config import lock_witness_enabled
+from typing import Callable, List
 
 __all__ = [
-    "LockWitness",
-    "get_witness",
-    "reset_witness",
-    "make_lock",
-    "make_rlock",
-    "make_condition",
-    "make_striped_locks",
     "register_lock_owner",
     "register_fork_callback",
+    "reinit_locks_after_fork",
 ]
 
-
-class LockWitness:
-    """Process-wide record of witnessed lock activity.
-
-    All bookkeeping happens under one *plain* (unwitnessed) mutex so the
-    witness can never feed edges about itself into the graph it is
-    checking. Held-sets are tracked per thread in acquisition order.
-    """
-
-    def __init__(self) -> None:
-        self._mutex = threading.Lock()
-        # thread ident -> stack of lock names currently held, in
-        # acquisition order (a name appears once per outstanding acquire).
-        self._held: Dict[int, List[str]] = {}
-        # (outer, inner) -> times the ordering was observed.
-        self._edges: Dict[Tuple[str, str], int] = {}
-        self._acquisitions: Dict[str, int] = {}
-        # Fork events: each is the sorted tuple of lock names held by
-        # any thread at the instant os.fork ran in this process.
-        self._fork_events: List[Tuple[str, ...]] = []
-        self._max_held = 0
-
-    # ------------------------------------------------------------------
-    # Recording (called by _WitnessedLock)
-    # ------------------------------------------------------------------
-    def note_acquired(self, name: str) -> None:
-        ident = threading.get_ident()
-        with self._mutex:
-            stack = self._held.setdefault(ident, [])
-            for outer in stack:
-                if outer != name:  # re-entry is not an ordering edge
-                    key = (outer, name)
-                    self._edges[key] = self._edges.get(key, 0) + 1
-            stack.append(name)
-            self._acquisitions[name] = self._acquisitions.get(name, 0) + 1
-            self._max_held = max(self._max_held, len(stack))
-
-    def note_released(self, name: str) -> None:
-        ident = threading.get_ident()
-        with self._mutex:
-            stack = self._held.get(ident)
-            if stack:
-                # Remove the innermost outstanding acquire of this name.
-                for index in range(len(stack) - 1, -1, -1):
-                    if stack[index] == name:
-                        del stack[index]
-                        break
-                if not stack:
-                    del self._held[ident]
-
-    def note_fork(self) -> None:
-        """Record the locks held (by anyone) at an ``os.fork``."""
-        with self._mutex:
-            held = sorted(
-                {name for stack in self._held.values() for name in stack}
-            )
-            if held:
-                self._fork_events.append(tuple(held))
-
-    # ------------------------------------------------------------------
-    # Read side
-    # ------------------------------------------------------------------
-    def edges(self) -> Dict[Tuple[str, str], int]:
-        """Observed lock-order edges ``(outer, inner) -> count``."""
-        with self._mutex:
-            return dict(self._edges)
-
-    def acquisition_count(self, name: str) -> int:
-        with self._mutex:
-            return self._acquisitions.get(name, 0)
-
-    def acquisitions(self) -> Dict[str, int]:
-        with self._mutex:
-            return dict(self._acquisitions)
-
-    def held_now(self) -> Dict[int, Tuple[str, ...]]:
-        """Currently held witnessed locks, per thread ident."""
-        with self._mutex:
-            return {
-                ident: tuple(stack) for ident, stack in self._held.items()
-            }
-
-    def held_at_fork_events(self) -> List[Tuple[str, ...]]:
-        """One sorted name tuple per fork taken while locks were held."""
-        with self._mutex:
-            return list(self._fork_events)
-
-    @property
-    def max_held(self) -> int:
-        """Deepest simultaneous held-set any thread reached."""
-        with self._mutex:
-            return self._max_held
-
-    def names(self) -> List[str]:
-        """Every lock name that was acquired at least once."""
-        with self._mutex:
-            return sorted(self._acquisitions)
-
-
-_WITNESS = LockWitness()
-
-
-def get_witness() -> LockWitness:
-    """The process-wide :class:`LockWitness` singleton."""
-    return _WITNESS
-
-
-def reset_witness() -> LockWitness:
-    """Replace the singleton with a fresh one (tests) and return it.
-
-    Witnessed locks resolve the singleton at every acquire/release, so
-    locks created *before* the reset — the process-default metrics
-    registry, module-global tracer locks — keep recording into the
-    current witness afterwards. (An earlier draft captured the witness
-    at construction; that silently dropped the service→registry edge
-    for any pre-existing lock.)
-    """
-    global _WITNESS
-    _WITNESS = LockWitness()
-    return _WITNESS
-
-
-class _WitnessedLock:
-    """A ``threading.Lock`` work-alike that reports to the witness.
-
-    Supports the full lock protocol (``acquire``/``release``, context
-    manager, ``locked``) so it drops into ``threading.Condition`` and
-    every call site a plain lock serves. The witness singleton is looked
-    up per operation, never cached, so :func:`reset_witness` can swap it
-    under live locks.
-    """
-
-    __slots__ = ("name", "_inner")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._inner = threading.Lock()
-
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        acquired = self._inner.acquire(blocking, timeout)
-        if acquired:
-            get_witness().note_acquired(self.name)
-        return acquired
-
-    def release(self) -> None:
-        self._inner.release()
-        get_witness().note_released(self.name)
-
-    def locked(self) -> bool:
-        return self._inner.locked()
-
-    def __enter__(self) -> bool:
-        return self.acquire()
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        self.release()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "locked" if self.locked() else "unlocked"
-        return f"<_WitnessedLock {self.name!r} {state}>"
-
-
-class _WitnessedRLock:
-    """Reentrant variant: witnessed, but re-entry records no edge."""
-
-    __slots__ = ("name", "_inner")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._inner = threading.RLock()
-
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        acquired = self._inner.acquire(blocking, timeout)
-        if acquired:
-            get_witness().note_acquired(self.name)
-        return acquired
-
-    def release(self) -> None:
-        self._inner.release()
-        get_witness().note_released(self.name)
-
-    def __enter__(self) -> bool:
-        return self.acquire()
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        self.release()
-
-
-def make_lock(name: str):
-    """A mutex for the named site: plain or witnessed per the env switch.
-
-    ``name`` must be the lock's static identity — the dotted path the
-    concurrency analyzer derives (``obs.flight.FlightRecorder._lock``).
-    With ``REPRO_LOCK_WITNESS`` unset this returns a plain
-    ``threading.Lock`` (the parity test pins the exact type); with the
-    witness enabled it returns a recording wrapper carrying ``name``.
-    """
-    if lock_witness_enabled():
-        return _WitnessedLock(name)
-    return threading.Lock()
-
-
-def make_rlock(name: str):
-    """Reentrant counterpart of :func:`make_lock`."""
-    if lock_witness_enabled():
-        return _WitnessedRLock(name)
-    return threading.RLock()
-
-
-def make_condition(name: str):
-    """A ``threading.Condition`` whose underlying mutex is witnessed.
-
-    The condition's wait/notify protocol is untouched; only the lock
-    acquisitions around it are recorded.
-    """
-    return threading.Condition(make_lock(name))
-
-
-def make_striped_locks(name: str, n_stripes: int) -> List[object]:
-    """``n_stripes`` locks sharing one witness identity ``name``.
-
-    The striped-lock arrays (``parallel/locked.py``) are one *logical*
-    lock to the ordering analysis: stripe index is data-dependent, so
-    the static graph models the whole array as a single node and the
-    witness reports every stripe under the array's name.
-    """
-    if n_stripes < 1:
-        raise ValueError("n_stripes must be positive")
-    if lock_witness_enabled():
-        return [_WitnessedLock(name) for _ in range(n_stripes)]
-    return [threading.Lock() for _ in range(n_stripes)]
-
-
-# ----------------------------------------------------------------------
-# Fork safety: re-initialize registered locks in forked children
-# ----------------------------------------------------------------------
 #: owner object -> tuple of lock attribute names to re-create in a child.
 _LOCK_OWNERS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 #: Module-level callbacks run in the child after fork (global locks).
@@ -306,8 +45,8 @@ def register_lock_owner(owner: object, *attrs: str) -> None:
     A pool worker forked while some service thread holds
     ``owner.<attr>`` would otherwise inherit a locked, ownerless mutex;
     after this registration the ``after_in_child`` hook replaces each
-    attribute with a fresh lock of the same flavor (witnessed locks keep
-    their witness name). Owners are held weakly.
+    attribute with a fresh lock of the same flavor. Owners are held
+    weakly.
     """
     if not attrs:
         raise ValueError("at least one lock attribute name is required")
@@ -330,33 +69,9 @@ def registered_owner_count() -> int:
 
 def _fresh_lock_like(current: object):
     """A brand-new unlocked lock of the same flavor as ``current``."""
-    if isinstance(current, _WitnessedLock):
-        return _WitnessedLock(current.name)
-    if isinstance(current, _WitnessedRLock):
-        return _WitnessedRLock(current.name)
     if isinstance(current, type(threading.RLock())):
         return threading.RLock()
     return threading.Lock()
-
-
-def _iter_owner_attrs() -> Iterator[Tuple[object, str]]:
-    with _OWNERS_MUTEX:
-        items = [
-            (owner, attrs) for owner, attrs in _LOCK_OWNERS.items()
-        ]
-        callbacks = list(_FORK_CALLBACKS)
-    for owner, attrs in items:
-        for attr in attrs:
-            yield owner, attr
-    # Callbacks are yielded as (callable, "") sentinels by the caller's
-    # convention; kept separate for clarity instead:
-    for callback in callbacks:
-        yield callback, ""
-
-
-def _before_fork() -> None:
-    """Parent-side hook: flag witnessed locks held across the fork."""
-    get_witness().note_fork()
 
 
 def reinit_locks_after_fork() -> int:
@@ -365,28 +80,29 @@ def reinit_locks_after_fork() -> int:
     Runs automatically in forked children (``after_in_child``); exposed
     for tests that simulate the child side without forking.
     """
+    with _OWNERS_MUTEX:
+        owners = list(_LOCK_OWNERS.items())
+        callbacks = list(_FORK_CALLBACKS)
     replaced = 0
-    for target, attr in _iter_owner_attrs():
-        if attr == "":
-            target()  # a module-level callback
-            replaced += 1
-            continue
-        current = getattr(target, attr, None)
-        if current is None:
-            continue
-        setattr(target, attr, _fresh_lock_like(current))
+    for owner, attrs in owners:
+        for attr in attrs:
+            current = getattr(owner, attr, None)
+            if current is not None:
+                setattr(owner, attr, _fresh_lock_like(current))
+                replaced += 1
+    for callback in callbacks:
+        callback()
         replaced += 1
     return replaced
 
 
 def _after_fork_in_child() -> None:
-    # The forking thread is the only survivor: clear inherited held-set
-    # bookkeeping, then re-create every registered lock unlocked.
-    reset_witness()
+    # Only the forking thread survives: the registry mutex itself may
+    # have been held by a thread that does not exist here.
+    global _OWNERS_MUTEX
+    _OWNERS_MUTEX = threading.Lock()
     reinit_locks_after_fork()
 
 
 if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX builds
-    os.register_at_fork(
-        before=_before_fork, after_in_child=_after_fork_in_child
-    )
+    os.register_at_fork(after_in_child=_after_fork_in_child)

@@ -28,7 +28,7 @@ import threading
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from .config import obs_enabled
-from .locks import make_lock, register_lock_owner
+from .locks import register_lock_owner
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..instrumentation import KernelCounters
@@ -85,7 +85,7 @@ class _Instrument:
         self.name = name
         self.help = help
         self.labels = labels
-        self._lock = make_lock("obs.metrics._Instrument._lock")
+        self._lock = threading.Lock()
         register_lock_owner(self, "_lock")
 
 
@@ -276,7 +276,7 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._lock = make_lock("obs.metrics.MetricsRegistry._lock")
+        self._lock = threading.Lock()
         register_lock_owner(self, "_lock")
         self._instruments: "Dict[tuple, _Instrument]" = {}
         self._kinds: Dict[str, str] = {}

@@ -54,7 +54,7 @@ from typing import (
 )
 
 from .config import obs_enabled
-from .locks import make_lock, register_fork_callback, register_lock_owner
+from .locks import register_fork_callback, register_lock_owner
 
 
 class Span:
@@ -171,7 +171,7 @@ class Tracer:
 
     def __init__(self, enabled: Optional[bool] = None) -> None:
         self.enabled = obs_enabled() if enabled is None else bool(enabled)
-        self._lock = make_lock("obs.tracing.Tracer._lock")
+        self._lock = threading.Lock()
         register_lock_owner(self, "_lock")
         self._finished: List[Span] = []
         self._local = threading.local()
@@ -333,7 +333,7 @@ class Tracer:
 NULL_TRACER = Tracer(enabled=False)
 
 _GLOBAL_TRACER: Tracer = NULL_TRACER
-_GLOBAL_LOCK = make_lock("obs.tracing._GLOBAL_LOCK")
+_GLOBAL_LOCK = threading.Lock()
 
 
 def _reinit_global_lock() -> None:
@@ -341,7 +341,7 @@ def _reinit_global_lock() -> None:
     ``_GLOBAL_LOCK`` inherits it locked with no owner; give the child a
     fresh one (only the forking thread survives into the child)."""
     global _GLOBAL_LOCK
-    _GLOBAL_LOCK = make_lock("obs.tracing._GLOBAL_LOCK")
+    _GLOBAL_LOCK = threading.Lock()  # noqa: RPR013 - rebinds the module constant
 
 
 register_fork_callback(_reinit_global_lock)

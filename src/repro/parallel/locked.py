@@ -41,7 +41,7 @@ from ..core.state import (
 )
 from ..core.top_down import TopDownConfig, rank_central_graphs
 from ..graph.csr import KnowledgeGraph
-from ..obs.locks import make_lock, make_striped_locks, register_lock_owner
+from ..obs.locks import register_lock_owner
 from ..text.inverted_index import InvertedIndex
 
 _LOCK_STRIPES = 509  # prime; stripes node ids over a fixed mutex pool
@@ -102,18 +102,10 @@ class LockedDictEngine:
         self.index = index
         self.n_threads = n_threads
         self.lmax = lmax
-        self._locks = make_striped_locks(
-            "parallel.locked.LockedDictEngine._locks", _LOCK_STRIPES
-        )
-        self._frontier_lock = make_lock(
-            "parallel.locked.LockedDictEngine._frontier_lock"
-        )
-        self._central_lock = make_lock(
-            "parallel.locked.LockedDictEngine._central_lock"
-        )
-        register_lock_owner(
-            self, "_frontier_lock", "_central_lock"
-        )
+        self._locks = [threading.Lock() for _ in range(_LOCK_STRIPES)]
+        self._frontier_lock = threading.Lock()
+        self._central_lock = threading.Lock()
+        register_lock_owner(self, "_frontier_lock", "_central_lock")
 
     def _lock_for(self, node: int) -> threading.Lock:
         return self._locks[node % _LOCK_STRIPES]

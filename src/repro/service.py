@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional
 from urllib.parse import parse_qs, urlparse
@@ -37,7 +37,7 @@ from .core.central_graph import SearchAnswer
 from .core.engine import EmptyQueryError, KeywordSearchEngine
 from .graph.csr import KnowledgeGraph
 from .obs.flight import FlightRecorder
-from .obs.locks import make_lock, register_lock_owner
+from .obs.locks import register_lock_owner
 from .obs.metrics import MetricsRegistry, get_registry
 from .viz import edge_predicates
 
@@ -163,7 +163,7 @@ class SearchService:
         else:
             self.flight = FlightRecorder.from_env()
         engine.flight = self.flight
-        self._lock = make_lock("service.SearchService._lock")
+        self._lock = threading.Lock()
         register_lock_owner(self, "_lock")
 
     def _record_request(
@@ -346,17 +346,21 @@ class SearchService:
             # operator can tell page cache from heap. Computed outside
             # the stats lock — it may touch mmap pages.
             storage = self.graph.memory_report()
-            # Stats and metrics are read under the service lock so the
-            # endpoint counts and the HTTP counters describe the same
-            # instant (a concurrent /search cannot land between them).
-            # This nests service -> registry -> instrument locks; the
-            # concurrency analyzer's lock-order graph pins that order.
+            # The stats are copied under the service lock, the metrics
+            # snapshotted after it is released: no lock in the shell is
+            # acquired while another is held. A /search finishing between
+            # the two reads shows up in one half and not yet the other.
             with self._lock:
-                payload = {
-                    "service": self.stats.as_dict(),
-                    "storage": storage,
-                    "metrics": self.registry.snapshot(),
-                }
+                stats = replace(
+                    self.stats,
+                    requests_by_endpoint=dict(self.stats.requests_by_endpoint),
+                    errors_by_endpoint=dict(self.stats.errors_by_endpoint),
+                )
+            payload = {
+                "service": stats.as_dict(),
+                "storage": storage,
+                "metrics": self.registry.snapshot(),
+            }
             return 200, "application/json", json.dumps(payload)
         if parsed.path == "/debug/queries":
             return 200, "application/json", json.dumps(

@@ -853,5 +853,5 @@ def test_cli_check_list_rules(capsys):
     assert main(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule in ("RPR001", "RPR008", "RPR010", "RPR012", "RPR013",
-                 "RPRCON01", "RPRCON04"):
+                 "RPRCON01", "RPRCON03"):
         assert rule in out

@@ -1,15 +1,12 @@
-"""Concurrency-contract analyzer + runtime lock witness tests.
+"""Concurrency-contract analyzer and fork-safety tests.
 
-Covers the static lock-order pass (cycle / blocking / fork findings on
-synthetic modules, a clean real repo), the witnessed lock factory
-(exact acquisition counts under a thread hammer, plain-lock parity when
-disabled), fork safety (held-at-fork events, post-fork lock
-re-initialization), and the static/dynamic soundness check.
+Covers the static pass (nested-acquisition / blocking / fork findings
+on synthetic modules, a clean real repo with its exact lock inventory)
+and fork safety (post-fork lock re-initialization).
 """
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -17,17 +14,7 @@ from repro.analysis import concurrency
 from repro.analysis.check import _run_injection, run_concurrency_stage
 from repro.analysis.lint import lint_source
 from repro.obs import locks as locks_mod
-from repro.obs.config import ENV_LOCK_WITNESS, lock_witness_enabled
-from repro.obs.locks import (
-    get_witness,
-    make_condition,
-    make_lock,
-    make_rlock,
-    make_striped_locks,
-    register_lock_owner,
-    reinit_locks_after_fork,
-    reset_witness,
-)
+from repro.obs.locks import register_lock_owner, reinit_locks_after_fork
 
 # ---------------------------------------------------------------------------
 # Static pass: synthetic modules
@@ -130,6 +117,43 @@ def outer_ba():
 '''
 
 
+_BUILTIN_SET_SOURCE = '''\
+import threading
+
+_L = threading.Lock()
+
+
+class Gauge:
+    def __init__(self):
+        self._lock = threading.Lock()
+
+    def set(self, value):
+        with self._lock:
+            self.value = value
+
+
+def collect(items):
+    with _L:
+        return set(items)
+'''
+
+_STRIPED_SOURCE = '''\
+import threading
+
+
+class Table:
+    def __init__(self):
+        self._locks = [threading.Lock() for _ in range(8)]
+
+    def _lock_for(self, key):
+        return self._locks[key % 8]
+
+    def put(self, key):
+        with self._lock_for(key):
+            return key
+'''
+
+
 def _analyze(source, modname="m", roots=()):
     return concurrency.analyze_sources(
         [(modname, "<memory>", source)], extra_roots=roots
@@ -144,11 +168,13 @@ def test_two_lock_cycle_is_rprcon01():
     assert ("m._B", "m._A") in report.edges
 
 
-def test_consistent_order_is_clean():
+def test_consistent_order_nesting_is_rprcon01():
+    """No lock may be acquired while another is held, even in an order
+    every path agrees on."""
     report = _analyze(_CLEAN_SOURCE, roots=["m.one", "m.two"])
-    assert report.findings == []
-    assert ("m._A", "m._B") in report.edges
-    assert ("m._B", "m._A") not in report.edges
+    assert {finding.code for finding in report.findings} == {"RPRCON01"}
+    assert set(report.edges) == {("m._A", "m._B")}
+    assert "'m._B' acquired while holding 'm._A'" in report.findings[0].message
 
 
 def test_sleep_under_lock_is_rprcon02():
@@ -178,6 +204,19 @@ def test_interprocedural_cycle_through_helper():
         roots=["m.outer_ab", "m.outer_ba"],
     )
     assert "RPRCON01" in {finding.code for finding in report.findings}
+    # The call-only nesting is a finding on its own, at the call site.
+    report = _analyze(_INTERPROCEDURAL_SOURCE, roots=["m.outer_ab"])
+    assert [finding.code for finding in report.findings] == ["RPRCON01"]
+    assert "through m.helper_b" in report.findings[0].message
+
+
+def test_bare_builtin_call_does_not_resolve_to_a_method():
+    """``set()`` under a lock is the builtin, not ``Gauge.set``: a bare
+    name call reaches module-level functions only."""
+    report = _analyze(_BUILTIN_SET_SOURCE, roots=["m.collect", "m.Gauge.set"])
+    assert set(report.locks) == {"m._L", "m.Gauge._lock"}
+    assert report.edges == {}
+    assert report.findings == []
 
 
 def test_unreachable_code_is_not_analyzed():
@@ -192,31 +231,33 @@ def test_unreachable_code_is_not_analyzed():
 def test_repo_is_clean_and_locks_discovered():
     report = concurrency.run_concurrency_check()
     assert report.findings == [], [str(f) for f in report.findings]
-    for expected in (
-        "service.SearchService._lock",
+    assert set(report.locks) == {
+        "analysis.writelog.WriteLog._registry_lock",
         "obs.flight.FlightRecorder._lock",
+        "obs.locks._OWNERS_MUTEX",
         "obs.metrics.MetricsRegistry._lock",
         "obs.metrics._Instrument._lock",
         "obs.tracing.Tracer._lock",
+        "obs.tracing._GLOBAL_LOCK",
+        "parallel.locked.LockedDictEngine._central_lock",
         "parallel.locked.LockedDictEngine._frontier_lock",
-        "analysis.writelog.WriteLog._registry_lock",
-    ):
-        assert expected in report.locks, expected
-    assert report.locks["parallel.locked.LockedDictEngine._locks"].kind == (
+        "parallel.locked.LockedDictEngine._locks[*]",
+        "service.SearchService._lock",
+    }
+    assert report.locks["parallel.locked.LockedDictEngine._locks[*]"].kind == (
         "striped"
     )
-    # The /statz consistent-snapshot nesting must be predicted.
-    assert (
-        "service.SearchService._lock",
-        "obs.metrics.MetricsRegistry._lock",
-    ) in report.edges
+    # No lock in the shell is acquired while another is held.
+    assert report.edges == {}
 
 
 def test_check_stage_runs_clean():
     lines = []
     assert run_concurrency_stage(lines.append) == 0
-    assert any("0 finding(s)" in line for line in lines)
-    assert any("ordering edge(s) observed" in line for line in lines)
+    assert any(
+        "0 held-lock edge(s)" in line and "0 finding(s)" in line
+        for line in lines
+    )
 
 
 def test_inject_deadlock_is_caught():
@@ -227,144 +268,23 @@ def test_inject_deadlock_is_caught():
     assert "RPRCON02" in joined
 
 
-# ---------------------------------------------------------------------------
-# Witness factory: parity and recording
-# ---------------------------------------------------------------------------
-def test_disabled_witness_returns_plain_primitives(monkeypatch):
-    monkeypatch.delenv(ENV_LOCK_WITNESS, raising=False)
-    assert not lock_witness_enabled()
-    # Exact-type parity (the REPRO_OBS=0 PhaseTimer pattern): serving
-    # must get the interpreter's own lock object, not a wrapper.
-    assert type(make_lock("t.plain")) is type(threading.Lock())
-    assert type(make_rlock("t.plain")) is type(threading.RLock())
-    assert isinstance(make_condition("t.plain"), threading.Condition)
-    stripes = make_striped_locks("t.striped", 4)
-    assert len(stripes) == 4
-    assert all(type(s) is type(threading.Lock()) for s in stripes)
-
-
-def test_witness_hammer_exact_counts(monkeypatch):
-    monkeypatch.setenv(ENV_LOCK_WITNESS, "1")
-    witness = reset_witness()
-    outer = make_lock("t.hammer.outer")
-    inner = make_lock("t.hammer.inner")
-    n_threads, n_iter = 4, 50
-
-    def work(_):
-        for _ in range(n_iter):
-            with outer:
-                with inner:
-                    pass
-
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        list(pool.map(work, range(n_threads)))
-
-    total = n_threads * n_iter
-    assert witness.acquisition_count("t.hammer.outer") == total
-    assert witness.acquisition_count("t.hammer.inner") == total
-    assert witness.edges()[("t.hammer.outer", "t.hammer.inner")] == total
-    # Consistent ordering: the reverse edge must not exist (no false
-    # cycle from the hammer).
-    assert ("t.hammer.inner", "t.hammer.outer") not in witness.edges()
-    assert witness.max_held >= 2
-    assert witness.held_now() == {}
-
-
-def test_striped_locks_share_one_identity(monkeypatch):
-    monkeypatch.setenv(ENV_LOCK_WITNESS, "1")
-    witness = reset_witness()
-    stripes = make_striped_locks("t.stripes", 8)
-    for stripe in stripes:
-        with stripe:
-            pass
-    assert witness.acquisition_count("t.stripes") == 8
-    # Nested distinct stripes are re-entry on the same logical lock:
-    # no ordering edge.
-    with stripes[0]:
-        with stripes[1]:
-            pass
-    assert ("t.stripes", "t.stripes") not in witness.edges()
-
-
-def test_locks_created_before_reset_record_to_current_witness(monkeypatch):
-    """The witness is resolved per operation, not captured at lock
-    construction: module-global locks (default registry, global tracer)
-    built before a reset must still feed edges into the new witness."""
-    monkeypatch.setenv(ENV_LOCK_WITNESS, "1")
-    reset_witness()
-    outer = make_lock("t.stale.outer")
-    inner = make_lock("t.stale.inner")
-    witness = reset_witness()  # both locks predate this witness
-    with outer:
-        with inner:
-            pass
-    assert witness.acquisition_count("t.stale.outer") == 1
-    assert ("t.stale.outer", "t.stale.inner") in witness.edges()
-
-
-def test_witnessed_condition_records(monkeypatch):
-    monkeypatch.setenv(ENV_LOCK_WITNESS, "1")
-    witness = reset_witness()
-    condition = make_condition("t.cond")
-    with condition:
-        condition.notify_all()
-    assert witness.acquisition_count("t.cond") == 1
-
-
-# ---------------------------------------------------------------------------
-# Soundness: observed edges must be statically predicted
-# ---------------------------------------------------------------------------
-def test_witness_exercise_is_sound():
-    witness = concurrency.run_witness_exercise()
-    static = concurrency.run_concurrency_check()
-    observed = {
-        edge
-        for edge in witness.edges()
-        if edge[0] in static.locks and edge[1] in static.locks
-    }
-    # The /statz consistent snapshot guarantees at least one real
-    # multi-lock ordering (acceptance criterion).
-    assert observed, "witnessed exercise saw no multi-lock ordering"
-    assert concurrency.verify_witness(witness, static) == []
-    assert observed <= set(static.edges)
-
-
-def test_verify_witness_flags_unpredicted_edge(monkeypatch):
-    monkeypatch.setenv(ENV_LOCK_WITNESS, "1")
-    witness = reset_witness()
-    # Two locks the static table knows, nested in an order the clean
-    # source never exercises.
-    static = _analyze(_CLEAN_SOURCE, roots=["m.one", "m.two"])
-    lock_b = make_lock("m._B")
-    lock_a = make_lock("m._A")
-    with lock_b:
-        with lock_a:
-            pass
-    findings = concurrency.verify_witness(witness, static)
-    assert [finding.code for finding in findings] == ["RPRCON04"]
-    assert "m._B -> m._A" in findings[0].message
-
-
-def test_verify_witness_ignores_unknown_locks(monkeypatch):
-    monkeypatch.setenv(ENV_LOCK_WITNESS, "1")
-    witness = reset_witness()
-    static = _analyze(_CLEAN_SOURCE, roots=["m.one", "m.two"])
-    with make_lock("test.only.x"):
-        with make_lock("test.only.y"):
-            pass
-    assert concurrency.verify_witness(witness, static) == []
+def test_striped_locks_share_one_identity():
+    """A list of locks is one logical lock, and ``self._lock_for(key)``
+    resolves to it."""
+    report = _analyze(_STRIPED_SOURCE, roots=["m.Table.put"])
+    assert set(report.locks) == {"m.Table._locks[*]"}
+    assert report.locks["m.Table._locks[*]"].kind == "striped"
+    assert report.unresolved_acquisitions == 0
+    assert report.findings == []
 
 
 # ---------------------------------------------------------------------------
 # Fork safety
 # ---------------------------------------------------------------------------
-def test_reinit_replaces_registered_locks(monkeypatch):
-    monkeypatch.setenv(ENV_LOCK_WITNESS, "1")
-    reset_witness()
-
+def test_reinit_replaces_registered_locks():
     class Owner:
         def __init__(self):
-            self._lock = make_lock("t.owner._lock")
+            self._lock = threading.Lock()
             register_lock_owner(self, "_lock")
 
     owner = Owner()
@@ -372,20 +292,12 @@ def test_reinit_replaces_registered_locks(monkeypatch):
     old.acquire()  # simulate the parent-side holder
     assert reinit_locks_after_fork() >= 1
     assert owner._lock is not old
-    assert owner._lock.name == "t.owner._lock"  # identity preserved
     assert owner._lock.acquire(timeout=1)  # fresh and unlocked
     owner._lock.release()
     old.release()
 
 
-def test_fresh_lock_like_preserves_flavor(monkeypatch):
-    monkeypatch.setenv(ENV_LOCK_WITNESS, "1")
-    reset_witness()
-    witnessed = make_lock("t.flavor")
-    fresh = locks_mod._fresh_lock_like(witnessed)
-    assert type(fresh) is type(witnessed)
-    assert fresh.name == "t.flavor"
-    monkeypatch.delenv(ENV_LOCK_WITNESS)
+def test_fresh_lock_like_preserves_flavor():
     plain = threading.Lock()
     assert type(locks_mod._fresh_lock_like(plain)) is type(plain)
     rlock = threading.RLock()
@@ -395,13 +307,13 @@ def test_fresh_lock_like_preserves_flavor(monkeypatch):
 @pytest.mark.skipif(
     not hasattr(os, "fork"), reason="os.fork unavailable on this platform"
 )
-def test_fork_records_held_locks_and_child_reinits(monkeypatch):
-    monkeypatch.setenv(ENV_LOCK_WITNESS, "1")
-    witness = reset_witness()
+def test_fork_records_held_locks_and_child_reinits():
+    """A parent thread holds a registered lock across ``os.fork``; the
+    child must still acquire it."""
 
     class Owner:
         def __init__(self):
-            self._lock = make_lock("t.fork._lock")
+            self._lock = threading.Lock()
             register_lock_owner(self, "_lock")
 
     owner = Owner()
@@ -417,10 +329,11 @@ def test_fork_records_held_locks_and_child_reinits(monkeypatch):
     thread.start()
     assert acquired.wait(10)
     try:
+        assert owner._lock.locked()
         pid = os.fork()
         if pid == 0:
             # Child: the holder thread does not exist here. Without the
-            # after_in_child re-init this acquire would deadlock on the
+            # after_in_child re-init this acquire would time out on the
             # inherited locked mutex.
             ok = owner._lock.acquire(True, 5)
             os._exit(0 if ok else 1)
@@ -429,8 +342,6 @@ def test_fork_records_held_locks_and_child_reinits(monkeypatch):
         release.set()
         thread.join(10)
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
-    events = witness.held_at_fork_events()
-    assert any("t.fork._lock" in event for event in events)
 
 
 def test_global_tracer_lock_reinit_callback_registered():

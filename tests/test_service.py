@@ -196,12 +196,66 @@ def test_services_on_one_engine_share_the_recorder(engine):
     assert second.flight is first.flight
 
 
-def test_debug_endpoints_under_concurrency(engine):
+class _RecordingLock:
+    """A mutex that notes every acquisition made while the acquiring
+    thread already holds another recording lock."""
+
+    def __init__(self, name, held, nested):
+        self._inner = threading.Lock()
+        self._name = name
+        self._held = held  # threading.local: .names, this thread's stack
+        self._nested = nested  # (outer, inner) pairs, shared by all threads
+        self.acquisitions = 0
+
+    def __enter__(self):
+        self._inner.acquire()
+        stack = self._held.__dict__.setdefault("names", [])
+        self._nested.extend((outer, self._name) for outer in stack)
+        stack.append(self._name)
+        self.acquisitions += 1
+
+    def __exit__(self, *exc):
+        self._held.names.remove(self._name)
+        self._inner.release()
+
+
+def test_debug_endpoints_under_concurrency(engine, monkeypatch):
     """Hammer /metrics, /statz and /debug/queries while /search runs:
-    exact request counts, no ring corruption."""
+    exact request counts, no ring corruption, and no thread ever holds
+    two of the shell's locks at once."""
     from concurrent.futures import ThreadPoolExecutor
 
+    from repro.obs import metrics, tracing
+
+    held, nested, proxies = threading.local(), [], []
+
+    def record(owner, attr, name):
+        proxy = _RecordingLock(name, held, nested)
+        proxies.append(proxy)
+        monkeypatch.setattr(owner, attr, proxy)
+
+    def recording_init(cls, name):
+        original = cls.__init__
+
+        def __init__(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            record(self, "_lock", name)
+
+        monkeypatch.setattr(cls, "__init__", __init__)
+
+    # Locks built during the run (per-query tracers, new instruments)...
+    recording_init(tracing.Tracer, "Tracer._lock")
+    recording_init(metrics._Instrument, "_Instrument._lock")
     service = _debug_service(engine, max_records=4)
+    # ...and those that already exist.
+    record(service, "_lock", "SearchService._lock")
+    record(service.flight, "_lock", "FlightRecorder._lock")
+    record(tracing, "_GLOBAL_LOCK", "tracing._GLOBAL_LOCK")
+    for registry in (service.registry, metrics.get_registry()):
+        record(registry, "_lock", "MetricsRegistry._lock")
+        for instrument in list(registry._instruments.values()):
+            record(instrument, "_lock", "_Instrument._lock")
+
     n_search, n_read = 24, 30
     paths = ["/search?q=machine+learning&k=1"] * n_search + [
         "/metrics",
@@ -212,6 +266,8 @@ def test_debug_endpoints_under_concurrency(engine):
         statuses = list(
             executor.map(lambda p: service.handle_path(p)[0], paths)
         )
+    assert nested == [], sorted(set(nested))
+    assert sum(proxy.acquisitions for proxy in proxies) > len(paths)
     assert statuses.count(200) == len(paths)
     assert service.stats.requests_by_endpoint["/search"] == n_search
     assert service.stats.requests_by_endpoint["/metrics"] == n_read // 3
