@@ -774,10 +774,11 @@ def _check_store_contract(findings: List[AbiFinding]) -> int:
                     "kernel reads native little-endian views",
                 )
             )
-    # Every section's payload must stay aligned for a zero-copy memmap
-    # view: the fixed header block and the inter-section alignment must
-    # both be multiples of each section's item size.
-    for section, declared in sorted(dtypes.items()):
+    # Every section's payload — derived ones included — must stay aligned
+    # for a zero-copy memmap view: the fixed header block and the
+    # inter-section alignment must both be multiples of each item size.
+    every_section = {**dtypes, **dict(store.DERIVED_SECTION_DTYPES)}
+    for section, declared in sorted(every_section.items()):
         itemsize = np.dtype(declared).itemsize
         if store.SECTION_ALIGN % itemsize or store.HEADER_BLOCK % itemsize:
             findings.append(

@@ -177,7 +177,7 @@ class SearchState:
         Returns:
             The number of frontier nodes enqueued.
         """
-        self.frontier = np.flatnonzero(self.f_identifier).astype(np.int64)
+        self.frontier = np.flatnonzero(self.f_identifier).astype(np.int64, copy=False)
         self.f_identifier[:] = 0
         return len(self.frontier)
 

@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..instrumentation import hot_path
-from .csr import KnowledgeGraph
+from .csr import KnowledgeGraph, row_windows
 
 UNREACHED = -1
 
@@ -113,6 +113,8 @@ def shortest_path(graph: KnowledgeGraph, source: int, target: int) -> Optional[L
 
 #: Nodes looked at per step when searching for the next unlabelled node.
 _SCAN_BLOCK = 4096
+#: Adjacency entries gathered per window of a component BFS level.
+_WINDOW_EDGES = 1 << 18
 
 
 @hot_path
@@ -142,6 +144,7 @@ def _label_components(
     current = 0
     unlabelled = n
     cursor = 0
+    gathered = 0
     while cursor < n:
         free = np.flatnonzero(
             component[cursor:cursor + _SCAN_BLOCK] == UNREACHED
@@ -154,20 +157,38 @@ def _label_components(
         size = 1
         frontier = np.array([cursor], dtype=np.int64)
         while len(frontier):
+            # The frontier expands in windows of about _WINDOW_EDGES
+            # adjacency entries, so the temporaries stay that long however
+            # wide a level is. A node a window labels is not unlabelled
+            # for the windows after it, so each joins the next frontier
+            # once. The frontier is kept sorted, so a window reads one
+            # stretch of the adjacency, and a store-backed graph releases
+            # the pages read once a window's worth has been gathered.
             degrees = degree_array[frontier]
-            total = int(degrees.sum())
-            first = np.cumsum(degrees) - degrees
-            positions = np.repeat(indptr[frontier] - first, degrees) + np.arange(total)
-            # The stored int32 ids, not the int64 view: on a store that
-            # view is 8 bytes per entry of pages nothing else here maps.
-            neighbors = indices[positions]
-            neighbors = neighbors[component[neighbors] == UNREACHED]
-            component[neighbors] = current
-            # A node reached over several edges appears several times;
-            # the last slot written into ``claim`` keeps exactly one.
-            slots = np.arange(len(neighbors))
-            claim[neighbors] = slots
-            frontier = neighbors[claim[neighbors] == slots]
+            ends = np.zeros(len(frontier) + 1, dtype=np.int64)
+            np.cumsum(degrees, out=ends[1:])
+            reached = []
+            # One iteration per window of _WINDOW_EDGES entries, not per edge.
+            for lo, hi in row_windows(ends, _WINDOW_EDGES):  # noqa: RPR002
+                window = frontier[lo:hi]
+                first = ends[lo:hi] - ends[lo]
+                positions = np.repeat(indptr[window] - first, degrees[lo:hi])
+                positions += np.arange(ends[hi] - ends[lo])
+                # The stored int32 ids, not the int64 view: on a store that
+                # view is 8 bytes per entry of pages nothing else here maps.
+                neighbors = indices[positions]
+                neighbors = neighbors[component[neighbors] == UNREACHED]
+                component[neighbors] = current
+                # A node reached over several edges appears several times;
+                # the last slot written into ``claim`` keeps exactly one.
+                slots = np.arange(len(neighbors))
+                claim[neighbors] = slots
+                reached.append(neighbors[claim[neighbors] == slots])
+                gathered += len(positions)
+                if gathered >= _WINDOW_EDGES:
+                    graph.release_pages()
+                    gathered = 0
+            frontier = np.sort(np.concatenate(reached))
             size += len(frontier)
         if size > best_size:
             best, best_size = current, size

@@ -16,9 +16,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .csr import CSRAdjacency, KnowledgeGraph
+from .csr import CSRAdjacency, KnowledgeGraph, row_windows
 from .labels import Vocabulary
-from .store import StoreInfo, StoreSection, StoreWriter
+from .store import StoreInfo, StoreSection, StoreWriter, write_derived_sections
 
 PredicateRef = Union[int, str]
 
@@ -301,16 +301,9 @@ def _window_bounds(counts: np.ndarray, window_rows: int) -> np.ndarray:
     the target gets a window of its own (bounded by max degree, not by the
     target).
     """
-    n = len(counts)
-    if n == 0:
-        return np.zeros(1, dtype=np.int64)
-    cum = np.cumsum(counts, dtype=np.int64)
-    bounds = [0]
-    while bounds[-1] < n:
-        lo = bounds[-1]
-        base = int(cum[lo - 1]) if lo else 0
-        hi = int(np.searchsorted(cum, base + window_rows, side="right"))
-        bounds.append(min(max(hi, lo + 1), n))
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    bounds = [0] + [hi for _, hi in row_windows(indptr, window_rows)]
     return np.asarray(bounds, dtype=np.int64)
 
 
@@ -383,7 +376,7 @@ class _SectionFileReader:
 
 
 class StreamingGraphBuilder:
-    """Builds a :class:`~repro.graph.store.CSRStore` file in bounded memory.
+    """Builds a version-2 ``.csrstore`` file in bounded memory.
 
     Same ``add_node`` / ``add_edge`` protocol as :class:`GraphBuilder`, but
     nothing accumulates in RAM beyond a spill buffer: node text streams to a
@@ -526,6 +519,9 @@ class StreamingGraphBuilder:
         3. re-read the written out/inc sections per window, union them into
            the bi-directed ``adj_*`` sections (cross-direction duplicates
            kept, exactly like ``GraphBuilder.build``).
+
+        Then :func:`~repro.graph.store.write_derived_sections` computes the
+        index, weight and distance sections over the finished CSR.
         """
         if self._finalized:
             raise RuntimeError("finalize() may only be called once")
@@ -535,11 +531,9 @@ class StreamingGraphBuilder:
         self._text_spool.close()
         try:
             info = self._finalize_inner(os.fspath(path), name, seed, deduplicate, notes)
-        except Exception:
+        finally:
             shutil.rmtree(self._tmpdir, ignore_errors=True)
-            raise
-        shutil.rmtree(self._tmpdir, ignore_errors=True)
-        return info
+        return write_derived_sections(info)
 
     def _finalize_inner(
         self,

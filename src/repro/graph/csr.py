@@ -18,11 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .labels import Vocabulary
+
+if TYPE_CHECKING:
+    from .store import StoreHandle
 
 
 @dataclass(frozen=True)
@@ -150,6 +153,24 @@ class CSRAdjacency:
         return cls(indptr=indptr, indices=targets, labels=labels)
 
 
+def row_windows(indptr: np.ndarray, budget: int) -> Iterator[Tuple[int, int]]:
+    """Split the rows of ``indptr`` into consecutive ``[lo, hi)`` windows
+    of at most ``budget`` entries (``indptr[hi] - indptr[lo]``).
+
+    A row longer than ``budget`` gets a window of its own, so a window is
+    bounded by ``max(budget, largest row)``. Each step is one binary
+    search: nothing the size of ``indptr`` is allocated, so a memory-mapped
+    ``indptr`` stays paged out.
+    """
+    n_rows = len(indptr) - 1
+    lo = 0
+    while lo < n_rows:
+        hi = int(np.searchsorted(indptr, indptr[lo] + budget, side="right")) - 1
+        hi = min(max(hi, lo + 1), n_rows)
+        yield lo, hi
+        lo = hi
+
+
 class KnowledgeGraph:
     """A bi-directed, edge-labeled knowledge graph in CSR form.
 
@@ -189,7 +210,7 @@ class KnowledgeGraph:
         self.predicates = predicates
         # Set by repro.graph.store.open_store when this graph is backed by an
         # on-disk CSRStore (a StoreHandle); None for in-RAM graphs.
-        self.store: Optional[object] = None
+        self.store: Optional["StoreHandle"] = None
 
     # ------------------------------------------------------------------
     # Basic shape
@@ -205,6 +226,17 @@ class KnowledgeGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"KnowledgeGraph(n_nodes={self.n_nodes}, n_edges={self.n_edges})"
+
+    def release_pages(self) -> None:
+        """Let the file pages a store-backed graph has touched leave this
+        process's resident set; they stay in the page cache and fault
+        back in on the next read. A no-op for a graph in RAM.
+
+        A scan over the whole graph calls it between windows, so what it
+        keeps resident is one window of the file, not all of it.
+        """
+        if self.store is not None:
+            self.store.release_pages()
 
     # ------------------------------------------------------------------
     # Navigation helpers

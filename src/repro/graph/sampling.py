@@ -15,6 +15,7 @@ import numpy as np
 
 from .algorithms import UNREACHED, bfs_levels_vectorized, largest_component_nodes
 from .csr import KnowledgeGraph
+from .store import stored_json
 
 #: Byte lanes of the expansion kernel's hitting-level matrix.
 _SOURCES_PER_PASS = 8
@@ -61,6 +62,10 @@ def estimate_average_distance(
     :func:`~repro.graph.algorithms.bfs_levels_vectorized`. Either way the
     estimate is the one a plain BFS per source gives, bit for bit.
 
+    A graph opened from a version-2 ``.csrstore`` returns the estimate the
+    store recorded when it was sampled with this ``(n_pairs, seed)`` (and
+    no ``rng``, over the largest component): the same numbers.
+
     Args:
         n_pairs: how many (source, target) pairs to draw.
         seed: RNG seed when ``rng`` is not given; results are deterministic.
@@ -70,6 +75,14 @@ def estimate_average_distance(
     Raises:
         ValueError: if the graph has fewer than two nodes to pair up.
     """
+    if rng is None and restrict_to_largest_component:
+        record = stored_json(graph, "distance")
+        if (
+            record is not None
+            and record["estimate"] is not None
+            and (record["n_pairs"], record["seed"]) == (n_pairs, seed)
+        ):
+            return DistanceEstimate(**record["estimate"])
     if graph.n_nodes < 2:
         raise ValueError("need at least two nodes to sample distances")
     if rng is None:
@@ -99,6 +112,9 @@ def estimate_average_distance(
         batch = min(targets_per_source, remaining)
         remaining -= batch
         targets.append(rng.choice(pool, size=batch, replace=True))
+    # Node-sized, like each pass's level matrix: neither is kept while
+    # the next pass runs.
+    del pool
 
     # The sources run eight at a time, each as one single-node "keyword"
     # lane of the engine's own expansion kernel, active everywhere.
@@ -117,6 +133,7 @@ def estimate_average_distance(
                 levels = matrix[wanted, lane]
                 reached = levels != INFINITE_LEVEL
             distances.append(levels[reached & (wanted != source)])
+        del matrix
     arr = np.concatenate(distances).astype(np.float64)
 
     if len(arr) == 0:

@@ -19,7 +19,7 @@ offsets never move. Large variable-size metadata (predicate vocabulary,
 provenance) lives in its own ``meta`` section rather than the header, so a
 real-Wikidata predicate vocabulary cannot overflow the fixed block.
 
-Sections::
+CSR sections (every version)::
 
     out_indptr   int64 (n+1)   out_indices   int32 (E)   out_labels int32 (E)
     inc_indptr   int64 (n+1)   inc_indices   int32 (E)   inc_labels int32 (E)
@@ -31,6 +31,18 @@ Sections::
 path needs (:attr:`CSRAdjacency.degree_array`, :attr:`CSRAdjacency.indices64`)
 so opening a store never pays an O(V) or O(E) derivation — the memmaps are
 injected directly into the ``cached_property`` slots.
+
+Derived sections (version 2; :func:`write_derived_sections`)::
+
+    index_meta     uint8 (JSON: terms, tokenizer, n_nodes)
+    index_lengths  int64 (terms)     index_postings int64 (total postings)
+    node_weights   float64 (n)       distance       uint8 (JSON: n_pairs, seed, A)
+
+They hold the engine's offline results — the inverted index, the Eq. 2
+weights and Table II's sampled A — so a restart reads them instead of
+recomputing them; the header records the :data:`DERIVED_REVISION` they
+were computed under. A version-1 file holds the CSR sections only; it
+still opens, and the engine computes the three in memory as before.
 """
 
 from __future__ import annotations
@@ -40,7 +52,8 @@ import ctypes.util
 import json
 import mmap as _mmap_module
 import os
-from dataclasses import dataclass
+import warnings
+from dataclasses import asdict, dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union, overload
 
 import numpy as np
@@ -49,12 +62,16 @@ from .csr import CSRAdjacency, KnowledgeGraph
 from .labels import Vocabulary
 
 MAGIC = b"REPROCSR"
-FORMAT_VERSION = 1
+#: Version written by this build: CSR plus derived sections.
+FORMAT_VERSION = 2
+#: The CSR-only layout. :class:`StoreWriter` writes it, and a file stays a
+#: valid version-1 store until :func:`write_derived_sections` commits.
+CSR_ONLY_VERSION = 1
 HEADER_BLOCK = 8192
 SECTION_ALIGN = 64
 STORE_SUFFIX = ".csrstore"
 
-#: Section name -> dtype string. Order here is the on-disk order.
+#: CSR section name -> dtype string. Order here is the on-disk order.
 SECTION_DTYPES = (
     ("out_indptr", "<i8"),
     ("out_indices", "<i4"),
@@ -71,6 +88,28 @@ SECTION_DTYPES = (
     ("text_data", "|u1"),
     ("meta", "|u1"),
 )
+
+#: Derived section name -> dtype string, on disk after the CSR sections of a
+#: version-2 store, in this order.
+DERIVED_SECTION_DTYPES = (
+    ("index_meta", "|u1"),
+    ("index_lengths", "<i8"),
+    ("index_postings", "<i8"),
+    ("node_weights", "<f8"),
+    ("distance", "|u1"),
+)
+
+_SECTIONS_OF_VERSION = {
+    CSR_ONLY_VERSION: [name for name, _ in SECTION_DTYPES],
+    FORMAT_VERSION: [name for name, _ in SECTION_DTYPES + DERIVED_SECTION_DTYPES],
+}
+
+#: Revision of the code the derived sections come from, recorded in a
+#: version-2 header. Bump it whenever the tokenizer, Eq. 2 or the distance
+#: sampler changes what it computes: a store derived under another
+#: revision opens without its derived sections, so the engine computes
+#: them in memory instead of reading stale ones.
+DERIVED_REVISION = 1
 
 
 class CSRStoreError(ValueError):
@@ -101,13 +140,17 @@ class StoreInfo:
     n_edges: int
     sections: Dict[str, StoreSection]
     file_bytes: int
+    #: :data:`DERIVED_REVISION` the derived sections were written under;
+    #: ``None`` in a version-1 store.
+    derived_revision: Optional[int] = None
 
     @property
     def array_bytes(self) -> int:
-        """Total bytes of the numeric CSR sections (excludes text + meta)."""
+        """Total bytes of the numeric CSR sections (excludes text, meta and
+        the derived sections): the heap a materialized graph would need."""
         return sum(
-            sec.nbytes
-            for name, sec in self.sections.items()
+            self.sections[name].nbytes
+            for name, _ in SECTION_DTYPES
             if name not in ("text_data", "text_offsets", "meta")
         )
 
@@ -119,11 +162,39 @@ class StoreInfo:
 
 @dataclass(frozen=True)
 class StoreHandle:
-    """Attached to ``KnowledgeGraph.store`` when a graph came from a store."""
+    """Attached to ``KnowledgeGraph.store`` when a graph came from a store.
+
+    ``arrays`` holds the sections :func:`open_store` opened, all at once,
+    so every one comes from the same file even if another file is later
+    renamed over ``path``. A memory map is lazy: a section nobody reads
+    costs no memory.
+    """
 
     path: str
     info: StoreInfo
     mmap: bool
+    arrays: Dict[str, np.ndarray]
+
+    def release_pages(self) -> None:
+        """:func:`release_pages` for every section."""
+        for array in self.arrays.values():
+            release_pages(array)
+
+
+def stored_section(graph: KnowledgeGraph, name: str) -> Optional[np.ndarray]:
+    """Section ``name`` of the store behind ``graph``; ``None`` for a graph
+    in RAM or a store without that section (a derived one in a version-1
+    file, or in one derived under another :data:`DERIVED_REVISION`)."""
+    handle = graph.store
+    if not isinstance(handle, StoreHandle):
+        return None
+    return handle.arrays.get(name)
+
+
+def stored_json(graph: KnowledgeGraph, name: str) -> Optional[dict]:
+    """:func:`stored_section` for a JSON ``uint8`` section, decoded."""
+    blob = stored_section(graph, name)
+    return None if blob is None else json.loads(blob.tobytes().decode("utf-8"))
 
 
 def _section_plan(
@@ -149,23 +220,31 @@ def _section_plan(
     sections: Dict[str, StoreSection] = {}
     cursor = HEADER_BLOCK
     for name, dtype in SECTION_DTYPES:
-        cursor = (cursor + SECTION_ALIGN - 1) // SECTION_ALIGN * SECTION_ALIGN
+        cursor = _align(cursor)
         sections[name] = StoreSection(offset=cursor, dtype=dtype, length=lengths[name])
         cursor += sections[name].nbytes
     return sections, cursor
 
 
-def _encode_header(n_nodes: int, n_edges: int, sections: Dict[str, StoreSection]) -> bytes:
+def _align(offset: int) -> int:
+    return (offset + SECTION_ALIGN - 1) // SECTION_ALIGN * SECTION_ALIGN
+
+
+def _encode_header(info: StoreInfo) -> bytes:
     payload = {
-        "n_nodes": n_nodes,
-        "n_edges": n_edges,
+        "n_nodes": info.n_nodes,
+        "n_edges": info.n_edges,
         "sections": {
             name: {"offset": sec.offset, "dtype": sec.dtype, "length": sec.length}
-            for name, sec in sections.items()
+            for name, sec in info.sections.items()
         },
     }
+    if info.version != CSR_ONLY_VERSION:
+        payload["derived_revision"] = info.derived_revision
     body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    header = MAGIC + np.uint32(FORMAT_VERSION).tobytes() + np.uint32(len(body)).tobytes() + body
+    header = (
+        MAGIC + np.uint32(info.version).tobytes() + np.uint32(len(body)).tobytes() + body
+    )
     if len(header) > HEADER_BLOCK:
         raise CSRStoreError(
             f"store header would need {len(header)} bytes; limit is {HEADER_BLOCK}"
@@ -174,12 +253,13 @@ def _encode_header(n_nodes: int, n_edges: int, sections: Dict[str, StoreSection]
 
 
 class StoreWriter:
-    """Low-level sequential writer for a store file.
+    """Low-level sequential writer for the CSR sections of a store file.
 
     Sections may be written in any order; each keeps its own element cursor
     so callers can append blocks incrementally (the streaming builder writes
     ``adj_indices`` window by window). :meth:`close` verifies every section
-    was filled exactly.
+    was filled exactly and leaves a version-1 (CSR-only) file, which
+    :func:`write_derived_sections` completes.
     """
 
     def __init__(
@@ -201,7 +281,7 @@ class StoreWriter:
         if parent:
             os.makedirs(parent, exist_ok=True)
         self._file = open(self.path, "wb")
-        self._file.write(_encode_header(self.n_nodes, self.n_edges, self.sections))
+        self._file.write(_encode_header(self._info()))
         self._file.truncate(self.total_bytes)
         self._cursors: Dict[str, int] = {name: 0 for name in self.sections}
         self.append_bytes("meta", self._meta_blob)
@@ -240,9 +320,12 @@ class StoreWriter:
                 )
         self._file.flush()
         self._file.close()
+        return self._info()
+
+    def _info(self) -> StoreInfo:
         return StoreInfo(
             path=os.path.abspath(self.path),
-            version=FORMAT_VERSION,
+            version=CSR_ONLY_VERSION,
             n_nodes=self.n_nodes,
             n_edges=self.n_edges,
             sections=dict(self.sections),
@@ -300,7 +383,104 @@ def save_store(
     except Exception:
         writer.abort()
         raise
-    return writer.close()
+    return write_derived_sections(writer.close())
+
+
+def _json_blob(payload: object) -> np.ndarray:
+    return np.frombuffer(json.dumps(payload, sort_keys=True).encode("utf-8"), dtype=np.uint8)
+
+
+def write_derived_sections(info: StoreInfo) -> StoreInfo:
+    """Compute the derived sections of the CSR-only store ``info`` and
+    commit them, making it a version-2 store.
+
+    The graph is opened read-only (memmap) from the file just written, and
+    each result comes from the function the engine calls for it:
+    :meth:`~repro.text.inverted_index.InvertedIndex.from_graph` with the
+    default tokenizer, :func:`~repro.core.weights.node_weights`, and
+    :func:`~repro.graph.sampling.estimate_average_distance` at
+    :class:`~repro.core.engine.EngineConfig`'s ``(distance_sample_pairs,
+    seed)``. They run one at a time, each written and dropped before the
+    next, and each scans the graph in windows that release the file pages
+    behind them (:meth:`~repro.graph.csr.KnowledgeGraph.release_pages`),
+    so the pass holds node-sized arrays and one window, never an
+    edge-sized temporary or the whole mapped file.
+
+    Sections are appended at aligned offsets after the CSR and made
+    durable (``fsync``) before the fixed header block is rewritten and
+    synced in turn, so until the new header is on disk the file is a
+    valid version-1 store. The pass runs inside a ``store.derived`` span
+    of the global tracer (``repro build-graph --json`` reports it).
+    """
+    # Imported here: these packages import this one.
+    from ..core.engine import EngineConfig
+    from ..core.weights import node_weights
+    from ..obs.tracing import get_global_tracer
+    from ..text.index_io import encode_index
+    from ..text.inverted_index import InvertedIndex
+    from .sampling import estimate_average_distance
+
+    if info.version != CSR_ONLY_VERSION:
+        raise CSRStoreError(f"{info.path} already has derived sections")
+
+    config = EngineConfig()
+    dtypes = dict(DERIVED_SECTION_DTYPES)
+    sections = dict(info.sections)
+    cursor = info.file_bytes
+    graph = _open_graph(info, mmap=True)
+    # Opening validated every indptr; none of the steps needs them all.
+    graph.release_pages()
+    with get_global_tracer().span("store.derived"), open(info.path, "r+b") as handle:
+
+        def append(name: str, blocks: Sequence[np.ndarray]) -> None:
+            nonlocal cursor
+            offset = _align(cursor)
+            handle.seek(offset)
+            length = 0
+            for block in blocks:
+                data = np.ascontiguousarray(block, dtype=dtypes[name])
+                handle.write(data.tobytes())
+                length += len(data)
+            sections[name] = StoreSection(offset=offset, dtype=dtypes[name], length=length)
+            cursor = offset + sections[name].nbytes
+
+        lengths, postings, meta = encode_index(InvertedIndex.from_graph(graph))
+        append("index_meta", [_json_blob(meta)])
+        append("index_lengths", [lengths])
+        append("index_postings", postings)
+        del postings
+        append("node_weights", [node_weights(graph)])
+        # The sampler, and so the engine, needs two nodes.
+        estimate: Optional[dict] = None
+        if info.n_nodes >= 2:
+            estimate = asdict(
+                estimate_average_distance(
+                    graph, n_pairs=config.distance_sample_pairs, seed=config.seed
+                )
+            )
+        record = {
+            "n_pairs": config.distance_sample_pairs,
+            "seed": config.seed,
+            "estimate": estimate,
+        }
+        append("distance", [_json_blob(record)])
+        handle.truncate(cursor)
+        handle.flush()
+        os.fsync(handle.fileno())
+        derived = StoreInfo(
+            path=info.path,
+            version=FORMAT_VERSION,
+            n_nodes=info.n_nodes,
+            n_edges=info.n_edges,
+            sections=sections,
+            file_bytes=cursor,
+            derived_revision=DERIVED_REVISION,
+        )
+        handle.seek(0)
+        handle.write(_encode_header(derived))
+        handle.flush()
+        os.fsync(handle.fileno())
+    return derived
 
 
 def read_info(path: Union[str, os.PathLike]) -> StoreInfo:
@@ -320,10 +500,10 @@ def read_info(path: Union[str, os.PathLike]) -> StoreInfo:
     if len(head) < 16 or head[:8] != MAGIC:
         raise CSRStoreError(f"{path} is not a CSRStore file (bad magic)")
     version = int(np.frombuffer(head[8:12], dtype="<u4")[0])
-    if version != FORMAT_VERSION:
+    if version not in _SECTIONS_OF_VERSION:
         raise CSRStoreError(
             f"{path} uses CSRStore format version {version}; "
-            f"this build reads version {FORMAT_VERSION}"
+            f"this build reads versions {CSR_ONLY_VERSION} and {FORMAT_VERSION}"
         )
     body_len = int(np.frombuffer(head[12:16], dtype="<u4")[0])
     if body_len > HEADER_BLOCK - 16 or len(head) < 16 + body_len:
@@ -340,9 +520,12 @@ def read_info(path: Union[str, os.PathLike]) -> StoreInfo:
             )
             for name, sec in payload["sections"].items()
         }
+        derived_revision = (
+            None if version == CSR_ONLY_VERSION else int(payload["derived_revision"])
+        )
     except (ValueError, KeyError, TypeError) as exc:
         raise CSRStoreError(f"{path} header is corrupt: {exc}") from exc
-    expected = {name for name, _ in SECTION_DTYPES}
+    expected = set(_SECTIONS_OF_VERSION[version])
     if set(sections) != expected:
         raise CSRStoreError(
             f"{path} header lists sections {sorted(sections)}; expected {sorted(expected)}"
@@ -360,6 +543,7 @@ def read_info(path: Union[str, os.PathLike]) -> StoreInfo:
         n_edges=n_edges,
         sections=sections,
         file_bytes=file_bytes,
+        derived_revision=derived_revision,
     )
 
 
@@ -403,13 +587,16 @@ class TextBlob(Sequence[str]):
     def __iter__(self) -> Iterator[str]:
         # One offsets slice and one bytes copy per block instead of bounds
         # checks, int() conversions and a memmap slice per entry; the
-        # block keeps a full scan of a multi-million-node store from
-        # materializing the whole text section.
+        # block, and releasing the pages it was copied from, keep a full
+        # scan of a multi-million-node store from making the whole text
+        # section resident.
         offsets, data = self._offsets, self._data
         for first in range(0, len(self), _TEXT_ITER_BLOCK):
             bounds = offsets[first:first + _TEXT_ITER_BLOCK + 1].tolist()
             base = bounds[0]
             block = data[base:bounds[-1]].tobytes()
+            release_pages(offsets)
+            release_pages(data)
             for start, stop in zip(bounds, bounds[1:]):
                 yield block[start - base:stop - base].decode("utf-8")
 
@@ -444,22 +631,57 @@ def open_store(path: Union[str, os.PathLike], mmap: bool = True) -> KnowledgeGra
     anonymous RAM (the classic in-RAM tier; used for bitwise parity checks).
 
     The cached ``degree_array`` / ``indices64`` views come straight from their
-    on-disk sections, so no O(V)/O(E) derivation runs at open time.
+    on-disk sections, so no O(V)/O(E) derivation runs at open time. The
+    derived sections are mapped with the CSR ones and read when the engine
+    asks for them. A version-1 store (which has none), or one whose derived
+    sections come from another :data:`DERIVED_REVISION` (which are then
+    not used), opens with one warning per process. Opening never writes to
+    the file.
     """
     info = read_info(path)
+    if info.version == CSR_ONLY_VERSION:
+        _warn_rebuild(
+            f"{info.path} is a version-1 .csrstore without the inverted-index, "
+            "weight and distance sections"
+        )
+    elif info.derived_revision != DERIVED_REVISION:
+        _warn_rebuild(
+            f"{info.path} holds inverted-index, weight and distance sections "
+            f"derived under revision {info.derived_revision}, not "
+            f"{DERIVED_REVISION}"
+        )
+    return _open_graph(info, mmap)
 
-    def arr(name: str) -> np.ndarray:
-        return _open_section(info, name, mmap)
 
-    out = CSRAdjacency(arr("out_indptr"), arr("out_indices"), arr("out_labels"))
-    inc = CSRAdjacency(arr("inc_indptr"), arr("inc_indices"), arr("inc_labels"))
-    adj = CSRAdjacency(arr("adj_indptr"), arr("adj_indices"), arr("adj_labels"))
+_warned_rebuild = False
+
+
+def _warn_rebuild(problem: str) -> None:
+    global _warned_rebuild
+    if _warned_rebuild:
+        return
+    _warned_rebuild = True
+    warnings.warn(
+        f"{problem}, so every start recomputes them in memory; rebuild it "
+        "(save_store or `python -m repro build-graph`) to store them",
+        stacklevel=3,
+    )
+
+
+def _open_graph(info: StoreInfo, mmap: bool) -> KnowledgeGraph:
+    names = [name for name, _ in SECTION_DTYPES if name != "meta"]
+    if info.derived_revision == DERIVED_REVISION:
+        names += [name for name, _ in DERIVED_SECTION_DTYPES]
+    arrays = {name: _open_section(info, name, mmap) for name in names}
+    out = CSRAdjacency(arrays["out_indptr"], arrays["out_indices"], arrays["out_labels"])
+    inc = CSRAdjacency(arrays["inc_indptr"], arrays["inc_indices"], arrays["inc_labels"])
+    adj = CSRAdjacency(arrays["adj_indptr"], arrays["adj_indices"], arrays["adj_labels"])
     # cached_property stores through the instance __dict__, which bypasses the
     # frozen-dataclass __setattr__ — inject the persisted views directly.
-    adj.__dict__["degree_array"] = arr("adj_degree")
-    adj.__dict__["indices64"] = arr("adj_indices64")
+    adj.__dict__["degree_array"] = arrays["adj_degree"]
+    adj.__dict__["indices64"] = arrays["adj_indices64"]
     meta = json.loads(bytes(_open_section(info, "meta", mmap=False)).decode("utf-8"))
-    node_text = TextBlob(arr("text_offsets"), arr("text_data"))
+    node_text = TextBlob(arrays["text_offsets"], arrays["text_data"])
     graph = KnowledgeGraph(
         out=out,
         inc=inc,
@@ -467,8 +689,21 @@ def open_store(path: Union[str, os.PathLike], mmap: bool = True) -> KnowledgeGra
         node_text=node_text,
         predicates=Vocabulary.from_list(meta["predicates"]),
     )
-    graph.store = StoreHandle(path=info.path, info=info, mmap=bool(mmap))
+    graph.store = StoreHandle(path=info.path, info=info, mmap=bool(mmap), arrays=arrays)
     return graph
+
+
+_MADV_DONTNEED = getattr(_mmap_module, "MADV_DONTNEED", None)
+
+
+def release_pages(array: np.ndarray) -> None:
+    """Unmap the file pages behind a memory-mapped ``array`` from this
+    process: they leave its resident set but stay in the page cache, and
+    the next read faults them back in from there. A no-op for an array on
+    the heap, or where ``madvise`` is unavailable."""
+    mapping = getattr(memmap_base(array), "_mmap", None)
+    if mapping is not None and _MADV_DONTNEED is not None:
+        mapping.madvise(_MADV_DONTNEED)
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..core.state import INFINITE_LEVEL, MAX_LEVEL, SearchState
-from ..graph.csr import KnowledgeGraph
+from ..graph.csr import KnowledgeGraph, row_windows
 from ..instrumentation import (
     PHASE_EXPANSION,
     KernelCounters,
@@ -63,6 +63,9 @@ from ..obs.metrics import record_kernel_counters
 from .backend import ExpansionBackend, LevelOutcome
 
 _EMPTY_KEYS = np.empty(0, dtype=np.int64)
+
+#: Adjacency entries per chunk of a :func:`lane_bfs_levels` level.
+_LANE_BFS_WINDOW = 1 << 18
 
 #: The C kernels' byte-lane (SWAR) ballots assume lane 0 is the
 #: lowest-address byte of the word, i.e. a little-endian host; the NumPy
@@ -533,6 +536,17 @@ def lane_bfs_levels(
     directly and stays out of the per-query ``repro_kernel_*`` metrics
     that :meth:`VectorizedBackend.expand` feeds.
 
+    A level runs as consecutive chunks: the frontier nodes of node-id
+    ranges holding about ``max(_LANE_BFS_WINDOW, n_nodes)`` adjacency
+    entries each. The kernel's buffers then stay node-sized however wide
+    the level is, and a store-backed graph releases the stretch of the
+    adjacency a chunk read after it. A range of at least ``n_nodes``
+    entries keeps the NumPy tier's O(n·q) pass per call below the chunk's
+    own work. A chunk sees the cells earlier chunks stamped with
+    ``level + 1`` as reached, so the levels are those of one whole pass.
+    The hit keys only feed ``finite_count``, which nothing here reads, so
+    they are dropped.
+
     Returns:
         The ``(n_nodes × len(sources))`` uint8 hitting-level matrix
         (``INFINITE_LEVEL`` = unreachable), or ``None`` when a frontier
@@ -542,13 +556,21 @@ def lane_bfs_levels(
     state = SearchState.initialize(
         graph.n_nodes, sources.reshape(-1, 1), activation
     )
+    # First node of each chunk, as node-id ranges of the adjacency.
+    window = max(_LANE_BFS_WINDOW, graph.n_nodes)
+    starts = [lo for lo, _ in row_windows(graph.adj.indptr, window)] + [graph.n_nodes]
     level = 0
     while state.enqueue_frontiers():
         if level == MAX_LEVEL:
             return None
-        keys = fused_expand_chunk(
-            graph, state, level, state.frontier, native=native
-        )
-        apply_hit_keys(state, keys)
+        frontier = state.frontier
+        cuts = np.searchsorted(frontier, starts).tolist()
+        # One iteration per node range, at most 2·|E| / n_nodes + 1.
+        for first, last in zip(cuts, cuts[1:]):  # noqa: RPR002
+            if first < last:
+                fused_expand_chunk(
+                    graph, state, level, frontier[first:last], native=native
+                )
+                graph.release_pages()
         level += 1
     return state.matrix

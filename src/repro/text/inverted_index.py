@@ -11,7 +11,9 @@ this index stores membership only — Θ(total tokens) — never distances.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from array import array
+from collections import defaultdict
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,9 +43,20 @@ class InvertedIndex:
     def from_graph(
         cls, graph: KnowledgeGraph, tokenizer: Optional[Tokenizer] = None
     ) -> "InvertedIndex":
-        """Index every node's entity text."""
-        index = cls(tokenizer)
-        index.build(graph.node_text)
+        """Index every node's entity text.
+
+        A graph opened from a version-2 ``.csrstore`` whose index was built
+        with the same tokenizer config returns the stored index (postings
+        memory-mapped) instead of tokenizing every node again.
+        """
+        # Imported here: index_io imports this module.
+        from .index_io import stored_index
+
+        tokenizer = tokenizer or Tokenizer()
+        index = stored_index(graph, tokenizer)
+        if index is None:
+            index = cls(tokenizer)
+            index.build(graph.node_text)
         return index
 
     @classmethod
@@ -68,34 +81,37 @@ class InvertedIndex:
             index._postings.append(np.asarray(posting, dtype=np.int64))
         return index
 
-    def _terms_to_nodes(
+    def _sorted_postings(
         self, node_texts: Iterable[str], first_id: int
-    ) -> Dict[str, List[int]]:
-        """Term → ascending ids of the nodes (numbered from ``first_id``)
-        whose text contains it.
+    ) -> Tuple[List[str], List[np.ndarray]]:
+        """The sorted terms of ``node_texts`` and, per term, the ascending
+        ids of the nodes (numbered from ``first_id``) whose text contains it.
 
         Entity text repeats a small vocabulary over and over, so each
-        distinct raw token is normalized (stemmed) once per call.
+        distinct raw token is normalized (stemmed) once per call. A term's
+        nodes accumulate in a C-int array (4 bytes per posting), not a
+        list of boxed ints, and each array is released as soon as its
+        int64 posting exists.
         """
         unique_terms = self.tokenizer.unique_terms
         memo: Dict[str, Optional[str]] = {}
-        term_to_nodes: Dict[str, List[int]] = {}
+        nodes_of: Dict[str, array] = defaultdict(lambda: array("i"))
         for node, text in enumerate(node_texts, first_id):
             for term in unique_terms(text, memo):
-                term_to_nodes.setdefault(term, []).append(node)
-        return term_to_nodes
+                nodes_of[term].append(node)
+        terms = sorted(nodes_of)
+        postings = [
+            np.frombuffer(nodes_of.pop(term), dtype=np.intc).astype(np.int64)
+            for term in terms
+        ]
+        return terms, postings
 
     def build(self, node_texts: Sequence[str]) -> None:
         """(Re)build postings from one text per node."""
         self._n_nodes = len(node_texts)
-        term_to_nodes = self._terms_to_nodes(node_texts, 0)
-        self.terms = Vocabulary()
-        self._postings = []
-        for term in sorted(term_to_nodes):
-            self.terms.add(term)
-            self._postings.append(
-                np.asarray(term_to_nodes[term], dtype=np.int64)
-            )
+        terms, postings = self._sorted_postings(node_texts, 0)
+        self.terms = Vocabulary(terms)
+        self._postings = postings
 
     def extend(self, new_node_texts: Sequence[str]) -> int:
         """Index additional nodes appended after the existing ones.
@@ -108,9 +124,7 @@ class InvertedIndex:
             The node id assigned to the first new text.
         """
         first_id = self._n_nodes
-        additions = self._terms_to_nodes(new_node_texts, first_id)
-        for term in sorted(additions):
-            new_ids = np.asarray(additions[term], dtype=np.int64)
+        for term, new_ids in zip(*self._sorted_postings(new_node_texts, first_id)):
             term_id = self.terms.get(term)
             if term_id is None:
                 self.terms.add(term)

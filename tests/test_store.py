@@ -122,6 +122,16 @@ def test_read_info_reports_sections(store_path, kb_graph):
     assert info.store_bytes == os.path.getsize(store_path)
     assert 0 < info.array_bytes <= info.store_bytes
     assert "adj_indices" in info.sections
+    assert info.version == 2
+    assert {"index_postings", "node_weights", "distance"} <= set(info.sections)
+    # The out-of-core heap cap: CSR arrays only, never the derived sections.
+    assert info.array_bytes == sum(
+        info.sections[name].nbytes
+        for name in ("out_indptr", "out_indices", "out_labels",
+                     "inc_indptr", "inc_indices", "inc_labels",
+                     "adj_indptr", "adj_indices", "adj_labels",
+                     "adj_degree", "adj_indices64")
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -152,14 +152,32 @@ def test_capped_process_answers_match_unconstrained(smoke_store, tmp_path):
     assert payload["signatures"] == _unconstrained_signatures(path)
 
 
+def _interpreter_peak_rss():
+    """Peak RSS of an interpreter that imported the CLI and did nothing."""
+    completed = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import resource, repro.cli; "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024)",
+        ],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return int(completed.stdout)
+
+
 def test_builder_peak_rss_stays_out_of_core(smoke_store):
     """The streaming build's peak RSS must stay well below the CSR size.
 
     The acceptance bound (< 0.25x) is stated at wiki2018-xl where the
-    interpreter baseline is amortized over a 660 MB CSR; at this smoke
-    scale (~80 MB CSR, ~45 MB Python baseline) the meaningful bound is
-    that the builder never holds the arrays in RAM — peak RSS stays
-    under baseline + a small constant, far below baseline + CSR bytes.
+    interpreter baseline is amortized over a 570 MB CSR. At this smoke
+    scale (~80 MB CSR, ~37 MB interpreter) what the build adds to the
+    interpreter's own peak is checked against the CSR bytes instead: the
+    builder's fixed-size windows make that ≈ 0.37x here, and a build that
+    holds a CSR-sized array, or a derived-section pass (index, weights,
+    A) with edge-sized temporaries, exceeds 0.5x.
     """
     _, build = smoke_store
-    assert build["peak_rss_bytes"] < 0.5 * build["array_bytes"] + 120e6
+    assert build["derived_ms"] > 0
+    added = build["peak_rss_bytes"] - _interpreter_peak_rss()
+    assert added < 0.5 * build["array_bytes"]
