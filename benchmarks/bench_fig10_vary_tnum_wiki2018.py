@@ -8,7 +8,7 @@ def test_fig10_vary_tnum_wiki2018(benchmark, wiki2018, write_result):
     def sweep():
         return vary_tnum(
             wiki2018,
-            tnums=(1, 4),
+            tnums=(1, 2, 4),
             n_queries=3,
         )
 

@@ -4,14 +4,12 @@ Paper shape on a 52-core box: CPU-Par phases accelerate with threads;
 CPU-Par-d barely benefits because locked reads/writes serialize it.
 
 Reproduction notes: every Tnum point of a series runs one backend class
-— Tnum = 1 is a one-worker ``ThreadPoolBackend`` / ``ProcessPoolBackend``,
-not the sequential reference — and CPU-Par's Tnum also threads stage
-two. The chunk kernel releases the GIL, so threads can overlap, but the
-benchmark host exposes few cores (the count is printed with the table):
-beyond that many workers the series documents scheduling-overhead
-neutrality, not scaling. The CPU-Par(proc) series uses the
-shared-memory process backend. EXPERIMENTS.md discusses the
-substitutions.
+— Tnum = 1 is a one-worker ``ThreadPoolBackend``, not the sequential
+reference — and CPU-Par's Tnum also threads stage two. The chunk kernel
+releases the GIL, so threads can overlap, but the benchmark host exposes
+few cores (the count is printed with the table): beyond that many
+workers the series documents scheduling-overhead neutrality, not
+scaling. EXPERIMENTS.md discusses the substitutions.
 """
 
 import os

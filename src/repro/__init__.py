@@ -29,7 +29,6 @@ from .graph.csr import KnowledgeGraph
 from .obs import MetricsRegistry, Tracer, get_registry
 from .parallel import (
     LockedDictEngine,
-    ProcessPoolBackend,
     SequentialBackend,
     ThreadPoolBackend,
     VectorizedBackend,
@@ -50,7 +49,6 @@ __all__ = [
     "KnowledgeGraph",
     "LockedDictEngine",
     "MetricsRegistry",
-    "ProcessPoolBackend",
     "SearchAnswer",
     "SearchResult",
     "SequentialBackend",

@@ -32,7 +32,7 @@ repo-specific coding contracts that protect it — into machine checks:
   analyzer for the *serving shell around* the lock-free engine: an
   interprocedural pass over every discovered lock enforcing that no
   lock is acquired while another is held (``RPRCON01``), plus
-  ``RPRCON02`` blocking-under-lock and ``RPRCON03`` fork-under-lock;
+  ``RPRCON02`` blocking-under-lock;
 * :mod:`~repro.analysis.faulty` — deliberately broken backends that
   prove the checker fires;
 * :mod:`~repro.analysis.check` — the ``repro check`` gate combining all

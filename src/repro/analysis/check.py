@@ -27,7 +27,7 @@ ways:
 6. **concurrency** — :mod:`repro.analysis.concurrency` walks the
    serving shell's locks and call graph and demands that no lock is
    acquired while another is held (``RPRCON01``), and that no blocking
-   call (``RPRCON02``) or fork (``RPRCON03``) is reachable under a lock.
+   call (``RPRCON02``) is reachable under a lock.
 7. **external** — ``ruff`` / ``mypy`` with the configuration in
    ``pyproject.toml``, run only when installed (they are optional dev
    dependencies; the AST lint above carries the repo-specific load).
@@ -166,12 +166,8 @@ def _run(backend, graph, sets, activation, k):
         return BottomUpSearch(graph, backend=backend).run(sets, activation, k)
 
 
-def _contenders(graph) -> Iterable[Tuple[str, Callable[[], object]]]:
-    from ..parallel import (
-        ProcessPoolBackend,
-        ThreadPoolBackend,
-        VectorizedBackend,
-    )
+def _contenders() -> Iterable[Tuple[str, Callable[[], object]]]:
+    from ..parallel import ThreadPoolBackend, VectorizedBackend
 
     yield "threads", lambda: ThreadPoolBackend(n_threads=3)
     yield "threads-fine", lambda: ThreadPoolBackend(
@@ -179,8 +175,6 @@ def _contenders(graph) -> Iterable[Tuple[str, Callable[[], object]]]:
     )
     yield "vectorized", VectorizedBackend
     yield "vectorized-numpy", lambda: VectorizedBackend(native=False)
-    if ProcessPoolBackend.is_supported():
-        yield "processes", lambda: ProcessPoolBackend(graph, n_processes=2)
 
 
 def run_invariant_fuzz(
@@ -197,7 +191,7 @@ def run_invariant_fuzz(
         reference = _run(
             CheckedBackend(SequentialBackend()), graph, sets, activation, k
         )
-        for name, factory in _contenders(graph):
+        for name, factory in _contenders():
             checked = CheckedBackend(factory())
             try:
                 result = _run(checked, graph, sets, activation, k)

@@ -15,7 +15,7 @@ I3 **idempotent races** — all recorded stores into the same cell carry
    identical values equal to ``level + 1`` (racing writers are benign
    because they write the same constant); recorded stores and the
    observed matrix delta agree exactly — nothing written unrecorded,
-   nothing recorded unwritten (backends with ``supports_write_log``).
+   nothing recorded unwritten.
 I4 **frontier monotonicity** — ``FIdentifier`` flags only ever go
    0 → 1 during expansion, with value 1.
 I5 **finite-count accounting** — the incremental ``finite_count``
@@ -24,12 +24,11 @@ I5 **finite-count accounting** — the incremental ``finite_count``
 
 The checker works from a pre-level snapshot plus the per-thread
 :class:`~repro.analysis.writelog.WriteLog` the kernels fill in when one
-is attached to the state. Backends that cannot report writes from their
-workers (the shared-memory process pool) are checked from the snapshot
-delta alone (I1/I2/I4/I5). A backend that runs the whole level in one
-call of its own (``VectorizedBackend``) is checked around that call:
-the same delta invariants plus the level's enqueue and identification
-steps (:meth:`CheckedBackend._verify_level`).
+is attached to the state; every expansion it wraps gets one. A backend
+that runs the whole level in one call of its own (``VectorizedBackend``)
+is checked around that call, with no log: the delta invariants
+(I1/I2/I4/I5) plus the level's enqueue and identification steps
+(:meth:`CheckedBackend._verify_level`).
 
 Overhead is strictly opt-in: an unwrapped backend never allocates a log
 and the kernels pay a single ``is not None`` branch.
@@ -158,9 +157,7 @@ class CheckedBackend(ExpansionBackend):
         """Run the wrapped backend's expansion, then verify invariants I1-I5."""
         pre_matrix = state.matrix.copy()
         pre_fid = state.f_identifier.copy()
-        log: Optional[WriteLog] = None
-        if self.inner.supports_write_log:
-            log = WriteLog()
+        log = WriteLog()
         previous = state.write_log
         state.write_log = log
         try:
@@ -345,7 +342,7 @@ class CheckedBackend(ExpansionBackend):
         level: int,
         pre_matrix: np.ndarray,
         pre_fid: np.ndarray,
-        log: Optional[WriteLog],
+        log: WriteLog,
     ) -> List[InvariantViolation]:
         found: List[InvariantViolation] = []
         q = state.n_keywords
@@ -381,45 +378,44 @@ class CheckedBackend(ExpansionBackend):
                 )
             )
 
-        # I3 — recorded stores vs. observed delta (log-reporting backends).
-        if log is not None:
-            cells, values = log.matrix_writes()
-            bad_value = cells[values != next_level]
-            if len(bad_value):
-                found.append(
-                    InvariantViolation(
-                        "racing-value",
-                        level,
-                        "recorded stores carry a value other than "
-                        f"{next_level} (non-idempotent race): "
-                        + _describe_cells(bad_value, q),
-                    )
+        # I3 — recorded stores vs. observed delta.
+        cells, values = log.matrix_writes()
+        bad_value = cells[values != next_level]
+        if len(bad_value):
+            found.append(
+                InvariantViolation(
+                    "racing-value",
+                    level,
+                    "recorded stores carry a value other than "
+                    f"{next_level} (non-idempotent race): "
+                    + _describe_cells(bad_value, q),
                 )
-            recorded = np.unique(cells)
-            delta = np.unique(changed)
-            unrecorded = np.setdiff1d(delta, recorded, assume_unique=True)
-            if len(unrecorded):
-                found.append(
-                    InvariantViolation(
-                        "unrecorded-write",
-                        level,
-                        "matrix cells changed without a matching write "
-                        "record: " + _describe_cells(unrecorded, q),
-                    )
+            )
+        recorded = np.unique(cells)
+        delta = np.unique(changed)
+        unrecorded = np.setdiff1d(delta, recorded, assume_unique=True)
+        if len(unrecorded):
+            found.append(
+                InvariantViolation(
+                    "unrecorded-write",
+                    level,
+                    "matrix cells changed without a matching write "
+                    "record: " + _describe_cells(unrecorded, q),
                 )
-            # A recorded store must have landed on a previously-∞ cell.
-            # (Racing duplicates land together, so "recorded but target
-            # already finite before the level" is a double-claim.)
-            phantom = recorded[pre[recorded] != INFINITE_LEVEL]
-            if len(phantom):
-                found.append(
-                    InvariantViolation(
-                        "phantom-write",
-                        level,
-                        "stores recorded against cells already finite "
-                        "before the level: " + _describe_cells(phantom, q),
-                    )
+            )
+        # A recorded store must have landed on a previously-∞ cell.
+        # (Racing duplicates land together, so "recorded but target
+        # already finite before the level" is a double-claim.)
+        phantom = recorded[pre[recorded] != INFINITE_LEVEL]
+        if len(phantom):
+            found.append(
+                InvariantViolation(
+                    "phantom-write",
+                    level,
+                    "stores recorded against cells already finite "
+                    "before the level: " + _describe_cells(phantom, q),
                 )
+            )
 
         # I4 — FIdentifier monotone 0 → 1 with value 1.
         cleared = np.flatnonzero((pre_fid != 0) & (state.f_identifier == 0))
@@ -444,18 +440,17 @@ class CheckedBackend(ExpansionBackend):
                     f"{bad_flag[:_MAX_CELLS_REPORTED].tolist()}",
                 )
             )
-        if log is not None:
-            nodes, values = log.frontier_writes()
-            bad_nodes = nodes[values != 1]
-            if len(bad_nodes):
-                found.append(
-                    InvariantViolation(
-                        "frontier-value",
-                        level,
-                        "recorded FIdentifier stores with value != 1 at "
-                        f"nodes {bad_nodes[:_MAX_CELLS_REPORTED].tolist()}",
-                    )
+        nodes, values = log.frontier_writes()
+        bad_nodes = nodes[values != 1]
+        if len(bad_nodes):
+            found.append(
+                InvariantViolation(
+                    "frontier-value",
+                    level,
+                    "recorded FIdentifier stores with value != 1 at "
+                    f"nodes {bad_nodes[:_MAX_CELLS_REPORTED].tolist()}",
                 )
+            )
 
         found.extend(_finite_count_violations(state, level))
         return found

@@ -2,8 +2,8 @@
 
 The engine's expansion is lock-free by design (Theorem V.2), but the
 serving shell grown around it — service handlers, tracer, metrics,
-flight recorder, worker pool, load harness, the locked ablation engine —
-holds real mutexes. Nothing in the lock-free invariant machinery
+flight recorder, load harness, the locked ablation engine — holds real
+mutexes. Nothing in the lock-free invariant machinery
 (:mod:`repro.analysis.checked`, the TSan tier) sees those: TSan only
 instruments the C kernel, and per-level invariants say nothing about a
 service thread deadlocking the metrics registry. The shell therefore
@@ -24,7 +24,7 @@ between two locks is possible.
    resolves to ``Gauge.set``). Property reads under a lock resolve against
    ``@property``-decorated functions, so ``counter.value`` counts as a
    call. The graph is rooted at service handlers, engine entry points,
-   pool workers, the load generator, and the locked ablation engine.
+   the batch searcher, and the locked ablation engine.
 3. *Held-lock edges.* A fixpoint over the call graph computes, for
    every function, the locks it may transitively acquire; every
    acquisition (or call) made while a lock is held contributes an edge
@@ -41,9 +41,6 @@ RPRCON02    A blocking operation (``time.sleep``, subprocess, socket or
             file I/O, ``pool.map``, ``future.result``, untimed
             ``Queue.get``) is reachable while a lock is held: the lock's
             critical section is bounded by I/O, not by compute.
-RPRCON03    ``os.fork`` / ``WorkerPool`` spawn / ``ProcessPoolExecutor``
-            construction reachable while a lock is held — the child
-            inherits a locked, ownerless mutex.
 ==========  ===========================================================
 """
 
@@ -59,7 +56,6 @@ from .lint import _NOQA, _NOQA_CODE, package_root
 CONCURRENCY_RULES = {
     "RPRCON01": "lock acquired while another lock is held",
     "RPRCON02": "blocking call reachable while a lock is held",
-    "RPRCON03": "fork/pool spawn reachable while a lock is held",
 }
 
 #: Constructors that create a lock object.
@@ -102,16 +98,6 @@ _AMBIGUOUS_CONTAINER_METHODS = {
     "reverse",
 }
 
-#: Fork-point table: terminal name -> label (RPRCON03).
-_FORK_CALLS: Dict[str, str] = {
-    "fork": "os.fork",
-    "ProcessPoolExecutor": "ProcessPoolExecutor construction",
-    "Popen": "subprocess.Popen spawn",
-    "Process": "multiprocessing.Process spawn",
-    "WorkerPool": "WorkerPool construction",
-    "_spawn": "pool executor spawn",
-}
-
 #: Call-graph roots: (module prefix, class-or-None, function-or-None).
 #: ``None`` matches anything at that position.
 _ROOTS: Tuple[Tuple[str, Optional[str], Optional[str]], ...] = (
@@ -119,7 +105,6 @@ _ROOTS: Tuple[Tuple[str, Optional[str], Optional[str]], ...] = (
     ("service", "_Handler", None),
     ("core.engine", "KeywordSearchEngine", None),
     ("core.batch", None, None),
-    ("parallel.pool", None, None),
     ("parallel.locked", "LockedDictEngine", None),
 )
 
@@ -609,14 +594,10 @@ class _Analyzer:
     ) -> Tuple[
         Dict[str, Set[str]],
         Dict[str, Dict[str, Tuple[str, int, str]]],
-        Dict[str, Dict[str, Tuple[str, int, str]]],
     ]:
-        """Per-function transitive (acquires, blocking ops, fork ops)."""
+        """Per-function transitive (acquires, blocking ops)."""
         trans_acquires: Dict[str, Set[str]] = {q: set() for q in reachable}
         trans_blocking: Dict[str, Dict[str, Tuple[str, int, str]]] = {
-            q: {} for q in reachable
-        }
-        trans_forks: Dict[str, Dict[str, Tuple[str, int, str]]] = {
             q: {} for q in reachable
         }
 
@@ -630,11 +611,6 @@ class _Analyzer:
                 if label is not None:
                     trans_blocking[qual].setdefault(
                         label, (fn.path, call.line, "directly")
-                    )
-                fork_label = self._fork_label(call)
-                if fork_label is not None:
-                    trans_forks[qual].setdefault(
-                        fork_label, (fn.path, call.line, "directly")
                     )
 
         # Fixpoint over name-resolved calls and property reads.
@@ -664,17 +640,7 @@ class _Analyzer:
                                 f"via {callee}",
                             )
                             changed = True
-                    for label, (path, line, _) in trans_forks[
-                        callee
-                    ].items():
-                        if label not in trans_forks[qual]:
-                            trans_forks[qual][label] = (
-                                path,
-                                line,
-                                f"via {callee}",
-                            )
-                            changed = True
-        return trans_acquires, trans_blocking, trans_forks
+        return trans_acquires, trans_blocking
 
     @staticmethod
     def _blocking_label(call: _CallSite) -> Optional[str]:
@@ -692,20 +658,9 @@ class _Analyzer:
             return None  # a timed Queue.get is bounded, not blocking
         return label
 
-    @staticmethod
-    def _fork_label(call: _CallSite) -> Optional[str]:
-        label = _FORK_CALLS.get(call.callee)
-        if label is None:
-            return None
-        if call.callee == "fork" and call.receiver not in (None, "os"):
-            return None
-        return label
-
     # -- findings ------------------------------------------------------
     def build_edges_and_findings(self, reachable: Set[str]) -> None:
-        trans_acquires, trans_blocking, trans_forks = self.compute(
-            reachable
-        )
+        trans_acquires, trans_blocking = self.compute(reachable)
         edges = self.report.edges
         raw_findings: List[ConcurrencyFinding] = []
 
@@ -730,7 +685,7 @@ class _Analyzer:
             for call in fn.calls:
                 if not call.held:
                     continue
-                # Direct blocking/fork op under a lock.
+                # Direct blocking op under a lock.
                 label = self._blocking_label(call)
                 if label is not None:
                     raw_findings.append(
@@ -740,19 +695,6 @@ class _Analyzer:
                             line=call.line,
                             message=(
                                 f"{label} while holding "
-                                f"{call.held[-1]!r} in {qual}"
-                            ),
-                        )
-                    )
-                fork_label = self._fork_label(call)
-                if fork_label is not None:
-                    raw_findings.append(
-                        ConcurrencyFinding(
-                            code="RPRCON03",
-                            path=fn.path,
-                            line=call.line,
-                            message=(
-                                f"{fork_label} while holding "
                                 f"{call.held[-1]!r} in {qual}"
                             ),
                         )
@@ -780,22 +722,6 @@ class _Analyzer:
                                     f"{call.held[-1]!r} in {qual} "
                                     f"(through {callee}, op at "
                                     f"{bpath}:{bline} {via})"
-                                ),
-                            )
-                        )
-                    for flabel, (fpath, fline, via) in trans_forks[
-                        callee
-                    ].items():
-                        raw_findings.append(
-                            ConcurrencyFinding(
-                                code="RPRCON03",
-                                path=fn.path,
-                                line=call.line,
-                                message=(
-                                    f"{flabel} reachable while holding "
-                                    f"{call.held[-1]!r} in {qual} "
-                                    f"(through {callee}, op at "
-                                    f"{fpath}:{fline} {via})"
                                 ),
                             )
                         )

@@ -42,7 +42,6 @@ class FaultyBackend(ExpansionBackend):
     """
 
     name = "faulty"
-    supports_write_log = True
 
     def __init__(self, mode: str = "non-idempotent", fault_level: int = 0) -> None:
         if mode not in FAULT_MODES:

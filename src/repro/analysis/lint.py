@@ -58,9 +58,7 @@ RPR013    Every ``threading.Lock()``/``RLock()``/``Condition()``
           concurrency analyzer (:mod:`repro.analysis.concurrency`)
           derives lock identities from those bindings; an anonymous
           local lock is invisible to its known-lock table, so its
-          nesting and fork-safety are unverifiable. The fork-safety
-          module (``obs/locks.py``) is exempt — it builds the fresh
-          locks a forked child swaps in for inherited ones.
+          nesting is unverifiable.
 ========  ==============================================================
 
 Suppression: append ``# noqa: RPR00x`` (with a justification comment)
@@ -122,7 +120,7 @@ _NARROW_INDEX_DTYPES = {"int8", "int16", "int32", "uint16", "uint32"}
 #: paper figures; wall-clock reads are banned there.
 _FIGURE_SCOPES = ("core", "parallel", "bench", "eval", "instrumentation.py")
 
-#: Attribute names of the CSR arrays shared zero-copy with pool workers
+#: Attribute names of the CSR arrays shared zero-copy by worker threads
 #: (and mapped read-only from the store file); copying one of these in a
 #: kernel re-materializes the graph into private heap.
 _CSR_BASE_ATTRS = {"indptr", "indices", "indices64", "labels", "degree_array"}
@@ -133,11 +131,6 @@ _COPYING_CALLS = {"asarray", "ascontiguousarray", "copy", "array"}
 #: Paths (relative to the package root) allowed to write store-backed
 #: arrays: the store writer itself and the streaming builder.
 _STORE_WRITER_SCOPES = ("graph/store.py", "graph/builder.py")
-
-#: The fork-safety module (relative to the package root): the one place
-#: allowed to build ``threading.Lock`` objects in function scope (RPR013
-#: exemption) — the fresh locks a forked child re-binds to each owner.
-_LOCK_FACTORY_SCOPE = "obs/locks.py"
 
 #: Calls whose result is a store-backed (memmap) array; names bound from
 #: them are tracked for RPR010.
@@ -223,7 +216,6 @@ class _FileLinter(ast.NodeVisitor):
         figure_scope: bool,
         is_registry: bool,
         store_writer_scope: bool = False,
-        lock_factory_scope: bool = False,
     ) -> None:
         self.path = path
         self.registered_env = registered_env
@@ -231,7 +223,6 @@ class _FileLinter(ast.NodeVisitor):
         self.figure_scope = figure_scope
         self.is_registry = is_registry
         self.store_writer_scope = store_writer_scope
-        self.lock_factory_scope = lock_factory_scope
         self.violations: List[LintViolation] = []
         # Stack of per-function "is hot path" flags; hotness is inherited
         # by nested helpers defined inside a hot kernel.
@@ -360,8 +351,8 @@ class _FileLinter(ast.NodeVisitor):
     def _check_local_lock(
         self, targets: Sequence[ast.expr], value: ast.expr
     ) -> None:
-        if self.lock_factory_scope or not self._hot_stack:
-            return  # factory module, or a module/class-level binding
+        if not self._hot_stack:
+            return  # a module/class-level binding
         primitive = self._constructs_lock(value)
         if primitive is None:
             return
@@ -708,7 +699,6 @@ def lint_source(
     figure_scope = rel is None or rel.startswith(_FIGURE_SCOPES)
     is_registry = rel is not None and rel.endswith("obs/config.py")
     store_writer_scope = rel is not None and rel in _STORE_WRITER_SCOPES
-    lock_factory_scope = rel is not None and rel == _LOCK_FACTORY_SCOPE
     linter = _FileLinter(
         path=path,
         registered_env=registered_env,
@@ -716,7 +706,6 @@ def lint_source(
         figure_scope=figure_scope,
         is_registry=is_registry,
         store_writer_scope=store_writer_scope,
-        lock_factory_scope=lock_factory_scope,
     )
     tree = ast.parse(source)
     # Pre-pass: bind memmap-sourced names module-wide before rule checks,

@@ -185,8 +185,6 @@ class VirtualScheduleBackend(ExpansionBackend):
             exhaustive enumeration.
     """
 
-    supports_write_log = True
-
     def __init__(
         self,
         schedule: Schedule,

@@ -5,10 +5,9 @@ discipline: during the expansion of level ``l`` every racing store into
 the node-keyword matrix carries the constant ``l + 1`` into a
 previously-infinite cell, and every frontier-flag store carries the
 constant ``1``. The :class:`WriteLog` is the shadow memory that makes
-that discipline *observable*: kernels that support it
-(``supports_write_log`` on the backend) report every scatter batch they
-perform — target cells, stored value, BFS level — and the log tags each
-batch with the OS thread that issued it.
+that discipline *observable*: every backend's kernels report every
+scatter batch they perform — target cells, stored value, BFS level —
+and the log tags each batch with the OS thread that issued it.
 
 Recording is lock-free in the same sense as the kernels themselves:
 each thread appends to its own list (acquiring the registry lock only
@@ -23,8 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
-
-from ..obs.locks import register_lock_owner
 
 #: Batch kinds: matrix (``M``) and frontier (``FIdentifier``) stores.
 KIND_MATRIX = "M"
@@ -60,7 +57,6 @@ class WriteLog:
 
     def __init__(self) -> None:
         self._registry_lock = threading.Lock()
-        register_lock_owner(self, "_registry_lock")
         self._by_thread: Dict[int, List[WriteBatch]] = {}
         self._local = threading.local()
 

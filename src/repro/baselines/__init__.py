@@ -1,11 +1,8 @@
-"""Competitors: BANKS-I/II, BLINKS, r-clique, ObjectRank, exact DPBF."""
+"""Competitors: BANKS-I/II and exact DPBF."""
 
 from .banks import BanksConfig, BanksI, BanksII
-from .blinks import Blinks, BlinksIndex
 from .common import AnswerTree, BaselineResult, rank_candidates
 from .dpbf import SteinerTree, dpbf_optimal_cost, dpbf_search
-from .objectrank import ObjectRank, ObjectRankConfig, ObjectRankResult
-from .rclique import RClique, RCliqueConfig
 
 __all__ = [
     "AnswerTree",
@@ -13,13 +10,6 @@ __all__ = [
     "BanksI",
     "BanksII",
     "BaselineResult",
-    "Blinks",
-    "BlinksIndex",
-    "ObjectRank",
-    "ObjectRankConfig",
-    "ObjectRankResult",
-    "RClique",
-    "RCliqueConfig",
     "SteinerTree",
     "dpbf_optimal_cost",
     "dpbf_search",

@@ -42,7 +42,6 @@ maybe_install_env_tracer()
 
 METHOD_GPU_SIM = "GPU-Par(sim)"
 METHOD_CPU_PAR = "CPU-Par"
-METHOD_CPU_PAR_PROC = "CPU-Par(proc)"
 METHOD_CPU_PAR_D = "CPU-Par-d"
 METHOD_BANKS2 = "BANKS-II"
 
@@ -97,10 +96,6 @@ def make_engine(
         # and, as in the paper, the stage-two extraction threads.
         backend = ThreadPoolBackend(n_threads=tnum)
         top_down_threads = tnum
-    elif method == METHOD_CPU_PAR_PROC:
-        from ..parallel.processes import ProcessPoolBackend
-
-        backend = ProcessPoolBackend(dataset.graph, n_processes=tnum)
     elif method != METHOD_GPU_SIM:
         raise ValueError(f"no matrix-engine backend for method {method!r}")
     return KeywordSearchEngine(
@@ -126,9 +121,6 @@ def _run_matrix_method(
     engine = make_engine(dataset, method, tnum=tnum, topk=topk, alpha=alpha)
     timers: List[PhaseTimer] = []
     try:
-        if method == METHOD_CPU_PAR_PROC:
-            # Fork the workers before the clock starts.
-            engine.backend.pool.warm()
         for query in queries:
             timers.append(engine.search(query, k=topk, alpha=alpha).timer)
     finally:
@@ -193,7 +185,7 @@ def run_method(
     Raises:
         ValueError: for unknown method names.
     """
-    if method in (METHOD_GPU_SIM, METHOD_CPU_PAR, METHOD_CPU_PAR_PROC):
+    if method in (METHOD_GPU_SIM, METHOD_CPU_PAR):
         return _run_matrix_method(dataset, method, queries, topk, alpha, tnum)
     if method == METHOD_CPU_PAR_D:
         return _run_locked_method(dataset, queries, topk, alpha, tnum)
@@ -275,23 +267,18 @@ def vary_alpha(
 def vary_tnum(
     dataset: BenchDataset,
     tnums: Sequence[int] = (1, 2, 4, 8),
-    methods: Sequence[str] = (
-        METHOD_CPU_PAR,
-        METHOD_CPU_PAR_PROC,
-        METHOD_CPU_PAR_D,
-    ),
+    methods: Sequence[str] = (METHOD_CPU_PAR, METHOD_CPU_PAR_D),
     n_queries: int = DEFAULT_QUERIES_PER_POINT,
     seed: int = 10,
 ) -> List[SweepRow]:
     """Per-phase profile versus thread count (Exp-4).
 
     The paper sweeps 1–50 threads on a 52-core machine; we sweep 1–8
-    across three variants: threads (CPU-Par; each chunk's kernel call
-    releases the GIL, and Tnum threads stage two as well),
-    shared-memory processes (CPU-Par(proc)), and the locked dict
-    ablation — real cores when the host has them. Every point of a
-    series runs the same backend class: Tnum = 1 is a one-worker pool.
-    EXPERIMENTS.md documents the host's core count alongside the results.
+    across the paper's two CPU variants: threads (CPU-Par; each chunk's
+    kernel call releases the GIL, and Tnum threads stage two as well)
+    and the locked dict (CPU-Par-d). Every point of a series runs the
+    same backend class: Tnum = 1 is a one-worker pool. EXPERIMENTS.md
+    documents the host's core count alongside the results.
     """
     workload = KeywordWorkload(dataset.index, seed=seed)
     queries = workload.sample_queries(DEFAULT_KNUM, n_queries)

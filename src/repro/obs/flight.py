@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .config import flight_recorder_size, obs_enabled, slow_query_threshold_ms
-from .locks import register_lock_owner
 from .tracing import Span, Tracer, chrome_trace_of
 
 #: Slow-query log capacity (independent of the ring: a burst of fast
@@ -87,7 +86,7 @@ class QueryRecord:
         keywords: normalized terms that ran (column order).
         dropped_terms: normalized terms with empty source sets.
         backend: the expansion backend tier (``vectorized``,
-            ``processes[4]``, ...).
+            ``threads[4]``, ...).
         outcome: ``"ok"`` or ``"error"``.
         error: the error message (empty on success).
         error_phase: which phase failed (empty on success).
@@ -284,7 +283,6 @@ class FlightRecorder:
         )
         self.slow_trace_dir = slow_trace_dir
         self._lock = threading.Lock()
-        register_lock_owner(self, "_lock")
         self._ids = itertools.count(1)
         self._ring: Deque[QueryRecord] = deque(maxlen=max(self.max_records, 1))
         self._slow: Deque[QueryRecord] = deque(maxlen=SLOW_LOG_CAPACITY)

@@ -28,7 +28,6 @@ import threading
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from .config import obs_enabled
-from .locks import register_lock_owner
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..instrumentation import KernelCounters
@@ -86,7 +85,6 @@ class _Instrument:
         self.help = help
         self.labels = labels
         self._lock = threading.Lock()
-        register_lock_owner(self, "_lock")
 
 
 class Counter(_Instrument):
@@ -277,7 +275,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        register_lock_owner(self, "_lock")
         self._instruments: "Dict[tuple, _Instrument]" = {}
         self._kinds: Dict[str, str] = {}
         self._helps: Dict[str, str] = {}

@@ -54,7 +54,6 @@ from typing import (
 )
 
 from .config import obs_enabled
-from .locks import register_fork_callback, register_lock_owner
 
 
 class Span:
@@ -172,7 +171,6 @@ class Tracer:
     def __init__(self, enabled: Optional[bool] = None) -> None:
         self.enabled = obs_enabled() if enabled is None else bool(enabled)
         self._lock = threading.Lock()
-        register_lock_owner(self, "_lock")
         self._finished: List[Span] = []
         self._local = threading.local()
         self._epoch_ns = time.perf_counter_ns()
@@ -334,17 +332,6 @@ NULL_TRACER = Tracer(enabled=False)
 
 _GLOBAL_TRACER: Tracer = NULL_TRACER
 _GLOBAL_LOCK = threading.Lock()
-
-
-def _reinit_global_lock() -> None:
-    """Fork-safety: a child forked while another thread held
-    ``_GLOBAL_LOCK`` inherits it locked with no owner; give the child a
-    fresh one (only the forking thread survives into the child)."""
-    global _GLOBAL_LOCK
-    _GLOBAL_LOCK = threading.Lock()  # noqa: RPR013 - rebinds the module constant
-
-
-register_fork_callback(_reinit_global_lock)
 
 
 def install_global_tracer(tracer: Tracer) -> None:

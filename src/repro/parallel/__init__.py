@@ -13,7 +13,6 @@ Mapping to the paper's implementations:
 
 from .backend import ExpansionBackend
 from .locked import LockedDictEngine
-from .processes import ProcessPoolBackend
 from .sequential import SequentialBackend
 from .threads import ThreadPoolBackend
 from .vectorized import VectorizedBackend
@@ -21,7 +20,6 @@ from .vectorized import VectorizedBackend
 __all__ = [
     "ExpansionBackend",
     "LockedDictEngine",
-    "ProcessPoolBackend",
     "SequentialBackend",
     "ThreadPoolBackend",
     "VectorizedBackend",

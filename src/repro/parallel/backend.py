@@ -99,13 +99,6 @@ class ExpansionBackend(abc.ABC):
     #: Human-readable name used in benchmark tables.
     name: str = "abstract"
 
-    #: Whether this backend's kernels report their scatter-stores into an
-    #: attached :class:`repro.analysis.writelog.WriteLog`
-    #: (``SearchState.write_log``). Backends whose workers cannot share a
-    #: log (separate processes) leave this ``False``; the invariant
-    #: checker then verifies them from state snapshots alone.
-    supports_write_log: bool = False
-
     @abc.abstractmethod
     def expand(
         self, graph: KnowledgeGraph, state: SearchState, level: int
@@ -114,7 +107,9 @@ class ExpansionBackend(abc.ABC):
 
         Implementations mutate ``state.matrix`` (hitting levels of newly hit
         nodes) and ``state.f_identifier`` (nodes to enqueue next level),
-        and must not touch anything else.
+        and must not touch anything else. When ``state.write_log`` is set
+        (:class:`~repro.analysis.checked.CheckedBackend` attaches one),
+        every scatter-store is also recorded there.
 
         Returns:
             The level's kernel work counters, or ``None`` from a backend

@@ -41,7 +41,6 @@ from ..core.state import (
 )
 from ..core.top_down import TopDownConfig, rank_central_graphs
 from ..graph.csr import KnowledgeGraph
-from ..obs.locks import register_lock_owner
 from ..text.inverted_index import InvertedIndex
 
 _LOCK_STRIPES = 509  # prime; stripes node ids over a fixed mutex pool
@@ -105,7 +104,6 @@ class LockedDictEngine:
         self._locks = [threading.Lock() for _ in range(_LOCK_STRIPES)]
         self._frontier_lock = threading.Lock()
         self._central_lock = threading.Lock()
-        register_lock_owner(self, "_frontier_lock", "_central_lock")
 
     def _lock_for(self, node: int) -> threading.Lock:
         return self._locks[node % _LOCK_STRIPES]

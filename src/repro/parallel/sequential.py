@@ -95,7 +95,6 @@ class SequentialBackend(ExpansionBackend):
     """Single-threaded per-node reference backend (the semantic oracle)."""
 
     name = "sequential"
-    supports_write_log = True
 
     def expand(self, graph: KnowledgeGraph, state: SearchState, level: int) -> None:
         if state.tracer.enabled:

@@ -83,8 +83,6 @@ class ThreadPoolBackend(ExpansionBackend):
             overhead. Four mirrors OpenMP dynamic scheduling granularity.
     """
 
-    supports_write_log = True
-
     def __init__(self, n_threads: int = 4, chunks_per_thread: int = 4) -> None:
         if n_threads < 1:
             raise ValueError("n_threads must be positive")

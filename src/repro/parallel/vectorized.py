@@ -381,7 +381,6 @@ class VectorizedBackend(ExpansionBackend):
     """
 
     name = "vectorized"
-    supports_write_log = True
 
     def __init__(self, native: Optional[bool] = None) -> None:
         self.native = native

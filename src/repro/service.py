@@ -37,7 +37,6 @@ from .core.central_graph import SearchAnswer
 from .core.engine import EmptyQueryError, KeywordSearchEngine
 from .graph.csr import KnowledgeGraph
 from .obs.flight import FlightRecorder
-from .obs.locks import register_lock_owner
 from .obs.metrics import MetricsRegistry, get_registry
 from .viz import edge_predicates
 
@@ -164,7 +163,6 @@ class SearchService:
             self.flight = FlightRecorder.from_env()
         engine.flight = self.flight
         self._lock = threading.Lock()
-        register_lock_owner(self, "_lock")
 
     def _record_request(
         self,

@@ -29,12 +29,7 @@ from repro.analysis import (
 from repro.analysis.check import run_check, run_faulty_validation
 from repro.core.bottom_up import BottomUpSearch
 from repro.graph.generators import WikiKBConfig, wiki_like_kb
-from repro.parallel import (
-    ProcessPoolBackend,
-    SequentialBackend,
-    ThreadPoolBackend,
-    VectorizedBackend,
-)
+from repro.parallel import SequentialBackend, ThreadPoolBackend, VectorizedBackend
 
 
 def _kb(seed=3):
@@ -112,15 +107,12 @@ def test_write_log_copies_input_arrays():
 # ---------------------------------------------------------------------------
 # CheckedBackend: clean backends pass, bitwise identical to sequential
 # ---------------------------------------------------------------------------
-def _contenders(graph):
-    backends = {
+def _contenders():
+    return {
         "threads": ThreadPoolBackend(n_threads=3),
         "vectorized": VectorizedBackend(),
         "vectorized-numpy": VectorizedBackend(native=False),
     }
-    if ProcessPoolBackend.is_supported():
-        backends["processes"] = ProcessPoolBackend(graph, n_processes=2)
-    return backends
 
 
 @pytest.mark.parametrize("seed", [0, 1, 4])
@@ -131,7 +123,7 @@ def test_checked_backends_clean_and_bitwise_identical(seed):
     reference = _run(
         CheckedBackend(SequentialBackend()), graph, sets, activation, k
     )
-    for name, backend in _contenders(graph).items():
+    for name, backend in _contenders().items():
         checked = CheckedBackend(backend)
         result = _run(checked, graph, sets, activation, k)
         assert checked.levels_checked > 0, name
@@ -853,5 +845,5 @@ def test_cli_check_list_rules(capsys):
     assert main(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule in ("RPR001", "RPR008", "RPR010", "RPR012", "RPR013",
-                 "RPRCON01", "RPRCON03"):
+                 "RPRCON01", "RPRCON02"):
         assert rule in out

@@ -10,7 +10,6 @@ from repro.bench.harness import (
     METHOD_BANKS2,
     METHOD_CPU_PAR,
     METHOD_CPU_PAR_D,
-    METHOD_CPU_PAR_PROC,
     METHOD_GPU_SIM,
     SweepRow,
     effectiveness_experiment,
@@ -31,7 +30,7 @@ from repro.bench.reporting import (
 from repro.eval.precision import PrecisionRow
 from repro.eval.queries import CannedQuery
 from repro.graph.generators import WikiKBConfig
-from repro.parallel import ProcessPoolBackend, ThreadPoolBackend
+from repro.parallel import ThreadPoolBackend
 from repro.instrumentation import (
     PHASE_TOTAL,
     PhaseTimer,
@@ -147,11 +146,6 @@ def test_every_tnum_of_a_series_runs_one_backend_class(bench_dataset):
             assert backend.n_threads == tnum
         assert engine.config.top_down_threads == tnum
     assert make_engine(bench_dataset, METHOD_GPU_SIM).config.top_down_threads == 1
-    if ProcessPoolBackend.is_supported():
-        engine = make_engine(bench_dataset, METHOD_CPU_PAR_PROC, tnum=1)
-        with engine.backend as backend:
-            assert type(backend) is ProcessPoolBackend
-            assert backend.n_processes == 1
 
 
 def test_run_method_all_variants(bench_dataset):

@@ -1,20 +1,16 @@
-"""Concurrency-contract analyzer and fork-safety tests.
+"""Concurrency-contract analyzer tests and the no-fork guard.
 
-Covers the static pass (nested-acquisition / blocking / fork findings
-on synthetic modules, a clean real repo with its exact lock inventory)
-and fork safety (post-fork lock re-initialization).
+Covers the static pass (nested-acquisition / blocking findings on
+synthetic modules, a clean real repo with its exact lock inventory),
+lint rule RPR013, and the guard that nothing in ``src/repro`` forks a
+process.
 """
 
-import os
-import threading
-
-import pytest
+import ast
 
 from repro.analysis import concurrency
 from repro.analysis.check import _run_injection, run_concurrency_stage
-from repro.analysis.lint import lint_source
-from repro.obs import locks as locks_mod
-from repro.obs.locks import register_lock_owner, reinit_locks_after_fork
+from repro.analysis.lint import lint_source, package_root
 
 # ---------------------------------------------------------------------------
 # Static pass: synthetic modules
@@ -67,18 +63,6 @@ _L = threading.Lock()
 def refresh():
     with _L:
         time.sleep(0.5)
-'''
-
-_FORK_SOURCE = '''\
-import os
-import threading
-
-_L = threading.Lock()
-
-
-def spawn():
-    with _L:
-        os.fork()
 '''
 
 _SUPPRESSED_SLEEP_SOURCE = '''\
@@ -184,12 +168,6 @@ def test_sleep_under_lock_is_rprcon02():
     assert "m._L" in report.findings[0].message
 
 
-def test_fork_under_lock_is_rprcon03():
-    report = _analyze(_FORK_SOURCE, roots=["m.spawn"])
-    assert [finding.code for finding in report.findings] == ["RPRCON03"]
-    assert "os.fork" in report.findings[0].message
-
-
 def test_noqa_suppresses_exact_code():
     report = _analyze(_SUPPRESSED_SLEEP_SOURCE, roots=["m.refresh"])
     assert report.findings == []
@@ -234,7 +212,6 @@ def test_repo_is_clean_and_locks_discovered():
     assert set(report.locks) == {
         "analysis.writelog.WriteLog._registry_lock",
         "obs.flight.FlightRecorder._lock",
-        "obs.locks._OWNERS_MUTEX",
         "obs.metrics.MetricsRegistry._lock",
         "obs.metrics._Instrument._lock",
         "obs.tracing.Tracer._lock",
@@ -279,83 +256,84 @@ def test_striped_locks_share_one_identity():
 
 
 # ---------------------------------------------------------------------------
-# Fork safety
+# No fork point
 # ---------------------------------------------------------------------------
-def test_reinit_replaces_registered_locks():
-    class Owner:
-        def __init__(self):
-            self._lock = threading.Lock()
-            register_lock_owner(self, "_lock")
-
-    owner = Owner()
-    old = owner._lock
-    old.acquire()  # simulate the parent-side holder
-    assert reinit_locks_after_fork() >= 1
-    assert owner._lock is not old
-    assert owner._lock.acquire(timeout=1)  # fresh and unlocked
-    owner._lock.release()
-    old.release()
+#: Modules whose import means a process pool or a forked child.
+_FORKING_MODULES = ("multiprocessing", "concurrent.futures.process")
+#: Names whose use means a process pool or a shared-memory segment.
+_FORKING_NAMES = {"ProcessPoolExecutor", "shared_memory"}
+#: ``os`` functions that fork or hook a fork.
+_OS_FORK_CALLS = {"fork", "register_at_fork"}
 
 
-def test_fresh_lock_like_preserves_flavor():
-    plain = threading.Lock()
-    assert type(locks_mod._fresh_lock_like(plain)) is type(plain)
-    rlock = threading.RLock()
-    assert type(locks_mod._fresh_lock_like(rlock)) is type(rlock)
+def _is_forking_module(name):
+    return any(
+        name == module or name.startswith(module + ".")
+        for module in _FORKING_MODULES
+    )
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="os.fork unavailable on this platform"
-)
-def test_fork_records_held_locks_and_child_reinits():
-    """A parent thread holds a registered lock across ``os.fork``; the
-    child must still acquire it."""
-
-    class Owner:
-        def __init__(self):
-            self._lock = threading.Lock()
-            register_lock_owner(self, "_lock")
-
-    owner = Owner()
-    acquired = threading.Event()
-    release = threading.Event()
-
-    def holder():
-        with owner._lock:
-            acquired.set()
-            release.wait(10)
-
-    thread = threading.Thread(target=holder, daemon=True)
-    thread.start()
-    assert acquired.wait(10)
-    try:
-        assert owner._lock.locked()
-        pid = os.fork()
-        if pid == 0:
-            # Child: the holder thread does not exist here. Without the
-            # after_in_child re-init this acquire would time out on the
-            # inherited locked mutex.
-            ok = owner._lock.acquire(True, 5)
-            os._exit(0 if ok else 1)
-        _, status = os.waitpid(pid, 0)
-    finally:
-        release.set()
-        thread.join(10)
-    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+def _fork_points(tree):
+    """``(line, what)`` for every fork point in one module's AST."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if _is_forking_module(alias.name):
+                    yield node.lineno, f"import {alias.name}"
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            for alias in node.names:
+                if (
+                    _is_forking_module(module)
+                    or _is_forking_module(f"{module}.{alias.name}")
+                    or alias.name in _FORKING_NAMES
+                    or (module == "os" and alias.name in _OS_FORK_CALLS)
+                ):
+                    yield node.lineno, f"from {module} import {alias.name}"
+        elif isinstance(node, ast.Name) and node.id in _FORKING_NAMES:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            if node.attr in _FORKING_NAMES:
+                yield node.lineno, node.attr
+            elif (
+                node.attr in _OS_FORK_CALLS
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "os"
+            ):
+                yield node.lineno, f"os.{node.attr}"
 
 
-def test_global_tracer_lock_reinit_callback_registered():
-    from repro.obs import tracing
+def test_fork_points_are_recognised():
+    source = (
+        "import os\n"
+        "import multiprocessing.pool\n"
+        "from concurrent.futures import ProcessPoolExecutor\n"
+        "from concurrent.futures import process\n"
+        "from multiprocessing import shared_memory\n"
+        "from os import register_at_fork\n"
+        "os.fork()\n"
+        "os.register_at_fork(after_in_child=print)\n"
+        "import subprocess, threading\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+    )
+    lines = [line for line, _ in _fork_points(ast.parse(source))]
+    assert sorted(set(lines)) == [2, 3, 4, 5, 6, 7, 8]
 
-    # The module registered a fork callback for _GLOBAL_LOCK; running
-    # the child-side re-init must replace it with an unlocked lock.
-    tracing._GLOBAL_LOCK.acquire()
-    try:
-        reinit_locks_after_fork()
-        assert tracing._GLOBAL_LOCK.acquire(timeout=1)
-        tracing._GLOBAL_LOCK.release()
-    finally:
-        pass
+
+def test_src_has_no_fork_point():
+    """Nothing in ``src/repro`` forks a Python child: no process pool,
+    no shared-memory segment, no ``os.fork`` and no fork hook. Every
+    lock therefore lives in one process, and none needs re-creating in
+    a child."""
+    root = package_root()
+    found = [
+        f"{path.relative_to(root).as_posix()}:{line}: {what}"
+        for path in sorted(root.rglob("*.py"))
+        for line, what in _fork_points(
+            ast.parse(path.read_text(encoding="utf-8"))
+        )
+    ]
+    assert found == []
 
 
 # ---------------------------------------------------------------------------
@@ -381,17 +359,6 @@ def test_rpr013_allows_attributes_and_module_constants():
         "    def __init__(self):\n"
         "        self._lock = threading.Lock()\n",
         relative_to_package="service.py",
-    )
-    assert violations == []
-
-
-def test_rpr013_exempts_lock_factory_module():
-    violations, _ = lint_source(
-        "import threading\n"
-        "def make():\n"
-        "    inner = threading.Lock()\n"
-        "    return inner\n",
-        relative_to_package="obs/locks.py",
     )
     assert violations == []
 

@@ -1,13 +1,12 @@
-"""Out-of-core CSR store: round-trips, streaming build, zero-copy workers.
+"""Out-of-core CSR store: round-trips, streaming build, mmap accounting.
 
 The mmap tier's contract is *behavioral identity*: a graph opened from a
 ``.csrstore`` file (memory-mapped or materialized) must be bitwise
 indistinguishable from the in-RAM build it was saved from — same arrays,
 same answers from every backend, same validation. These tests pin that,
 plus the failure modes (corrupt / truncated / wrong-version files), the
-streaming builder's parity with :class:`GraphBuilder`, the path-keyed
-warm-pool attach that survives graph reloads, and the mmap-aware memory
-accounting surfaced through ``/statz``.
+streaming builder's parity with :class:`GraphBuilder`, and the
+mmap-aware memory accounting surfaced through ``/statz``.
 """
 
 import json
@@ -41,12 +40,7 @@ from repro.graph.store import (
     resident_nbytes,
     save_store,
 )
-from repro.parallel import (
-    ProcessPoolBackend,
-    SequentialBackend,
-    ThreadPoolBackend,
-    VectorizedBackend,
-)
+from repro.parallel import SequentialBackend, ThreadPoolBackend, VectorizedBackend
 from repro.text.inverted_index import InvertedIndex
 
 from test_fused_kernel import _fuzz_kb, _fuzz_problem, _run_backend
@@ -259,28 +253,6 @@ def test_all_backends_bitwise_identical_on_mmap_store(tmp_path, seed):
         ), f"{name}: M diverged on mmap store (seed {seed})"
         assert sorted(result.central_nodes) == sorted(reference.central_nodes)
         assert result.depth == reference.depth
-
-
-@pytest.mark.skipif(
-    not ProcessPoolBackend.is_supported(),
-    reason="requires the fork start method",
-)
-def test_process_pool_matches_sequential_on_mmap_store(tmp_path):
-    """Workers inherit the store's read-only mapping at fork."""
-    graph = _fuzz_kb(6)
-    path = tmp_path / ("g" + STORE_SUFFIX)
-    save_store(graph, path)
-    mapped = open_store(path)
-    assert memmap_base(mapped.adj.indices) is not None
-    sets, activation, k = _fuzz_problem(graph, 61, q=3)
-    reference = _run_backend(SequentialBackend(), graph, sets, activation, k)
-    backend = ProcessPoolBackend(mapped, n_processes=2)
-    result = _run_backend(backend, mapped, sets, activation, k)
-    assert np.array_equal(result.state.matrix, reference.state.matrix)
-    assert sorted(result.central_nodes) == sorted(reference.central_nodes)
-    assert result.depth == reference.depth
-    assert backend.respawn_count == 0
-    assert not backend.pool.alive
 
 
 # ---------------------------------------------------------------------------
