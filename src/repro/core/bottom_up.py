@@ -173,7 +173,10 @@ class BottomUpSearch:
                 self.graph.n_nodes, keyword_node_sets, activation
             )
         state.tracer = tracer
-        peak_nbytes = state.nbytes()
+        # Only the frontier (and a store-backed array's residency) changes
+        # size between levels: charge the rest once.
+        fixed_nbytes = state.fixed_nbytes()
+        peak_nbytes = state.nbytes(fixed_nbytes)
 
         level = 0
         levels_executed = 0
@@ -200,7 +203,7 @@ class BottomUpSearch:
                         terminated = TERMINATED_ENOUGH_ANSWERS
                     break
                 levels_executed += 1
-                peak_nbytes = max(peak_nbytes, state.nbytes())
+                peak_nbytes = max(peak_nbytes, state.nbytes(fixed_nbytes))
                 level += 1
 
         if state.central_nodes:

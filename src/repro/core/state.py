@@ -62,8 +62,7 @@ class SearchState:
             one ∞ cell, so the count advances by the number of deduplicated
             (node, keyword) writes), which turns Central Node
             identification into a 1-D ``finite_count == q`` compare instead
-            of a 2-D row scan. Backends that bulk-rewrite M instead call
-            :meth:`refresh_finite_count` on the rows they touched.
+            of a 2-D row scan.
     """
 
     matrix: np.ndarray
@@ -110,7 +109,9 @@ class SearchState:
 
         Every node in ``keyword_node_sets[i]`` gets ``M[v][i] = 0`` and is
         flagged as an initial frontier (BFS instances start at their source
-        sets with expansion level 0).
+        sets with expansion level 0). Past the fills of the per-node
+        arrays, only the source rows are touched: no pass runs over all
+        |V| nodes or all |V|·q cells.
 
         Raises:
             ValueError: if there are no keywords or activation is missized.
@@ -123,18 +124,15 @@ class SearchState:
         matrix = np.full((n_nodes, q), INFINITE_LEVEL, dtype=np.uint8)
         f_identifier = np.zeros(n_nodes, dtype=np.uint8)
         keyword_node = np.zeros(n_nodes, dtype=bool)
+        finite_count = np.zeros(n_nodes, dtype=np.int32)
         for column, nodes in enumerate(keyword_node_sets):
             nodes = np.asarray(nodes, dtype=np.int64)
             matrix[nodes, column] = 0
             f_identifier[nodes] = 1
             keyword_node[nodes] = True
-        # M is ∞ outside the source rows, which are exactly the rows just
-        # flagged: count finite cells there, not over all |V|·q.
-        sources = np.flatnonzero(f_identifier)
-        finite_count = np.zeros(n_nodes, dtype=np.int32)
-        finite_count[sources] = (matrix[sources] != INFINITE_LEVEL).sum(
-            axis=1, dtype=np.int32
-        )
+            # Buffered fancy add: an id repeated inside one set adds 1
+            # once, as it fills one cell (np.add.at would add it twice).
+            finite_count[nodes] += 1
         activation = np.asarray(activation, dtype=np.int32)
         return cls(
             matrix=matrix,
@@ -227,17 +225,6 @@ class SearchState:
                 nodes, minlength=self.n_nodes
             ).astype(np.int32)
 
-    def refresh_finite_count(self, nodes: np.ndarray) -> None:
-        """Recompute ``finite_count`` from M for ``nodes``.
-
-        Backends that bulk-rewrite M (the shared-memory process pool
-        copying its segment back) resynchronize the touched rows here.
-        """
-        if len(nodes):
-            self.finite_count[nodes] = (
-                self.matrix[nodes] != INFINITE_LEVEL
-            ).sum(axis=1, dtype=np.int32)
-
     def total_finite_cells(self) -> int:
         """Number of finite M cells (used for per-level hit accounting)."""
         return int(self.finite_count.sum())
@@ -245,7 +232,35 @@ class SearchState:
     # ------------------------------------------------------------------
     # Storage accounting (Table IV)
     # ------------------------------------------------------------------
-    def nbytes(self) -> int:
+    def fixed_nbytes(self) -> Tuple[int, Tuple[np.ndarray, ...]]:
+        """The part of :meth:`nbytes` that no level resizes.
+
+        Returns the heap bytes of every per-query array but the frontier
+        (constant for the query) and the store-backed ones among them,
+        whose resident charge can change from level to level.
+        """
+        from ..graph.store import memmap_base
+
+        heap = 0
+        mapped = []
+        for array in (
+            self.matrix,
+            self.f_identifier,
+            self.c_identifier,
+            self.keyword_node,
+            self.central_level,
+            self.activation,
+            self.finite_count,
+        ):
+            if memmap_base(array) is None:
+                heap += int(array.nbytes)
+            else:
+                mapped.append(array)
+        return heap, tuple(mapped)
+
+    def nbytes(
+        self, fixed: Optional[Tuple[int, Tuple[np.ndarray, ...]]] = None
+    ) -> int:
         """Dynamic memory of this query's state.
 
         Everything allocated per query counts: M, both identifier arrays,
@@ -257,19 +272,17 @@ class SearchState:
         the state) are charged at their *resident* page estimate, not
         their on-disk size — mmap-backed bytes are page cache, not
         per-query heap (see :func:`repro.graph.store.allocated_nbytes`).
+        The frontier is always heap.
+
+        Args:
+            fixed: this query's :meth:`fixed_nbytes`, when the caller
+                measures every level and has it already.
         """
         from ..graph.store import allocated_nbytes
 
-        return int(sum(
-            allocated_nbytes(array)
-            for array in (
-                self.matrix,
-                self.f_identifier,
-                self.c_identifier,
-                self.keyword_node,
-                self.central_level,
-                self.activation,
-                self.finite_count,
-                self.frontier,
-            )
-        ))
+        heap, mapped = self.fixed_nbytes() if fixed is None else fixed
+        return (
+            heap
+            + sum(allocated_nbytes(array) for array in mapped)
+            + int(self.frontier.nbytes)
+        )

@@ -155,16 +155,19 @@ int64_t fused_expand(
         const int64_t end = indptr[u + 1];
         for (int64_t e = indptr[u]; e < end; ++e) {
             const int64_t v = (int64_t)indices[e];
+            /* Line 18-20: the source retries at a later level.  Tested
+             * before the row load: a blocked node's row is all infinity
+             * (never hit, no source), so the load could only confirm a
+             * ballot of se != 0 and no duplicate. */
+            if (blocked && blocked[v]) {
+                retry = 1;
+                continue;
+            }
             const uint64_t m = load_row(matrix, v, q, n_safe);
             dups += lane_sum(se & eq_lanes(m, next_level));
             const uint64_t ballot = se & inf_lanes(m);
             if (!ballot)
                 continue;
-            if (blocked && blocked[v]) {
-                /* Line 18-20: the source retries at a later level. */
-                retry = 1;
-                continue;
-            }
             for (uint64_t b = ballot; b; b &= b - 1) {
                 const int64_t key = v * q + lowest_lane(b);
                 matrix[key] = next_level;
@@ -181,10 +184,12 @@ int64_t fused_expand(
 }
 
 /* One complete bottom-up level in a single call (Algorithm 1's joined
- * steps): drain FIdentifier into a compacted frontier, identify Central
- * Nodes among it (finite_count == q, Lemma V.1), and — unless the top-k
+ * steps): drain FIdentifier into a compacted, ascending frontier (a
+ * branch-free drain, eight flags per word), identify Central Nodes
+ * among it (finite_count == q, Lemma V.1), and — unless the top-k
  * target is met or the level cap reached — run Algorithm 2 over the
  * frontier with the incremental finite-count update applied in place.
+ * The blocked test (line 18-20) runs before a neighbour's row is read.
  *
  *   n             node count
  *   indptr/indices CSR adjacency
@@ -246,12 +251,28 @@ int64_t whole_level_step(
     int64_t expanded = 0;
 
     /* Enqueue: drain FIdentifier into the joint frontier (ascending,
-     * exactly like np.flatnonzero). */
-    for (int64_t u = 0; u < n; ++u) {
-        if (fid[u]) {
-            frontier_out[n_frontier++] = u;
-            fid[u] = 0;
+     * exactly like np.flatnonzero), branch-free.  Eight flags are read
+     * as one word and an all-zero word is skipped; inside a non-zero
+     * word every id is stored and the count advances only past flagged
+     * ones, so a dense frontier costs no mispredicted branch per node.
+     * The store lands at n_frontier <= u, never past n - 1.  The word
+     * is then cleared with one store, and the n % 8 tail bytewise. */
+    int64_t u = 0;
+    for (; u + 8 <= n; u += 8) {
+        uint64_t flags;
+        memcpy(&flags, fid + u, 8);
+        if (!flags)
+            continue;
+        for (int64_t j = 0; j < 8; ++j) {
+            frontier_out[n_frontier] = u + j;
+            n_frontier += fid[u + j] != 0;
         }
+        memset(fid + u, 0, 8);
+    }
+    for (; u < n; ++u) {
+        frontier_out[n_frontier] = u;
+        n_frontier += fid[u] != 0;
+        fid[u] = 0;
     }
 
     if (n_frontier > 0) {
@@ -294,16 +315,22 @@ int64_t whole_level_step(
                 int retry = 0;
                 for (int64_t e = indptr[u]; e < end; ++e) {
                     const int64_t v = (int64_t)indices[e];
+                    /* Line 18-20 before the row load: a blocked node
+                     * was blocked at every earlier level too and is no
+                     * source, so its row is all infinity -- no
+                     * duplicate, a ballot equal to se != 0, a retry.
+                     * Activation first: most neighbours are active, and
+                     * then the keyword mask is never read. */
+                    if (may_block && activation[v] > next_level_i
+                        && !keyword_node[v]) {
+                        retry = 1;
+                        continue;
+                    }
                     const uint64_t m = load_row(matrix, v, q, n_safe);
                     dups += lane_sum(se & eq_lanes(m, next_level));
                     const uint64_t ballot = se & inf_lanes(m);
                     if (!ballot)
                         continue;
-                    if (may_block && !keyword_node[v]
-                        && activation[v] > next_level_i) {
-                        retry = 1;
-                        continue;
-                    }
                     for (uint64_t b = ballot; b; b &= b - 1)
                         matrix[v * q + lowest_lane(b)] = next_level;
                     const int32_t written = (int32_t)lane_sum(ballot);

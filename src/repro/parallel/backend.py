@@ -15,11 +15,10 @@ Backends must preserve the lock-free write discipline: only ever write
 ``1`` into FIdentifier and ``level + 1`` into M, so concurrent writers
 race benignly (Theorem V.2).
 
-Backends additionally keep ``state.finite_count`` exact — either by
-counting deduplicated hits (sequential inline, fused kernel via returned
-cell keys) or by resynchronizing touched rows
-(:meth:`~repro.core.state.SearchState.refresh_finite_count`, the process
-pool) — because Central Node identification is a 1-D compare on it.
+Backends additionally keep ``state.finite_count`` exact by counting
+deduplicated hits (sequential inline, fused kernel via returned cell
+keys, the native whole level in place), because Central Node
+identification is a 1-D compare on it.
 
 Everything a level reports travels on its :class:`LevelOutcome` and
 nowhere else: the loop decides termination from it, keeps it as the

@@ -241,6 +241,106 @@ def test_retry_decided_past_the_first_lane_word(q):
         assert got == want
 
 
+def _blocking_star():
+    """Source 0 (keyword 0) next to node 1, a keyword-1 source that
+    activates at 5, and node 2, a non-keyword node that activates at 5:
+    at level 0 both neighbours await activation at level 1."""
+    from repro.graph.builder import GraphBuilder
+
+    builder = GraphBuilder()
+    for node in range(3):
+        builder.add_node(f"node {node}")
+    builder.add_edge(0, 1, "r")
+    builder.add_edge(0, 2, "r")
+    sets = [np.array([0]), np.array([1])]
+    activation = np.array([0, 5, 5], dtype=np.int32)
+    return builder.build(), sets, activation
+
+
+def _hoisted_test_kernels():
+    """``whole_level_step`` (the native whole level) and ``fused_expand``
+    (three-thread chunks), the two loops that test line 18-20 before the
+    neighbour's row load."""
+    return {
+        "whole-level": VectorizedBackend(),
+        "fused-threads": ThreadPoolBackend(n_threads=3),
+    }
+
+
+def test_hoisted_blocked_test_still_hits_a_late_keyword_node():
+    """A keyword node may be hit before its activation level (Section
+    IV-B), so the blocked test read before the row load must exempt it:
+    node 1 gets ``M[1][0] = 1`` at level 0 on both kernels."""
+    graph, sets, activation = _blocking_star()
+    for name, backend in _hoisted_test_kernels().items():
+        state = SearchState.initialize(graph.n_nodes, sets, activation)
+        with backend:
+            outcome = backend.run_level(graph, state, 0, 5, True, PhaseTimer())
+        assert outcome.expanded, name
+        assert state.matrix[1].tolist() == [1, 0], name
+        assert state.finite_count[1] == 2, name
+        assert outcome.new_hits == 1, name
+
+
+def test_hoisted_blocked_test_keeps_the_source_retrying():
+    """Node 2 blocks: its row stays ∞ and source 0 re-flags itself to
+    retry the edge (Algorithm 2 line 18-20), on both kernels."""
+    graph, sets, activation = _blocking_star()
+    for name, backend in _hoisted_test_kernels().items():
+        state = SearchState.initialize(graph.n_nodes, sets, activation)
+        with backend:
+            backend.run_level(graph, state, 0, 5, True, PhaseTimer())
+        assert (state.matrix[2] == INFINITE_LEVEL).all(), name
+        assert state.f_identifier.tolist() == [1, 1, 0], name
+    want, _, _ = _wide_levels(SequentialBackend(), graph, sets, activation, 5)
+    for name, backend in _hoisted_test_kernels().items():
+        got, _, _ = _wide_levels(backend, graph, sets, activation, 5)
+        assert got == want, name
+
+
+def _blocking_cases():
+    """q ≤ 8 cases whose activations block: tail-guard graphs with late
+    activations, and wiki-shaped KBs under Penalty-and-Reward levels."""
+    for n in (12, 40):
+        for q in range(1, 9):
+            if (n + q) % 2:
+                yield f"tail-{n}-{q}", _tail_guard_case(n, q)
+    for seed in (1, 3, 5, 7):
+        graph = _fuzz_kb(seed + 100)
+        sets, activation, k = _fuzz_problem(graph, seed, 2 + seed % 7)
+        yield f"wiki-{seed}", (graph, sets, activation, k)
+
+
+def test_hoisted_blocked_test_matches_sequential_level_by_level():
+    """With line 18-20 decided before the row load, both kernels stay
+    bit-identical to ``SequentialBackend`` on M, FIdentifier,
+    finite_count and the Central Nodes after every level, and report all
+    four kernel counters exactly as an edge-by-edge count from the
+    definition gives them. Without the compiled tier both routes run the
+    NumPy arm, whose threaded ``duplicates_elided`` depends on the
+    schedule; it is left out there."""
+    from repro.parallel.vectorized import _native_kernel
+
+    native = _native_kernel() is not None
+    refused = 0
+    for case, (graph, sets, activation, k) in _blocking_cases():
+        want, _, _ = _wide_levels(
+            SequentialBackend(), graph, sets, activation, k
+        )
+        for name, backend in _hoisted_test_kernels().items():
+            got, reported, counted = _wide_levels(
+                backend, graph, sets, activation, k, count=True
+            )
+            assert got == want, (case, name)
+            defined = [counters for counters, _ in counted]
+            if not native and name == "fused-threads":
+                for counters in reported + defined:
+                    counters.duplicates_elided = 0
+            assert reported == defined, (case, name)
+        refused += sum(cells for _, cells in counted)
+    assert refused > 0  # the corpus does reach the blocked protocol
+
+
 @pytest.mark.parametrize("n,q", tail_guard_cases())
 def test_tail_rows_match_sequential_level_by_level(n, q):
     """The kernels read a neighbour's row as one 8-byte word at

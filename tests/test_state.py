@@ -123,6 +123,70 @@ def test_nbytes_is_exact_sum_of_dynamic_arrays():
     assert state.nbytes() >= state.matrix.nbytes + (1 + 1 + 1 + 2 + 4 + 4) * 50
 
 
+def _reference_nbytes(state):
+    """Table IV's charge of every per-query array, re-walked in full."""
+    from repro.graph.store import allocated_nbytes
+
+    return sum(
+        allocated_nbytes(array)
+        for array in (
+            state.matrix,
+            state.f_identifier,
+            state.c_identifier,
+            state.keyword_node,
+            state.central_level,
+            state.activation,
+            state.finite_count,
+            state.frontier,
+        )
+    )
+
+
+@pytest.mark.parametrize("mapped_activation", [False, True])
+def test_peak_state_nbytes_equals_a_full_walk_every_level(
+    mapped_activation, tmp_path
+):
+    """``BottomUpSearch.run`` charges the fixed arrays once per query and
+    the frontier per level; the peak must equal re-walking all eight
+    arrays at every level, also when ``activation`` is memory-mapped
+    (kept as a per-level residency charge)."""
+    from repro.analysis.check import _fuzz_case
+    from repro.core.bottom_up import BottomUpSearch
+    from repro.parallel import SequentialBackend, VectorizedBackend
+
+    def walking(base):
+        class Walking(base):
+            def run_level(self, graph, state, level, k, may_expand, timer):
+                if level == 0:
+                    self.walks = [_reference_nbytes(state)]
+                outcome = super().run_level(
+                    graph, state, level, k, may_expand, timer
+                )
+                if outcome.expanded:
+                    self.walks.append(_reference_nbytes(state))
+                return outcome
+
+        return Walking()
+
+    for seed in range(6):
+        graph, sets, activation, k = _fuzz_case(seed)
+        if mapped_activation:
+            path = tmp_path / f"activation-{seed}.bin"
+            np.asarray(activation, dtype=np.int32).tofile(path)
+            activation = np.memmap(path, dtype=np.int32, mode="r")
+        for base in (VectorizedBackend, SequentialBackend):
+            backend = walking(base)
+            result = BottomUpSearch(graph, backend=backend).run(
+                sets, activation, k
+            )
+            assert result.peak_state_nbytes == max(backend.walks), seed
+            assert result.state.nbytes() == _reference_nbytes(result.state)
+            _, mapped = result.state.fixed_nbytes()
+            assert [id(a) for a in mapped] == (
+                [id(result.state.activation)] if mapped_activation else []
+            )
+
+
 def test_initialize_finite_count_matches_matrix_scan():
     """``initialize`` counts finite cells over the flagged source rows
     only; the answer must still be the full-matrix count — with a node
@@ -134,6 +198,52 @@ def test_initialize_finite_count_matches_matrix_scan():
     assert state.finite_count.dtype == np.int32
     assert np.array_equal(state.finite_count, expected)
     assert list(expected) == [1, 3, 0, 0, 1, 0, 0, 2, 0, 1]
+
+
+def _state_from_definition(n, sets):
+    """M, FIdentifier, the keyword mask and finite_count built cell by
+    cell from the keyword sets, with no shortcut of ``initialize``."""
+    matrix = np.full((n, len(sets)), INFINITE_LEVEL, dtype=np.uint8)
+    for column, nodes in enumerate(sets):
+        for node in nodes.tolist():
+            matrix[node, column] = 0
+    sources = (matrix == 0).any(axis=1)
+    finite_count = np.array(
+        [sum(cell != INFINITE_LEVEL for cell in row) for row in matrix.tolist()],
+        dtype=np.int32,
+    )
+    return matrix, sources.astype(np.uint8), sources, finite_count
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 64])
+def test_initialize_equals_the_definition_on_random_sets(n):
+    """``initialize`` touches only the source rows: every array equals a
+    build from the definition, ``finite_count`` a full-row recount. Sets
+    repeat ids (one cell each) and share nodes across columns, for every
+    q from 1 to 17."""
+    rng = np.random.default_rng(n)
+    repeated = shared = 0
+    for q in range(1, 18):
+        for _ in range(3):
+            sets = [
+                rng.integers(0, n, size=int(rng.integers(1, 2 * n + 2)))
+                for _ in range(q)
+            ]
+            repeated += sum(len(s) > len(np.unique(s)) for s in sets)
+            activation = rng.integers(0, 4, size=n).astype(np.int32)
+            state = SearchState.initialize(n, sets, activation)
+            matrix, fid, keyword, finite = _state_from_definition(n, sets)
+            shared += int((finite > 1).sum())
+            assert np.array_equal(state.matrix, matrix), (n, q)
+            assert np.array_equal(state.f_identifier, fid), (n, q)
+            assert np.array_equal(state.keyword_node, keyword), (n, q)
+            assert state.finite_count.dtype == np.int32
+            assert np.array_equal(state.finite_count, finite), (n, q)
+            assert not state.c_identifier.any()
+            assert (state.central_level == -1).all()
+            assert np.array_equal(state.activation, activation)
+            assert state.max_activation == int(activation.max())
+    assert repeated > 0 and shared > 0
 
 
 def test_max_activation_is_the_recomputed_maximum_on_the_fuzz_corpus():

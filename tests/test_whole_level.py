@@ -160,6 +160,77 @@ def test_duplicates_elided_native_numpy_parity(seed, tmp_path):
     assert totals["duplicates_elided"] > 0
 
 
+#: Node counts around the drain's 8-byte words: every tail length, one
+#: word short of, on and past a multiple of 64, and a long run of words.
+DRAIN_SIZES = list(range(1, 18)) + [63, 64, 65, 200]
+
+
+def _drain_patterns(n):
+    """FIdentifier patterns: empty, each single node on a word boundary
+    or in the tail, every other node, one random half, all nodes."""
+    rng = np.random.default_rng(n)
+    singles = sorted({0, n - 1, n - n % 8, min(8, n - 1), min(7, n - 1)})
+    patterns = [np.zeros(n, dtype=np.uint8)]
+    for node in singles:
+        if node < n:
+            flags = np.zeros(n, dtype=np.uint8)
+            flags[node] = 1
+            patterns.append(flags)
+    alternate = np.zeros(n, dtype=np.uint8)
+    alternate[::2] = 1
+    half = np.zeros(n, dtype=np.uint8)
+    half[rng.permutation(n)[: n // 2]] = 1
+    patterns += [alternate, half, np.ones(n, dtype=np.uint8)]
+    return patterns
+
+
+@pytest.mark.parametrize("n", DRAIN_SIZES)
+def test_whole_level_drain_is_flatnonzero(n):
+    """``whole_level_step``'s word-at-a-time drain returns exactly
+    ``np.flatnonzero(FIdentifier)`` and leaves FIdentifier all zero. Both
+    arrays sit inside longer buffers: the bytes past ``n`` of FIdentifier
+    are flagged and must be neither read nor cleared, and the frontier
+    buffer must not be written past index ``n - 1``."""
+    from repro.parallel.vectorized import _native_kernel
+
+    kernel = _native_kernel()
+    if kernel is None:  # pragma: no cover
+        pytest.skip("native kernel unavailable")
+    pad = 16
+    for flags in _drain_patterns(n):
+        fid_buffer = np.ones(n + pad, dtype=np.uint8)
+        fid_buffer[:n] = flags
+        frontier_buffer = np.full(n + pad, -7, dtype=np.int64)
+        stats = np.zeros(8, dtype=np.int64)
+        drained = kernel.whole_level(
+            indptr=np.zeros(n + 1, dtype=np.int64),
+            indices=np.zeros(1, dtype=np.int32),
+            matrix_flat=np.full(n, 255, dtype=np.uint8),
+            q=1,
+            f_identifier=fid_buffer[:n],
+            c_identifier=np.zeros(n, dtype=np.uint8),
+            keyword_node_u8=np.zeros(n, dtype=np.uint8),
+            activation=np.zeros(n, dtype=np.int32),
+            central_level=np.full(n, -1, dtype=np.int16),
+            finite_count=np.zeros(n, dtype=np.int32),
+            level=0,
+            central_have=0,
+            k=1,
+            may_expand=False,
+            may_block=False,
+            frontier_out=frontier_buffer[:n],
+            central_out=np.empty(n, dtype=np.int64),
+            stats_out=stats,
+        )
+        want = np.flatnonzero(flags)
+        assert drained == stats[0] == len(want), flags
+        assert np.array_equal(frontier_buffer[:drained], want), flags
+        assert not fid_buffer[:n].any(), flags
+        assert fid_buffer[n:].all(), "a flag past n was read or cleared"
+        assert (frontier_buffer[n:] == -7).all(), "frontier written past n - 1"
+        assert stats[1] == stats[2] == 0
+
+
 def test_run_level_respects_k_and_termination():
     """run_level must stop expanding once k Central Nodes exist, and the
     loop must report the same termination reason as the classic path."""
