@@ -76,6 +76,7 @@ def main(serve_forever: bool = False) -> None:
         except KeyboardInterrupt:
             pass
     server.shutdown()
+    server.server_close()
 
 
 if __name__ == "__main__":

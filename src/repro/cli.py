@@ -489,27 +489,33 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = create_server(engine, host=args.host, port=port)
     host, bound_port = server.server_address
     print(f"serving on http://{host}:{bound_port}/  (Ctrl-C to stop)")
-    if args.check:
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            base = f"http://{host}:{bound_port}"
-            with urllib.request.urlopen(base + "/healthz", timeout=30) as r:
-                health = json.loads(r.read())
-            print(f"healthz: {health}")
-            with urllib.request.urlopen(
-                base + "/search?q=knowledge&k=1", timeout=60
-            ) as r:
-                payload = json.loads(r.read())
-            print(f"search smoke: {len(payload.get('answers', []))} answer(s)")
-            return 0
-        finally:
-            server.shutdown()
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
-        pass
-    return 0
+        if args.check:
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            try:
+                base = f"http://{host}:{bound_port}"
+                with urllib.request.urlopen(base + "/healthz", timeout=30) as r:
+                    health = json.loads(r.read())
+                print(f"healthz: {health}")
+                with urllib.request.urlopen(
+                    base + "/search?q=knowledge&k=1", timeout=60
+                ) as r:
+                    payload = json.loads(r.read())
+                print(
+                    f"search smoke: {len(payload.get('answers', []))} answer(s)"
+                )
+                return 0
+            finally:
+                server.shutdown()
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:  # pragma: no cover - interactive path
+            pass
+        return 0
+    finally:
+        # Give back the port and the request workers on every exit.
+        server.server_close()
 
 
 def _cmd_check(args: argparse.Namespace) -> int:

@@ -23,11 +23,14 @@ current level + 1), which is exactly what makes the procedure lock-free
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs.tracing import NULL_TRACER, Tracer
+
+if TYPE_CHECKING:
+    from ..parallel._native import BoundWholeLevel
 
 INFINITE_LEVEL = np.uint8(255)
 MAX_LEVEL = 254
@@ -86,11 +89,13 @@ class SearchState:
     #: operation — kernels pay exactly one ``is not None`` branch per
     #: call, so the checker is zero-cost when not wrapped.
     write_log: Optional[object] = None
-    #: Output buffers of the native whole-level step (frontier ids, new
-    #: Central Nodes, stats), allocated by the backend on this query's
-    #: first level. ``frontier`` is then a view of the first one; only its
-    #: live length is charged by :meth:`nbytes`, the rest is never touched.
-    level_buffers: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+    #: The native whole-level call with this query's arrays and its own
+    #: output buffers bound (:meth:`repro.parallel._native.NativeKernel.
+    #: bind_whole_level`), made on the first native level. It lives here
+    #: and never on the backend, which every request thread shares.
+    #: ``frontier`` is then a view of its frontier buffer; only the live
+    #: length is charged by :meth:`nbytes`, the rest is never touched.
+    whole_level: Optional[BoundWholeLevel] = None
     #: Destination of this query's expansion spans (``chunk`` under each
     #: ``level``); set by the bottom-up loop, a no-op otherwise.
     tracer: Tracer = NULL_TRACER

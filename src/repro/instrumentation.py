@@ -9,11 +9,19 @@ needs are served here so the search engines stay free of bookkeeping.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, TypeVar
+from types import TracebackType
+from typing import (
+    Callable,
+    ContextManager,
+    Dict,
+    List,
+    Optional,
+    Type,
+    TypeVar,
+)
 
-from .obs.tracing import NULL_CONTEXT, NULL_TRACER, Tracer
+from .obs.tracing import NULL_TRACER, Tracer
 
 _F = TypeVar("_F", bound=Callable)
 
@@ -48,6 +56,39 @@ ALL_PHASES = (
 )
 
 
+class _Phase:
+    """One ``PhaseTimer.phase(name)`` entry: the timed window, inside a
+    ``phase:<name>`` span when the timer's tracer is enabled."""
+
+    __slots__ = ("_timer", "_name", "_span", "_start")
+
+    def __init__(self, timer: "PhaseTimer", name: str) -> None:
+        self._timer = timer
+        self._name = name
+
+    def __enter__(self) -> None:
+        tracer = self._timer.tracer
+        if tracer.enabled:
+            self._span = tracer.span("phase:" + self._name)
+            self._span.__enter__()
+        else:
+            self._span = None
+        self._start = time.perf_counter()
+
+    def __exit__(
+        self,
+        exc_type: Optional[Type[BaseException]],
+        exc: Optional[BaseException],
+        tb: Optional[TracebackType],
+    ) -> bool:
+        elapsed = time.perf_counter() - self._start
+        seconds = self._timer.seconds
+        seconds[self._name] = seconds.get(self._name, 0.0) + elapsed
+        if self._span is not None:
+            self._span.__exit__(exc_type, exc, tb)
+        return False
+
+
 @dataclass
 class PhaseTimer:
     """Accumulates wall-clock seconds per named phase.
@@ -67,16 +108,8 @@ class PhaseTimer:
     seconds: Dict[str, float] = field(default_factory=dict)
     tracer: Tracer = field(default=NULL_TRACER, repr=False, compare=False)
 
-    @contextmanager
-    def phase(self, name: str) -> Iterator[None]:
-        tracer = self.tracer
-        with tracer.span("phase:" + name) if tracer.enabled else NULL_CONTEXT:
-            start = time.perf_counter()
-            try:
-                yield
-            finally:
-                elapsed = time.perf_counter() - start
-                self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
+    def phase(self, name: str) -> ContextManager[None]:
+        return _Phase(self, name)
 
     def add(self, name: str, seconds: float) -> None:
         self.seconds[name] = self.seconds.get(name, 0.0) + seconds

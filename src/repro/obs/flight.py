@@ -249,10 +249,13 @@ class QueryRecording:
         tracer = tracer if tracer is not None else self.tracer
         if not tracer.enabled:
             return
-        if query_span is not None:
+        if tracer is self.tracer:
+            # The recording's own tracer holds this query's spans only.
+            spans = tracer.finished_spans()
+            spans.sort(key=lambda s: (s.start_ns, s.span_id))
+            self.record.spans = spans
+        elif query_span is not None:
             self.record.spans = query_spans(tracer, query_span)
-        elif tracer is self.tracer:
-            self.record.spans = tracer.finished_spans()
         # else: shared tracer but no anchor — no safe per-query slice
 
 

@@ -271,6 +271,13 @@ class MetricsRegistry:
     Instruments are get-or-create by ``(name, labels)``: the first call
     registers, later calls return the same object, and a name reused
     with a different instrument kind raises.
+
+    A repeated lookup takes a fast path: a dict from (instrument class,
+    name, labels in the order passed) to the instrument, filled only
+    after a get-or-create succeeded. So a name, its labels and its kind
+    are validated on first use, and the hot loops' per-level and
+    per-request lookups skip the validation, the label sort and the
+    lock.
     """
 
     def __init__(self) -> None:
@@ -278,6 +285,7 @@ class MetricsRegistry:
         self._instruments: "Dict[tuple, _Instrument]" = {}
         self._kinds: Dict[str, str] = {}
         self._helps: Dict[str, str] = {}
+        self._resolved: "Dict[tuple, _Instrument]" = {}
 
     def _get_or_create(
         self,
@@ -287,6 +295,10 @@ class MetricsRegistry:
         labels: Dict[str, str],
         **kwargs: object,
     ) -> "_Instrument":
+        resolved_key = (cls, name, tuple(labels.items()))
+        instrument = self._resolved.get(resolved_key)
+        if instrument is not None:
+            return instrument
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
         items = _label_items(labels)
@@ -298,6 +310,7 @@ class MetricsRegistry:
                     raise ValueError(
                         f"{name!r} already registered as {instrument.kind}"
                     )
+                self._resolved[resolved_key] = instrument
                 return instrument
             if self._kinds.get(name, cls.kind) != cls.kind:
                 raise ValueError(
@@ -308,6 +321,7 @@ class MetricsRegistry:
             self._kinds[name] = cls.kind
             if help or name not in self._helps:
                 self._helps[name] = help
+            self._resolved[resolved_key] = instrument
             return instrument
 
     def counter(self, name: str, help: str = "", **labels: str) -> Counter:
@@ -336,6 +350,7 @@ class MetricsRegistry:
             self._instruments.clear()
             self._kinds.clear()
             self._helps.clear()
+            self._resolved.clear()
 
     # ------------------------------------------------------------------
     # Renderers

@@ -39,7 +39,6 @@ import json
 import os
 import threading
 import time
-from contextlib import contextmanager
 from types import TracebackType
 from typing import (
     Any,
@@ -47,7 +46,6 @@ from typing import (
     ContextManager,
     Dict,
     Iterable,
-    Iterator,
     List,
     Optional,
     Type,
@@ -206,35 +204,7 @@ class Tracer:
         """
         if not self.enabled:
             return NULL_CONTEXT
-        return self._record_span(name, parent, attrs)
-
-    @contextmanager
-    def _record_span(
-        self, name: str, parent: Optional[Span], attrs: Dict[str, object]
-    ) -> Iterator[Span]:
-        stack = self._stack()
-        if parent is None and stack:
-            parent = stack[-1]
-        thread = threading.current_thread()
-        span = Span(
-            name=name,
-            span_id=next(self._ids),
-            parent_id=parent.span_id if parent is not None else 0,
-            tid=thread.ident or 0,
-            thread_name=thread.name,
-            start_ns=time.perf_counter_ns() - self._epoch_ns,
-            attrs=attrs,
-        )
-        stack.append(span)
-        try:
-            yield span
-        finally:
-            span.duration_ns = (
-                time.perf_counter_ns() - self._epoch_ns - span.start_ns
-            )
-            stack.pop()
-            with self._lock:
-                self._finished.append(span)
+        return _SpanContext(self, name, parent, attrs)
 
     def traced(
         self, name: Optional[str] = None
@@ -324,6 +294,62 @@ class Tracer:
 
         emit(0, 0)
         return "\n".join(lines)
+
+
+class _SpanContext:
+    """One ``Tracer.span(...)`` entry: opens the :class:`Span` on enter,
+    files it with the tracer on exit (also when the body raises)."""
+
+    __slots__ = ("_tracer", "_name", "_parent", "_attrs", "_span", "_stack")
+
+    def __init__(
+        self,
+        tracer: Tracer,
+        name: str,
+        parent: Optional[Span],
+        attrs: Dict[str, object],
+    ) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._parent = parent
+        self._attrs = attrs
+
+    def __enter__(self) -> Span:
+        tracer = self._tracer
+        stack = tracer._stack()
+        parent = self._parent
+        if parent is None and stack:
+            parent = stack[-1]
+        thread = threading.current_thread()
+        span = Span(
+            name=self._name,
+            span_id=next(tracer._ids),
+            parent_id=parent.span_id if parent is not None else 0,
+            tid=thread.ident or 0,
+            thread_name=thread.name,
+            start_ns=time.perf_counter_ns() - tracer._epoch_ns,
+            attrs=self._attrs,
+        )
+        stack.append(span)
+        self._span = span
+        self._stack = stack
+        return span
+
+    def __exit__(
+        self,
+        exc_type: Optional[Type[BaseException]],
+        exc: Optional[BaseException],
+        tb: Optional[TracebackType],
+    ) -> bool:
+        tracer = self._tracer
+        span = self._span
+        span.duration_ns = (
+            time.perf_counter_ns() - tracer._epoch_ns - span.start_ns
+        )
+        self._stack.pop()
+        with tracer._lock:
+            tracer._finished.append(span)
+        return False
 
 
 #: Shared permanently-disabled tracer (the default when none is given);

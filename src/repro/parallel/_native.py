@@ -145,12 +145,71 @@ def _compile(
     return False
 
 
+def _address_type(argtype: type) -> type:
+    """``c_void_p`` for an ``ndpointer`` argtype, the argtype otherwise.
+
+    ``ndpointer`` classes derive from ``c_void_p``; the derived type takes
+    an address as a plain integer and checks nothing.
+    """
+    return ctypes.c_void_p if issubclass(argtype, ctypes.c_void_p) else argtype
+
+
+class BoundWholeLevel:
+    """``whole_level_step`` with one query's arrays bound once.
+
+    Built by :meth:`NativeKernel.bind_whole_level`. A call takes only the
+    per-level scalars and returns the frontier size. The instance holds
+    the bound arrays, so their addresses stay valid for as long as it
+    lives. It belongs to one query (``SearchState.whole_level``), never
+    to a backend: a backend is shared by every request thread, and the
+    call runs with the GIL released.
+    """
+
+    __slots__ = ("_step", "_head", "_tail", "arrays")
+
+    def __init__(
+        self,
+        step: "ctypes._CFuncPtr",
+        head: "tuple[int, ...]",
+        tail: "tuple[int, ...]",
+        arrays: "tuple[np.ndarray, ...]",
+    ) -> None:
+        self._step = step
+        self._head = head
+        self._tail = tail
+        self.arrays = arrays
+
+    @property
+    def outputs(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """``(frontier_out, central_out, stats_out)``, which a call fills."""
+        return self.arrays[-3:]
+
+    def __call__(
+        self,
+        level: int,
+        central_have: int,
+        k: int,
+        may_expand: bool,
+        may_block: bool,
+    ) -> int:
+        return self._step(
+            *self._head,
+            level,
+            central_have,
+            k,
+            1 if may_expand else 0,
+            1 if may_block else 0,
+            *self._tail,
+        )
+
+
 class NativeKernel:
     """ctypes wrapper around the compiled kernel symbols.
 
     Exposes the per-chunk ``fused_expand`` and the per-level
     ``whole_level_step`` (Algorithm 1's enqueue + identify + expansion
-    fused into one call), plus stage two's ``extract_graphs`` (every
+    fused into one call, bound once per query by
+    :meth:`bind_whole_level`), plus stage two's ``extract_graphs`` (every
     Central Node of a query in one call).
     Every call releases the GIL, so concurrent chunk expansions
     (``ThreadPoolBackend``) overlap on real cores.
@@ -158,12 +217,12 @@ class NativeKernel:
 
     def __init__(self, library: ctypes.CDLL) -> None:
         pointer = np.ctypeslib.ndpointer
-        i64 = pointer(np.int64, flags="C_CONTIGUOUS")
-        i32 = pointer(np.int32, flags="C_CONTIGUOUS")
-        i16 = pointer(np.int16, flags="C_CONTIGUOUS")
-        u64 = pointer(np.uint64, flags="C_CONTIGUOUS")
-        u8 = pointer(np.uint8, flags="C_CONTIGUOUS")
-        f64 = pointer(np.float64, flags="C_CONTIGUOUS")
+        i64 = pointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+        i32 = pointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
+        i16 = pointer(np.int16, ndim=1, flags="C_CONTIGUOUS")
+        u64 = pointer(np.uint64, ndim=1, flags="C_CONTIGUOUS")
+        u8 = pointer(np.uint8, ndim=1, flags="C_CONTIGUOUS")
+        f64 = pointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
 
         fn = library.fused_expand
         fn.restype = ctypes.c_int64
@@ -208,6 +267,14 @@ class NativeKernel:
             i64,  # stats_out
         ]
         self._step = step
+        # The same symbol through a second function object whose array
+        # arguments are plain addresses, derived from the one declaration
+        # above: bind_whole_level runs the ndpointer checks once per
+        # query, and a level's call then marshals only integers.
+        bound_step = library["whole_level_step"]
+        bound_step.restype = step.restype
+        bound_step.argtypes = [_address_type(t) for t in step.argtypes]
+        self._bound_step = bound_step
 
         extract = library.extract_graphs
         extract.restype = ctypes.c_int64
@@ -283,7 +350,7 @@ class NativeKernel:
         )
         return count, int(n_dups[0])
 
-    def whole_level(
+    def bind_whole_level(
         self,
         indptr: np.ndarray,
         indices: np.ndarray,
@@ -295,45 +362,51 @@ class NativeKernel:
         activation: np.ndarray,
         central_level: np.ndarray,
         finite_count: np.ndarray,
-        level: int,
-        central_have: int,
-        k: int,
-        may_expand: bool,
-        may_block: bool,
         frontier_out: np.ndarray,
         central_out: np.ndarray,
         stats_out: np.ndarray,
-    ) -> int:
-        """One complete bottom-up level in C; returns the frontier size.
+    ) -> BoundWholeLevel:
+        """One query's ``whole_level_step``, its 12 arrays bound once.
 
-        ``stats_out`` (int64, length >= 7) receives ``[n_frontier,
-        n_new_central, expanded, edges_gathered, pairs_hit,
-        sources_pruned, duplicates_elided]``.
+        Each array goes through its declared ``ndpointer``'s
+        ``from_param`` here, which raises the ``TypeError`` a direct call
+        would (wrong dtype, ndim or contiguity). The returned call runs
+        one complete bottom-up level in C per invocation,
+        ``step(level, central_have, k, may_expand, may_block)``, and
+        returns the frontier size. ``stats_out`` (int64, length >= 7)
+        receives ``[n_frontier, n_new_central, expanded, edges_gathered,
+        pairs_hit, sources_pruned, duplicates_elided]``.
         """
-        n = len(f_identifier)
-        return int(
-            self._step(
-                n,
-                indptr,
-                indices,
-                matrix_flat,
-                q,
-                f_identifier,
-                c_identifier,
-                keyword_node_u8,
-                activation,
-                central_level,
-                finite_count,
-                level,
-                central_have,
-                k,
-                1 if may_expand else 0,
-                1 if may_block else 0,
-                frontier_out,
-                central_out,
-                stats_out,
-            )
+        declared = self._step.argtypes
+
+        def address(position: int, array: np.ndarray) -> int:
+            # from_param raises on a mismatch, else returns array.ctypes.
+            return declared[position].from_param(array).data
+
+        head = (
+            len(f_identifier),
+            address(1, indptr),
+            address(2, indices),
+            address(3, matrix_flat),
+            q,
+            address(5, f_identifier),
+            address(6, c_identifier),
+            address(7, keyword_node_u8),
+            address(8, activation),
+            address(9, central_level),
+            address(10, finite_count),
         )
+        tail = (
+            address(16, frontier_out),
+            address(17, central_out),
+            address(18, stats_out),
+        )
+        arrays = (
+            indptr, indices, matrix_flat, f_identifier, c_identifier,
+            keyword_node_u8, activation, central_level, finite_count,
+            frontier_out, central_out, stats_out,
+        )
+        return BoundWholeLevel(self._bound_step, head, tail, arrays)
 
     def extract_graphs(
         self,

@@ -360,6 +360,33 @@ def fused_expand_chunk(
     return unique_keys
 
 
+def _bind_whole_level(
+    kernel: "object", graph: KnowledgeGraph, state: SearchState
+) -> None:
+    """Give ``state`` its bound whole-level call, output buffers included.
+
+    It belongs to the query: one backend serves every request thread,
+    and the native call runs with the GIL released.
+    """
+    n = state.n_nodes
+    adj = graph.adj
+    state.whole_level = kernel.bind_whole_level(
+        adj.indptr,
+        adj.indices,
+        state.matrix.reshape(-1),
+        state.n_keywords,
+        state.f_identifier,
+        state.c_identifier,
+        state.keyword_node.view(np.uint8),
+        state.activation,
+        state.central_level,
+        state.finite_count,
+        np.empty(n, dtype=np.int64),
+        np.empty(n, dtype=np.int64),
+        np.zeros(8, dtype=np.int64),
+    )
+
+
 def apply_hit_keys(state: SearchState, keys: np.ndarray) -> None:
     """Advance ``finite_count`` for deduplicated cell keys."""
     if len(keys):
@@ -443,76 +470,54 @@ class VectorizedBackend(ExpansionBackend):
         take this state. The steps cannot be timed apart inside one
         call, so all of it is charged to the expansion phase.
         """
-        kernel = self._whole_level_native(state)
-        if kernel is None:
-            return super().run_level(graph, state, level, k, may_expand, timer)
+        kernel = None
+        if state.whole_level is None:
+            kernel = self._whole_level_native(state)
+            if kernel is None:
+                return super().run_level(
+                    graph, state, level, k, may_expand, timer
+                )
         with timer.phase(PHASE_EXPANSION):
-            return self._run_level_native(
-                kernel, graph, state, level, k, may_expand
-            )
+            if kernel is not None:
+                _bind_whole_level(kernel, graph, state)
+            return self._run_level_native(state, level, k, may_expand)
 
     def _run_level_native(
         self,
-        kernel: "object",
-        graph: KnowledgeGraph,
         state: SearchState,
         level: int,
         k: int,
         may_expand: bool,
     ) -> LevelOutcome:
-        # The output buffers belong to the query: one backend serves every
-        # request thread, and the native call runs with the GIL released.
-        if state.level_buffers is None:
-            n = state.n_nodes
-            state.level_buffers = (
-                np.empty(n, dtype=np.int64),
-                np.empty(n, dtype=np.int64),
-                np.zeros(8, dtype=np.int64),
-            )
-        frontier_out, central_out, stats = state.level_buffers
-        adj = graph.adj
-        may_block = state.max_activation > level + 1
-        kernel.whole_level(
-            adj.indptr,
-            adj.indices,
-            state.matrix.reshape(-1),
-            state.n_keywords,
-            state.f_identifier,
-            state.c_identifier,
-            state.keyword_node.view(np.uint8),
-            state.activation,
-            state.central_level,
-            state.finite_count,
+        step = state.whole_level
+        frontier_out, central_out, stats = step.outputs
+        frontier_size = step(
             level,
             state.n_central_nodes,
             k,
             may_expand,
-            may_block,
-            frontier_out,
-            central_out,
-            stats,
+            state.max_activation > level + 1,
         )
-        frontier_size = int(stats[0])
+        _, n_central, expanded, edges, pairs, pruned, dups, _ = stats.tolist()
         state.frontier = frontier_out[:frontier_size]
-        found = [(int(node), level) for node in central_out[: int(stats[1])]]
+        found = [(node, level) for node in central_out[:n_central].tolist()]
         state.central_nodes.extend(found)
-        expanded = bool(stats[2])
         counters: Optional[KernelCounters] = None
         if expanded:
             counters = KernelCounters(
-                edges_gathered=int(stats[3]),
-                pairs_hit=int(stats[4]),
-                duplicates_elided=int(stats[6]),
-                sources_pruned=int(stats[5]),
+                edges_gathered=edges,
+                pairs_hit=pairs,
+                duplicates_elided=dups,
+                sources_pruned=pruned,
             )
             record_kernel_counters(counters, tier="whole-level")
         return LevelOutcome(
             level,
             frontier_size,
             found,
-            expanded=expanded,
-            new_hits=int(stats[4]),
-            edges_scanned=int(stats[3]),
+            expanded=bool(expanded),
+            new_hits=pairs,
+            edges_scanned=edges,
             counters=counters,
         )
 

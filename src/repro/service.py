@@ -21,16 +21,28 @@ Endpoints:
 
 The query logic lives in :class:`SearchService`, a plain object that is
 fully testable without sockets; the HTTP handler is a thin shell.
+
+:func:`create_server` serves HTTP/1.0, one connection per request, from
+a fixed set of :data:`REQUEST_WORKERS` request workers started with the
+server. The accept loop hands each connection to them through a queue;
+a connection waits there until a worker is free, and none is turned
+away. A worker gives a connection :data:`REQUEST_TIMEOUT` seconds in
+all to deliver its request, so a client that sends nothing, or sends
+it a byte at a time, holds a worker no longer. ``server_close()`` closes
+the listening socket, then stops and joins the workers.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import queue
+import socket
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from .core.central_graph import SearchAnswer
@@ -55,6 +67,20 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 METRIC_HTTP_REQUESTS = "repro_http_requests_total"
 METRIC_HTTP_REQUEST_SECONDS = "repro_http_request_seconds"
 METRIC_HTTP_ERRORS = "repro_http_errors_total"
+METRIC_HTTP_QUEUE_WAIT = "repro_http_queue_wait_seconds"
+
+#: Request workers per server: the fewest at which one slow query does
+#: not hold up every other request. Measured on a 2-core host, /healthz
+#: behind a looping 56 ms query took 60 ms with one worker and 1.1 ms
+#: with two or four; one to four clients saw no more throughput from
+#: more workers (the GIL serializes each request's Python half), and
+#: each extra worker cost ≈ 0.5 MB of peak RSS (EXPERIMENTS.md).
+REQUEST_WORKERS = 2
+
+#: Seconds a worker gives a connection to deliver its whole request
+#: (and, afresh, to take the reply). Also the longest ``server_close()``
+#: waits for busy workers.
+REQUEST_TIMEOUT = 5.0
 
 
 def _endpoint_label(path: str) -> str:
@@ -396,10 +422,47 @@ class SearchService:
         return 404, "application/json", json.dumps({"error": "not found"})
 
 
+class _DeadlineReader(io.RawIOBase):
+    """A socket's receive side that gives up at a fixed deadline.
+
+    A socket timeout bounds each ``recv`` on its own, so a client that
+    sends a byte just inside it keeps the reader waiting for as long as
+    it likes. Here every ``recv`` waits at most until ``deadline`` (a
+    ``time.monotonic()`` value); past it a read raises ``TimeoutError``,
+    which the request handler answers by dropping the connection.
+    """
+
+    def __init__(self, connection: socket.socket, deadline: float) -> None:
+        super().__init__()
+        self._connection = connection
+        self._deadline = deadline
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("request not received in time")
+        self._connection.settimeout(left)
+        return self._connection.recv_into(buffer)
+
+
 class _Handler(BaseHTTPRequestHandler):
     service: SearchService  # injected by create_server
 
+    def setup(self) -> None:
+        super().setup()
+        # The whole request must arrive within ``timeout`` of the worker
+        # taking the connection, however the client paces its bytes.
+        self.rfile.close()
+        self.rfile = io.BufferedReader(
+            _DeadlineReader(self.connection, time.monotonic() + self.timeout)
+        )
+
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
+        # The reply gets a timeout of its own, not what the request left.
+        self.connection.settimeout(self.timeout)
         status, content_type, body = self.service.handle_path(self.path)
         encoded = body.encode("utf-8")
         self.send_response(status)
@@ -412,20 +475,99 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # keep test output quiet; hook in real logging if needed
 
 
+class SearchServer(HTTPServer):
+    """An :class:`HTTPServer` whose requests run on a fixed worker set.
+
+    The accept loop (``serve_forever``) puts each accepted connection on
+    a queue; :data:`REQUEST_WORKERS` daemon threads, started here, take
+    connections off it and handle them. The time a connection waited for
+    its worker is observed in ``repro_http_queue_wait_seconds``.
+
+    Attributes:
+        service: the :class:`SearchService` every worker answers from.
+        workers: the request worker threads.
+    """
+
+    def __init__(
+        self,
+        address: Tuple[str, int],
+        handler: type,
+        service: SearchService,
+    ) -> None:
+        super().__init__(address, handler)
+        self.service = service
+        self._requests: "queue.Queue[Optional[tuple]]" = queue.Queue()
+        self.workers: List[threading.Thread] = [
+            threading.Thread(
+                target=self._work, name=f"repro-http-{number}", daemon=True
+            )
+            for number in range(REQUEST_WORKERS)
+        ]
+        for worker in self.workers:
+            worker.start()
+
+    def process_request(self, request, client_address) -> None:
+        self._requests.put((request, client_address, time.perf_counter()))
+
+    def _work(self) -> None:
+        registry = self.service.registry
+        while True:
+            item = self._requests.get()
+            if item is None:
+                return
+            request, client_address, accepted = item
+            registry.histogram(
+                METRIC_HTTP_QUEUE_WAIT, "accept to worker pickup"
+            ).observe(time.perf_counter() - accepted)
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        """Close the listening socket, then stop and join the workers.
+
+        Call it after ``shutdown()`` (or after ``serve_forever`` has
+        returned). Connections still waiting for a worker are closed
+        unanswered. Busy workers get at most :data:`REQUEST_TIMEOUT`
+        seconds in all to finish.
+        """
+        super().server_close()
+        while True:
+            try:
+                item = self._requests.get_nowait()
+            except queue.Empty:
+                break
+            if item is not None:
+                self.shutdown_request(item[0])
+        for _ in self.workers:
+            self._requests.put(None)
+        deadline = time.monotonic() + REQUEST_TIMEOUT
+        for worker in self.workers:
+            worker.join(max(0.0, deadline - time.monotonic()))
+
+
 def create_server(
     engine: KeywordSearchEngine,
     host: str = "127.0.0.1",
     port: int = 0,
-) -> ThreadingHTTPServer:
+) -> SearchServer:
     """Build a ready-to-serve HTTP server (port 0 = ephemeral).
 
-    Call ``serve_forever()`` on the result, or run it in a thread:
+    The request workers start here. Call ``serve_forever()`` on the
+    result, or run it in a thread; stop it with ``shutdown()``, then give
+    back the port and the workers with ``server_close()``:
 
     >>> server = create_server(engine)          # doctest: +SKIP
     >>> threading.Thread(target=server.serve_forever, daemon=True).start()
+    >>> server.shutdown(); server.server_close()  # doctest: +SKIP
     """
     service = SearchService(engine)
-    handler = type("BoundHandler", (_Handler,), {"service": service})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.service = service  # type: ignore[attr-defined]
-    return server
+    handler = type(
+        "BoundHandler",
+        (_Handler,),
+        {"service": service, "timeout": REQUEST_TIMEOUT},
+    )
+    return SearchServer((host, port), handler, service)

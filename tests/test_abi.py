@@ -123,6 +123,36 @@ def test_parse_real_kernel_exports_all_bound_symbols():
     assert len(exports["fused_expand"].params) == 13
 
 
+def test_whole_level_declaration_keeps_typed_ndpointer_argtypes():
+    """The per-query bound call goes through a second function object for
+    ``whole_level_step`` whose array arguments are plain addresses. Its
+    argtypes are derived from the one declaration the verifier reads,
+    which keeps its typed ``ndpointer`` arguments."""
+    import ctypes
+
+    native = abi.NATIVE_SOURCE_PATH.read_text(encoding="utf-8")
+    bindings, _, errors = abi.extract_ctypes_declarations(native)
+    assert not errors
+    assert set(bindings) == {"fused_expand", "whole_level_step", "extract_graphs"}
+    step = bindings["whole_level_step"]
+    pointers = [t for t in step.argtypes if t.pointer]
+    assert len(step.argtypes) == 19 and len(pointers) == 12
+    assert all(t.kind != "void" for t in pointers)
+
+    from repro.parallel.vectorized import _native_kernel
+
+    kernel = _native_kernel()
+    if kernel is None:  # pragma: no cover
+        pytest.skip("native kernel unavailable")
+    declared, bound = kernel._step.argtypes, kernel._bound_step.argtypes
+    assert len(declared) == len(bound) == 19
+    for checked, plain in zip(declared, bound):
+        if hasattr(checked, "_dtype_"):  # an ndpointer
+            assert plain is ctypes.c_void_p
+        else:
+            assert plain is checked
+
+
 def test_tsan_harness_declares_the_kernel_prototype():
     """The race harness links against ``_kernel.c`` through its own
     declaration of ``fused_expand``; C does not type-check that at link

@@ -1,12 +1,15 @@
 """Request threads sharing one engine must not share a query's buffers.
 
-``ThreadingHTTPServer`` answers every request on its own thread, all of
-them through one :class:`SearchService`, one engine and one
+The server's request workers answer requests side by side, all of them
+through one :class:`SearchService`, one engine and one
 :class:`VectorizedBackend`, and the native whole-level call runs with the
 GIL released. Whatever a level writes must therefore belong to the query:
 with the output buffers cached on the backend, two queries overwrote each
 other's frontier and Central-Node lists and about a third of the answers
-at two clients were wrong. The same goes for what a level *reports*: the
+at two clients were wrong. The buffers and the whole-level call bound to
+them live on the query's ``SearchState``, and after a concurrent run the
+backend holds nothing but its configuration. The same goes for what a
+level *reports*: the
 NumPy tier once published a level's kernel counters through an attribute
 of the shared backend, so concurrent queries could swap level profiles.
 Stage two is checked the same way — every ranked answer's node and edge
@@ -18,11 +21,15 @@ released) have nothing of each other's to see. And for where a level's
 spans go: the tracer used to be an attribute the bottom-up loop set on
 the shared backend, so a traced query's ``chunk`` spans landed in the
 tree of whichever query started last; it travels on the query's
-``SearchState`` now.
+``SearchState`` now. The last test runs the same check over real HTTP,
+through the server's worker set.
 """
 
+import json
 import sys
 import threading
+import urllib.request
+from urllib.parse import quote
 
 import numpy as np
 import pytest
@@ -40,7 +47,7 @@ from repro.parallel import (
     ThreadPoolBackend,
     VectorizedBackend,
 )
-from repro.service import SearchService
+from repro.service import SearchService, create_server
 
 N_THREADS = 3
 N_QUERIES = 60
@@ -100,51 +107,41 @@ def _levels(service, payload):
     return service.flight.get(payload["query_id"]).levels
 
 
-def _assert_threads_get_serial_results(engine, expected):
-    # Every record stays in the ring until its client has read it.
-    service = SearchService(
-        engine, flight=FlightRecorder(max_records=(N_THREADS + 1) * N_QUERIES)
+def _matches(expected, query, status, payload):
+    """Does one ``/search`` payload carry the reference answer?"""
+    nodes, scores, depth, nc, graphs = expected[query]
+    answers = payload.get("answers", [])
+    got_graphs = [
+        _stage_two(
+            (node["id"] for node in answer["nodes"]),
+            ((edge["source"], edge["target"]) for edge in answer["edges"]),
+        )
+        for answer in answers
+    ]
+    return (
+        status == 200
+        and [answer["central_node"] for answer in answers] == nodes
+        and [answer["score"] for answer in answers]
+        == pytest.approx(scores, abs=1e-9)
+        and got_graphs == graphs
+        and payload["depth"] == depth
+        and payload["n_central_nodes"] == nc
     )
-    queries = list(expected)
-    serial_levels = {}
-    for query in queries:
-        _, payload = service.handle_search(query, k=K)
-        serial_levels[query] = _levels(service, payload)
-    wrong, errors = [], []
 
-    def client(offset):
+
+def _run_clients(client, n_clients):
+    """``client(i)`` on ``n_clients`` threads at once, under a short
+    switch interval; returns the exceptions they raised."""
+    errors = []
+
+    def guarded(i):
         try:
-            # Each client starts elsewhere in the list, so different
-            # queries are in flight at the same moment.
-            for query in queries[offset:] + queries[:offset]:
-                status, payload = service.handle_search(query, k=K)
-                nodes, scores, depth, nc, graphs = expected[query]
-                answers = payload.get("answers", [])
-                got = [answer["central_node"] for answer in answers]
-                got_scores = [answer["score"] for answer in answers]
-                got_graphs = [
-                    _stage_two(
-                        (node["id"] for node in answer["nodes"]),
-                        ((edge["source"], edge["target"]) for edge in answer["edges"]),
-                    )
-                    for answer in answers
-                ]
-                if (
-                    status != 200
-                    or got != nodes
-                    or got_scores != pytest.approx(scores, abs=1e-9)
-                    or got_graphs != graphs
-                    or payload["depth"] != depth
-                    or payload["n_central_nodes"] != nc
-                    or _levels(service, payload) != serial_levels[query]
-                ):
-                    wrong.append((query, status, got, nodes))
-        except Exception as error:  # reported by the main thread below
+            client(i)
+        except Exception as error:  # reported by the caller
             errors.append(error)
 
     threads = [
-        threading.Thread(target=client, args=(i * N_QUERIES // N_THREADS,))
-        for i in range(N_THREADS)
+        threading.Thread(target=guarded, args=(i,)) for i in range(n_clients)
     ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-4)
@@ -156,9 +153,39 @@ def _assert_threads_get_serial_results(engine, expected):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
+    return errors
+
+
+def _assert_threads_get_serial_results(engine, expected):
+    # Every record stays in the ring until its client has read it.
+    service = SearchService(
+        engine, flight=FlightRecorder(max_records=(N_THREADS + 1) * N_QUERIES)
+    )
+    queries = list(expected)
+    serial_levels = {}
+    for query in queries:
+        _, payload = service.handle_search(query, k=K)
+        serial_levels[query] = _levels(service, payload)
+    wrong = []
+
+    def client(i):
+        # Each client starts elsewhere in the list, so different queries
+        # are in flight at the same moment.
+        offset = i * N_QUERIES // N_THREADS
+        for query in queries[offset:] + queries[:offset]:
+            status, payload = service.handle_search(query, k=K)
+            if not _matches(expected, query, status, payload) or (
+                _levels(service, payload) != serial_levels[query]
+            ):
+                wrong.append((query, status))
+
+    errors = _run_clients(client, N_THREADS)
     assert not errors, errors
     assert not wrong, f"{len(wrong)} of {N_THREADS * N_QUERIES} answers differ: {wrong[:3]}"
     assert service.stats.queries == (N_THREADS + 1) * len(queries)
+    # The level buffers and the bound whole-level call stayed with each
+    # query's state: the shared backend carries only its configuration.
+    assert set(vars(engine.backend)) == {"native"}
 
 
 def test_threads_sharing_one_service_get_reference_answers(engine, expected):
@@ -251,3 +278,38 @@ def test_traced_queries_sharing_a_thread_pool_keep_their_own_chunk_spans(engine)
         assert not any(thread.is_alive() for thread in threads)
     assert not errors, errors
     assert [_chunk_spans(tracer) for tracer in tracers] == serial
+
+
+N_HTTP_QUERIES = 20
+
+
+def test_http_clients_through_the_worker_set_get_reference_answers(
+    engine, expected
+):
+    """3 client threads × 20 ``/search`` requests over real HTTP, each on
+    its own connection, answered by the server's request workers: every
+    payload equals the ``SequentialBackend`` answer."""
+    queries = list(expected)
+    server = create_server(engine, port=0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    base = "http://127.0.0.1:%d/search?k=%d&q=" % (server.server_address[1], K)
+    wrong = []
+
+    def client(i):
+        for query in queries[i * N_HTTP_QUERIES:(i + 1) * N_HTTP_QUERIES]:
+            with urllib.request.urlopen(base + quote(query), timeout=60) as r:
+                status, payload = r.status, json.loads(r.read())
+            if not _matches(expected, query, status, payload):
+                wrong.append((query, status))
+
+    try:
+        errors = _run_clients(client, N_THREADS)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert not errors, errors
+    assert not wrong, f"{len(wrong)} of {N_THREADS * N_HTTP_QUERIES} answers differ: {wrong[:3]}"
+    assert server.service.stats.requests_by_endpoint["/search"] == (
+        N_THREADS * N_HTTP_QUERIES
+    )
+    assert set(vars(engine.backend)) == {"native"}

@@ -190,6 +190,78 @@ def test_registry_get_or_create_and_kind_mismatch():
         registry.counter("repro_y_total", **{"0bad": "v"})
 
 
+def test_registry_fast_path_returns_the_registered_instrument(monkeypatch):
+    """A repeated lookup is served from the resolved-handle map: the same
+    object, without validating or sorting the labels again."""
+    import repro.obs.metrics as metrics
+
+    registry = MetricsRegistry()
+    first = registry.histogram("repro_fast_seconds", "h", endpoint="/x")
+
+    def boom(labels):
+        raise AssertionError("a warm lookup validated its labels again")
+
+    monkeypatch.setattr(metrics, "_label_items", boom)
+    assert registry.histogram("repro_fast_seconds", endpoint="/x") is first
+    assert registry.histogram("repro_fast_seconds", endpoint="/x") is first
+
+
+def test_registry_fast_path_keeps_kind_and_name_checks():
+    registry = MetricsRegistry()
+    counter = registry.counter("repro_kind_total", tier="t")
+    assert registry.counter("repro_kind_total", tier="t") is counter  # warm
+    with pytest.raises(ValueError):
+        registry.gauge("repro_kind_total", tier="t")
+    with pytest.raises(ValueError):
+        registry.histogram("repro_kind_total", tier="t")
+    # A failed lookup leaves nothing behind: it raises again.
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            registry.counter("bad name")
+        with pytest.raises(ValueError):
+            registry.counter("repro_y_total", **{"0bad": "v"})
+    assert [i.name for i in registry.instruments()] == ["repro_kind_total"]
+
+
+def test_registry_lookup_hammer_one_instrument_per_key():
+    """8 threads get-or-create the same 4 series (labels passed in either
+    order) and increment them: one instrument per series, exact totals."""
+    registry = MetricsRegistry()
+    n_threads, n_iter = 8, 300
+    barrier = threading.Barrier(n_threads)
+
+    def hammer(i):
+        barrier.wait()
+        for step in range(n_iter):
+            tier = "a" if step % 2 else "b"
+            if i % 2:
+                labels = {"tier": tier, "endpoint": "/e"}
+            else:
+                labels = {"endpoint": "/e", "tier": tier}
+            registry.counter("repro_race_total", **labels).inc()
+            registry.histogram("repro_race_seconds", **labels).observe(0.001)
+
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        list(pool.map(hammer, range(n_threads)))
+    instruments = registry.instruments()
+    assert len(instruments) == 4
+    total = n_threads * n_iter
+    counters = [i for i in instruments if i.name == "repro_race_total"]
+    histograms = [i for i in instruments if i.name == "repro_race_seconds"]
+    assert sorted(c.value for c in counters) == [total / 2, total / 2]
+    assert sorted(h.count for h in histograms) == [total // 2, total // 2]
+
+
+def test_registry_clear_empties_the_fast_path():
+    registry = MetricsRegistry()
+    old = registry.counter("repro_cleared_total")
+    old.inc(5)
+    registry.clear()
+    new = registry.counter("repro_cleared_total")
+    assert new is not old and new.value == 0
+    assert registry.instruments() == [new]
+
+
 def test_prometheus_rendering():
     registry = MetricsRegistry()
     registry.counter("repro_http_requests_total", "GETs", endpoint="/search").inc(2)

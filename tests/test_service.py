@@ -1,11 +1,15 @@
 """The WikiSearch-style HTTP service."""
 
 import json
+import socket
 import threading
+import time
+import urllib.error
 import urllib.request
 
 import pytest
 
+from repro import service as service_module
 from repro.core.engine import KeywordSearchEngine
 from repro.service import SearchService, create_server
 
@@ -284,19 +288,28 @@ def test_debug_endpoints_under_concurrency(engine, monkeypatch):
 # ---------------------------------------------------------------------------
 # Real HTTP round-trip (ephemeral port)
 # ---------------------------------------------------------------------------
+def _serve(engine):
+    server = create_server(engine, port=0)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    return server
+
+
+def _stop(server):
+    server.shutdown()
+    server.server_close()
+
+
 @pytest.fixture(scope="module")
 def server(engine):
-    server = create_server(engine, port=0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
+    server = _serve(engine)
     yield server
-    server.shutdown()
+    _stop(server)
 
 
-def _get(server, path):
+def _get(server, path, timeout=10):
     port = server.server_address[1]
     with urllib.request.urlopen(
-        f"http://127.0.0.1:{port}{path}", timeout=10
+        f"http://127.0.0.1:{port}{path}", timeout=timeout
     ) as response:
         return response.status, response.read().decode("utf-8")
 
@@ -348,3 +361,106 @@ def test_http_debug_queries_roundtrip(server):
     status, body = _get(server, f"/debug/queries/{query_id}")
     assert status == 200
     assert json.loads(body)["query_id"] == query_id
+
+
+# ---------------------------------------------------------------------------
+# The request worker set
+# ---------------------------------------------------------------------------
+def _metric(server, name, field=None):
+    """An unlabelled series of the server's registry (0 before its first
+    use), read without registering it."""
+    value = server.service.registry.snapshot().get(name, {}).get("{}", 0)
+    if field is not None:
+        return value[field] if value else 0
+    return value
+
+
+def _idle(server):
+    """A client connection that sends nothing."""
+    return socket.create_connection(server.server_address, timeout=10)
+
+
+def test_server_close_joins_workers_and_frees_the_port(engine):
+    server = _serve(engine)
+    assert len(server.workers) == service_module.REQUEST_WORKERS
+    assert all(w.name.startswith("repro-http-") for w in server.workers)
+    assert _get(server, "/healthz")[0] == 200
+    port = server.server_address[1]
+    _stop(server)
+    assert not any(worker.is_alive() for worker in server.workers)
+    # The listening socket is gone: the same port binds again.
+    create_server(engine, port=port).server_close()
+
+
+def test_idle_connection_frees_its_worker(engine, monkeypatch):
+    """A connection that sends nothing is closed after the handler
+    timeout, so the one worker answers the next request. Without the
+    timeout it would wait on the idle connection for good: the client's
+    own timeout is the guard."""
+    monkeypatch.setattr(service_module, "REQUEST_WORKERS", 1)
+    monkeypatch.setattr(service_module, "REQUEST_TIMEOUT", 0.3)
+    server = _serve(engine)
+    idle = _idle(server)
+    try:
+        started = time.monotonic()
+        assert _get(server, "/healthz", timeout=5)[0] == 200
+        assert time.monotonic() - started < 5
+    finally:
+        idle.close()
+        _stop(server)
+
+
+def test_slow_drip_request_frees_its_worker(engine, monkeypatch):
+    """A client sending one byte every 0.2 s never lets a 0.3 s socket
+    timeout fire; the whole request still has only 0.3 s to arrive, so
+    the one worker answers the next request. A per-recv timeout alone
+    would keep serving the drip for as long as it lasts (4 s, past the
+    client's 3 s guard)."""
+    monkeypatch.setattr(service_module, "REQUEST_WORKERS", 1)
+    monkeypatch.setattr(service_module, "REQUEST_TIMEOUT", 0.3)
+    server = _serve(engine)
+    stop = threading.Event()
+    picked = _metric(server, service_module.METRIC_HTTP_QUEUE_WAIT, "count")
+    drip = _idle(server)
+
+    def send_slowly():
+        for byte in b"GET /" + b"a" * 19:
+            if stop.wait(0.2):
+                return
+            try:
+                drip.sendall(bytes([byte]))
+            except OSError:
+                return  # the server dropped the connection
+
+    dripper = threading.Thread(target=send_slowly, daemon=True)
+    dripper.start()
+    try:
+        deadline = time.monotonic() + 10
+        while (
+            _metric(server, service_module.METRIC_HTTP_QUEUE_WAIT, "count")
+            == picked
+        ):
+            assert time.monotonic() < deadline, "the worker never took it"
+            time.sleep(0.01)
+        started = time.monotonic()
+        assert _get(server, "/healthz", timeout=3)[0] == 200
+        assert time.monotonic() - started < 3
+    finally:
+        stop.set()
+        dripper.join()
+        drip.close()
+        _stop(server)
+
+
+def test_queue_wait_to_a_worker_is_observed(server):
+    before = _metric(server, service_module.METRIC_HTTP_QUEUE_WAIT, "count")
+    _get(server, "/healthz")
+    after = _metric(server, service_module.METRIC_HTTP_QUEUE_WAIT, "count")
+    assert after == before + 1
+
+
+def test_query_spans_run_on_request_workers(server):
+    _, body = _get(server, "/search?q=machine+learning&k=1")
+    record = server.service.flight.get(json.loads(body)["query_id"])
+    names = {span.thread_name for span in record.spans}
+    assert names and all(name.startswith("repro-http-") for name in names)

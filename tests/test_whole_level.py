@@ -184,6 +184,63 @@ def _drain_patterns(n):
     return patterns
 
 
+def _drain_arrays(n):
+    """``bind_whole_level``'s arguments for an ``n``-node graph with no
+    edges and one keyword column, every node unvisited."""
+    return dict(
+        indptr=np.zeros(n + 1, dtype=np.int64),
+        indices=np.zeros(n, dtype=np.int32),
+        matrix_flat=np.full(n, 255, dtype=np.uint8),
+        q=1,
+        f_identifier=np.zeros(n, dtype=np.uint8),
+        c_identifier=np.zeros(n, dtype=np.uint8),
+        keyword_node_u8=np.zeros(n, dtype=np.uint8),
+        activation=np.zeros(n, dtype=np.int32),
+        central_level=np.full(n, -1, dtype=np.int16),
+        finite_count=np.zeros(n, dtype=np.int32),
+        frontier_out=np.empty(n, dtype=np.int64),
+        central_out=np.empty(n, dtype=np.int64),
+        stats_out=np.zeros(8, dtype=np.int64),
+    )
+
+
+_BOUND_ARRAYS = [name for name in _drain_arrays(2) if name != "q"]
+
+
+def _wrong_dtype(array):
+    return array.astype(np.float32 if array.dtype != np.float32 else np.int8)
+
+
+def _non_contiguous(array):
+    doubled = np.zeros(2 * len(array), dtype=array.dtype)
+    return doubled[::2]
+
+
+def _wrong_ndim(array):
+    return array.reshape(1, -1)
+
+
+@pytest.mark.parametrize("name", _BOUND_ARRAYS)
+@pytest.mark.parametrize(
+    "spoil", [_wrong_dtype, _non_contiguous, _wrong_ndim],
+    ids=["dtype", "non-contiguous", "ndim"],
+)
+def test_bind_whole_level_rejects_arrays_the_call_would(name, spoil):
+    """Binding runs each array's declared ``ndpointer`` check once, and
+    raises the ``TypeError`` a per-call check raised: for every one of
+    the 12 arrays, a wrong dtype, a strided view or a second axis."""
+    from repro.parallel.vectorized import _native_kernel
+
+    kernel = _native_kernel()
+    if kernel is None:  # pragma: no cover
+        pytest.skip("native kernel unavailable")
+    arrays = _drain_arrays(9)
+    kernel.bind_whole_level(**arrays)  # the unspoilt set binds
+    arrays[name] = spoil(arrays[name])
+    with pytest.raises(TypeError):
+        kernel.bind_whole_level(**arrays)
+
+
 @pytest.mark.parametrize("n", DRAIN_SIZES)
 def test_whole_level_drain_is_flatnonzero(n):
     """``whole_level_step``'s word-at-a-time drain returns exactly
@@ -202,25 +259,15 @@ def test_whole_level_drain_is_flatnonzero(n):
         fid_buffer[:n] = flags
         frontier_buffer = np.full(n + pad, -7, dtype=np.int64)
         stats = np.zeros(8, dtype=np.int64)
-        drained = kernel.whole_level(
-            indptr=np.zeros(n + 1, dtype=np.int64),
-            indices=np.zeros(1, dtype=np.int32),
-            matrix_flat=np.full(n, 255, dtype=np.uint8),
-            q=1,
+        arrays = _drain_arrays(n)
+        arrays.update(
             f_identifier=fid_buffer[:n],
-            c_identifier=np.zeros(n, dtype=np.uint8),
-            keyword_node_u8=np.zeros(n, dtype=np.uint8),
-            activation=np.zeros(n, dtype=np.int32),
-            central_level=np.full(n, -1, dtype=np.int16),
-            finite_count=np.zeros(n, dtype=np.int32),
-            level=0,
-            central_have=0,
-            k=1,
-            may_expand=False,
-            may_block=False,
             frontier_out=frontier_buffer[:n],
-            central_out=np.empty(n, dtype=np.int64),
             stats_out=stats,
+        )
+        step = kernel.bind_whole_level(**arrays)
+        drained = step(
+            level=0, central_have=0, k=1, may_expand=False, may_block=False
         )
         want = np.flatnonzero(flags)
         assert drained == stats[0] == len(want), flags
