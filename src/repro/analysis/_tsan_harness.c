@@ -56,7 +56,8 @@ int64_t fused_expand(
     uint8_t* fid,
     uint8_t next_level,
     int64_t* out_keys,
-    int64_t* n_dups);
+    int64_t* n_dups,
+    int64_t* live_out);
 
 typedef struct {
     pthread_barrier_t* barrier;
@@ -72,6 +73,7 @@ typedef struct {
     uint8_t next_level;
     int64_t* out_keys;
     int64_t n_dups;
+    int64_t live;
 } ChunkTask;
 
 static void* run_chunk(void* arg)
@@ -93,7 +95,8 @@ static void* run_chunk(void* arg)
         task->fid,
         task->next_level,
         task->out_keys,
-        &task->n_dups);
+        &task->n_dups,
+        &task->live);
     return NULL;
 }
 
@@ -161,6 +164,7 @@ static int64_t run_levels(
             tasks[t].next_level = (uint8_t)(level + 1);
             tasks[t].out_keys = key_bufs + t * n * q;
             tasks[t].n_dups = 0;
+            tasks[t].live = 0;
             start += size;
             if (pthread_create(&threads[t], NULL, run_chunk, &tasks[t])) {
                 fprintf(stderr, "harness: pthread_create failed\n");

@@ -10,9 +10,41 @@ call of a pluggable backend:
    Central Nodes at depth = current level (Lemma V.1);
 3. *expansion* — Algorithm 2.
 
-The loop stops at the smallest level ``d`` where at least ``k`` Central
-Nodes exist (Theorem V.3), when the frontier drains empty, or at the
-``lmax`` safety bound.
+The loop stops for one of four reasons (``SearchState``'s
+``TERMINATED_*``): at the smallest level ``d`` where at least ``k``
+Central Nodes exist (Theorem V.3), when the frontier drains empty, at the
+``lmax`` safety bound, or once no further Central Node can exist.
+
+*Lane closure.* A keyword lane is one BFS instance ``B_i``, i.e. one
+column of M. During level ``l``'s expansion every backend ORs into a
+live-lane mask (``LevelOutcome.live_lanes``) each lane it writes, every
+lane in which a waiting source (``a_u > l``, Algorithm 2 lines 5-7) is
+hit at ≤ l, and the eligible lanes of every source that retries a
+blocked neighbour (lines 18-20). A lane outside the mask is *closed*:
+
+* no write at ``l`` means no node has a fresh cell in the lane at
+  ``l + 1``;
+* every other source that is finite in the lane has already expanded it
+  with all neighbours unblocked: a source stays waiting or retrying, and
+  so in the mask, until that holds, and blockedness only ever decreases
+  (a blocked node is an inactive non-keyword node, all ∞);
+* Central Nodes never expand.
+
+So the lane's finite set is final. Let K be the nodes finite in every
+closed lane: K is final, and every future Central Node lies in K. If
+every node of K already has ``finite_count == q``, each of them is a
+Central Node by the next identification (a node that fills is flagged
+by the write that fills it), and nothing is left to find. The loop then
+runs that one more drain + identify (``may_expand`` False) and stops
+with ``TERMINATED_NO_MORE_CENTRAL`` — or ``TERMINATED_ENOUGH_ANSWERS`` /
+``TERMINATED_FRONTIER_EMPTY`` when that level is where the unabridged
+loop stops too. Central Nodes, their depths and every M cell ≤ the
+depth are those of the unabridged loop. Stage two is unaffected:
+extraction reads cells ≤ a Central Node's depth ≤ ``l + 1``, every cell
+a skipped level would have written is ≥ ``l + 2``, and a predecessor
+test with ``h_p ≥ l + 2`` cannot pass. The K ⊆ Full test
+(:meth:`~repro.core.state.SearchState.no_central_node_can_follow`) is
+free until a lane closes, then one O(|V|) pass per level.
 """
 
 from __future__ import annotations
@@ -38,6 +70,7 @@ from .state import (
     TERMINATED_ENOUGH_ANSWERS,
     TERMINATED_FRONTIER_EMPTY,
     TERMINATED_LEVEL_CAP,
+    TERMINATED_NO_MORE_CENTRAL,
     SearchState,
 )
 
@@ -78,9 +111,12 @@ class BottomUpResult:
 
     Attributes:
         state: the final search state (M matrix, central nodes, flags).
-        depth: the ``d`` of top-(k,d) — the level at which enough Central
-            Nodes existed — or the last level searched when fewer than
-            ``k`` exist in total.
+        depth: the ``d`` of top-(k,d): the largest Central-Node depth
+            (the level at which enough Central Nodes existed, or the
+            deepest there is when fewer than ``k`` exist in total). With
+            no Central Node at all, the level at which the search ended:
+            the one that proved there is no answer (frontier empty, lane
+            closure) or ``lmax``.
         levels_executed: number of expansion levels actually run.
         terminated: one of the ``TERMINATED_*`` reasons.
         peak_state_nbytes: max dynamic memory observed (Table IV).
@@ -181,6 +217,9 @@ class BottomUpSearch:
         level = 0
         levels_executed = 0
         terminated = TERMINATED_LEVEL_CAP
+        # Set once no Central Node can follow: the next level only
+        # drains and identifies (module docstring, lane closure).
+        closed = False
         profile: List[LevelOutcome] = []
         while level <= self.lmax:
             level_ctx = (
@@ -188,7 +227,12 @@ class BottomUpSearch:
             )
             with level_ctx as level_span:
                 outcome = self.backend.run_level(
-                    self.graph, state, level, k, level < self.lmax, timer
+                    self.graph,
+                    state,
+                    level,
+                    k,
+                    level < self.lmax and not closed,
+                    timer,
                 )
                 if outcome.frontier_size == 0:
                     terminated = TERMINATED_FRONTIER_EMPTY
@@ -201,9 +245,12 @@ class BottomUpSearch:
                 if not outcome.expanded:
                     if state.n_central_nodes >= k:
                         terminated = TERMINATED_ENOUGH_ANSWERS
+                    elif closed:
+                        terminated = TERMINATED_NO_MORE_CENTRAL
                     break
                 levels_executed += 1
                 peak_nbytes = max(peak_nbytes, state.nbytes(fixed_nbytes))
+                closed = state.no_central_node_can_follow(outcome.live_lanes)
                 level += 1
 
         if state.central_nodes:

@@ -39,6 +39,11 @@ MAX_LEVEL = 254
 TERMINATED_ENOUGH_ANSWERS = "enough_central_nodes"
 TERMINATED_FRONTIER_EMPTY = "frontier_empty"
 TERMINATED_LEVEL_CAP = "level_cap"
+TERMINATED_NO_MORE_CENTRAL = "no_more_central_nodes"
+
+#: A live-lane mask with every lane set: what a level reports when its
+#: backend does not track lanes, so no lane ever counts as closed.
+ALL_LANES = -1
 
 
 @dataclass
@@ -99,6 +104,10 @@ class SearchState:
     #: Destination of this query's expansion spans (``chunk`` under each
     #: ``level``); set by the bottom-up loop, a no-op otherwise.
     tracer: Tracer = NULL_TRACER
+    #: The lanes the last expansion left open (bit i: BFS instance i may
+    #: still be written at a later level), set by the backend that ran
+    #: it; :data:`ALL_LANES` when the backend does not track them.
+    live_lanes: int = ALL_LANES
 
     # ------------------------------------------------------------------
     # Construction (the "Initialization" phase of Fig. 6/7)
@@ -212,6 +221,29 @@ class SearchState:
         found = [(int(node), level) for node in newly_central]
         self.central_nodes.extend(found)
         return found
+
+    def no_central_node_can_follow(self, live_lanes: int) -> bool:
+        """Whether no Central Node can appear after the next identify.
+
+        A lane outside ``live_lanes`` is closed: its finite set is final
+        (the proof is in :mod:`repro.core.bottom_up`). Every future
+        Central Node is finite in every closed lane, so when each such
+        node already has ``finite_count == q`` (and is therefore
+        identified at the next level at the latest) there is nothing
+        left to find. False at once while no lane is closed; otherwise
+        one pass over the first closed lane's column, after which only
+        the nodes finite in that lane are read.
+        """
+        q = self.n_keywords
+        closed_mask = ~live_lanes & ((1 << q) - 1)
+        if not closed_mask:
+            return False
+        closed = [column for column in range(q) if closed_mask >> column & 1]
+        rows = np.flatnonzero(self.matrix[:, closed[0]] != INFINITE_LEVEL)
+        rows = rows[self.finite_count[rows] < q]
+        for column in closed[1:]:
+            rows = rows[self.matrix[rows, column] != INFINITE_LEVEL]
+        return len(rows) == 0
 
     # ------------------------------------------------------------------
     # Incremental finite-cell accounting

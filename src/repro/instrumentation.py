@@ -209,12 +209,17 @@ class KernelCounters:
         duplicates_elided: scatter targets dropped by per-column
             deduplication — parallel in-edges and shared hub neighbors
             that the per-column implementation wrote once per edge.
+        live_lanes: not a count but a lane mask, merged by OR: bit i is
+            set iff the invocation wrote lane i or a waiting or retrying
+            source kept it open (see :mod:`repro.core.bottom_up`). Not
+            exported by :meth:`as_dict`.
     """
 
     sources_pruned: int = 0
     edges_gathered: int = 0
     pairs_hit: int = 0
     duplicates_elided: int = 0
+    live_lanes: int = 0
 
     def add(self, other: "KernelCounters") -> None:
         """Accumulate ``other`` in place (used to merge per-chunk counters)."""
@@ -222,6 +227,7 @@ class KernelCounters:
         self.edges_gathered += other.edges_gathered
         self.pairs_hit += other.pairs_hit
         self.duplicates_elided += other.duplicates_elided
+        self.live_lanes |= other.live_lanes
 
     def as_dict(self) -> "dict[str, int]":
         return {

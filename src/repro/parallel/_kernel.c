@@ -27,6 +27,13 @@
  *                       call, eliminating the per-level Python round
  *                       trips.
  *
+ * Both expansion entry points also report a live-lane mask (bit i: BFS
+ * instance i may still be written at a later level): every lane a
+ * ballot wrote, and the eligible lanes of every source that re-flags
+ * itself -- waiting for activation (Algorithm 2 lines 5-7) or retrying
+ * a blocked neighbour (lines 18-20).  A lane outside it is closed for
+ * good; core/bottom_up.py stops the search on it.
+ *
  * Because the matrix is read live (not from a pre-level snapshot), a
  * cell is claimed exactly once per call, so the emitted keys are the
  * deduplicated hit set by construction.  Cells already stamped with
@@ -84,6 +91,29 @@ static inline int64_t lowest_lane(uint64_t lanes)
     return (int64_t)(__builtin_ctzll(lanes) >> 3);
 }
 
+/* A word of 0x00/0x01 byte lanes as a bit mask: bit i = lane i. */
+static inline int64_t lane_bits(uint64_t lanes)
+{
+    int64_t bits = 0;
+    for (int64_t c = 0; c < 8; ++c)
+        bits |= (int64_t)((lanes >> (8 * c)) & 1) << c;
+    return bits;
+}
+
+/* Node u's eligibility lane word: 0x01 in lane c iff M[u][c] <= level
+ * (Algorithm 2 lines 9-11). */
+static inline uint64_t eligible_lanes(
+    const uint8_t* matrix, int64_t u, int64_t q, uint8_t level)
+{
+    const uint8_t* mrow = matrix + u * q;
+    uint64_t se = 0;
+    for (int64_t c = 0; c < q; ++c) {
+        if (mrow[c] <= level)
+            se |= 1ULL << (8 * c);
+    }
+    return se;
+}
+
 /* Rows [0, safe_rows) can be read 8 bytes wide without leaving the
  * n*q-byte matrix: v*q + 8 <= n*q.  Only the last ceil(8/q) rows (all
  * of them when n*q < 8) fall outside. */
@@ -125,6 +155,9 @@ static inline uint64_t load_row(
  *   out_keys  capacity for every possible hit (n * q is always enough)
  *   n_dups    out: scatter duplicates elided by the live-read dedup
  *             (matches the NumPy tier's scattered-minus-unique count)
+ *   live_out  out: the lanes this call wrote or a retrying source kept
+ *             open, as a bit mask (waiting sources never reach the
+ *             kernel; their caller adds their lanes)
  *
  * Returns the number of unique cell keys (node * q + lane) written to
  * out_keys.
@@ -142,11 +175,13 @@ int64_t fused_expand(
     uint8_t* fid,
     uint8_t next_level,
     int64_t* out_keys,
-    int64_t* n_dups)
+    int64_t* n_dups,
+    int64_t* live_out)
 {
     const int64_t n_safe = safe_rows(n, q);
     int64_t n_keys = 0;
     int64_t dups = 0;
+    uint64_t live = 0;
 
     for (int64_t i = 0; i < n_chunk; ++i) {
         const uint64_t se = se_words[i];
@@ -173,13 +208,18 @@ int64_t fused_expand(
                 matrix[key] = next_level;
                 out_keys[n_keys++] = key;
             }
+            live |= ballot;
             fid[v] = 1;
         }
-        if (retry)
+        if (retry) {
             fid[u] = 1;
+            live |= se;
+        }
     }
     if (n_dups)
         *n_dups = dups;
+    if (live_out)
+        *live_out = lane_bits(live);
     return n_keys;
 }
 
@@ -190,6 +230,8 @@ int64_t fused_expand(
  * target is met or the level cap reached — run Algorithm 2 over the
  * frontier with the incremental finite-count update applied in place.
  * The blocked test (line 18-20) runs before a neighbour's row is read.
+ * The expansion also ORs up the level's live lanes (file header): each
+ * ballot, and the eligible lanes of each waiting or retrying source.
  *
  *   n             node count
  *   indptr/indices CSR adjacency
@@ -213,7 +255,9 @@ int64_t fused_expand(
  *   central_out   capacity n: newly identified Central Nodes (ascending)
  *   stats_out     [0] n_frontier  [1] n_new_central  [2] expanded(0/1)
  *                 [3] edges_gathered  [4] pairs_hit  [5] sources_pruned
- *                 [6] duplicates_elided
+ *                 [6] duplicates_elided  [7] live-lane mask (bit i:
+ *                 lane i may still be written after this level; 0
+ *                 when the level did not expand)
  *
  * Returns the number of frontier nodes.
  */
@@ -249,6 +293,9 @@ int64_t whole_level_step(
     int64_t pruned = 0;
     int64_t dups = 0;
     int64_t expanded = 0;
+    uint64_t live = 0;
+    /* 0x01 in each of the lanes 0 .. q - 1. */
+    const uint64_t all_lanes = q >= 8 ? LSB : LSB & ((1ULL << (8 * q)) - 1);
 
     /* Enqueue: drain FIdentifier into the joint frontier (ascending,
      * exactly like np.flatnonzero), branch-free.  Eight flags are read
@@ -294,18 +341,18 @@ int64_t whole_level_step(
                 /* Line 2-3: identified Central Nodes never expand. */
                 if (cid[u])
                     continue;
-                /* Line 5-7: inactive frontiers re-flag and wait. */
+                /* Line 5-7: inactive frontiers re-flag and wait, and
+                 * keep the lanes they are hit in live.  The row is a
+                 * cache miss the expansion does not need, so it is read
+                 * only while some lane is not live yet. */
                 if (activation[u] > level_i) {
                     fid[u] = 1;
+                    if (live != all_lanes)
+                        live |= eligible_lanes(matrix, u, q, level);
                     continue;
                 }
                 /* Line 9-11 hoisted: eligibility lane word. */
-                uint64_t se = 0;
-                const uint8_t* mrow = matrix + u * q;
-                for (int64_t c = 0; c < q; ++c) {
-                    if (mrow[c] <= level)
-                        se |= 1ULL << (8 * c);
-                }
+                const uint64_t se = eligible_lanes(matrix, u, q, level);
                 if (!se) {
                     ++pruned;
                     continue;
@@ -336,10 +383,13 @@ int64_t whole_level_step(
                     const int32_t written = (int32_t)lane_sum(ballot);
                     finite_count[v] += written;
                     hits += written;
+                    live |= ballot;
                     fid[v] = 1;
                 }
-                if (retry)
+                if (retry) {
                     fid[u] = 1;
+                    live |= se;
+                }
             }
         }
     }
@@ -351,6 +401,7 @@ int64_t whole_level_step(
     stats_out[4] = hits;
     stats_out[5] = pruned;
     stats_out[6] = dups;
+    stats_out[7] = lane_bits(live);
     return n_frontier;
 }
 

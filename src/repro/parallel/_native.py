@@ -240,6 +240,7 @@ class NativeKernel:
             ctypes.c_uint8,  # next_level
             i64,  # out_keys
             i64,  # n_dups
+            i64,  # live_out
         ]
         self._fn = fn
 
@@ -320,17 +321,18 @@ class NativeKernel:
         f_identifier: np.ndarray,
         next_level: int,
         out_keys: np.ndarray,
-    ) -> "tuple[int, int]":
+    ) -> "tuple[int, int, int]":
         """Run one chunk expansion.
 
         The node count the kernel's tail guard needs is
-        ``len(f_identifier)``. Returns ``(n_keys, n_duplicates)``: the
-        unique-key count written to ``out_keys`` and the scatter
-        duplicates elided by the live matrix read (the NumPy tier's
-        ``scattered - unique`` count).
+        ``len(f_identifier)``. Returns ``(n_keys, n_duplicates,
+        live_lanes)``: the unique-key count written to ``out_keys``, the
+        scatter duplicates elided by the live matrix read (the NumPy
+        tier's ``scattered - unique`` count) and the lanes the chunk
+        wrote or a retrying source kept open (bit i = lane i).
         """
         blocked_ptr = blocked.ctypes.data if blocked is not None else None
-        n_dups = np.zeros(1, dtype=np.int64)
+        outs = np.zeros(2, dtype=np.int64)
         count = int(
             self._fn(
                 len(f_identifier),
@@ -345,10 +347,12 @@ class NativeKernel:
                 f_identifier,
                 next_level,
                 out_keys,
-                n_dups,
+                outs[:1],
+                outs[1:],
             )
         )
-        return count, int(n_dups[0])
+        n_dups, live_lanes = outs.tolist()
+        return count, n_dups, live_lanes
 
     def bind_whole_level(
         self,
@@ -373,9 +377,11 @@ class NativeKernel:
         would (wrong dtype, ndim or contiguity). The returned call runs
         one complete bottom-up level in C per invocation,
         ``step(level, central_have, k, may_expand, may_block)``, and
-        returns the frontier size. ``stats_out`` (int64, length >= 7)
+        returns the frontier size. ``stats_out`` (int64, length >= 8)
         receives ``[n_frontier, n_new_central, expanded, edges_gathered,
-        pairs_hit, sources_pruned, duplicates_elided]``.
+        pairs_hit, sources_pruned, duplicates_elided, live_lanes]``;
+        ``live_lanes`` has bit i set iff lane i may still be written
+        after the level (0 when it did not expand).
         """
         declared = self._step.argtypes
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from types import TracebackType
 from typing import List, Optional, Tuple, Type
 
-from ..core.state import SearchState
+from ..core.state import ALL_LANES, SearchState
 from ..graph.csr import KnowledgeGraph
 from ..instrumentation import (
     PHASE_ENQUEUE,
@@ -71,6 +71,13 @@ class LevelOutcome:
             the per-node kernel).
         counters: kernel work counters for the expansion, when it ran on
             a backend that counts.
+        live_lanes: after an expansion, the lanes it left open as a bit
+            mask (bit i: BFS instance i wrote a cell, or a source hit in
+            it is still waiting for activation or retrying a blocked
+            neighbour). A lane outside it is never written again; the
+            loop stops on that (:mod:`repro.core.bottom_up`).
+            :data:`~repro.core.state.ALL_LANES` when the level did not
+            expand or its backend does not track lanes.
     """
 
     level: int
@@ -80,6 +87,7 @@ class LevelOutcome:
     new_hits: int = 0
     edges_scanned: int = 0
     counters: Optional[KernelCounters] = None
+    live_lanes: int = ALL_LANES
 
     def as_span_attributes(self) -> "dict[str, int]":
         """The level's accounting as flat span attributes (Chrome trace
@@ -106,6 +114,9 @@ class ExpansionBackend(abc.ABC):
 
         Implementations mutate ``state.matrix`` (hitting levels of newly hit
         nodes) and ``state.f_identifier`` (nodes to enqueue next level),
+        set ``state.live_lanes`` to the lanes the level left open (see
+        :attr:`LevelOutcome.live_lanes`; one that leaves it at
+        ``ALL_LANES`` never lets a lane close, which is always safe),
         and must not touch anything else. When ``state.write_log`` is set
         (:class:`~repro.analysis.checked.CheckedBackend` attaches one),
         every scatter-store is also recorded there.
@@ -141,6 +152,7 @@ class ExpansionBackend(abc.ABC):
         if not may_expand or state.n_central_nodes >= k:
             return LevelOutcome(level, frontier_size, found)
         finite_before = state.total_finite_cells()
+        state.live_lanes = ALL_LANES
         with timer.phase(PHASE_EXPANSION):
             counters = self.expand(graph, state, level)
         if counters is not None:
@@ -157,6 +169,7 @@ class ExpansionBackend(abc.ABC):
             new_hits=new_hits,
             edges_scanned=edges_scanned,
             counters=counters,
+            live_lanes=state.live_lanes,
         )
 
     def close(self) -> None:

@@ -38,6 +38,7 @@ from ..core.state import (
     TERMINATED_ENOUGH_ANSWERS,
     TERMINATED_FRONTIER_EMPTY,
     TERMINATED_LEVEL_CAP,
+    TERMINATED_NO_MORE_CENTRAL,
 )
 from ..core.top_down import TopDownConfig, rank_central_graphs
 from ..graph.csr import KnowledgeGraph
@@ -182,6 +183,8 @@ class LockedDictEngine:
         terminated = TERMINATED_LEVEL_CAP
         peak = state.nbytes_estimate()
         frontier: List[int] = []
+        # The engine's lane-closure stop (repro.core.bottom_up).
+        closed = False
         while level <= self.lmax:
             with timer.phase(PHASE_ENQUEUE):
                 frontier = sorted(state.next_frontier)
@@ -194,11 +197,15 @@ class LockedDictEngine:
             if len(state.central) >= k:
                 terminated = TERMINATED_ENOUGH_ANSWERS
                 break
+            if closed:
+                terminated = TERMINATED_NO_MORE_CENTRAL
+                break
             if level == self.lmax:
                 break
             with timer.phase(PHASE_EXPANSION):
-                self._expand(state, frontier, activation, level)
+                live_lanes = self._expand(state, frontier, activation, level)
             peak = max(peak, state.nbytes_estimate())
+            closed = self._no_central_node_can_follow(state, live_lanes)
             level += 1
         depth = max(state.central.values()) if state.central else level
         return state, terminated, depth, peak
@@ -215,16 +222,31 @@ class LockedDictEngine:
                     if node not in state.central:
                         state.central[node] = level
 
+    @staticmethod
+    def _no_central_node_can_follow(
+        state: _DynamicState, live_lanes: int
+    ) -> bool:
+        """``SearchState.no_central_node_can_follow`` over dict state:
+        no node hit in every closed lane lacks a hitting level."""
+        q = state.n_keywords
+        closed = [column for column in range(q) if not live_lanes >> column & 1]
+        if not closed:
+            return False
+        return not any(
+            len(levels) < q and all(column in levels for column in closed)
+            for levels in state.hit_levels.values()
+        )
+
     def _expand(
         self,
         state: _DynamicState,
         frontier: List[int],
         activation: np.ndarray,
         level: int,
-    ) -> None:
+    ) -> int:
+        """Expand the frontier; return its live lanes (bit i = lane i)."""
         if self.n_threads == 1 or len(frontier) < 2:
-            self._expand_chunk(state, frontier, activation, level)
-            return
+            return self._expand_chunk(state, frontier, activation, level)
         chunks = np.array_split(np.asarray(frontier, dtype=np.int64),
                                 self.n_threads * 4)
         with ThreadPoolExecutor(max_workers=self.n_threads) as pool:
@@ -233,8 +255,10 @@ class LockedDictEngine:
                 for chunk in chunks
                 if len(chunk)
             ]
+            live_lanes = 0
             for future in futures:
-                future.result()
+                live_lanes |= future.result()
+        return live_lanes
 
     def _expand_chunk(
         self,
@@ -242,21 +266,28 @@ class LockedDictEngine:
         frontier_chunk: Sequence[int],
         activation: np.ndarray,
         level: int,
-    ) -> None:
-        """Algorithm 2 semantics over dict state, every access locked."""
+    ) -> int:
+        """Algorithm 2 semantics over dict state, every access locked.
+
+        Returns the chunk's live lanes: every lane it wrote, and the
+        expandable lanes of every source that waits or retries.
+        """
         next_level = level + 1
+        live_lanes = 0
         for node in frontier_chunk:
             node = int(node)
             with self._central_lock:
                 if node in state.central:
                     continue
-            if activation[node] > level:
-                with self._frontier_lock:
-                    state.next_frontier.add(node)
-                continue
             with self._lock_for(node):
                 hit = dict(state.hit_levels.get(node, {}))
             expandable = [c for c, lvl in hit.items() if lvl <= level]
+            if activation[node] > level:
+                with self._frontier_lock:
+                    state.next_frontier.add(node)
+                for column in expandable:
+                    live_lanes |= 1 << column
+                continue
             if not expandable:
                 continue
             for neighbor in self.graph.adj.neighbors(node):
@@ -282,11 +313,14 @@ class LockedDictEngine:
                             state.predecessors.setdefault(key, set()).add(node)
                             blocked = False
                     if blocked:
+                        live_lanes |= 1 << column
                         with self._frontier_lock:
                             state.next_frontier.add(node)
                     else:
+                        live_lanes |= 1 << column
                         with self._frontier_lock:
                             state.next_frontier.add(neighbor)
+        return live_lanes
 
     # ------------------------------------------------------------------
     # Stage two: no extraction needed — paths were recorded

@@ -22,7 +22,7 @@ def expand_frontier_chunk(
     state: SearchState,
     level: int,
     frontier_chunk: Sequence[int],
-) -> None:
+) -> int:
     """Algorithm 2 over a subset of the frontier.
 
     For every frontier ``v_f`` (line 1): skip identified Central Nodes
@@ -34,6 +34,11 @@ def expand_frontier_chunk(
     non-keyword neighbors instead keep ``v_f`` in the frontier so the edge
     is retried later (line 18-20). Keyword nodes may be hit regardless of
     activation (Section IV-B).
+
+    Returns:
+        The chunk's live lanes (bit i = instance i): every instance it
+        wrote, every instance a waiting ``v_f`` is hit in at ≤ l, and
+        every instance in which ``v_f`` retries.
     """
     matrix = state.matrix
     f_identifier = state.f_identifier
@@ -48,6 +53,7 @@ def expand_frontier_chunk(
     # locally, report once per call. ``None`` in normal operation.
     logged_cells: "list[int]" = []
     logged_flags: "list[int]" = []
+    live = 0
 
     for node in frontier_chunk:
         node = int(node)
@@ -57,6 +63,9 @@ def expand_frontier_chunk(
             f_identifier[node] = 1
             if write_log is not None:
                 logged_flags.append(node)
+            for column in range(n_keywords):
+                if matrix[node, column] <= level:
+                    live |= 1 << column
             continue
         neighbors = graph.adj.neighbors(node)
         for column in range(n_keywords):
@@ -70,10 +79,12 @@ def expand_frontier_chunk(
                     continue
                 if not keyword_node[neighbor] and activation[neighbor] > next_level:
                     f_identifier[node] = 1
+                    live |= 1 << column
                     if write_log is not None:
                         logged_flags.append(node)
                     continue
                 matrix[neighbor, column] = next_level
+                live |= 1 << column
                 f_identifier[neighbor] = 1
                 # The ∞-guard above makes this exactly-once per cell, so
                 # the incremental finite-cell count stays exact.
@@ -89,6 +100,7 @@ def expand_frontier_chunk(
         write_log.record_frontier(
             np.asarray(logged_flags, dtype=np.int64), 1, level
         )
+    return live
 
 
 class SequentialBackend(ExpansionBackend):
@@ -101,6 +113,10 @@ class SequentialBackend(ExpansionBackend):
             with state.tracer.span(
                 "expand:sequential", frontier_size=len(state.frontier)
             ):
-                expand_frontier_chunk(graph, state, level, state.frontier)
+                state.live_lanes = expand_frontier_chunk(
+                    graph, state, level, state.frontier
+                )
             return
-        expand_frontier_chunk(graph, state, level, state.frontier)
+        state.live_lanes = expand_frontier_chunk(
+            graph, state, level, state.frontier
+        )

@@ -56,11 +56,13 @@ def merge_chunk_hits(
     Per-chunk key lists are already unique, so cross-chunk dedup is one
     boolean scatter over M's cells (no sort). Cells claimed by several
     racing chunks (each read ∞ before any wrote) collapse to one count —
-    more elided duplicates, fewer pairs hit than the chunks' sum.
+    more elided duplicates, fewer pairs hit than the chunks' sum. The
+    chunks' live lanes are ORed into ``state.live_lanes``.
     """
     counters = KernelCounters()
     for chunk_counter in chunk_counters:
         counters.add(chunk_counter)
+    state.live_lanes = counters.live_lanes
     claimed = sum(len(keys) for keys in key_lists)
     if claimed:
         cell_mask = np.zeros(state.matrix.size, dtype=bool)
@@ -105,6 +107,7 @@ class ThreadPoolBackend(ExpansionBackend):
             counters = KernelCounters()
             keys = fused_expand_chunk(graph, state, level, frontier, counters)
             apply_hit_keys(state, keys)
+            state.live_lanes = counters.live_lanes
             record_kernel_counters(counters, tier="threads")
             return counters
         chunks = split_frontier(

@@ -51,7 +51,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.state import INFINITE_LEVEL, MAX_LEVEL, SearchState
+from ..core.state import ALL_LANES, INFINITE_LEVEL, MAX_LEVEL, SearchState
 from ..graph.csr import KnowledgeGraph, row_windows
 from ..instrumentation import (
     PHASE_EXPANSION,
@@ -119,6 +119,11 @@ def _any_lane(words: np.ndarray) -> np.ndarray:
     return hit
 
 
+def _column_bits(columns: np.ndarray) -> int:
+    """A per-column boolean vector as a lane mask (bit i = column i)."""
+    return sum(1 << int(column) for column in np.flatnonzero(columns))
+
+
 def _keys_to_rows(keys: np.ndarray, q: int) -> np.ndarray:
     """Map flat cell keys ``node * q + column`` back to node rows.
 
@@ -171,6 +176,9 @@ def fused_expand_chunk(
     flat cell keys ``node * q + column`` it wrote, so single-threaded
     callers can apply them directly and multi-chunk callers can merge,
     deduplicate cells claimed by racing chunks, and apply them race-free.
+    The chunk's live lanes go to ``counters.live_lanes``: the instances
+    it wrote, and the eligible instances of every source that waits for
+    activation or retries a blocked neighbour.
 
     The (E × q) grid is carried as *byte lanes* for every q: each node's
     q boolean conditions live in ⌈q/8⌉ uint64 words (lane i = instance
@@ -221,6 +229,10 @@ def fused_expand_chunk(
         f_identifier[chunk[inactive]] = 1
         if write_log is not None:
             write_log.record_frontier(chunk[inactive], 1, level)
+        if counters is not None:
+            counters.live_lanes |= _column_bits(
+                (matrix[chunk[inactive]] <= level).any(axis=0)
+            )
         chunk = chunk[~inactive]
         if len(chunk) == 0:
             return _EMPTY_KEYS
@@ -258,7 +270,7 @@ def fused_expand_chunk(
                     ~state.keyword_node & (activation > next_level)
                 ).view(np.uint8)
             out_keys = np.empty(matrix.size, dtype=np.int64)
-            count, dups = kernel.expand(
+            count, dups, live = kernel.expand(
                 np.ascontiguousarray(chunk),
                 se_words.ravel(),
                 adj.indptr,
@@ -273,6 +285,7 @@ def fused_expand_chunk(
             if counters is not None:
                 counters.pairs_hit += count
                 counters.duplicates_elided += dups
+                counters.live_lanes |= live
             if write_log is not None:
                 hit_keys = out_keys[:count]
                 write_log.record_matrix(hit_keys, next_level, level)
@@ -320,6 +333,11 @@ def fused_expand_chunk(
                 f_identifier[chunk[retry]] = 1
                 if write_log is not None:
                     write_log.record_frontier(chunk[retry], 1, level)
+                if counters is not None:
+                    retry_lanes = np.bitwise_or.reduce(se_words[retry], axis=0)
+                    counters.live_lanes |= _column_bits(
+                        retry_lanes.view(np.uint8)[:q]
+                    )
     else:
         avail_words = inf_words
     # Per-edge hit ballot: a word AND per edge and lane word covers all
@@ -342,6 +360,8 @@ def fused_expand_chunk(
         if len(rows):
             matrix[rows, column] = next_level
             scattered += len(rows)
+            if counters is not None:
+                counters.live_lanes |= 1 << column
             if write_log is not None:
                 write_log.record_matrix(rows * q + column, next_level, level)
 
@@ -423,6 +443,7 @@ class VectorizedBackend(ExpansionBackend):
             graph, state, level, frontier, counters, native=self.native
         )
         apply_hit_keys(state, keys)
+        state.live_lanes = counters.live_lanes
         record_kernel_counters(
             counters,
             tier=(
@@ -498,7 +519,7 @@ class VectorizedBackend(ExpansionBackend):
             may_expand,
             state.max_activation > level + 1,
         )
-        _, n_central, expanded, edges, pairs, pruned, dups, _ = stats.tolist()
+        _, n_central, expanded, edges, pairs, pruned, dups, live = stats.tolist()
         state.frontier = frontier_out[:frontier_size]
         found = [(node, level) for node in central_out[:n_central].tolist()]
         state.central_nodes.extend(found)
@@ -509,6 +530,7 @@ class VectorizedBackend(ExpansionBackend):
                 pairs_hit=pairs,
                 duplicates_elided=dups,
                 sources_pruned=pruned,
+                live_lanes=live,
             )
             record_kernel_counters(counters, tier="whole-level")
         return LevelOutcome(
@@ -519,6 +541,7 @@ class VectorizedBackend(ExpansionBackend):
             new_hits=pairs,
             edges_scanned=edges,
             counters=counters,
+            live_lanes=live if expanded else ALL_LANES,
         )
 
 

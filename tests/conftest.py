@@ -40,6 +40,13 @@ def reference_hitting_levels(
 ) -> Tuple[Dict[Tuple[int, int], int], List[Tuple[int, int]]]:
     """Naive level-synchronous simulation of the bottom-up search.
 
+    It stops where ``BottomUpSearch`` does: at k Central Nodes, an empty
+    frontier, ``lmax``, or one level after lane closure shows that no
+    further Central Node can exist (a keyword column that no level-l
+    write, waiting source or retrying source touched is final; when
+    every node hit in all final columns is hit in every column, the
+    next identification is the last).
+
     Returns:
         ``(hit, centrals)`` where ``hit[(node, column)]`` is the hitting
         level and ``centrals`` is the ordered list of (node, depth) pairs.
@@ -57,6 +64,7 @@ def reference_hitting_levels(
     centrals: List[Tuple[int, int]] = []
     central_set: Set[int] = set()
     level = 0
+    no_more_central = False
     while level <= lmax:
         if not frontier:
             break
@@ -69,14 +77,19 @@ def reference_hitting_levels(
                 centrals.append((node, level))
         if len(centrals) >= k:
             break
-        if level == lmax:
+        if level == lmax or no_more_central:
             break
         next_frontier: Set[int] = set()
+        open_columns: Set[int] = set()
         for node in sorted(frontier):
             if node in central_set:
                 continue
             if activation[node] > level:
                 next_frontier.add(node)
+                open_columns.update(
+                    column for column in range(q)
+                    if hit.get((node, column), INF) <= level
+                )
                 continue
             for column in range(q):
                 node_level = hit.get((node, column), INF)
@@ -86,6 +99,7 @@ def reference_hitting_levels(
                     neighbor = int(neighbor)
                     if (neighbor, column) in hit:
                         continue
+                    open_columns.add(column)
                     if (
                         neighbor not in keyword_union
                         and activation[neighbor] > level + 1
@@ -96,7 +110,35 @@ def reference_hitting_levels(
                     next_frontier.add(neighbor)
         frontier = next_frontier
         level += 1
+        final = [column for column in range(q) if column not in open_columns]
+        if final:
+            no_more_central = all(
+                all((node, column) in hit for column in range(q))
+                for node in {node for node, _ in hit}
+                if all((node, column) in hit for column in final)
+            )
     return hit, centrals
+
+
+def unabridged_search(graph, backend, keyword_node_sets, activation, k, lmax=24):
+    """Algorithm 1 as printed, on ``backend``: ``run_level`` until k
+    Central Nodes, an empty frontier or ``lmax`` — no lane-closure stop.
+
+    Returns:
+        ``(state, levels_executed)``.
+    """
+    from repro.core.state import SearchState
+    from repro.instrumentation import PhaseTimer
+
+    state = SearchState.initialize(graph.n_nodes, keyword_node_sets, activation)
+    timer = PhaseTimer()
+    levels = 0
+    for level in range(lmax + 1):
+        outcome = backend.run_level(graph, state, level, k, level < lmax, timer)
+        if outcome.frontier_size == 0 or not outcome.expanded:
+            break
+        levels += 1
+    return state, levels
 
 
 def state_hitting_levels(state) -> Dict[Tuple[int, int], int]:

@@ -120,7 +120,9 @@ def test_parse_real_kernel_exports_all_bound_symbols():
     assert [p.name for p in exports["fused_expand"].params[:3]] == [
         "n", "n_chunk", "chunk",
     ]
-    assert len(exports["fused_expand"].params) == 13
+    assert len(exports["fused_expand"].params) == 14
+    live_out = exports["fused_expand"].params[-1]
+    assert (live_out.name, str(live_out.ctype)) == ("live_out", "int64*")
 
 
 def test_whole_level_declaration_keeps_typed_ndpointer_argtypes():
@@ -221,9 +223,9 @@ def test_abi_check_binding_without_export_found():
 def test_abi_check_arity_mismatch_found():
     kernel = abi.KERNEL_SOURCE_PATH.read_text(encoding="utf-8")
     # Drop one parameter from fused_expand's C prototype.
-    assert "int64_t* n_dups)" in kernel
+    assert "int64_t* live_out)" in kernel
     drifted = kernel.replace(
-        "int64_t* n_dups)", "int64_t* n_dups, int64_t extra)", 1
+        "int64_t* live_out)", "int64_t* live_out, int64_t extra)", 1
     )
     native = abi.NATIVE_SOURCE_PATH.read_text(encoding="utf-8")
     report = abi.run_abi_check(kernel_source=drifted, native_source=native)

@@ -7,13 +7,21 @@ from repro.core.bottom_up import (
     TERMINATED_ENOUGH_ANSWERS,
     TERMINATED_FRONTIER_EMPTY,
     TERMINATED_LEVEL_CAP,
+    TERMINATED_NO_MORE_CENTRAL,
     BottomUpSearch,
 )
 from repro.core.state import INFINITE_LEVEL
+from repro.core.top_down import TopDownConfig, process_top_down
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import chain_graph
+from repro.parallel import VectorizedBackend
 
-from conftest import reference_hitting_levels, state_hitting_levels, zero_activation
+from conftest import (
+    reference_hitting_levels,
+    state_hitting_levels,
+    unabridged_search,
+    zero_activation,
+)
 
 
 def _sets(*groups):
@@ -182,3 +190,112 @@ def test_peak_state_bytes_reported(chain5):
         _sets([0], [4]), zero_activation(chain5), k=1
     )
     assert result.peak_state_nbytes >= result.state.matrix.nbytes
+
+
+# ---------------------------------------------------------------------------
+# Lane closure: the stop once no further Central Node can exist
+# ---------------------------------------------------------------------------
+#: The native whole level and the NumPy tier through the inherited level.
+TIERS = {
+    "native": VectorizedBackend,
+    "numpy": lambda: VectorizedBackend(native=False),
+}
+
+
+def _path_graph(n_nodes, edges):
+    builder = GraphBuilder()
+    for node in range(n_nodes):
+        builder.add_node(f"v{node}")
+    for source, target in edges:
+        builder.add_edge(source, target, "p")
+    return builder.build()
+
+
+def _run_both(graph, backend, sets, activation, k):
+    """The search with the rule, and Algorithm 1 run to exhaustion."""
+    result = BottomUpSearch(graph, backend=backend).run(sets, activation, k)
+    reference, levels = unabridged_search(graph, backend, sets, activation, k)
+    assert sorted(result.central_nodes) == sorted(reference.central_nodes)
+    weights = np.full(graph.n_nodes, 0.5)
+    config = TopDownConfig(k=k)
+    assert [
+        (g.central_node, g.depth, sorted(g.nodes), sorted(g.edges), g.score)
+        for g in process_top_down(graph, result.state, weights, config)
+    ] == [
+        (g.central_node, g.depth, sorted(g.nodes), sorted(g.edges), g.score)
+        for g in process_top_down(graph, reference, weights, config)
+    ]
+    return result, levels
+
+
+@pytest.mark.parametrize("tier", sorted(TIERS))
+def test_rare_keyword_encircled_by_its_central_nodes_stops_early(tier):
+    """R's one source v0 sits between C sources v1 and v2: all three are
+    Central Nodes at level 1, and R cannot pass them. R is closed after
+    level 1 and every node hit in it is a Central Node, so the search
+    stops at level 2 while C would walk its eight-node tail to the end."""
+    tail = [(3, 4)] + [(node, node + 1) for node in range(4, 11)]
+    graph = _path_graph(12, [(0, 1), (0, 2), (1, 3)] + tail)
+    sets = _sets([0], [1, 2, 3])
+    result, levels = _run_both(
+        graph, TIERS[tier](), sets, zero_activation(graph), k=400
+    )
+    assert result.terminated == TERMINATED_NO_MORE_CENTRAL
+    assert sorted(result.central_nodes) == [(0, 1), (1, 1), (2, 1)]
+    assert result.depth == 1
+    assert result.levels_executed == 2
+    assert levels > result.levels_executed
+    assert [outcome.live_lanes for outcome in result.level_profile[:2]] == [
+        0b11, 0b10,
+    ]
+
+
+@pytest.mark.parametrize("tier", sorted(TIERS))
+def test_lanes_kept_open_only_by_waiting_sources_do_not_close(tier):
+    """Both sources wait for activation 2 (Algorithm 2 lines 5-7) and
+    write nothing at levels 0-1; their lanes stay live, and v1 is found
+    at depth 3 once they expand."""
+    graph = _path_graph(3, [(0, 1), (1, 2)])
+    activation = np.array([2, 0, 2], dtype=np.int32)
+    result, _ = _run_both(
+        graph, TIERS[tier](), _sets([0], [2]), activation, k=400
+    )
+    assert result.central_nodes == [(1, 3)]
+    assert [outcome.live_lanes for outcome in result.level_profile[:2]] == [
+        0b11, 0b11,
+    ]
+    assert [outcome.new_hits for outcome in result.level_profile[:2]] == [0, 0]
+
+
+@pytest.mark.parametrize("tier", sorted(TIERS))
+def test_lanes_kept_open_only_by_retrying_sources_do_not_close(tier):
+    """v1 blocks both sources until level 2 (activation 3, lines 18-20):
+    they write nothing at levels 0-1 but retry, so their lanes stay live,
+    and v1 is found at depth 3."""
+    graph = _path_graph(3, [(0, 1), (1, 2)])
+    activation = np.array([0, 3, 0], dtype=np.int32)
+    result, _ = _run_both(
+        graph, TIERS[tier](), _sets([0], [2]), activation, k=400
+    )
+    assert result.central_nodes == [(1, 3)]
+    assert [outcome.live_lanes for outcome in result.level_profile[:2]] == [
+        0b11, 0b11,
+    ]
+    assert [outcome.new_hits for outcome in result.level_profile[:2]] == [0, 0]
+
+
+@pytest.mark.parametrize("tier", sorted(TIERS))
+def test_no_answer_depth_is_the_level_that_proved_it(tier):
+    """With no Central Node, ``depth`` is the level at which the search
+    ended: A and B exhaust their islands at level 1, no node is hit in
+    both, so level 2 stops the search while C still walks its chain."""
+    chain = [(4, 5)] + [(node, node + 1) for node in range(5, 10)]
+    graph = _path_graph(11, [(0, 1), (2, 3)] + chain)
+    result, levels = _run_both(
+        graph, TIERS[tier](), _sets([0], [2], [4]), zero_activation(graph),
+        k=1,
+    )
+    assert result.terminated == TERMINATED_NO_MORE_CENTRAL
+    assert result.central_nodes == []
+    assert result.depth == 2
+    assert levels > result.levels_executed

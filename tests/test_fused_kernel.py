@@ -116,8 +116,9 @@ WIDE_QUERY_CASES = [(n, q) for n in (3, 12, 40) for q in (9, 10, 12, 16, 17)]
 def _definition_counters(graph, state, matrix, f_identifier, c_identifier, level):
     """One level of Algorithm 2 counted edge by edge from its definition,
     on the state as it stood before the level's enqueue: the kernel
-    counters, and how many ∞ cells a blocked neighbour refused (each
-    one keeps its source in the frontier, line 18-20)."""
+    counters (live lanes included), and how many ∞ cells a blocked
+    neighbour refused (each one keeps its source in the frontier, line
+    18-20)."""
     q = state.n_keywords
     central = c_identifier.astype(bool)
     frontier = np.flatnonzero(f_identifier)
@@ -126,9 +127,13 @@ def _definition_counters(graph, state, matrix, f_identifier, c_identifier, level
     scattered = refused = 0
     cells = set()
     for source in frontier.tolist():
-        if central[source] or state.activation[source] > level:
+        if central[source]:
             continue
         columns = [c for c in range(q) if matrix[source, c] <= level]
+        if state.activation[source] > level:
+            for column in columns:
+                counters.live_lanes |= 1 << column
+            continue
         if not columns:
             counters.sources_pruned += 1
             continue
@@ -141,6 +146,7 @@ def _definition_counters(graph, state, matrix, f_identifier, c_identifier, level
             for column in columns:
                 if matrix[target, column] != INFINITE_LEVEL:
                     continue
+                counters.live_lanes |= 1 << column
                 if blocked:
                     refused += 1
                 else:
