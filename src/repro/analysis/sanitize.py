@@ -691,11 +691,12 @@ def _child_parity() -> int:
         "match the sequential backend level by level"
     )
 
-    # Drive the remaining native entry point under the sanitizers: stage
+    # Drive the remaining native entry points under the sanitizers: stage
     # two's extract_graphs (walks, level-cover, weight mass), with its
-    # buffers at their defaults and forced to overflow. The checked fuzz
-    # above already runs whole_level_step and fused_expand via the
-    # backends' run_level.
+    # buffers at their defaults and forced to overflow, and rank_graphs
+    # (dedup, Eq. 6, top-k, the answers' edges and masks) after each.
+    # The checked fuzz above already runs whole_level_step and
+    # fused_expand via the backends' run_level.
     from ..core.bottom_up import BottomUpSearch
     from ..core.weights import node_weights
     from .check import _fuzz_case
@@ -747,18 +748,41 @@ def _child_parity() -> int:
 
 
 class _ExtractSpy:
-    """Stands in for the kernel on the batch route and notes, after every
-    ``extract_graphs`` exit, whether it fitted and whether ``marks`` came
-    back zeroed."""
+    """Stands in for the kernel on the batch route, for one query: it
+    binds the query's stage two and notes, after every
+    ``extract_graphs`` exit, whether it fitted and whether ``marks``
+    came back zeroed, and after every ``rank_graphs`` exit whether
+    ``marks`` came back zeroed."""
 
     def __init__(self, kernel) -> None:
         self._kernel = kernel
+        self._bound = None
         self.exits: "List[Tuple[bool, bool]]" = []
+        self.rank_exits: "List[bool]" = []
 
-    def extract_graphs(self, *args, marks, **buffers) -> bool:
-        fitted = self._kernel.extract_graphs(*args, marks=marks, **buffers)
+    def bind_graph(self, *arrays):
+        return self._kernel.bind_graph(*arrays)
+
+    def bind_stage_two(self, *arrays) -> "_ExtractSpy":
+        self._bound = self._kernel.bind_stage_two(*arrays)
+        return self
+
+    def __getattr__(self, name):
+        return getattr(self._bound, name)
+
+    def extract(self, columns, apply_level_cover, marks, *buffers) -> bool:
+        fitted = self._bound.extract(
+            columns, apply_level_cover, marks, *buffers
+        )
         self.exits.append((fitted, not marks.any()))
         return fitted
+
+    def rank(self, columns, nodes, edges, deduplicate, k, marks, masks) -> int:
+        survivors = self._bound.rank(
+            columns, nodes, edges, deduplicate, k, marks, masks
+        )
+        self.rank_exits.append(not marks.any())
+        return survivors
 
 
 def stage_two_overflow_failures(kernel, cases) -> List[str]:
@@ -766,11 +790,14 @@ def stage_two_overflow_failures(kernel, cases) -> List[str]:
     finished SearchState, weights, k)`` tuples: with the node buffer, the
     edge buffer and the per-graph pair scratch started at one cell (each
     alone, then all three) the answers equal the reference route's, one
-    retry is enough, and ``marks`` is zero after every kernel exit,
-    overflow or not. Returns what went wrong (empty: nothing).
+    retry is enough, and ``marks`` is zero after every ``extract_graphs``
+    exit, overflow or not, and after the one ``rank_graphs`` call.
+    Returns what went wrong (empty: nothing).
 
     Run in-process by tier-1 and under ASan/UBSan by the parity child,
-    where a write past a capacity aborts.
+    where a write past a capacity aborts — ``rank_graphs``' masks
+    buffer is allocated at exactly one cell per kept node, and it
+    finalises edge runs inside their own bounds.
     """
     from ..core import top_down
     from ..core.top_down import TopDownConfig, process_top_down
@@ -810,6 +837,11 @@ def stage_two_overflow_failures(kernel, cases) -> List[str]:
                 failures.append(f"one retry did not suffice: {fits} ({where})")
             if not all(clean for _, clean in spy.exits):
                 failures.append(f"marks left nonzero ({where})")
+            if spy.rank_exits != [True] * bool(state.central_nodes):
+                failures.append(
+                    f"rank_graphs ran {len(spy.rank_exits)} times or left "
+                    f"marks nonzero ({where})"
+                )
             retried[position] = retried[position] or len(fits) == 2
     for capacities, ran in zip(forced[1:], retried[1:]):
         if not ran:

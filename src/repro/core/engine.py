@@ -39,11 +39,12 @@ from .central_graph import SearchAnswer
 from .results import EmptyQueryError, SearchResult
 from .scoring import DEFAULT_LAMBDA
 from .state import SearchState
-from .top_down import TopDownConfig, process_top_down
+from .top_down import TopDownConfig, bind_graph, process_top_down
 from .weights import node_weights
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.flight import FlightRecorder
+    from ..parallel._native import BoundGraph
 
 #: Activation mappings kept per engine, most recently used last. Each is
 #: 4·|V| bytes and ``alpha`` is a free request parameter, so the cache
@@ -64,8 +65,8 @@ class EngineConfig:
         top_down_native: ``False`` pins stage two to the reference
             route (NumPy hitting-DAG build and extraction walk, one
             object per Central Graph); ``None`` takes the batch route —
-            one ``extract_graphs`` call per query — when the compiled
-            kernel is loaded.
+            ``extract_graphs`` then ``rank_graphs``, one call each per
+            query — when the compiled kernel is loaded.
         distance_sample_pairs: pairs sampled to estimate A at startup.
         apply_level_cover / deduplicate / single_path: ablation switches.
     """
@@ -149,6 +150,9 @@ class KeywordSearchEngine:
             graph, backend=backend, lmax=self.config.lmax
         )
         self._activation_cache: Dict[float, np.ndarray] = {}
+        # Stage two's binding of the graph and weights, made at the first
+        # query that can use it (the kernel is loaded by then).
+        self._bound_graph: Optional[BoundGraph] = None
 
     # ------------------------------------------------------------------
     # Offline pieces
@@ -176,6 +180,16 @@ class KeywordSearchEngine:
         for stale in list(cache)[:-ACTIVATION_CACHE_SIZE]:
             cache.pop(stale, None)
         return levels
+
+    def _stage_two_graph(self) -> "Optional[BoundGraph]":
+        """The graph and weights bound for stage two's kernel calls, once
+        per engine. Request threads call this without a lock: two that
+        bind at once make equal bindings, and the attribute store is
+        atomic."""
+        bound = self._bound_graph
+        if bound is None and self.config.top_down_native is not False:
+            bound = self._bound_graph = bind_graph(self.graph, self.weights)
+        return bound
 
     # ------------------------------------------------------------------
     # Online path
@@ -293,6 +307,7 @@ class KeywordSearchEngine:
                             native=self.config.top_down_native,
                         ),
                         timer=timer,
+                        bound_graph=self._stage_two_graph(),
                     )
                 query_span.set_attrs(
                     {
@@ -318,6 +333,7 @@ class KeywordSearchEngine:
             terminated=bottom_up.terminated,
             timer=timer,
             peak_state_nbytes=bottom_up.peak_state_nbytes,
+            stage_two_nbytes=bottom_up.state.stage_two_nbytes,
             level_profile=bottom_up.level_profile,
             query_id=recording.query_id if recording is not None else None,
         )

@@ -39,6 +39,10 @@ class SearchResult:
         terminated: stage-one termination reason.
         timer: per-phase wall-clock times.
         peak_state_nbytes: peak dynamic memory of this query (Table IV).
+        stage_two_nbytes: bytes of the buffers stage two's native calls
+            used — scratch plus output capacities of ``extract_graphs``
+            and ``rank_graphs``; 0 on the reference route. Not part of
+            ``peak_state_nbytes``.
         level_profile: stage one's per-level records — the
             :class:`~repro.parallel.backend.LevelOutcome` each level
             returned (frontier size, edges scanned, new hits, new Central
@@ -58,6 +62,7 @@ class SearchResult:
     terminated: str
     timer: PhaseTimer
     peak_state_nbytes: int
+    stage_two_nbytes: int = 0
     level_profile: "List[LevelOutcome]" = field(default_factory=list)
     query_id: Optional[int] = None
 

@@ -108,6 +108,10 @@ class SearchState:
     #: still be written at a later level), set by the backend that ran
     #: it; :data:`ALL_LANES` when the backend does not track them.
     live_lanes: int = ALL_LANES
+    #: Bytes of stage two's native buffers (scratch plus output
+    #: capacities), left here by ``process_top_down``; 0 on the
+    #: reference route. Table IV's :meth:`nbytes` does not include it.
+    stage_two_nbytes: int = 0
 
     # ------------------------------------------------------------------
     # Construction (the "Initialization" phase of Fig. 6/7)

@@ -14,11 +14,13 @@ union of hitting paths that Definition 3 prescribes.
 
 :func:`process_top_down` has two routes that return identical answers:
 
-* the **batch** route (the compiled kernel is loaded): one
-  ``extract_graphs`` call walks, prunes and weighs every Central Node
-  and returns concatenated arrays; containment dedup, scoring and the
-  top-k cut run on those arrays, and :class:`CentralGraph` objects are
-  built for the k survivors only;
+* the **batch** route (the compiled kernel is loaded): extract → rank
+  in the kernel → k objects. ``extract_graphs`` walks, prunes and weighs
+  every Central Node (one call per chunk of them) and writes each
+  graph's kept nodes and its raw edge run; one ``rank_graphs`` call then
+  runs the containment dedup, Eq. 6 and the top-k cut on the whole
+  batch, and finalises edges and keyword contributions for the ranked
+  graphs only; :class:`CentralGraph` objects are built for those k;
 * the **reference** route (``native=False``, no compiler,
   ``single_path``): one :class:`CentralGraph` per Central Node through
   :func:`extract_central_graph`, then :func:`rank_central_graphs` —
@@ -47,7 +49,12 @@ import numpy as np
 
 from ..instrumentation import PHASE_TOP_DOWN, PhaseTimer
 from ..graph.csr import KnowledgeGraph
-from ..parallel._native import NativeKernel
+from ..parallel._native import (
+    BoundGraph,
+    BoundStageTwo,
+    Columns,
+    NativeKernel,
+)
 from ..parallel.vectorized import _native_kernel
 from .central_graph import CentralGraph
 from .scoring import DEFAULT_LAMBDA, TopKHeap, central_graph_score, depth_factor
@@ -55,9 +62,9 @@ from .state import INFINITE_LEVEL, SearchState
 
 
 #: What the batch route's buffers hold before the kernel has said what a
-#: query needs: kept nodes and edges over all Central Graphs, and one
-#: graph's edges before cross-column dedup. Untouched pages cost nothing,
-#: a too-small buffer costs a second walk.
+#: query needs: kept nodes and raw edge-run keys over all Central Graphs,
+#: and one graph's walk. Untouched pages cost nothing, a too-small buffer
+#: costs a second walk.
 _NODE_CAPACITY = 1 << 16
 _EDGE_CAPACITY = 1 << 17
 _PAIR_CAPACITY = 1 << 16
@@ -349,9 +356,9 @@ class TopDownConfig:
         native: ``False`` pins the reference route — the eager NumPy
             hitting-DAG build, the per-level NumPy extraction walk and
             the per-object level-cover, dedup and scoring; ``None`` takes
-            the batch route (one ``extract_graphs`` call, no DAG, objects
-            for the k answers only) whenever the kernel is available.
-            Both routes return identical answers.
+            the batch route (``extract_graphs`` then ``rank_graphs``, no
+            DAG, objects for the k answers only) whenever the kernel is
+            available. Both routes return identical answers.
     """
 
     k: int = 20
@@ -364,139 +371,74 @@ class TopDownConfig:
 
 
 class _GraphBatch(NamedTuple):
-    """What ``extract_graphs`` wrote for a run of Central Nodes, graphs
-    concatenated in order: graph ``i`` owns ``node_counts[i]`` entries of
-    ``nodes`` (kept node ids, ascending) and ``edge_counts[i]`` of
-    ``edges`` (keys ``pred * n + target``, ascending)."""
+    """What ``extract_graphs`` wrote for one chunk of Central Nodes,
+    graphs in chunk order: graph ``i`` owns ``columns["node_counts"][i]``
+    entries of ``nodes`` (kept node ids, ascending) and
+    ``columns["edge_counts"][i]`` of ``edges`` (keys ``pred * n +
+    target``, as the walk found them)."""
 
+    columns: Columns  # centrals, node/edge/raw counts, mass, needed
     nodes: np.ndarray
-    node_counts: np.ndarray
     edges: np.ndarray
-    edge_counts: np.ndarray
-    raw_counts: np.ndarray  # node count before level-cover
-    mass: np.ndarray  # Eq. 6 weight mass of the kept nodes
+    marks: np.ndarray  # the call's zeroed scratch, zero again
+    nbytes: int  # scratch and output buffers of the call that fitted
 
 
 def _extract_batch(
-    kernel: NativeKernel,
-    graph: KnowledgeGraph,
-    state: SearchState,
-    weights: np.ndarray,
+    bound: BoundStageTwo,
     centrals: np.ndarray,
     apply_level_cover: bool,
     capacities: Tuple[int, int, int],
 ) -> _GraphBatch:
-    """One batched kernel call over ``centrals`` (two if a buffer of the
-    ``(nodes, edges, pairs)`` ``capacities`` was too small: the kernel
-    says what it needs, and a call with that much always fits). All
-    scratch is allocated here, so concurrent calls share nothing."""
-    n = graph.n_nodes
-    n_graphs = len(centrals)
+    """One ``extract_graphs`` call over ``centrals`` (two if a buffer of
+    the ``(nodes, edges, pairs)`` ``capacities`` was too small: the
+    kernel says what it needs, and a call with that much always fits).
+    All scratch is allocated here, so concurrent calls share nothing."""
+    n = bound.n
     marks = np.zeros(n, dtype=np.int32)
     stack = np.empty(n, dtype=np.int64)
     members = np.empty(n, dtype=np.int64)
-    node_counts = np.empty(n_graphs, dtype=np.int64)
-    edge_counts = np.empty(n_graphs, dtype=np.int64)
-    raw_counts = np.empty(n_graphs, dtype=np.int64)
-    mass = np.empty(n_graphs, dtype=np.float64)
-    needed = np.empty(3, dtype=np.int64)
+    columns = bound.extract_columns(len(centrals))
+    columns["centrals"][:] = centrals
     for _ in range(2):
         out_nodes, out_edges, pairs = (
             np.empty(capacity, dtype=np.int64) for capacity in capacities
         )
-        if kernel.extract_graphs(
-            graph.adj.indptr,
-            graph.adj.indices,
-            state.matrix.reshape(-1),
-            state.n_keywords,
-            state.activation,
-            state.keyword_node.view(np.uint8),
-            state.central_level,
-            weights,
-            centrals,
-            apply_level_cover,
-            marks=marks,
-            stack=stack,
-            members=members,
-            pairs=pairs,
-            out_nodes=out_nodes,
-            out_edges=out_edges,
-            node_counts=node_counts,
-            edge_counts=edge_counts,
-            raw_counts=raw_counts,
-            mass=mass,
-            needed=needed,
-        ):
+        buffers = (marks, stack, members, pairs, out_nodes, out_edges)
+        if bound.extract(columns, apply_level_cover, *buffers):
+            n_nodes, n_edges, _ = columns["needed"].tolist()
             return _GraphBatch(
-                out_nodes[: needed[0]],
-                node_counts,
-                out_edges[: needed[1]],
-                edge_counts,
-                raw_counts,
-                mass,
+                columns,
+                out_nodes[:n_nodes],
+                out_edges[:n_edges],
+                marks,
+                sum(buffer.nbytes for buffer in buffers)
+                + columns.buffer.nbytes,
             )
-        capacities = tuple(np.maximum(capacities, needed).tolist())
+        capacities = tuple(
+            np.maximum(capacities, columns["needed"]).tolist()
+        )
     raise RuntimeError("extract_graphs overflowed the capacities it asked for")
 
 
-def _offsets(counts: np.ndarray) -> np.ndarray:
-    """Slice bounds of concatenated runs of the given lengths."""
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
-
-
-def _containment_survivors(
-    batch: _GraphBatch, centrals: np.ndarray
-) -> np.ndarray:
-    """:func:`deduplicate_by_containment` on the batch's node slices:
-    indices of the graphs that strictly contain no kept graph.
-
-    A kept subset's Central Node is a member of its superset, so the
-    only graphs that can evict ``G`` are the smaller ones whose Central
-    Node ``G`` contains — found by look-up, not by scanning every kept
-    graph — and of those only the ones whose 64-bit membership sketch
-    ``G``'s covers are compared node by node. Whether a graph is kept
-    is settled before any larger graph asks, because the pairs are
-    visited by ascending superset size.
-    """
-    n_graphs = len(centrals)
-    nodes, sizes = batch.nodes, batch.node_counts
-    offsets = _offsets(sizes)
-    by_id = np.argsort(centrals)
-    sorted_ids = centrals[by_id]
-    slot = np.minimum(np.searchsorted(sorted_ids, nodes), n_graphs - 1)
-    # Members that are some graph's Central Node: (containing graph,
-    # graph centred there).
-    hits = np.flatnonzero(sorted_ids[slot] == nodes)
-    supersets = np.searchsorted(offsets, hits, side="right") - 1
-    subsets = by_id[slot[hits]]
-    # One bit per member, by a multiplicative hash of its id.
-    bits = np.left_shift(
-        np.uint64(1),
-        (nodes.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-        >> np.uint64(58),
-    )
-    sketch = np.bitwise_or.reduceat(bits, offsets[:-1])
-    candidate = (sizes[subsets] < sizes[supersets]) & (
-        sketch[subsets] & ~sketch[supersets] == 0
-    )
-    supersets, subsets = supersets[candidate], subsets[candidate]
-    order = np.argsort(sizes[supersets], kind="stable")
-
-    dropped = np.zeros(n_graphs, dtype=bool)
-    member_sets: Dict[int, Set[int]] = {}
-    for big, small in zip(supersets[order].tolist(), subsets[order].tolist()):
-        if dropped[big] or dropped[small]:
-            continue
-        members = member_sets.get(big)
-        if members is None:
-            members = member_sets[big] = set(
-                nodes[offsets[big]:offsets[big + 1]].tolist()
-            )
-        if members.issuperset(nodes[offsets[small]:offsets[small + 1]].tolist()):
-            dropped[big] = True
-    return np.flatnonzero(~dropped)
+def _contributions_from_masks(
+    members: np.ndarray,
+    masks: np.ndarray,
+    columns_of: Dict[int, FrozenSet[int]],
+) -> Dict[int, FrozenSet[int]]:
+    """Member node → the keyword columns it is a source of, from the
+    kernel's contribution masks (bit c set iff M[v][c] == 0).
+    ``columns_of`` memoises mask → column set for the query."""
+    contributions: Dict[int, FrozenSet[int]] = {}
+    for node, mask in zip(members.tolist(), masks.tolist()):
+        if mask:
+            columns = columns_of.get(mask)
+            if columns is None:
+                columns = columns_of[mask] = frozenset(
+                    c for c in range(mask.bit_length()) if mask >> c & 1
+                )
+            contributions[node] = columns
+    return contributions
 
 
 def _batch_stage_two(
@@ -506,14 +448,20 @@ def _batch_stage_two(
     weights: np.ndarray,
     config: TopDownConfig,
     *,
+    bound_graph: Optional[BoundGraph] = None,
     _node_capacity: int = _NODE_CAPACITY,
     _edge_capacity: int = _EDGE_CAPACITY,
     _pair_capacity: int = _PAIR_CAPACITY,
 ) -> Tuple[List[CentralGraph], Dict[str, int]]:
     """The batch route: ranked answers and the stage's counts.
 
-    The keyword-only capacities are where the buffers start, for tests
-    that force the overflow exit; callers leave them alone.
+    ``extract_graphs`` runs once per chunk of Central Nodes (one chunk
+    per ``config.n_threads``, on threads), then ``rank_graphs`` once on
+    the concatenated batch; objects are built for the ranked graphs
+    only. ``bound_graph`` is the graph's binding when the caller keeps
+    one (:func:`bind_graph`); the graph is bound here otherwise. The
+    keyword-only capacities are where the buffers start, for tests that
+    force the overflow exit; callers leave them alone.
     """
     if config.k < 1:
         raise ValueError("k must be at least 1")
@@ -523,14 +471,28 @@ def _batch_stage_two(
         "extracted_nodes": 0,
         "kept_after_dedup": 0,
         "answers": 0,
+        "stage_two_nbytes": 0,
     }
     if n_graphs == 0:
         return [], counts
-    centrals, depths = np.array(state.central_nodes, dtype=np.int64).T.copy()
+    adj = graph.adj
+    if bound_graph is None or not bound_graph.binds(
+        adj.indptr, adj.indices, weights
+    ):
+        bound_graph = kernel.bind_graph(adj.indptr, adj.indices, weights)
+    bound = kernel.bind_stage_two(
+        bound_graph,
+        state.matrix,
+        state.activation,
+        state.keyword_node,
+        state.central_level,
+        state.whole_level,
+    )
+    centrals, depths = np.array(state.central_nodes, dtype=np.int64).T
 
     def extract(chunk: np.ndarray) -> _GraphBatch:
         return _extract_batch(
-            kernel, graph, state, weights, chunk, config.apply_level_cover,
+            bound, chunk, config.apply_level_cover,
             (_node_capacity, _edge_capacity, _pair_capacity),
         )
 
@@ -538,35 +500,47 @@ def _batch_stage_two(
     if n_chunks > 1:
         with ThreadPoolExecutor(max_workers=n_chunks) as pool:
             chunks = list(pool.map(extract, np.array_split(centrals, n_chunks)))
-        batch = _GraphBatch(*map(np.concatenate, zip(*chunks)))
     else:
-        batch = extract(centrals)
+        chunks = [extract(centrals)]
 
-    survivors = (
-        _containment_survivors(batch, centrals)
-        if config.deduplicate
-        else np.arange(n_graphs)
-    )
+    n_depths = int(depths.max()) + 1
+    columns = bound.rank_columns(n_graphs, n_depths)
+    columns["centrals"][:] = centrals
+    columns["depths"][:] = depths
     # Eq. 6 as ``central_graph_score`` computes it: the Python-float power
-    # of the depth, then one IEEE multiplication per graph.
-    scores = batch.mass * [
-        depth_factor(depth, config.lam) for depth in depths.tolist()
+    # of the depth, then one IEEE multiplication per graph (in the kernel).
+    columns["factors"].view(np.float64)[:] = [
+        depth_factor(depth, config.lam) for depth in range(n_depths)
     ]
-    sizes = batch.node_counts
-    # TopKHeap's order: (score, n_nodes, central_node), lowest first.
-    ranked = survivors[
-        np.lexsort(
-            (centrals[survivors], sizes[survivors], scores[survivors])
-        )[: config.k]
-    ]
+    for name in ("node_counts", "edge_counts", "mass"):
+        np.concatenate(
+            [chunk.columns[name] for chunk in chunks], out=columns[name]
+        )
+    nbytes = columns.buffer.nbytes + sum(chunk.nbytes for chunk in chunks)
+    if len(chunks) == 1:
+        nodes, edges = chunks[0].nodes, chunks[0].edges
+    else:
+        nodes = np.concatenate([chunk.nodes for chunk in chunks])
+        edges = np.concatenate([chunk.edges for chunk in chunks])
+        nbytes += nodes.nbytes + edges.nbytes
+    masks = np.empty(len(nodes), dtype=np.uint64)
+    survivors = bound.rank(
+        columns, nodes, edges, config.deduplicate, config.k,
+        chunks[0].marks, masks,
+    )
 
-    n = graph.n_nodes
-    node_offsets = _offsets(sizes)
-    edge_offsets = _offsets(batch.edge_counts)
+    n = bound.n
+    node_offsets, node_counts = columns["node_offsets"], columns["node_counts"]
+    edge_offsets, edge_counts = columns["edge_offsets"], columns["edge_counts"]
+    scores = columns["scores"].view(np.float64)
+    columns_of: Dict[int, FrozenSet[int]] = {}
     answers = []
-    for index in ranked.tolist():
-        members = batch.nodes[node_offsets[index]:node_offsets[index + 1]]
-        keys = batch.edges[edge_offsets[index]:edge_offsets[index + 1]]
+    for index in columns["order"][: min(config.k, survivors)].tolist():
+        start = int(node_offsets[index])
+        end = start + int(node_counts[index])
+        members = nodes[start:end]
+        first_edge = int(edge_offsets[index])
+        keys = edges[first_edge:first_edge + int(edge_counts[index])]
         edge_preds, edge_targets = np.divmod(keys, n)
         answers.append(
             CentralGraph(
@@ -574,17 +548,20 @@ def _batch_stage_two(
                 depth=int(depths[index]),
                 nodes=set(members.tolist()),
                 edges=set(zip(edge_preds.tolist(), edge_targets.tolist())),
-                keyword_contributions=_keyword_contributions(
-                    state.matrix, members
+                keyword_contributions=_contributions_from_masks(
+                    members, masks[start:end], columns_of
                 ),
                 score=float(scores[index]),
                 pruned=config.apply_level_cover,
             )
         )
     counts.update(
-        extracted_nodes=int(batch.raw_counts.sum()),
-        kept_after_dedup=len(survivors),
+        extracted_nodes=sum(
+            int(chunk.columns["raw_counts"].sum()) for chunk in chunks
+        ),
+        kept_after_dedup=survivors,
         answers=len(answers),
+        stage_two_nbytes=nbytes + masks.nbytes,
     )
     return answers, counts
 
@@ -644,12 +621,31 @@ def _reference_stage_two(
     counts = {
         "central_graphs": len(extracted),
         "extracted_nodes": sum(answer.n_nodes for answer in extracted),
+        "stage_two_nbytes": 0,
     }
     ranked, kept = rank_central_graphs(
         extracted, state.n_keywords, weights, config
     )
     counts.update(kept_after_dedup=kept, answers=len(ranked))
     return ranked, counts
+
+
+def bind_graph(
+    graph: KnowledgeGraph, weights: np.ndarray
+) -> Optional[BoundGraph]:
+    """The batch route's binding of ``graph``'s CSR arrays and Eq. 6
+    ``weights``, for a caller that answers many queries on them (an
+    engine) to make once and pass to every :func:`process_top_down`;
+    ``None`` when the kernel is not loaded or cannot read them."""
+    kernel = _native_kernel()
+    arrays = (graph.adj.indptr, graph.adj.indices, weights)
+    if (
+        kernel is None
+        or weights.dtype != np.float64
+        or not all(array.flags.c_contiguous for array in arrays)
+    ):
+        return None
+    return kernel.bind_graph(*arrays)
 
 
 def _batch_kernel(
@@ -688,14 +684,23 @@ def process_top_down(
     weights: np.ndarray,
     config: Optional[TopDownConfig] = None,
     timer: Optional[PhaseTimer] = None,
+    *,
+    bound_graph: Optional[BoundGraph] = None,
 ) -> List[CentralGraph]:
     """Run stage two over every identified Central Node.
 
     Args:
         weights: normalized degree-of-summary weights (for Eq. 6).
+        bound_graph: ``graph`` and ``weights`` as :func:`bind_graph`
+            bound them, kept by a caller that runs many queries; the
+            batch route binds them itself when it is ``None`` (or of
+            other arrays).
 
     Returns:
-        The final top-k answers, best (lowest score) first.
+        The final top-k answers, best (lowest score) first. The bytes of
+        the batch route's native buffers (scratch plus output
+        capacities; 0 on the reference route) are left in
+        ``state.stage_two_nbytes``.
     """
     config = config or TopDownConfig()
     timer = timer or PhaseTimer()
@@ -703,12 +708,14 @@ def process_top_down(
         kernel = _batch_kernel(graph, state, weights, config)
         if kernel is not None:
             ranked, counts = _batch_stage_two(
-                kernel, graph, state, weights, config
+                kernel, graph, state, weights, config,
+                bound_graph=bound_graph,
             )
         else:
             ranked, counts = _reference_stage_two(
                 graph, state, weights, config
             )
+        state.stage_two_nbytes = counts["stage_two_nbytes"]
         tracer = timer.tracer
         if tracer.enabled:
             tracer.current_span().set_attrs(counts)

@@ -99,6 +99,8 @@ class QueryRecord:
         levels: per-BFS-level expansion accounting (one dict per level).
         depth / n_central_nodes / n_answers / terminated: stage-one and
             ranking outcomes.
+        stage_two_nbytes: bytes of stage two's native buffers
+            (``SearchResult.stage_two_nbytes``).
         slow: whether ``duration_ms`` met the slow-query threshold.
         spans: the per-query span tree; serialized only on demand
             (:meth:`as_dict`, :meth:`chrome_trace`, the slow-trace file).
@@ -121,6 +123,7 @@ class QueryRecord:
     n_central_nodes: int = 0
     n_answers: int = 0
     terminated: str = ""
+    stage_two_nbytes: int = 0
     slow: bool = False
     spans: List[Span] = field(default_factory=list)
 
@@ -151,6 +154,7 @@ class QueryRecord:
             levels=[dict(level) for level in self.levels],
             n_central_nodes=self.n_central_nodes,
             terminated=self.terminated,
+            stage_two_nbytes=self.stage_two_nbytes,
             spans=[
                 {
                     "name": span.name,
@@ -211,6 +215,7 @@ class QueryRecording:
         record.n_central_nodes = int(result.n_central_nodes)
         record.n_answers = len(result.answers)
         record.terminated = str(result.terminated)
+        record.stage_two_nbytes = int(result.stage_two_nbytes)
         record.phases = result.timer.milliseconds()
         record.duration_ms = record.phases.get("total", self._elapsed_ms())
         counters: Dict[str, int] = {}

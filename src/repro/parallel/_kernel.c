@@ -42,12 +42,19 @@
  * as `duplicates_elided` (values <= level, 0, and 255 are the only
  * other possible byte states, so the equality test is unambiguous).
  *
- * Stage two is the third export:
+ * Stage two is the third and fourth export:
  *
- *   extract_graphs    — every Central Node of a query in one call:
+ *   extract_graphs    — every Central Node of a chunk in one call:
  *                       extraction, level-cover and Eq. 6's weight
- *                       mass, written as concatenated arrays (described
+ *                       mass; kept nodes ascending, each graph's edge
+ *                       keys as the raw run the walk produced (described
  *                       at the function).
+ *   rank_graphs       — once per query on the concatenated batch:
+ *                       containment dedup, Eq. 6 scores, the top-k cut,
+ *                       and only then the ranked graphs' final edge sets
+ *                       and keyword contributions.
+ *
+ * Both sort with sort_i64, an introsort.
  *
  * Compiled on demand by _native.py with the system C compiler; absent a
  * compiler the NumPy kernels run alone with identical semantics.
@@ -405,29 +412,23 @@ int64_t whole_level_step(
     return n_frontier;
 }
 
-/* Ascending in-place sort of node ids / edge keys (all distinct or
- * deduplicated right after). Central Graphs are mostly a few dozen
- * entries; the heap keeps the rare huge one O(n log n) without a stack. */
-static void sort_i64(int64_t* a, int64_t n)
+static inline void swap_i64(int64_t* a, int64_t i, int64_t j)
 {
-    if (n < 24) {
-        for (int64_t i = 1; i < n; ++i) {
-            const int64_t x = a[i];
-            int64_t j = i;
-            for (; j > 0 && a[j - 1] > x; --j)
-                a[j] = a[j - 1];
-            a[j] = x;
-        }
-        return;
-    }
+    const int64_t x = a[i];
+    a[i] = a[j];
+    a[j] = x;
+}
+
+/* Heap sort of a[0..n): the introsort's fallback, O(n log n) whatever
+ * the input. */
+static void heap_sort_i64(int64_t* a, int64_t n)
+{
     for (int64_t start = n / 2, end = n; end > 1;) {
         if (start > 0) {
             --start;
         } else {
             --end;
-            const int64_t x = a[end];
-            a[end] = a[0];
-            a[0] = x;
+            swap_i64(a, 0, end);
         }
         const int64_t x = a[start];
         int64_t root = start;
@@ -440,6 +441,80 @@ static void sort_i64(int64_t* a, int64_t n)
         }
         a[root] = x;
     }
+}
+
+/* Ascending in-place sort of node ids, edge keys and (size, index) keys:
+ * an introsort.  Runs below 24 entries are insertion-sorted -- most of
+ * stage two's runs are a few dozen entries.  Longer ones are
+ * partitioned around the median of their first, middle and last entry
+ * (Hoare's scheme, which splits runs of equal keys evenly -- raw edge
+ * runs repeat keys); the smaller side recurses and the larger one loops,
+ * so the stack stays O(log n), and once 2 log2 n partitions have not
+ * finished a run it is heap-sorted. */
+static void sort_i64_depth(int64_t* a, int64_t n, int depth)
+{
+    while (n >= 24) {
+        if (depth-- == 0) {
+            heap_sort_i64(a, n);
+            return;
+        }
+        const int64_t mid = n / 2;
+        if (a[mid] < a[0])
+            swap_i64(a, mid, 0);
+        if (a[n - 1] < a[mid]) {
+            swap_i64(a, n - 1, mid);
+            if (a[mid] < a[0])
+                swap_i64(a, mid, 0);
+        }
+        const int64_t pivot = a[mid];
+        /* a[0] <= pivot <= a[n - 1] bound both scans; the split j ends
+         * in [0, n - 2], so both sides are non-empty. */
+        int64_t i = -1;
+        int64_t j = n;
+        for (;;) {
+            do
+                ++i;
+            while (a[i] < pivot);
+            do
+                --j;
+            while (a[j] > pivot);
+            if (i >= j)
+                break;
+            swap_i64(a, i, j);
+        }
+        const int64_t left = j + 1;
+        if (left < n - left) {
+            sort_i64_depth(a, left, depth);
+            a += left;
+            n -= left;
+        } else {
+            sort_i64_depth(a + left, n - left, depth);
+            n = left;
+        }
+    }
+    for (int64_t i = 1; i < n; ++i) {
+        const int64_t x = a[i];
+        int64_t j = i;
+        for (; j > 0 && a[j - 1] > x; --j)
+            a[j] = a[j - 1];
+        a[j] = x;
+    }
+}
+
+static void sort_i64(int64_t* a, int64_t n)
+{
+    sort_i64_depth(a, n, 2 * (63 - __builtin_clzll((uint64_t)n | 1)));
+}
+
+/* Drop repeats from an ascending run in place; returns the new length. */
+static int64_t unique_i64(int64_t* a, int64_t n)
+{
+    int64_t w = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        if (w == 0 || a[i] != a[w - 1])
+            a[w++] = a[i];
+    }
+    return w;
 }
 
 /* Node v's keyword contribution: bit c set iff M[v][c] == 0. */
@@ -476,8 +551,10 @@ static inline uint64_t contribution_mask(
  * popped without a scan. One `marks` cell per node carries both
  * memberships: 0 = not reached yet for this Central Node, c + 1 = last
  * visited while walking column c. Edges are kept as keys pred * n +
- * target; a pair repeats across columns, so the keys are sorted and
- * deduplicated, which also groups them by pred.
+ * target, in the order the walk finds them; a pair repeats across
+ * columns. The run is written as it is -- sorting and deduplicating it
+ * is left to rank_graphs, for the graphs it returns -- except where
+ * level-cover prunes (below).
  *
  * Level-cover (Fig. 5), when `apply_level_cover`. A member's
  * contribution is the set of columns it is a source of (M == 0). The
@@ -488,7 +565,9 @@ static inline uint64_t contribution_mask(
  * contributor the graph is left as it is. Otherwise the graph is cut to
  * the forward closure of the preserved nodes over its own (pred ->
  * target) edges: everything on a hitting path from a preserved node to
- * the Central Node, with the edges among those.
+ * the Central Node. The closure looks edges up by pred, so such a
+ * graph's run is sorted and deduplicated first, and emitted that way;
+ * its keys to or from cut nodes stay in it (rank_graphs drops them).
  *
  * Eq. 6. The weight mass is a plain left-to-right double addition over
  * the kept nodes in ascending id order: rankings carry runs of equal
@@ -507,12 +586,14 @@ static inline uint64_t contribution_mask(
  *   pairs        capacity pair_capacity (one graph's edge keys)
  *   out_nodes    capacity node_capacity: kept node ids, ascending per
  *                graph, graphs concatenated
- *   out_edges    capacity edge_capacity: kept edge keys, likewise
+ *   out_edges    capacity edge_capacity: each graph's edge run (raw,
+ *                or sorted and deduplicated where pruned), likewise
  *   node_counts / edge_counts  n_centrals: how many entries of
  *                out_nodes / out_edges each graph owns, in order
  *   raw_counts   n_centrals: node count before level-cover
  *   mass         n_centrals: Eq. 6 weight mass of the kept nodes
- *   needed       [0] nodes, [1] edges, [2] largest per-graph pair count
+ *   needed       [0] nodes, [1] edge run keys, [2] largest per-graph
+ *                pair count
  *
  * Returns 0 when everything fitted. Otherwise nothing was written past
  * a capacity, every walk still ran to its end, and `needed` holds
@@ -611,12 +692,6 @@ int64_t extract_graphs(
         double weight_mass = 0.0;
         if (n_pairs <= pair_capacity) {
             sort_i64(members, n_members);
-            sort_i64(pairs, n_pairs);
-            n_edges = 0;
-            for (int64_t i = 0; i < n_pairs; ++i) {
-                if (n_edges == 0 || pairs[i] != pairs[n_edges - 1])
-                    pairs[n_edges++] = pairs[i];
-            }
 
             int prune = 0;
             if (apply_level_cover) {
@@ -646,6 +721,8 @@ int64_t extract_graphs(
                 }
                 if (preserved < contributors) {
                     prune = 1;
+                    sort_i64(pairs, n_pairs);
+                    n_edges = unique_i64(pairs, n_pairs);
                     int64_t top = 0;
                     marks[central] = KEPT;
                     stack[top++] = central;
@@ -692,17 +769,12 @@ int64_t extract_graphs(
                     out_nodes[node_total + n_kept] = v;
                 ++n_kept;
             }
-            const int64_t n_unique = n_edges;
-            n_edges = 0;
-            for (int64_t i = 0; i < n_unique; ++i) {
-                if (prune
-                    && (marks[pairs[i] / n] != KEPT
-                        || marks[pairs[i] % n] != KEPT))
-                    continue;
-                if (edge_total + n_edges < edge_capacity)
-                    out_edges[edge_total + n_edges] = pairs[i];
-                ++n_edges;
-            }
+            /* The edge run as it is: raw, or sorted and deduplicated
+             * where the closure needed that.  rank_graphs finalises the
+             * runs of the graphs it returns. */
+            for (int64_t i = 0; i < n_edges && edge_total + i < edge_capacity;
+                 ++i)
+                out_edges[edge_total + i] = pairs[i];
         }
         for (int64_t i = 0; i < n_members; ++i)
             marks[members[i]] = 0;
@@ -717,4 +789,231 @@ int64_t extract_graphs(
     needed[2] = most_pairs;
     return node_total > node_capacity || edge_total > edge_capacity
         || most_pairs > pair_capacity;
+}
+
+/* One bit of a graph's 64-bit membership sketch: a multiplicative hash
+ * of the member id.  H ⊆ G implies sketch(H) & ~sketch(G) == 0. */
+static inline uint64_t sketch_bit(int64_t v)
+{
+    return 1ULL << (((uint64_t)v * 0x9E3779B97F4A7C15ULL) >> 58);
+}
+
+/* Whether the ascending run a[0..na) is contained in the ascending run
+ * b[0..nb): one merge of the two. */
+static int run_within(
+    const int64_t* a, int64_t na, const int64_t* b, int64_t nb)
+{
+    int64_t j = 0;
+    for (int64_t i = 0; i < na; ++i) {
+        while (j < nb && b[j] < a[i])
+            ++j;
+        if (j == nb || b[j] != a[i])
+            return 0;
+        ++j;
+    }
+    return 1;
+}
+
+/* The answer order (TopKHeap's): graph x before graph y iff (score,
+ * n_nodes, central node) of x is the smaller triple. */
+static inline int ranks_before(
+    const double* scores,
+    const int64_t* sizes,
+    const int64_t* centrals,
+    int64_t x,
+    int64_t y)
+{
+    if (scores[x] != scores[y])
+        return scores[x] < scores[y];
+    if (sizes[x] != sizes[y])
+        return sizes[x] < sizes[y];
+    return centrals[x] < centrals[y];
+}
+
+/* Sift heap[root] down a heap of graph indices whose root is the graph
+ * ranked last. */
+static void sift_last_down(
+    int64_t* heap,
+    int64_t size,
+    int64_t root,
+    const double* scores,
+    const int64_t* sizes,
+    const int64_t* centrals)
+{
+    const int64_t x = heap[root];
+    for (int64_t child; (child = 2 * root + 1) < size; root = child) {
+        if (child + 1 < size
+            && ranks_before(scores, sizes, centrals, heap[child],
+                            heap[child + 1]))
+            ++child;
+        if (!ranks_before(scores, sizes, centrals, x, heap[child]))
+            break;
+        heap[root] = heap[child];
+    }
+    heap[root] = x;
+}
+
+/* The rest of Algorithm 3 on a batch extract_graphs wrote (chunks
+ * concatenated): containment dedup, Eq. 6 scores and the top-k cut, and
+ * then, for the ranked graphs only, their final edge sets and keyword
+ * contributions.
+ *
+ * Dedup (Section VI-B, Golenberg-Sagiv non-redundancy): a graph G is
+ * dropped iff some kept graph H has H ⊊ G.  H ⊊ G implies that H's
+ * Central Node is a member of G, so G's only possible witnesses are the
+ * members stamped marks[central] = index + 1.  Graphs are visited by
+ * ascending size (a sort of (size, index) keys), so a witness, being
+ * strictly smaller, has had its own fate settled: a dropped graph's
+ * stamp is cleared.  A witness whose sketch is not within G's is
+ * skipped; the rest are compared by merging the two ascending runs.
+ *
+ * Eq. 6: score = mass * factors[depth], one IEEE multiplication, the
+ * product Python's depth_factor table gives.  The k best survivors by
+ * (score, n_nodes, central node) are selected with a heap whose root is
+ * the worst kept so far, then put in answer order.
+ *
+ * Finalising a ranked graph: its edge run (raw keys, or sorted and
+ * deduplicated where level-cover pruned) is sorted, deduplicated and
+ * cut to the keys whose two endpoints are kept nodes, in place, and
+ * each kept node gets its contribution mask.
+ *
+ *   n / matrix / q  as for extract_graphs (the masks read M)
+ *   n_graphs     graphs in the batch
+ *   centrals     their Central Nodes (distinct)
+ *   depths       their depths, indices into `factors`
+ *   factors      depth_factor(depth, lam) per depth
+ *   nodes / node_counts  kept node runs, ascending, concatenated
+ *   edges / edge_counts  edge runs, concatenated; a ranked graph's run
+ *                is finalised in place and its count rewritten
+ *   mass         Eq. 6 weight mass per graph
+ *   deduplicate  0 keeps every graph (the ablation)
+ *   k            answers wanted (>= 1)
+ *   marks        n zeroed int32 (scratch; zero again on return)
+ *   order        n_graphs: scratch; on return its first min(k,
+ *                survivors) entries are the ranked graph indices, best
+ *                first
+ *   sketch       n_graphs (scratch)
+ *   node_offsets / edge_offsets  n_graphs + 1: where each run starts
+ *   scores       n_graphs: Eq. 6 score per graph
+ *   masks        one cell per entry of `nodes`: a ranked graph's node
+ *                gets its contribution mask (bit c iff M[v][c] == 0);
+ *                the other cells are not written
+ *
+ * Returns the number of graphs that survive the dedup.
+ */
+int64_t rank_graphs(
+    int64_t n,
+    const uint8_t* matrix,
+    int64_t q,
+    int64_t n_graphs,
+    const int64_t* centrals,
+    const int64_t* depths,
+    const double* factors,
+    const int64_t* nodes,
+    const int64_t* node_counts,
+    int64_t* edges,
+    int64_t* edge_counts,
+    const double* mass,
+    int64_t deduplicate,
+    int64_t k,
+    int32_t* marks,
+    int64_t* order,
+    uint64_t* sketch,
+    int64_t* node_offsets,
+    int64_t* edge_offsets,
+    double* scores,
+    uint64_t* masks)
+{
+    node_offsets[0] = 0;
+    edge_offsets[0] = 0;
+    for (int64_t g = 0; g < n_graphs; ++g) {
+        node_offsets[g + 1] = node_offsets[g] + node_counts[g];
+        edge_offsets[g + 1] = edge_offsets[g] + edge_counts[g];
+        scores[g] = mass[g] * factors[depths[g]];
+        marks[centrals[g]] = (int32_t)(g + 1);
+    }
+
+    if (deduplicate) {
+        for (int64_t g = 0; g < n_graphs; ++g) {
+            const int64_t* run = nodes + node_offsets[g];
+            uint64_t bits = 0;
+            for (int64_t i = 0; i < node_counts[g]; ++i)
+                bits |= sketch_bit(run[i]);
+            sketch[g] = bits;
+            order[g] = (node_counts[g] << 32) | g;
+        }
+        sort_i64(order, n_graphs);
+        for (int64_t i = 0; i < n_graphs; ++i) {
+            const int64_t g = order[i] & 0xFFFFFFFF;
+            const int64_t size = node_counts[g];
+            const int64_t* run = nodes + node_offsets[g];
+            for (int64_t j = 0; j < size; ++j) {
+                const int64_t h = (int64_t)marks[run[j]] - 1;
+                if (h < 0 || node_counts[h] >= size
+                    || (sketch[h] & ~sketch[g]))
+                    continue;
+                if (run_within(nodes + node_offsets[h], node_counts[h], run,
+                               size)) {
+                    marks[centrals[g]] = 0;
+                    break;
+                }
+            }
+        }
+    }
+
+    /* Survivors still carry their stamp. */
+    int64_t survivors = 0;
+    int64_t n_heap = 0;
+    for (int64_t g = 0; g < n_graphs; ++g) {
+        if (!marks[centrals[g]])
+            continue;
+        ++survivors;
+        if (n_heap < k) {
+            order[n_heap++] = g;
+            if (n_heap == k) {
+                for (int64_t root = k / 2; root-- > 0;)
+                    sift_last_down(order, k, root, scores, node_counts,
+                                   centrals);
+            }
+        } else if (ranks_before(scores, node_counts, centrals, g,
+                                order[0])) {
+            order[0] = g;
+            sift_last_down(order, k, 0, scores, node_counts, centrals);
+        }
+    }
+    for (int64_t g = 0; g < n_graphs; ++g)
+        marks[centrals[g]] = 0;
+    if (n_heap < k) {
+        for (int64_t root = n_heap / 2; root-- > 0;)
+            sift_last_down(order, n_heap, root, scores, node_counts,
+                           centrals);
+    }
+    /* Heap -> answer order: the worst left moves to the back each time. */
+    for (int64_t end = n_heap - 1; end > 0; --end) {
+        swap_i64(order, 0, end);
+        sift_last_down(order, end, 0, scores, node_counts, centrals);
+    }
+
+    for (int64_t r = 0; r < n_heap; ++r) {
+        const int64_t g = order[r];
+        const int64_t* run = nodes + node_offsets[g];
+        uint64_t* run_masks = masks + node_offsets[g];
+        for (int64_t i = 0; i < node_counts[g]; ++i) {
+            marks[run[i]] = KEPT;
+            run_masks[i] = contribution_mask(matrix, run[i], q);
+        }
+        int64_t* keys = edges + edge_offsets[g];
+        sort_i64(keys, edge_counts[g]);
+        int64_t kept = 0;
+        for (int64_t i = 0; i < edge_counts[g]; ++i) {
+            const int64_t key = keys[i];
+            if ((kept == 0 || key != keys[kept - 1])
+                && marks[key / n] == KEPT && marks[key % n] == KEPT)
+                keys[kept++] = key;
+        }
+        edge_counts[g] = kept;
+        for (int64_t i = 0; i < node_counts[g]; ++i)
+            marks[run[i]] = 0;
+    }
+    return survivors;
 }

@@ -24,7 +24,7 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -154,6 +154,65 @@ def _address_type(argtype: type) -> type:
     return ctypes.c_void_p if issubclass(argtype, ctypes.c_void_p) else argtype
 
 
+def _by_address(
+    library: ctypes.CDLL, declared: "ctypes._CFuncPtr"
+) -> "ctypes._CFuncPtr":
+    """The symbol of ``declared`` through a second function object whose
+    array arguments are plain addresses, derived from ``declared``'s
+    argtypes (which stay the typed ones :mod:`repro.analysis.abi`
+    verifies). Whoever binds an address runs the ``ndpointer`` check
+    first: :func:`_checked_address`."""
+    fn = library[declared.__name__]
+    fn.restype = declared.restype
+    fn.argtypes = [_address_type(t) for t in declared.argtypes]
+    return fn
+
+
+def _checked_address(
+    declared: "ctypes._CFuncPtr", position: int, array: np.ndarray
+) -> int:
+    """``array``'s address for argument ``position`` of ``declared``,
+    after the checks a direct call makes: the declared ``ndpointer``'s
+    ``from_param`` raises ``TypeError`` on a wrong dtype, ndim or
+    contiguity, and returns ``array.ctypes`` otherwise."""
+    return declared.argtypes[position].from_param(array).data
+
+
+class Columns:
+    """Fixed-length 8-byte columns carved out of one ``int64`` buffer.
+
+    A batch's per-graph fields (counts, masses, offsets, scores, ...)
+    are all sized by the batch, so they share one allocation, whose
+    ``ndpointer`` check and address are taken once. Column ``name`` is
+    ``self[name]`` (an ``int64`` view; ``.view(np.float64)`` /
+    ``.view(np.uint64)`` for the kernel's ``double`` / ``uint64``
+    columns) at address ``self.address(name)``. The growable outputs
+    and the one-cell-per-node scratch are separate arrays, so a
+    sanitizer sees each of their bounds.
+    """
+
+    __slots__ = ("buffer", "_base", "_spans")
+
+    def __init__(
+        self, check: "Callable[[np.ndarray], int]", **lengths: int
+    ) -> None:
+        spans = {}
+        total = 0
+        for name, length in lengths.items():
+            spans[name] = (total, total + length)
+            total += length
+        self.buffer = np.empty(total, dtype=np.int64)
+        self._base = check(self.buffer)
+        self._spans = spans
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        start, end = self._spans[name]
+        return self.buffer[start:end]
+
+    def address(self, name: str) -> int:
+        return self._base + 8 * self._spans[name][0]
+
+
 class BoundWholeLevel:
     """``whole_level_step`` with one query's arrays bound once.
 
@@ -179,11 +238,6 @@ class BoundWholeLevel:
         self._tail = tail
         self.arrays = arrays
 
-    @property
-    def outputs(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """``(frontier_out, central_out, stats_out)``, which a call fills."""
-        return self.arrays[-3:]
-
     def __call__(
         self,
         level: int,
@@ -202,6 +256,216 @@ class BoundWholeLevel:
             *self._tail,
         )
 
+    @property
+    def outputs(self) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """``(frontier_out, central_out, stats_out)``, which a call fills."""
+        return self.arrays[-3:]
+
+    def state_addresses(
+        self,
+        matrix: np.ndarray,
+        activation: np.ndarray,
+        keyword_node: np.ndarray,
+        central_level: np.ndarray,
+    ) -> "Optional[Tuple[int, int, int, int]]":
+        """The addresses this call holds for a query's ``matrix`` (bound
+        as its flat view), ``activation``, ``keyword_node`` (bound as its
+        ``uint8`` view) and ``central_level``, in that order — or
+        ``None`` unless it was bound to exactly these arrays."""
+        arrays, head = self.arrays, self._head
+        if (
+            arrays[2].base is matrix
+            and arrays[6] is activation
+            and arrays[5].base is keyword_node
+            and arrays[7] is central_level
+        ):
+            return head[3], head[8], head[7], head[9]
+        return None
+
+
+class BoundGraph:
+    """A graph's ``indptr`` / ``indices`` and its Eq. 6 weights, checked
+    and bound once (:meth:`NativeKernel.bind_graph`). The engine that
+    owns the arrays keeps it and hands it to every query's stage two;
+    it holds the arrays, so their addresses stay valid while it lives.
+    """
+
+    __slots__ = ("arrays", "addresses")
+
+    def __init__(
+        self, arrays: "tuple[np.ndarray, ...]", addresses: "tuple[int, ...]"
+    ) -> None:
+        self.arrays = arrays
+        self.addresses = addresses
+
+    def binds(
+        self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
+    ) -> bool:
+        """Whether this binding is of exactly these arrays."""
+        bound = self.arrays
+        return (
+            bound[0] is indptr and bound[1] is indices and bound[2] is weights
+        )
+
+
+class BoundStageTwo:
+    """``extract_graphs`` and ``rank_graphs`` with one query's graph and
+    state arrays bound (:meth:`NativeKernel.bind_stage_two`).
+
+    A call binds only its own scratch and outputs: each separate array
+    through the declared ``ndpointer`` check, each batch's per-graph
+    fields as one :class:`Columns` buffer. Like :class:`BoundWholeLevel`
+    it belongs to one query, never to a backend.
+    """
+
+    __slots__ = ("_kernel", "_head", "n", "arrays")
+
+    def __init__(
+        self,
+        kernel: "NativeKernel",
+        head: "tuple[int, ...]",
+        arrays: "tuple[np.ndarray, ...]",
+    ) -> None:
+        self._kernel = kernel
+        #: (n, indptr, indices, matrix, q, activation, keyword_node,
+        #: central_level, weights): extract_graphs' leading arguments.
+        self._head = head
+        self.n = head[0]
+        self.arrays = arrays
+
+    def _extract_address(self, position: int, array: np.ndarray) -> int:
+        return _checked_address(self._kernel._extract, position, array)
+
+    def _rank_address(self, position: int, array: np.ndarray) -> int:
+        return _checked_address(self._kernel._rank, position, array)
+
+    def extract_columns(self, n_graphs: int) -> Columns:
+        """The per-graph fields of one ``extract`` call: ``centrals``
+        (filled by the caller), ``node_counts``, ``edge_counts``,
+        ``raw_counts``, ``mass`` (``float64``) and ``needed`` (3)."""
+        # The buffer is checked as the int64 array it is passed as first.
+        return Columns(
+            lambda buffer: self._extract_address(10, buffer),
+            centrals=n_graphs,
+            node_counts=n_graphs,
+            edge_counts=n_graphs,
+            raw_counts=n_graphs,
+            mass=n_graphs,
+            needed=3,
+        )
+
+    def rank_columns(self, n_graphs: int, n_depths: int) -> Columns:
+        """The per-graph fields of the ``rank`` call. The caller fills
+        ``centrals``, ``depths``, ``node_counts``, ``edge_counts``,
+        ``mass`` and ``factors`` (``n_depths`` entries, ``float64``); the
+        call writes ``order``, ``node_offsets`` / ``edge_offsets``
+        (``n_graphs + 1`` each), ``scores`` (``float64``) and rewrites
+        the ranked graphs' ``edge_counts``; ``sketch`` is scratch."""
+        return Columns(
+            lambda buffer: self._rank_address(4, buffer),
+            centrals=n_graphs,
+            depths=n_graphs,
+            node_counts=n_graphs,
+            edge_counts=n_graphs,
+            mass=n_graphs,
+            order=n_graphs,
+            sketch=n_graphs,
+            node_offsets=n_graphs + 1,
+            edge_offsets=n_graphs + 1,
+            scores=n_graphs,
+            factors=n_depths,
+        )
+
+    def extract(
+        self,
+        columns: Columns,
+        apply_level_cover: bool,
+        marks: np.ndarray,
+        stack: np.ndarray,
+        members: np.ndarray,
+        pairs: np.ndarray,
+        out_nodes: np.ndarray,
+        out_edges: np.ndarray,
+    ) -> bool:
+        """``extract_graphs`` (:meth:`NativeKernel.bind_stage_two`) over
+        ``columns["centrals"]`` (from :meth:`extract_columns`), which
+        also receives the per-graph outputs and ``needed``; ``True``
+        when everything fitted."""
+        if not len(marks) == len(stack) == len(members) == self.n:
+            raise ValueError("marks, stack and members need one cell per node")
+        address = self._extract_address
+        status = self._kernel._bound_extract(
+            *self._head,
+            len(columns["centrals"]),
+            columns.address("centrals"),
+            1 if apply_level_cover else 0,
+            address(12, marks),
+            address(13, stack),
+            address(14, members),
+            address(15, pairs),
+            len(pairs),
+            address(17, out_nodes),
+            len(out_nodes),
+            address(19, out_edges),
+            len(out_edges),
+            columns.address("node_counts"),
+            columns.address("edge_counts"),
+            columns.address("raw_counts"),
+            columns.address("mass"),
+            columns.address("needed"),
+        )
+        return status == 0
+
+    def rank(
+        self,
+        columns: Columns,
+        nodes: np.ndarray,
+        edges: np.ndarray,
+        deduplicate: bool,
+        k: int,
+        marks: np.ndarray,
+        masks: np.ndarray,
+    ) -> int:
+        """``rank_graphs`` (:meth:`NativeKernel.bind_stage_two`) on the
+        batch whose per-graph fields are ``columns`` (from
+        :meth:`rank_columns`) and whose runs are ``nodes`` / ``edges``;
+        returns the survivors of the dedup. ``masks`` needs one cell per
+        entry of ``nodes``."""
+        if len(marks) != self.n or len(masks) < len(nodes):
+            raise ValueError(
+                "marks needs one cell per node, masks one per entry of nodes"
+            )
+        if (
+            columns["node_counts"].sum() > len(nodes)
+            or columns["edge_counts"].sum() > len(edges)
+        ):
+            raise ValueError("the runs' counts overrun nodes or edges")
+        address = self._rank_address
+        head = self._head
+        return self._kernel._bound_rank(
+            head[0],
+            head[3],
+            head[4],
+            len(columns["centrals"]),
+            columns.address("centrals"),
+            columns.address("depths"),
+            columns.address("factors"),
+            address(7, nodes),
+            columns.address("node_counts"),
+            address(9, edges),
+            columns.address("edge_counts"),
+            columns.address("mass"),
+            1 if deduplicate else 0,
+            k,
+            address(14, marks),
+            columns.address("order"),
+            columns.address("sketch"),
+            columns.address("node_offsets"),
+            columns.address("edge_offsets"),
+            columns.address("scores"),
+            address(20, masks),
+        )
+
 
 class NativeKernel:
     """ctypes wrapper around the compiled kernel symbols.
@@ -210,9 +474,15 @@ class NativeKernel:
     ``whole_level_step`` (Algorithm 1's enqueue + identify + expansion
     fused into one call, bound once per query by
     :meth:`bind_whole_level`), plus stage two's ``extract_graphs`` (every
-    Central Node of a query in one call).
-    Every call releases the GIL, so concurrent chunk expansions
-    (``ThreadPoolBackend``) overlap on real cores.
+    Central Node of a chunk in one call) and ``rank_graphs`` (dedup,
+    Eq. 6 and the top-k cut over the whole batch, then the k answers'
+    edges), both bound once per query by :meth:`bind_stage_two`.
+    Each symbol is declared once with typed ``ndpointer`` argtypes (what
+    :mod:`repro.analysis.abi` verifies); a bound call goes through a
+    second function object derived from that declaration
+    (:func:`_by_address`), after the same checks ran where its arrays
+    were bound. Every call releases the GIL, so concurrent chunk
+    expansions (``ThreadPoolBackend``) overlap on real cores.
     """
 
     def __init__(self, library: ctypes.CDLL) -> None:
@@ -272,10 +542,11 @@ class NativeKernel:
         # arguments are plain addresses, derived from the one declaration
         # above: bind_whole_level runs the ndpointer checks once per
         # query, and a level's call then marshals only integers.
-        bound_step = library["whole_level_step"]
-        bound_step.restype = step.restype
-        bound_step.argtypes = [_address_type(t) for t in step.argtypes]
-        self._bound_step = bound_step
+        # The same symbol through a second function object whose array
+        # arguments are plain addresses, derived from the one declaration
+        # above: bind_whole_level runs the ndpointer checks once per
+        # query, and a level's call then marshals only integers.
+        self._bound_step = _by_address(library, step)
 
         extract = library.extract_graphs
         extract.restype = ctypes.c_int64
@@ -308,6 +579,35 @@ class NativeKernel:
             i64,  # needed
         ]
         self._extract = extract
+        self._bound_extract = _by_address(library, extract)
+
+        rank = library.rank_graphs
+        rank.restype = ctypes.c_int64
+        rank.argtypes = [
+            ctypes.c_int64,  # n
+            u8,  # matrix
+            ctypes.c_int64,  # q
+            ctypes.c_int64,  # n_graphs
+            i64,  # centrals
+            i64,  # depths
+            f64,  # factors
+            i64,  # nodes
+            i64,  # node_counts
+            i64,  # edges
+            i64,  # edge_counts
+            f64,  # mass
+            ctypes.c_int64,  # deduplicate
+            ctypes.c_int64,  # k
+            i32,  # marks
+            i64,  # order
+            u64,  # sketch
+            i64,  # node_offsets
+            i64,  # edge_offsets
+            f64,  # scores
+            u64,  # masks
+        ]
+        self._rank = rank
+        self._bound_rank = _by_address(library, rank)
 
     def expand(
         self,
@@ -383,11 +683,8 @@ class NativeKernel:
         ``live_lanes`` has bit i set iff lane i may still be written
         after the level (0 when it did not expand).
         """
-        declared = self._step.argtypes
-
         def address(position: int, array: np.ndarray) -> int:
-            # from_param raises on a mismatch, else returns array.ctypes.
-            return declared[position].from_param(array).data
+            return _checked_address(self._step, position, array)
 
         head = (
             len(f_identifier),
@@ -414,80 +711,116 @@ class NativeKernel:
         )
         return BoundWholeLevel(self._bound_step, head, tail, arrays)
 
-    def extract_graphs(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        matrix_flat: np.ndarray,
-        q: int,
-        activation: np.ndarray,
-        keyword_node_u8: np.ndarray,
-        central_level: np.ndarray,
-        weights: np.ndarray,
-        centrals: np.ndarray,
-        apply_level_cover: bool,
-        marks: np.ndarray,
-        stack: np.ndarray,
-        members: np.ndarray,
-        pairs: np.ndarray,
-        out_nodes: np.ndarray,
-        out_edges: np.ndarray,
-        node_counts: np.ndarray,
-        edge_counts: np.ndarray,
-        raw_counts: np.ndarray,
-        mass: np.ndarray,
-        needed: np.ndarray,
-    ) -> bool:
-        """Stage two for every Central Node in ``centrals``, in one call.
-
-        Per Central Node: the Theorem V.4 backward walk off the graph
-        CSR, cross-column edge dedup, level-cover (when
-        ``apply_level_cover``) and Eq. 6's weight mass. The graphs'
-        kept nodes (ascending within a graph) are concatenated in
-        ``out_nodes``, ``node_counts[i]`` of them for graph ``i``; their
-        edges (keys ``pred * n + target``, ascending) likewise in
-        ``out_edges`` by ``edge_counts``;
-        ``raw_counts[i]`` is a graph's node count before level-cover and
-        ``mass[i]`` the left-to-right sum of ``weights`` over the kept
-        nodes. ``q`` must be at most 64.
-
-        The capacities are ``len(pairs)`` (one graph's edges before
-        dedup), ``len(out_nodes)`` and ``len(out_edges)``. Returns
-        ``True`` when everything fitted. Otherwise nothing was written
-        past a capacity, the outputs are unusable, and ``needed`` holds
-        ``[nodes, edges, pairs]`` capacities with which one more call
-        fits (after a call that fitted: what it used). ``marks`` must arrive zeroed and is zero on return either
-        way; ``marks``, ``stack`` and ``members`` have one cell per node.
-        """
-        status = self._extract(
-            len(marks),
-            indptr,
-            indices,
-            matrix_flat,
-            q,
-            activation,
-            keyword_node_u8,
-            central_level,
-            weights,
-            len(centrals),
-            centrals,
-            1 if apply_level_cover else 0,
-            marks,
-            stack,
-            members,
-            pairs,
-            len(pairs),
-            out_nodes,
-            len(out_nodes),
-            out_edges,
-            len(out_edges),
-            node_counts,
-            edge_counts,
-            raw_counts,
-            mass,
-            needed,
+    def bind_graph(
+        self, indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
+    ) -> BoundGraph:
+        """A graph's CSR ``indptr`` / ``indices`` and Eq. 6 ``weights``,
+        bound once for :meth:`bind_stage_two`: an engine binds its graph
+        once and reuses the binding for every query. Each array goes
+        through its declared ``ndpointer`` check, which raises the
+        ``TypeError`` a direct call would."""
+        arrays = (indptr, indices, weights)
+        return BoundGraph(
+            arrays,
+            tuple(
+                _checked_address(self._extract, position, array)
+                for position, array in zip((1, 2, 8), arrays)
+            ),
         )
-        return status == 0
+
+    def bind_stage_two(
+        self,
+        graph: BoundGraph,
+        matrix: np.ndarray,
+        activation: np.ndarray,
+        keyword_node: np.ndarray,
+        central_level: np.ndarray,
+        whole_level: Optional[BoundWholeLevel] = None,
+    ) -> BoundStageTwo:
+        """Stage two's two calls with one query's arrays bound.
+
+        ``graph`` is the graph's binding (:meth:`bind_graph`), made once
+        per engine. The query's state arrays — the ``(n, q)``
+        hitting-level ``matrix``, ``activation``, ``keyword_node``
+        (bool) and ``central_level`` — take the addresses
+        ``whole_level`` holds when it was bound to exactly these arrays,
+        and are checked and bound here otherwise.
+        Every check is the declared ``ndpointer``'s ``from_param``, which
+        raises the ``TypeError`` a direct call would.
+
+        ``extract_graphs`` (:meth:`BoundStageTwo.extract`) walks back
+        from every Central Node of a chunk: the Theorem V.4 walk off the
+        graph CSR, level-cover and Eq. 6's weight mass. A graph's kept
+        nodes (ascending) are concatenated in ``out_nodes``, its
+        ``node_counts`` entry long; its edge keys ``pred * n + target``
+        in ``out_edges`` likewise by ``edge_counts``, as the walk found
+        them — raw, with repeats, or sorted and deduplicated where
+        level-cover pruned the graph (its closure needs them so).
+        ``raw_counts`` is a graph's node count before level-cover and
+        ``mass`` the left-to-right sum of ``weights`` over its kept
+        nodes. ``q`` must be at most 64. The capacities are
+        ``len(pairs)`` (one graph's walk), ``len(out_nodes)`` and
+        ``len(out_edges)``. It returns ``True`` when everything fitted;
+        otherwise nothing was written past a capacity, the outputs are
+        unusable, and ``needed`` holds ``[nodes, edges, pairs]``
+        capacities with which one more call fits. ``marks`` must arrive
+        zeroed and is zero on return either way; ``marks``, ``stack`` and
+        ``members`` have one cell per node.
+
+        ``rank_graphs`` (:meth:`BoundStageTwo.rank`) runs once on the
+        concatenated batch: the containment dedup, Eq. 6 scores, the
+        top-k cut by ``(score, n_nodes, central node)`` and, for the
+        ranked graphs only, their final edge runs (sorted, deduplicated,
+        both endpoints kept) and their nodes' contribution masks.
+        """
+        indptr, indices, weights = graph.arrays
+        n = len(indptr) - 1
+        if (
+            matrix.ndim != 2
+            or not matrix.flags.c_contiguous
+            or keyword_node.dtype != np.bool_
+        ):
+            raise TypeError(
+                "matrix must be a C-contiguous (n, q) array and "
+                "keyword_node bool"
+            )
+        if not (
+            len(weights) == matrix.shape[0] == len(activation)
+            == len(keyword_node) == len(central_level) == n
+        ):
+            raise ValueError("stage-two arrays must have one entry per node")
+        indptr_address, indices_address, weights_address = graph.addresses
+        state = (
+            whole_level.state_addresses(
+                matrix, activation, keyword_node, central_level
+            )
+            if whole_level is not None
+            else None
+        )
+        flat = matrix.reshape(-1)
+        keyword_u8 = keyword_node.view(np.uint8)
+        if state is None:
+            state = tuple(
+                _checked_address(self._extract, position, array)
+                for position, array in zip(
+                    (3, 5, 6, 7), (flat, activation, keyword_u8, central_level)
+                )
+            )
+        matrix_address, *state_rest = state
+        head = (
+            n,
+            indptr_address,
+            indices_address,
+            matrix_address,
+            matrix.shape[1],
+            *state_rest,  # activation, keyword_node, central_level
+            weights_address,
+        )
+        arrays = (
+            indptr, indices, flat, activation, keyword_u8, central_level,
+            weights,
+        )
+        return BoundStageTwo(self, head, arrays)
 
 
 def load_kernel() -> Optional[NativeKernel]:

@@ -90,9 +90,11 @@ def test_parse_c_structs_natural_alignment():
 def test_parse_real_kernel_exports_all_bound_symbols():
     source = abi.KERNEL_SOURCE_PATH.read_text(encoding="utf-8")
     exports = {fn.name: fn for fn in abi.parse_c_exports(source)}
-    # Exactly three: stage two is one kernel, called once per query for
-    # every Central Node.
-    assert set(exports) == {"fused_expand", "whole_level_step", "extract_graphs"}
+    # Exactly four: stage two is two kernels, extract_graphs once per
+    # chunk of Central Nodes and rank_graphs once per query.
+    assert set(exports) == {
+        "fused_expand", "whole_level_step", "extract_graphs", "rank_graphs",
+    }
     # extract_graphs' overflow contract: an explicit int64 capacity beside
     # each of the three buffers a query can outgrow, an int64 status out
     # (0 = fitted; the sizes a retry needs go to `needed`), and Eq. 6's
@@ -112,6 +114,17 @@ def test_parse_real_kernel_exports_all_bound_symbols():
     assert params["needed"] == "int64*"
     assert params["indptr"] == "int64*" and params["indices"] == "int32*"
     assert len(extract.params) == 26
+    # rank_graphs: survivors out as the int64 return; Eq. 6's factors,
+    # mass and scores as double*, the sketch and contribution masks as
+    # uint64*, marks as the same int32 scratch extract_graphs zeroes.
+    rank = exports["rank_graphs"]
+    assert str(rank.restype) == "int64"
+    params = {p.name: str(p.ctype) for p in rank.params}
+    assert params["factors"] == params["mass"] == params["scores"] == "float64*"
+    assert params["sketch"] == params["masks"] == "uint64*"
+    assert params["marks"] == "int32*" and params["matrix"] == "uint8*"
+    assert params["edges"] == params["edge_counts"] == "int64*"
+    assert len(rank.params) == 21
     # Both expansion kernels lead with the row count of M: the 8-byte row
     # read needs it to find the last rows, which are read q bytes wide.
     for name in ("fused_expand", "whole_level_step"):
@@ -135,7 +148,9 @@ def test_whole_level_declaration_keeps_typed_ndpointer_argtypes():
     native = abi.NATIVE_SOURCE_PATH.read_text(encoding="utf-8")
     bindings, _, errors = abi.extract_ctypes_declarations(native)
     assert not errors
-    assert set(bindings) == {"fused_expand", "whole_level_step", "extract_graphs"}
+    assert set(bindings) == {
+        "fused_expand", "whole_level_step", "extract_graphs", "rank_graphs",
+    }
     step = bindings["whole_level_step"]
     pointers = [t for t in step.argtypes if t.pointer]
     assert len(step.argtypes) == 19 and len(pointers) == 12
@@ -153,6 +168,31 @@ def test_whole_level_declaration_keeps_typed_ndpointer_argtypes():
             assert plain is ctypes.c_void_p
         else:
             assert plain is checked
+
+
+def test_stage_two_bound_calls_derive_from_typed_declarations():
+    """``extract_graphs`` and ``rank_graphs`` are bound by address too:
+    each through a second function object whose argtypes are derived
+    from the typed declaration the verifier reads."""
+    import ctypes
+
+    from repro.parallel.vectorized import _native_kernel
+
+    kernel = _native_kernel()
+    if kernel is None:  # pragma: no cover
+        pytest.skip("native kernel unavailable")
+    for typed, plain in (
+        (kernel._extract, kernel._bound_extract),
+        (kernel._rank, kernel._bound_rank),
+    ):
+        assert plain.__name__ == typed.__name__
+        assert plain.restype is typed.restype
+        assert len(plain.argtypes) == len(typed.argtypes)
+        for checked, address in zip(typed.argtypes, plain.argtypes):
+            if hasattr(checked, "_dtype_"):
+                assert address is ctypes.c_void_p
+            else:
+                assert address is checked
 
 
 def test_tsan_harness_declares_the_kernel_prototype():
@@ -177,8 +217,8 @@ def test_tsan_harness_declares_the_kernel_prototype():
 def test_abi_check_clean_on_real_sources():
     report = abi.run_abi_check()
     assert report.ok, "\n".join(str(f) for f in report.findings)
-    # 3 kernel exports + the 2 sanitizer smoke fixtures.
-    assert report.functions_checked == 5
+    # 4 kernel exports + the 2 sanitizer smoke fixtures.
+    assert report.functions_checked == 6
     assert report.sections_checked >= 4
 
 

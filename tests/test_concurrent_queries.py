@@ -15,8 +15,9 @@ of the shared backend, so concurrent queries could swap level profiles.
 Stage two is checked the same way — every ranked answer's node and edge
 sets, not only its Central-Node id: the batched ``extract_graphs``
 call allocates its ``marks`` / stack / member / pair scratch and its
-output buffers inside ``_extract_batch``, once per call, so two
-requests walking back at the same moment (the call runs with the GIL
+output buffers inside ``_extract_batch``, once per call, and
+``rank_graphs`` works on those and on buffers of its own, so two
+requests walking back at the same moment (the calls run with the GIL
 released) have nothing of each other's to see. And for where a level's
 spans go: the tracer used to be an attribute the bottom-up loop set on
 the shared backend, so a traced query's ``chunk`` spans landed in the

@@ -72,9 +72,10 @@ def test_record_payload_is_a_view_of_the_result(engine):
         "query_id", "query", "keywords", "backend", "outcome", "error",
         "duration_ms", "depth", "n_answers", "slow", "started_unix",
         "dropped_terms", "error_phase", "phases", "counters", "levels",
-        "n_central_nodes", "terminated", "spans", "trace",
+        "n_central_nodes", "terminated", "stage_two_nbytes", "spans", "trace",
     }
     assert payload["phases"] == result.timer.milliseconds()
+    assert payload["stage_two_nbytes"] == result.stage_two_nbytes
     assert payload["levels"] == [
         {"level": o.level, **o.as_span_attributes()}
         for o in result.level_profile

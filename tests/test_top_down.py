@@ -450,8 +450,10 @@ def test_batch_route_builds_objects_for_the_answers_only(monkeypatch):
 @needs_native
 def test_both_routes_report_the_same_stage_two_counts():
     """``process_top_down`` puts its own counts on the
-    ``phase:top_down_processing`` span, equal on the two routes, and
-    opens no span when the timer's tracer is disabled."""
+    ``phase:top_down_processing`` span, equal on the two routes (but for
+    the bytes of the batch route's native buffers, which the reference
+    route does not have), and opens no span when the timer's tracer is
+    disabled."""
     graph, state, weights, k = _stage_two_case(60)  # level-cover prunes here
 
     def traced(native):
@@ -466,6 +468,8 @@ def test_both_routes_report_the_same_stage_two_counts():
 
     ranked, batch_counts = traced(None)
     _, reference_counts = traced(False)
+    assert batch_counts.pop("stage_two_nbytes") > 0
+    assert reference_counts.pop("stage_two_nbytes") == 0
     assert batch_counts == reference_counts
     central_graphs = len(state.central_nodes)
     assert batch_counts["central_graphs"] == central_graphs > 100
@@ -527,26 +531,28 @@ def test_extract_graphs_never_writes_past_its_capacities():
     graph, state, weights, _ = _stage_two_case(6)
     n = graph.n_nodes
     centrals = np.array([node for node, _ in state.central_nodes])
+    kernel = _native_kernel()
+    bound = kernel.bind_stage_two(
+        kernel.bind_graph(graph.adj.indptr, graph.adj.indices, weights),
+        state.matrix, state.activation, state.keyword_node,
+        state.central_level,
+    )
+    columns = bound.extract_columns(len(centrals))
+    columns["centrals"][:] = centrals
     marks = np.zeros(n, np.int32)
-    needed = np.zeros(3, np.int64)
-    counts = np.empty((2, len(centrals)), np.int64)
+    needed = columns["needed"]
 
     def call(out_nodes, out_edges, pairs):
-        return _native_kernel().extract_graphs(
-            graph.adj.indptr, graph.adj.indices, state.matrix.reshape(-1),
-            state.n_keywords, state.activation,
-            state.keyword_node.view(np.uint8), state.central_level, weights,
-            centrals, True, marks=marks, stack=np.empty(n, np.int64),
-            members=np.empty(n, np.int64), pairs=pairs, out_nodes=out_nodes,
-            out_edges=out_edges, node_counts=counts[0],
-            edge_counts=counts[1], raw_counts=np.empty(len(centrals), np.int64),
-            mass=np.empty(len(centrals)), needed=needed,
+        return bound.extract(
+            columns, True, marks, np.empty(n, np.int64),
+            np.empty(n, np.int64), pairs, out_nodes, out_edges,
         )
 
     ample = [np.empty(1 << 16, np.int64) for _ in range(3)]
     assert call(*ample)
     assert (needed > 4).all() and (needed <= 1 << 16).all()
-    assert np.array_equal(counts.sum(axis=1), needed[:2])
+    assert columns["node_counts"].sum() == needed[0]
+    assert columns["edge_counts"].sum() == needed[1]
 
     # Output buffers of four cells: filled, not overrun.
     guard = np.full((3, 64), -7, dtype=np.int64)
@@ -567,3 +573,42 @@ def test_extract_graphs_never_writes_past_its_capacities():
     assert call(*(np.empty(size, np.int64) for size in needed))
     assert not marks.any()
     assert np.array_equal(needed, totals)
+
+
+@needs_native
+def test_stage_two_nbytes_counts_the_native_buffers():
+    """``stage_two_nbytes`` is what the two native calls were handed:
+    per-node scratch, the three growable buffers, both calls' per-graph
+    columns and one contribution-mask cell per kept node. It grows with
+    the number of Central Graphs and not with k."""
+    graph, state, weights, k = _stage_two_case(3)
+    n, nc = graph.n_nodes, len(state.central_nodes)
+    assert (n, nc) == (707, 25)
+
+    def nbytes(state, k):
+        process_top_down(graph, state, weights, TopDownConfig(k=k))
+        return state.stage_two_nbytes
+
+    kept = sum(
+        answer.n_nodes for answer in process_top_down(
+            graph, state, weights, TopDownConfig(k=10**6, deduplicate=False)
+        )
+    )
+    n_depths = 1 + max(depth for _, depth in state.central_nodes)
+    capacities = (
+        top_down._NODE_CAPACITY + top_down._EDGE_CAPACITY
+        + top_down._PAIR_CAPACITY
+    )
+    assert nbytes(state, k) == (
+        (4 + 8 + 8) * n  # marks, stack, members
+        + 8 * capacities
+        + 8 * (5 * nc + 3)  # extract_graphs' columns
+        + 8 * (10 * nc + 2 + n_depths)  # rank_graphs' columns
+        + 8 * kept  # contribution masks
+    ) == 2_116_604
+    assert nbytes(state, 1) == nbytes(state, 10**6) == nbytes(state, k)
+    fewer = dataclasses.replace(state, central_nodes=state.central_nodes[:5])
+    assert nbytes(fewer, k) < nbytes(state, k)
+    assert nbytes(dataclasses.replace(state, central_nodes=[]), k) == 0
+    process_top_down(graph, state, weights, TopDownConfig(k=k, native=False))
+    assert state.stage_two_nbytes == 0
