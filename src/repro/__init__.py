@@ -24,11 +24,13 @@ from .core.engine import (
     KeywordSearchEngine,
     SearchResult,
 )
+from .core.state import TooManyKeywordsError
 from .graph.builder import GraphBuilder, graph_from_triples
 from .graph.csr import KnowledgeGraph
 from .obs import MetricsRegistry, Tracer, get_registry
 from .parallel import (
     LockedDictEngine,
+    NativeKernelUnavailable,
     SequentialBackend,
     ThreadPoolBackend,
     VectorizedBackend,
@@ -49,10 +51,12 @@ __all__ = [
     "KnowledgeGraph",
     "LockedDictEngine",
     "MetricsRegistry",
+    "NativeKernelUnavailable",
     "SearchAnswer",
     "SearchResult",
     "SequentialBackend",
     "ThreadPoolBackend",
+    "TooManyKeywordsError",
     "Tracer",
     "VectorizedBackend",
     "get_registry",

@@ -47,33 +47,34 @@ int64_t fused_expand(
     int64_t n,
     int64_t n_chunk,
     const int64_t* chunk,
-    const uint64_t* se_words,
     const int64_t* indptr,
     const int32_t* indices,
     uint8_t* matrix,
     int64_t q,
-    const uint8_t* blocked,
     uint8_t* fid,
-    uint8_t next_level,
+    const uint8_t* cid,
+    const uint8_t* keyword_node,
+    const int32_t* activation,
+    uint8_t level,
+    int64_t may_block,
     int64_t* out_keys,
-    int64_t* n_dups,
-    int64_t* live_out);
+    int64_t* stats_out);
 
 typedef struct {
     pthread_barrier_t* barrier;
     int64_t n;
     int64_t n_chunk;
     const int64_t* chunk;
-    const uint64_t* se_words;
     const int64_t* indptr;
     const int32_t* indices;
     uint8_t* matrix;
     int64_t q;
     uint8_t* fid;
-    uint8_t next_level;
+    const uint8_t* zeros; /* cid and keyword_node: none set */
+    const int32_t* activation; /* all 0: every node active */
+    uint8_t level;
     int64_t* out_keys;
-    int64_t n_dups;
-    int64_t live;
+    int64_t stats[5];
 } ChunkTask;
 
 static void* run_chunk(void* arg)
@@ -86,17 +87,18 @@ static void* run_chunk(void* arg)
         task->n,
         task->n_chunk,
         task->chunk,
-        task->se_words,
         task->indptr,
         task->indices,
         task->matrix,
         task->q,
-        NULL,
         task->fid,
-        task->next_level,
+        task->zeros,
+        task->zeros,
+        task->activation,
+        task->level,
+        0,
         task->out_keys,
-        &task->n_dups,
-        &task->live);
+        task->stats);
     return NULL;
 }
 
@@ -115,7 +117,8 @@ static int64_t run_levels(
     uint8_t* fid,
     int n_threads,
     int64_t* frontier,
-    uint64_t* se_words,
+    const uint8_t* zeros,
+    const int32_t* activation,
     int64_t* key_bufs,
     pthread_t* threads,
     ChunkTask* tasks)
@@ -131,17 +134,6 @@ static int64_t run_levels(
         }
         if (n_frontier == 0)
             break;
-        /* Pre-level eligibility snapshot, exactly as the Python tiers
-         * compute it: lane c is set iff M[u][c] <= level. */
-        for (int64_t i = 0; i < n_frontier; ++i) {
-            const uint8_t* row = matrix + frontier[i] * q;
-            uint64_t word = 0;
-            for (int64_t c = 0; c < q; ++c) {
-                if (row[c] <= (uint8_t)level)
-                    word |= (uint64_t)1 << (8 * c);
-            }
-            se_words[i] = word;
-        }
         int64_t n_chunks =
             n_frontier < (int64_t)n_threads ? n_frontier : (int64_t)n_threads;
         pthread_barrier_t barrier;
@@ -155,16 +147,15 @@ static int64_t run_levels(
             tasks[t].n = n;
             tasks[t].n_chunk = size;
             tasks[t].chunk = frontier + start;
-            tasks[t].se_words = se_words + start;
             tasks[t].indptr = indptr;
             tasks[t].indices = indices;
             tasks[t].matrix = matrix;
             tasks[t].q = q;
             tasks[t].fid = fid;
-            tasks[t].next_level = (uint8_t)(level + 1);
+            tasks[t].zeros = zeros;
+            tasks[t].activation = activation;
+            tasks[t].level = (uint8_t)level;
             tasks[t].out_keys = key_bufs + t * n * q;
-            tasks[t].n_dups = 0;
-            tasks[t].live = 0;
             start += size;
             if (pthread_create(&threads[t], NULL, run_chunk, &tasks[t])) {
                 fprintf(stderr, "harness: pthread_create failed\n");
@@ -200,13 +191,15 @@ static int mode_parity(const char* in_path, const char* out_path,
     uint8_t* matrix = malloc((size_t)(n * q));
     uint8_t* fid = malloc((size_t)n);
     int64_t* frontier = malloc((size_t)n * sizeof(int64_t));
-    uint64_t* se_words = malloc((size_t)n * sizeof(uint64_t));
+    uint8_t* zeros = calloc((size_t)n, 1);
+    int32_t* activation = calloc((size_t)n, sizeof(int32_t));
     int64_t* key_bufs =
         malloc((size_t)(n_threads * n * q) * sizeof(int64_t));
     pthread_t* threads = malloc((size_t)n_threads * sizeof(pthread_t));
     ChunkTask* tasks = malloc((size_t)n_threads * sizeof(ChunkTask));
     if (!indptr || !indices || !matrix0 || !fid0 || !matrix || !fid ||
-        !frontier || !se_words || !key_bufs || !threads || !tasks) {
+        !frontier || !zeros || !activation || !key_bufs || !threads ||
+        !tasks) {
         fprintf(stderr, "harness: out of memory\n");
         return 3;
     }
@@ -225,8 +218,8 @@ static int mode_parity(const char* in_path, const char* out_path,
         memcpy(matrix, matrix0, (size_t)(n * q));
         memcpy(fid, fid0, (size_t)n);
         levels_run = run_levels(n, q, level_cap, indptr, indices, matrix,
-                                fid, n_threads, frontier, se_words,
-                                key_bufs, threads, tasks);
+                                fid, n_threads, frontier, zeros,
+                                activation, key_bufs, threads, tasks);
     }
 
     FILE* out = fopen(out_path, "wb");

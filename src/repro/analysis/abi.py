@@ -81,7 +81,7 @@ KERNEL_VIEW_CONTRACT: Dict[str, Tuple[str, int]] = {
     # indptr / indices of fused_expand, whole_level_step, extract_graphs
     "adj_indptr": ("int", 64),
     "adj_indices": ("int", 32),
-    "adj_indices64": ("int", 64),  # NumPy-tier fancy-index view
+    "adj_indices64": ("int", 64),  # int64 fancy-index view
     "adj_degree": ("int", 64),  # degree_array (gather offsets)
 }
 

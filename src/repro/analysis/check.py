@@ -174,7 +174,6 @@ def _contenders() -> Iterable[Tuple[str, Callable[[], object]]]:
         n_threads=8, chunks_per_thread=16
     )
     yield "vectorized", VectorizedBackend
-    yield "vectorized-numpy", lambda: VectorizedBackend(native=False)
 
 
 def run_invariant_fuzz(
@@ -216,24 +215,34 @@ def run_invariant_fuzz(
 
 
 # ---------------------------------------------------------------------------
-# Tail-guard corpus: the kernels' 8-byte row read at the end of M
+# Tail-guard corpus: the kernels' lane-word row reads at the end of M
 # ---------------------------------------------------------------------------
-#: Node counts of the tail-guard corpus, crossed with q = 1..8. For
-#: n in {1, 2, 3} most q give n*q < 8, where *no* row can be read a full
-#: word wide; the larger graphs have both guarded and unguarded rows.
+#: Node counts of the tail-guard corpus, crossed with q = 1..8 (one lane
+#: word) and :data:`TAIL_GUARD_WIDE_Q`. For n in {1, 2, 3} most q give
+#: n*q < 8 words, where *no* row can be read a full row of words wide;
+#: the larger graphs have both guarded and unguarded rows.
 TAIL_GUARD_SIZES = (1, 2, 3, 5, 12, 40)
+
+#: The q past one lane word: two words (9, 16), three (17, 24) and
+#: eight (57, 64), each with and without pad lanes in the last word.
+TAIL_GUARD_WIDE_Q = (9, 16, 17, 24, 57, 64)
 
 
 def tail_guard_cases() -> "list[Tuple[int, int]]":
     """Every ``(n, q)`` of the tail-guard corpus."""
-    return [(n, q) for n in TAIL_GUARD_SIZES for q in range(1, 9)]
+    return [
+        (n, q)
+        for n in TAIL_GUARD_SIZES
+        for q in (*range(1, 9), *TAIL_GUARD_WIDE_Q)
+    ]
 
 
 def _tail_guard_case(n: int, q: int):
     """A graph whose highest-id nodes are hubs *and* keyword sources.
 
-    The last ``ceil(8 / q)`` rows of M are the ones whose word read
-    would leave the buffer; making those nodes hubs means they are read
+    The last rows of M (``ceil(8 / q)`` of them for q ≤ 8, one or two
+    past that) are the ones whose last lane word would leave the
+    buffer; making those nodes hubs means they are read
     on almost every edge, and seeding each keyword at one of them (plus
     a random node) means they are written too. ``k`` exceeds ``n`` so
     the search runs until the frontier drains.
@@ -327,8 +336,7 @@ def _level_snapshots(
 def check_tail_guard_case(n: int, q: int) -> "list[str]":
     """One tail-guard case: ``whole_level_step`` and ``fused_expand``
     (one chunk, and three racing threads) against ``SequentialBackend``,
-    level by level, on a guard-paged M and on a plain one. The NumPy
-    tier runs too: it is the kernels' other reference.
+    level by level, on a guard-paged M and on a plain one.
 
     Returns the routes that diverged (empty = bit-identical).
     """
@@ -338,7 +346,6 @@ def check_tail_guard_case(n: int, q: int) -> "list[str]":
     want = _level_snapshots(SequentialBackend(), graph, sets, activation, k)
     routes = {
         "whole-level": VectorizedBackend,
-        "numpy-tier": lambda: VectorizedBackend(native=False),
         "fused-one-chunk": lambda: ThreadPoolBackend(n_threads=1),
         "fused-threads": lambda: ThreadPoolBackend(n_threads=3),
     }

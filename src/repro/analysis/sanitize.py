@@ -98,10 +98,10 @@ THEOREM_V2_SUPPRESSIONS: "Tuple[Tuple[str, str], ...]" = (
         "race:fused_expand",
         "Theorem V.2 idempotent stores in _kernel.c fused_expand: racing "
         "chunks store the same constants matrix[v*q+c] = next_level and "
-        "fid[v] = 1 as byte stores (plus the benign live 8-byte row read "
-        "that dedups scatter targets; for q < 8 it also covers up to "
-        "8 - q bytes of the next row, which the eligibility word masks "
-        "off before any use).",
+        "fid[v] = 1 as byte stores (plus the benign live 8-byte lane-word "
+        "row reads that dedup scatter targets; when 8 does not divide q "
+        "the last word also covers bytes of the next row, which the "
+        "eligibility words mask off before any use).",
     ),
 )
 
@@ -476,8 +476,9 @@ def _tsan_env(suppressions: Optional[Path]) -> Dict[str, str]:
 
 #: The q of the TSan fixtures. At q = 3 and q = 6 the kernel's 8-byte
 #: row read straddles two rows (three at q = 3) that other chunks are
-#: storing into; at q = 8 it covers exactly one.
-TSAN_LANE_COUNTS = (3, 6, 8)
+#: storing into; at q = 8 it covers exactly one. q = 10 reads two lane
+#: words, the second straddling the next row; q = 16 two full ones.
+TSAN_LANE_COUNTS = (3, 6, 8, 10, 16)
 
 
 def run_tsan_parity(
@@ -680,15 +681,17 @@ def _child_parity() -> int:
         return 5
     print("parity: all backends bit-identical under sanitized native kernel")
 
-    # The 8-byte row read at the end of M: hubs in the last rows, n*q < 8,
-    # M allocated at exactly n*q bytes. An over-read aborts right here.
+    # The lane-word row reads at the end of M: hubs in the last rows,
+    # n*q < 8 words, M allocated at exactly n*q bytes. An over-read
+    # aborts right here.
     failures = run_tail_guard_fuzz(print_fn=print)
     if failures:
         print(f"parity: {failures} tail-guard case(s) diverged")
         return 6
     print(
-        f"parity: {len(tail_guard_cases())} tail-guard cases (q = 1..8) "
-        "match the sequential backend level by level"
+        f"parity: {len(tail_guard_cases())} tail-guard cases (q = 1..8, "
+        "and 9..64: two, three and eight lane words) match the "
+        "sequential backend level by level"
     )
 
     # Drive the remaining native entry points under the sanitizers: stage

@@ -5,7 +5,13 @@ from .bottom_up import BottomUpResult, BottomUpSearch, describe_levels
 from .central_graph import CentralGraph, SearchAnswer
 from .engine import EmptyQueryError, EngineConfig, KeywordSearchEngine, SearchResult
 from .scoring import DEFAULT_LAMBDA, TopKHeap, central_graph_score
-from .state import INFINITE_LEVEL, MAX_LEVEL, SearchState
+from .state import (
+    INFINITE_LEVEL,
+    MAX_KEYWORDS,
+    MAX_LEVEL,
+    SearchState,
+    TooManyKeywordsError,
+)
 from .top_down import (
     TopDownConfig,
     deduplicate_by_containment,
@@ -26,11 +32,13 @@ __all__ = [
     "EngineConfig",
     "INFINITE_LEVEL",
     "KeywordSearchEngine",
+    "MAX_KEYWORDS",
     "MAX_LEVEL",
     "SearchAnswer",
     "SearchResult",
     "SearchState",
     "TopDownConfig",
+    "TooManyKeywordsError",
     "TopKHeap",
     "activation_distribution",
     "activation_levels",

@@ -66,7 +66,7 @@ class EngineConfig:
             route (NumPy hitting-DAG build and extraction walk, one
             object per Central Graph); ``None`` takes the batch route —
             ``extract_graphs`` then ``rank_graphs``, one call each per
-            query — when the compiled kernel is loaded.
+            query.
         distance_sample_pairs: pairs sampled to estimate A at startup.
         apply_level_cover / deduplicate / single_path: ablation switches.
     """
@@ -90,7 +90,10 @@ class KeywordSearchEngine:
     Construction performs the offline work (index build, Eq. 2 weights,
     A estimation); :meth:`search` is the online path. Activation levels
     are cached for the :data:`ACTIVATION_CACHE_SIZE` most recently used α
-    values, so repeated queries pay only array lookups.
+    values, so repeated queries pay only array lookups. Construction
+    loads the compiled kernel, which every route needs: a host that
+    cannot build it raises
+    :class:`~repro.parallel._native.NativeKernelUnavailable` here.
 
     Args:
         graph: the knowledge graph to search.
@@ -150,9 +153,11 @@ class KeywordSearchEngine:
             graph, backend=backend, lmax=self.config.lmax
         )
         self._activation_cache: Dict[float, np.ndarray] = {}
-        # Stage two's binding of the graph and weights, made at the first
-        # query that can use it (the kernel is loaded by then).
-        self._bound_graph: Optional[BoundGraph] = None
+        # Stage two's binding of the graph and weights, made once. It
+        # loads the kernel, so a host without one fails here.
+        self._bound_graph: Optional[BoundGraph] = bind_graph(
+            graph, self.weights
+        )
 
     # ------------------------------------------------------------------
     # Offline pieces
@@ -180,16 +185,6 @@ class KeywordSearchEngine:
         for stale in list(cache)[:-ACTIVATION_CACHE_SIZE]:
             cache.pop(stale, None)
         return levels
-
-    def _stage_two_graph(self) -> "Optional[BoundGraph]":
-        """The graph and weights bound for stage two's kernel calls, once
-        per engine. Request threads call this without a lock: two that
-        bind at once make equal bindings, and the attribute store is
-        atomic."""
-        bound = self._bound_graph
-        if bound is None and self.config.top_down_native is not False:
-            bound = self._bound_graph = bind_graph(self.graph, self.weights)
-        return bound
 
     # ------------------------------------------------------------------
     # Online path
@@ -307,7 +302,7 @@ class KeywordSearchEngine:
                             native=self.config.top_down_native,
                         ),
                         timer=timer,
-                        bound_graph=self._stage_two_graph(),
+                        bound_graph=self._bound_graph,
                     )
                 query_span.set_attrs(
                     {

@@ -35,6 +35,11 @@ if TYPE_CHECKING:
 INFINITE_LEVEL = np.uint8(255)
 MAX_LEVEL = 254
 
+#: The most keyword groups one query may have: the kernel carries a
+#: node's q conditions in at most eight 8-lane words, and a contribution
+#: or live-lane mask in one 64-bit word.
+MAX_KEYWORDS = 64
+
 # Why the bottom-up loop stopped (shared by every engine variant).
 TERMINATED_ENOUGH_ANSWERS = "enough_central_nodes"
 TERMINATED_FRONTIER_EMPTY = "frontier_empty"
@@ -44,6 +49,10 @@ TERMINATED_NO_MORE_CENTRAL = "no_more_central_nodes"
 #: A live-lane mask with every lane set: what a level reports when its
 #: backend does not track lanes, so no lane ever counts as closed.
 ALL_LANES = -1
+
+
+class TooManyKeywordsError(ValueError):
+    """A query has more than :data:`MAX_KEYWORDS` keyword groups."""
 
 
 @dataclass
@@ -132,11 +141,17 @@ class SearchState:
         |V| nodes or all |V|·q cells.
 
         Raises:
+            TooManyKeywordsError: more than :data:`MAX_KEYWORDS` sets.
             ValueError: if there are no keywords or activation is missized.
         """
         q = len(keyword_node_sets)
         if q == 0:
             raise ValueError("need at least one keyword node set")
+        if q > MAX_KEYWORDS:
+            raise TooManyKeywordsError(
+                f"a query may have at most {MAX_KEYWORDS} keywords that "
+                f"match the graph; this one has {q}"
+            )
         if len(activation) != n_nodes:
             raise ValueError("activation array must have one entry per node")
         matrix = np.full((n_nodes, q), INFINITE_LEVEL, dtype=np.uint8)

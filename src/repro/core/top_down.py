@@ -14,15 +14,15 @@ union of hitting paths that Definition 3 prescribes.
 
 :func:`process_top_down` has two routes that return identical answers:
 
-* the **batch** route (the compiled kernel is loaded): extract → rank
-  in the kernel → k objects. ``extract_graphs`` walks, prunes and weighs
+* the **batch** route (the default): extract → rank in the kernel → k
+  objects. ``extract_graphs`` walks, prunes and weighs
   every Central Node (one call per chunk of them) and writes each
   graph's kept nodes and its raw edge run; one ``rank_graphs`` call then
   runs the containment dedup, Eq. 6 and the top-k cut on the whole
   batch, and finalises edges and keyword contributions for the ranked
   graphs only; :class:`CentralGraph` objects are built for those k;
-* the **reference** route (``native=False``, no compiler,
-  ``single_path``): one :class:`CentralGraph` per Central Node through
+* the **reference** route (``native=False``, ``single_path``): one
+  :class:`CentralGraph` per Central Node through
   :func:`extract_central_graph`, then :func:`rank_central_graphs` —
   :func:`level_cover_prune`, :func:`deduplicate_by_containment`,
   ``central_graph_score`` and the top-k cut, the tail CPU-Par-d's
@@ -357,8 +357,8 @@ class TopDownConfig:
             hitting-DAG build, the per-level NumPy extraction walk and
             the per-object level-cover, dedup and scoring; ``None`` takes
             the batch route (``extract_graphs`` then ``rank_graphs``, no
-            DAG, objects for the k answers only) whenever the kernel is
-            available. Both routes return identical answers.
+            DAG, objects for the k answers only). Both routes return
+            identical answers.
     """
 
     k: int = 20
@@ -636,13 +636,15 @@ def bind_graph(
     """The batch route's binding of ``graph``'s CSR arrays and Eq. 6
     ``weights``, for a caller that answers many queries on them (an
     engine) to make once and pass to every :func:`process_top_down`;
-    ``None`` when the kernel is not loaded or cannot read them."""
+    ``None`` when the kernel cannot read them as they are laid out.
+
+    Raises:
+        NativeKernelUnavailable: the kernel cannot be built on this host.
+    """
     kernel = _native_kernel()
     arrays = (graph.adj.indptr, graph.adj.indices, weights)
-    if (
-        kernel is None
-        or weights.dtype != np.float64
-        or not all(array.flags.c_contiguous for array in arrays)
+    if weights.dtype != np.float64 or not all(
+        array.flags.c_contiguous for array in arrays
     ):
         return None
     return kernel.bind_graph(*arrays)
@@ -654,10 +656,9 @@ def _batch_kernel(
     weights: np.ndarray,
     config: TopDownConfig,
 ) -> Optional[NativeKernel]:
-    """The loaded kernel when this query can take the batch route: not
-    pinned to the reference, and every array the kernel reads is laid
-    out as it reads it (M row-major, ``double`` weights, one bit per
-    keyword column in a 64-bit contribution mask)."""
+    """The kernel when this query can take the batch route: not pinned
+    to the reference, and every array the kernel reads is laid out as it
+    reads it (M row-major, ``double`` weights)."""
     if config.native is False or config.single_path:
         return None
     arrays = (
@@ -669,10 +670,8 @@ def _batch_kernel(
         state.central_level,
         weights,
     )
-    if (
-        state.n_keywords > 64
-        or weights.dtype != np.float64
-        or not all(array.flags.c_contiguous for array in arrays)
+    if weights.dtype != np.float64 or not all(
+        array.flags.c_contiguous for array in arrays
     ):
         return None
     return _native_kernel()

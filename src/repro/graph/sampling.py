@@ -56,11 +56,11 @@ def estimate_average_distance(
     the paper's intent (disconnected pairs carry no distance signal).
 
     The BFS runs are eight sources to a pass of the engine's own expansion
-    kernel (:func:`repro.parallel.vectorized.lane_bfs_levels`, compiled
-    tier when available); a pass that would outrun the kernel's one-byte
-    levels is redone source by source with
-    :func:`~repro.graph.algorithms.bfs_levels_vectorized`. Either way the
-    estimate is the one a plain BFS per source gives, bit for bit.
+    kernel (:func:`repro.parallel.vectorized.lane_bfs_levels`); a pass
+    that would outrun the kernel's one-byte levels is redone source by
+    source with :func:`~repro.graph.algorithms.bfs_levels_vectorized`.
+    Either way the estimate is the one a plain BFS per source gives, bit
+    for bit.
 
     A graph opened from a version-2 ``.csrstore`` returns the estimate the
     store recorded when it was sampled with this ``(n_pairs, seed)`` (and

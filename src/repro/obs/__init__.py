@@ -7,9 +7,8 @@ One API for all telemetry:
   summaries.
 * :mod:`repro.obs.metrics` — lock-protected counters, gauges, and
   log-bucket histograms; Prometheus text exposition and JSON snapshots.
-* :mod:`repro.obs.config` — the ``REPRO_OBS`` kill-switch,
-  ``REPRO_NATIVE_KERNEL`` propagation, and the ``REPRO_TRACE``
-  bench-run trace hook.
+* :mod:`repro.obs.config` — every ``REPRO_*`` switch: the ``REPRO_OBS``
+  kill-switch and the ``REPRO_TRACE`` bench-run trace hook among them.
 * :mod:`repro.obs.flight` — the query flight recorder: a ring buffer of
   the last N completed :class:`~repro.obs.flight.QueryRecord`\\ s plus
   a slow-query log (``REPRO_FLIGHT_N`` / ``REPRO_SLOW_MS``).
@@ -20,13 +19,11 @@ and how to scrape/open the exports.
 
 from .config import (
     ENV_FLIGHT_N,
-    ENV_NATIVE_KERNEL,
     ENV_OBS,
     ENV_SLOW_MS,
     ENV_TRACE,
     flight_recorder_size,
     maybe_install_env_tracer,
-    native_kernel_enabled,
     obs_enabled,
     slow_query_threshold_ms,
 )
@@ -52,7 +49,6 @@ from .tracing import (
 __all__ = [
     "Counter",
     "ENV_FLIGHT_N",
-    "ENV_NATIVE_KERNEL",
     "ENV_OBS",
     "ENV_SLOW_MS",
     "ENV_TRACE",
@@ -70,7 +66,6 @@ __all__ = [
     "get_registry",
     "install_global_tracer",
     "maybe_install_env_tracer",
-    "native_kernel_enabled",
     "obs_enabled",
     "record_kernel_counters",
     "slow_query_threshold_ms",

@@ -11,16 +11,14 @@ registration):
   no-ops), so the engine runs the exact seed hot path.
   :func:`repro.bench.harness.measure_obs_overhead` measures that this
   disabled path stays within measurement noise of the untraced engine.
-* ``REPRO_NATIVE_KERNEL`` — the compiled-C expansion tier switch
-  (``0`` pins the pure-NumPy kernel); read by
-  :mod:`repro.parallel._native` through :func:`native_kernel_enabled`.
 * ``REPRO_TRACE`` — when set to a file path, a process-global tracer is
   installed at benchmark-harness import and the collected spans are
   written there as Chrome trace-event JSON at interpreter exit, so any
   ``benchmarks/bench_*.py`` run can dump a trace without code changes.
 * ``REPRO_SANITIZE`` — comma-separated sanitizer selection
-  (``address``, ``undefined``) for the compiled kernel tier; read by
-  :mod:`repro.parallel._native`, set by :mod:`repro.analysis.sanitize`.
+  (``address``, ``undefined``) for the compiled kernel, which every
+  search route runs on; read by :mod:`repro.parallel._native` (an
+  unknown name raises), set by :mod:`repro.analysis.sanitize`.
 * ``REPRO_DATASET_CACHE`` — dataset cache directory override for the
   benchmark harness; read by :mod:`repro.bench.datasets`.
 * ``REPRO_SLOW_MS`` — slow-query threshold (milliseconds) for the query
@@ -40,10 +38,6 @@ from typing import Optional
 
 #: Kill-switch for all span tracing and metric recording.
 ENV_OBS = "REPRO_OBS"
-
-#: Compiled-kernel switch: ``0`` forces the pure-NumPy kernel (e.g. for
-#: A/B benchmarks).
-ENV_NATIVE_KERNEL = "REPRO_NATIVE_KERNEL"
 
 #: Chrome-trace output path for benchmark runs (empty/unset = no trace).
 ENV_TRACE = "REPRO_TRACE"
@@ -81,11 +75,6 @@ DEFAULT_FLIGHT_RECORDS = 128
 def obs_enabled() -> bool:
     """True unless ``REPRO_OBS=0`` vetoes telemetry."""
     return os.environ.get(ENV_OBS, "1") != "0"
-
-
-def native_kernel_enabled() -> bool:
-    """True unless ``REPRO_NATIVE_KERNEL=0`` pins the NumPy kernel."""
-    return os.environ.get(ENV_NATIVE_KERNEL, "1") != "0"
 
 
 def trace_path() -> Optional[str]:

@@ -11,6 +11,7 @@ Mapping to the paper's implementations:
 * :class:`LockedDictEngine` — "CPU-Par-d" (locked dynamic memory).
 """
 
+from ._native import NativeKernelUnavailable
 from .backend import ExpansionBackend
 from .locked import LockedDictEngine
 from .sequential import SequentialBackend
@@ -20,6 +21,7 @@ from .vectorized import VectorizedBackend
 __all__ = [
     "ExpansionBackend",
     "LockedDictEngine",
+    "NativeKernelUnavailable",
     "SequentialBackend",
     "ThreadPoolBackend",
     "VectorizedBackend",

@@ -1,46 +1,48 @@
-/* Native tier: the fused expansion kernels and stage two.
+/* Native tier: stage one's expansion kernels and stage two.
  *
- * Two expansion entry points share one byte-lane (SWAR) representation: a
+ * Both expansion entry points share one byte-lane (SWAR) representation: a
  * node's per-instance boolean conditions live in 64-bit lane words
- * (byte lane i = BFS instance i), the per-edge hit ballot is a word
- * AND, and every matrix write is an idempotent byte store of level + 1
- * into a previously-infinite cell.  Byte-granular stores are what keep
- * Theorem V.2's lock-free argument intact when chunks of one frontier
- * run concurrently: racing writers store the same constant, and a torn
- * word *read* can only misclassify single bytes as already-written,
- * which skips a duplicate claim, never a required one (the racing
- * chunk claimed it).
+ * (byte lane c of word w = BFS instance 8w + c), the per-edge hit ballot
+ * is a word AND, and every matrix write is an idempotent byte store of
+ * level + 1 into a previously-infinite cell.  Byte-granular stores are
+ * what keep Theorem V.2's lock-free argument intact when chunks of one
+ * frontier run concurrently: racing writers store the same constant, and
+ * a torn word *read* can only misclassify single bytes as
+ * already-written, which skips a duplicate claim, never a required one
+ * (the racing chunk claimed it).
  *
- * Every q in 1..8 takes the same loop: a neighbour's M row is read as
- * one 8-byte word at matrix + v*q (see load_row).  For q < 8 the lanes
- * >= q of that word are the first bytes of the following rows; they are
- * dead by construction, because the eligibility word `se` only ever has
- * bits in lanes < q and every use of the row word is masked by it.  M
- * itself stays n x q bytes, and stores stay byte stores over c < q, so
- * a row never clobbers its neighbour.
+ * A query of q <= 64 keywords has W = ceil(q / 8) lane words per row:
+ * word w of a neighbour's M row is read 8 bytes wide at matrix + v*q + 8w
+ * (see load_word).  Lanes past q in the last word are the first bytes of
+ * the following row; they are dead by construction, because the
+ * eligibility words only ever have bits in lanes < q and every use of a
+ * row word is masked by them.  M itself stays n x q bytes, and stores
+ * stay byte stores over c < q, so a row never clobbers its neighbour.
+ * q <= 8 (W = 1) is the common case and is compiled as its own body.
  *
- *   fused_expand      — one frontier chunk, one query (q <= 8 lanes);
- *                       the ThreadPool/Vectorized per-chunk kernel.
+ *   fused_expand      — one frontier chunk, one query; the ThreadPool
+ *                       per-chunk kernel.  Emits the cells it claimed and
+ *                       leaves finite_count to the caller's merge.
  *   whole_level_step  — one complete bottom-up level (Algorithm 1's
  *                       enqueue + identify + Algorithm 2 expansion +
  *                       incremental finite-count update) in a single
  *                       call, eliminating the per-level Python round
  *                       trips.
  *
- * Both expansion entry points also report a live-lane mask (bit i: BFS
- * instance i may still be written at a later level): every lane a
- * ballot wrote, and the eligible lanes of every source that re-flags
- * itself -- waiting for activation (Algorithm 2 lines 5-7) or retrying
- * a blocked neighbour (lines 18-20).  A lane outside it is closed for
- * good; core/bottom_up.py stops the search on it.
+ * Both run every source through expand_source.  Both also report a
+ * live-lane mask (bit i: BFS instance i may still be written at a later
+ * level): every lane a ballot wrote, and the eligible lanes of every
+ * source that re-flags itself -- waiting for activation (Algorithm 2
+ * lines 5-7) or retrying a blocked neighbour (lines 18-20).  A lane
+ * outside it is closed for good; core/bottom_up.py stops the search on
+ * it.
  *
  * Because the matrix is read live (not from a pre-level snapshot), a
  * cell is claimed exactly once per call, so the emitted keys are the
  * deduplicated hit set by construction.  Cells already stamped with
- * level + 1 by an earlier edge of the same pass are exactly the
- * scatter duplicates the NumPy tier counts, so they are tallied here
- * as `duplicates_elided` (values <= level, 0, and 255 are the only
- * other possible byte states, so the equality test is unambiguous).
+ * level + 1 by an earlier edge are tallied as `duplicates_elided`
+ * (values <= level, 0, and 255 are the only other possible byte states,
+ * so the equality test is unambiguous).
  *
  * Stage two is the third and fourth export:
  *
@@ -56,8 +58,8 @@
  *
  * Both sort with sort_i64, an introsort.
  *
- * Compiled on demand by _native.py with the system C compiler; absent a
- * compiler the NumPy kernels run alone with identical semantics.
+ * Compiled on demand by _native.py with the system C compiler, which
+ * every search route requires.
  */
 
 #include <stdint.h>
@@ -66,6 +68,12 @@
 #define LO7 0x7F7F7F7F7F7F7F7FULL
 #define LSB 0x0101010101010101ULL
 #define MSB 0x8080808080808080ULL
+
+/* Lane words of a q <= 64 row. */
+#define MAX_WORDS 8
+
+/* The helpers a per-source body calls with a literal word count. */
+#define ALWAYS_INLINE inline __attribute__((always_inline))
 
 /* 0x01 in every lane whose byte equals 0xFF (infinity): low 7 bits all
  * set (carry into bit 7) AND bit 7 set. */
@@ -98,136 +106,219 @@ static inline int64_t lowest_lane(uint64_t lanes)
     return (int64_t)(__builtin_ctzll(lanes) >> 3);
 }
 
-/* A word of 0x00/0x01 byte lanes as a bit mask: bit i = lane i. */
-static inline int64_t lane_bits(uint64_t lanes)
+/* A word of 0x00/0x01 byte lanes as a bit mask (bit c = lane c): the
+ * multiplier lands lane c's bit on bit 56 + c, and no two partial
+ * products share a bit, so nothing carries. */
+static inline uint64_t lane_bits(uint64_t lanes)
 {
-    int64_t bits = 0;
-    for (int64_t c = 0; c < 8; ++c)
-        bits |= (int64_t)((lanes >> (8 * c)) & 1) << c;
-    return bits;
+    return (lanes * 0x0102040810204080ULL) >> 56;
 }
 
-/* Node u's eligibility lane word: 0x01 in lane c iff M[u][c] <= level
- * (Algorithm 2 lines 9-11). */
-static inline uint64_t eligible_lanes(
-    const uint8_t* matrix, int64_t u, int64_t q, uint8_t level)
+/* Rows [0, safe_rows) can be read `words` lane words wide without
+ * leaving the n*q-byte matrix: v*q + 8*words <= n*q.  Only the last row
+ * or two (every row when n*q < 8*words) fall outside. */
+static inline int64_t safe_rows(int64_t n, int64_t q, int64_t words)
 {
-    const uint8_t* mrow = matrix + u * q;
-    uint64_t se = 0;
-    for (int64_t c = 0; c < q; ++c) {
-        if (mrow[c] <= level)
-            se |= 1ULL << (8 * c);
-    }
-    return se;
+    return n * q >= 8 * words ? (n * q - 8 * words) / q + 1 : 0;
 }
 
-/* Rows [0, safe_rows) can be read 8 bytes wide without leaving the
- * n*q-byte matrix: v*q + 8 <= n*q.  Only the last ceil(8/q) rows (all
- * of them when n*q < 8) fall outside. */
-static inline int64_t safe_rows(int64_t n, int64_t q)
-{
-    return n * q >= 8 ? (n * q - 8) / q + 1 : 0;
-}
-
-/* Node v's M row as a lane word.  Lanes >= q hold the next rows' bytes
- * (or 0xFF for the tail rows, whose q bytes are copied into an all-ones
- * word instead of over-reading the buffer); callers mask them with an
- * eligibility word that is zero there. */
-static inline uint64_t load_row(
-    const uint8_t* matrix, int64_t v, int64_t q, int64_t n_safe)
+/* Word w of node v's M row.  Only the last word can run past the row;
+ * on a tail row its q - 8w bytes are copied into an all-ones word
+ * instead of over-reading the buffer.  Callers mask the lanes past q. */
+static ALWAYS_INLINE uint64_t load_word(const uint8_t* matrix, int64_t v,
+    int64_t q, int64_t w, int64_t words, int64_t n_safe)
 {
     uint64_t m = ~0ULL;
-    if (v < n_safe)
-        memcpy(&m, matrix + v * q, 8);
+    if (v < n_safe || w < words - 1)
+        memcpy(&m, matrix + v * q + 8 * w, 8);
     else
-        memcpy(&m, matrix + v * q, (size_t)q);
+        memcpy(&m, matrix + v * q + 8 * w, (size_t)(q - 8 * w));
     return m;
 }
 
-/* Expand one frontier chunk at `level` (writing `next_level`).
+/* Node u's eligibility lane words: lane c of se[w] is 0x01 iff
+ * M[u][8w + c] <= level (Algorithm 2 lines 9-11).  Returns their OR. */
+static ALWAYS_INLINE uint64_t eligible_words(const uint8_t* matrix, int64_t u,
+    int64_t q, uint8_t level, int64_t words, uint64_t* se)
+{
+    const uint8_t* mrow = matrix + u * q;
+    uint64_t any = 0;
+    for (int64_t w = 0; w < words; ++w) {
+        uint64_t word = 0;
+        for (int64_t c = 8 * w; c < q && c < 8 * w + 8; ++c) {
+            if (mrow[c] <= level)
+                word |= 1ULL << (8 * (c - 8 * w));
+        }
+        se[w] = word;
+        any |= word;
+    }
+    return any;
+}
+
+/* The bit mask of `words` lane words (bit 8w + c = lane c of word w). */
+static ALWAYS_INLINE uint64_t words_bits(const uint64_t* lanes, int64_t words)
+{
+    uint64_t bits = 0;
+    for (int64_t w = 0; w < words; ++w)
+        bits |= lane_bits(lanes[w]) << (8 * w);
+    return bits;
+}
+
+/* Algorithm 2 for frontier node u at `level` (writing level + 1) over
+ * `words` lane words, with the CSR, M and the state arrays as the
+ * exports take them.  Always inlined with `words` and `emit_keys` known
+ * at compile time: `emit_keys` writes each claimed cell key
+ * (node * q + lane) to out_keys[tally[1]] and leaves finite_count alone
+ * (fused_expand); otherwise finite_count is advanced in place
+ * (whole_level_step).  `tally` adds up edges_gathered, pairs_hit,
+ * sources_pruned and duplicates_elided, `live` the live-lane mask
+ * (bit 8w + c = lane c of word w). */
+static ALWAYS_INLINE void expand_source(int64_t u, const int64_t words,
+    const int emit_keys, const int64_t* indptr, const int32_t* indices,
+    uint8_t* matrix, int64_t q, int64_t n_safe, uint8_t* fid,
+    const uint8_t* cid, const uint8_t* keyword_node,
+    const int32_t* activation, int32_t* finite_count, int64_t* out_keys,
+    uint8_t level, int64_t may_block, int64_t* tally, uint64_t* live)
+{
+    const uint8_t next_level = (uint8_t)(level + 1);
+    const int32_t next_level_i = (int32_t)level + 1;
+    uint64_t se[MAX_WORDS];
+    /* Line 2-3: identified Central Nodes never expand. */
+    if (cid[u])
+        return;
+    /* Line 5-7: inactive frontiers re-flag and wait, and keep the lanes
+     * they are hit in live.  The row is a cache miss the expansion does
+     * not need, so it is read only while some lane is not live yet. */
+    if (activation[u] > (int32_t)level) {
+        fid[u] = 1;
+        if (*live != (q < 64 ? (1ULL << q) - 1 : ~0ULL)) {
+            eligible_words(matrix, u, q, level, words, se);
+            *live |= words_bits(se, words);
+        }
+        return;
+    }
+    /* Line 9-11 hoisted: the eligibility lane words. */
+    if (!eligible_words(matrix, u, q, level, words, se)) {
+        ++tally[2];
+        return;
+    }
+    const int64_t end = indptr[u + 1];
+    tally[0] += end - indptr[u];
+    uint64_t ballots[MAX_WORDS] = {0};
+    int retry = 0;
+    for (int64_t e = indptr[u]; e < end; ++e) {
+        const int64_t v = (int64_t)indices[e];
+        /* Line 18-20 before the row load: a blocked node was blocked at
+         * every earlier level too and is no source, so its row is all
+         * infinity -- no duplicate, a ballot equal to se != 0, a retry.
+         * Activation first: most neighbours are active, and then the
+         * keyword mask is never read. */
+        if (may_block && activation[v] > next_level_i && !keyword_node[v]) {
+            retry = 1;
+            continue;
+        }
+        for (int64_t w = 0; w < words; ++w) {
+            const uint64_t m = load_word(matrix, v, q, w, words, n_safe);
+            tally[3] += lane_sum(se[w] & eq_lanes(m, next_level));
+            const uint64_t ballot = se[w] & inf_lanes(m);
+            if (!ballot)
+                continue;
+            for (uint64_t b = ballot; b; b &= b - 1) {
+                const int64_t key = v * q + 8 * w + lowest_lane(b);
+                matrix[key] = next_level;
+                if (emit_keys)
+                    out_keys[tally[1]++] = key;
+            }
+            if (!emit_keys) {
+                const int32_t written = (int32_t)lane_sum(ballot);
+                finite_count[v] += written;
+                tally[1] += written;
+            }
+            ballots[w] |= ballot;
+            fid[v] = 1;
+        }
+    }
+    if (retry) {
+        fid[u] = 1;
+        for (int64_t w = 0; w < words; ++w)
+            ballots[w] |= se[w];
+    }
+    *live |= words_bits(ballots, words);
+}
+
+/* expand_source over `sources`, the body specialised for one lane word
+ * (q <= 8) and compiled once more for any other count. */
+static ALWAYS_INLINE void expand_sources(const int64_t* sources,
+    int64_t n_sources, const int emit_keys, int64_t n,
+    const int64_t* indptr, const int32_t* indices, uint8_t* matrix,
+    int64_t q, uint8_t* fid, const uint8_t* cid,
+    const uint8_t* keyword_node, const int32_t* activation,
+    int32_t* finite_count, int64_t* out_keys, uint8_t level,
+    int64_t may_block, int64_t* tally, uint64_t* live)
+{
+    const int64_t words = (q + 7) / 8;
+    const int64_t n_safe = safe_rows(n, q, words);
+    if (words == 1) {
+        for (int64_t i = 0; i < n_sources; ++i)
+            expand_source(sources[i], 1, emit_keys, indptr, indices, matrix,
+                q, n_safe, fid, cid, keyword_node, activation, finite_count,
+                out_keys, level, may_block, tally, live);
+    } else {
+        for (int64_t i = 0; i < n_sources; ++i)
+            expand_source(sources[i], words, emit_keys, indptr, indices,
+                matrix, q, n_safe, fid, cid, keyword_node, activation,
+                finite_count, out_keys, level, may_block, tally, live);
+    }
+}
+
+/* Expand one frontier chunk at `level` (writing level + 1).
  *
- *   n         node count (rows of `matrix`)
- *   n_chunk   rows of `chunk` / `se_words`
- *   chunk     frontier node ids (already filtered: non-central, active,
- *             eligible in at least one lane)
- *   se_words  per-row eligibility lane words (byte lane i is 1 iff
- *             M[u][i] <= level; pad lanes are always 0)
- *   indptr    CSR row pointers (int64, n + 1)
- *   indices   CSR neighbor ids (int32)
- *   matrix    the (n x q) uint8 hitting-level matrix M, row-major
- *   q         BFS instances (1..8)
- *   blocked   per-node flag: non-keyword node still awaiting
- *             activation at next_level (NULL when no node can block)
- *   fid       FIdentifier flags (uint8, n)
- *   out_keys  capacity for every possible hit (n * q is always enough)
- *   n_dups    out: scatter duplicates elided by the live-read dedup
- *             (matches the NumPy tier's scattered-minus-unique count)
- *   live_out  out: the lanes this call wrote or a retrying source kept
- *             open, as a bit mask (waiting sources never reach the
- *             kernel; their caller adds their lanes)
+ *   n           node count (rows of `matrix`)
+ *   n_chunk     entries of `chunk`
+ *   chunk       frontier node ids, as enqueued (Central Nodes, waiting
+ *               and ineligible sources included)
+ *   indptr      CSR row pointers (int64, n + 1)
+ *   indices     CSR neighbor ids (int32)
+ *   matrix      the (n x q) uint8 hitting-level matrix M, row-major
+ *   q           BFS instances (1..64)
+ *   fid         FIdentifier flags (uint8, n)
+ *   cid         CIdentifier flags (read only)
+ *   keyword_node uint8 mask: node contains a query keyword
+ *   activation  per-node minimum activation levels (int32)
+ *   level       the current BFS level
+ *   may_block   0 when no node can still await activation at level + 1
+ *   out_keys    capacity for every possible hit (n * q is always enough)
+ *   stats_out   [0] edges_gathered  [1] pairs_hit  [2] sources_pruned
+ *               [3] duplicates_elided  [4] live-lane mask
  *
  * Returns the number of unique cell keys (node * q + lane) written to
- * out_keys.
+ * out_keys; finite_count is the caller's to advance.
  */
 int64_t fused_expand(
     int64_t n,
     int64_t n_chunk,
     const int64_t* chunk,
-    const uint64_t* se_words,
     const int64_t* indptr,
     const int32_t* indices,
     uint8_t* matrix,
     int64_t q,
-    const uint8_t* blocked,
     uint8_t* fid,
-    uint8_t next_level,
+    const uint8_t* cid,
+    const uint8_t* keyword_node,
+    const int32_t* activation,
+    uint8_t level,
+    int64_t may_block,
     int64_t* out_keys,
-    int64_t* n_dups,
-    int64_t* live_out)
+    int64_t* stats_out)
 {
-    const int64_t n_safe = safe_rows(n, q);
-    int64_t n_keys = 0;
-    int64_t dups = 0;
+    int64_t tally[4] = {0, 0, 0, 0};
     uint64_t live = 0;
-
-    for (int64_t i = 0; i < n_chunk; ++i) {
-        const uint64_t se = se_words[i];
-        const int64_t u = chunk[i];
-        int retry = 0;
-        const int64_t end = indptr[u + 1];
-        for (int64_t e = indptr[u]; e < end; ++e) {
-            const int64_t v = (int64_t)indices[e];
-            /* Line 18-20: the source retries at a later level.  Tested
-             * before the row load: a blocked node's row is all infinity
-             * (never hit, no source), so the load could only confirm a
-             * ballot of se != 0 and no duplicate. */
-            if (blocked && blocked[v]) {
-                retry = 1;
-                continue;
-            }
-            const uint64_t m = load_row(matrix, v, q, n_safe);
-            dups += lane_sum(se & eq_lanes(m, next_level));
-            const uint64_t ballot = se & inf_lanes(m);
-            if (!ballot)
-                continue;
-            for (uint64_t b = ballot; b; b &= b - 1) {
-                const int64_t key = v * q + lowest_lane(b);
-                matrix[key] = next_level;
-                out_keys[n_keys++] = key;
-            }
-            live |= ballot;
-            fid[v] = 1;
-        }
-        if (retry) {
-            fid[u] = 1;
-            live |= se;
-        }
-    }
-    if (n_dups)
-        *n_dups = dups;
-    if (live_out)
-        *live_out = lane_bits(live);
-    return n_keys;
+    expand_sources(chunk, n_chunk, 1, n, indptr, indices, matrix, q, fid,
+        cid, keyword_node, activation, NULL, out_keys, level, may_block,
+        tally, &live);
+    memcpy(stats_out, tally, sizeof(tally));
+    stats_out[4] = (int64_t)live;
+    return tally[1];
 }
 
 /* One complete bottom-up level in a single call (Algorithm 1's joined
@@ -235,15 +326,13 @@ int64_t fused_expand(
  * branch-free drain, eight flags per word), identify Central Nodes
  * among it (finite_count == q, Lemma V.1), and — unless the top-k
  * target is met or the level cap reached — run Algorithm 2 over the
- * frontier with the incremental finite-count update applied in place.
- * The blocked test (line 18-20) runs before a neighbour's row is read.
- * The expansion also ORs up the level's live lanes (file header): each
- * ballot, and the eligible lanes of each waiting or retrying source.
+ * frontier (expand_source) with the incremental finite-count update
+ * applied in place.
  *
  *   n             node count
  *   indptr/indices CSR adjacency
  *   matrix        (n x q) uint8 hitting-level matrix, row-major
- *   q             BFS instances (1..8)
+ *   q             BFS instances (1..64)
  *   fid           FIdentifier flags (drained, then re-written)
  *   cid           CIdentifier flags (newly central nodes are stamped)
  *   keyword_node  uint8 mask: node contains a query keyword
@@ -289,20 +378,11 @@ int64_t whole_level_step(
     int64_t* central_out,
     int64_t* stats_out)
 {
-    const uint8_t next_level = (uint8_t)(level + 1);
-    const int32_t level_i = (int32_t)level;
-    const int32_t next_level_i = (int32_t)level + 1;
-    const int64_t n_safe = safe_rows(n, q);
+    int64_t tally[4] = {0, 0, 0, 0};
+    uint64_t live = 0;
     int64_t n_frontier = 0;
     int64_t n_central = 0;
-    int64_t edges = 0;
-    int64_t hits = 0;
-    int64_t pruned = 0;
-    int64_t dups = 0;
     int64_t expanded = 0;
-    uint64_t live = 0;
-    /* 0x01 in each of the lanes 0 .. q - 1. */
-    const uint64_t all_lanes = q >= 8 ? LSB : LSB & ((1ULL << (8 * q)) - 1);
 
     /* Enqueue: drain FIdentifier into the joint frontier (ascending,
      * exactly like np.flatnonzero), branch-free.  Eight flags are read
@@ -343,72 +423,17 @@ int64_t whole_level_step(
 
         if (may_expand && central_have + n_central < k) {
             expanded = 1;
-            for (int64_t i = 0; i < n_frontier; ++i) {
-                const int64_t u = frontier_out[i];
-                /* Line 2-3: identified Central Nodes never expand. */
-                if (cid[u])
-                    continue;
-                /* Line 5-7: inactive frontiers re-flag and wait, and
-                 * keep the lanes they are hit in live.  The row is a
-                 * cache miss the expansion does not need, so it is read
-                 * only while some lane is not live yet. */
-                if (activation[u] > level_i) {
-                    fid[u] = 1;
-                    if (live != all_lanes)
-                        live |= eligible_lanes(matrix, u, q, level);
-                    continue;
-                }
-                /* Line 9-11 hoisted: eligibility lane word. */
-                const uint64_t se = eligible_lanes(matrix, u, q, level);
-                if (!se) {
-                    ++pruned;
-                    continue;
-                }
-                const int64_t end = indptr[u + 1];
-                edges += end - indptr[u];
-                int retry = 0;
-                for (int64_t e = indptr[u]; e < end; ++e) {
-                    const int64_t v = (int64_t)indices[e];
-                    /* Line 18-20 before the row load: a blocked node
-                     * was blocked at every earlier level too and is no
-                     * source, so its row is all infinity -- no
-                     * duplicate, a ballot equal to se != 0, a retry.
-                     * Activation first: most neighbours are active, and
-                     * then the keyword mask is never read. */
-                    if (may_block && activation[v] > next_level_i
-                        && !keyword_node[v]) {
-                        retry = 1;
-                        continue;
-                    }
-                    const uint64_t m = load_row(matrix, v, q, n_safe);
-                    dups += lane_sum(se & eq_lanes(m, next_level));
-                    const uint64_t ballot = se & inf_lanes(m);
-                    if (!ballot)
-                        continue;
-                    for (uint64_t b = ballot; b; b &= b - 1)
-                        matrix[v * q + lowest_lane(b)] = next_level;
-                    const int32_t written = (int32_t)lane_sum(ballot);
-                    finite_count[v] += written;
-                    hits += written;
-                    live |= ballot;
-                    fid[v] = 1;
-                }
-                if (retry) {
-                    fid[u] = 1;
-                    live |= se;
-                }
-            }
+            expand_sources(frontier_out, n_frontier, 0, n, indptr, indices,
+                matrix, q, fid, cid, keyword_node, activation, finite_count,
+                NULL, level, may_block, tally, &live);
         }
     }
 
     stats_out[0] = n_frontier;
     stats_out[1] = n_central;
     stats_out[2] = expanded;
-    stats_out[3] = edges;
-    stats_out[4] = hits;
-    stats_out[5] = pruned;
-    stats_out[6] = dups;
-    stats_out[7] = lane_bits(live);
+    memcpy(stats_out + 3, tally, sizeof(tally));
+    stats_out[7] = (int64_t)live;
     return n_frontier;
 }
 

@@ -1,19 +1,20 @@
-"""On-demand compiled native tier of the fused expansion kernel.
+"""On-demand compiled native tier: stage one's expansion and stage two.
 
 The paper's CPU engine is native code; a NumPy reproduction pays an
 interpreter-dispatch and memory-traffic tax on every whole-array pass.
-This module closes most of that gap without adding a build step or a
-dependency: ``_kernel.c`` (the same byte-lane algorithm as the NumPy
-kernel, one C loop instead of ~15 array passes) is compiled once per
-source hash with whatever system C compiler is available and loaded
-through :mod:`ctypes`.
+This module closes that gap without adding a build step or a
+dependency: ``_kernel.c`` (the byte-lane expansion for every q ≤ 64 and
+stage two's extraction and ranking) is compiled once per source hash
+with whatever system C compiler is available and loaded through
+:mod:`ctypes`.
 
-Everything is best-effort: no compiler, a failed compile, or
-``REPRO_NATIVE_KERNEL=0`` simply yield ``None`` from
-:func:`load_kernel`, and the pure-NumPy kernel — semantically identical
-— runs alone. Nothing outside this package directory is written; the
-shared object lands in ``_build/`` next to the source and is reused
-across processes.
+Every search route needs it. :func:`load_kernel` returns ``None`` when
+no compiler could build it (a missing source, a failed compile, a
+dlopen error) and raises ``ValueError`` on a ``REPRO_SANITIZE`` it does
+not know; :func:`repro.parallel.vectorized._native_kernel` turns the
+``None`` into :class:`NativeKernelUnavailable`. Nothing outside this
+package directory is written; the shared object lands in ``_build/``
+next to the source and is reused across processes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from ..obs.config import ENV_SANITIZE, native_kernel_enabled, sanitize_value
+from ..obs.config import ENV_SANITIZE, sanitize_value
 
 # ``REPRO_SANITIZE`` selects a sanitized build, compiled to its own
 # shared object (the sanitizer set is part of the cache key), so
@@ -93,6 +94,12 @@ def sanitize_cflags(selection: "tuple[str, ...]") -> "tuple[str, ...]":
         # TSan needs the pthread interceptors linked into the object.
         flags += ("-pthread",)
     return flags
+
+
+class NativeKernelUnavailable(RuntimeError):
+    """The compiled kernel cannot be built or used on this host. Every
+    search route runs on it, so a host without a C compiler (or a
+    big-endian one) fails here, once, with the compilers it tried."""
 
 
 def _compilers() -> "list[str]":
@@ -500,17 +507,18 @@ class NativeKernel:
             ctypes.c_int64,  # n
             ctypes.c_int64,  # n_chunk
             i64,  # chunk
-            u64,  # se_words
             i64,  # indptr
             i32,  # indices
             u8,  # matrix
             ctypes.c_int64,  # q
-            ctypes.c_void_p,  # blocked (nullable)
             u8,  # fid
-            ctypes.c_uint8,  # next_level
+            u8,  # cid
+            u8,  # keyword_node
+            i32,  # activation
+            ctypes.c_uint8,  # level
+            ctypes.c_int64,  # may_block
             i64,  # out_keys
-            i64,  # n_dups
-            i64,  # live_out
+            i64,  # stats_out
         ]
         self._fn = fn
 
@@ -538,10 +546,6 @@ class NativeKernel:
             i64,  # stats_out
         ]
         self._step = step
-        # The same symbol through a second function object whose array
-        # arguments are plain addresses, derived from the one declaration
-        # above: bind_whole_level runs the ndpointer checks once per
-        # query, and a level's call then marshals only integers.
         # The same symbol through a second function object whose array
         # arguments are plain addresses, derived from the one declaration
         # above: bind_whole_level runs the ndpointer checks once per
@@ -612,47 +616,49 @@ class NativeKernel:
     def expand(
         self,
         chunk: np.ndarray,
-        se_words: np.ndarray,
         indptr: np.ndarray,
         indices: np.ndarray,
         matrix_flat: np.ndarray,
         q: int,
-        blocked: Optional[np.ndarray],
         f_identifier: np.ndarray,
-        next_level: int,
+        c_identifier: np.ndarray,
+        keyword_node_u8: np.ndarray,
+        activation: np.ndarray,
+        level: int,
+        may_block: bool,
         out_keys: np.ndarray,
-    ) -> "tuple[int, int, int]":
-        """Run one chunk expansion.
+    ) -> "tuple[int, list[int]]":
+        """Run Algorithm 2 over one frontier chunk, as enqueued.
 
         The node count the kernel's tail guard needs is
-        ``len(f_identifier)``. Returns ``(n_keys, n_duplicates,
-        live_lanes)``: the unique-key count written to ``out_keys``, the
-        scatter duplicates elided by the live matrix read (the NumPy
-        tier's ``scattered - unique`` count) and the lanes the chunk
-        wrote or a retrying source kept open (bit i = lane i).
+        ``len(f_identifier)``. Returns the number of unique cell keys
+        written to ``out_keys`` and ``[edges_gathered, pairs_hit,
+        sources_pruned, duplicates_elided, live_lanes]``: the scatter
+        duplicates are the cells a live matrix read found already
+        stamped, and ``live_lanes`` has bit i set iff lane i was written
+        or kept open by a waiting or retrying source.
         """
-        blocked_ptr = blocked.ctypes.data if blocked is not None else None
-        outs = np.zeros(2, dtype=np.int64)
+        stats = np.zeros(5, dtype=np.int64)
         count = int(
             self._fn(
                 len(f_identifier),
                 len(chunk),
                 chunk,
-                se_words,
                 indptr,
                 indices,
                 matrix_flat,
                 q,
-                blocked_ptr,
                 f_identifier,
-                next_level,
+                c_identifier,
+                keyword_node_u8,
+                activation,
+                level,
+                1 if may_block else 0,
                 out_keys,
-                outs[:1],
-                outs[1:],
+                stats,
             )
         )
-        n_dups, live_lanes = outs.tolist()
-        return count, n_dups, live_lanes
+        return count, stats.view(np.uint64).tolist()
 
     def bind_whole_level(
         self,
@@ -824,19 +830,14 @@ class NativeKernel:
 
 
 def load_kernel() -> Optional[NativeKernel]:
-    """Compile (once) and load the native kernel, or ``None``.
+    """Compile (once) and load the native kernel, or ``None`` when no
+    compiler could build it or it does not load.
 
-    Never raises: any failure — missing source, no compiler, dlopen
-    error — degrades to the NumPy kernel.
+    Raises:
+        ValueError: ``REPRO_SANITIZE`` names a sanitizer this tier does
+            not know — a typo must not load an unsanitized kernel.
     """
-    if not native_kernel_enabled():
-        return None
-    try:
-        selection = sanitize_selection()
-    except ValueError:
-        # A typo'd REPRO_SANITIZE must not silently load an unsanitized
-        # kernel; fall back to the NumPy tier instead.
-        return None
+    selection = sanitize_selection()
     try:
         source = _SOURCE_PATH.read_bytes()
         digest = hashlib.sha256(source).hexdigest()[:16]
@@ -849,3 +850,12 @@ def load_kernel() -> Optional[NativeKernel]:
         return NativeKernel(ctypes.CDLL(str(so_path)))
     except Exception:
         return None
+
+
+def unavailable_error() -> NativeKernelUnavailable:
+    """What to raise when :func:`load_kernel` returned ``None``."""
+    return NativeKernelUnavailable(
+        f"the native kernel ({_SOURCE_PATH.name}) could not be compiled "
+        f"or loaded; tried the C compilers {', '.join(_compilers())} "
+        "(set CC to name another). Every search route needs it."
+    )

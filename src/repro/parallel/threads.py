@@ -4,12 +4,11 @@ The paper's CPU implementation uses coarse-grained parallelism: OpenMP
 threads each grab a whole frontier node under dynamic scheduling, because
 fine-grained (per-neighbor) work splitting costs more in coordination than
 it saves. We mirror that: the frontier is cut into chunks and a persistent
-thread pool runs the **fused single-pass kernel**
-(:func:`repro.parallel.vectorized.fused_expand_chunk`) on each chunk — the
-same multi-keyword flat-array kernel the vectorized backend uses, so
-"CPU-Par" rides the same hot path instead of the pure-Python per-node
-loop. NumPy releases the GIL inside whole-array operations, so chunked
-kernel calls overlap on real cores.
+thread pool runs the compiled per-chunk kernel
+(:func:`repro.parallel.vectorized.fused_expand_chunk`, one
+``fused_expand`` call) on each chunk — the same per-source body in C as
+the vectorized backend's whole level. The call releases the GIL, so
+chunks overlap on real cores.
 
 No locks are taken. Chunks share ``M`` and ``FIdentifier`` but only ever
 write the constants ``level + 1`` and ``1`` (Theorem V.2), so interleaved

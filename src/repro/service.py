@@ -47,6 +47,7 @@ from urllib.parse import parse_qs, urlparse
 
 from .core.central_graph import SearchAnswer
 from .core.engine import EmptyQueryError, KeywordSearchEngine
+from .core.state import TooManyKeywordsError
 from .graph.csr import KnowledgeGraph
 from .obs.flight import FlightRecorder
 from .obs.metrics import MetricsRegistry, get_registry
@@ -290,6 +291,10 @@ class SearchService:
             self.stats.queries += 1
         try:
             result = self.engine.search(query, k=k, alpha=alpha)
+        except TooManyKeywordsError as error:
+            with self._lock:
+                self.stats.errors += 1
+            return 400, {"error": str(error)}
         except EmptyQueryError as error:
             with self._lock:
                 self.stats.errors += 1

@@ -214,3 +214,15 @@ def random20() -> KnowledgeGraph:
 
 def zero_activation(graph: KnowledgeGraph) -> np.ndarray:
     return np.zeros(graph.n_nodes, dtype=np.int32)
+
+
+def keyword_star(n_words: int) -> Tuple[KnowledgeGraph, List[str]]:
+    """A hub joined to ``n_words`` leaves, each carrying one word of its
+    own: a query of all the words has ``n_words`` keywords, and the hub
+    is its Central Node at depth 1."""
+    words = [f"x{chr(97 + i // 26)}{chr(97 + i % 26)}q" for i in range(n_words)]
+    builder = GraphBuilder()
+    hub = builder.add_node("hub")
+    for word in words:
+        builder.add_edge(hub, builder.add_node(word), "has")
+    return builder.build(), words

@@ -111,7 +111,6 @@ def _contenders():
     return {
         "threads": ThreadPoolBackend(n_threads=3),
         "vectorized": VectorizedBackend(),
-        "vectorized-numpy": VectorizedBackend(native=False),
     }
 
 
@@ -655,12 +654,20 @@ def test_sanitize_selection_parsing():
         sanitize_selection("adress")
 
 
-def test_sanitize_env_typo_disables_native_tier(monkeypatch):
+def test_sanitize_env_typo_raises(monkeypatch):
+    """A typo must not load an unsanitized kernel, nor quietly fall back
+    to anything: loading raises, and so does an engine that loads."""
+    from repro.core.engine import KeywordSearchEngine
+    from repro.graph.generators import chain_graph
     from repro.obs.config import ENV_SANITIZE
-    from repro.parallel import _native
+    from repro.parallel import _native, vectorized
 
     monkeypatch.setenv(ENV_SANITIZE, "bogus")
-    assert _native.load_kernel() is None
+    with pytest.raises(ValueError, match="bogus"):
+        _native.load_kernel()
+    monkeypatch.setattr(vectorized, "_NATIVE_KERNEL", None)
+    with pytest.raises(ValueError, match="bogus"):
+        KeywordSearchEngine(chain_graph(3), average_distance=2.0)
 
 
 def test_sanitized_smoke_clean():
@@ -745,9 +752,10 @@ def test_tsan_parity_fuzz_clean():
     assert result.ok, result.detail
     assert not result.skipped
     assert "0 unsuppressed races" in result.detail
-    # The default fixtures include lane counts whose 8-byte row read
-    # straddles rows other chunks are storing into.
-    assert "q in (3, 6, 8)" in result.detail
+    # The default fixtures include lane counts whose last 8-byte lane
+    # word straddles rows other chunks are storing into, and two lane
+    # words per row (q = 10, 16).
+    assert "q in (3, 6, 8, 10, 16)" in result.detail
 
 
 def test_tsan_inject_reported():

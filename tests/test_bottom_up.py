@@ -14,7 +14,7 @@ from repro.core.state import INFINITE_LEVEL
 from repro.core.top_down import TopDownConfig, process_top_down
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import chain_graph
-from repro.parallel import VectorizedBackend
+from repro.parallel import SequentialBackend, VectorizedBackend
 
 from conftest import (
     reference_hitting_levels,
@@ -195,10 +195,11 @@ def test_peak_state_bytes_reported(chain5):
 # ---------------------------------------------------------------------------
 # Lane closure: the stop once no further Central Node can exist
 # ---------------------------------------------------------------------------
-#: The native whole level and the NumPy tier through the inherited level.
+#: The native whole level, and the per-node reference through the
+#: inherited level.
 TIERS = {
     "native": VectorizedBackend,
-    "numpy": lambda: VectorizedBackend(native=False),
+    "sequential": SequentialBackend,
 }
 
 

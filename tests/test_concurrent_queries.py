@@ -10,8 +10,10 @@ at two clients were wrong. The buffers and the whole-level call bound to
 them live on the query's ``SearchState``, and after a concurrent run the
 backend holds nothing but its configuration. The same goes for what a
 level *reports*: the
-NumPy tier once published a level's kernel counters through an attribute
-of the shared backend, so concurrent queries could swap level profiles.
+NumPy tier (since removed) once published a level's kernel counters
+through an attribute of the shared backend, so concurrent queries could
+swap level profiles; the inherited level is checked for that on
+``SequentialBackend``.
 Stage two is checked the same way — every ranked answer's node and edge
 sets, not only its Central-Node id: the batched ``extract_graphs``
 call allocates its ``marks`` / stack / member / pair scratch and its
@@ -94,10 +96,10 @@ def expected(engine):
 
 
 @pytest.fixture(scope="module")
-def numpy_engine(engine):
+def sequential_engine(engine):
     return KeywordSearchEngine(
         engine.graph,
-        backend=VectorizedBackend(native=False),
+        backend=SequentialBackend(),
         index=engine.index,
         weights=engine.weights,
         average_distance=engine.average_distance,
@@ -185,18 +187,18 @@ def _assert_threads_get_serial_results(engine, expected):
     assert not wrong, f"{len(wrong)} of {N_THREADS * N_QUERIES} answers differ: {wrong[:3]}"
     assert service.stats.queries == (N_THREADS + 1) * len(queries)
     # The level buffers and the bound whole-level call stayed with each
-    # query's state: the shared backend carries only its configuration.
-    assert set(vars(engine.backend)) == {"native"}
+    # query's state: the shared backend carries nothing.
+    assert not vars(engine.backend)
 
 
 def test_threads_sharing_one_service_get_reference_answers(engine, expected):
     _assert_threads_get_serial_results(engine, expected)
 
 
-def test_threads_sharing_numpy_tier_get_serial_level_profiles(
-    numpy_engine, expected
+def test_threads_sharing_the_inherited_level_get_serial_level_profiles(
+    sequential_engine, expected
 ):
-    _assert_threads_get_serial_results(numpy_engine, expected)
+    _assert_threads_get_serial_results(sequential_engine, expected)
 
 
 def _chunk_spans(tracer):
@@ -313,4 +315,4 @@ def test_http_clients_through_the_worker_set_get_reference_answers(
     assert server.service.stats.requests_by_endpoint["/search"] == (
         N_THREADS * N_HTTP_QUERIES
     )
-    assert set(vars(engine.backend)) == {"native"}
+    assert not vars(engine.backend)

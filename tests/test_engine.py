@@ -9,9 +9,15 @@ from repro.core.engine import (
     EngineConfig,
     KeywordSearchEngine,
 )
-from repro.parallel import SequentialBackend, VectorizedBackend
+from repro.core.state import MAX_KEYWORDS, TooManyKeywordsError
+from repro.parallel import (
+    NativeKernelUnavailable,
+    SequentialBackend,
+    ThreadPoolBackend,
+    VectorizedBackend,
+)
 
-from conftest import zero_activation
+from conftest import keyword_star, zero_activation
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +43,6 @@ def test_default_engine_runs_the_production_route(engine):
     """No backend argument means the vectorized backend — and the same
     ranked answers as the per-node reference named explicitly."""
     assert type(engine.backend) is VectorizedBackend
-    assert engine.backend.native is None
     reference = KeywordSearchEngine(
         engine.graph,
         backend=SequentialBackend(),
@@ -289,3 +294,43 @@ def test_config_defaults_applied(tiny_kb):
     )
     result = engine.search("machine learning data")
     assert len(result.answers) <= 2
+
+
+@pytest.mark.parametrize(
+    "backend",
+    [VectorizedBackend, lambda: ThreadPoolBackend(n_threads=2), SequentialBackend],
+    ids=["vectorized", "threads", "sequential"],
+)
+def test_a_query_may_have_64_keywords_but_not_65(backend):
+    """q = 64 fills the kernel's eight lane words and every bit of a
+    live-lane mask; one more keyword group is refused with a message,
+    on every route, before any state is built."""
+    assert MAX_KEYWORDS == 64
+    graph, words = keyword_star(65)
+    with backend() as chosen:
+        engine = KeywordSearchEngine(graph, backend=chosen, average_distance=2.0)
+        result = engine.search(" ".join(words[:64]), k=1)
+        assert len(result.keywords) == 64
+        assert [a.graph.central_node for a in result.answers] == [0]
+        assert result.answers[0].graph.n_nodes == 65
+        assert result.level_profile[0].live_lanes == (1 << 64) - 1
+        with pytest.raises(TooManyKeywordsError, match="at most 64 keywords"):
+            engine.search(" ".join(words), k=1)
+    assert issubclass(TooManyKeywordsError, ValueError)
+
+
+def test_a_host_without_the_kernel_fails_at_construction(monkeypatch, tiny_kb):
+    """Every route needs the compiled kernel: with none to load, building
+    an engine raises one error that names the compilers it tried."""
+    from repro.parallel import _native, vectorized
+
+    monkeypatch.setattr(vectorized, "_NATIVE_KERNEL", None)
+    monkeypatch.setattr(_native, "load_kernel", lambda: None)
+    monkeypatch.setenv("CC", "no-such-cc")
+    graph, _ = tiny_kb
+    with pytest.raises(NativeKernelUnavailable) as raised:
+        KeywordSearchEngine(graph, average_distance=3.0)
+    message = str(raised.value)
+    for compiler in ("no-such-cc", "cc", "gcc", "clang"):
+        assert compiler in message
+    assert isinstance(raised.value, RuntimeError)

@@ -1,12 +1,14 @@
-"""Cross-backend parity tests for the fused expansion kernel.
+"""Cross-backend parity tests for the compiled expansion kernel.
 
-The fused single-pass kernel (``repro.parallel.vectorized``) replaces q
-sequential per-column passes with one pass over the (E × q) work grid,
-optionally through a runtime-compiled C tier. Theorem V.2 says every
-scheduling of the idempotent writes converges to the same M — so every
-backend, and both kernel tiers, must be *bitwise* identical on M, the
-Central Node set and the search depth. This module fuzzes that claim on
-a population of hub-heavy wiki-shaped KBs.
+The kernel (``_kernel.c``, through ``repro.parallel.vectorized``)
+replaces q sequential per-column passes with one pass over the (E × q)
+work grid, carried as ⌈q/8⌉ byte-lane words for every q ≤ 64. Theorem
+V.2 says every scheduling of the idempotent writes converges to the same
+M — so the whole-level call and the per-chunk call, on one thread or
+racing on several, must be *bitwise* identical to the per-node
+``SequentialBackend`` on M, the Central Node set and the search depth.
+This module fuzzes that claim on a population of hub-heavy wiki-shaped
+KBs and on the tail-guard corpus.
 """
 
 import os
@@ -77,10 +79,10 @@ def _run_backend(backend, graph, sets, activation, k):
 
 @pytest.mark.parametrize("seed", range(N_FUZZ_GRAPHS))
 def test_backends_bitwise_identical_on_wiki_graphs(seed):
-    """Sequential / ThreadPool / fused Vectorized (both tiers) agree.
+    """Sequential / ThreadPool / Vectorized agree.
 
-    q cycles through 2..8 so every SWAR lane count of the packed
-    word path is hit across the population.
+    q cycles through 2..8 so every SWAR lane count of one lane word is
+    hit across the population.
     """
     graph = _fuzz_kb(seed)
     q = 2 + seed % 7
@@ -92,7 +94,6 @@ def test_backends_bitwise_identical_on_wiki_graphs(seed):
     contenders = {
         "threads": ThreadPoolBackend(n_threads=3),
         "vectorized": VectorizedBackend(),
-        "vectorized-numpy": VectorizedBackend(native=False),
     }
     for name, backend in contenders.items():
         result = _run_backend(backend, graph, sets, activation, k)
@@ -106,11 +107,13 @@ def test_backends_bitwise_identical_on_wiki_graphs(seed):
 
 
 #: Past one lane word: two words with pad lanes (9, 10, 12), two full
-#: words (16), three words (17). The graphs are the tail-guard corpus's —
-#: hubs that are keyword sources in the last rows, late activations on
-#: every other case — at sizes where ``n * q`` is and is not a multiple
-#: of 8.
-WIDE_QUERY_CASES = [(n, q) for n in (3, 12, 40) for q in (9, 10, 12, 16, 17)]
+#: words (16), three words (17, 24), four full words (32), eight words
+#: (57, 64). The graphs are the tail-guard corpus's — hubs that are
+#: keyword sources in the last rows, late activations on every other
+#: case — at sizes where ``n * q`` is and is not a multiple of 8.
+WIDE_QUERY_CASES = [
+    (n, q) for n in (3, 12, 40) for q in (9, 10, 12, 16, 17, 24, 32, 57, 64)
+]
 
 
 def _definition_counters(graph, state, matrix, f_identifier, c_identifier, level):
@@ -195,22 +198,24 @@ def _wide_levels(backend, graph, sets, activation, k, count=False):
 
 @pytest.mark.parametrize("n,q", WIDE_QUERY_CASES)
 def test_wide_queries_match_sequential_on_lane_words(n, q):
-    """q > 8 runs the same NumPy lane words as q ≤ 8, ⌈q/8⌉ of them per
-    row: M, FIdentifier, finite_count, the Central Nodes, the frontier
-    size and the new hits equal ``SequentialBackend``'s after every
-    level, the kernel counters equal an edge-by-edge count, and under
-    ``CheckedBackend`` the write log of the per-column scatter matches
-    the matrix delta (nothing unrecorded, nothing phantom) — on one
-    chunk and on three racing ones."""
+    """q > 8 runs the same C body as q ≤ 8 over ⌈q/8⌉ lane words per
+    row: on the whole-level call and on the per-chunk call (one chunk,
+    three racing ones), M, FIdentifier, finite_count, the Central Nodes,
+    the frontier size and the new hits equal ``SequentialBackend``'s
+    after every level, and the kernel counters — live lanes included —
+    equal an edge-by-edge count. Under ``CheckedBackend`` the write log
+    of the chunk calls matches the matrix delta (nothing unrecorded,
+    nothing phantom)."""
     graph, sets, activation, k = _tail_guard_case(n, q)
     want, _, _ = _wide_levels(SequentialBackend(), graph, sets, activation, k)
     assert len(want) > 1, "the case never expanded"
 
-    got, reported, defined = _wide_levels(
-        VectorizedBackend(), graph, sets, activation, k, count=True
-    )
-    assert got == want
-    assert reported == [counters for counters, _ in defined]
+    for name, backend in _hoisted_test_kernels().items():
+        got, reported, defined = _wide_levels(
+            backend, graph, sets, activation, k, count=True
+        )
+        assert got == want, name
+        assert reported == [counters for counters, _ in defined], name
 
     for n_threads in (1, 3):
         checked = CheckedBackend(ThreadPoolBackend(n_threads=n_threads))
@@ -265,10 +270,12 @@ def _blocking_star():
 
 def _hoisted_test_kernels():
     """``whole_level_step`` (the native whole level) and ``fused_expand``
-    (three-thread chunks), the two loops that test line 18-20 before the
-    neighbour's row load."""
+    (one chunk, and three racing chunks): the two exports that run the
+    per-source body, which tests line 18-20 before the neighbour's row
+    load."""
     return {
         "whole-level": VectorizedBackend(),
+        "fused-one-chunk": ThreadPoolBackend(n_threads=1),
         "fused-threads": ThreadPoolBackend(n_threads=3),
     }
 
@@ -321,13 +328,10 @@ def test_hoisted_blocked_test_matches_sequential_level_by_level():
     """With line 18-20 decided before the row load, both kernels stay
     bit-identical to ``SequentialBackend`` on M, FIdentifier,
     finite_count and the Central Nodes after every level, and report all
-    four kernel counters exactly as an edge-by-edge count from the
-    definition gives them. Without the compiled tier both routes run the
-    NumPy arm, whose threaded ``duplicates_elided`` depends on the
-    schedule; it is left out there."""
-    from repro.parallel.vectorized import _native_kernel
-
-    native = _native_kernel() is not None
+    kernel counters exactly as an edge-by-edge count from the definition
+    gives them. Racing chunks included: a scatter either claims its cell
+    or finds it stamped, so ``duplicates_elided`` does not depend on the
+    schedule."""
     refused = 0
     for case, (graph, sets, activation, k) in _blocking_cases():
         want, _, _ = _wide_levels(
@@ -339,9 +343,6 @@ def test_hoisted_blocked_test_matches_sequential_level_by_level():
             )
             assert got == want, (case, name)
             defined = [counters for counters, _ in counted]
-            if not native and name == "fused-threads":
-                for counters in reported + defined:
-                    counters.duplicates_elided = 0
             assert reported == defined, (case, name)
         refused += sum(cells for _, cells in counted)
     assert refused > 0  # the corpus does reach the blocked protocol
@@ -349,9 +350,10 @@ def test_hoisted_blocked_test_matches_sequential_level_by_level():
 
 @pytest.mark.parametrize("n,q", tail_guard_cases())
 def test_tail_rows_match_sequential_level_by_level(n, q):
-    """The kernels read a neighbour's row as one 8-byte word at
-    ``matrix + v*q``; the last ``ceil(8 / q)`` rows (every row when
-    ``n*q < 8``) must be read q bytes wide instead. Hubs sit in those
+    """The kernels read a neighbour's row as ⌈q/8⌉ 8-byte words from
+    ``matrix + v*q``; on the last rows (every row when ``n*q`` is less
+    than those words) the last word must be read ``q - 8w`` bytes wide
+    instead. Hubs sit in those
     rows and seed the keywords, M is exactly ``n*q`` bytes against a
     guard page: ``whole_level_step`` and ``fused_expand`` (one chunk,
     three threads) stay bit-identical to ``SequentialBackend`` on M,

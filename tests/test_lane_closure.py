@@ -108,7 +108,6 @@ def _masked(matrix, depth):
 ROUTES = {
     "sequential": SequentialBackend,
     "vectorized": VectorizedBackend,
-    "numpy": lambda: VectorizedBackend(native=False),
     "threads": lambda: ThreadPoolBackend(n_threads=2, chunks_per_thread=1),
 }
 

@@ -310,16 +310,16 @@ def test_record_kernel_counters(monkeypatch):
         sources_pruned=1, edges_gathered=10, pairs_hit=5,
         duplicates_elided=0,
     )
-    record_kernel_counters(counters, tier="numpy", registry=registry)
+    record_kernel_counters(counters, tier="threads", registry=registry)
     text = registry.render_prometheus()
-    assert 'repro_kernel_edges_gathered_total{tier="numpy"} 10' in text
-    assert 'repro_kernel_pairs_hit_total{tier="numpy"} 5' in text
+    assert 'repro_kernel_edges_gathered_total{tier="threads"} 10' in text
+    assert 'repro_kernel_pairs_hit_total{tier="threads"} 5' in text
     # Zero-valued fields are skipped entirely.
     assert "duplicates_elided" not in text
     # REPRO_OBS=0 turns recording into a no-op.
     monkeypatch.setenv(ENV_OBS, "0")
-    record_kernel_counters(counters, tier="numpy", registry=registry)
-    assert 'edges_gathered_total{tier="numpy"} 10' in registry.render_prometheus()
+    record_kernel_counters(counters, tier="threads", registry=registry)
+    assert 'edges_gathered_total{tier="threads"} 10' in registry.render_prometheus()
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +335,7 @@ def test_env_switches(monkeypatch):
     assert Tracer().enabled
 
 
-def test_registered_env_switches_are_exactly_these_seven():
+def test_registered_env_switches_are_exactly_these_six():
     """Every ``REPRO_*`` switch is one more configuration to cover: a
     new one must be added here on purpose, a retired one removed."""
     import inspect
@@ -345,23 +345,12 @@ def test_registered_env_switches_are_exactly_these_seven():
 
     assert registered_env_vars(inspect.getsource(config)) == {
         "REPRO_OBS",
-        "REPRO_NATIVE_KERNEL",
         "REPRO_TRACE",
         "REPRO_SANITIZE",
         "REPRO_DATASET_CACHE",
         "REPRO_SLOW_MS",
         "REPRO_FLIGHT_N",
     }
-
-
-def test_native_kernel_env_name_matches_native_module(monkeypatch):
-    """The native module has no spelling of its own: the switch the
-    registry names is the one ``load_kernel`` obeys."""
-    from repro.obs.config import ENV_NATIVE_KERNEL
-    from repro.parallel import _native
-
-    monkeypatch.setenv(ENV_NATIVE_KERNEL, "0")
-    assert _native.load_kernel() is None
 
 
 def test_maybe_install_env_tracer(monkeypatch, tmp_path):

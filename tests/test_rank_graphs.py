@@ -29,10 +29,6 @@ from repro.parallel.vectorized import _native_kernel
 
 from test_top_down import N_SPREAD_CASES, N_STAGE_TWO_CASES, _stage_two_case
 
-pytestmark = pytest.mark.skipif(
-    _native_kernel() is None, reason="compiled kernel unavailable"
-)
-
 LAM = 0.2
 
 

@@ -13,6 +13,8 @@ from repro import service as service_module
 from repro.core.engine import KeywordSearchEngine
 from repro.service import SearchService, create_server
 
+from conftest import keyword_star
+
 
 @pytest.fixture(scope="module")
 def engine(request):
@@ -326,6 +328,30 @@ def test_http_search_roundtrip(server):
     payload = json.loads(body)
     assert payload["query"] == "machine learning"
     assert payload["answers"]
+
+
+def test_a_query_over_64_keywords_gets_400_with_the_limit():
+    """The keyword limit reaches the client: 64 keyword groups are
+    answered, 65 get a 400 whose message names the limit — not a
+    dropped connection from the worker's catch-all."""
+    from urllib.parse import quote
+
+    graph, words = keyword_star(65)
+    engine = KeywordSearchEngine(graph, average_distance=2.0)
+    status, payload = SearchService(engine).handle_search(" ".join(words), k=1)
+    assert status == 400 and "at most 64 keywords" in payload["error"]
+    server = _serve(engine)
+    try:
+        status, body = _get(server, f"/search?q={quote(' '.join(words[:64]))}&k=1")
+        assert status == 200
+        assert len(json.loads(body)["keywords"]) == 64
+        with pytest.raises(urllib.error.HTTPError) as refused:
+            _get(server, f"/search?q={quote(' '.join(words))}&k=1")
+        assert refused.value.code == 400
+        error = json.loads(refused.value.read().decode("utf-8"))["error"]
+        assert "at most 64 keywords" in error and "has 65" in error
+    finally:
+        _stop(server)
 
 
 def test_http_index_page(server):

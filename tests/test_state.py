@@ -248,16 +248,14 @@ def test_initialize_equals_the_definition_on_random_sets(n):
 
 def test_max_activation_is_the_recomputed_maximum_on_the_fuzz_corpus():
     """``max_activation`` replaces a per-level ``activation.max()``: the
-    field equals the recomputed value at every level of a search, on both
-    kernel tiers, so every ``may_block`` decision is the one the
-    recomputation gave."""
+    field equals the recomputed value at every level of a search, so
+    every ``may_block`` decision is the one the recomputation gave."""
     from repro.analysis.check import _fuzz_case
     from repro.core.bottom_up import BottomUpSearch
     from repro.parallel import VectorizedBackend
 
     class Spy(VectorizedBackend):
-        def __init__(self, **kwargs):
-            super().__init__(**kwargs)
+        def __init__(self):
             self.may_block = []
 
         def run_level(self, graph, state, level, k, may_expand, timer):
@@ -269,11 +267,10 @@ def test_max_activation_is_the_recomputed_maximum_on_the_fuzz_corpus():
     blocking_levels = 0
     for seed in range(12):
         graph, sets, activation, k = _fuzz_case(seed)
-        for native in (None, False):
-            spy = Spy(native=native)
-            BottomUpSearch(graph, backend=spy).run(sets, activation, k)
-            assert spy.may_block
-            blocking_levels += sum(spy.may_block)
+        spy = Spy()
+        BottomUpSearch(graph, backend=spy).run(sets, activation, k)
+        assert spy.may_block
+        blocking_levels += sum(spy.may_block)
     assert blocking_levels > 0  # the corpus does reach the blocked protocol
 
 

@@ -244,7 +244,6 @@ def test_all_backends_bitwise_identical_on_mmap_store(tmp_path, seed):
         "sequential": SequentialBackend(),
         "threads": ThreadPoolBackend(n_threads=2),
         "vectorized": VectorizedBackend(),
-        "vectorized-numpy": VectorizedBackend(native=False),
     }
     for name, backend in contenders.items():
         result = _run_backend(backend, mapped, sets, activation, k)

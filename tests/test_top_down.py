@@ -330,11 +330,6 @@ def test_extraction_edges_satisfy_theorem_v4(fig1):
 N_SPREAD_CASES = 56
 N_STAGE_TWO_CASES = N_SPREAD_CASES + 16
 
-needs_native = pytest.mark.skipif(
-    _native_kernel() is None, reason="compiled kernel unavailable"
-)
-
-
 @functools.lru_cache(maxsize=None)
 def _stage_two_case(seed):
     """(graph, finished SearchState, weights, k) of one fuzz problem."""
@@ -431,7 +426,6 @@ def test_fuzz_corpus_exercises_the_central_node_clause():
     pytest.fail("no case where dropping the Central-Node clause matters")
 
 
-@needs_native
 def test_batch_route_builds_objects_for_the_answers_only(monkeypatch):
     """The batch route allocates a CentralGraph per *returned* answer."""
     graph, state, weights, _ = _stage_two_case(6)
@@ -447,7 +441,6 @@ def test_batch_route_builds_objects_for_the_answers_only(monkeypatch):
     assert len(ranked) == len(built) == 3
 
 
-@needs_native
 def test_both_routes_report_the_same_stage_two_counts():
     """``process_top_down`` puts its own counts on the
     ``phase:top_down_processing`` span, equal on the two routes (but for
@@ -519,14 +512,11 @@ def test_stage_two_overflow_contract():
     from repro.analysis.sanitize import stage_two_overflow_failures
 
     kernel = _native_kernel()
-    if kernel is None:
-        pytest.skip("compiled kernel unavailable")
     cases = [_stage_two_case(seed) for seed in (3, 6, 11, 60)]
     assert max(len(state.central_nodes) for _, state, _, _ in cases) > 100
     assert stage_two_overflow_failures(kernel, cases) == []
 
 
-@needs_native
 def test_extract_graphs_never_writes_past_its_capacities():
     graph, state, weights, _ = _stage_two_case(6)
     n = graph.n_nodes
@@ -575,7 +565,6 @@ def test_extract_graphs_never_writes_past_its_capacities():
     assert np.array_equal(needed, totals)
 
 
-@needs_native
 def test_stage_two_nbytes_counts_the_native_buffers():
     """``stage_two_nbytes`` is what the two native calls were handed:
     per-node scratch, the three growable buffers, both calls' per-graph

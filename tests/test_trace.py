@@ -12,7 +12,7 @@ from repro.core.bottom_up import BottomUpSearch, describe_levels
 from repro.graph.generators import chain_graph
 from repro.instrumentation import KernelCounters, PhaseTimer
 from repro.obs.tracing import Tracer
-from repro.parallel import SequentialBackend, VectorizedBackend
+from repro.parallel import SequentialBackend, ThreadPoolBackend, VectorizedBackend
 
 from conftest import zero_activation
 
@@ -45,7 +45,7 @@ def _kernel_rows(result):
 _BACKENDS = {
     "sequential": SequentialBackend,
     "native": VectorizedBackend,
-    "numpy": lambda: VectorizedBackend(native=False),
+    "threads": lambda: ThreadPoolBackend(n_threads=1),
 }
 
 CHAIN_ROWS = [(0, 2, 2, []), (1, 2, 2, []), (2, 1, 0, [(2, 2)])]

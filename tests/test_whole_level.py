@@ -2,13 +2,14 @@
 
 ``VectorizedBackend.run_level`` fuses frontier compaction, Central-Node
 identification, expansion and the incremental finite-count update into
-one native call; every other backend (and the NumPy tier) inherits the
-level composed from the same steps. Algorithm 1's loop semantics must be
-preserved *exactly*: these tests pin the native call, the NumPy tier and
-``SequentialBackend`` through the inherited level to bitwise-equal
-states and per-level outcomes, and pin the native/NumPy work-counter
-parity (the ``duplicates_elided`` regression: the native tier must count
-elided duplicate writes exactly like the NumPy tier, not report zero).
+one native call; every other backend inherits the level composed from
+the same steps. Algorithm 1's loop semantics must be preserved
+*exactly*: these tests pin the native call, the per-chunk call
+(``ThreadPoolBackend``) and ``SequentialBackend`` through the inherited
+level to bitwise-equal states and per-level outcomes, and pin the
+whole-level/per-chunk work-counter parity (the ``duplicates_elided``
+regression: the whole level must count elided duplicate writes, not
+report zero).
 """
 
 import numpy as np
@@ -86,7 +87,7 @@ LANE_CLOSURE_SEEDS = [22, 30, 34]
 
 @pytest.mark.parametrize("seed", list(range(8)) + LANE_CLOSURE_SEEDS)
 def test_whole_level_three_way_parity(seed):
-    """Native run_level == NumPy tier == sequential, the last two
+    """Native run_level == per-chunk kernel == sequential, the last two
     through the inherited level."""
     graph = _fuzz_kb(seed)
     sets, activation, k = _fuzz_problem(
@@ -96,15 +97,16 @@ def test_whole_level_three_way_parity(seed):
     native = BottomUpSearch(graph, backend=VectorizedBackend()).run(
         sets, activation, k
     )
-    fallback = BottomUpSearch(
-        graph, backend=VectorizedBackend(native=False)
-    ).run(sets, activation, k)
+    with ThreadPoolBackend(n_threads=1) as backend:
+        chunked = BottomUpSearch(graph, backend=backend).run(
+            sets, activation, k
+        )
     reference = BottomUpSearch(graph, backend=SequentialBackend()).run(
         sets, activation, k
     )
 
     assert _signature(native) == _signature(reference)
-    assert _signature(fallback) == _signature(reference)
+    assert _signature(chunked) == _signature(reference)
 
 
 _KERNEL_COUNTER_FIELDS = (
@@ -116,17 +118,13 @@ _KERNEL_COUNTER_FIELDS = (
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_duplicates_elided_native_numpy_parity(seed, tmp_path):
-    """The native whole-level tier must report the same work counters as
-    the NumPy tier, level by level (``duplicates_elided`` once came out
-    0), for every lane count q = 1..8 of the kernel's one lane-word loop,
-    on a graph loaded from NPZ and on the same graph memory-mapped from
-    a ``.csrstore``.
+def test_duplicates_elided_whole_level_chunk_parity(seed, tmp_path):
+    """The whole-level call must report the same work counters as the
+    per-chunk call, level by level (``duplicates_elided`` once came out
+    0), for every lane count q = 1..8 of one lane word and for two and
+    three words, on a graph loaded from NPZ and on the same graph
+    memory-mapped from a ``.csrstore``.
     """
-    from repro.parallel.vectorized import _native_kernel
-
-    if _native_kernel() is None:  # pragma: no cover
-        pytest.skip("native kernel unavailable")
     generated = _fuzz_kb(seed + 50)
     save_graph(generated, str(tmp_path / "from-npz"))
     save_store(generated, tmp_path / "kb.csrstore", name="whole", seed=seed)
@@ -148,17 +146,18 @@ def test_duplicates_elided_native_numpy_parity(seed, tmp_path):
         return rows
 
     totals = dict.fromkeys(_KERNEL_COUNTER_FIELDS, 0)
-    for q in range(1, 9):
+    for q in (*range(1, 9), 12, 20):
         sets, activation, k = _fuzz_problem(generated, seed * 7 + 3, q=q)
         per_graph = {}
         for form, graph in graphs.items():
             native = level_counters(
                 graph, VectorizedBackend(), sets, activation, k
             )
-            fallback = level_counters(
-                graph, VectorizedBackend(native=False), sets, activation, k
-            )
-            assert native == fallback, f"q={q} on the {form} graph"
+            with ThreadPoolBackend(n_threads=1) as backend:
+                chunked = level_counters(
+                    graph, backend, sets, activation, k
+                )
+            assert native == chunked, f"q={q} on the {form} graph"
             per_graph[form] = native
         assert per_graph["npz"] == per_graph["csrstore"], f"q={q}"
         for row in per_graph["npz"]:
@@ -241,8 +240,6 @@ def test_bind_whole_level_rejects_arrays_the_call_would(name, spoil):
     from repro.parallel.vectorized import _native_kernel
 
     kernel = _native_kernel()
-    if kernel is None:  # pragma: no cover
-        pytest.skip("native kernel unavailable")
     arrays = _drain_arrays(9)
     kernel.bind_whole_level(**arrays)  # the unspoilt set binds
     arrays[name] = spoil(arrays[name])
@@ -260,8 +257,6 @@ def test_whole_level_drain_is_flatnonzero(n):
     from repro.parallel.vectorized import _native_kernel
 
     kernel = _native_kernel()
-    if kernel is None:  # pragma: no cover
-        pytest.skip("native kernel unavailable")
     pad = 16
     for flags in _drain_patterns(n):
         fid_buffer = np.ones(n + pad, dtype=np.uint8)
