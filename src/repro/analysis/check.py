@@ -1,6 +1,6 @@
 """`repro check` — the repo's static + dynamic analysis gate.
 
-One command that answers "did we break the lock-free design?" seven
+One command that answers "did we break the lock-free design?" five
 ways:
 
 1. **lint** — the repo-specific AST rules (:mod:`repro.analysis.lint`)
@@ -15,27 +15,24 @@ ways:
    must (a) violate nothing and (b) stay bitwise identical to the
    sequential oracle; plus a self-validation pass proving the checker
    *does* fire on each :data:`~repro.analysis.faulty.FAULT_MODES` class.
-4. **schedules** — :mod:`repro.analysis.schedules` replays the
-   thread-pool chunk protocol under permuted/adversarial chunk orders
-   (exhaustive on small fixtures) and demands bitwise-identical results
-   on every schedule.
-5. **sanitizers** — the compiled kernel tier rebuilt under ASan/UBSan
+4. **sanitizers** — the compiled kernel tier rebuilt under ASan/UBSan
    (:mod:`repro.analysis.sanitize`) with a smoke fixture and the parity
    fuzz, plus the **TSan race tier**: an instrumented harness racing
    real pthreads through the kernel under the audited Theorem V.2
    suppression list; skipped gracefully when the toolchain is missing.
-6. **concurrency** — :mod:`repro.analysis.concurrency` walks the
-   serving shell's locks and call graph and demands that no lock is
-   acquired while another is held (``RPRCON01``), and that no blocking
-   call (``RPRCON02``) is reachable under a lock.
-7. **external** — ``ruff`` / ``mypy`` with the configuration in
+5. **external** — ``ruff`` / ``mypy`` with the configuration in
    ``pyproject.toml``, run only when installed (they are optional dev
    dependencies; the AST lint above carries the repo-specific load).
 
-``--inject {lint,abi,race,schedule,sanitizer,deadlock}`` seeds one
+``--inject {lint,abi,race,sanitizer}`` seeds one
 violation of the chosen class so CI and tests can prove the gate
 actually gates: exit code 1 means the seeded violation was caught (the
 expected outcome), 2 means the gate failed to catch it.
+
+The serving shell's locks are not a stage: the recording-lock test in
+``tests/test_service.py`` drives every lock ``src/repro`` constructs and
+fails on a nested acquisition or a blocking call under a lock
+(``docs/ANALYSIS.md`` has the seeded-fault matrix behind that choice).
 """
 
 from __future__ import annotations
@@ -49,24 +46,22 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from . import abi as abi_mod
-from . import concurrency as concurrency_mod
 from . import lint as lint_mod
 from . import sanitize as sanitize_mod
-from . import schedules as schedules_mod
 from .checked import CheckedBackend
 from .faulty import FAULT_MODES, FaultyBackend
 
 PrintFn = Callable[[str], None]
 
 #: Injection classes `--inject` accepts (one seeded fault per class).
-INJECT_CLASSES = ("lint", "abi", "race", "schedule", "sanitizer", "deadlock")
+INJECT_CLASSES = ("lint", "abi", "race", "sanitizer")
 
 #: Extra lint trees (relative to the repo root) and the rule ids waived
 #: per tree. Test helpers may keep deliberate mutable defaults (RPR007)
 #: — fixtures built once per call are the idiom there; benchmarks get no
 #: waivers (they feed the figures, so the full discipline applies).
 LINT_TREES: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("tests", ("RPR007", "RPR012", "RPR013")),
+    ("tests", ("RPR007", "RPR012")),
     ("benchmarks", ()),
 )
 
@@ -88,42 +83,6 @@ def bad_kernel(graph, chunk, q):
 
 def bad_metrics(registry, field):
     registry.counter(f"repro_{field}_total", "oops").inc()
-'''
-
-#: A two-lock cycle (classic AB/BA deadlock) seeded by
-#: ``repro check --inject deadlock``; must be caught as RPRCON01.
-_INJECTED_DEADLOCK_SNIPPET = '''\
-import threading
-
-_LOCK_A = threading.Lock()
-_LOCK_B = threading.Lock()
-
-
-def transfer():
-    with _LOCK_A:
-        with _LOCK_B:
-            return 1
-
-
-def refund():
-    with _LOCK_B:
-        with _LOCK_A:
-            return -1
-'''
-
-#: A sleep held under a lock, seeded alongside the cycle by
-#: ``--inject deadlock``; must be caught as RPRCON02.
-_INJECTED_SLEEP_SNIPPET = '''\
-import threading
-import time
-
-_CACHE_LOCK = threading.Lock()
-
-
-def refresh_cache():
-    with _CACHE_LOCK:
-        time.sleep(0.1)
-        return {}
 '''
 
 
@@ -463,22 +422,8 @@ def run_abi_stage(emit: PrintFn) -> int:
     return len(report.findings)
 
 
-def run_schedule_stage(emit: PrintFn) -> int:
-    """Stage 4: schedule-exploration replay of the chunk protocol."""
-    report = schedules_mod.run_schedule_check(print_fn=emit)
-    for finding in report.findings:
-        emit(f"  {finding}")
-    emit(
-        f"  {report.schedules_run} schedule(s), "
-        f"{report.levels_replayed} level(s) replayed"
-        f"{', exhaustive tier included' if report.exhaustive else ''}: "
-        f"{len(report.findings)} finding(s)"
-    )
-    return len(report.findings)
-
-
 def run_sanitizer_stage(emit: PrintFn) -> int:
-    """Stage 5: ASan/UBSan smoke + parity, then the TSan race tier."""
+    """Stage 4: ASan/UBSan smoke + parity, then the TSan race tier."""
     failures = 0
     smoke = sanitize_mod.run_smoke()
     emit(f"  smoke: {'skipped' if smoke.skipped else 'ok' if smoke.ok else 'FAIL'}")
@@ -506,25 +451,10 @@ def run_sanitizer_stage(emit: PrintFn) -> int:
     return failures
 
 
-def run_concurrency_stage(emit: PrintFn) -> int:
-    """Stage 6: the static lock pass; fails on any RPRCONxx finding."""
-    report = concurrency_mod.run_concurrency_check()
-    for finding in report.findings:
-        emit(f"  {finding}")
-    emit(
-        f"  {len(report.locks)} lock(s), "
-        f"{len(report.edges)} held-lock edge(s), "
-        f"{report.reachable_functions}/{report.functions_analyzed} "
-        f"function(s) reachable: {len(report.findings)} finding(s)"
-    )
-    return len(report.findings)
-
-
 def run_check(
     inject: Optional[str] = None,
     skip_sanitize: bool = False,
     skip_fuzz: bool = False,
-    skip_schedules: bool = False,
     fuzz_seeds: Sequence[int] = (0, 1, 2, 3),
     print_fn: PrintFn = print,
 ) -> int:
@@ -540,36 +470,27 @@ def run_check(
 
     failures = 0
 
-    emit("[1/7] repo-specific lint (RPR001-RPR013; src, tests, benchmarks)")
+    emit("[1/5] repo-specific lint (RPR001-RPR012; src, tests, benchmarks)")
     failures += run_lint_stage(emit)
 
-    emit("[2/7] kernel ABI contracts (C prototypes vs ctypes vs .csrstore)")
+    emit("[2/5] kernel ABI contracts (C prototypes vs ctypes vs .csrstore)")
     failures += run_abi_stage(emit)
 
     if skip_fuzz:
-        emit("[3/7] lock-free invariant fuzz: skipped")
+        emit("[3/5] lock-free invariant fuzz: skipped")
     else:
-        emit("[3/7] lock-free invariant fuzz (CheckedBackend, all backends)")
+        emit("[3/5] lock-free invariant fuzz (CheckedBackend, all backends)")
         failures += run_invariant_fuzz(seeds=fuzz_seeds, print_fn=emit)
         emit("  checker self-validation (FaultyBackend)")
         failures += run_faulty_validation(print_fn=emit)
 
-    if skip_schedules:
-        emit("[4/7] schedule exploration: skipped")
-    else:
-        emit("[4/7] schedule exploration (virtual scheduler, chunk orders)")
-        failures += run_schedule_stage(emit)
-
     if skip_sanitize:
-        emit("[5/7] sanitized kernel tier: skipped")
+        emit("[4/5] sanitized kernel tier: skipped")
     else:
-        emit("[5/7] sanitized kernel tier (ASan/UBSan subprocess + TSan harness)")
+        emit("[4/5] sanitized kernel tier (ASan/UBSan subprocess + TSan harness)")
         failures += run_sanitizer_stage(emit)
 
-    emit("[6/7] concurrency contracts (no lock acquired while another is held)")
-    failures += run_concurrency_stage(emit)
-
-    emit("[7/7] external linters (optional)")
+    emit("[5/5] external linters (optional)")
     root = _repo_root()
     failures += _run_external("ruff", ["check", str(root / "src")], emit)
     failures += _run_external(
@@ -594,7 +515,7 @@ def _run_injection(inject: str, emit: PrintFn) -> int:
         for violation in violations:
             emit(f"  {violation}")
         rules = {violation.rule for violation in violations}
-        expected = {"RPR001", "RPR002", "RPR003", "RPR012", "RPR013"}
+        expected = {"RPR001", "RPR002", "RPR003", "RPR012"}
         if expected <= rules:
             emit(f"caught: seeded rules {sorted(expected)} all fired")
             return 1
@@ -636,17 +557,6 @@ def _run_injection(inject: str, emit: PrintFn) -> int:
         else:
             emit("TSan toolchain unavailable: CheckedBackend half only")
         return 1
-    if inject == "schedule":
-        emit("injecting an order-dependent lost write into the chunk runner")
-        report = schedules_mod.run_schedule_check(inject=True, print_fn=emit)
-        codes = sorted({finding.code for finding in report.findings})
-        for finding in report.findings[:8]:
-            emit(f"  {finding}")
-        if "schedule-divergence" in codes:
-            emit("caught: the schedule explorer flagged the divergence")
-            return 1
-        emit("MISSED: the order-dependent fault went undetected")
-        return 2
     if inject == "sanitizer":
         emit("injecting an out-of-bounds heap write in the smoke fixture")
         if not sanitize_mod.toolchain_available():
@@ -658,48 +568,6 @@ def _run_injection(inject: str, emit: PrintFn) -> int:
             emit("caught: the sanitizer aborted on the seeded overflow")
             return 1
         emit("MISSED: the seeded overflow was not caught")
-        return 2
-    if inject == "deadlock":
-        emit("injecting a two-lock AB/BA cycle module")
-        cycle_report = concurrency_mod.run_concurrency_check(
-            extra_sources=[
-                ("injected_deadlock", "<injected>", _INJECTED_DEADLOCK_SNIPPET)
-            ],
-            extra_roots=[
-                "injected_deadlock.transfer",
-                "injected_deadlock.refund",
-            ],
-        )
-        for finding in cycle_report.findings:
-            emit(f"  {finding}")
-        cycle_caught = any(
-            finding.code == "RPRCON01"
-            and "injected_deadlock._LOCK_A" in finding.message
-            for finding in cycle_report.findings
-        )
-        if cycle_caught:
-            emit("caught: the seeded cycle was flagged as RPRCON01")
-        else:
-            emit("MISSED: the seeded AB/BA cycle went undetected")
-            return 2
-        emit("injecting a time.sleep held under a lock")
-        sleep_report = concurrency_mod.run_concurrency_check(
-            extra_sources=[
-                ("injected_sleep", "<injected>", _INJECTED_SLEEP_SNIPPET)
-            ],
-            extra_roots=["injected_sleep.refresh_cache"],
-        )
-        for finding in sleep_report.findings:
-            emit(f"  {finding}")
-        sleep_caught = any(
-            finding.code == "RPRCON02"
-            and "injected_sleep._CACHE_LOCK" in finding.message
-            for finding in sleep_report.findings
-        )
-        if sleep_caught:
-            emit("caught: the seeded sleep-under-lock was flagged as RPRCON02")
-            return 1
-        emit("MISSED: the seeded sleep-under-lock went undetected")
         return 2
     emit(f"unknown injection class {inject!r}")
     return 2

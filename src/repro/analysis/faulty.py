@@ -1,8 +1,8 @@
 """Deliberately broken backends for validating the invariant checker.
 
 A checker nobody has ever seen fail is just more prose. These backends
-perform a correct expansion and then inject exactly one class of
-violation, so tests (and ``repro check --inject race``) can assert the
+perform a correct expansion and inject exactly one class of violation,
+so tests (and ``repro check --inject race``) can assert the
 :class:`~repro.analysis.checked.CheckedBackend` detects each one:
 
 * ``non-idempotent`` — one racing write stores ``level + 2`` instead of
@@ -11,13 +11,17 @@ violation, so tests (and ``repro check --inject race``) can assert the
   level (breaks write-once);
 * ``count-drift`` — silently bumps ``finite_count`` without a matching
   matrix write (breaks the deduplicated-write-set accounting);
-* ``unreported`` — performs a matrix write but hides it from the write
-  log (breaks the shadow-memory contract).
+* ``missed-central`` — one level's identification skips a node whose
+  row is fully finite, which then expands like any other frontier (an
+  identification fault on a route that inherits the composed level;
+  the skipped node is left out of ``new_central`` as well).
 
 Never use these outside tests and checker self-validation.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -27,18 +31,20 @@ from ..parallel.backend import ExpansionBackend
 from ..parallel.sequential import expand_frontier_chunk
 
 #: The violation classes :class:`FaultyBackend` can inject.
-FAULT_MODES = ("non-idempotent", "overwrite", "count-drift", "unreported")
+FAULT_MODES = ("non-idempotent", "overwrite", "count-drift", "missed-central")
 
 
 class FaultyBackend(ExpansionBackend):
     """Sequential expansion plus one injected invariant violation.
 
+    It inherits the composed level (enqueue, identify, :meth:`expand`).
+
     Args:
         mode: one of :data:`FAULT_MODES`.
         fault_level: earliest BFS level at which to inject. The fault
             lands at the first level ``>= fault_level`` where a suitable
-            target cell exists (a level may legitimately write nothing),
-            and is injected exactly once per search.
+            target exists (a level may legitimately write nothing), and
+            is injected exactly once per search.
     """
 
     name = "faulty"
@@ -51,45 +57,51 @@ class FaultyBackend(ExpansionBackend):
         self.faults_injected = 0
 
     def expand(self, graph: KnowledgeGraph, state: SearchState, level: int) -> None:
-        """Expand correctly, then corrupt state/log once per ``self.mode``."""
-        expand_frontier_chunk(graph, state, level, state.frontier)
+        """Expand correctly, corrupting the state once per ``self.mode``."""
+        state.live_lanes = expand_frontier_chunk(
+            graph, state, level, state.frontier
+        )
         if self.faults_injected or level < self.fault_level:
             return
-        matrix = state.matrix
-        log = state.write_log
-        q = state.n_keywords
+        matrix = state.matrix.ravel()
         if self.mode == "non-idempotent":
             # Restamp one cell written this level with level + 2: a racing
             # writer that did not write the same constant.
-            cells = np.flatnonzero(matrix.ravel() == level + 1)
+            cells = np.flatnonzero(matrix == level + 1)
             if len(cells):
-                matrix.ravel()[cells[0]] = level + 2
-                if log is not None:
-                    log.record_matrix(cells[:1], level + 2, level)
+                matrix[cells[0]] = level + 2
                 self.faults_injected += 1
         elif self.mode == "overwrite":
             # Re-store into a cell finite since an earlier level.
             cells = np.flatnonzero(
-                (matrix.ravel() != INFINITE_LEVEL)
-                & (matrix.ravel() < level + 1)
+                (matrix != INFINITE_LEVEL) & (matrix < level + 1)
             )
             if len(cells):
-                matrix.ravel()[cells[0]] = level + 1
-                if log is not None:
-                    log.record_matrix(cells[:1], level + 1, level)
+                matrix[cells[0]] = level + 1
                 self.faults_injected += 1
         elif self.mode == "count-drift":
             if state.n_nodes:
                 node = int(np.argmin(state.finite_count))
-                if state.finite_count[node] < q:
+                if state.finite_count[node] < state.n_keywords:
                     state.finite_count[node] += 1
                     self.faults_injected += 1
-        elif self.mode == "unreported":
-            # A write the log never sees (e.g. a code path missing its
-            # checker hook).
-            cells = np.flatnonzero(matrix.ravel() == INFINITE_LEVEL)
-            if len(cells):
-                matrix.ravel()[cells[0]] = level + 1
-                node = int(cells[0]) // q
-                state.finite_count[node] += 1
+        elif self.mode == "missed-central":
+            if "identify_central_nodes" not in vars(state):
+                state.identify_central_nodes = self._skipping_one(state)
+
+    def _skipping_one(self, state: SearchState) -> "Callable[[int], list]":
+        """``state``'s identification step, missing the last node of the
+        first later level that finds any (as if its ``finite_count == q``
+        compare had skipped it)."""
+        identify = state.identify_central_nodes
+
+        def identify_all_but_one(level: int) -> list:
+            found = identify(level)
+            if found and not self.faults_injected:
+                node, _ = state.central_nodes.pop()
+                state.c_identifier[node] = 0
                 self.faults_injected += 1
+                return found[:-1]
+            return found
+
+        return identify_all_but_one

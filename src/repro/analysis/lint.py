@@ -52,13 +52,6 @@ RPR012    Metric names handed to ``MetricsRegistry.counter`` /
           inline name defeats ``grep`` from a dashboard back to the
           emitter, and an f-string additionally pays per-request
           string formatting on the service hot path.
-RPR013    Every ``threading.Lock()``/``RLock()``/``Condition()``
-          construction must be bound to a named attribute or a
-          module/class constant — no anonymous function locals. The
-          concurrency analyzer (:mod:`repro.analysis.concurrency`)
-          derives lock identities from those bindings; an anonymous
-          local lock is invisible to its known-lock table, so its
-          nesting is unverifiable.
 ========  ==============================================================
 
 Suppression: append ``# noqa: RPR00x`` (with a justification comment)
@@ -90,7 +83,6 @@ RULES = {
     "RPR009": "copy of a CSR base array inside @hot_path kernel code",
     "RPR010": "write to a store-backed memmap array outside StoreWriter/builder",
     "RPR012": "inline metric name in a registry call; use a module-level constant",
-    "RPR013": "anonymous function-local lock; bind locks to named attributes or module constants",
 }
 
 _ENV_LITERAL = re.compile(r"REPRO_[A-Z][A-Z0-9_]*\Z")
@@ -329,55 +321,15 @@ class _FileLinter(ast.NodeVisitor):
                     "StoreWriter/builder code may write them",
                 )
 
-    # ------------------------------------------------------------------
-    # RPR013 — locks are named attributes or module/class constants
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _constructs_lock(value: ast.expr) -> Optional[str]:
-        """The primitive name when ``value`` builds a threading lock."""
-        for sub in ast.walk(value):
-            if not isinstance(sub, ast.Call):
-                continue
-            name = _terminal_name(sub.func)
-            if name not in {"Lock", "RLock", "Condition"}:
-                continue
-            if isinstance(sub.func, ast.Attribute):
-                receiver = _terminal_name(sub.func.value)
-                if receiver != "threading":
-                    continue
-            return name
-        return None
-
-    def _check_local_lock(
-        self, targets: Sequence[ast.expr], value: ast.expr
-    ) -> None:
-        if not self._hot_stack:
-            return  # a module/class-level binding
-        primitive = self._constructs_lock(value)
-        if primitive is None:
-            return
-        for target in targets:
-            if isinstance(target, ast.Name):
-                self._emit(
-                    target,
-                    "RPR013",
-                    f"anonymous function-local threading.{primitive}(); "
-                    "bind locks to a named attribute or module constant "
-                    "so the concurrency analyzer's known-lock table sees "
-                    "them",
-                )
-
     def visit_Assign(self, node: ast.Assign) -> None:
         self._track_memmap_binding(node.targets, node.value)
         self._check_memmap_store(node.targets)
-        self._check_local_lock(node.targets, node.value)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         if node.value is not None:
             self._track_memmap_binding([node.target], node.value)
             self._check_memmap_store([node.target])
-            self._check_local_lock([node.target], node.value)
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:

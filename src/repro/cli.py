@@ -193,12 +193,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "check",
         help="static + dynamic analysis gate: repo lint, kernel ABI "
              "contracts, lock-free invariant fuzz (CheckedBackend), "
-             "schedule exploration, sanitized kernel tier (ASan/UBSan "
-             "+ TSan race tier)",
+             "sanitized kernel tier (ASan/UBSan + TSan race tier)",
     )
     check.add_argument(
         "--inject",
-        choices=("lint", "abi", "race", "schedule", "sanitizer", "deadlock"),
+        choices=("lint", "abi", "race", "sanitizer"),
         help="seed one violation of the chosen class to prove the gate "
              "gates (exit 1 = caught, 2 = missed)",
     )
@@ -210,10 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--skip-fuzz", action="store_true",
         help="skip the cross-backend invariant fuzz",
-    )
-    check.add_argument(
-        "--skip-schedules", action="store_true",
-        help="skip the schedule-exploration replay",
     )
     check.add_argument(
         "--fuzz-seeds", type=int, default=4,
@@ -520,18 +515,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     from .analysis.check import run_check
-    from .analysis.concurrency import CONCURRENCY_RULES
     from .analysis.lint import RULES
 
     if args.list_rules:
-        for rule, summary in sorted({**RULES, **CONCURRENCY_RULES}.items()):
+        for rule, summary in sorted(RULES.items()):
             print(f"{rule}  {summary}")
         return 0
     return run_check(
         inject=args.inject,
         skip_sanitize=args.skip_sanitize,
         skip_fuzz=args.skip_fuzz,
-        skip_schedules=args.skip_schedules,
         fuzz_seeds=tuple(range(args.fuzz_seeds)),
     )
 

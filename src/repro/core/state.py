@@ -98,11 +98,6 @@ class SearchState:
     finite_count: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int32)
     )
-    #: Optional :class:`repro.analysis.writelog.WriteLog` interposed by
-    #: :class:`repro.analysis.checked.CheckedBackend`. ``None`` in normal
-    #: operation — kernels pay exactly one ``is not None`` branch per
-    #: call, so the checker is zero-cost when not wrapped.
-    write_log: Optional[object] = None
     #: The native whole-level call with this query's arrays and its own
     #: output buffers bound (:meth:`repro.parallel._native.NativeKernel.
     #: bind_whole_level`), made on the first native level. It lives here

@@ -357,15 +357,14 @@ class _SpanContext:
 NULL_TRACER = Tracer(enabled=False)
 
 _GLOBAL_TRACER: Tracer = NULL_TRACER
-_GLOBAL_LOCK = threading.Lock()
 
 
 def install_global_tracer(tracer: Tracer) -> None:
     """Make ``tracer`` the process default (engines built without an
-    explicit tracer will record into it)."""
+    explicit tracer will record into it). One reference store: a
+    concurrent reader sees the old tracer or the new one."""
     global _GLOBAL_TRACER
-    with _GLOBAL_LOCK:
-        _GLOBAL_TRACER = tracer
+    _GLOBAL_TRACER = tracer
 
 
 def uninstall_global_tracer() -> None:

@@ -117,9 +117,7 @@ class ExpansionBackend(abc.ABC):
         set ``state.live_lanes`` to the lanes the level left open (see
         :attr:`LevelOutcome.live_lanes`; one that leaves it at
         ``ALL_LANES`` never lets a lane close, which is always safe),
-        and must not touch anything else. When ``state.write_log`` is set
-        (:class:`~repro.analysis.checked.CheckedBackend` attaches one),
-        every scatter-store is also recorded there.
+        and must not touch anything else.
 
         Returns:
             The level's kernel work counters, or ``None`` from a backend

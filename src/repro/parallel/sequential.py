@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from ..core.state import INFINITE_LEVEL, SearchState
 from ..graph.csr import KnowledgeGraph
 from .backend import ExpansionBackend
@@ -46,13 +44,8 @@ def expand_frontier_chunk(
     activation = state.activation
     keyword_node = state.keyword_node
     finite_count = state.finite_count
-    write_log = state.write_log
     next_level = level + 1
     n_keywords = state.n_keywords
-    # Shadow-memory capture (repro.analysis): collect every scatter-store
-    # locally, report once per call. ``None`` in normal operation.
-    logged_cells: "list[int]" = []
-    logged_flags: "list[int]" = []
     live = 0
 
     for node in frontier_chunk:
@@ -61,8 +54,6 @@ def expand_frontier_chunk(
             continue
         if activation[node] > level:
             f_identifier[node] = 1
-            if write_log is not None:
-                logged_flags.append(node)
             for column in range(n_keywords):
                 if matrix[node, column] <= level:
                     live |= 1 << column
@@ -80,8 +71,6 @@ def expand_frontier_chunk(
                 if not keyword_node[neighbor] and activation[neighbor] > next_level:
                     f_identifier[node] = 1
                     live |= 1 << column
-                    if write_log is not None:
-                        logged_flags.append(node)
                     continue
                 matrix[neighbor, column] = next_level
                 live |= 1 << column
@@ -89,17 +78,6 @@ def expand_frontier_chunk(
                 # The ∞-guard above makes this exactly-once per cell, so
                 # the incremental finite-cell count stays exact.
                 finite_count[neighbor] += 1
-                if write_log is not None:
-                    logged_cells.append(neighbor * n_keywords + column)
-                    logged_flags.append(neighbor)
-
-    if write_log is not None:
-        write_log.record_matrix(
-            np.asarray(logged_cells, dtype=np.int64), next_level, level
-        )
-        write_log.record_frontier(
-            np.asarray(logged_flags, dtype=np.int64), 1, level
-        )
     return live
 
 

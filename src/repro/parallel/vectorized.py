@@ -146,12 +146,7 @@ def fused_expand_chunk(
         counters.sources_pruned += pruned
         counters.duplicates_elided += dups
         counters.live_lanes |= live
-    hit_keys = out_keys[:count]
-    write_log = state.write_log
-    if write_log is not None:
-        write_log.record_matrix(hit_keys, level + 1, level)
-        write_log.record_frontier(_keys_to_rows(hit_keys, q), 1, level)
-    return hit_keys
+    return out_keys[:count]
 
 
 def _bind_whole_level(

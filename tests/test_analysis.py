@@ -1,19 +1,16 @@
 """Tests for the ``repro.analysis`` package and the ``repro check`` gate.
 
-Covers the shadow-memory invariant checker (CheckedBackend + WriteLog),
-its self-validation against deliberately faulty backends, the
+Covers the per-level invariant checker (CheckedBackend), its
+self-validation against deliberately faulty backends, the
 repo-specific AST lint rules (including the store-write rule RPR010
 and exact-id noqa matching), the
 ASan/UBSan and TSan sanitizer wiring with its suppression policy, and
-the CLI exit codes the CI ``check`` job relies on. The ABI verifier and
-schedule explorer have dedicated files (``test_abi.py``,
-``test_schedules.py``); their ``--inject`` CLI contracts are pinned
-here alongside the other injection classes.
+the CLI exit codes the CI ``check`` job relies on. The ABI verifier has
+a dedicated file (``test_abi.py``); its ``--inject`` CLI contract is
+pinned here alongside the other injection classes.
 """
 
 import textwrap
-from unittest import mock
-
 import numpy as np
 import pytest
 
@@ -22,12 +19,12 @@ from repro.analysis import (
     CheckedBackend,
     FaultyBackend,
     InvariantViolationError,
-    WriteLog,
     lint_source,
     run_lint,
 )
 from repro.analysis.check import run_check, run_faulty_validation
 from repro.core.bottom_up import BottomUpSearch
+from repro.core.state import INFINITE_LEVEL
 from repro.graph.generators import WikiKBConfig, wiki_like_kb
 from repro.parallel import SequentialBackend, ThreadPoolBackend, VectorizedBackend
 
@@ -66,42 +63,6 @@ def _problem(graph, seed, q):
 def _run(backend, graph, sets, activation, k):
     with backend:
         return BottomUpSearch(graph, backend=backend).run(sets, activation, k)
-
-
-# ---------------------------------------------------------------------------
-# WriteLog
-# ---------------------------------------------------------------------------
-def test_write_log_partitions_batches_per_thread():
-    import threading
-
-    log = WriteLog()
-    log.record_matrix(np.array([1, 2, 2]), value=1, level=0)
-
-    def worker():
-        log.record_matrix(np.array([2, 3]), value=1, level=0)
-        log.record_frontier(np.array([7]), value=1, level=0)
-
-    thread = threading.Thread(target=worker)
-    thread.start()
-    thread.join()
-    assert log.n_threads() == 2
-    assert log.n_batches() == 3
-    cells, values = log.matrix_writes()
-    # Duplicates preserved — racing writes are the point.
-    assert sorted(cells.tolist()) == [1, 2, 2, 2, 3]
-    assert set(values.tolist()) == {1}
-    nodes, flag_values = log.frontier_writes()
-    assert nodes.tolist() == [7]
-    assert flag_values.tolist() == [1]
-
-
-def test_write_log_copies_input_arrays():
-    log = WriteLog()
-    cells = np.array([5, 6], dtype=np.int64)
-    log.record_matrix(cells, value=2, level=1)
-    cells[0] = 99
-    recorded, _ = log.matrix_writes()
-    assert recorded.tolist() == [5, 6]
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +114,6 @@ def test_adversarial_chunk_size_one_high_thread_count():
     assert result.depth == reference.depth
 
 
-def test_checked_backend_is_zero_cost_when_not_wrapped():
-    """No log is attached unless a CheckedBackend interposes one."""
-    graph = _kb(0)
-    sets, activation, k = _problem(graph, 7, q=3)
-    backend = VectorizedBackend()
-    search = BottomUpSearch(graph, backend=backend)
-    result = search.run(sets, activation, k)
-    assert result.state.write_log is None
-
-
 def test_checked_backend_delegates_name_and_close():
     inner = ThreadPoolBackend(n_threads=2)
     checked = CheckedBackend(inner)
@@ -175,6 +126,16 @@ def test_checked_backend_delegates_name_and_close():
 # ---------------------------------------------------------------------------
 # FaultyBackend: the checker must catch every injected fault class
 # ---------------------------------------------------------------------------
+#: The invariant each fault mode breaks. ``missed-central`` is an
+#: identification fault on a route that inherits the composed level.
+_BROKEN_INVARIANT = {
+    "non-idempotent": "level-stamp",
+    "overwrite": "write-once",
+    "count-drift": "finite-count",
+    "missed-central": "central-node",
+}
+
+
 @pytest.mark.parametrize("mode", FAULT_MODES)
 def test_faulty_backend_detected(mode):
     graph = _kb(2)
@@ -184,6 +145,8 @@ def test_faulty_backend_detected(mode):
     _run(checked, graph, sets, activation, k)
     assert faulty.faults_injected > 0
     assert checked.violations, f"fault {mode!r} went undetected"
+    kinds = {violation.invariant for violation in checked.violations}
+    assert _BROKEN_INVARIANT[mode] in kinds
 
 
 def test_faulty_backend_raises_by_default():
@@ -209,41 +172,47 @@ def test_faulty_backend_rejects_unknown_mode():
 # ---------------------------------------------------------------------------
 # CheckedBackend over run_level
 # ---------------------------------------------------------------------------
-def _spy(checked, method):
-    """Replace one of ``checked``'s verifiers with a call-counting wrap."""
-    spy = mock.Mock(wraps=getattr(checked, method))
-    setattr(checked, method, spy)
-    return spy
-
-
-def test_checked_backend_verifies_whole_level_path():
-    """A backend with its own run_level keeps it *and* is checked
-    around it (the whole-level check, not the write-log one)."""
+@pytest.mark.parametrize(
+    "factory",
+    [SequentialBackend, lambda: ThreadPoolBackend(n_threads=2), VectorizedBackend],
+    ids=["sequential", "threads", "vectorized"],
+)
+def test_checked_backend_checks_every_level_of_every_route(factory):
+    """Composed routes and the whole-level route get the same check,
+    once per level, around run_level."""
     graph = _kb(1)
     sets, activation, k = _problem(graph, 38, q=4)
-    checked = CheckedBackend(VectorizedBackend())
-    whole, logged = _spy(checked, "_verify_level"), _spy(checked, "_verify")
+    checked = CheckedBackend(factory())
     result = _run(checked, graph, sets, activation, k)
-    assert checked.levels_checked == whole.call_count > 0
-    assert not logged.called
+    assert checked.levels_checked == len(result.level_profile) > 1
     assert not checked.violations
     reference = _run(SequentialBackend(), graph, sets, activation, k)
     assert np.array_equal(result.state.matrix, reference.state.matrix)
 
 
-def test_checked_backend_logs_writes_of_inherited_level():
-    """A backend that inherits the composed level runs it over the
-    checker's logged expand (the write-log check)."""
+class _UnflaggedHit(SequentialBackend):
+    """Writes one extra hit, counted, but never flags its node."""
+
+    def __init__(self):
+        self.injected = False
+
+    def expand(self, graph, state, level):
+        super().expand(graph, state, level)
+        cells = np.flatnonzero(state.matrix.ravel() == INFINITE_LEVEL)
+        if not self.injected and len(cells):
+            state.matrix.ravel()[cells[0]] = level + 1
+            state.finite_count[cells[0] // state.n_keywords] += 1
+            self.injected = True
+
+
+def test_checked_backend_detects_unflagged_hit():
     graph = _kb(1)
     sets, activation, k = _problem(graph, 38, q=4)
-    checked = CheckedBackend(ThreadPoolBackend(n_threads=2))
-    whole, logged = _spy(checked, "_verify_level"), _spy(checked, "_verify")
-    result = _run(checked, graph, sets, activation, k)
-    assert checked.levels_checked == logged.call_count > 0
-    assert not whole.called
-    assert not checked.violations
-    reference = _run(SequentialBackend(), graph, sets, activation, k)
-    assert np.array_equal(result.state.matrix, reference.state.matrix)
+    inner = _UnflaggedHit()
+    checked = CheckedBackend(inner, raise_on_violation=False)
+    _run(checked, graph, sets, activation, k)
+    assert inner.injected
+    assert "hit-flag" in {v.invariant for v in checked.violations}
 
 
 class _EvilWholeLevel(VectorizedBackend):
@@ -819,15 +788,6 @@ def test_cli_check_inject_abi_exits_one(capsys):
     assert "caught" in out
 
 
-def test_cli_check_inject_schedule_exits_one(capsys):
-    from repro.cli import main
-
-    assert main(["check", "--inject", "schedule"]) == 1
-    out = capsys.readouterr().out
-    assert "schedule-divergence" in out
-    assert "caught" in out
-
-
 def test_cli_check_inject_sanitizer_exits_one():
     from repro.analysis import sanitize
     from repro.cli import main
@@ -837,21 +797,11 @@ def test_cli_check_inject_sanitizer_exits_one():
     assert main(["check", "--inject", "sanitizer"]) == 1
 
 
-def test_cli_check_inject_deadlock_exits_one(capsys):
-    from repro.cli import main
-
-    assert main(["check", "--inject", "deadlock"]) == 1
-    out = capsys.readouterr().out
-    assert "RPRCON01" in out
-    assert "RPRCON02" in out
-    assert "caught" in out
-
-
 def test_cli_check_list_rules(capsys):
     from repro.cli import main
 
     assert main(["check", "--list-rules"]) == 0
     out = capsys.readouterr().out
-    for rule in ("RPR001", "RPR008", "RPR010", "RPR012", "RPR013",
-                 "RPRCON01", "RPRCON02"):
+    for rule in ("RPR001", "RPR008", "RPR010", "RPR012"):
         assert rule in out
+    assert len(out.splitlines()) <= 12

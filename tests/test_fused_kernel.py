@@ -203,9 +203,8 @@ def test_wide_queries_match_sequential_on_lane_words(n, q):
     three racing ones), M, FIdentifier, finite_count, the Central Nodes,
     the frontier size and the new hits equal ``SequentialBackend``'s
     after every level, and the kernel counters — live lanes included —
-    equal an edge-by-edge count. Under ``CheckedBackend`` the write log
-    of the chunk calls matches the matrix delta (nothing unrecorded,
-    nothing phantom)."""
+    equal an edge-by-edge count. Under ``CheckedBackend`` every level
+    of the chunk calls passes the per-level invariants."""
     graph, sets, activation, k = _tail_guard_case(n, q)
     want, _, _ = _wide_levels(SequentialBackend(), graph, sets, activation, k)
     assert len(want) > 1, "the case never expanded"
@@ -221,7 +220,7 @@ def test_wide_queries_match_sequential_on_lane_words(n, q):
         checked = CheckedBackend(ThreadPoolBackend(n_threads=n_threads))
         got, _, _ = _wide_levels(checked, graph, sets, activation, k)
         assert got == want, n_threads
-        assert checked.levels_checked == len(want) - 1
+        assert checked.levels_checked == len(want)
         assert not checked.violations
 
 

@@ -1,16 +1,24 @@
 """The WikiSearch-style HTTP service."""
 
+import ast
+import builtins
 import json
+import queue
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro import service as service_module
+from repro.analysis.lint import package_root
 from repro.core.engine import KeywordSearchEngine
+from repro.obs import metrics
 from repro.service import SearchService, create_server
 
 from conftest import keyword_star
@@ -202,66 +210,160 @@ def test_services_on_one_engine_share_the_recorder(engine):
     assert second.flight is first.flight
 
 
+#: Lock constructors the recorder swaps for recording ones.
+_LOCK_CONSTRUCTORS = ("Lock", "RLock")
+
+#: A nested acquisition waits this long before it is reported as a
+#: deadlock instead of hanging the test.
+_DEADLOCK_SECONDS = 10.0
+
+
+def _lock_sites():
+    """``(path, line)`` of every lock construction in ``src/repro``,
+    paths relative to the package (a ``from threading import Lock`` is a
+    site too: the recorder cannot swap a name bound at import)."""
+    root = package_root()
+    sites = set()
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _LOCK_CONSTRUCTORS
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "threading"
+            ) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "threading"
+                and {a.name for a in node.names} & set(_LOCK_CONSTRUCTORS)
+            ):
+                sites.add((relative, node.lineno))
+    return sites
+
+
 class _RecordingLock:
-    """A mutex that notes every acquisition made while the acquiring
-    thread already holds another recording lock."""
+    """A lock from ``src/repro`` that reports, to its recorder, every
+    acquisition made while its thread already holds a recording lock."""
 
-    def __init__(self, name, held, nested):
-        self._inner = threading.Lock()
-        self._name = name
-        self._held = held  # threading.local: .names, this thread's stack
-        self._nested = nested  # (outer, inner) pairs, shared by all threads
-        self.acquisitions = 0
+    def __init__(self, inner, site, recorder):
+        self._inner = inner
+        self.site = site
+        self._recorder = recorder
 
-    def __enter__(self):
-        self._inner.acquire()
-        stack = self._held.__dict__.setdefault("names", [])
-        self._nested.extend((outer, self._name) for outer in stack)
-        stack.append(self._name)
-        self.acquisitions += 1
+    def acquire(self, blocking=True, timeout=-1):
+        stack = self._recorder.held()
+        reentry = any(lock is self for lock in stack)
+        if stack and not reentry:
+            self._recorder.nested.extend(
+                (outer.site, self.site) for outer in stack
+            )
+            if blocking and timeout == -1:
+                timeout = _DEADLOCK_SECONDS
+        if not self._inner.acquire(blocking, timeout):
+            if stack and not reentry:
+                raise RuntimeError(f"deadlock: {self.site} never acquired")
+            return False
+        stack.append(self)
+        self._recorder.acquired.add(self.site)
+        return True
 
-    def __exit__(self, *exc):
-        self._held.names.remove(self._name)
+    def release(self):
+        stack = self._recorder.held()
+        del stack[len(stack) - 1 - stack[::-1].index(self)]
         self._inner.release()
 
+    def locked(self):
+        return self._inner.locked()
 
-def test_debug_endpoints_under_concurrency(engine, monkeypatch):
+    def __enter__(self):
+        return self.acquire()
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+class _LockRecorder:
+    """Every lock ``src/repro`` constructs while it is active is a
+    :class:`_RecordingLock`; every blocking call (sleep, socket, file,
+    subprocess, untimed queue get) made while one is held is noted."""
+
+    def __init__(self, monkeypatch):
+        self._local = threading.local()
+        self.built, self.acquired = set(), set()
+        self.nested, self.blocking = [], []
+        root = package_root()
+        for name in _LOCK_CONSTRUCTORS:
+            original = getattr(threading, name)
+
+            def construct(*args, _original=original, **kwargs):
+                lock = _original(*args, **kwargs)
+                caller = sys._getframe(1)
+                path = Path(caller.f_code.co_filename)
+                if not path.is_relative_to(root):
+                    return lock
+                site = (path.relative_to(root).as_posix(), caller.f_lineno)
+                self.built.add(site)
+                return _RecordingLock(lock, site, self)
+
+            monkeypatch.setattr(threading, name, construct)
+        watched = [(time, "sleep"), (builtins, "open"),
+                   (subprocess.Popen, "__init__")]
+        watched += [
+            (socket.socket, method)
+            for method in ("accept", "connect", "recv", "recv_into",
+                           "send", "sendall")
+        ]
+        for owner, name in watched:
+            self._watch(monkeypatch, owner, name)
+        untimed_get = queue.Queue.get
+
+        def get(queue_, block=True, timeout=None):
+            if block and timeout is None:
+                self._note_blocking("queue.Queue.get")
+            return untimed_get(queue_, block, timeout)
+
+        monkeypatch.setattr(queue.Queue, "get", get)
+        # Built at import, before the recorder: swap in a fresh one.
+        monkeypatch.setattr(metrics, "_DEFAULT_REGISTRY", metrics.MetricsRegistry())
+
+    def held(self):
+        """This thread's stack of held recording locks."""
+        return self._local.__dict__.setdefault("stack", [])
+
+    def _note_blocking(self, what):
+        stack = self.held()
+        if stack:
+            self.blocking.append((what, [lock.site for lock in stack]))
+
+    def _watch(self, monkeypatch, owner, name):
+        original = getattr(owner, name)
+        what = f"{getattr(owner, '__name__', owner)}.{name}"
+
+        def call(*args, **kwargs):
+            self._note_blocking(what)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, call)
+
+    def assert_flat(self):
+        """No lock was acquired under another; nothing blocked under one."""
+        assert self.nested == [], sorted(set(self.nested))
+        assert self.blocking == [], self.blocking
+
+
+@pytest.fixture
+def lock_recorder(monkeypatch):
+    return _LockRecorder(monkeypatch)
+
+
+def test_debug_endpoints_under_concurrency(engine, lock_recorder):
     """Hammer /metrics, /statz and /debug/queries while /search runs:
     exact request counts, no ring corruption, and no thread ever holds
-    two of the shell's locks at once."""
+    two locks at once or blocks under one."""
     from concurrent.futures import ThreadPoolExecutor
 
-    from repro.obs import metrics, tracing
-
-    held, nested, proxies = threading.local(), [], []
-
-    def record(owner, attr, name):
-        proxy = _RecordingLock(name, held, nested)
-        proxies.append(proxy)
-        monkeypatch.setattr(owner, attr, proxy)
-
-    def recording_init(cls, name):
-        original = cls.__init__
-
-        def __init__(self, *args, **kwargs):
-            original(self, *args, **kwargs)
-            record(self, "_lock", name)
-
-        monkeypatch.setattr(cls, "__init__", __init__)
-
-    # Locks built during the run (per-query tracers, new instruments)...
-    recording_init(tracing.Tracer, "Tracer._lock")
-    recording_init(metrics._Instrument, "_Instrument._lock")
     service = _debug_service(engine, max_records=4)
-    # ...and those that already exist.
-    record(service, "_lock", "SearchService._lock")
-    record(service.flight, "_lock", "FlightRecorder._lock")
-    record(tracing, "_GLOBAL_LOCK", "tracing._GLOBAL_LOCK")
-    for registry in (service.registry, metrics.get_registry()):
-        record(registry, "_lock", "MetricsRegistry._lock")
-        for instrument in list(registry._instruments.values()):
-            record(instrument, "_lock", "_Instrument._lock")
-
     n_search, n_read = 24, 30
     paths = ["/search?q=machine+learning&k=1"] * n_search + [
         "/metrics",
@@ -272,8 +374,7 @@ def test_debug_endpoints_under_concurrency(engine, monkeypatch):
         statuses = list(
             executor.map(lambda p: service.handle_path(p)[0], paths)
         )
-    assert nested == [], sorted(set(nested))
-    assert sum(proxy.acquisitions for proxy in proxies) > len(paths)
+    lock_recorder.assert_flat()
     assert statuses.count(200) == len(paths)
     assert service.stats.requests_by_endpoint["/search"] == n_search
     assert service.stats.requests_by_endpoint["/metrics"] == n_read // 3
@@ -285,6 +386,68 @@ def test_debug_endpoints_under_concurrency(engine, monkeypatch):
     assert len(listing["recent"]) == 4
     ids = [row["query_id"] for row in listing["recent"]]
     assert len(set(ids)) == len(ids)
+
+
+def _status(port, path):
+    try:
+        with urllib.request.urlopen(
+            f"http://127.0.0.1:{port}{path}", timeout=10
+        ) as response:
+            response.read()
+            return response.status
+    except urllib.error.HTTPError as error:
+        return error.code
+
+
+def test_every_lock_in_src_is_flat_under_every_endpoint(
+    tiny_kb, lock_recorder
+):
+    """Every lock ``src/repro`` constructs — found by the recorder, and
+    matched against the construction sites in the source — is acquired
+    with no other lock held and no blocking call under it, while every
+    HTTP endpoint is served to concurrent clients and the locked
+    ablation engine runs on two threads."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from repro.core.activation import activation_levels
+    from repro.parallel import LockedDictEngine
+
+    graph, _ = tiny_kb
+    engine = KeywordSearchEngine(graph)
+    server = _serve(engine)
+    port = server.server_address[1]
+    try:
+        assert _status(port, "/search?q=machine+learning&k=2") == 200
+        query_id = server.service.flight.debug_payload()["recent"][0][
+            "query_id"
+        ]
+        paths = {
+            "/": 200,
+            "/healthz": 200,
+            "/search?q=machine+learning&k=2": 200,
+            "/search?q=data+learning&k=3": 200,
+            "/search?q=zzzzqqq": 404,
+            "/search?q=machine&k=x": 400,
+            "/metrics": 200,
+            "/statz": 200,
+            "/debug/queries": 200,
+            f"/debug/queries/{query_id}": 200,
+            "/debug/queries/x": 400,
+            "/nowhere": 404,
+        }
+        with ThreadPoolExecutor(max_workers=4) as clients:
+            got = list(clients.map(lambda p: _status(port, p), list(paths) * 3))
+    finally:
+        _stop(server)
+    assert got == list(paths.values()) * 3
+
+    locked = LockedDictEngine(graph, engine.weights, engine.index, n_threads=2)
+    activation = activation_levels(engine.weights, 3.0, 0.1)
+    assert locked.search("machine learning data", activation, k=5).answers
+
+    lock_recorder.assert_flat()
+    assert lock_recorder.built == _lock_sites()
+    assert lock_recorder.acquired == lock_recorder.built
 
 
 # ---------------------------------------------------------------------------
