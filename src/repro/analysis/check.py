@@ -182,9 +182,10 @@ def run_invariant_fuzz(
 #: the larger graphs have both guarded and unguarded rows.
 TAIL_GUARD_SIZES = (1, 2, 3, 5, 12, 40)
 
-#: The q past one lane word: two words (9, 16), three (17, 24) and
-#: eight (57, 64), each with and without pad lanes in the last word.
-TAIL_GUARD_WIDE_Q = (9, 16, 17, 24, 57, 64)
+#: The q past one lane word: two words (9, 15, 16), three (17, 24) and
+#: eight (57, 63, 64), each with and without pad lanes in the last word
+#: (15 and 63 leave one pad lane, the fewest).
+TAIL_GUARD_WIDE_Q = (9, 15, 16, 17, 24, 57, 63, 64)
 
 
 def tail_guard_cases() -> "list[Tuple[int, int]]":

@@ -236,6 +236,10 @@ class CheckedBackend(ExpansionBackend):
     def name(self) -> str:  # type: ignore[override]
         return f"checked:{self.inner.name}"
 
+    @property
+    def counter_tier(self) -> Optional[str]:  # type: ignore[override]
+        return self.inner.counter_tier
+
     def close(self) -> None:
         """Release the wrapped backend's resources."""
         self.inner.close()

@@ -59,9 +59,11 @@ from ..instrumentation import (
     PHASE_EXPANSION,
     PHASE_IDENTIFY,
     PHASE_INITIALIZATION,
+    KernelCounters,
     PhaseTimer,
 )
 from ..graph.csr import KnowledgeGraph
+from ..obs.metrics import record_kernel_counters
 from ..obs.tracing import NULL_CONTEXT
 from ..parallel.backend import ExpansionBackend, LevelOutcome
 from ..parallel.vectorized import VectorizedBackend
@@ -170,6 +172,8 @@ class BottomUpSearch:
         activation: np.ndarray,
         k: int,
         timer: Optional[PhaseTimer] = None,
+        *,
+        max_activation: Optional[int] = None,
     ) -> BottomUpResult:
         """Search until at least ``k`` Central Nodes are identified.
 
@@ -184,6 +188,8 @@ class BottomUpSearch:
                 ``level`` span with the level's accounting and kernel
                 counters as attributes, and the tracer rides on the
                 query's state so pool chunks attach child spans.
+            max_activation: ``activation.max()``, when the caller keeps
+                it (:meth:`SearchState.initialize` computes it otherwise).
 
         Raises:
             ValueError: if ``k < 1`` or any keyword set is empty.
@@ -206,7 +212,10 @@ class BottomUpSearch:
 
         with timer.phase(PHASE_INITIALIZATION):
             state = SearchState.initialize(
-                self.graph.n_nodes, keyword_node_sets, activation
+                self.graph.n_nodes,
+                keyword_node_sets,
+                activation,
+                max_activation,
             )
         state.tracer = tracer
         # Only the frontier (and a store-backed array's residency) changes
@@ -252,6 +261,15 @@ class BottomUpSearch:
                 peak_nbytes = max(peak_nbytes, state.nbytes(fixed_nbytes))
                 closed = state.no_central_node_can_follow(outcome.live_lanes)
                 level += 1
+
+        tier = self.backend.counter_tier
+        if tier is not None:
+            # One registry update per query, not per level.
+            totals = KernelCounters()
+            for outcome in profile:
+                if outcome.counters is not None:
+                    totals.add(outcome.counters)
+            record_kernel_counters(totals, tier=tier)
 
         if state.central_nodes:
             depth = max(found_depth for _, found_depth in state.central_nodes)

@@ -14,10 +14,43 @@ directed path to the central node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import AbstractSet, Dict, FrozenSet, List, Optional, Set, Tuple
 
+import numpy as np
 
-@dataclass
+
+@lru_cache(maxsize=1024)
+def _mask_columns(mask: int) -> Tuple[int, ...]:
+    """The keyword columns of a contribution mask (bit c = column c),
+    ascending."""
+    return tuple(c for c in range(mask.bit_length()) if mask >> c & 1)
+
+
+def _node_set(node_ids: np.ndarray) -> Set[int]:
+    return set(node_ids.tolist())
+
+
+def _edge_list(edge_keys: np.ndarray, n: int) -> List[Tuple[int, int]]:
+    """Edge keys ``u * n + v`` as ``(u, v)`` pairs, in key order."""
+    preds, targets = np.divmod(edge_keys, n)
+    return list(zip(preds.tolist(), targets.tolist()))
+
+
+def _edge_set(edge_keys: np.ndarray, n: int) -> Set[Tuple[int, int]]:
+    return set(_edge_list(edge_keys, n))
+
+
+def _contribution_dict(
+    node_ids: np.ndarray, masks: np.ndarray
+) -> Dict[int, FrozenSet[int]]:
+    return {
+        node: frozenset(_mask_columns(mask))
+        for node, mask in zip(node_ids.tolist(), masks.tolist())
+        if mask
+    }
+
+
 class CentralGraph:
     """One keyword-search answer.
 
@@ -31,40 +64,192 @@ class CentralGraph:
             source, the set of keyword columns it contains.
         score: ranking score (Eq. 6); filled in by the scorer.
         pruned: whether level-cover pruning has been applied.
+
+    An answer is made either from those sets (the reference route,
+    CPU-Par-d, hand-built graphs) or, by :meth:`from_arrays`, from the
+    batch route's kernel output: ascending node ids, ascending edge keys
+    ``u * n + v`` and one contribution mask per node. Such an answer
+    builds ``nodes``, ``edges`` and ``keyword_contributions`` on first
+    read and keeps them; the shape accessors and the sorted views
+    (:meth:`sorted_nodes`, :meth:`sorted_edges`, :meth:`member_columns`)
+    read the arrays and build no set. Once built, a set is what every
+    reader sees.
     """
 
-    central_node: int
-    depth: int
-    nodes: Set[int]
-    edges: Set[Tuple[int, int]]
-    keyword_contributions: Dict[int, FrozenSet[int]]
-    score: Optional[float] = None
-    pruned: bool = False
+    __slots__ = (
+        "central_node",
+        "depth",
+        "score",
+        "pruned",
+        "_nodes",
+        "_edges",
+        "_contributions",
+        "_node_ids",
+        "_edge_keys",
+        "_masks",
+        "_n",
+    )
+
+    def __init__(
+        self,
+        central_node: int,
+        depth: int,
+        nodes: Set[int],
+        edges: Set[Tuple[int, int]],
+        keyword_contributions: Dict[int, FrozenSet[int]],
+        score: Optional[float] = None,
+        pruned: bool = False,
+    ) -> None:
+        self.central_node = central_node
+        self.depth = depth
+        self.score = score
+        self.pruned = pruned
+        self._nodes: Optional[Set[int]] = nodes
+        self._edges: Optional[Set[Tuple[int, int]]] = edges
+        self._contributions: Optional[Dict[int, FrozenSet[int]]] = (
+            keyword_contributions
+        )
+        self._node_ids: Optional[np.ndarray] = None
+        self._edge_keys: Optional[np.ndarray] = None
+        self._masks: Optional[np.ndarray] = None
+        self._n = 0
+
+    @classmethod
+    def from_arrays(
+        cls,
+        central_node: int,
+        depth: int,
+        node_ids: np.ndarray,
+        edge_keys: np.ndarray,
+        masks: np.ndarray,
+        n: int,
+        score: Optional[float] = None,
+        pruned: bool = False,
+    ) -> "CentralGraph":
+        """An answer over kernel output it owns: ``node_ids`` ascending,
+        ``edge_keys`` (``u * n + v`` for the edge ``(u, v)``, ``n`` the
+        graph's node count) ascending and distinct, and ``masks[i]`` the
+        keyword columns of ``node_ids[i]`` as bits (bit c = column c)."""
+        graph = cls(central_node, depth, None, None, None, score, pruned)
+        graph._node_ids = node_ids
+        graph._edge_keys = edge_keys
+        graph._masks = masks
+        graph._n = n
+        return graph
+
+    @property
+    def nodes(self) -> Set[int]:
+        if self._nodes is None:
+            self._nodes = _node_set(self._node_ids)
+        return self._nodes
+
+    @property
+    def edges(self) -> Set[Tuple[int, int]]:
+        if self._edges is None:
+            self._edges = _edge_set(self._edge_keys, self._n)
+        return self._edges
+
+    @property
+    def keyword_contributions(self) -> Dict[int, FrozenSet[int]]:
+        if self._contributions is None:
+            self._contributions = _contribution_dict(
+                self._node_ids, self._masks
+            )
+        return self._contributions
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CentralGraph):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return (
+            f"CentralGraph(central_node={self.central_node!r}, "
+            f"depth={self.depth!r}, nodes={self.nodes!r}, "
+            f"edges={self.edges!r}, "
+            f"keyword_contributions={self.keyword_contributions!r}, "
+            f"score={self.score!r}, pruned={self.pruned!r})"
+        )
+
+    def _fields(self) -> tuple:
+        return (
+            self.central_node,
+            self.depth,
+            self.nodes,
+            self.edges,
+            self.keyword_contributions,
+            self.score,
+            self.pruned,
+        )
 
     # ------------------------------------------------------------------
     # Shape
     # ------------------------------------------------------------------
     @property
     def n_nodes(self) -> int:
-        return len(self.nodes)
+        if self._nodes is None:
+            return len(self._node_ids)
+        return len(self._nodes)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        if self._edges is None:
+            return len(self._edge_keys)
+        return len(self._edges)
 
     def keyword_nodes(self) -> List[int]:
         """Member nodes that contribute at least one keyword."""
         return sorted(self.keyword_contributions)
 
+    def _covered_mask(self) -> int:
+        return int(np.bitwise_or.reduce(self._masks, initial=0))
+
     def covered_keywords(self) -> FrozenSet[int]:
         """Union of keyword columns contributed by member nodes."""
+        if self._contributions is None:
+            return frozenset(_mask_columns(self._covered_mask()))
         covered: Set[int] = set()
-        for columns in self.keyword_contributions.values():
+        for columns in self._contributions.values():
             covered |= columns
         return frozenset(covered)
 
     def covers_all(self, n_keywords: int) -> bool:
+        if self._contributions is None:
+            return self._covered_mask() == (1 << n_keywords) - 1
         return self.covered_keywords() == frozenset(range(n_keywords))
+
+    # ------------------------------------------------------------------
+    # Sorted views (what an answer is serialised from)
+    # ------------------------------------------------------------------
+    def sorted_nodes(self) -> List[int]:
+        """Member nodes, ascending."""
+        if self._nodes is None:
+            return self._node_ids.tolist()
+        return sorted(self._nodes)
+
+    def sorted_edges(self) -> List[Tuple[int, int]]:
+        """Hitting-DAG edges ``(u, v)``, ascending."""
+        if self._edges is None:
+            return _edge_list(self._edge_keys, self._n)
+        return sorted(self._edges)
+
+    def member_columns(self) -> List[Tuple[int, Tuple[int, ...]]]:
+        """``(node, its keyword columns ascending)`` for every member
+        node, ascending; a node that contributes no keyword has ``()``."""
+        if self._nodes is None and self._contributions is None:
+            return list(
+                zip(
+                    self._node_ids.tolist(),
+                    map(_mask_columns, self._masks.tolist()),
+                )
+            )
+        contributions = self.keyword_contributions
+        return [
+            (node, tuple(sorted(contributions.get(node, ()))))
+            for node in sorted(self.nodes)
+        ]
 
     # ------------------------------------------------------------------
     # Structure checks used by tests and the pruner

@@ -17,7 +17,7 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -152,7 +152,7 @@ class KeywordSearchEngine:
         self._searcher = BottomUpSearch(
             graph, backend=backend, lmax=self.config.lmax
         )
-        self._activation_cache: Dict[float, np.ndarray] = {}
+        self._activation_cache: Dict[float, Tuple[np.ndarray, int]] = {}
         # Stage two's binding of the graph and weights, made once. It
         # loads the kernel, so a host without one fails here.
         self._bound_graph: Optional[BoundGraph] = bind_graph(
@@ -174,17 +174,23 @@ class KeywordSearchEngine:
         below is one atomic dict operation, and two threads missing the
         same α at once just compute equal arrays.
         """
+        return self._activation(alpha)[0]
+
+    def _activation(self, alpha: float) -> "Tuple[np.ndarray, int]":
+        """:meth:`activation_for`'s levels and their maximum, both
+        computed once per cached α."""
         cache = self._activation_cache
-        levels = cache.pop(alpha, None)
-        if levels is None:
-            levels = ActivationModel.from_weights(
+        entry = cache.pop(alpha, None)
+        if entry is None:
+            model = ActivationModel.from_weights(
                 self.weights, self.average_distance, alpha
-            ).levels
-            levels.setflags(write=False)
-        cache[alpha] = levels  # (re)inserted last: dict order is recency
+            )
+            model.levels.setflags(write=False)
+            entry = (model.levels, model.max_level)
+        cache[alpha] = entry  # (re)inserted last: dict order is recency
         for stale in list(cache)[:-ACTIVATION_CACHE_SIZE]:
             cache.pop(stale, None)
-        return levels
+        return entry
 
     # ------------------------------------------------------------------
     # Online path
@@ -268,8 +274,9 @@ class KeywordSearchEngine:
             raise error
         if activation_override is not None:
             activation = np.asarray(activation_override, dtype=np.int32)
+            max_activation = None
         else:
-            activation = self.activation_for(alpha)
+            activation, max_activation = self._activation(alpha)
 
         tracer = self.tracer if self.tracer is not None else get_global_tracer()
         if recording is not None and not tracer.enabled:
@@ -286,7 +293,11 @@ class KeywordSearchEngine:
             ) as query_span:
                 with timer.phase(PHASE_TOTAL):
                     bottom_up = self._searcher.run(
-                        node_sets, activation, k, timer=timer
+                        node_sets,
+                        activation,
+                        k,
+                        timer=timer,
+                        max_activation=max_activation,
                     )
                     ranked = process_top_down(
                         self.graph,

@@ -126,6 +126,7 @@ class SearchState:
         n_nodes: int,
         keyword_node_sets: Sequence[np.ndarray],
         activation: np.ndarray,
+        max_activation: Optional[int] = None,
     ) -> "SearchState":
         """Set up M, FIdentifier and CIdentifier for one query.
 
@@ -133,7 +134,10 @@ class SearchState:
         flagged as an initial frontier (BFS instances start at their source
         sets with expansion level 0). Past the fills of the per-node
         arrays, only the source rows are touched: no pass runs over all
-        |V| nodes or all |V|·q cells.
+        |V| nodes or all |V|·q cells — provided the caller passes
+        ``max_activation``, ``activation``'s maximum, which an engine
+        computes once per α. Without it, one pass over ``activation``
+        computes it here.
 
         Raises:
             TooManyKeywordsError: more than :data:`MAX_KEYWORDS` sets.
@@ -162,13 +166,15 @@ class SearchState:
             # once, as it fills one cell (np.add.at would add it twice).
             finite_count[nodes] += 1
         activation = np.asarray(activation, dtype=np.int32)
+        if max_activation is None:
+            max_activation = int(activation.max()) if n_nodes else 0
         return cls(
             matrix=matrix,
             f_identifier=f_identifier,
             c_identifier=np.zeros(n_nodes, dtype=np.uint8),
             keyword_node=keyword_node,
             activation=activation,
-            max_activation=int(activation.max()) if n_nodes else 0,
+            max_activation=max_activation,
             central_level=np.full(n_nodes, -1, dtype=np.int16),
             finite_count=finite_count,
         )

@@ -20,7 +20,8 @@ union of hitting paths that Definition 3 prescribes.
   graph's kept nodes and its raw edge run; one ``rank_graphs`` call then
   runs the containment dedup, Eq. 6 and the top-k cut on the whole
   batch, and finalises edges and keyword contributions for the ranked
-  graphs only; :class:`CentralGraph` objects are built for those k;
+  graphs only; the k :class:`CentralGraph` objects keep those as
+  arrays (:meth:`CentralGraph.from_arrays`) until a caller reads them;
 * the **reference** route (``native=False``, ``single_path``): one
   :class:`CentralGraph` per Central Node through
   :func:`extract_central_graph`, then :func:`rank_central_graphs` —
@@ -421,26 +422,6 @@ def _extract_batch(
     raise RuntimeError("extract_graphs overflowed the capacities it asked for")
 
 
-def _contributions_from_masks(
-    members: np.ndarray,
-    masks: np.ndarray,
-    columns_of: Dict[int, FrozenSet[int]],
-) -> Dict[int, FrozenSet[int]]:
-    """Member node → the keyword columns it is a source of, from the
-    kernel's contribution masks (bit c set iff M[v][c] == 0).
-    ``columns_of`` memoises mask → column set for the query."""
-    contributions: Dict[int, FrozenSet[int]] = {}
-    for node, mask in zip(members.tolist(), masks.tolist()):
-        if mask:
-            columns = columns_of.get(mask)
-            if columns is None:
-                columns = columns_of[mask] = frozenset(
-                    c for c in range(mask.bit_length()) if mask >> c & 1
-                )
-            contributions[node] = columns
-    return contributions
-
-
 def _batch_stage_two(
     kernel: NativeKernel,
     graph: KnowledgeGraph,
@@ -457,11 +438,12 @@ def _batch_stage_two(
 
     ``extract_graphs`` runs once per chunk of Central Nodes (one chunk
     per ``config.n_threads``, on threads), then ``rank_graphs`` once on
-    the concatenated batch; objects are built for the ranked graphs
-    only. ``bound_graph`` is the graph's binding when the caller keeps
-    one (:func:`bind_graph`); the graph is bound here otherwise. The
-    keyword-only capacities are where the buffers start, for tests that
-    force the overflow exit; callers leave them alone.
+    the concatenated batch; objects are made for the ranked graphs
+    only, over copies of their kernel arrays. ``bound_graph`` is the
+    graph's binding when the caller keeps one (:func:`bind_graph`); the
+    graph is bound here otherwise. The keyword-only capacities are where
+    the buffers start, for tests that force the overflow exit; callers
+    leave them alone.
     """
     if config.k < 1:
         raise ValueError("k must be at least 1")
@@ -529,29 +511,34 @@ def _batch_stage_two(
         chunks[0].marks, masks,
     )
 
+    # Each answer copies its slices out: the batch buffers are freed
+    # with this call, and its sets are built only if someone reads them.
     n = bound.n
-    node_offsets, node_counts = columns["node_offsets"], columns["node_counts"]
-    edge_offsets, edge_counts = columns["edge_offsets"], columns["edge_counts"]
-    scores = columns["scores"].view(np.float64)
-    columns_of: Dict[int, FrozenSet[int]] = {}
+    ranked = columns["order"][: min(config.k, survivors)]
     answers = []
-    for index in columns["order"][: min(config.k, survivors)].tolist():
-        start = int(node_offsets[index])
-        end = start + int(node_counts[index])
-        members = nodes[start:end]
-        first_edge = int(edge_offsets[index])
-        keys = edges[first_edge:first_edge + int(edge_counts[index])]
-        edge_preds, edge_targets = np.divmod(keys, n)
+    for central, depth, start, size, first_edge, n_edges, score in zip(
+        *(
+            column[ranked].tolist()
+            for column in (
+                centrals,
+                depths,
+                columns["node_offsets"],
+                columns["node_counts"],
+                columns["edge_offsets"],
+                columns["edge_counts"],
+                columns["scores"].view(np.float64),
+            )
+        )
+    ):
         answers.append(
-            CentralGraph(
-                central_node=int(centrals[index]),
-                depth=int(depths[index]),
-                nodes=set(members.tolist()),
-                edges=set(zip(edge_preds.tolist(), edge_targets.tolist())),
-                keyword_contributions=_contributions_from_masks(
-                    members, masks[start:end], columns_of
-                ),
-                score=float(scores[index]),
+            CentralGraph.from_arrays(
+                central,
+                depth,
+                nodes[start:start + size].copy(),
+                edges[first_edge:first_edge + n_edges].copy(),
+                masks[start:start + size].copy(),
+                n,
+                score=score,
                 pruned=config.apply_level_cover,
             )
         )

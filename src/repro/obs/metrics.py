@@ -409,14 +409,16 @@ def record_kernel_counters(
     tier: str,
     registry: Optional[MetricsRegistry] = None,
 ) -> None:
-    """Accumulate one level's :class:`~repro.instrumentation.KernelCounters`.
+    """Accumulate :class:`~repro.instrumentation.KernelCounters`: a
+    query's, summed over its levels by the bottom-up loop, or one
+    ``VectorizedBackend.expand`` call's.
 
-    No-ops when ``REPRO_OBS=0``, so the expansion hot loop pays one env
-    lookup per level when observability is off.
+    No-ops when ``REPRO_OBS=0``, so a query pays one env lookup when
+    observability is off.
 
     Args:
-        counters: the per-level work counters to add.
-        tier: which kernel produced them (``native`` / ``numpy`` /
+        counters: the work counters to add.
+        tier: which kernel produced them (``whole-level`` / ``native`` /
             ``threads`` — a bounded label set).
         registry: target registry (default: the process registry).
     """

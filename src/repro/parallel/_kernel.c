@@ -12,7 +12,8 @@
  * (the racing chunk claimed it).
  *
  * A query of q <= 64 keywords has W = ceil(q / 8) lane words per row:
- * word w of a neighbour's M row is read 8 bytes wide at matrix + v*q + 8w
+ * word w of a row -- a neighbour's for the ballot, the source's own for
+ * its eligibility words -- is read 8 bytes wide at matrix + v*q + 8w
  * (see load_word).  Lanes past q in the last word are the first bytes of
  * the following row; they are dead by construction, because the
  * eligibility words only ever have bits in lanes < q and every use of a
@@ -136,21 +137,31 @@ static ALWAYS_INLINE uint64_t load_word(const uint8_t* matrix, int64_t v,
     return m;
 }
 
-/* Node u's eligibility lane words: lane c of se[w] is 0x01 iff
- * M[u][8w + c] <= level (Algorithm 2 lines 9-11).  Returns their OR. */
-static ALWAYS_INLINE uint64_t eligible_words(const uint8_t* matrix, int64_t u,
-    int64_t q, uint8_t level, int64_t words, uint64_t* se)
+/* 0x01 in every lane whose byte is <= `value`, unsigned.  The low seven
+ * bits compare by one subtraction per lane from (value | 0x80), which
+ * cannot borrow across lanes; bit 7 then decides where the two high
+ * bits differ. */
+static inline uint64_t le_lanes(uint64_t m, uint8_t value)
 {
-    const uint8_t* mrow = matrix + u * q;
+    const uint64_t v = LSB * value;
+    const uint64_t low_le = ((v & LO7) | MSB) - (m & LO7);
+    return (((~(m ^ v) & low_le) | (~m & v)) & MSB) >> 7;
+}
+
+/* Node u's eligibility lane words: lane c of se[w] is 0x01 iff
+ * M[u][8w + c] <= level (Algorithm 2 lines 9-11).  Returns their OR.
+ * One row-word load and one lane compare per word, no branch per lane;
+ * the lanes past q are masked off. */
+static ALWAYS_INLINE uint64_t eligible_words(const uint8_t* matrix, int64_t u,
+    int64_t q, uint8_t level, int64_t words, int64_t n_safe, uint64_t* se)
+{
     uint64_t any = 0;
     for (int64_t w = 0; w < words; ++w) {
-        uint64_t word = 0;
-        for (int64_t c = 8 * w; c < q && c < 8 * w + 8; ++c) {
-            if (mrow[c] <= level)
-                word |= 1ULL << (8 * (c - 8 * w));
-        }
-        se[w] = word;
-        any |= word;
+        const uint64_t lanes = w < words - 1 ? LSB
+            : LSB >> (8 * (8 * words - q));
+        se[w] = le_lanes(load_word(matrix, u, q, w, words, n_safe), level)
+            & lanes;
+        any |= se[w];
     }
     return any;
 }
@@ -192,13 +203,13 @@ static ALWAYS_INLINE void expand_source(int64_t u, const int64_t words,
     if (activation[u] > (int32_t)level) {
         fid[u] = 1;
         if (*live != (q < 64 ? (1ULL << q) - 1 : ~0ULL)) {
-            eligible_words(matrix, u, q, level, words, se);
+            eligible_words(matrix, u, q, level, words, n_safe, se);
             *live |= words_bits(se, words);
         }
         return;
     }
     /* Line 9-11 hoisted: the eligibility lane words. */
-    if (!eligible_words(matrix, u, q, level, words, se)) {
+    if (!eligible_words(matrix, u, q, level, words, n_safe, se)) {
         ++tally[2];
         return;
     }

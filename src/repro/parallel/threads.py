@@ -29,7 +29,6 @@ import numpy as np
 from ..core.state import SearchState
 from ..graph.csr import KnowledgeGraph
 from ..instrumentation import KernelCounters
-from ..obs.metrics import record_kernel_counters
 from .backend import ExpansionBackend
 from .vectorized import apply_hit_keys, fused_expand_chunk
 
@@ -84,6 +83,8 @@ class ThreadPoolBackend(ExpansionBackend):
             overhead. Four mirrors OpenMP dynamic scheduling granularity.
     """
 
+    counter_tier = "threads"
+
     def __init__(self, n_threads: int = 4, chunks_per_thread: int = 4) -> None:
         if n_threads < 1:
             raise ValueError("n_threads must be positive")
@@ -107,7 +108,6 @@ class ThreadPoolBackend(ExpansionBackend):
             keys = fused_expand_chunk(graph, state, level, frontier, counters)
             apply_hit_keys(state, keys)
             state.live_lanes = counters.live_lanes
-            record_kernel_counters(counters, tier="threads")
             return counters
         chunks = split_frontier(
             frontier, self.n_threads, self.chunks_per_thread
@@ -135,9 +135,7 @@ class ThreadPoolBackend(ExpansionBackend):
         ]
         # Surface worker exceptions instead of swallowing them.
         key_lists = [future.result() for future in futures]
-        counters = merge_chunk_hits(state, key_lists, chunk_counters)
-        record_kernel_counters(counters, tier="threads")
-        return counters
+        return merge_chunk_hits(state, key_lists, chunk_counters)
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)

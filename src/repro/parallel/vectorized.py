@@ -186,11 +186,14 @@ class VectorizedBackend(ExpansionBackend):
     """The production route: a bottom-up level in one kernel call.
 
     :meth:`run_level` runs ``whole_level_step``, bound to the query's
-    state on its first level. :meth:`expand`, which the backend protocol
-    requires, is one :func:`fused_expand_chunk` call over the frontier.
+    state on its first level; the bottom-up loop records its counters
+    once per query. :meth:`expand`, which the backend protocol
+    requires, is one :func:`fused_expand_chunk` call over the frontier
+    and records its counters itself (tier ``native``).
     """
 
     name = "vectorized"
+    counter_tier = "whole-level"
 
     def expand(
         self, graph: KnowledgeGraph, state: SearchState, level: int
@@ -246,7 +249,6 @@ class VectorizedBackend(ExpansionBackend):
                     sources_pruned=pruned,
                     live_lanes=live,
                 )
-                record_kernel_counters(counters, tier="whole-level")
             return LevelOutcome(
                 level,
                 frontier_size,

@@ -254,13 +254,11 @@ class SearchService:
                     "text": graph.node_text[node],
                     "keywords": [
                         answer.keywords[column]
-                        for column in sorted(
-                            central.keyword_contributions.get(node, ())
-                        )
+                        for column in columns
                         if column < len(answer.keywords)
                     ],
                 }
-                for node in sorted(central.nodes)
+                for node, columns in central.member_columns()
             ],
             "edges": [
                 {
@@ -268,7 +266,7 @@ class SearchService:
                     "target": target,
                     "predicates": edge_predicates(graph, source, target),
                 }
-                for source, target in sorted(central.edges)
+                for source, target in central.sorted_edges()
             ],
         }
 

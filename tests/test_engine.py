@@ -145,6 +145,31 @@ def test_alpha_cache_is_bounded_and_read_only(tiny_kb):
     assert np.array_equal(again, fresh.activation_for(0.01))
 
 
+def test_state_takes_the_activation_maximum_cached_per_alpha(
+    engine, monkeypatch
+):
+    """A query's state is handed the maximum cached beside its α's levels
+    (no per-query pass over |V|); an override still gets it computed."""
+    from repro.core.state import SearchState
+
+    passed = []
+    real = SearchState.initialize.__func__
+
+    def spy(cls, n_nodes, sets, activation, max_activation=None):
+        passed.append(max_activation)
+        return real(cls, n_nodes, sets, activation, max_activation)
+
+    monkeypatch.setattr(SearchState, "initialize", classmethod(spy))
+    for alpha in (0.1, 0.4, 0.1):
+        result = engine.search("machine learning", k=3, alpha=alpha)
+        levels = engine.activation_for(alpha)
+        assert passed[-1] == int(levels.max()) > 0
+        assert result.answers
+    override = np.zeros(engine.graph.n_nodes, dtype=np.int32)
+    engine.search("machine learning", k=3, activation_override=override)
+    assert passed[-1] is None
+
+
 def test_threads_missing_the_same_alpha_get_equal_arrays(tiny_kb):
     import threading
 

@@ -361,6 +361,81 @@ def test_tail_rows_match_sequential_level_by_level(n, q):
     assert check_tail_guard_case(n, q) == []
 
 
+#: Widths of the eligibility corpus: one lane word with and without pad
+#: lanes (1, 7, 8), two words (9, 15, 16) and eight (63, 64).
+ELIGIBILITY_Q = (1, 7, 8, 9, 15, 16, 63, 64)
+
+
+def _eligibility_rows(rng, n, q, level):
+    """Random M rows, half their bytes near ``level`` or the 0x7F/0x80
+    boundary where a lane compare can go wrong, half anywhere."""
+    boundaries = np.array(
+        [0, 1, level - 1, level, level + 1, 126, 127, 128, 129, 254, 255]
+    )
+    near = rng.choice(np.clip(boundaries, 0, 255), size=(n, q))
+    anywhere = rng.integers(0, 256, size=(n, q))
+    pick = rng.random((n, q)) < 0.5
+    return np.where(pick, near, anywhere).astype(np.uint8)
+
+
+@pytest.mark.parametrize("q", ELIGIBILITY_Q)
+def test_eligibility_words_match_the_byte_definition(q):
+    """Lane c of a source's eligibility words is set iff M[u][c] <= level,
+    byte by byte, on every row of M up to the last (read against a guard
+    page), at levels on both sides of 0x80. Two readouts: a source still
+    waiting for activation reports exactly its eligible lanes as live,
+    and an active one whose only neighbour is unreached hits exactly
+    them (and is pruned when there are none)."""
+    from repro.parallel.vectorized import _native_kernel
+
+    kernel = _native_kernel()
+    rng = np.random.default_rng(q)
+    for n in (1, 2, 3, 9):
+        for level in (0, 1, 3, 126, 127, 128, 200, 254):
+            rows = _eligibility_rows(rng, n, q, level)
+            for u in range(n):
+                want = sum(
+                    1 << c for c in range(q) if rows[u, c] <= level
+                )
+                v = (u + 1) % n
+                if v == u:
+                    indptr = np.zeros(2, dtype=np.int64)
+                    indices = np.zeros(0, dtype=np.int32)
+                else:
+                    rows[v] = INFINITE_LEVEL
+                    indptr = np.zeros(n + 1, dtype=np.int64)
+                    indptr[u + 1:] = 1
+                    indices = np.array([v], dtype=np.int32)
+                for waiting in (True, False):
+                    matrix = _guarded_copy(rows)
+                    activation = np.zeros(n, dtype=np.int32)
+                    if waiting:
+                        activation[u] = 1000
+                    fid = np.zeros(n, dtype=np.uint8)
+                    _, (edges, hits, pruned, _, live) = kernel.expand(
+                        np.array([u], dtype=np.int64),
+                        indptr,
+                        indices,
+                        matrix.reshape(-1),
+                        q,
+                        fid,
+                        np.zeros(n, dtype=np.uint8),
+                        np.zeros(n, dtype=np.uint8),
+                        activation,
+                        level,
+                        False,
+                        np.empty(n * q, dtype=np.int64),
+                    )
+                    case = (n, level, u, waiting)
+                    if waiting or v != u:
+                        assert live == want, case
+                    if not waiting:
+                        assert pruned == (want == 0), case
+                    if not waiting and v != u and want:
+                        assert hits == bin(want).count("1"), case
+                        assert edges == 1, case
+
+
 def test_guarded_matrix_ends_against_an_unreadable_page():
     """The corpus above only proves something if the guard is armed."""
     matrix = np.arange(15, dtype=np.uint8).reshape(5, 3)

@@ -322,6 +322,48 @@ def test_record_kernel_counters(monkeypatch):
     assert 'edges_gathered_total{tier="threads"} 10' in registry.render_prometheus()
 
 
+@pytest.mark.parametrize("route", ["whole-level", "threads"])
+def test_kernel_counters_are_recorded_once_per_query(tiny_kb, monkeypatch, route):
+    """A query's expanded levels reach the registry in one update, under
+    the route's tier, and the totals are the sums of its level
+    counters — the same totals per-level recording gave."""
+    from repro.core import bottom_up
+    from repro.core.engine import KeywordSearchEngine
+    from repro.obs import metrics
+    from repro.parallel import ThreadPoolBackend, VectorizedBackend
+
+    graph, _ = tiny_kb
+    backend = (
+        VectorizedBackend()
+        if route == "whole-level"
+        else ThreadPoolBackend(n_threads=2, chunks_per_thread=2)
+    )
+    engine = KeywordSearchEngine(graph, backend=backend)
+    registry = MetricsRegistry()
+    monkeypatch.setattr(metrics, "_DEFAULT_REGISTRY", registry)
+    calls = []
+    real = bottom_up.record_kernel_counters
+    monkeypatch.setattr(
+        bottom_up,
+        "record_kernel_counters",
+        lambda counters, tier: calls.append(tier) or real(counters, tier),
+    )
+    want = KernelCounters()
+    with backend:
+        for query in ("machine learning", "graph database query"):
+            result = engine.search(query, k=60)
+            levels = [o for o in result.level_profile if o.counters]
+            assert len(levels) > 1  # several levels, one update
+            for outcome in levels:
+                want.add(outcome.counters)
+    assert calls == [route, route]
+    text = registry.render_prometheus()
+    for field, value in want.as_dict().items():
+        line = f'repro_kernel_{field}_total{{tier="{route}"}} {value}'
+        assert (line in text) == bool(value), field
+    assert want.edges_gathered and want.pairs_hit
+
+
 # ---------------------------------------------------------------------------
 # Config / kill-switch
 # ---------------------------------------------------------------------------

@@ -431,11 +431,11 @@ def test_batch_route_builds_objects_for_the_answers_only(monkeypatch):
     graph, state, weights, _ = _stage_two_case(6)
     assert len(state.central_nodes) > 100
     built = []
-    real = top_down.CentralGraph
+    real = top_down.CentralGraph.from_arrays
     monkeypatch.setattr(
-        top_down,
-        "CentralGraph",
-        lambda **fields: built.append(1) or real(**fields),
+        top_down.CentralGraph,
+        "from_arrays",
+        lambda *args, **fields: built.append(1) or real(*args, **fields),
     )
     ranked = process_top_down(graph, state, weights, TopDownConfig(k=3))
     assert len(ranked) == len(built) == 3
