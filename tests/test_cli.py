@@ -177,6 +177,44 @@ def test_serve_check_mode(saved_kb, capsys):
     assert "search smoke" in out
 
 
+def test_serve_exits_zero_on_sigint(saved_kb):
+    """Ctrl-C, the way the perf ledger stops its server: the process
+    wakes its request workers, gives back the port and exits 0 within
+    5 s."""
+    import signal
+    import socket
+    import subprocess
+    import sys
+    import urllib.request
+    from pathlib import Path
+
+    import repro
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--graph", saved_kb,
+         "--port", str(port)],
+        env=env, stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        assert "serving on" in server.stdout.readline()
+        url = f"http://127.0.0.1:{port}/healthz"
+        with urllib.request.urlopen(url, timeout=30) as response:
+            assert response.status == 200
+        server.send_signal(signal.SIGINT)
+        assert server.wait(timeout=5) == 0
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait()
+        server.stdout.close()
+
+
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -555,30 +555,67 @@ def test_http_debug_queries_roundtrip(server):
 # ---------------------------------------------------------------------------
 # The request worker set
 # ---------------------------------------------------------------------------
-def _metric(server, name, field=None):
-    """An unlabelled series of the server's registry (0 before its first
-    use), read without registering it."""
-    value = server.service.registry.snapshot().get(name, {}).get("{}", 0)
-    if field is not None:
-        return value[field] if value else 0
-    return value
-
-
 def _idle(server):
     """A client connection that sends nothing."""
     return socket.create_connection(server.server_address, timeout=10)
 
 
+def _taken(monkeypatch):
+    """An event set whenever a request worker takes a connection."""
+    taken = threading.Event()
+    setup = service_module._Handler.setup
+
+    def setup_and_note(handler):
+        setup(handler)
+        taken.set()
+
+    monkeypatch.setattr(service_module._Handler, "setup", setup_and_note)
+    return taken
+
+
+def _rebinds(engine, port):
+    """The listening socket is gone: the same port binds again."""
+    create_server(engine, port=port).server_close()
+
+
 def test_server_close_joins_workers_and_frees_the_port(engine):
+    """Both workers are blocked in ``accept`` when the server closes:
+    shutting the listening socket down wakes them at once, not after
+    the request timeout."""
     server = _serve(engine)
     assert len(server.workers) == service_module.REQUEST_WORKERS
     assert all(w.name.startswith("repro-http-") for w in server.workers)
     assert _get(server, "/healthz")[0] == 200
     port = server.server_address[1]
+    time.sleep(0.05)
+    started = time.monotonic()
     _stop(server)
+    assert time.monotonic() - started < 1
     assert not any(worker.is_alive() for worker in server.workers)
-    # The listening socket is gone: the same port binds again.
-    create_server(engine, port=port).server_close()
+    _rebinds(engine, port)
+
+
+def test_server_close_waits_out_an_idle_connection(engine, monkeypatch):
+    """``server_close`` returns within the request timeout while a
+    worker holds a connection that sends nothing; the worker blocked in
+    ``accept`` is woken at once, and the holder ends when the timeout
+    drops its connection (the join may give up just before that)."""
+    monkeypatch.setattr(service_module, "REQUEST_TIMEOUT", 0.5)
+    taken = _taken(monkeypatch)
+    server = _serve(engine)
+    port = server.server_address[1]
+    idle = _idle(server)
+    try:
+        assert taken.wait(10), "no worker took the idle connection"
+        started = time.monotonic()
+        _stop(server)
+        assert time.monotonic() - started < 0.5 + 1.0
+    finally:
+        idle.close()
+    for worker in server.workers:
+        worker.join(1)
+    assert not any(worker.is_alive() for worker in server.workers)
+    _rebinds(engine, port)
 
 
 def test_idle_connection_frees_its_worker(engine, monkeypatch):
@@ -607,9 +644,9 @@ def test_slow_drip_request_frees_its_worker(engine, monkeypatch):
     client's 3 s guard)."""
     monkeypatch.setattr(service_module, "REQUEST_WORKERS", 1)
     monkeypatch.setattr(service_module, "REQUEST_TIMEOUT", 0.3)
+    taken = _taken(monkeypatch)
     server = _serve(engine)
     stop = threading.Event()
-    picked = _metric(server, service_module.METRIC_HTTP_QUEUE_WAIT, "count")
     drip = _idle(server)
 
     def send_slowly():
@@ -624,13 +661,7 @@ def test_slow_drip_request_frees_its_worker(engine, monkeypatch):
     dripper = threading.Thread(target=send_slowly, daemon=True)
     dripper.start()
     try:
-        deadline = time.monotonic() + 10
-        while (
-            _metric(server, service_module.METRIC_HTTP_QUEUE_WAIT, "count")
-            == picked
-        ):
-            assert time.monotonic() < deadline, "the worker never took it"
-            time.sleep(0.01)
+        assert taken.wait(10), "the worker never took it"
         started = time.monotonic()
         assert _get(server, "/healthz", timeout=3)[0] == 200
         assert time.monotonic() - started < 3
@@ -641,11 +672,60 @@ def test_slow_drip_request_frees_its_worker(engine, monkeypatch):
         _stop(server)
 
 
-def test_queue_wait_to_a_worker_is_observed(server):
-    before = _metric(server, service_module.METRIC_HTTP_QUEUE_WAIT, "count")
-    _get(server, "/healthz")
-    after = _metric(server, service_module.METRIC_HTTP_QUEUE_WAIT, "count")
-    assert after == before + 1
+N_BURST = 32
+
+
+def test_a_burst_behind_a_held_worker_waits_in_the_backlog(
+    engine, monkeypatch
+):
+    """The listen backlog is the request queue. With the one worker held
+    by an idle connection, 32 connections opened at once from one thread
+    all complete their handshake (a short backlog would drop SYNs, to be
+    retried only after a second), and once the worker is free every one
+    is answered 200."""
+    import selectors
+
+    monkeypatch.setattr(service_module, "REQUEST_WORKERS", 1)
+    taken = _taken(monkeypatch)
+    server = _serve(engine)
+    idle = _idle(server)
+    selector = selectors.DefaultSelector()
+    clients = []
+    try:
+        assert taken.wait(10), "the worker never took the idle connection"
+        for _ in range(N_BURST):
+            client = socket.socket()
+            client.setblocking(False)
+            client.connect_ex(server.server_address)
+            clients.append(client)
+            selector.register(client, selectors.EVENT_WRITE)
+        connected, deadline = 0, time.monotonic() + 0.9
+        while connected < N_BURST and time.monotonic() < deadline:
+            for key, _ in selector.select(deadline - time.monotonic()):
+                client = key.fileobj
+                assert client.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR) == 0
+                client.send(b"GET /healthz HTTP/1.0\r\n\r\n")
+                selector.modify(client, selectors.EVENT_READ, data=[])
+                connected += 1
+        assert connected == N_BURST, f"{connected} of {N_BURST} got through"
+        idle.close()
+        replies, deadline = [], time.monotonic() + 30
+        while len(replies) < N_BURST and time.monotonic() < deadline:
+            for key, _ in selector.select(deadline - time.monotonic()):
+                chunk = key.fileobj.recv(65536)
+                if chunk:
+                    key.data.append(chunk)
+                else:
+                    selector.unregister(key.fileobj)
+                    replies.append(b"".join(key.data))
+    finally:
+        selector.close()
+        for client in clients:
+            client.close()
+        idle.close()
+        _stop(server)
+    assert len(replies) == N_BURST
+    assert all(reply.startswith(b"HTTP/1.0 200 OK\r\n") for reply in replies)
 
 
 def test_query_spans_run_on_request_workers(server):
@@ -653,3 +733,85 @@ def test_query_spans_run_on_request_workers(server):
     record = server.service.flight.get(json.loads(body)["query_id"])
     names = {span.thread_name for span in record.spans}
     assert names and all(name.startswith("repro-http-") for name in names)
+
+
+# ---------------------------------------------------------------------------
+# The bytes on the wire
+# ---------------------------------------------------------------------------
+HTTP_GOLDENS = Path(__file__).parent / "data" / "http_goldens.json"
+
+
+def _raw_get(server, path):
+    """One HTTP/1.0 GET on its own connection: the reply's raw bytes."""
+    with socket.create_connection(server.server_address, timeout=10) as client:
+        client.sendall(f"GET {path} HTTP/1.0\r\n\r\n".encode())
+        chunks = []
+        while chunk := client.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def test_replies_match_the_recorded_goldens(tiny_kb, monkeypatch):
+    """Status line, every header but ``Date``, and the body of ``/``,
+    ``/healthz``, two ``/search`` (one larger than the write buffer), a
+    404, a 400 and ``/metrics`` are the bytes the shell sent before its
+    workers accepted their own connections."""
+    import hashlib
+    import types
+
+    from repro.core.results import SearchResult
+
+    golden = json.loads(HTTP_GOLDENS.read_text())["replies"]
+    monkeypatch.setattr(metrics, "_DEFAULT_REGISTRY", metrics.MetricsRegistry())
+    monkeypatch.setattr(
+        SearchResult,
+        "milliseconds",
+        lambda result: {name: 0.0 for name in result.timer.seconds},
+    )
+    monkeypatch.setattr(service_module, "time", types.SimpleNamespace(
+        perf_counter=lambda: 0.0, monotonic=time.monotonic, time=time.time,
+    ))
+    server = _serve(KeywordSearchEngine(tiny_kb[0]))
+    try:
+        replies = [_raw_get(server, row["path"]) for row in golden]
+    finally:
+        _stop(server)
+    assert any(
+        row["body_length"] > service_module._Handler.wbufsize for row in golden
+    )
+    python = sys.version.split()[0]
+    for row, reply in zip(golden, replies):
+        head, body = reply.split(b"\r\n\r\n", 1)
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = [line.split(": ", 1) for line in lines]
+        assert status_line == row["status_line"], row["path"]
+        assert [name for name, _ in headers if name == "Date"] == ["Date"]
+        assert [[name, value] for name, value in headers if name != "Date"] == [
+            [name, value.format(python_version=python)]
+            for name, value in row["headers"]
+        ], row["path"]
+        assert len(body) == row["body_length"], row["path"]
+        assert hashlib.sha256(body).hexdigest() == row["body_sha256"], row["path"]
+
+
+def test_a_reply_that_fits_the_buffer_leaves_in_one_send(server, monkeypatch):
+    """Status line, headers and body go to the socket in one ``send``;
+    a body past the buffer follows the headers in writes of its own."""
+    sent = []
+    for method in ("send", "sendall"):
+        original = getattr(socket.socket, method)
+
+        def record(sock, data, *args, _method=method, _original=original):
+            if threading.current_thread().name.startswith("repro-http-"):
+                sent.append((_method, len(data)))
+            return _original(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, method, record)
+    for path in ("/healthz", "/search?q=machine+learning&k=3"):
+        sent.clear()
+        reply = _raw_get(server, path)
+        assert sent == [("send", len(reply))], path
+    sent.clear()
+    reply = _raw_get(server, "/search?q=machine+learning+knowledge+graph&k=50&pretty=1")
+    assert len(reply) > service_module._Handler.wbufsize
+    assert len(sent) > 1 and sum(size for _, size in sent) == len(reply)
