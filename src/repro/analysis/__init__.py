@@ -15,10 +15,6 @@ repo-specific coding contracts that protect it — into machine checks:
   ``@hot_path`` kernels, int64 fancy-index dtype, registered ``REPRO_*``
   env vars, explicit span parents in pool workers, read-only
   store-backed arrays, constant metric names, ...);
-* :mod:`~repro.analysis.abi` — the kernel ABI contract verifier: parses
-  the exported C prototypes/struct layouts from ``_kernel.c`` and
-  ``_smoke.c`` and cross-checks them against the hand-written ctypes
-  declarations and the ``.csrstore`` header dtypes (``RPRABI01..``);
 * :mod:`~repro.analysis.sanitize` — ASan/UBSan wiring for the compiled
   kernel tier (``REPRO_SANITIZE=address,undefined``) plus the TSan race
   tier: an instrumented pthread harness racing the real kernel under
@@ -33,18 +29,20 @@ blocking call under a lock) are checked dynamically by the
 recording-lock test in ``tests/test_service.py``; ``docs/ANALYSIS.md``
 has the seeded-fault matrix that decides which detector stays.
 
+The kernel's ABI needs no checker here: ``_kernel.c`` and the TSan
+harness are compiled against the header rendered from
+:data:`repro.parallel._native.KERNEL_EXPORTS`, the table the ctypes
+declarations derive from, so the compiler rejects any drift between
+them.
+
 Everything here is opt-in: nothing in the search path knows it exists.
 """
 
-from .abi import AbiFinding, AbiReport, run_abi_check
 from .checked import CheckedBackend, InvariantViolation, InvariantViolationError
 from .faulty import FAULT_MODES, FaultyBackend
 from .lint import LintReport, LintViolation, lint_source, run_lint
 
 __all__ = [
-    "AbiFinding",
-    "AbiReport",
-    "run_abi_check",
     "CheckedBackend",
     "InvariantViolation",
     "InvariantViolationError",

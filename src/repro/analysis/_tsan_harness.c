@@ -42,23 +42,9 @@
 #include <stdlib.h>
 #include <string.h>
 
-/* The kernel entry point under test (linked from _kernel.c). */
-int64_t fused_expand(
-    int64_t n,
-    int64_t n_chunk,
-    const int64_t* chunk,
-    const int64_t* indptr,
-    const int32_t* indices,
-    uint8_t* matrix,
-    int64_t q,
-    uint8_t* fid,
-    const uint8_t* cid,
-    const uint8_t* keyword_node,
-    const int32_t* activation,
-    uint8_t level,
-    int64_t may_block,
-    int64_t* out_keys,
-    int64_t* stats_out);
+/* The kernel entry point under test, fused_expand (linked from
+ * _kernel.c), is declared by the header generated from the kernel's
+ * export table, which the build passes with -include to both sources. */
 
 typedef struct {
     pthread_barrier_t* barrier;

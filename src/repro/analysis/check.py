@@ -1,26 +1,22 @@
 """`repro check` — the repo's static + dynamic analysis gate.
 
-One command that answers "did we break the lock-free design?" five
+One command that answers "did we break the lock-free design?" four
 ways:
 
 1. **lint** — the repo-specific AST rules (:mod:`repro.analysis.lint`)
    over ``src`` plus — with per-directory rule allowlists
    (:data:`LINT_TREES`) — ``tests/`` and ``benchmarks/``.
-2. **ABI contracts** — :mod:`repro.analysis.abi` parses the exported C
-   signatures/struct layouts out of ``_kernel.c``/``_smoke.c`` and
-   cross-checks them against the hand-written ctypes declarations and
-   the ``.csrstore`` header dtypes (rule family ``RPRABI01..``).
-3. **invariants** — a cross-backend fuzz where every parallel backend
+2. **invariants** — a cross-backend fuzz where every parallel backend
    runs wrapped in :class:`~repro.analysis.checked.CheckedBackend` and
    must (a) violate nothing and (b) stay bitwise identical to the
    sequential oracle; plus a self-validation pass proving the checker
    *does* fire on each :data:`~repro.analysis.faulty.FAULT_MODES` class.
-4. **sanitizers** — the compiled kernel tier rebuilt under ASan/UBSan
+3. **sanitizers** — the compiled kernel tier rebuilt under ASan/UBSan
    (:mod:`repro.analysis.sanitize`) with a smoke fixture and the parity
    fuzz, plus the **TSan race tier**: an instrumented harness racing
    real pthreads through the kernel under the audited Theorem V.2
    suppression list; skipped gracefully when the toolchain is missing.
-5. **external** — ``ruff`` / ``mypy`` with the configuration in
+4. **external** — ``ruff`` / ``mypy`` with the configuration in
    ``pyproject.toml``, run only when installed (they are optional dev
    dependencies; the AST lint above carries the repo-specific load).
 
@@ -28,6 +24,11 @@ ways:
 violation of the chosen class so CI and tests can prove the gate
 actually gates: exit code 1 means the seeded violation was caught (the
 expected outcome), 2 means the gate failed to catch it.
+
+The kernel's ABI is not a stage: ``_kernel.c`` is compiled against the
+header rendered from :data:`repro.parallel._native.KERNEL_EXPORTS`, so
+the build itself rejects a drifted definition. ``--inject abi`` shows
+it, on a header whose ``fused_expand`` CSR types are swapped.
 
 The serving shell's locks are not a stage: the recording-lock test in
 ``tests/test_service.py`` drives every lock ``src/repro`` constructs and
@@ -40,14 +41,15 @@ from __future__ import annotations
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import abi as abi_mod
 from . import lint as lint_mod
 from . import sanitize as sanitize_mod
+from ..parallel import _native
 from .checked import CheckedBackend
 from .faulty import FAULT_MODES, FaultyBackend
 
@@ -409,22 +411,8 @@ def run_lint_stage(emit: PrintFn) -> int:
     return failures
 
 
-def run_abi_stage(emit: PrintFn) -> int:
-    """Stage 2: the C ↔ ctypes ↔ store ABI contract cross-check."""
-    report = abi_mod.run_abi_check()
-    for finding in report.findings:
-        emit(f"  {finding}")
-    emit(
-        f"  {report.functions_checked} function(s), "
-        f"{report.structs_checked} struct(s), "
-        f"{report.sections_checked} store section(s): "
-        f"{len(report.findings)} finding(s)"
-    )
-    return len(report.findings)
-
-
 def run_sanitizer_stage(emit: PrintFn) -> int:
-    """Stage 4: ASan/UBSan smoke + parity, then the TSan race tier."""
+    """Stage 3: ASan/UBSan smoke + parity, then the TSan race tier."""
     failures = 0
     smoke = sanitize_mod.run_smoke()
     emit(f"  smoke: {'skipped' if smoke.skipped else 'ok' if smoke.ok else 'FAIL'}")
@@ -471,27 +459,24 @@ def run_check(
 
     failures = 0
 
-    emit("[1/5] repo-specific lint (RPR001-RPR012; src, tests, benchmarks)")
+    emit("[1/4] repo-specific lint (RPR001-RPR012; src, tests, benchmarks)")
     failures += run_lint_stage(emit)
 
-    emit("[2/5] kernel ABI contracts (C prototypes vs ctypes vs .csrstore)")
-    failures += run_abi_stage(emit)
-
     if skip_fuzz:
-        emit("[3/5] lock-free invariant fuzz: skipped")
+        emit("[2/4] lock-free invariant fuzz: skipped")
     else:
-        emit("[3/5] lock-free invariant fuzz (CheckedBackend, all backends)")
+        emit("[2/4] lock-free invariant fuzz (CheckedBackend, all backends)")
         failures += run_invariant_fuzz(seeds=fuzz_seeds, print_fn=emit)
         emit("  checker self-validation (FaultyBackend)")
         failures += run_faulty_validation(print_fn=emit)
 
     if skip_sanitize:
-        emit("[4/5] sanitized kernel tier: skipped")
+        emit("[3/4] sanitized kernel tier: skipped")
     else:
-        emit("[4/5] sanitized kernel tier (ASan/UBSan subprocess + TSan harness)")
+        emit("[3/4] sanitized kernel tier (ASan/UBSan subprocess + TSan harness)")
         failures += run_sanitizer_stage(emit)
 
-    emit("[5/5] external linters (optional)")
+    emit("[4/4] external linters (optional)")
     root = _repo_root()
     failures += _run_external("ruff", ["check", str(root / "src")], emit)
     failures += _run_external(
@@ -504,6 +489,16 @@ def run_check(
 
     emit("PASS" if failures == 0 else f"FAIL ({failures} finding(s))")
     return 0 if failures == 0 else 1
+
+
+def _swapped_csr_types(exports: _native.Exports) -> _native.Exports:
+    """``exports`` with ``fused_expand``'s ``indptr`` and ``indices``
+    types swapped: an edit that widened one side of the CSR alone."""
+    restype, params = exports["fused_expand"]
+    types = dict(params)
+    swap = {"indptr": "indices", "indices": "indptr"}
+    drifted = tuple((name, types[swap.get(name, name)]) for name, _ in params)
+    return {**exports, "fused_expand": (restype, drifted)}
 
 
 def _run_injection(inject: str, emit: PrintFn) -> int:
@@ -523,17 +518,18 @@ def _run_injection(inject: str, emit: PrintFn) -> int:
         emit(f"MISSED: only {sorted(rules)} fired, expected {sorted(expected)}")
         return 2
     if inject == "abi":
-        emit("injecting a parameter-type swap into the parsed kernel ABI")
-        report = abi_mod.run_abi_check(inject="swap")
-        for finding in report.findings:
-            emit(f"  {finding}")
-        if any(
-            finding.code in {"RPRABI03", "RPRABI04"}
-            for finding in report.findings
-        ):
-            emit("caught: the ABI verifier flagged the seeded drift")
+        emit("injecting a swap of fused_expand's indptr / indices types "
+             "into the kernel's declaration")
+        with tempfile.TemporaryDirectory(prefix="repro-abi-") as tmp:
+            header = _native.write_header(
+                _swapped_csr_types(_native.KERNEL_EXPORTS), Path(tmp), "kernel"
+            )
+            diagnostic = _native.syntax_errors(_native._SOURCE_PATH, header)
+        emit("  " + diagnostic.replace("\n", "\n  "))
+        if "fused_expand" in diagnostic:
+            emit("caught: the compiler rejected the drifted declaration")
             return 1
-        emit("MISSED: seeded ABI drift went undetected")
+        emit("MISSED: the kernel compiled against the drifted declaration")
         return 2
     if inject == "race":
         emit("injecting a non-idempotent racing write (FaultyBackend)")

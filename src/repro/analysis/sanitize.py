@@ -78,13 +78,12 @@ _KERNEL_SOURCE = (
 )
 _BUILD_DIR = Path(__file__).with_name("_build")
 
-#: ctypes signatures of every symbol ``_smoke.c`` exports. The child
-#: driver binds through this table, and :mod:`repro.analysis.abi`
-#: cross-checks it against the parsed C prototypes, so a fixture edit
-#: that drifts from its binding is caught statically.
-SMOKE_BINDINGS: "Dict[str, Tuple[object, Tuple[object, ...]]]" = {
-    "smoke_clean": (ctypes.c_int64, (ctypes.c_int64,)),
-    "smoke_faulty": (ctypes.c_int64, (ctypes.c_int64,)),
+#: Every symbol ``_smoke.c`` exports, declared in the form of
+#: :data:`repro.parallel._native.KERNEL_EXPORTS`: the child driver types
+#: its calls from it, and the fixture is compiled against its header.
+SMOKE_EXPORTS: _native.Exports = {
+    "smoke_clean": ("int64_t", (("n", "int64_t"),)),
+    "smoke_faulty": ("int64_t", (("n", "int64_t"),)),
 }
 
 #: The curated TSan suppression list: ``(suppression, citation)`` pairs.
@@ -192,17 +191,19 @@ def sanitized_env(
 
 def _compile_smoke(selection: Tuple[str, ...]) -> Optional[Path]:
     """Build the smoke fixture with the sanitizer flags; reuses caching."""
-    source = _SMOKE_SOURCE.read_bytes()
-    digest = hashlib.sha256(source).hexdigest()[:16]
+    digest = hashlib.sha256(
+        _SMOKE_SOURCE.read_bytes()
+        + _native.render_header(SMOKE_EXPORTS).encode()
+    ).hexdigest()[:16]
     tag = ("-" + "-".join(selection)) if selection else ""
     target = _BUILD_DIR / f"smoke-{digest}{tag}.so"
     if target.exists():
         return target
-    if _native._compile(
-        _SMOKE_SOURCE, target, _native.sanitize_cflags(selection)
-    ):
-        return target
-    return None
+    header = _native.write_header(SMOKE_EXPORTS, _BUILD_DIR, "smoke")
+    failure = _native._compile(
+        _SMOKE_SOURCE, target, header, _native.sanitize_cflags(selection)
+    )
+    return target if failure is None else None
 
 
 def _spawn(args: List[str], selection: Tuple[str, ...]) -> SanitizeResult:
@@ -292,18 +293,7 @@ def audit_suppressions() -> List[str]:
     """Validate the suppression list against the policy; returns
     problems (empty = every entry maps to a declared idempotent site).
     """
-    from .abi import parse_c_exports
-
     problems: List[str] = []
-    try:
-        exported = {
-            fn.name
-            for fn in parse_c_exports(
-                _KERNEL_SOURCE.read_text(encoding="utf-8")
-            )
-        }
-    except Exception as exc:  # noqa: BLE001 - audit must report, not crash
-        return [f"cannot parse kernel exports: {exc}"]
     pattern = re.compile(r"race:[A-Za-z_][A-Za-z0-9_]*\Z")
     for entry, citation in THEOREM_V2_SUPPRESSIONS:
         if not pattern.fullmatch(entry):
@@ -313,10 +303,10 @@ def audit_suppressions() -> List[str]:
             )
             continue
         symbol = entry.split(":", 1)[1]
-        if symbol not in exported:
+        if symbol not in _native.KERNEL_EXPORTS:
             problems.append(
                 f"suppression {entry!r} names '{symbol}', which is not an "
-                "exported _kernel.c symbol"
+                "exported kernel symbol (KERNEL_EXPORTS)"
             )
         if "Theorem V.2" not in citation or "idempotent" not in citation:
             problems.append(
@@ -342,14 +332,27 @@ def write_suppressions(path: Optional[Path] = None) -> Path:
     return target
 
 
+def tsan_harness_path(exports: _native.Exports) -> Path:
+    """Where the harness built against ``exports`` is cached: named by
+    the harness, the kernel and the rendered header."""
+    digest = hashlib.sha256(
+        _HARNESS_SOURCE.read_bytes()
+        + _KERNEL_SOURCE.read_bytes()
+        + _native.render_header(exports).encode()
+    ).hexdigest()[:16]
+    return _BUILD_DIR / f"tsan-harness-{digest}"
+
+
 def _compile_tsan_harness() -> Optional[Path]:
-    """Build the instrumented harness + kernel executable (cached)."""
-    source = _HARNESS_SOURCE.read_bytes() + _KERNEL_SOURCE.read_bytes()
-    digest = hashlib.sha256(source).hexdigest()[:16]
-    target = _BUILD_DIR / f"tsan-harness-{digest}"
+    """Build the instrumented harness + kernel executable (cached). Both
+    sources are compiled against the kernel's header, so the harness's
+    calls are checked against the same declaration as the kernel."""
+    target = tsan_harness_path(_native.KERNEL_EXPORTS)
     if target.exists():
         return target
-    _BUILD_DIR.mkdir(parents=True, exist_ok=True)
+    header = _native.write_header(
+        _native.KERNEL_EXPORTS, _BUILD_DIR, "kernel"
+    )
     compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
     if compiler is None:
         return None
@@ -360,6 +363,7 @@ def _compile_tsan_harness() -> Optional[Path]:
         "-fno-omit-frame-pointer",
         "-fsanitize=thread",
         "-pthread",
+        *_native.declared_flags(header),
         str(_HARNESS_SOURCE),
         str(_KERNEL_SOURCE),
         "-o",
@@ -646,10 +650,8 @@ def _child_smoke(inject: bool) -> int:
         print("smoke: failed to compile _smoke.c with sanitizers")
         return 3
     library = ctypes.CDLL(str(library_path))
-    for symbol, (restype, argtypes) in SMOKE_BINDINGS.items():
-        fn = getattr(library, symbol)
-        fn.restype = restype
-        fn.argtypes = list(argtypes)
+    for symbol in SMOKE_EXPORTS:
+        _native.declare(library, symbol, SMOKE_EXPORTS)
     if inject:
         print("smoke: calling deliberately out-of-bounds smoke_faulty(64)")
         value = library.smoke_faulty(64)  # ASan aborts here when armed

@@ -191,9 +191,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = commands.add_parser(
         "check",
-        help="static + dynamic analysis gate: repo lint, kernel ABI "
-             "contracts, lock-free invariant fuzz (CheckedBackend), "
-             "sanitized kernel tier (ASan/UBSan + TSan race tier)",
+        help="static + dynamic analysis gate: repo lint, lock-free "
+             "invariant fuzz (CheckedBackend), sanitized kernel tier "
+             "(ASan/UBSan + TSan race tier)",
     )
     check.add_argument(
         "--inject",

@@ -10,11 +10,20 @@ with whatever system C compiler is available and loaded through
 
 Every search route needs it. :func:`load_kernel` returns ``None`` when
 no compiler could build it (a missing source, a failed compile, a
-dlopen error) and raises ``ValueError`` on a ``REPRO_SANITIZE`` it does
-not know; :func:`repro.parallel.vectorized._native_kernel` turns the
-``None`` into :class:`NativeKernelUnavailable`. Nothing outside this
-package directory is written; the shared object lands in ``_build/``
-next to the source and is reused across processes.
+dlopen error, a declared symbol the object lacks) and raises
+``ValueError`` on a ``REPRO_SANITIZE`` it does not know;
+:func:`repro.parallel.vectorized._native_kernel` turns the ``None``
+into :class:`NativeKernelUnavailable`, whose message carries the
+reason. Nothing outside this package directory is written; the shared
+object lands in ``_build/`` next to the source and is reused across
+processes.
+
+The kernel's ABI is declared once, in :data:`KERNEL_EXPORTS`. The
+ctypes argtypes derive from it, and so does a C header the kernel is
+compiled against (``-include``, with ``-Werror=missing-prototypes``):
+a definition that drifts from its declaration is a "conflicting types"
+error and an undeclared export a "no previous prototype" error, both
+naming the symbol, on every host at first load.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Callable, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -48,6 +57,116 @@ KNOWN_SANITIZERS = ("address", "thread", "undefined")
 
 _SOURCE_PATH = Path(__file__).with_name("_kernel.c")
 _BUILD_DIR = Path(__file__).with_name("_build")
+
+#: A C export table: each symbol's return type and its parameters as
+#: ``(name, C type)`` pairs, constness included.
+Exports = Dict[str, Tuple[str, Tuple[Tuple[str, str], ...]]]
+
+#: The kernel's four exports, declared once. The ctypes declarations
+#: (:class:`NativeKernel`) and the header ``_kernel.c`` is compiled
+#: against (:func:`render_header`) both derive from this table, so an
+#: edit on either side that the other does not match fails the build.
+KERNEL_EXPORTS: Exports = {
+    "fused_expand": ("int64_t", (
+        ("n", "int64_t"),
+        ("n_chunk", "int64_t"),
+        ("chunk", "const int64_t*"),
+        ("indptr", "const int64_t*"),
+        ("indices", "const int32_t*"),
+        ("matrix", "uint8_t*"),
+        ("q", "int64_t"),
+        ("fid", "uint8_t*"),
+        ("cid", "const uint8_t*"),
+        ("keyword_node", "const uint8_t*"),
+        ("activation", "const int32_t*"),
+        ("level", "uint8_t"),
+        ("may_block", "int64_t"),
+        ("out_keys", "int64_t*"),
+        ("stats_out", "int64_t*"),
+    )),
+    "whole_level_step": ("int64_t", (
+        ("n", "int64_t"),
+        ("indptr", "const int64_t*"),
+        ("indices", "const int32_t*"),
+        ("matrix", "uint8_t*"),
+        ("q", "int64_t"),
+        ("fid", "uint8_t*"),
+        ("cid", "uint8_t*"),
+        ("keyword_node", "const uint8_t*"),
+        ("activation", "const int32_t*"),
+        ("central_level", "int16_t*"),
+        ("finite_count", "int32_t*"),
+        ("level", "uint8_t"),
+        ("central_have", "int64_t"),
+        ("k", "int64_t"),
+        ("may_expand", "int64_t"),
+        ("may_block", "int64_t"),
+        ("frontier_out", "int64_t*"),
+        ("central_out", "int64_t*"),
+        ("stats_out", "int64_t*"),
+    )),
+    "extract_graphs": ("int64_t", (
+        ("n", "int64_t"),
+        ("indptr", "const int64_t*"),
+        ("indices", "const int32_t*"),
+        ("matrix", "const uint8_t*"),
+        ("q", "int64_t"),
+        ("activation", "const int32_t*"),
+        ("keyword_node", "const uint8_t*"),
+        ("central_level", "const int16_t*"),
+        ("weights", "const double*"),
+        ("n_centrals", "int64_t"),
+        ("centrals", "const int64_t*"),
+        ("apply_level_cover", "int64_t"),
+        ("marks", "int32_t*"),
+        ("stack", "int64_t*"),
+        ("members", "int64_t*"),
+        ("pairs", "int64_t*"),
+        ("pair_capacity", "int64_t"),
+        ("out_nodes", "int64_t*"),
+        ("node_capacity", "int64_t"),
+        ("out_edges", "int64_t*"),
+        ("edge_capacity", "int64_t"),
+        ("node_counts", "int64_t*"),
+        ("edge_counts", "int64_t*"),
+        ("raw_counts", "int64_t*"),
+        ("mass", "double*"),
+        ("needed", "int64_t*"),
+    )),
+    "rank_graphs": ("int64_t", (
+        ("n", "int64_t"),
+        ("matrix", "const uint8_t*"),
+        ("q", "int64_t"),
+        ("n_graphs", "int64_t"),
+        ("centrals", "const int64_t*"),
+        ("depths", "const int64_t*"),
+        ("factors", "const double*"),
+        ("nodes", "const int64_t*"),
+        ("node_counts", "const int64_t*"),
+        ("edges", "int64_t*"),
+        ("edge_counts", "int64_t*"),
+        ("mass", "const double*"),
+        ("deduplicate", "int64_t"),
+        ("k", "int64_t"),
+        ("marks", "int32_t*"),
+        ("order", "int64_t*"),
+        ("sketch", "uint64_t*"),
+        ("node_offsets", "int64_t*"),
+        ("edge_offsets", "int64_t*"),
+        ("scores", "double*"),
+        ("masks", "uint64_t*"),
+    )),
+}
+
+#: C scalar type -> (ctypes scalar, NumPy element type of a pointer to it).
+_SCALARS = {
+    "int64_t": (ctypes.c_int64, np.int64),
+    "int32_t": (ctypes.c_int32, np.int32),
+    "int16_t": (ctypes.c_int16, np.int16),
+    "uint64_t": (ctypes.c_uint64, np.uint64),
+    "uint8_t": (ctypes.c_uint8, np.uint8),
+    "double": (ctypes.c_double, np.float64),
+}
 
 #: Flag sets to attempt, best first; ``-march=native`` is dropped for
 #: toolchains that reject it.
@@ -99,7 +218,8 @@ def sanitize_cflags(selection: "tuple[str, ...]") -> "tuple[str, ...]":
 class NativeKernelUnavailable(RuntimeError):
     """The compiled kernel cannot be built or used on this host. Every
     search route runs on it, so a host without a C compiler (or a
-    big-endian one) fails here, once, with the compilers it tried."""
+    big-endian one) fails here, once, with the compilers it tried and
+    what the last one said."""
 
 
 def _compilers() -> "list[str]":
@@ -111,11 +231,62 @@ def _compilers() -> "list[str]":
     return seen
 
 
+def render_header(exports: Exports) -> str:
+    """``exports`` as the C prototypes a source is compiled against."""
+    lines = [
+        "/* Generated from an export table in repro.parallel._native. */",
+        "#include <stdint.h>",
+    ]
+    for symbol, (restype, params) in exports.items():
+        arguments = ", ".join(f"{ctype} {name}" for name, ctype in params)
+        lines.append(f"{restype} {symbol}({arguments});")
+    return "\n".join(lines) + "\n"
+
+
+def write_header(exports: Exports, directory: Path, stem: str) -> Path:
+    """:func:`render_header` of ``exports`` in ``directory``, named by its
+    digest (so a table edit never reuses an old header), written once."""
+    text = render_header(exports)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    target = directory / f"{stem}-{digest}.h"
+    if not target.exists():
+        directory.mkdir(parents=True, exist_ok=True)
+        handle = tempfile.NamedTemporaryFile(
+            "w", dir=str(directory), suffix=".h", delete=False
+        )
+        with handle:
+            handle.write(text)
+        os.replace(handle.name, target)
+    return target
+
+
+def declared_flags(header: Path) -> "tuple[str, ...]":
+    """Compile against ``header``: a definition that does not match its
+    prototype, or an export without one, is an error naming it."""
+    return ("-include", str(header), "-Werror=missing-prototypes")
+
+
+def _failure(compiler: str, result: "subprocess.CompletedProcess[str]") -> str:
+    """A failed compile in brief: its error lines (a declaration drift
+    names its symbol there), or the tail of its output if none says
+    "error"."""
+    lines = result.stderr.strip().splitlines()
+    shown = [line for line in lines if "error" in line][:10] or lines[-20:]
+    return f"{compiler} exited {result.returncode}:\n" + "\n".join(shown)
+
+
 def _compile(
-    source: Path, target: Path, extra_flags: "tuple[str, ...]" = ()
-) -> bool:
-    """Try every (compiler, flags) pair until one produces ``target``."""
+    source: Path,
+    target: Path,
+    header: Path,
+    extra_flags: "tuple[str, ...]" = (),
+) -> Optional[str]:
+    """Try every (compiler, flags) pair until one produces ``target``
+    from ``source`` compiled against ``header``. Returns ``None`` then,
+    and otherwise what the last compiler that ran said (or why the first
+    could not run, if none did)."""
     target.parent.mkdir(parents=True, exist_ok=True)
+    failure = ""
     for compiler in _compilers():
         for flags in _FLAG_SETS:
             handle = tempfile.NamedTemporaryFile(
@@ -127,6 +298,7 @@ def _compile(
                 compiler,
                 *flags,
                 *extra_flags,
+                *declared_flags(header),
                 "-shared",
                 "-fPIC",
                 str(source),
@@ -137,19 +309,63 @@ def _compile(
                 result = subprocess.run(
                     cmd,
                     stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL,
+                    stderr=subprocess.PIPE,
+                    text=True,
                     timeout=120,
                     check=False,
                 )
-            except (OSError, subprocess.SubprocessError):
+            except (OSError, subprocess.SubprocessError) as exc:
                 tmp.unlink(missing_ok=True)
+                failure = failure or f"{compiler}: {exc}"
                 continue
             if result.returncode == 0 and tmp.stat().st_size > 0:
                 # Atomic publish: concurrent builders race harmlessly.
                 os.replace(tmp, target)
-                return True
+                return None
             tmp.unlink(missing_ok=True)
-    return False
+            failure = _failure(compiler, result)
+    return failure
+
+
+def syntax_errors(source: Path, header: Path) -> str:
+    """What the first C compiler that runs says about ``source`` compiled
+    against ``header``, generating no code: empty when it accepts it."""
+    for compiler in _compilers():
+        try:
+            result = subprocess.run(
+                [compiler, "-fsyntax-only", *declared_flags(header),
+                 str(source)],
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=False,
+            )
+        except (OSError, subprocess.SubprocessError):
+            continue
+        return "" if result.returncode == 0 else _failure(compiler, result)
+    return f"no C compiler ran (tried {', '.join(_compilers())})"
+
+
+def _ctype(declared: str) -> type:
+    """The ctypes argtype of the C type ``declared``: a one-dimensional
+    C-contiguous ``ndpointer`` of the element type for a pointer, the
+    ctypes scalar otherwise."""
+    scalar, element = _SCALARS[declared.removeprefix("const ").rstrip("*")]
+    if declared.endswith("*"):
+        return np.ctypeslib.ndpointer(element, ndim=1, flags="C_CONTIGUOUS")
+    return scalar
+
+
+def declare(
+    library: ctypes.CDLL, symbol: str, exports: Exports
+) -> "ctypes._CFuncPtr":
+    """``symbol`` of ``library``, typed as ``exports`` declares it.
+    A symbol the library lacks raises ``AttributeError`` naming it."""
+    restype, params = exports[symbol]
+    fn = getattr(library, symbol)
+    fn.restype = _ctype(restype)
+    fn.argtypes = [_ctype(ctype) for _, ctype in params]
+    return fn
 
 
 def _address_type(argtype: type) -> type:
@@ -166,23 +382,12 @@ def _by_address(
 ) -> "ctypes._CFuncPtr":
     """The symbol of ``declared`` through a second function object whose
     array arguments are plain addresses, derived from ``declared``'s
-    argtypes (which stay the typed ones :mod:`repro.analysis.abi`
-    verifies). Whoever binds an address runs the ``ndpointer`` check
-    first: :func:`_checked_address`."""
+    typed argtypes. Whoever binds an address runs the ``ndpointer``
+    check first: :meth:`NativeKernel._address`."""
     fn = library[declared.__name__]
     fn.restype = declared.restype
     fn.argtypes = [_address_type(t) for t in declared.argtypes]
     return fn
-
-
-def _checked_address(
-    declared: "ctypes._CFuncPtr", position: int, array: np.ndarray
-) -> int:
-    """``array``'s address for argument ``position`` of ``declared``,
-    after the checks a direct call makes: the declared ``ndpointer``'s
-    ``from_param`` raises ``TypeError`` on a wrong dtype, ndim or
-    contiguity, and returns ``array.ctypes`` otherwise."""
-    return declared.argtypes[position].from_param(array).data
 
 
 class Columns:
@@ -340,11 +545,11 @@ class BoundStageTwo:
         self.n = head[0]
         self.arrays = arrays
 
-    def _extract_address(self, position: int, array: np.ndarray) -> int:
-        return _checked_address(self._kernel._extract, position, array)
+    def _extract_address(self, parameter: str, array: np.ndarray) -> int:
+        return self._kernel._address("extract_graphs", parameter, array)
 
-    def _rank_address(self, position: int, array: np.ndarray) -> int:
-        return _checked_address(self._kernel._rank, position, array)
+    def _rank_address(self, parameter: str, array: np.ndarray) -> int:
+        return self._kernel._address("rank_graphs", parameter, array)
 
     def extract_columns(self, n_graphs: int) -> Columns:
         """The per-graph fields of one ``extract`` call: ``centrals``
@@ -352,7 +557,7 @@ class BoundStageTwo:
         ``raw_counts``, ``mass`` (``float64``) and ``needed`` (3)."""
         # The buffer is checked as the int64 array it is passed as first.
         return Columns(
-            lambda buffer: self._extract_address(10, buffer),
+            lambda buffer: self._extract_address("centrals", buffer),
             centrals=n_graphs,
             node_counts=n_graphs,
             edge_counts=n_graphs,
@@ -369,7 +574,7 @@ class BoundStageTwo:
         (``n_graphs + 1`` each), ``scores`` (``float64``) and rewrites
         the ranked graphs' ``edge_counts``; ``sketch`` is scratch."""
         return Columns(
-            lambda buffer: self._rank_address(4, buffer),
+            lambda buffer: self._rank_address("centrals", buffer),
             centrals=n_graphs,
             depths=n_graphs,
             node_counts=n_graphs,
@@ -406,14 +611,14 @@ class BoundStageTwo:
             len(columns["centrals"]),
             columns.address("centrals"),
             1 if apply_level_cover else 0,
-            address(12, marks),
-            address(13, stack),
-            address(14, members),
-            address(15, pairs),
+            address("marks", marks),
+            address("stack", stack),
+            address("members", members),
+            address("pairs", pairs),
             len(pairs),
-            address(17, out_nodes),
+            address("out_nodes", out_nodes),
             len(out_nodes),
-            address(19, out_edges),
+            address("out_edges", out_edges),
             len(out_edges),
             columns.address("node_counts"),
             columns.address("edge_counts"),
@@ -457,20 +662,20 @@ class BoundStageTwo:
             columns.address("centrals"),
             columns.address("depths"),
             columns.address("factors"),
-            address(7, nodes),
+            address("nodes", nodes),
             columns.address("node_counts"),
-            address(9, edges),
+            address("edges", edges),
             columns.address("edge_counts"),
             columns.address("mass"),
             1 if deduplicate else 0,
             k,
-            address(14, marks),
+            address("marks", marks),
             columns.address("order"),
             columns.address("sketch"),
             columns.address("node_offsets"),
             columns.address("edge_offsets"),
             columns.address("scores"),
-            address(20, masks),
+            address("masks", masks),
         )
 
 
@@ -484,134 +689,44 @@ class NativeKernel:
     Central Node of a chunk in one call) and ``rank_graphs`` (dedup,
     Eq. 6 and the top-k cut over the whole batch, then the k answers'
     edges), both bound once per query by :meth:`bind_stage_two`.
-    Each symbol is declared once with typed ``ndpointer`` argtypes (what
-    :mod:`repro.analysis.abi` verifies); a bound call goes through a
-    second function object derived from that declaration
-    (:func:`_by_address`), after the same checks ran where its arrays
-    were bound. Every call releases the GIL, so concurrent chunk
-    expansions (``ThreadPoolBackend``) overlap on real cores.
+    Each symbol is typed from :data:`KERNEL_EXPORTS` (``ndpointer``
+    argtypes for its arrays); a bound call goes through a second
+    function object derived from that declaration (:func:`_by_address`),
+    after the same checks ran where its arrays were bound. Every call
+    releases the GIL, so concurrent chunk expansions
+    (``ThreadPoolBackend``) overlap on real cores.
     """
 
     def __init__(self, library: ctypes.CDLL) -> None:
-        pointer = np.ctypeslib.ndpointer
-        i64 = pointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-        i32 = pointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
-        i16 = pointer(np.int16, ndim=1, flags="C_CONTIGUOUS")
-        u64 = pointer(np.uint64, ndim=1, flags="C_CONTIGUOUS")
-        u8 = pointer(np.uint8, ndim=1, flags="C_CONTIGUOUS")
-        f64 = pointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+        #: Each export's typed function and its parameters' positions by
+        #: name, resolved once: :meth:`_address` checks an array against
+        #: the parameter it is named for.
+        self._declared = {
+            symbol: (
+                declare(library, symbol, KERNEL_EXPORTS),
+                {name: position for position, (name, _) in enumerate(params)},
+            )
+            for symbol, (_, params) in KERNEL_EXPORTS.items()
+        }
+        self._fn = self._declared["fused_expand"][0]
+        self._step = self._declared["whole_level_step"][0]
+        self._extract = self._declared["extract_graphs"][0]
+        self._rank = self._declared["rank_graphs"][0]
+        # The same symbols through second function objects whose array
+        # arguments are plain addresses, derived from the typed ones: the
+        # binds run the ndpointer checks once per query (or per graph), and
+        # a call then marshals only integers.
+        self._bound_step = _by_address(library, self._step)
+        self._bound_extract = _by_address(library, self._extract)
+        self._bound_rank = _by_address(library, self._rank)
 
-        fn = library.fused_expand
-        fn.restype = ctypes.c_int64
-        fn.argtypes = [
-            ctypes.c_int64,  # n
-            ctypes.c_int64,  # n_chunk
-            i64,  # chunk
-            i64,  # indptr
-            i32,  # indices
-            u8,  # matrix
-            ctypes.c_int64,  # q
-            u8,  # fid
-            u8,  # cid
-            u8,  # keyword_node
-            i32,  # activation
-            ctypes.c_uint8,  # level
-            ctypes.c_int64,  # may_block
-            i64,  # out_keys
-            i64,  # stats_out
-        ]
-        self._fn = fn
-
-        step = library.whole_level_step
-        step.restype = ctypes.c_int64
-        step.argtypes = [
-            ctypes.c_int64,  # n
-            i64,  # indptr
-            i32,  # indices
-            u8,  # matrix
-            ctypes.c_int64,  # q
-            u8,  # fid
-            u8,  # cid
-            u8,  # keyword_node
-            i32,  # activation
-            i16,  # central_level
-            i32,  # finite_count
-            ctypes.c_uint8,  # level
-            ctypes.c_int64,  # central_have
-            ctypes.c_int64,  # k
-            ctypes.c_int64,  # may_expand
-            ctypes.c_int64,  # may_block
-            i64,  # frontier_out
-            i64,  # central_out
-            i64,  # stats_out
-        ]
-        self._step = step
-        # The same symbol through a second function object whose array
-        # arguments are plain addresses, derived from the one declaration
-        # above: bind_whole_level runs the ndpointer checks once per
-        # query, and a level's call then marshals only integers.
-        self._bound_step = _by_address(library, step)
-
-        extract = library.extract_graphs
-        extract.restype = ctypes.c_int64
-        extract.argtypes = [
-            ctypes.c_int64,  # n
-            i64,  # indptr
-            i32,  # indices
-            u8,  # matrix
-            ctypes.c_int64,  # q
-            i32,  # activation
-            u8,  # keyword_node
-            i16,  # central_level
-            f64,  # weights
-            ctypes.c_int64,  # n_centrals
-            i64,  # centrals
-            ctypes.c_int64,  # apply_level_cover
-            i32,  # marks
-            i64,  # stack
-            i64,  # members
-            i64,  # pairs
-            ctypes.c_int64,  # pair_capacity
-            i64,  # out_nodes
-            ctypes.c_int64,  # node_capacity
-            i64,  # out_edges
-            ctypes.c_int64,  # edge_capacity
-            i64,  # node_counts
-            i64,  # edge_counts
-            i64,  # raw_counts
-            f64,  # mass
-            i64,  # needed
-        ]
-        self._extract = extract
-        self._bound_extract = _by_address(library, extract)
-
-        rank = library.rank_graphs
-        rank.restype = ctypes.c_int64
-        rank.argtypes = [
-            ctypes.c_int64,  # n
-            u8,  # matrix
-            ctypes.c_int64,  # q
-            ctypes.c_int64,  # n_graphs
-            i64,  # centrals
-            i64,  # depths
-            f64,  # factors
-            i64,  # nodes
-            i64,  # node_counts
-            i64,  # edges
-            i64,  # edge_counts
-            f64,  # mass
-            ctypes.c_int64,  # deduplicate
-            ctypes.c_int64,  # k
-            i32,  # marks
-            i64,  # order
-            u64,  # sketch
-            i64,  # node_offsets
-            i64,  # edge_offsets
-            f64,  # scores
-            u64,  # masks
-        ]
-        self._rank = rank
-        self._bound_rank = _by_address(library, rank)
+    def _address(self, symbol: str, parameter: str, array: np.ndarray) -> int:
+        """``array``'s address as ``parameter`` of ``symbol``, after the
+        checks a direct call makes: the declared ``ndpointer``'s
+        ``from_param`` raises ``TypeError`` on a wrong dtype, ndim or
+        contiguity, and returns ``array.ctypes`` otherwise."""
+        fn, positions = self._declared[symbol]
+        return fn.argtypes[positions[parameter]].from_param(array).data
 
     def expand(
         self,
@@ -689,26 +804,26 @@ class NativeKernel:
         ``live_lanes`` has bit i set iff lane i may still be written
         after the level (0 when it did not expand).
         """
-        def address(position: int, array: np.ndarray) -> int:
-            return _checked_address(self._step, position, array)
+        def address(parameter: str, array: np.ndarray) -> int:
+            return self._address("whole_level_step", parameter, array)
 
         head = (
             len(f_identifier),
-            address(1, indptr),
-            address(2, indices),
-            address(3, matrix_flat),
+            address("indptr", indptr),
+            address("indices", indices),
+            address("matrix", matrix_flat),
             q,
-            address(5, f_identifier),
-            address(6, c_identifier),
-            address(7, keyword_node_u8),
-            address(8, activation),
-            address(9, central_level),
-            address(10, finite_count),
+            address("fid", f_identifier),
+            address("cid", c_identifier),
+            address("keyword_node", keyword_node_u8),
+            address("activation", activation),
+            address("central_level", central_level),
+            address("finite_count", finite_count),
         )
         tail = (
-            address(16, frontier_out),
-            address(17, central_out),
-            address(18, stats_out),
+            address("frontier_out", frontier_out),
+            address("central_out", central_out),
+            address("stats_out", stats_out),
         )
         arrays = (
             indptr, indices, matrix_flat, f_identifier, c_identifier,
@@ -729,8 +844,10 @@ class NativeKernel:
         return BoundGraph(
             arrays,
             tuple(
-                _checked_address(self._extract, position, array)
-                for position, array in zip((1, 2, 8), arrays)
+                self._address("extract_graphs", parameter, array)
+                for parameter, array in zip(
+                    ("indptr", "indices", "weights"), arrays
+                )
             ),
         )
 
@@ -807,9 +924,12 @@ class NativeKernel:
         keyword_u8 = keyword_node.view(np.uint8)
         if state is None:
             state = tuple(
-                _checked_address(self._extract, position, array)
-                for position, array in zip(
-                    (3, 5, 6, 7), (flat, activation, keyword_u8, central_level)
+                self._address("extract_graphs", parameter, array)
+                for parameter, array in (
+                    ("matrix", flat),
+                    ("activation", activation),
+                    ("keyword_node", keyword_u8),
+                    ("central_level", central_level),
                 )
             )
         matrix_address, *state_rest = state
@@ -829,33 +949,58 @@ class NativeKernel:
         return BoundStageTwo(self, head, arrays)
 
 
+#: Why the last :func:`load_kernel` returned ``None`` (empty otherwise):
+#: the tail of the last failing compile, or the load's exception.
+_load_failure = ""
+
+
+def shared_object_path(
+    exports: Exports, selection: "tuple[str, ...]" = ()
+) -> Path:
+    """Where the kernel built against ``exports`` with ``selection``'s
+    sanitizers is cached: named by the source and the rendered header."""
+    digest = hashlib.sha256(
+        _SOURCE_PATH.read_bytes() + render_header(exports).encode()
+    ).hexdigest()[:16]
+    tag = ("-" + "-".join(selection)) if selection else ""
+    return _BUILD_DIR / f"fused_expand-{digest}{tag}.so"
+
+
 def load_kernel() -> Optional[NativeKernel]:
     """Compile (once) and load the native kernel, or ``None`` when no
-    compiler could build it or it does not load.
+    compiler could build it or it does not load
+    (:func:`unavailable_error` then says why).
 
     Raises:
         ValueError: ``REPRO_SANITIZE`` names a sanitizer this tier does
             not know — a typo must not load an unsanitized kernel.
     """
+    global _load_failure
     selection = sanitize_selection()
+    _load_failure = ""
     try:
-        source = _SOURCE_PATH.read_bytes()
-        digest = hashlib.sha256(source).hexdigest()[:16]
-        tag = ("-" + "-".join(selection)) if selection else ""
-        so_path = _BUILD_DIR / f"fused_expand-{digest}{tag}.so"
-        if not so_path.exists() and not _compile(
-            _SOURCE_PATH, so_path, sanitize_cflags(selection)
-        ):
-            return None
+        so_path = shared_object_path(KERNEL_EXPORTS, selection)
+        if not so_path.exists():
+            failure = _compile(
+                _SOURCE_PATH,
+                so_path,
+                write_header(KERNEL_EXPORTS, _BUILD_DIR, "kernel"),
+                sanitize_cflags(selection),
+            )
+            if failure is not None:
+                _load_failure = failure
+                return None
         return NativeKernel(ctypes.CDLL(str(so_path)))
-    except Exception:
+    except Exception as exc:
+        _load_failure = f"{type(exc).__name__}: {exc}"
         return None
 
 
 def unavailable_error() -> NativeKernelUnavailable:
     """What to raise when :func:`load_kernel` returned ``None``."""
+    reason = f"\n{_load_failure}" if _load_failure else ""
     return NativeKernelUnavailable(
         f"the native kernel ({_SOURCE_PATH.name}) could not be compiled "
         f"or loaded; tried the C compilers {', '.join(_compilers())} "
-        "(set CC to name another). Every search route needs it."
+        f"(set CC to name another). Every search route needs it.{reason}"
     )

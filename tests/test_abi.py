@@ -1,183 +1,118 @@
-"""Tests for the kernel ABI contract verifier (``repro.analysis.abi``).
+"""The kernel's ABI from one declaration (``_native.KERNEL_EXPORTS``).
 
-The verifier's job is to make C ↔ ctypes ↔ store drift impossible to
-land silently, so the tests cover all three legs: the C prototype/struct
-parser, the ctypes declaration extractor, the cross-check (clean on the
-real repo, loud on seeded drift), and the ``.csrstore`` header contract.
+The ctypes declarations derive from the table, and ``_kernel.c`` is
+compiled against the header rendered from it, so drift between the two
+is a compile error that names its symbol. These tests pin the table's
+shape, the derivation, the compiler catching each kind of drift on a
+kernel copy, the build saying why it failed, and the cache key.
 """
 
-import textwrap
+import ctypes
 
+import numpy as np
 import pytest
 
-from repro.analysis import abi
+from repro.analysis import sanitize
+from repro.parallel import _native
+from repro.parallel._native import KERNEL_EXPORTS
 
 
-# ---------------------------------------------------------------------------
-# C prototype parsing
-# ---------------------------------------------------------------------------
-def test_parse_c_exports_basic_prototype():
-    functions = abi.parse_c_exports(
-        textwrap.dedent(
-            """
-            int64_t add_all(int64_t n, const int64_t* values) {
-                return 0;
-            }
-            """
-        )
-    )
-    assert len(functions) == 1
-    fn = functions[0]
-    assert fn.name == "add_all"
-    assert str(fn.restype) == "int64"
-    assert [(p.name, str(p.ctype)) for p in fn.params] == [
-        ("n", "int64"),
-        ("values", "int64*"),
-    ]
+def _params(symbol):
+    return KERNEL_EXPORTS[symbol][1]
 
 
-def test_parse_c_exports_skips_static_and_control_flow():
-    functions = abi.parse_c_exports(
-        textwrap.dedent(
-            """
-            static void helper(int64_t x) { }
-
-            int64_t exported(int64_t x) {
-                if (x) {
-                    return x;
-                }
-                while (x) { }
-                return 0;
-            }
-            """
-        )
-    )
-    assert [fn.name for fn in functions] == ["exported"]
+def _drift(tmp_path, old, new):
+    """``_kernel.c`` with ``old`` replaced once by ``new``, compiled
+    against the real header: what the compiler says."""
+    source = _native._SOURCE_PATH.read_text(encoding="utf-8")
+    assert source.count(old) == 1, old
+    copy = tmp_path / "_kernel.c"
+    copy.write_text(source.replace(old, new), encoding="utf-8")
+    header = _native.write_header(KERNEL_EXPORTS, tmp_path, "kernel")
+    return _native.syntax_errors(copy, header)
 
 
-def test_parse_c_exports_pointer_and_unsigned_params():
-    (fn,) = abi.parse_c_exports(
-        "void scatter(uint8_t* matrix, const uint64_t* words, uint8_t v) {\n}"
-    )
-    assert str(fn.restype) == "void"
-    assert [str(p.ctype) for p in fn.params] == ["uint8*", "uint64*", "uint8"]
-
-
-def test_parse_c_exports_rejects_unknown_types():
-    with pytest.raises(abi.AbiParseError):
-        abi.parse_c_exports("wchar_t weird(wchar_t x) {\n}")
-
-
-def test_parse_c_structs_natural_alignment():
-    (struct,) = abi.parse_c_structs(
-        textwrap.dedent(
-            """
-            typedef struct {
-                int32_t a;
-                int64_t b;
-                uint8_t c;
-            } Packed;
-            """
-        )
-    )
-    assert struct.name == "Packed"
-    offsets = {f.name: f.offset for f in struct.fields}
-    # b is 8-aligned, so 4 bytes of padding follow a.
-    assert offsets == {"a": 0, "b": 8, "c": 16}
-    assert struct.size == 24  # trailing pad to 8-byte struct alignment
-
-
-def test_parse_real_kernel_exports_all_bound_symbols():
-    source = abi.KERNEL_SOURCE_PATH.read_text(encoding="utf-8")
-    exports = {fn.name: fn for fn in abi.parse_c_exports(source)}
+def test_kernel_table_declares_all_bound_symbols():
     # Exactly four: stage two is two kernels, extract_graphs once per
     # chunk of Central Nodes and rank_graphs once per query.
-    assert set(exports) == {
+    assert set(KERNEL_EXPORTS) == {
         "fused_expand", "whole_level_step", "extract_graphs", "rank_graphs",
     }
+    assert {restype for restype, _ in KERNEL_EXPORTS.values()} == {"int64_t"}
     # extract_graphs' overflow contract: an explicit int64 capacity beside
     # each of the three buffers a query can outgrow, an int64 status out
     # (0 = fitted; the sizes a retry needs go to `needed`), and Eq. 6's
     # weights and mass as double*.
-    extract = exports["extract_graphs"]
-    assert str(extract.restype) == "int64"
-    names = [p.name for p in extract.params]
-    params = {p.name: str(p.ctype) for p in extract.params}
+    extract = _params("extract_graphs")
+    names = [name for name, _ in extract]
+    params = dict(extract)
     for buffer, capacity in (
         ("pairs", "pair_capacity"),
         ("out_nodes", "node_capacity"),
         ("out_edges", "edge_capacity"),
     ):
-        assert params[buffer] == "int64*" and params[capacity] == "int64"
+        assert params[buffer] == "int64_t*" and params[capacity] == "int64_t"
         assert names.index(capacity) == names.index(buffer) + 1
-    assert params["weights"] == params["mass"] == "float64*"
-    assert params["needed"] == "int64*"
-    assert params["indptr"] == "int64*" and params["indices"] == "int32*"
-    assert len(extract.params) == 26
-    # rank_graphs: survivors out as the int64 return; Eq. 6's factors,
-    # mass and scores as double*, the sketch and contribution masks as
-    # uint64*, marks as the same int32 scratch extract_graphs zeroes.
-    rank = exports["rank_graphs"]
-    assert str(rank.restype) == "int64"
-    params = {p.name: str(p.ctype) for p in rank.params}
-    assert params["factors"] == params["mass"] == params["scores"] == "float64*"
-    assert params["sketch"] == params["masks"] == "uint64*"
-    assert params["marks"] == "int32*" and params["matrix"] == "uint8*"
-    assert params["edges"] == params["edge_counts"] == "int64*"
-    assert len(rank.params) == 21
+    assert params["weights"] == "const double*" and params["mass"] == "double*"
+    assert params["needed"] == "int64_t*"
+    assert params["indptr"] == "const int64_t*"
+    assert params["indices"] == "const int32_t*"
+    assert len(extract) == 26
+    # rank_graphs: Eq. 6's factors, mass and scores as double*, the
+    # sketch and contribution masks as uint64*, marks as the same int32
+    # scratch extract_graphs zeroes.
+    params = dict(_params("rank_graphs"))
+    assert params["factors"] == params["mass"] == "const double*"
+    assert params["scores"] == "double*"
+    assert params["sketch"] == params["masks"] == "uint64_t*"
+    assert params["marks"] == "int32_t*" and params["matrix"] == "const uint8_t*"
+    assert params["edges"] == params["edge_counts"] == "int64_t*"
+    assert len(_params("rank_graphs")) == 21
     # Both expansion kernels lead with the row count of M: the lane-word
     # row reads need it to find the last rows, whose last word is read
     # short. fused_expand reads the raw chunk with the state arrays
     # whole_level_step reads, and reports its counters in stats_out.
     for name in ("fused_expand", "whole_level_step"):
-        first = exports[name].params[0]
-        assert (first.name, str(first.ctype)) == ("n", "int64"), name
-    expand = exports["fused_expand"]
-    assert [p.name for p in expand.params[:3]] == ["n", "n_chunk", "chunk"]
-    assert len(expand.params) == 15
-    params = {p.name: str(p.ctype) for p in expand.params}
-    assert params["cid"] == params["keyword_node"] == "uint8*"
-    assert params["activation"] == "int32*" and params["level"] == "uint8"
-    stats_out = expand.params[-1]
-    assert (stats_out.name, str(stats_out.ctype)) == ("stats_out", "int64*")
+        assert _params(name)[0] == ("n", "int64_t"), name
+    expand = _params("fused_expand")
+    assert [name for name, _ in expand[:3]] == ["n", "n_chunk", "chunk"]
+    assert len(expand) == 15 and len(_params("whole_level_step")) == 19
+    params = dict(expand)
+    assert params["cid"] == params["keyword_node"] == "const uint8_t*"
+    assert params["activation"] == "const int32_t*" and params["level"] == "uint8_t"
+    assert expand[-1] == ("stats_out", "int64_t*")
 
 
 def test_whole_level_declaration_keeps_typed_ndpointer_argtypes():
     """The per-query bound call goes through a second function object for
     ``whole_level_step`` whose array arguments are plain addresses. Its
-    argtypes are derived from the one declaration the verifier reads,
-    which keeps its typed ``ndpointer`` arguments."""
-    import ctypes
-
-    native = abi.NATIVE_SOURCE_PATH.read_text(encoding="utf-8")
-    bindings, _, errors = abi.extract_ctypes_declarations(native)
-    assert not errors
-    assert set(bindings) == {
-        "fused_expand", "whole_level_step", "extract_graphs", "rank_graphs",
-    }
-    step = bindings["whole_level_step"]
-    pointers = [t for t in step.argtypes if t.pointer]
-    assert len(step.argtypes) == 19 and len(pointers) == 12
-    assert all(t.kind != "void" for t in pointers)
-
+    argtypes derive from the typed declaration, whose pointer parameters
+    are ``ndpointer``s of the declared element type."""
     from repro.parallel.vectorized import _native_kernel
 
     kernel = _native_kernel()
     declared, bound = kernel._step.argtypes, kernel._bound_step.argtypes
     assert len(declared) == len(bound) == 19
-    for checked, plain in zip(declared, bound):
-        if hasattr(checked, "_dtype_"):  # an ndpointer
-            assert plain is ctypes.c_void_p
+    assert sum(hasattr(t, "_dtype_") for t in declared) == 12
+    for (name, ctype), checked, plain in zip(
+        _params("whole_level_step"), declared, bound
+    ):
+        if ctype.endswith("*"):
+            assert plain is ctypes.c_void_p, name
+            assert checked._dtype_ == np.dtype(
+                {"int64_t*": np.int64, "int32_t*": np.int32,
+                 "int16_t*": np.int16, "uint8_t*": np.uint8}[
+                    ctype.removeprefix("const ")
+                ]
+            ), name
         else:
-            assert plain is checked
+            assert plain is checked, name
 
 
 def test_stage_two_bound_calls_derive_from_typed_declarations():
     """``extract_graphs`` and ``rank_graphs`` are bound by address too:
     each through a second function object whose argtypes are derived
-    from the typed declaration the verifier reads."""
-    import ctypes
-
+    from the typed declaration."""
     from repro.parallel.vectorized import _native_kernel
 
     kernel = _native_kernel()
@@ -195,151 +130,167 @@ def test_stage_two_bound_calls_derive_from_typed_declarations():
                 assert address is checked
 
 
-def test_tsan_harness_declares_the_kernel_prototype():
-    """The race harness links against ``_kernel.c`` through its own
-    declaration of ``fused_expand``; C does not type-check that at link
-    time, so the two parameter lists are compared here."""
-    import re
+def test_arrays_are_checked_against_the_parameter_they_are_named_for():
+    """Every pointer parameter resolves by name to its own position: an
+    array of its declared element type passes, any other dtype raises
+    the ``TypeError`` a direct call would."""
+    from repro.parallel.vectorized import _native_kernel
 
-    def prototype(path):
-        text = path.read_text(encoding="utf-8")
-        match = re.search(r"int64_t fused_expand\(([^)]*)\)", text)
-        assert match, path
-        return " ".join(match.group(1).split())
-
-    harness = abi.SMOKE_SOURCE_PATH.with_name("_tsan_harness.c")
-    assert prototype(harness) == prototype(abi.KERNEL_SOURCE_PATH)
+    kernel = _native_kernel()
+    dtypes = (np.int64, np.int32, np.int16, np.uint64, np.uint8, np.float64)
+    for symbol, (_, params) in KERNEL_EXPORTS.items():
+        for name, ctype in params:
+            if not ctype.endswith("*"):
+                continue
+            want = _native._ctype(ctype)._dtype_
+            for dtype in dtypes:
+                array = np.zeros(2, dtype=dtype)
+                if np.dtype(dtype) == want:
+                    assert kernel._address(symbol, name, array) == (
+                        array.ctypes.data
+                    )
+                else:
+                    with pytest.raises(TypeError):
+                        kernel._address(symbol, name, array)
 
 
 # ---------------------------------------------------------------------------
-# The cross-check: clean on the real repo, loud on drift
+# The compiler catches drift: kernel copies against the real header
 # ---------------------------------------------------------------------------
-def test_abi_check_clean_on_real_sources():
-    report = abi.run_abi_check()
-    assert report.ok, "\n".join(str(f) for f in report.findings)
-    # 4 kernel exports + the 2 sanitizer smoke fixtures.
-    assert report.functions_checked == 6
-    assert report.sections_checked >= 4
+def test_abi_check_clean_on_real_sources(tmp_path):
+    header = _native.write_header(KERNEL_EXPORTS, tmp_path, "kernel")
+    assert _native.syntax_errors(_native._SOURCE_PATH, header) == ""
+    assert header.read_text().count(");\n") == 4
 
 
-def test_abi_check_injected_swap_caught_as_type_mismatch():
-    report = abi.run_abi_check(inject="swap")
-    assert not report.ok
-    assert "RPRABI04" in report.codes()
-    assert any("fused_expand" in f.message for f in report.findings)
-
-
-def test_abi_check_rejects_unknown_injection():
-    with pytest.raises(ValueError):
-        abi.run_abi_check(inject="bogus")
-
-
-def test_abi_check_missing_binding_found():
-    kernel = "int64_t brand_new_symbol(int64_t x) {\n    return x;\n}\n"
-    native = abi.NATIVE_SOURCE_PATH.read_text(encoding="utf-8")
-    report = abi.run_abi_check(kernel_source=kernel, native_source=native)
-    assert "RPRABI01" in report.codes()
-
-
-def test_abi_check_binding_without_export_found():
-    """The other direction of binding-set drift: ``_native.py`` binds a
-    symbol the C source no longer exports (it would fail at load time,
-    and only on machines with a compiler)."""
-    kernel = abi.KERNEL_SOURCE_PATH.read_text(encoding="utf-8")
-    head = "int64_t fused_expand("
-    assert head in kernel
-    renamed = kernel.replace(head, "int64_t fused_expand_v2(", 1)
-    native = abi.NATIVE_SOURCE_PATH.read_text(encoding="utf-8")
-    report = abi.run_abi_check(kernel_source=renamed, native_source=native)
-    stale = [f for f in report.findings if f.code == "RPRABI02"]
-    assert len(stale) == 1 and "fused_expand" in stale[0].message
-    # ... and the renamed export is the unbound one.
-    assert any(
-        f.code == "RPRABI01" and "fused_expand_v2" in f.message
-        for f in report.findings
+def test_abi_check_injected_swap_caught_as_type_mismatch(tmp_path):
+    diagnostic = _drift(
+        tmp_path,
+        "    const int64_t* indptr,\n    const int32_t* indices,\n"
+        "    uint8_t* matrix,\n    int64_t q,\n    uint8_t* fid,\n"
+        "    const uint8_t* cid,",
+        "    const int32_t* indptr,\n    const int64_t* indices,\n"
+        "    uint8_t* matrix,\n    int64_t q,\n    uint8_t* fid,\n"
+        "    const uint8_t* cid,",
     )
+    assert "conflicting types" in diagnostic and "fused_expand" in diagnostic
 
 
-def test_abi_check_arity_mismatch_found():
-    kernel = abi.KERNEL_SOURCE_PATH.read_text(encoding="utf-8")
-    # Add one parameter to fused_expand's C prototype (the first
-    # export that ends in stats_out).
-    assert "int64_t* stats_out)" in kernel
-    drifted = kernel.replace(
-        "int64_t* stats_out)", "int64_t* stats_out, int64_t extra)", 1
+def test_abi_check_arity_mismatch_found(tmp_path):
+    diagnostic = _drift(
+        tmp_path,
+        "int64_t* out_keys,\n    int64_t* stats_out)",
+        "int64_t* out_keys,\n    int64_t* stats_out,\n    int64_t extra)",
     )
-    native = abi.NATIVE_SOURCE_PATH.read_text(encoding="utf-8")
-    report = abi.run_abi_check(kernel_source=drifted, native_source=native)
-    assert "RPRABI03" in report.codes()
+    assert "conflicting types" in diagnostic and "fused_expand" in diagnostic
 
 
-def test_abi_check_missing_row_count_found():
-    """The pre-tail-guard prototype (no leading ``n``) against today's
-    binding: every later argument would shift by one slot."""
-    kernel = abi.KERNEL_SOURCE_PATH.read_text(encoding="utf-8")
-    head = "int64_t fused_expand(\n    int64_t n,\n"
-    assert head in kernel
-    drifted = kernel.replace(head, "int64_t fused_expand(\n", 1)
-    native = abi.NATIVE_SOURCE_PATH.read_text(encoding="utf-8")
-    report = abi.run_abi_check(kernel_source=drifted, native_source=native)
-    assert "RPRABI03" in report.codes()
-    assert any("fused_expand" in f.message for f in report.findings)
-
-
-def test_abi_check_restype_mismatch_found():
-    kernel = abi.KERNEL_SOURCE_PATH.read_text(encoding="utf-8")
-    drifted = kernel.replace(
-        "int64_t fused_expand(", "int32_t fused_expand(", 1
+def test_abi_check_missing_row_count_found(tmp_path):
+    """The pre-tail-guard prototype (no leading ``n``): every later
+    argument would shift by one slot."""
+    diagnostic = _drift(
+        tmp_path,
+        "int64_t fused_expand(\n    int64_t n,\n",
+        "int64_t fused_expand(\n",
     )
-    native = abi.NATIVE_SOURCE_PATH.read_text(encoding="utf-8")
-    report = abi.run_abi_check(kernel_source=drifted, native_source=native)
-    assert "RPRABI05" in report.codes()
+    assert "fused_expand" in diagnostic
+
+
+def test_abi_check_restype_mismatch_found(tmp_path):
+    diagnostic = _drift(
+        tmp_path, "int64_t rank_graphs(", "int32_t rank_graphs("
+    )
+    assert "conflicting types" in diagnostic and "rank_graphs" in diagnostic
+
+
+def test_a_dropped_const_is_a_conflicting_type(tmp_path):
+    diagnostic = _drift(
+        tmp_path,
+        "int64_t extract_graphs(\n    int64_t n,\n    const int64_t* indptr,",
+        "int64_t extract_graphs(\n    int64_t n,\n    int64_t* indptr,",
+    )
+    assert "conflicting types" in diagnostic and "extract_graphs" in diagnostic
+
+
+def test_abi_check_missing_binding_found(tmp_path):
+    """An export the table does not declare has no prototype."""
+    diagnostic = _drift(
+        tmp_path,
+        "int64_t rank_graphs(",
+        "int64_t stray_export(int64_t x) { return x; }\n\n"
+        "int64_t rank_graphs(",
+    )
+    assert "no previous prototype" in diagnostic
+    assert "stray_export" in diagnostic
+
+
+def test_abi_check_binding_without_export_found(tmp_path, monkeypatch):
+    """A renamed export is undeclared under its new name; under its old
+    one the table declares a symbol the object lacks, which the load
+    reports by name."""
+    diagnostic = _drift(
+        tmp_path, "int64_t fused_expand(", "int64_t fused_expand_v2("
+    )
+    assert "fused_expand_v2" in diagnostic
+    monkeypatch.setattr(_native, "_load_failure", "")
+    monkeypatch.setattr(_native, "_BUILD_DIR", tmp_path / "build")
+    monkeypatch.setattr(
+        _native,
+        "KERNEL_EXPORTS",
+        {**KERNEL_EXPORTS, "no_such_export": ("int64_t", (("n", "int64_t"),))},
+    )
+    assert _native.load_kernel() is None
+    message = str(_native.unavailable_error())
+    assert "AttributeError" in message and "no_such_export" in message
+
+
+def test_smoke_bindings_covered_by_abi_check(tmp_path):
+    """The sanitizer fixture is declared in the same form and compiles
+    against its header; the kernel's table is the suppression audit's
+    list of exports."""
+    assert set(sanitize.SMOKE_EXPORTS) == {"smoke_clean", "smoke_faulty"}
+    header = _native.write_header(sanitize.SMOKE_EXPORTS, tmp_path, "smoke")
+    assert _native.syntax_errors(sanitize._SMOKE_SOURCE, header) == ""
+    assert set(sanitize.declared_idempotent_sites()) <= set(KERNEL_EXPORTS)
 
 
 # ---------------------------------------------------------------------------
-# Store header contract
+# The build says why, and its cache key covers the declaration
 # ---------------------------------------------------------------------------
-def test_store_contract_sections_match_kernel_views():
-    from repro.graph import store
-
-    dtypes = dict(store.SECTION_DTYPES)
-    for section, (kind, bits) in abi.KERNEL_VIEW_CONTRACT.items():
-        assert section in dtypes, section
-        import numpy as np
-
-        dtype = np.dtype(dtypes[section])
-        assert dtype.kind == {"int": "i", "uint": "u"}[kind], section
-        assert dtype.itemsize * 8 == bits, section
-
-
-def test_store_contract_violation_detected(monkeypatch):
-    from repro.graph import store
-
+def test_a_drifted_table_names_its_symbol_in_the_unavailable_error(
+    tmp_path, monkeypatch
+):
+    restype, params = KERNEL_EXPORTS["whole_level_step"]
     drifted = tuple(
-        (name, "<i4" if name == "adj_indptr" else dtype)
-        for name, dtype in store.SECTION_DTYPES
+        (name, "const int64_t*" if name == "indices" else ctype)
+        for name, ctype in params
     )
-    monkeypatch.setattr(store, "SECTION_DTYPES", drifted)
-    findings = []
-    abi._check_store_contract(findings)
-    assert any(f.code == "RPRABI07" for f in findings)
+    monkeypatch.setattr(
+        _native,
+        "KERNEL_EXPORTS",
+        {**KERNEL_EXPORTS, "whole_level_step": (restype, drifted)},
+    )
+    monkeypatch.setattr(_native, "_load_failure", "")
+    monkeypatch.setattr(_native, "_BUILD_DIR", tmp_path)
+    assert _native.load_kernel() is None
+    assert not list(tmp_path.glob("*.so"))
+    message = str(_native.unavailable_error())
+    assert "conflicting types" in message and "whole_level_step" in message
 
 
-# ---------------------------------------------------------------------------
-# Smoke fixture bindings ride the same contract
-# ---------------------------------------------------------------------------
-def test_smoke_bindings_covered_by_abi_check():
-    from repro.analysis import sanitize
-
-    source = abi.SMOKE_SOURCE_PATH.read_text(encoding="utf-8")
-    names = {fn.name for fn in abi.parse_c_exports(source)}
-    assert names == set(sanitize.SMOKE_BINDINGS)
-
-
-def test_ctypes_object_conversion_handles_platform_aliases():
-    import ctypes
-
-    assert str(abi._ctypes_object_to_ctype(ctypes.c_int64)) == "int64"
-    assert str(abi._ctypes_object_to_ctype(ctypes.c_uint8)) == "uint8"
-    assert str(abi._ctypes_object_to_ctype(ctypes.c_void_p)) == "void*"
-    assert str(abi._ctypes_object_to_ctype(None)) == "void"
+def test_a_declared_type_is_part_of_the_cache_key():
+    restype, params = KERNEL_EXPORTS["fused_expand"]
+    changed = tuple(
+        (name, "int64_t*" if name == "matrix" else ctype)
+        for name, ctype in params
+    )
+    drifted = {**KERNEL_EXPORTS, "fused_expand": (restype, changed)}
+    assert _native.shared_object_path(drifted) != _native.shared_object_path(
+        KERNEL_EXPORTS
+    )
+    assert _native.shared_object_path(
+        drifted, ("address",)
+    ) != _native.shared_object_path(KERNEL_EXPORTS, ("address",))
+    assert sanitize.tsan_harness_path(drifted) != sanitize.tsan_harness_path(
+        KERNEL_EXPORTS
+    )

@@ -385,3 +385,58 @@ def test_statz_reports_storage_section(store_path):
     assert storage["mmap"] is True
     assert storage["store_path"] == str(store_path)
     assert storage["resident_nbytes"] <= storage["csr_nbytes"]
+
+
+# ---------------------------------------------------------------------------
+# The sections the kernel reads in place: their dtypes and alignment
+# ---------------------------------------------------------------------------
+def _kernel_view_problems():
+    """What breaks the store sections the kernel is handed as raw
+    pointers: the CSR sections must hold the element types the kernel
+    declares for ``indptr`` / ``indices`` (``adj_indices64`` and
+    ``adj_degree`` are the int64 fancy-index and degree views),
+    little-endian, and every section must start aligned to its items."""
+    from repro.parallel._native import KERNEL_EXPORTS, _ctype
+
+    declared = dict(KERNEL_EXPORTS["fused_expand"][1])
+    expected = {
+        "adj_indptr": np.dtype(_ctype(declared["indptr"])._dtype_),
+        "adj_indices": np.dtype(_ctype(declared["indices"])._dtype_),
+        "adj_indices64": np.dtype(np.int64),
+        "adj_degree": np.dtype(np.int64),
+    }
+    problems = []
+    dtypes = dict(store_module.SECTION_DTYPES)
+    for section, want in expected.items():
+        if section not in dtypes:
+            problems.append(f"{section} is missing from SECTION_DTYPES")
+            continue
+        stored = np.dtype(dtypes[section])
+        if (stored.kind, stored.itemsize) != (want.kind, want.itemsize):
+            problems.append(f"{section} is {stored} on disk, the kernel reads {want}")
+        if stored.byteorder == ">":
+            problems.append(f"{section} is big-endian on disk")
+    every = {**dtypes, **dict(store_module.DERIVED_SECTION_DTYPES)}
+    for section, declared_dtype in every.items():
+        itemsize = np.dtype(declared_dtype).itemsize
+        if store_module.SECTION_ALIGN % itemsize or store_module.HEADER_BLOCK % itemsize:
+            problems.append(f"{section} ({itemsize}-byte items) is not kept aligned")
+    sections, _ = store_module._section_plan(1000, 5000, 4096, 512)
+    for name, section in sections.items():
+        if section.offset % store_module.SECTION_ALIGN:
+            problems.append(f"_section_plan places {name} at {section.offset}")
+    return problems
+
+
+def test_store_contract_sections_match_kernel_views():
+    assert _kernel_view_problems() == []
+
+
+def test_store_contract_violation_detected(monkeypatch):
+    drifted = tuple(
+        (name, "<i4" if name == "adj_indptr" else dtype)
+        for name, dtype in store_module.SECTION_DTYPES
+    )
+    monkeypatch.setattr(store_module, "SECTION_DTYPES", drifted)
+    problems = _kernel_view_problems()
+    assert problems and "adj_indptr" in problems[0]
