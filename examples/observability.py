@@ -11,8 +11,8 @@ three faces of the observability layer:
    expansion backends, rendered as Prometheus text.
 
 The equivalent one-liner is ``python -m repro profile "query" --trace
-query.trace.json``. Setting ``REPRO_OBS=0`` disables all of it and
-restores the untraced hot path.
+query.trace.json``. An engine with no tracer attached (and none
+installed globally) records no spans at all.
 
 Run:  python examples/observability.py
 """

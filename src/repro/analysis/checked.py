@@ -25,11 +25,11 @@ I6 **identification** — the newly identified Central Nodes are exactly
    this level (Lemma V.1); no flag is cleared; ``new_central`` reports
    exactly them.
 
-The check runs around :meth:`ExpansionBackend.run_level`, so a route
-that runs the whole level in one native call (``VectorizedBackend``)
-and one composed from ``expand`` (``SequentialBackend``,
-``ThreadPoolBackend``) are held to the same invariants. Nothing in the
-search path knows the wrapper exists.
+The check runs around :meth:`ExpansionBackend.run_level`, the whole
+backend protocol, so a route that runs the whole level in one native
+call (``VectorizedBackend``) and one composed from ``expand``
+(``SequentialBackend``, ``ThreadPoolBackend``) are held to the same
+invariants. Nothing in the search path knows the wrapper exists.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from ..core.state import INFINITE_LEVEL, SearchState
 from ..graph.csr import KnowledgeGraph
-from ..instrumentation import KernelCounters, PhaseTimer
+from ..instrumentation import PhaseTimer
 from ..parallel.backend import ExpansionBackend, LevelOutcome
 
 #: Cap on how many individual cells one violation report enumerates.
@@ -243,13 +243,6 @@ class CheckedBackend(ExpansionBackend):
     def close(self) -> None:
         """Release the wrapped backend's resources."""
         self.inner.close()
-
-    def expand(
-        self, graph: KnowledgeGraph, state: SearchState, level: int
-    ) -> Optional[KernelCounters]:
-        """The wrapped backend's expansion; checked per level, in
-        :meth:`run_level`."""
-        return self.inner.expand(graph, state, level)
 
     def run_level(
         self,

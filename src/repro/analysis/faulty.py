@@ -27,14 +27,14 @@ import numpy as np
 
 from ..core.state import INFINITE_LEVEL, SearchState
 from ..graph.csr import KnowledgeGraph
-from ..parallel.backend import ExpansionBackend
+from ..parallel.backend import ComposedBackend
 from ..parallel.sequential import expand_frontier_chunk
 
 #: The violation classes :class:`FaultyBackend` can inject.
 FAULT_MODES = ("non-idempotent", "overwrite", "count-drift", "missed-central")
 
 
-class FaultyBackend(ExpansionBackend):
+class FaultyBackend(ComposedBackend):
     """Sequential expansion plus one injected invariant violation.
 
     It inherits the composed level (enqueue, identify, :meth:`expand`).

@@ -47,7 +47,7 @@ RPR010    No writes to store-backed (memmap) arrays outside
           share *read-only* pages; one stray writable view silently
           turns shared state into per-process copy-on-write divergence.
 RPR012    Metric names handed to ``MetricsRegistry.counter`` /
-          ``.gauge`` / ``.histogram`` must be module-level constants:
+          ``.histogram`` must be module-level constants:
           no inline string literals and especially no f-strings. An
           inline name defeats ``grep`` from a dashboard back to the
           emitter, and an f-string additionally pays per-request
@@ -133,10 +133,10 @@ _WRITABLE_MMAP_MODES = {"r+", "w+", "readwrite", "write"}
 
 #: ``MetricsRegistry`` factory methods whose first argument is a metric
 #: name (RPR012 requires it to be a module-level constant).
-_METRIC_FACTORY_METHODS = {"counter", "gauge", "histogram"}
+_METRIC_FACTORY_METHODS = {"counter", "histogram"}
 
 #: Receiver terminal names treated as a metrics registry for RPR012
-#: (``self.registry.counter(...)``, ``_DEFAULT_REGISTRY.gauge(...)``).
+#: (``self.registry.counter(...)``, ``_DEFAULT_REGISTRY.histogram(...)``).
 _REGISTRY_RECEIVER_NAMES = {
     "registry",
     "_registry",
@@ -528,7 +528,7 @@ class _FileLinter(ast.NodeVisitor):
         Matches direct calls on ``get_registry()`` and any name/attribute
         chain ending in a registry-conventional identifier
         (``self.registry``, ``_DEFAULT_REGISTRY``); other receivers named
-        ``counter``/``gauge``/``histogram`` methods stay out of scope so
+        ``counter``/``histogram`` methods stay out of scope so
         unrelated APIs are not misflagged.
         """
         if (

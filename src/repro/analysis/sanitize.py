@@ -15,16 +15,16 @@ module owns:
 
 Entry points:
 
-* :func:`run_smoke` — compiles the tiny ``_smoke.c`` fixture with the
-  sanitizer flags and executes its clean function in a sanitized
-  subprocess (with ``inject=True``, the deliberately out-of-bounds
-  function instead, asserting the sanitizer *aborts*: proof the wiring
-  is armed, not silently uninstrumented).
 * :func:`run_parity` — runs the cross-backend parity fuzz from
   :mod:`repro.analysis.check` in a sanitized subprocess with the
-  sanitized native kernel loaded.
-* ``python -m repro.analysis.sanitize --smoke|--parity [--inject]`` —
-  the child-process driver the two functions spawn.
+  sanitized native kernel loaded; a clean run is also the proof that
+  the sanitized kernel builds and loads. With ``inject=True`` the child
+  instead calls the real ``fused_expand`` with an ``out_keys`` one cell
+  too short for the cells it claims, and the sanitizer must *abort*
+  inside the kernel: proof the wiring is armed on the shipped code, not
+  silently uninstrumented.
+* ``python -m repro.analysis.sanitize --parity|--inject`` — the
+  child-process driver it spawns.
 
 The **ThreadSanitizer tier** (``REPRO_SANITIZE=thread``) works
 differently: TSan's runtime must own the process from the very first
@@ -38,8 +38,9 @@ pthreads racing on the shared ``M``/``FIdentifier`` arrays:
 * :func:`run_tsan_parity` — runs the harness under the curated
   suppression list (:data:`THEOREM_V2_SUPPRESSIONS`, naming exactly the
   Theorem V.2 idempotent write sites), fails on any *new* race report,
-  and compares the racing result bitwise against an independent
-  sequential NumPy oracle;
+  and compares the racing result bitwise against ``SequentialBackend``'s
+  per-node body (:func:`~repro.parallel.sequential.expand_frontier_chunk`)
+  run level by level under the harness's protocol;
 * :func:`run_tsan_inject` — the harness's deliberately non-idempotent
   racing write (in a function no suppression names); TSan must report
   it, proving the tier is armed;
@@ -50,7 +51,6 @@ pthreads racing on the shared ``M``/``FIdentifier`` arrays:
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import itertools
 import os
@@ -71,20 +71,11 @@ DEFAULT_SELECTION = ("address", "undefined")
 #: The race tier's selection (compiled into the harness executable).
 THREAD_SELECTION = ("thread",)
 
-_SMOKE_SOURCE = Path(__file__).with_name("_smoke.c")
 _HARNESS_SOURCE = Path(__file__).with_name("_tsan_harness.c")
 _KERNEL_SOURCE = (
     Path(__file__).resolve().parent.parent / "parallel" / "_kernel.c"
 )
 _BUILD_DIR = Path(__file__).with_name("_build")
-
-#: Every symbol ``_smoke.c`` exports, declared in the form of
-#: :data:`repro.parallel._native.KERNEL_EXPORTS`: the child driver types
-#: its calls from it, and the fixture is compiled against its header.
-SMOKE_EXPORTS: _native.Exports = {
-    "smoke_clean": ("int64_t", (("n", "int64_t"),)),
-    "smoke_faulty": ("int64_t", (("n", "int64_t"),)),
-}
 
 #: The curated TSan suppression list: ``(suppression, citation)`` pairs.
 #: Policy (enforced by :func:`audit_suppressions` on every run): each
@@ -189,23 +180,6 @@ def sanitized_env(
     return env
 
 
-def _compile_smoke(selection: Tuple[str, ...]) -> Optional[Path]:
-    """Build the smoke fixture with the sanitizer flags; reuses caching."""
-    digest = hashlib.sha256(
-        _SMOKE_SOURCE.read_bytes()
-        + _native.render_header(SMOKE_EXPORTS).encode()
-    ).hexdigest()[:16]
-    tag = ("-" + "-".join(selection)) if selection else ""
-    target = _BUILD_DIR / f"smoke-{digest}{tag}.so"
-    if target.exists():
-        return target
-    header = _native.write_header(SMOKE_EXPORTS, _BUILD_DIR, "smoke")
-    failure = _native._compile(
-        _SMOKE_SOURCE, target, header, _native.sanitize_cflags(selection)
-    )
-    return target if failure is None else None
-
-
 def _spawn(args: List[str], selection: Tuple[str, ...]) -> SanitizeResult:
     """Run the child driver in a sanitized environment."""
     cmd = [sys.executable, "-m", "repro.analysis.sanitize", *args]
@@ -221,7 +195,16 @@ def _spawn(args: List[str], selection: Tuple[str, ...]) -> SanitizeResult:
     except (OSError, subprocess.SubprocessError) as exc:
         return SanitizeResult(ok=False, detail=f"failed to spawn child: {exc}")
     combined = result.stdout + result.stderr
-    tail = combined.strip().splitlines()[-12:]
+    lines = combined.strip().splitlines()
+    # Where a report fired — its stack frames in the kernel and its
+    # one-line summary — sits above the shadow map that fills the tail.
+    kernel_frame = f"{_KERNEL_SOURCE.name}:"
+    summary = [
+        line.strip()
+        for line in lines[:-12]
+        if line.startswith("SUMMARY:")
+        or (line.lstrip().startswith("#") and kernel_frame in line)
+    ]
     # ASAN_OPTIONS pins exitcode=99 for sanitizer aborts; UBSan prints
     # "runtime error" without necessarily failing the process.
     reported = (
@@ -231,52 +214,40 @@ def _spawn(args: List[str], selection: Tuple[str, ...]) -> SanitizeResult:
     )
     return SanitizeResult(
         ok=result.returncode == 0,
-        detail="\n".join(tail),
+        detail="\n".join(summary + lines[-12:]),
         sanitizer_report=reported,
     )
 
 
-def run_smoke(
+def run_parity(
     selection: Tuple[str, ...] = DEFAULT_SELECTION, inject: bool = False
 ) -> SanitizeResult:
-    """Sanitized smoke run (see module docstring).
+    """Cross-backend parity fuzz under the sanitized native kernel.
 
-    With ``inject=True`` the *faulty* fixture function runs and success
-    means the sanitizer aborted the child. The caller still treats the
-    injected run as a seeded failure — this function reports whether
-    the wiring behaved as commanded.
+    With ``inject=True`` the child runs the seeded overflow in
+    ``fused_expand`` instead, and ``ok`` means the sanitizer aborted it.
+    The caller still treats the injected run as a seeded failure — this
+    function reports whether the wiring behaved as commanded.
     """
     if not toolchain_available(selection):
         return SanitizeResult(
             ok=True, detail="sanitizer toolchain unavailable", skipped=True
         )
-    args = ["--smoke"]
-    if inject:
-        args.append("--inject")
-    result = _spawn(args, selection)
-    if inject:
-        # The child deliberately trips ASan; "ok" now means "the
-        # sanitizer caught it" (non-zero child exit + a report).
-        caught = not result.ok and result.sanitizer_report
-        return SanitizeResult(
-            ok=caught,
-            detail=result.detail
-            if caught
-            else "injected out-of-bounds write was NOT caught:\n" + result.detail,
-            sanitizer_report=result.sanitizer_report,
-        )
-    return result
-
-
-def run_parity(
-    selection: Tuple[str, ...] = DEFAULT_SELECTION,
-) -> SanitizeResult:
-    """Cross-backend parity fuzz under the sanitized native kernel."""
-    if not toolchain_available(selection):
-        return SanitizeResult(
-            ok=True, detail="sanitizer toolchain unavailable", skipped=True
-        )
-    return _spawn(["--parity"], selection)
+    if not inject:
+        return _spawn(["--parity"], selection)
+    result = _spawn(["--inject"], selection)
+    caught = (
+        not result.ok
+        and result.sanitizer_report
+        and " in fused_expand " in result.detail
+    )
+    return SanitizeResult(
+        ok=caught,
+        detail=result.detail
+        if caught
+        else "the overflow in fused_expand was NOT caught:\n" + result.detail,
+        sanitizer_report=result.sanitizer_report,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -380,93 +351,37 @@ def _compile_tsan_harness() -> Optional[Path]:
     return target
 
 
-def _tsan_fixture(
-    seed: int, n: int = 400, q: int = 8
-) -> "Tuple[object, object, object, object]":
-    """A hub-heavy symmetric CSR plus q keyword seed sets.
+def _tsan_case(seed: int, q: int, n: int = 400) -> "Tuple[object, object]":
+    """A preferential-attachment graph and q keyword source sets, every
+    node active from level 0, as ``(graph, SearchState)``.
 
-    Hubs guarantee that racing chunks share scatter targets, so the
+    The low ids are hubs, so racing chunks share scatter targets and the
     Theorem V.2 races actually occur under the detector instead of the
     threads accidentally partitioning the writes.
     """
     import numpy as np
 
+    from ..core.state import SearchState
+    from ..graph.generators import preferential_attachment_graph
+
+    graph = preferential_attachment_graph(n, edges_per_node=3, seed=seed)
     rng = np.random.default_rng(seed * 9176 + 11)
-    pairs = set()
-    # Preferential-attachment-flavored edges: low ids are hubs.
-    for u in range(1, n):
-        degree = int(rng.integers(1, 6))
-        hubs = rng.integers(0, max(1, u // 8) + 1, size=degree)
-        uniform = rng.integers(0, u, size=2)
-        for v in list(hubs) + list(uniform):
-            v = int(v)
-            if v != u:
-                pairs.add((min(u, v), max(u, v)))
-    rows: "List[List[int]]" = [[] for _ in range(n)]
-    for u, v in pairs:
-        rows[u].append(v)
-        rows[v].append(u)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    for u in range(n):
-        rows[u].sort()
-        indptr[u + 1] = indptr[u] + len(rows[u])
-    indices = np.concatenate(
-        [np.asarray(row, dtype=np.int32) for row in rows if row]
-    ) if pairs else np.empty(0, dtype=np.int32)
-    matrix = np.full((n, q), 0xFF, dtype=np.uint8)
-    fid = np.zeros(n, dtype=np.uint8)
-    for column in range(q):
-        seeds = rng.integers(0, n, size=int(rng.integers(2, 7)))
-        matrix[seeds, column] = 0
-        fid[seeds] = 1
-    return indptr, indices, matrix, fid
+    sets = [
+        rng.integers(0, n, size=int(rng.integers(2, 7))) for _ in range(q)
+    ]
+    return graph, SearchState.initialize(n, sets, np.zeros(n, dtype=np.int32))
 
 
-def _tsan_oracle(
-    indptr: "object",
-    indices: "object",
-    matrix: "object",
-    fid: "object",
-    level_cap: int,
-) -> "Tuple[object, object, int]":
-    """Independent sequential NumPy replay of the harness's level loop.
+def _replay_levels(graph: "object", state: "object", level_cap: int) -> None:
+    """The harness's level protocol on ``SequentialBackend``'s per-node
+    body: each level drains FIdentifier into the frontier and expands
+    all of it, with no Central-Node identification."""
+    from ..parallel.sequential import expand_frontier_chunk
 
-    Same protocol (snapshot eligibility, idempotent scatter, frontier
-    drain), no shared code with the C kernel — divergence means the
-    racing writes were not benign.
-    """
-    import numpy as np
-
-    matrix = matrix.copy()
-    fid = fid.copy()
-    n, q = matrix.shape
-    indices64 = indices.astype(np.int64)
-    level = 0
-    while level < level_cap:
-        frontier = np.flatnonzero(fid).astype(np.int64)
-        if len(frontier) == 0:
+    for level in range(level_cap):
+        if not state.enqueue_frontiers():
             break
-        fid[frontier] = 0
-        eligible = matrix[frontier] <= level
-        degrees = (indptr[frontier + 1] - indptr[frontier]).astype(np.int64)
-        total = int(degrees.sum())
-        if total:
-            offsets = np.concatenate(([0], np.cumsum(degrees)[:-1]))
-            positions = (
-                np.repeat(indptr[frontier] - offsets, degrees)
-                + np.arange(total)
-            )
-            targets = indices64[positions]
-            source_row = np.repeat(np.arange(len(frontier)), degrees)
-            hits = eligible[source_row] & (matrix[targets] == 0xFF)
-            flat = np.flatnonzero(hits)
-            if len(flat):
-                edge_idx, col_idx = np.divmod(flat, q)
-                hit_targets = targets[edge_idx]
-                matrix[hit_targets, col_idx] = level + 1
-                fid[hit_targets] = 1
-        level += 1
-    return matrix, fid, level
+        expand_frontier_chunk(graph, state, level, state.frontier)
 
 
 def _tsan_env(suppressions: Optional[Path]) -> Dict[str, str]:
@@ -494,8 +409,9 @@ def run_tsan_parity(
 
     Green means: the suppression list passed the policy audit, the
     racing chunk replay reported **zero unsuppressed races**, and its
-    final ``M``/``FIdentifier`` matched the sequential oracle bitwise on
-    every (seed, q) with q in :data:`TSAN_LANE_COUNTS`.
+    final ``M``/``FIdentifier`` matched ``SequentialBackend``'s
+    (:func:`_replay_levels`) bitwise on every (seed, q) with q in
+    :data:`TSAN_LANE_COUNTS`.
     """
     import numpy as np
 
@@ -520,8 +436,9 @@ def run_tsan_parity(
     import tempfile
 
     for seed, q in itertools.product(seeds, TSAN_LANE_COUNTS):
-        indptr, indices, matrix, fid = _tsan_fixture(seed, q=q)
-        n = len(fid)
+        graph, state = _tsan_case(seed, q)
+        n = graph.n_nodes
+        indices = graph.adj.indices.astype(np.int32)
         level_cap = 32
         with tempfile.TemporaryDirectory(prefix="repro-tsan-") as tmp:
             in_path = Path(tmp) / "fixture.bin"
@@ -531,10 +448,10 @@ def run_tsan_parity(
             )
             with open(in_path, "wb") as handle:
                 handle.write(header.tobytes())
-                handle.write(indptr.tobytes())
+                handle.write(graph.adj.indptr.astype(np.int64).tobytes())
                 handle.write(indices.tobytes())
-                handle.write(matrix.tobytes())
-                handle.write(fid.tobytes())
+                handle.write(state.matrix.tobytes())
+                handle.write(state.f_identifier.tobytes())
             try:
                 result = subprocess.run(
                     [
@@ -577,23 +494,21 @@ def run_tsan_parity(
                 payload[8 : 8 + n * q], dtype=np.uint8
             ).reshape(n, q)
             got_fid = np.frombuffer(payload[8 + n * q :], dtype=np.uint8)
-            want_matrix, want_fid, _ = _tsan_oracle(
-                indptr, indices, matrix, fid, level_cap
-            )
-            if not np.array_equal(got_matrix, want_matrix) or not (
-                np.array_equal(got_fid, want_fid)
+            _replay_levels(graph, state, level_cap)
+            if not np.array_equal(got_matrix, state.matrix) or not (
+                np.array_equal(got_fid, state.f_identifier)
             ):
                 return SanitizeResult(
                     ok=False,
-                    detail=f"seed {seed} q {q}: racing replay diverged from the "
-                    "sequential oracle (idempotence broken)",
+                    detail=f"seed {seed} q {q}: racing replay diverged from "
+                    "SequentialBackend (idempotence broken)",
                 )
     return SanitizeResult(
         ok=True,
         detail=(
             f"{len(seeds)} seed(s) x q in {TSAN_LANE_COUNTS} x {repeats} repeats "
-            f"x {n_threads} racing threads: bitwise-identical to the "
-            "sequential oracle, "
+            f"x {n_threads} racing threads: bitwise-identical to "
+            "SequentialBackend, "
             "0 unsuppressed races "
             f"({len(THEOREM_V2_SUPPRESSIONS)} suppression(s) audited)"
         ),
@@ -643,27 +558,38 @@ def run_tsan_inject() -> SanitizeResult:
 # ---------------------------------------------------------------------------
 # Child-process driver
 # ---------------------------------------------------------------------------
-def _child_smoke(inject: bool) -> int:
-    selection = _native.sanitize_selection()
-    library_path = _compile_smoke(selection)
-    if library_path is None:
-        print("smoke: failed to compile _smoke.c with sanitizers")
-        return 3
-    library = ctypes.CDLL(str(library_path))
-    for symbol in SMOKE_EXPORTS:
-        _native.declare(library, symbol, SMOKE_EXPORTS)
-    if inject:
-        print("smoke: calling deliberately out-of-bounds smoke_faulty(64)")
-        value = library.smoke_faulty(64)  # ASan aborts here when armed
-        print(f"smoke: smoke_faulty returned {value} — sanitizer NOT armed")
-        return 4
-    expected = 64 * 63 // 2
-    value = library.smoke_clean(64)
-    if value != expected:
-        print(f"smoke: smoke_clean returned {value}, expected {expected}")
-        return 5
-    print("smoke: clean fixture passed under sanitizers")
-    return 0
+def _child_inject() -> int:
+    """One ``fused_expand`` call from a 200-leaf star's hub, which claims
+    the 200 leaf cells, with an ``out_keys`` of 199: an armed ASan aborts
+    inside the kernel on the last key's store."""
+    import numpy as np
+
+    from ..core.state import SearchState
+    from ..graph.generators import star_graph
+
+    kernel = _native.load_kernel()
+    graph = star_graph(200)
+    n = graph.n_nodes
+    state = SearchState.initialize(n, [np.array([0])], np.zeros(n, dtype=np.int32))
+    state.enqueue_frontiers()
+    print("inject: fused_expand claims 200 cells, out_keys has room for 199")
+    cells, _ = kernel.expand(
+        state.frontier,
+        graph.adj.indptr,
+        graph.adj.indices,
+        state.matrix.reshape(-1),
+        1,
+        state.f_identifier,
+        state.c_identifier,
+        state.keyword_node.view(np.uint8),
+        state.activation,
+        0,
+        False,
+        np.empty(n - 2, dtype=np.int64),
+    )  # ASan aborts here when armed
+    print(f"inject: fused_expand wrote {cells} keys unreported — the "
+          "sanitizer is NOT armed")
+    return 4
 
 
 def _child_parity() -> int:
@@ -672,9 +598,6 @@ def _child_parity() -> int:
         print("parity: REPRO_SANITIZE is empty in the child")
         return 3
     kernel = _native.load_kernel()
-    if kernel is None:
-        print("parity: sanitized native kernel failed to build/load")
-        return 4
     from .check import run_invariant_fuzz, run_tail_guard_fuzz, tail_guard_cases
 
     failures = run_invariant_fuzz(seeds=(0, 1), print_fn=print)
@@ -863,12 +786,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="child driver for sanitized subprocess runs",
     )
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--smoke", action="store_true")
     mode.add_argument("--parity", action="store_true")
-    parser.add_argument("--inject", action="store_true")
+    mode.add_argument("--inject", action="store_true")
     args = parser.parse_args(argv)
-    if args.smoke:
-        return _child_smoke(inject=args.inject)
+    if args.inject:
+        return _child_inject()
     return _child_parity()
 
 

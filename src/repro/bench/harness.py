@@ -345,7 +345,7 @@ def effectiveness_experiment(
 
 
 # ---------------------------------------------------------------------------
-# Observability overhead (the REPRO_OBS kill-switch and flight-path gates)
+# Observability overhead (the flight-path gate)
 # ---------------------------------------------------------------------------
 def tiny_config(seed: int = 7) -> WikiKBConfig:
     """A miniature wiki-shaped KB (a few hundred nodes) for smoke runs."""
@@ -368,43 +368,30 @@ def measure_obs_overhead(
     seed: int = 5,
     dataset: Optional[BenchDataset] = None,
 ) -> Dict[str, float]:
-    """Best-of timing of the untraced path vs. the disabled-tracer path.
-
-    ``REPRO_OBS=0`` (or any disabled tracer) must leave the query hot
-    path untouched: the engine's ``PhaseTimer`` then carries no tracer
-    and opens no span contexts, so the only residual cost is one
-    ``enabled`` check per phase. This measures both paths on a tiny
-    workload and reports the ratio; the test suite asserts it stays
-    within measurement noise (the acceptance criterion for the
-    kill-switch).
+    """Best-of timing of the untraced path vs. the flight-recorded one.
 
     The always-on flight-recorder path (a per-query owned tracer plus
-    one ring commit, the serving default) is measured alongside so CI
-    can watch its cost too.
+    one ring commit, the serving default) is measured against the
+    untraced engine on a tiny workload, so CI can watch its cost.
 
     Returns:
-        ``{"plain_ms", "disabled_ms", "ratio", "flight_ms",
-        "flight_ratio"}`` — best-of-``repeats`` total milliseconds,
-        disabled/plain, and flight-recorded/plain.
+        ``{"plain_ms", "flight_ms", "flight_ratio"}`` — best-of-``repeats``
+        total milliseconds, and flight-recorded/plain.
     """
     from ..obs.flight import FlightRecorder
-    from ..obs.tracing import Tracer
 
     if dataset is None:
         dataset = build_dataset(tiny_config())
     workload = KeywordWorkload(dataset.index, seed=seed)
     queries = workload.sample_queries(knum, n_queries)
 
-    def best_of(
-        tracer: "Optional[Tracer]", flight: "Optional[FlightRecorder]" = None
-    ) -> float:
+    def best_of(flight: "Optional[FlightRecorder]") -> float:
         engine = KeywordSearchEngine(
             dataset.graph,
             index=dataset.index,
             weights=dataset.weights,
             average_distance=dataset.distance.average,
             config=EngineConfig(topk=topk),
-            tracer=tracer,
         )
         engine.flight = flight
         best = float("inf")
@@ -416,12 +403,9 @@ def measure_obs_overhead(
         return best
 
     plain = best_of(None)
-    disabled = best_of(Tracer(enabled=False))
-    flight = best_of(None, FlightRecorder(max_records=128, slow_ms=0))
+    flight = best_of(FlightRecorder(max_records=128, slow_ms=0))
     return {
         "plain_ms": plain * 1e3,
-        "disabled_ms": disabled * 1e3,
-        "ratio": disabled / plain if plain > 0 else 1.0,
         "flight_ms": flight * 1e3,
         "flight_ratio": flight / plain if plain > 0 else 1.0,
     }

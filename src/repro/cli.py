@@ -149,9 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="print predicate-level explanations")
     search.add_argument("--dot", metavar="FILE",
                         help="write the top answer as GraphViz DOT")
-    search.add_argument("--trace", metavar="FILE",
-                        help="also record spans and write a Chrome "
-                             "trace-event JSON to FILE")
 
     bench = commands.add_parser("bench", help="quick single-machine profile")
     bench.add_argument("--graph", help="saved graph path (default: generate)")
@@ -369,15 +366,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     graph, index = _load_or_generate(args.graph)
     backend = _BACKENDS[args.backend]()
-    tracer = None
-    if args.trace:
-        from .obs.tracing import Tracer
-
-        tracer = Tracer(enabled=True)
     engine = KeywordSearchEngine(
         graph, backend=backend, index=index,
         config=EngineConfig(topk=args.topk, alpha=args.alpha),
-        tracer=tracer,
     )
     try:
         result = engine.search(args.query, k=args.topk, alpha=args.alpha)
@@ -412,10 +403,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(dot + "\n")
         print(f"wrote GraphViz DOT of the top answer to {args.dot}")
-    if tracer is not None:
-        tracer.write_chrome_trace(args.trace)
-        print(f"wrote Chrome trace ({len(tracer.finished_spans())} spans) "
-              f"to {args.trace}")
     return 0
 
 
@@ -483,8 +470,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     port = 0 if args.check else args.port
     server = create_server(engine, host=args.host, port=port)
     host, bound_port = server.server_address
-    print(f"serving on http://{host}:{bound_port}/  (Ctrl-C to stop)")
     try:
+        # Inside the try: a Ctrl-C sent as soon as this line is read can
+        # land before serve_forever is entered.
+        print(f"serving on http://{host}:{bound_port}/  (Ctrl-C to stop)")
         if args.check:
             thread = threading.Thread(target=server.serve_forever, daemon=True)
             thread.start()
@@ -503,10 +492,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 return 0
             finally:
                 server.shutdown()
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:  # pragma: no cover - interactive path
-            pass
+        server.serve_forever()
+        return 0
+    except KeyboardInterrupt:  # pragma: no cover - interactive path
         return 0
     finally:
         # Give back the port and the request workers on every exit.

@@ -155,9 +155,7 @@ class KeywordSearchEngine:
         self._activation_cache: Dict[float, Tuple[np.ndarray, int]] = {}
         # Stage two's binding of the graph and weights, made once. It
         # loads the kernel, so a host without one fails here.
-        self._bound_graph: Optional[BoundGraph] = bind_graph(
-            graph, self.weights
-        )
+        self._bound_graph: BoundGraph = bind_graph(graph, self.weights)
 
     # ------------------------------------------------------------------
     # Offline pieces
@@ -284,8 +282,8 @@ class KeywordSearchEngine:
             # record carries a span tree even when neither REPRO_TRACE
             # nor an engine tracer is configured.
             tracer = recording.tracer
-        # With a disabled tracer the timer opens no span context
-        # (REPRO_OBS=0 / no tracer installed ⇒ the seed hot path).
+        # With a disabled tracer (none attached, none installed) the
+        # timer opens no span context.
         timer = PhaseTimer(tracer=tracer)
         try:
             with tracer.span(

@@ -100,9 +100,6 @@ class HittingDAG:
     ``extract_graphs`` in ``_kernel.c`` evaluates the same predicate on
     the adjacency slices its walks pop — and is differentially tested
     against this one.
-
-    One instance serves one query and is read-only once built, so the
-    reference route's ``n_threads`` workers share it.
     """
 
     def __init__(self, graph: KnowledgeGraph, state: SearchState) -> None:
@@ -351,9 +348,8 @@ class TopDownConfig:
         n_threads: when > 1 the Central-Node list is cut into that many
             contiguous chunks, one batched kernel call per thread with
             its own scratch (ctypes releases the GIL, so the walks
-            overlap — the paper runs this stage on CPU threads); on the
-            reference route, Central Graphs are recovered by a thread
-            pool of that size.
+            overlap — the paper runs this stage on CPU threads). The
+            reference route runs on the calling thread.
         native: ``False`` pins the reference route — the eager NumPy
             hitting-DAG build, the per-level NumPy extraction walk and
             the per-object level-cover, dedup and scoring; ``None`` takes
@@ -587,24 +583,10 @@ def _reference_stage_two(
     """The reference route: one :class:`CentralGraph` per Central Node."""
     central_nodes = state.central_nodes
     dag = HittingDAG(graph, state) if central_nodes else None
-    if config.n_threads > 1 and len(central_nodes) > 1:
-        with ThreadPoolExecutor(max_workers=config.n_threads) as pool:
-            extracted = list(
-                pool.map(
-                    lambda pair: extract_central_graph(
-                        graph, state, pair[0], pair[1], dag,
-                        config.single_path,
-                    ),
-                    central_nodes,
-                )
-            )
-    else:
-        extracted = [
-            extract_central_graph(
-                graph, state, node, depth, dag, config.single_path
-            )
-            for node, depth in central_nodes
-        ]
+    extracted = [
+        extract_central_graph(graph, state, node, depth, dag, config.single_path)
+        for node, depth in central_nodes
+    ]
     counts = {
         "central_graphs": len(extracted),
         "extracted_nodes": sum(answer.n_nodes for answer in extracted),
@@ -617,51 +599,19 @@ def _reference_stage_two(
     return ranked, counts
 
 
-def bind_graph(
-    graph: KnowledgeGraph, weights: np.ndarray
-) -> Optional[BoundGraph]:
+def bind_graph(graph: KnowledgeGraph, weights: np.ndarray) -> BoundGraph:
     """The batch route's binding of ``graph``'s CSR arrays and Eq. 6
-    ``weights``, for a caller that answers many queries on them (an
-    engine) to make once and pass to every :func:`process_top_down`;
-    ``None`` when the kernel cannot read them as they are laid out.
+    ``weights`` (contiguous ``float64``), for a caller that answers many
+    queries on them (an engine) to make once and pass to every
+    :func:`process_top_down`.
 
     Raises:
         NativeKernelUnavailable: the kernel cannot be built on this host.
+        TypeError: an array is not laid out as the kernel reads it.
     """
-    kernel = _native_kernel()
-    arrays = (graph.adj.indptr, graph.adj.indices, weights)
-    if weights.dtype != np.float64 or not all(
-        array.flags.c_contiguous for array in arrays
-    ):
-        return None
-    return kernel.bind_graph(*arrays)
-
-
-def _batch_kernel(
-    graph: KnowledgeGraph,
-    state: SearchState,
-    weights: np.ndarray,
-    config: TopDownConfig,
-) -> Optional[NativeKernel]:
-    """The kernel when this query can take the batch route: not pinned
-    to the reference, and every array the kernel reads is laid out as it
-    reads it (M row-major, ``double`` weights)."""
-    if config.native is False or config.single_path:
-        return None
-    arrays = (
-        graph.adj.indptr,
-        graph.adj.indices,
-        state.matrix,
-        state.activation,
-        state.keyword_node,
-        state.central_level,
-        weights,
+    return _native_kernel().bind_graph(
+        graph.adj.indptr, graph.adj.indices, weights
     )
-    if weights.dtype != np.float64 or not all(
-        array.flags.c_contiguous for array in arrays
-    ):
-        return None
-    return _native_kernel()
 
 
 def process_top_down(
@@ -675,8 +625,14 @@ def process_top_down(
 ) -> List[CentralGraph]:
     """Run stage two over every identified Central Node.
 
+    The batch route answers unless ``config`` pins the reference route
+    (``native=False``) or asks for the ``single_path`` ablation, which
+    only the reference route implements.
+
     Args:
-        weights: normalized degree-of-summary weights (for Eq. 6).
+        weights: normalized degree-of-summary weights (for Eq. 6),
+            converted once to contiguous ``float64`` if they are not
+            (exact, so every route sums the same doubles).
         bound_graph: ``graph`` and ``weights`` as :func:`bind_graph`
             bound them, kept by a caller that runs many queries; the
             batch route binds them itself when it is ``None`` (or of
@@ -690,16 +646,16 @@ def process_top_down(
     """
     config = config or TopDownConfig()
     timer = timer or PhaseTimer()
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
     with timer.phase(PHASE_TOP_DOWN):
-        kernel = _batch_kernel(graph, state, weights, config)
-        if kernel is not None:
-            ranked, counts = _batch_stage_two(
-                kernel, graph, state, weights, config,
-                bound_graph=bound_graph,
-            )
-        else:
+        if config.native is False or config.single_path:
             ranked, counts = _reference_stage_two(
                 graph, state, weights, config
+            )
+        else:
+            ranked, counts = _batch_stage_two(
+                _native_kernel(), graph, state, weights, config,
+                bound_graph=bound_graph,
             )
         state.stage_two_nbytes = counts["stage_two_nbytes"]
         tracer = timer.tracer

@@ -5,10 +5,10 @@ One API for all telemetry:
 * :mod:`repro.obs.tracing` — nested, thread-aware spans; Chrome
   trace-event export (Perfetto / ``chrome://tracing``) and text flame
   summaries.
-* :mod:`repro.obs.metrics` — lock-protected counters, gauges, and
-  log-bucket histograms; Prometheus text exposition and JSON snapshots.
-* :mod:`repro.obs.config` — every ``REPRO_*`` switch: the ``REPRO_OBS``
-  kill-switch and the ``REPRO_TRACE`` bench-run trace hook among them.
+* :mod:`repro.obs.metrics` — lock-protected counters and log-bucket
+  histograms; Prometheus text exposition and JSON snapshots.
+* :mod:`repro.obs.config` — every ``REPRO_*`` switch, the
+  ``REPRO_TRACE`` bench-run trace hook among them.
 * :mod:`repro.obs.flight` — the query flight recorder: a ring buffer of
   the last N completed :class:`~repro.obs.flight.QueryRecord`\\ s plus
   a slow-query log (``REPRO_FLIGHT_N`` / ``REPRO_SLOW_MS``).
@@ -19,18 +19,15 @@ and how to scrape/open the exports.
 
 from .config import (
     ENV_FLIGHT_N,
-    ENV_OBS,
     ENV_SLOW_MS,
     ENV_TRACE,
     flight_recorder_size,
     maybe_install_env_tracer,
-    obs_enabled,
     slow_query_threshold_ms,
 )
 from .flight import FlightRecorder, QueryRecord, QueryRecording
 from .metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     get_registry,
@@ -49,11 +46,9 @@ from .tracing import (
 __all__ = [
     "Counter",
     "ENV_FLIGHT_N",
-    "ENV_OBS",
     "ENV_SLOW_MS",
     "ENV_TRACE",
     "FlightRecorder",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_TRACER",
@@ -66,7 +61,6 @@ __all__ = [
     "get_registry",
     "install_global_tracer",
     "maybe_install_env_tracer",
-    "obs_enabled",
     "record_kernel_counters",
     "slow_query_threshold_ms",
     "uninstall_global_tracer",

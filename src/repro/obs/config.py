@@ -5,12 +5,6 @@ this module so spelling, ownership, and defaults live in exactly one
 place (the ``RPR004`` lint rule in :mod:`repro.analysis.lint` enforces
 registration):
 
-* ``REPRO_OBS`` — the observability kill-switch. ``REPRO_OBS=0``
-  disables span tracing and metric recording everywhere (default
-  tracers come up disabled, :func:`~repro.obs.metrics.record_kernel_counters`
-  no-ops), so the engine runs the exact seed hot path.
-  :func:`repro.bench.harness.measure_obs_overhead` measures that this
-  disabled path stays within measurement noise of the untraced engine.
 * ``REPRO_TRACE`` — when set to a file path, a process-global tracer is
   installed at benchmark-harness import and the collected spans are
   written there as Chrome trace-event JSON at interpreter exit, so any
@@ -35,9 +29,6 @@ from __future__ import annotations
 import atexit
 import os
 from typing import Optional
-
-#: Kill-switch for all span tracing and metric recording.
-ENV_OBS = "REPRO_OBS"
 
 #: Chrome-trace output path for benchmark runs (empty/unset = no trace).
 ENV_TRACE = "REPRO_TRACE"
@@ -70,11 +61,6 @@ DEFAULT_SLOW_QUERY_MS = 500.0
 
 #: Default ``REPRO_FLIGHT_N`` when the variable is unset or unparsable.
 DEFAULT_FLIGHT_RECORDS = 128
-
-
-def obs_enabled() -> bool:
-    """True unless ``REPRO_OBS=0`` vetoes telemetry."""
-    return os.environ.get(ENV_OBS, "1") != "0"
 
 
 def trace_path() -> Optional[str]:

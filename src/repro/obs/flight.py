@@ -21,10 +21,8 @@ Wiring:
   disabled (the common serving configuration), the recording brings its
   *own* per-query enabled tracer, so the record still carries a span
   tree.
-* ``REPRO_OBS=0`` vetoes everything: :attr:`FlightRecorder.enabled`
-  re-checks the kill-switch per query, so the disabled engine path is
-  byte-identical to the untraced seed (one attribute load and one
-  branch; a parity test pins this).
+* ``REPRO_FLIGHT_N=0`` turns recording off: the engine path is then the
+  untraced one (one attribute load and one branch per query).
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from .config import flight_recorder_size, obs_enabled, slow_query_threshold_ms
+from .config import flight_recorder_size, slow_query_threshold_ms
 from .tracing import Span, Tracer, chrome_trace_of
 
 #: Slow-query log capacity (independent of the ring: a burst of fast
@@ -303,13 +301,8 @@ class FlightRecorder:
 
     @property
     def enabled(self) -> bool:
-        """Recording allowed right now.
-
-        Re-checks the ``REPRO_OBS`` kill-switch on every call (one env
-        lookup), so flipping the switch needs no recorder rebuild and
-        the disabled engine path stays the exact seed hot path.
-        """
-        return self.max_records > 0 and obs_enabled()
+        """Whether the recorder keeps anything (a capacity of 0 does not)."""
+        return self.max_records > 0
 
     # ------------------------------------------------------------------
     # Recording

@@ -1,4 +1,4 @@
-"""Metrics: lock-protected counters, gauges, and log-bucket histograms.
+"""Metrics: lock-protected counters and log-bucket histograms.
 
 The service and kernel layers record operational numbers here —
 request latencies, error counts, fused-kernel work totals — and two
@@ -26,8 +26,6 @@ import math
 import re
 import threading
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
-
-from .config import obs_enabled
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..instrumentation import KernelCounters
@@ -98,44 +96,9 @@ class Counter(_Instrument):
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
-            raise ValueError("counters only increase; use a Gauge")
+            raise ValueError("counters only increase")
         with self._lock:
             self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def render(self) -> List[str]:
-        return [
-            f"{self.name}{_render_labels(self.labels)} "
-            f"{_format_value(self.value)}"
-        ]
-
-    def snapshot(self) -> object:
-        return self.value
-
-
-class Gauge(_Instrument):
-    """A value that can go up and down (pool sizes, in-flight requests)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str, labels: LabelItems) -> None:
-        super().__init__(name, help, labels)
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
 
     @property
     def value(self) -> float:
@@ -327,9 +290,6 @@ class MetricsRegistry:
     def counter(self, name: str, help: str = "", **labels: str) -> Counter:
         return self._get_or_create(Counter, name, help, labels)
 
-    def gauge(self, name: str, help: str = "", **labels: str) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labels)
-
     def histogram(
         self,
         name: str,
@@ -409,21 +369,15 @@ def record_kernel_counters(
     tier: str,
     registry: Optional[MetricsRegistry] = None,
 ) -> None:
-    """Accumulate :class:`~repro.instrumentation.KernelCounters`: a
-    query's, summed over its levels by the bottom-up loop, or one
-    ``VectorizedBackend.expand`` call's.
-
-    No-ops when ``REPRO_OBS=0``, so a query pays one env lookup when
-    observability is off.
+    """Accumulate a query's :class:`~repro.instrumentation.KernelCounters`,
+    summed over its levels by the bottom-up loop.
 
     Args:
         counters: the work counters to add.
-        tier: which kernel produced them (``whole-level`` / ``native`` /
-            ``threads`` — a bounded label set).
+        tier: which kernel produced them (``whole-level`` / ``threads``
+            — a bounded label set).
         registry: target registry (default: the process registry).
     """
-    if not obs_enabled():
-        return
     registry = registry or _DEFAULT_REGISTRY
     for field, value in counters.as_dict().items():
         if value:

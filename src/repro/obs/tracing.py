@@ -18,9 +18,10 @@ Design:
   ``chrome://tracing``) via :meth:`Tracer.to_chrome_trace` (one
   module-level writer, :func:`chrome_trace_of`, over any span list), and a
   human-readable **flame summary** via :meth:`Tracer.flame_summary`.
-* A disabled tracer (``Tracer(enabled=False)``, or any tracer built
-  while ``REPRO_OBS=0``) short-circuits ``span()`` to a reusable no-op
-  context manager, so the disabled path costs one branch.
+* A disabled tracer (``Tracer(enabled=False)``, and the process-global
+  default until one is installed) short-circuits ``span()`` to a
+  reusable no-op context manager, so the disabled path costs one
+  branch.
 
 Typical use::
 
@@ -50,9 +51,6 @@ from typing import (
     Optional,
     Type,
 )
-
-from .config import obs_enabled
-
 
 class Span:
     """One finished (or open) named interval.
@@ -160,14 +158,12 @@ class Tracer:
     """Collects nested spans; exports Chrome traces and flame summaries.
 
     Args:
-        enabled: ``None`` (default) follows the ``REPRO_OBS`` kill-switch
-            at construction time; ``True``/``False`` pin the state. A
-            disabled tracer records nothing and costs one branch per
-            ``span()`` call.
+        enabled: ``False`` builds a tracer that records nothing and
+            costs one branch per ``span()`` call.
     """
 
-    def __init__(self, enabled: Optional[bool] = None) -> None:
-        self.enabled = obs_enabled() if enabled is None else bool(enabled)
+    def __init__(self, enabled: bool = True) -> None:
+        self.enabled = bool(enabled)
         self._lock = threading.Lock()
         self._finished: List[Span] = []
         self._local = threading.local()

@@ -12,13 +12,14 @@ Mapping to the paper's implementations:
 """
 
 from ._native import NativeKernelUnavailable
-from .backend import ExpansionBackend
+from .backend import ComposedBackend, ExpansionBackend
 from .locked import LockedDictEngine
 from .sequential import SequentialBackend
 from .threads import ThreadPoolBackend
 from .vectorized import VectorizedBackend
 
 __all__ = [
+    "ComposedBackend",
     "ExpansionBackend",
     "LockedDictEngine",
     "NativeKernelUnavailable",

@@ -8,15 +8,12 @@ stage two's extraction and ranking) is compiled once per source hash
 with whatever system C compiler is available and loaded through
 :mod:`ctypes`.
 
-Every search route needs it. :func:`load_kernel` returns ``None`` when
-no compiler could build it (a missing source, a failed compile, a
-dlopen error, a declared symbol the object lacks) and raises
-``ValueError`` on a ``REPRO_SANITIZE`` it does not know;
-:func:`repro.parallel.vectorized._native_kernel` turns the ``None``
-into :class:`NativeKernelUnavailable`, whose message carries the
-reason. Nothing outside this package directory is written; the shared
-object lands in ``_build/`` next to the source and is reused across
-processes.
+Every search route needs it. :func:`load_kernel` returns the loaded
+kernel or raises :class:`NativeKernelUnavailable`, whose message
+carries why (the compiler's diagnostic, or the load's exception), and
+raises ``ValueError`` on a ``REPRO_SANITIZE`` it does not know.
+Nothing outside this package directory is written; the shared object
+lands in ``_build/`` next to the source and is reused across processes.
 
 The kernel's ABI is declared once, in :data:`KERNEL_EXPORTS`. The
 ctypes argtypes derive from it, and so does a C header the kernel is
@@ -32,6 +29,7 @@ import ctypes
 import hashlib
 import os
 import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple
@@ -275,16 +273,28 @@ def _failure(compiler: str, result: "subprocess.CompletedProcess[str]") -> str:
     return f"{compiler} exited {result.returncode}:\n" + "\n".join(shown)
 
 
+def _located(
+    result: "subprocess.CompletedProcess[str]", *paths: Path
+) -> bool:
+    """Whether a diagnostic of ``result`` points into one of ``paths``
+    (the source or its header): then the code is wrong, and no other
+    flag set or compiler will accept it."""
+    prefixes = tuple(f"{path}:" for path in paths)
+    return any(line.startswith(prefixes) for line in result.stderr.splitlines())
+
+
 def _compile(
     source: Path,
     target: Path,
     header: Path,
     extra_flags: "tuple[str, ...]" = (),
 ) -> Optional[str]:
-    """Try every (compiler, flags) pair until one produces ``target``
-    from ``source`` compiled against ``header``. Returns ``None`` then,
-    and otherwise what the last compiler that ran said (or why the first
-    could not run, if none did)."""
+    """Try (compiler, flags) pairs until one produces ``target`` from
+    ``source`` compiled against ``header``. Returns ``None`` then, and
+    otherwise what the last compiler that ran said (or why the first
+    could not run, if none did). Only a rejected flag set or a compiler
+    that does not run moves on to the next pair: the first diagnostic
+    located in ``source`` or ``header`` ends the search."""
     target.parent.mkdir(parents=True, exist_ok=True)
     failure = ""
     for compiler in _compilers():
@@ -324,6 +334,8 @@ def _compile(
                 return None
             tmp.unlink(missing_ok=True)
             failure = _failure(compiler, result)
+            if _located(result, source, header):
+                return failure
     return failure
 
 
@@ -354,18 +366,6 @@ def _ctype(declared: str) -> type:
     if declared.endswith("*"):
         return np.ctypeslib.ndpointer(element, ndim=1, flags="C_CONTIGUOUS")
     return scalar
-
-
-def declare(
-    library: ctypes.CDLL, symbol: str, exports: Exports
-) -> "ctypes._CFuncPtr":
-    """``symbol`` of ``library``, typed as ``exports`` declares it.
-    A symbol the library lacks raises ``AttributeError`` naming it."""
-    restype, params = exports[symbol]
-    fn = getattr(library, symbol)
-    fn.restype = _ctype(restype)
-    fn.argtypes = [_ctype(ctype) for _, ctype in params]
-    return fn
 
 
 def _address_type(argtype: type) -> type:
@@ -701,13 +701,14 @@ class NativeKernel:
         #: Each export's typed function and its parameters' positions by
         #: name, resolved once: :meth:`_address` checks an array against
         #: the parameter it is named for.
-        self._declared = {
-            symbol: (
-                declare(library, symbol, KERNEL_EXPORTS),
-                {name: position for position, (name, _) in enumerate(params)},
+        self._declared: "Dict[str, Tuple[ctypes._CFuncPtr, Dict[str, int]]]" = {}
+        for symbol, (restype, params) in KERNEL_EXPORTS.items():
+            fn = getattr(library, symbol)  # AttributeError names a missing one
+            fn.restype = _ctype(restype)
+            fn.argtypes = [_ctype(ctype) for _, ctype in params]
+            self._declared[symbol] = (
+                fn, {name: position for position, (name, _) in enumerate(params)}
             )
-            for symbol, (_, params) in KERNEL_EXPORTS.items()
-        }
         self._fn = self._declared["fused_expand"][0]
         self._step = self._declared["whole_level_step"][0]
         self._extract = self._declared["extract_graphs"][0]
@@ -949,11 +950,6 @@ class NativeKernel:
         return BoundStageTwo(self, head, arrays)
 
 
-#: Why the last :func:`load_kernel` returned ``None`` (empty otherwise):
-#: the tail of the last failing compile, or the load's exception.
-_load_failure = ""
-
-
 def shared_object_path(
     exports: Exports, selection: "tuple[str, ...]" = ()
 ) -> Path:
@@ -966,20 +962,26 @@ def shared_object_path(
     return _BUILD_DIR / f"fused_expand-{digest}{tag}.so"
 
 
-def load_kernel() -> Optional[NativeKernel]:
-    """Compile (once) and load the native kernel, or ``None`` when no
-    compiler could build it or it does not load
-    (:func:`unavailable_error` then says why).
+def load_kernel() -> NativeKernel:
+    """Compile (once) and load the native kernel.
 
     Raises:
+        NativeKernelUnavailable: no compiler could build it, it does not
+            load, or the host is big-endian (the byte-lane ballots read
+            lane 0 as the lowest-address byte of a word). The message
+            names the compilers tried and carries the compiler's
+            diagnostic or the load's exception.
         ValueError: ``REPRO_SANITIZE`` names a sanitizer this tier does
             not know — a typo must not load an unsanitized kernel.
     """
-    global _load_failure
     selection = sanitize_selection()
-    _load_failure = ""
+    if sys.byteorder != "little":
+        raise NativeKernelUnavailable(
+            "the native kernel's byte-lane words need a little-endian host"
+        )
     try:
         so_path = shared_object_path(KERNEL_EXPORTS, selection)
+        failure = None
         if not so_path.exists():
             failure = _compile(
                 _SOURCE_PATH,
@@ -987,20 +989,14 @@ def load_kernel() -> Optional[NativeKernel]:
                 write_header(KERNEL_EXPORTS, _BUILD_DIR, "kernel"),
                 sanitize_cflags(selection),
             )
-            if failure is not None:
-                _load_failure = failure
-                return None
-        return NativeKernel(ctypes.CDLL(str(so_path)))
+        if failure is None:
+            return NativeKernel(ctypes.CDLL(str(so_path)))
     except Exception as exc:
-        _load_failure = f"{type(exc).__name__}: {exc}"
-        return None
-
-
-def unavailable_error() -> NativeKernelUnavailable:
-    """What to raise when :func:`load_kernel` returned ``None``."""
-    reason = f"\n{_load_failure}" if _load_failure else ""
-    return NativeKernelUnavailable(
+        # A missing source, a dlopen error, a declared symbol the object
+        # lacks.
+        failure = f"{type(exc).__name__}: {exc}"
+    raise NativeKernelUnavailable(
         f"the native kernel ({_SOURCE_PATH.name}) could not be compiled "
         f"or loaded; tried the C compilers {', '.join(_compilers())} "
-        f"(set CC to name another). Every search route needs it.{reason}"
+        f"(set CC to name another). Every search route needs it.\n{failure}"
     )

@@ -5,11 +5,11 @@ expansion procedure and joins between steps. In this reproduction a
 *backend* runs one bottom-up level per :meth:`ExpansionBackend.run_level`
 call — enqueue frontiers, identify Central Nodes, expansion — and the
 loop in :class:`~repro.core.bottom_up.BottomUpSearch` only decides when
-to stop. A backend supplies :meth:`ExpansionBackend.expand` (Algorithm 2
-over the current frontier of the shared
-:class:`~repro.core.state.SearchState`) and inherits a level composed
-from it; one that can do the whole level in a single pass overrides
-``run_level``.
+to stop. ``run_level`` is the whole protocol: the production route runs
+a level in one native call. A :class:`ComposedBackend` instead supplies
+:meth:`ComposedBackend.expand` (Algorithm 2 over the current frontier of
+the shared :class:`~repro.core.state.SearchState`) and inherits a level
+composed from it.
 
 Backends must preserve the lock-free write discipline: only ever write
 ``1`` into FIdentifier and ``level + 1`` into M, so concurrent writers
@@ -101,7 +101,7 @@ class LevelOutcome:
 
 
 class ExpansionBackend(abc.ABC):
-    """One expansion strategy (sequential, threaded, vectorized, ...)."""
+    """One stage-one route (sequential, threaded, vectorized, ...)."""
 
     #: Human-readable name used in benchmark tables.
     name: str = "abstract"
@@ -111,6 +111,47 @@ class ExpansionBackend(abc.ABC):
     #: records them once under it. ``None`` for a backend that counts
     #: nothing.
     counter_tier: Optional[str] = None
+
+    @abc.abstractmethod
+    def run_level(
+        self,
+        graph: KnowledgeGraph,
+        state: SearchState,
+        level: int,
+        k: int,
+        may_expand: bool,
+        timer: PhaseTimer,
+    ) -> LevelOutcome:
+        """Execute one bottom-up level of Algorithm 1 and report it.
+
+        Enqueue frontiers, identify Central Nodes, then — unless the
+        frontier drained, ``state.n_central_nodes`` reached ``k`` or
+        ``may_expand`` is False (the level cap) — expand, leaving in
+        ``state.live_lanes`` the lanes the level left open (see
+        :attr:`LevelOutcome.live_lanes`).
+        """
+
+    def close(self) -> None:
+        """Release pooled resources (thread pools); default is a no-op."""
+
+    def __enter__(self) -> "ExpansionBackend":
+        return self
+
+    def __exit__(
+        self,
+        exc_type: Optional[Type[BaseException]],
+        exc: Optional[BaseException],
+        tb: Optional[TracebackType],
+    ) -> None:
+        self.close()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}(name={self.name!r})"
+
+
+class ComposedBackend(ExpansionBackend):
+    """A route whose level is composed from :meth:`expand`: the
+    per-node reference, the threaded chunks, the fault injector."""
 
     @abc.abstractmethod
     def expand(
@@ -139,14 +180,8 @@ class ExpansionBackend(abc.ABC):
         may_expand: bool,
         timer: PhaseTimer,
     ) -> LevelOutcome:
-        """Execute one bottom-up level of Algorithm 1 and report it.
-
-        Enqueue frontiers, identify Central Nodes, then — unless the
-        frontier drained, ``state.n_central_nodes`` reached ``k`` or
-        ``may_expand`` is False (the level cap) — :meth:`expand`. Each
-        step's time goes to its own phase of ``timer`` (the Fig. 6-7
-        columns).
-        """
+        """Enqueue, identify and :meth:`expand`, each step's time in its
+        own phase of ``timer`` (the Fig. 6-7 columns)."""
         with timer.phase(PHASE_ENQUEUE):
             frontier_size = state.enqueue_frontiers()
         if frontier_size == 0:
@@ -175,20 +210,3 @@ class ExpansionBackend(abc.ABC):
             counters=counters,
             live_lanes=state.live_lanes,
         )
-
-    def close(self) -> None:
-        """Release pooled resources (thread pools); default is a no-op."""
-
-    def __enter__(self) -> "ExpansionBackend":
-        return self
-
-    def __exit__(
-        self,
-        exc_type: Optional[Type[BaseException]],
-        exc: Optional[BaseException],
-        tb: Optional[TracebackType],
-    ) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(name={self.name!r})"

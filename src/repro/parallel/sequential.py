@@ -12,7 +12,7 @@ from typing import Sequence
 
 from ..core.state import INFINITE_LEVEL, SearchState
 from ..graph.csr import KnowledgeGraph
-from .backend import ExpansionBackend
+from .backend import ComposedBackend
 
 
 def expand_frontier_chunk(
@@ -81,20 +81,15 @@ def expand_frontier_chunk(
     return live
 
 
-class SequentialBackend(ExpansionBackend):
+class SequentialBackend(ComposedBackend):
     """Single-threaded per-node reference backend (the semantic oracle)."""
 
     name = "sequential"
 
     def expand(self, graph: KnowledgeGraph, state: SearchState, level: int) -> None:
-        if state.tracer.enabled:
-            with state.tracer.span(
-                "expand:sequential", frontier_size=len(state.frontier)
-            ):
-                state.live_lanes = expand_frontier_chunk(
-                    graph, state, level, state.frontier
-                )
-            return
-        state.live_lanes = expand_frontier_chunk(
-            graph, state, level, state.frontier
-        )
+        with state.tracer.span(
+            "expand:sequential", frontier_size=len(state.frontier)
+        ):
+            state.live_lanes = expand_frontier_chunk(
+                graph, state, level, state.frontier
+            )

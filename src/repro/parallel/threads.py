@@ -29,7 +29,7 @@ import numpy as np
 from ..core.state import SearchState
 from ..graph.csr import KnowledgeGraph
 from ..instrumentation import KernelCounters
-from .backend import ExpansionBackend
+from .backend import ComposedBackend
 from .vectorized import apply_hit_keys, fused_expand_chunk
 
 
@@ -73,7 +73,7 @@ def merge_chunk_hits(
     return counters
 
 
-class ThreadPoolBackend(ExpansionBackend):
+class ThreadPoolBackend(ComposedBackend):
     """Coarse-grained dynamic scheduling of frontier chunks over threads.
 
     Args:
@@ -101,8 +101,6 @@ class ThreadPoolBackend(ExpansionBackend):
         self, graph: KnowledgeGraph, state: SearchState, level: int
     ) -> KernelCounters:
         frontier = state.frontier
-        if len(frontier) == 0:
-            return KernelCounters()
         if len(frontier) == 1 or self.n_threads == 1:
             counters = KernelCounters()
             keys = fused_expand_chunk(graph, state, level, frontier, counters)

@@ -24,12 +24,11 @@ call (``whole_level_step``); :func:`fused_expand_chunk` is the per-chunk
 call ``ThreadPoolBackend`` and the distance sampler use. Both run the
 same per-source body in C. A host that cannot build the kernel gets
 :class:`~repro.parallel._native.NativeKernelUnavailable` from
-:func:`_native_kernel`.
+:func:`_native_kernel`, the one accessor that loads it.
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Optional
 
 import numpy as np
@@ -42,36 +41,27 @@ from ..instrumentation import (
     PhaseTimer,
     hot_path,
 )
-from ..obs.metrics import record_kernel_counters
+from . import _native
+from ._native import NativeKernel
 from .backend import ExpansionBackend, LevelOutcome
 
 #: Adjacency entries per chunk of a :func:`lane_bfs_levels` level.
 _LANE_BFS_WINDOW = 1 << 18
 
 #: The loaded kernel, once :func:`_native_kernel` has loaded it.
-_NATIVE_KERNEL: "Optional[object]" = None
+_NATIVE_KERNEL: Optional[NativeKernel] = None
 
 
-def _native_kernel() -> "object":
+def _native_kernel() -> NativeKernel:
     """The compiled C kernel, loaded on first use.
 
     Raises:
-        NativeKernelUnavailable: no compiler could build it, or the host
-            is big-endian (the byte-lane ballots read lane 0 as the
-            lowest-address byte of a word).
+        NativeKernelUnavailable: :func:`~repro.parallel._native.load_kernel`
+            could not build or load it.
     """
     global _NATIVE_KERNEL
     if _NATIVE_KERNEL is None:
-        from . import _native
-
-        if sys.byteorder != "little":
-            raise _native.NativeKernelUnavailable(
-                "the native kernel's byte-lane words need a little-endian host"
-            )
-        kernel = _native.load_kernel()
-        if kernel is None:
-            raise _native.unavailable_error()
-        _NATIVE_KERNEL = kernel
+        _NATIVE_KERNEL = _native.load_kernel()
     return _NATIVE_KERNEL
 
 
@@ -150,7 +140,7 @@ def fused_expand_chunk(
 
 
 def _bind_whole_level(
-    kernel: "object", graph: KnowledgeGraph, state: SearchState
+    kernel: NativeKernel, graph: KnowledgeGraph, state: SearchState
 ) -> None:
     """Give ``state`` its bound whole-level call, output buffers included.
 
@@ -187,25 +177,11 @@ class VectorizedBackend(ExpansionBackend):
 
     :meth:`run_level` runs ``whole_level_step``, bound to the query's
     state on its first level; the bottom-up loop records its counters
-    once per query. :meth:`expand`, which the backend protocol
-    requires, is one :func:`fused_expand_chunk` call over the frontier
-    and records its counters itself (tier ``native``).
+    once per query.
     """
 
     name = "vectorized"
     counter_tier = "whole-level"
-
-    def expand(
-        self, graph: KnowledgeGraph, state: SearchState, level: int
-    ) -> KernelCounters:
-        counters = KernelCounters()
-        apply_hit_keys(
-            state,
-            fused_expand_chunk(graph, state, level, state.frontier, counters),
-        )
-        state.live_lanes = counters.live_lanes
-        record_kernel_counters(counters, tier="native")
-        return counters
 
     def run_level(
         self,
@@ -275,8 +251,7 @@ def lane_bfs_levels(
     expansion alone: Central-Node identification would stop a node
     reached by every lane from expanding, and distances behind it would
     come out too long. This is set-up work, so it calls the kernel
-    directly and stays out of the per-query ``repro_kernel_*`` metrics
-    that :meth:`VectorizedBackend.expand` feeds.
+    directly and stays out of the per-query ``repro_kernel_*`` metrics.
 
     A level runs as consecutive chunks: the frontier nodes of node-id
     ranges holding about ``max(_LANE_BFS_WINDOW, n_nodes)`` adjacency

@@ -232,26 +232,16 @@ def test_abi_check_binding_without_export_found(tmp_path, monkeypatch):
         tmp_path, "int64_t fused_expand(", "int64_t fused_expand_v2("
     )
     assert "fused_expand_v2" in diagnostic
-    monkeypatch.setattr(_native, "_load_failure", "")
     monkeypatch.setattr(_native, "_BUILD_DIR", tmp_path / "build")
     monkeypatch.setattr(
         _native,
         "KERNEL_EXPORTS",
         {**KERNEL_EXPORTS, "no_such_export": ("int64_t", (("n", "int64_t"),))},
     )
-    assert _native.load_kernel() is None
-    message = str(_native.unavailable_error())
+    with pytest.raises(_native.NativeKernelUnavailable) as raised:
+        _native.load_kernel()
+    message = str(raised.value)
     assert "AttributeError" in message and "no_such_export" in message
-
-
-def test_smoke_bindings_covered_by_abi_check(tmp_path):
-    """The sanitizer fixture is declared in the same form and compiles
-    against its header; the kernel's table is the suppression audit's
-    list of exports."""
-    assert set(sanitize.SMOKE_EXPORTS) == {"smoke_clean", "smoke_faulty"}
-    header = _native.write_header(sanitize.SMOKE_EXPORTS, tmp_path, "smoke")
-    assert _native.syntax_errors(sanitize._SMOKE_SOURCE, header) == ""
-    assert set(sanitize.declared_idempotent_sites()) <= set(KERNEL_EXPORTS)
 
 
 # ---------------------------------------------------------------------------
@@ -260,22 +250,38 @@ def test_smoke_bindings_covered_by_abi_check(tmp_path):
 def test_a_drifted_table_names_its_symbol_in_the_unavailable_error(
     tmp_path, monkeypatch
 ):
-    restype, params = KERNEL_EXPORTS["whole_level_step"]
-    drifted = tuple(
-        (name, "const int64_t*" if name == "indices" else ctype)
-        for name, ctype in params
-    )
-    monkeypatch.setattr(
-        _native,
-        "KERNEL_EXPORTS",
-        {**KERNEL_EXPORTS, "whole_level_step": (restype, drifted)},
-    )
-    monkeypatch.setattr(_native, "_load_failure", "")
+    """Each drift costs one compiler run: a diagnostic located in the
+    source or its header is not retried with other flags or compilers,
+    and the raised error carries that first diagnostic."""
+    real_run = _native.subprocess.run
+    runs = []
+
+    def counting_run(cmd, *args, **kwargs):
+        runs.append(cmd)
+        return real_run(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(_native.subprocess, "run", counting_run)
     monkeypatch.setattr(_native, "_BUILD_DIR", tmp_path)
-    assert _native.load_kernel() is None
+    monkeypatch.delenv("CC", raising=False)
+    restype, params = KERNEL_EXPORTS["whole_level_step"]
+    for drift in ("indices", "matrix"):
+        drifted = tuple(
+            (name, "const int64_t*" if name == drift else ctype)
+            for name, ctype in params
+        )
+        monkeypatch.setattr(
+            _native,
+            "KERNEL_EXPORTS",
+            {**KERNEL_EXPORTS, "whole_level_step": (restype, drifted)},
+        )
+        runs.clear()
+        with pytest.raises(_native.NativeKernelUnavailable) as raised:
+            _native.load_kernel()
+        assert len(runs) == 1, runs
+        message = str(raised.value)
+        assert "conflicting types" in message
+        assert "whole_level_step" in message
     assert not list(tmp_path.glob("*.so"))
-    message = str(_native.unavailable_error())
-    assert "conflicting types" in message and "whole_level_step" in message
 
 
 def test_a_declared_type_is_part_of_the_cache_key():

@@ -85,16 +85,23 @@ def test_threadpool_single_thread_falls_back(chain5):
 
 
 def test_vectorized_on_empty_frontier(chain5):
-    """A drained frontier must be a no-op, not an indexing error."""
+    """A level over a drained frontier must be a no-op, not an indexing
+    error."""
     from repro.core.state import SearchState
+    from repro.instrumentation import PhaseTimer
 
-    backend = VectorizedBackend()
     state = SearchState.initialize(
         5, [np.array([0])], np.zeros(5, dtype=np.int32)
     )
-    # No enqueue performed: frontier is empty.
-    backend.expand(chain5, state, 0)
-    assert state.f_identifier[0] == 1  # untouched init flag
+    state.f_identifier[:] = 0  # drained: nothing flagged for this level
+    matrix = state.matrix.copy()
+    outcome = VectorizedBackend().run_level(
+        chain5, state, 0, 1, True, PhaseTimer()
+    )
+    assert outcome.frontier_size == 0 and not outcome.expanded
+    assert len(state.frontier) == 0 and not state.central_nodes
+    assert np.array_equal(state.matrix, matrix)
+    assert not state.f_identifier.any()
 
 
 def test_backend_context_manager_closes():

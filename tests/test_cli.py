@@ -154,16 +154,19 @@ def test_profile_unmatched_query_exit_code(saved_kb, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_search_trace_flag(saved_kb, tmp_path, capsys):
+def test_profile_trace_flag_with_summary_format(saved_kb, tmp_path, capsys):
+    """``--trace`` writes the file whatever ``--format`` prints."""
     import json
 
     from repro.obs import validate_chrome_trace
 
     trace_path = str(tmp_path / "search.trace.json")
-    code = main(["search", "--graph", saved_kb, "machine learning",
-                 "-k", "2", "--trace", trace_path])
+    code = main(["profile", "--graph", saved_kb, "machine learning",
+                 "-k", "2", "--trace", trace_path, "--format", "summary"])
     assert code == 0
-    assert "wrote Chrome trace" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "wrote Chrome trace" in captured.err
+    assert "query" in captured.out
     with open(trace_path) as handle:
         validate_chrome_trace(json.load(handle))
 

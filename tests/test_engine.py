@@ -344,13 +344,19 @@ def test_a_query_may_have_64_keywords_but_not_65(backend):
     assert issubclass(TooManyKeywordsError, ValueError)
 
 
-def test_a_host_without_the_kernel_fails_at_construction(monkeypatch, tiny_kb):
+def test_a_host_without_the_kernel_fails_at_construction(
+    monkeypatch, tiny_kb, tmp_path
+):
     """Every route needs the compiled kernel: with none to load, building
     an engine raises one error that names the compilers it tried."""
     from repro.parallel import _native, vectorized
 
     monkeypatch.setattr(vectorized, "_NATIVE_KERNEL", None)
-    monkeypatch.setattr(_native, "load_kernel", lambda: None)
+    # Nothing cached, and a source no compiler can build.
+    monkeypatch.setattr(_native, "_BUILD_DIR", tmp_path)
+    broken = tmp_path / "_kernel.c"
+    broken.write_text("this is not C\n", encoding="utf-8")
+    monkeypatch.setattr(_native, "_SOURCE_PATH", broken)
     monkeypatch.setenv("CC", "no-such-cc")
     graph, _ = tiny_kb
     with pytest.raises(NativeKernelUnavailable) as raised:

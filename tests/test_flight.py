@@ -1,9 +1,7 @@
 """The query flight recorder (``repro.obs.flight``) and its wiring.
 
-Covers the ring-buffer/slow-log mechanics, the engine integration
-(every query recorded, errors linked by query id and phase), the
-``REPRO_OBS=0`` parity contract (disabled path identical to the
-untraced seed).
+Covers the ring-buffer/slow-log mechanics and the engine integration
+(every query recorded, errors linked by query id and phase).
 """
 
 import json
@@ -168,27 +166,10 @@ def test_disabled_recorder_capacity_zero(engine):
     engine.flight = flight
     assert not flight.enabled
     result = engine.search("machine learning", k=1)
-    assert result.query_id is None
-    assert flight.completed == 0
-    engine.flight = None
-
-
-# ---------------------------------------------------------------------------
-# REPRO_OBS=0 parity: the disabled path is the untraced seed path
-# ---------------------------------------------------------------------------
-def test_repro_obs_zero_parity(engine, monkeypatch):
-    monkeypatch.setenv("REPRO_OBS", "0")
-    flight = FlightRecorder(max_records=8, slow_ms=0)
-    engine.flight = flight
-    assert not flight.enabled  # kill-switch re-checked per query
-    result = engine.search("machine learning", k=1)
-    # No tracer on the timer, no query id, no record committed: the
-    # seed hot path.
+    # No tracer on the timer, no query id, no record: the untraced path.
     assert result.timer.tracer is NULL_TRACER
     assert result.query_id is None
     assert flight.completed == 0
-    monkeypatch.delenv("REPRO_OBS")
-    assert flight.enabled
     engine.flight = None
 
 

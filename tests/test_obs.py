@@ -14,12 +14,12 @@ from repro.instrumentation import (
     summarize_timers,
 )
 from repro.obs import (
-    ENV_OBS,
+    ENV_FLIGHT_N,
+    FlightRecorder,
     MetricsRegistry,
     Span,
     Tracer,
     install_global_tracer,
-    obs_enabled,
     record_kernel_counters,
     uninstall_global_tracer,
     validate_chrome_trace,
@@ -153,7 +153,7 @@ def test_flame_summary_aggregates_siblings():
 # ---------------------------------------------------------------------------
 # Metrics
 # ---------------------------------------------------------------------------
-def test_counter_gauge_histogram_basics():
+def test_counter_histogram_basics():
     registry = MetricsRegistry()
     counter = registry.counter("repro_test_total", "help", tier="a")
     counter.inc()
@@ -161,10 +161,6 @@ def test_counter_gauge_histogram_basics():
     assert counter.value == 3
     with pytest.raises(ValueError):
         counter.inc(-1)
-    gauge = registry.gauge("repro_test_gauge")
-    gauge.set(5)
-    gauge.dec(2)
-    assert gauge.value == 3
     histogram = registry.histogram("repro_test_seconds")
     for value in (0.001, 0.002, 0.004, 10.0):
         histogram.observe(value)
@@ -183,7 +179,7 @@ def test_registry_get_or_create_and_kind_mismatch():
     c = registry.counter("repro_x_total", tier="other")
     assert c is not a
     with pytest.raises(ValueError):
-        registry.gauge("repro_x_total", tier="t")
+        registry.histogram("repro_x_total", tier="t")
     with pytest.raises(ValueError):
         registry.counter("bad name")
     with pytest.raises(ValueError):
@@ -210,8 +206,6 @@ def test_registry_fast_path_keeps_kind_and_name_checks():
     registry = MetricsRegistry()
     counter = registry.counter("repro_kind_total", tier="t")
     assert registry.counter("repro_kind_total", tier="t") is counter  # warm
-    with pytest.raises(ValueError):
-        registry.gauge("repro_kind_total", tier="t")
     with pytest.raises(ValueError):
         registry.histogram("repro_kind_total", tier="t")
     # A failed lookup leaves nothing behind: it raises again.
@@ -304,7 +298,7 @@ def test_concurrent_counter_hammer_exact_total():
     assert histogram.sum == pytest.approx(n_threads * n_iter * 0.001)
 
 
-def test_record_kernel_counters(monkeypatch):
+def test_record_kernel_counters():
     registry = MetricsRegistry()
     counters = KernelCounters(
         sources_pruned=1, edges_gathered=10, pairs_hit=5,
@@ -316,10 +310,6 @@ def test_record_kernel_counters(monkeypatch):
     assert 'repro_kernel_pairs_hit_total{tier="threads"} 5' in text
     # Zero-valued fields are skipped entirely.
     assert "duplicates_elided" not in text
-    # REPRO_OBS=0 turns recording into a no-op.
-    monkeypatch.setenv(ENV_OBS, "0")
-    record_kernel_counters(counters, tier="threads", registry=registry)
-    assert 'edges_gathered_total{tier="threads"} 10' in registry.render_prometheus()
 
 
 @pytest.mark.parametrize("route", ["whole-level", "threads"])
@@ -365,19 +355,20 @@ def test_kernel_counters_are_recorded_once_per_query(tiny_kb, monkeypatch, route
 
 
 # ---------------------------------------------------------------------------
-# Config / kill-switch
+# Config
 # ---------------------------------------------------------------------------
 def test_env_switches(monkeypatch):
-    monkeypatch.delenv(ENV_OBS, raising=False)
-    assert obs_enabled()
-    monkeypatch.setenv(ENV_OBS, "0")
-    assert not obs_enabled()
-    assert not Tracer().enabled  # default follows the kill-switch
-    monkeypatch.setenv(ENV_OBS, "1")
+    """``REPRO_FLIGHT_N=0`` turns flight recording off; no switch turns a
+    tracer off: it records once attached, and only then."""
+    monkeypatch.setenv(ENV_FLIGHT_N, "0")
+    assert not FlightRecorder().enabled
+    monkeypatch.setenv(ENV_FLIGHT_N, "4")
+    assert FlightRecorder().enabled
     assert Tracer().enabled
+    assert not Tracer(enabled=False).enabled
 
 
-def test_registered_env_switches_are_exactly_these_six():
+def test_registered_env_switches_are_exactly_these_five():
     """Every ``REPRO_*`` switch is one more configuration to cover: a
     new one must be added here on purpose, a retired one removed."""
     import inspect
@@ -386,7 +377,6 @@ def test_registered_env_switches_are_exactly_these_six():
     from repro.obs import config
 
     assert registered_env_vars(inspect.getsource(config)) == {
-        "REPRO_OBS",
         "REPRO_TRACE",
         "REPRO_SANITIZE",
         "REPRO_DATASET_CACHE",
@@ -578,14 +568,12 @@ def test_threaded_backend_attaches_chunk_spans(request):
 
 
 # ---------------------------------------------------------------------------
-# Kill-switch overhead
+# Flight-recording overhead
 # ---------------------------------------------------------------------------
-def test_disabled_obs_within_noise_of_untraced():
+def test_flight_recording_within_noise_of_untraced():
     from repro.bench import measure_obs_overhead
 
     overhead = measure_obs_overhead(repeats=3, n_queries=2, knum=3, topk=5)
-    # Identical code path either way; generous factor absorbs CI noise.
-    assert overhead["ratio"] < 2.0
     assert overhead["plain_ms"] > 0
     # The always-on flight recorder (per-query tracer + ring commit)
     # must stay cheap relative to the query itself.

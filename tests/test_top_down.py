@@ -485,22 +485,30 @@ def test_both_routes_report_the_same_stage_two_counts():
     [lambda w: w.astype(np.float32), lambda w: np.repeat(w, 2)[::2]],
     ids=["float32", "strided"],
 )
-def test_weights_the_kernel_cannot_read_take_the_reference_route(
+def test_weights_the_kernel_cannot_read_are_converted_at_entry(
     make_weights, monkeypatch
 ):
-    """``process_top_down`` hands ``weights`` to C as ``double*`` only
-    when it is that; anything else is answered by the reference route,
-    on the values it was given."""
+    """``process_top_down`` hands ``weights`` to C as ``double*``: any
+    other layout is converted once, exactly, and answered by the batch
+    route with the reference route's answers on the same values."""
     graph, state, weights, k = _stage_two_case(6)
     odd = make_weights(weights)
     assert odd.dtype != np.float64 or not odd.flags.c_contiguous
     want = process_top_down(
-        graph, state, odd, TopDownConfig(k=k, native=False)
+        graph, state, odd.astype(np.float64), TopDownConfig(k=k, native=False)
     )
-    monkeypatch.setattr(
-        top_down, "_batch_stage_two", lambda *a, **kw: pytest.fail("batch")
-    )
+    batch = top_down._batch_stage_two
+    calls = []
+
+    def spy(kernel, graph, state, weights, config, **kwargs):
+        calls.append(weights)
+        return batch(kernel, graph, state, weights, config, **kwargs)
+
+    monkeypatch.setattr(top_down, "_batch_stage_two", spy)
     got = process_top_down(graph, state, odd, TopDownConfig(k=k))
+    assert len(calls) == 1
+    assert calls[0].dtype == np.float64 and calls[0].flags.c_contiguous
+    assert np.array_equal(calls[0], odd)
     assert _signature(got) == _signature(want)
 
 
