@@ -7,8 +7,9 @@ three faces of the observability layer:
    expansion chunks) with inclusive milliseconds;
 2. the **Chrome trace export** — written to ``query.trace.json``; open
    it in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``;
-3. the **metrics registry** — kernel work counters recorded by the
-   expansion backends, rendered as Prometheus text.
+3. the **metrics registry** — a search service's ``/metrics``: its
+   request counters and the kernel work counters of the queries it
+   served, as Prometheus text.
 
 The equivalent one-liner is ``python -m repro profile "query" --trace
 query.trace.json``. An engine with no tracer attached (and none
@@ -17,8 +18,9 @@ installed globally) records no spans at all.
 Run:  python examples/observability.py
 """
 
-from repro import KeywordSearchEngine, Tracer, get_registry
+from repro import KeywordSearchEngine, Tracer
 from repro.graph.generators import wiki_like_kb
+from repro.service import SearchService
 
 
 def main() -> None:
@@ -46,16 +48,15 @@ def main() -> None:
         print(f"\nlevel {span.attrs['level']} span attributes: "
               f"{span.attrs}")
 
-    # ... and the same counters accumulate in the process registry,
-    # which the HTTP service serves at GET /metrics.
-    kernel_lines = [
-        line
-        for line in get_registry().render_prometheus().splitlines()
-        if line.startswith("repro_kernel_")
-    ]
-    print("\nkernel counters in the metrics registry:")
-    for line in kernel_lines:
-        print(f"  {line}")
+    # ... and a search service adds each served query's counters, summed
+    # over its levels, to its own registry, served at GET /metrics.
+    service = SearchService(engine)
+    service.handle_path("/search?q=knowledge+base+rdf+sparql&k=5")
+    _, _, metrics = service.handle_path("/metrics")
+    print("\nthe service's /metrics after one /search:")
+    for line in metrics.splitlines():
+        if not line.startswith("#") and "_bucket" not in line:
+            print(f"  {line}")
 
 
 if __name__ == "__main__":

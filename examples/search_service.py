@@ -67,7 +67,7 @@ def main(serve_forever: bool = False) -> None:
     ) as response:
         statz = json.loads(response.read())
     print(f"GET /statz -> requests by endpoint: "
-          f"{statz['service']['requests_by_endpoint']}")
+          f"{statz['metrics']['repro_http_requests_total']}")
 
     if serve_forever:
         print("\nserving until Ctrl-C ...")

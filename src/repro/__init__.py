@@ -27,7 +27,7 @@ from .core.engine import (
 from .core.state import TooManyKeywordsError
 from .graph.builder import GraphBuilder, graph_from_triples
 from .graph.csr import KnowledgeGraph
-from .obs import MetricsRegistry, Tracer, get_registry
+from .obs import MetricsRegistry, Tracer
 from .parallel import (
     LockedDictEngine,
     NativeKernelUnavailable,
@@ -59,7 +59,6 @@ __all__ = [
     "TooManyKeywordsError",
     "Tracer",
     "VectorizedBackend",
-    "get_registry",
     "graph_from_triples",
     "__version__",
 ]

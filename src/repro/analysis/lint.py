@@ -16,8 +16,9 @@ RPR002    No Python per-edge/per-node loops inside ``@hot_path`` code.
           else belongs in a whole-array NumPy pass or the C tier.
 RPR003    int64 dtype contract on fancy-index operands: no per-call
           ``.astype(...)`` and no non-int64 integer ``dtype=`` index
-          construction in ``@hot_path`` code — use the cached read-only
-          views (``CSRAdjacency.indices64`` / ``degree_array``).
+          construction in ``@hot_path`` code — pass the CSR arrays as
+          stored (the compiled kernel reads ``indices`` as int32) and
+          the cached read-only ``CSRAdjacency.degree_array``.
 RPR004    Every ``REPRO_*`` environment variable literal in ``src`` must
           be registered in :mod:`repro.obs.config`, the single place
           where telemetry/kernel switches are documented.
@@ -33,11 +34,11 @@ RPR008    No direct ``time.time()`` in figure-producing paths (core,
           come from the monotonic ``time.perf_counter()``.
 RPR009    No copying calls (``np.asarray`` / ``np.ascontiguousarray`` /
           ``np.copy`` / ``np.array`` / ``.copy()``) on CSR base arrays
-          (``indptr`` / ``indices`` / ``indices64`` / ``labels`` /
-          ``degree_array``) inside ``@hot_path`` code. The mmap store
-          tier shares one physical CSR copy across every worker; a
-          per-call copy silently re-materializes the graph into private
-          heap and breaks the zero-copy contract.
+          (``indptr`` / ``indices`` / ``labels`` / ``degree_array``)
+          inside ``@hot_path`` code. The mmap store tier shares one
+          physical CSR copy across every worker; a per-call copy
+          silently re-materializes the graph into private heap and
+          breaks the zero-copy contract.
 RPR010    No writes to store-backed (memmap) arrays outside
           ``StoreWriter``/builder code (``graph/store.py`` and
           ``graph/builder.py``): no subscript stores into arrays bound
@@ -115,7 +116,7 @@ _FIGURE_SCOPES = ("core", "parallel", "bench", "eval", "instrumentation.py")
 #: Attribute names of the CSR arrays shared zero-copy by worker threads
 #: (and mapped read-only from the store file); copying one of these in a
 #: kernel re-materializes the graph into private heap.
-_CSR_BASE_ATTRS = {"indptr", "indices", "indices64", "labels", "degree_array"}
+_CSR_BASE_ATTRS = {"indptr", "indices", "labels", "degree_array"}
 
 #: Call names that produce (or may produce) an array copy.
 _COPYING_CALLS = {"asarray", "ascontiguousarray", "copy", "array"}
@@ -136,13 +137,8 @@ _WRITABLE_MMAP_MODES = {"r+", "w+", "readwrite", "write"}
 _METRIC_FACTORY_METHODS = {"counter", "histogram"}
 
 #: Receiver terminal names treated as a metrics registry for RPR012
-#: (``self.registry.counter(...)``, ``_DEFAULT_REGISTRY.histogram(...)``).
-_REGISTRY_RECEIVER_NAMES = {
-    "registry",
-    "_registry",
-    "_DEFAULT_REGISTRY",
-    "_REGISTRY",
-}
+#: (``self.registry.counter(...)``, ``_REGISTRY.histogram(...)``).
+_REGISTRY_RECEIVER_NAMES = {"registry", "_registry", "_REGISTRY"}
 
 
 @dataclass(frozen=True)
@@ -404,8 +400,8 @@ class _FileLinter(ast.NodeVisitor):
                     node,
                     "RPR003",
                     ".astype() inside @hot_path kernel code pays a "
-                    "per-call copy; use the cached int64 CSR views "
-                    "(CSRAdjacency.indices64)",
+                    "per-call copy; pass the CSR arrays as stored "
+                    "(CSRAdjacency.indices / degree_array)",
                 )
             for keyword in node.keywords:
                 if keyword.arg == "dtype":
@@ -525,17 +521,12 @@ class _FileLinter(ast.NodeVisitor):
     def _is_registry_receiver(receiver: ast.expr) -> bool:
         """True when ``receiver`` looks like a metrics registry.
 
-        Matches direct calls on ``get_registry()`` and any name/attribute
-        chain ending in a registry-conventional identifier
-        (``self.registry``, ``_DEFAULT_REGISTRY``); other receivers named
+        Matches any name/attribute chain ending in a
+        registry-conventional identifier (``self.registry``,
+        ``service.registry``); other receivers with
         ``counter``/``histogram`` methods stay out of scope so
         unrelated APIs are not misflagged.
         """
-        if (
-            isinstance(receiver, ast.Call)
-            and _terminal_name(receiver.func) == "get_registry"
-        ):
-            return True
         return _terminal_name(receiver) in _REGISTRY_RECEIVER_NAMES
 
     @staticmethod

@@ -116,34 +116,36 @@ class SanitizeResult:
 
 
 def _runtime_library(name: str) -> Optional[str]:
-    """Locate a sanitizer runtime (e.g. ``libasan.so``) via the compiler."""
-    compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
-    if not compiler:
+    """Locate a sanitizer runtime (e.g. ``libasan.so``) via the first
+    compiler of :func:`~repro.parallel._native._compilers` that runs —
+    the one that builds the sanitized kernel."""
+    for compiler in _native._compilers():
+        try:
+            result = subprocess.run(
+                [compiler, f"-print-file-name={name}"],
+                capture_output=True,
+                text=True,
+                timeout=30,
+                check=False,
+            )
+        except (OSError, subprocess.SubprocessError):
+            continue
+        path = result.stdout.strip()
+        # When the file is unknown the compiler echoes the bare name back.
+        if path and path != name and Path(path).exists():
+            return path
         return None
-    try:
-        result = subprocess.run(
-            [compiler, f"-print-file-name={name}"],
-            capture_output=True,
-            text=True,
-            timeout=30,
-            check=False,
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    path = result.stdout.strip()
-    # When the file is unknown the compiler echoes the bare name back.
-    if path and path != name and Path(path).exists():
-        return path
     return None
 
 
 def toolchain_available(selection: Tuple[str, ...] = DEFAULT_SELECTION) -> bool:
-    """Can this host build and preload the requested sanitizers?"""
+    """Can this host build and preload the requested sanitizers? A
+    compiler runs and knows the runtime of each one."""
     if "address" in selection and _runtime_library("libasan.so") is None:
         return False
     if "thread" in selection and _runtime_library("libtsan.so") is None:
         return False
-    return shutil.which("cc") is not None or shutil.which("gcc") is not None
+    return any(shutil.which(name) for name in _native._compilers())
 
 
 def sanitized_env(
@@ -314,41 +316,27 @@ def tsan_harness_path(exports: _native.Exports) -> Path:
     return _BUILD_DIR / f"tsan-harness-{digest}"
 
 
-def _compile_tsan_harness() -> Optional[Path]:
-    """Build the instrumented harness + kernel executable (cached). Both
-    sources are compiled against the kernel's header, so the harness's
-    calls are checked against the same declaration as the kernel."""
+def _compile_tsan_harness() -> Tuple[Path, Optional[str]]:
+    """Build the instrumented harness + kernel executable (cached) the
+    way the kernel is built (:func:`~repro.parallel._native._compile`).
+    Both sources are compiled against the kernel's header, so the
+    harness's calls are checked against the same declaration as the
+    kernel. Returns the executable's path and ``None``, or the path and
+    the compiler's diagnostic."""
     target = tsan_harness_path(_native.KERNEL_EXPORTS)
     if target.exists():
-        return target
+        return target, None
     header = _native.write_header(
         _native.KERNEL_EXPORTS, _BUILD_DIR, "kernel"
     )
-    compiler = os.environ.get("CC") or shutil.which("cc") or shutil.which("gcc")
-    if compiler is None:
-        return None
-    cmd = [
-        compiler,
-        "-O1",
-        "-g",
-        "-fno-omit-frame-pointer",
-        "-fsanitize=thread",
-        "-pthread",
-        *_native.declared_flags(header),
-        str(_HARNESS_SOURCE),
-        str(_KERNEL_SOURCE),
-        "-o",
-        str(target),
-    ]
-    try:
-        result = subprocess.run(
-            cmd, capture_output=True, text=True, timeout=120, check=False
-        )
-    except (OSError, subprocess.SubprocessError):
-        return None
-    if result.returncode != 0 or not target.exists():
-        return None
-    return target
+    failure = _native._compile(
+        (_HARNESS_SOURCE, _KERNEL_SOURCE),
+        target,
+        header,
+        _native.sanitize_cflags(THREAD_SELECTION),
+        shared=False,
+    )
+    return target, failure
 
 
 def _tsan_case(seed: int, q: int, n: int = 400) -> "Tuple[object, object]":
@@ -418,7 +406,7 @@ def run_tsan_parity(
     if not toolchain_available(THREAD_SELECTION):
         return SanitizeResult(
             ok=True,
-            detail="TSan toolchain unavailable (no cc or libtsan.so)",
+            detail="TSan toolchain unavailable (no C compiler or libtsan.so)",
             skipped=True,
         )
     problems = audit_suppressions()
@@ -427,10 +415,10 @@ def run_tsan_parity(
             ok=False,
             detail="suppression audit failed:\n" + "\n".join(problems),
         )
-    harness = _compile_tsan_harness()
-    if harness is None:
+    harness, failure = _compile_tsan_harness()
+    if failure is not None:
         return SanitizeResult(
-            ok=False, detail="failed to compile the TSan harness"
+            ok=False, detail=f"failed to compile the TSan harness: {failure}"
         )
     suppressions = write_suppressions()
     import tempfile
@@ -520,13 +508,13 @@ def run_tsan_inject() -> SanitizeResult:
     if not toolchain_available(THREAD_SELECTION):
         return SanitizeResult(
             ok=True,
-            detail="TSan toolchain unavailable (no cc or libtsan.so)",
+            detail="TSan toolchain unavailable (no C compiler or libtsan.so)",
             skipped=True,
         )
-    harness = _compile_tsan_harness()
-    if harness is None:
+    harness, failure = _compile_tsan_harness()
+    if failure is not None:
         return SanitizeResult(
-            ok=False, detail="failed to compile the TSan harness"
+            ok=False, detail=f"failed to compile the TSan harness: {failure}"
         )
     suppressions = write_suppressions()
     try:

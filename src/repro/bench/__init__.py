@@ -24,11 +24,9 @@ from .harness import (
     vary_topk,
 )
 from ..instrumentation import (
-    PhaseSummary,
     PhaseTimer,
     StorageReport,
     average_timers,
-    summarize_timers,
 )
 from .reporting import (
     distribution_table_text,
@@ -44,7 +42,6 @@ __all__ = [
     "METHOD_CPU_PAR",
     "METHOD_CPU_PAR_D",
     "METHOD_GPU_SIM",
-    "PhaseSummary",
     "PhaseTimer",
     "StorageReport",
     "SweepRow",
@@ -59,7 +56,6 @@ __all__ = [
     "precision_table",
     "run_method",
     "storage_table",
-    "summarize_timers",
     "sweep_table",
     "total_time_table",
     "vary_alpha",

@@ -408,19 +408,17 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from .eval.queries import KeywordWorkload
-    from .instrumentation import summarize_timers
+    from .instrumentation import average_timers
 
     graph, index = _load_or_generate(args.graph)
     engine = KeywordSearchEngine(graph, index=index)
     workload = KeywordWorkload(index, seed=0)
     queries = workload.sample_queries(args.knum, args.queries)
     timers = [engine.search(query).timer for query in queries]
-    summary = summarize_timers(timers)
     print(f"{args.queries} queries x {args.knum} keywords "
           f"on {graph.n_nodes} nodes (vectorized backend):")
-    for phase, stats in summary.items():
-        print(f"  {phase:28} {stats.mean_ms:8.2f} ms "
-              f"(n={stats.count}/{stats.n_timers})")
+    for phase, mean_ms in average_timers(timers).items():
+        print(f"  {phase:28} {mean_ms:8.2f} ms")
     return 0
 
 

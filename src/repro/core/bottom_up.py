@@ -59,11 +59,9 @@ from ..instrumentation import (
     PHASE_EXPANSION,
     PHASE_IDENTIFY,
     PHASE_INITIALIZATION,
-    KernelCounters,
     PhaseTimer,
 )
 from ..graph.csr import KnowledgeGraph
-from ..obs.metrics import record_kernel_counters
 from ..obs.tracing import NULL_CONTEXT
 from ..parallel.backend import ExpansionBackend, LevelOutcome
 from ..parallel.vectorized import VectorizedBackend
@@ -261,15 +259,6 @@ class BottomUpSearch:
                 peak_nbytes = max(peak_nbytes, state.nbytes(fixed_nbytes))
                 closed = state.no_central_node_can_follow(outcome.live_lanes)
                 level += 1
-
-        tier = self.backend.counter_tier
-        if tier is not None:
-            # One registry update per query, not per level.
-            totals = KernelCounters()
-            for outcome in profile:
-                if outcome.counters is not None:
-                    totals.add(outcome.counters)
-            record_kernel_counters(totals, tier=tier)
 
         if state.central_nodes:
             depth = max(found_depth for _, found_depth in state.central_nodes)

@@ -100,22 +100,6 @@ class CSRAdjacency:
         degrees.setflags(write=False)
         return degrees
 
-    @cached_property
-    def indices64(self) -> np.ndarray:
-        """``indices`` as int64 (read-only; cached on first use).
-
-        Fancy-index arithmetic in the vectorized kernel needs int64; the
-        stored indices are int32, so without this cache every expansion
-        level paid an O(|E|)-sized ``astype`` copy.
-        """
-        if self.indices.dtype == np.int64:
-            # Already frozen in __post_init__; return the stored array
-            # so no copy is paid.
-            return self.indices
-        indices = self.indices.astype(np.int64)
-        indices.setflags(write=False)
-        return indices
-
     @property
     def nbytes(self) -> int:
         return int(self.indptr.nbytes + self.indices.nbytes + self.labels.nbytes)
@@ -308,7 +292,7 @@ class KnowledgeGraph:
         arrays = []
         for adjacency in (self.out, self.inc, self.adj):
             arrays.extend([adjacency.indptr, adjacency.indices, adjacency.labels])
-        arrays.extend([self.adj.degree_array, self.adj.indices64])
+        arrays.append(self.adj.degree_array)
         logical = sum(int(a.nbytes) for a in arrays)
         resident = 0
         mmap_backed = False

@@ -27,10 +27,10 @@ CSR sections (every version)::
     adj_degree   int64 (n)     adj_indices64 int64 (2E)
     text_offsets int64 (n+1)   text_data     uint8       meta       uint8 (JSON)
 
-``adj_degree`` and ``adj_indices64`` persist the two cached views the hot
-path needs (:attr:`CSRAdjacency.degree_array`, :attr:`CSRAdjacency.indices64`)
-so opening a store never pays an O(V) or O(E) derivation — the memmaps are
-injected directly into the ``cached_property`` slots.
+``adj_degree`` persists :attr:`CSRAdjacency.degree_array`, injected into
+its ``cached_property`` slot at open, so opening never pays an O(V)
+derivation. ``adj_indices64`` (``adj_indices`` as int64) is written and
+never read; it leaves with the next format revision.
 
 Derived sections (version 2; :func:`write_derived_sections`)::
 
@@ -377,7 +377,8 @@ def save_store(
         writer.append("adj_indices", graph.adj.indices)
         writer.append("adj_labels", graph.adj.labels)
         writer.append("adj_degree", graph.adj.degree_array)
-        writer.append("adj_indices64", graph.adj.indices64)
+        # Widened by the section dtype; kept only for format 2.
+        writer.append("adj_indices64", graph.adj.indices)
         writer.append("text_offsets", offsets)
         writer.append_bytes("text_data", b"".join(encoded))
     except Exception:
@@ -630,8 +631,8 @@ def open_store(path: Union[str, os.PathLike], mmap: bool = True) -> KnowledgeGra
     physical copy. With ``mmap=False`` the same bytes are materialized into
     anonymous RAM (the classic in-RAM tier; used for bitwise parity checks).
 
-    The cached ``degree_array`` / ``indices64`` views come straight from their
-    on-disk sections, so no O(V)/O(E) derivation runs at open time. The
+    The cached ``degree_array`` view comes straight from its on-disk
+    section, so no O(V) derivation runs at open time. The
     derived sections are mapped with the CSR ones and read when the engine
     asks for them. A version-1 store (which has none), or one whose derived
     sections come from another :data:`DERIVED_REVISION` (which are then
@@ -669,7 +670,11 @@ def _warn_rebuild(problem: str) -> None:
 
 
 def _open_graph(info: StoreInfo, mmap: bool) -> KnowledgeGraph:
-    names = [name for name, _ in SECTION_DTYPES if name != "meta"]
+    # adj_indices64 is never read (module docstring).
+    names = [
+        name for name, _ in SECTION_DTYPES
+        if name not in ("meta", "adj_indices64")
+    ]
     if info.derived_revision == DERIVED_REVISION:
         names += [name for name, _ in DERIVED_SECTION_DTYPES]
     arrays = {name: _open_section(info, name, mmap) for name in names}
@@ -677,9 +682,8 @@ def _open_graph(info: StoreInfo, mmap: bool) -> KnowledgeGraph:
     inc = CSRAdjacency(arrays["inc_indptr"], arrays["inc_indices"], arrays["inc_labels"])
     adj = CSRAdjacency(arrays["adj_indptr"], arrays["adj_indices"], arrays["adj_labels"])
     # cached_property stores through the instance __dict__, which bypasses the
-    # frozen-dataclass __setattr__ — inject the persisted views directly.
+    # frozen-dataclass __setattr__ — inject the persisted view directly.
     adj.__dict__["degree_array"] = arrays["adj_degree"]
-    adj.__dict__["indices64"] = arrays["adj_indices64"]
     meta = json.loads(bytes(_open_section(info, "meta", mmap=False)).decode("utf-8"))
     node_text = TextBlob(arrays["text_offsets"], arrays["text_data"])
     graph = KnowledgeGraph(

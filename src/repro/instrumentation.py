@@ -121,22 +121,15 @@ class PhaseTimer:
         """All phases in milliseconds (the paper reports ms)."""
         return {name: value * 1e3 for name, value in self.seconds.items()}
 
-    def merged_with(self, other: "PhaseTimer") -> "PhaseTimer":
-        merged = PhaseTimer(dict(self.seconds))
-        for name, value in other.seconds.items():
-            merged.add(name, value)
-        return merged
-
 
 def average_timers(timers: List[PhaseTimer]) -> Dict[str, float]:
     """Mean milliseconds per phase across queries (the figures' y-values).
 
-    Every phase is divided by ``len(timers)``, so a phase absent from
-    some timers is treated as having taken 0 ms there — the right
-    semantics for the figures (a query that never ran top-down *did*
-    spend 0 ms in it), but it conflates "absent" with "zero". Use
-    :func:`summarize_timers` when that distinction matters: it reports
-    how many timers actually recorded each phase alongside both means.
+    Every phase is divided by ``len(timers)``. A completed
+    ``engine.search`` timer carries all six :data:`ALL_PHASES` (the
+    bottom-up loop seeds its three loop phases; initialization,
+    top-down and total are always entered), so over search timers no
+    phase is absent from some and present in others.
     """
     if not timers:
         return {}
@@ -145,52 +138,6 @@ def average_timers(timers: List[PhaseTimer]) -> Dict[str, float]:
         for name, value in timer.milliseconds().items():
             totals[name] = totals.get(name, 0.0) + value
     return {name: value / len(timers) for name, value in totals.items()}
-
-
-@dataclass
-class PhaseSummary:
-    """Per-phase statistics across a batch of timers.
-
-    Attributes:
-        mean_ms: mean over *all* timers (absent = 0 ms — matches
-            :func:`average_timers`).
-        mean_present_ms: mean over only the timers that recorded the
-            phase.
-        count: number of timers in which the phase appeared.
-        n_timers: batch size the means were computed against.
-    """
-
-    mean_ms: float
-    mean_present_ms: float
-    count: int
-    n_timers: int
-
-
-def summarize_timers(timers: List[PhaseTimer]) -> Dict[str, PhaseSummary]:
-    """Per-phase means *with sample counts* across a batch of timers.
-
-    Unlike :func:`average_timers`, this keeps "phase absent from a
-    timer" distinguishable from "phase took 0 ms": ``count`` says how
-    many of the ``n_timers`` timers recorded the phase at all, and
-    ``mean_present_ms`` averages over exactly those.
-    """
-    if not timers:
-        return {}
-    totals: Dict[str, float] = {}
-    counts: Dict[str, int] = {}
-    for timer in timers:
-        for name, value in timer.milliseconds().items():
-            totals[name] = totals.get(name, 0.0) + value
-            counts[name] = counts.get(name, 0) + 1
-    return {
-        name: PhaseSummary(
-            mean_ms=total / len(timers),
-            mean_present_ms=total / counts[name],
-            count=counts[name],
-            n_timers=len(timers),
-        )
-        for name, total in totals.items()
-    }
 
 
 @dataclass

@@ -6,7 +6,8 @@ One API for all telemetry:
   trace-event export (Perfetto / ``chrome://tracing``) and text flame
   summaries.
 * :mod:`repro.obs.metrics` — lock-protected counters and log-bucket
-  histograms; Prometheus text exposition and JSON snapshots.
+  histograms; Prometheus text exposition and JSON snapshots. Each
+  search service owns its registry; there is no process-global one.
 * :mod:`repro.obs.config` — every ``REPRO_*`` switch, the
   ``REPRO_TRACE`` bench-run trace hook among them.
 * :mod:`repro.obs.flight` — the query flight recorder: a ring buffer of
@@ -30,7 +31,6 @@ from .metrics import (
     Counter,
     Histogram,
     MetricsRegistry,
-    get_registry,
     record_kernel_counters,
 )
 from .tracing import (
@@ -58,7 +58,6 @@ __all__ = [
     "Tracer",
     "flight_recorder_size",
     "get_global_tracer",
-    "get_registry",
     "install_global_tracer",
     "maybe_install_env_tracer",
     "record_kernel_counters",

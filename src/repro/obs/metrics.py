@@ -1,8 +1,9 @@
 """Metrics: lock-protected counters and log-bucket histograms.
 
-The service and kernel layers record operational numbers here —
-request latencies, error counts, fused-kernel work totals — and two
-renderers expose them: Prometheus text exposition
+Each :class:`~repro.service.SearchService` owns one registry and is
+its only writer: request counts and latencies, error counts, and the
+fused-kernel work totals of every query it serves. Two renderers
+expose it: Prometheus text exposition
 (:meth:`MetricsRegistry.render_prometheus`, served at ``GET /metrics``)
 and a JSON snapshot (:meth:`MetricsRegistry.snapshot`, served at
 ``GET /statz``).
@@ -15,7 +16,7 @@ Naming scheme (documented in ``docs/OBSERVABILITY.md``):
 * bounded label sets only (``endpoint``, ``tier``) — never raw queries.
 
 Every instrument takes its own lock around updates, so concurrent
-recording from pool workers loses no increments (a test hammers this
+recording from request workers loses no increments (a test hammers this
 from a ``ThreadPoolExecutor`` and asserts exact totals).
 """
 
@@ -301,6 +302,13 @@ class MetricsRegistry:
             Histogram, name, help, labels, buckets=buckets
         )
 
+    def value(self, name: str, **labels: str) -> float:
+        """The current value of counter ``name`` with ``labels``; 0 when
+        it was never registered. The read registers nothing."""
+        with self._lock:
+            instrument = self._instruments.get((name, _label_items(labels)))
+        return 0.0 if instrument is None else instrument.value
+
     def instruments(self) -> List[_Instrument]:
         with self._lock:
             return list(self._instruments.values())
@@ -341,10 +349,6 @@ class MetricsRegistry:
         return out
 
 
-#: Process-default registry: kernel work counters and anything else not
-#: given an explicit registry records here.
-_DEFAULT_REGISTRY = MetricsRegistry()
-
 #: Kernel counter-field → metric name, materialized once at module
 #: import so the hot loop below registers metrics by constant reference
 #: (lint RPR012: no f-string metric names in hot paths).
@@ -359,26 +363,18 @@ KERNEL_COUNTER_METRICS: Dict[str, str] = {
 }
 
 
-def get_registry() -> MetricsRegistry:
-    """The process-default :class:`MetricsRegistry`."""
-    return _DEFAULT_REGISTRY
-
-
 def record_kernel_counters(
-    counters: "KernelCounters",
-    tier: str,
-    registry: Optional[MetricsRegistry] = None,
+    counters: "KernelCounters", tier: str, registry: MetricsRegistry
 ) -> None:
     """Accumulate a query's :class:`~repro.instrumentation.KernelCounters`,
-    summed over its levels by the bottom-up loop.
+    summed over its levels, into ``registry``.
 
     Args:
         counters: the work counters to add.
         tier: which kernel produced them (``whole-level`` / ``threads``
             — a bounded label set).
-        registry: target registry (default: the process registry).
+        registry: the serving service's registry.
     """
-    registry = registry or _DEFAULT_REGISTRY
     for field, value in counters.as_dict().items():
         if value:
             # setdefault keeps a future counter field working while the

@@ -284,23 +284,26 @@ def _located(
 
 
 def _compile(
-    source: Path,
+    sources: "tuple[Path, ...]",
     target: Path,
     header: Path,
     extra_flags: "tuple[str, ...]" = (),
+    shared: bool = True,
 ) -> Optional[str]:
-    """Try (compiler, flags) pairs until one produces ``target`` from
-    ``source`` compiled against ``header``. Returns ``None`` then, and
+    """Try (compiler, flags) pairs until one produces ``target`` — a
+    shared object, or with ``shared=False`` an executable — from
+    ``sources`` compiled against ``header``. Returns ``None`` then, and
     otherwise what the last compiler that ran said (or why the first
     could not run, if none did). Only a rejected flag set or a compiler
     that does not run moves on to the next pair: the first diagnostic
-    located in ``source`` or ``header`` ends the search."""
+    located in a source or ``header`` ends the search."""
     target.parent.mkdir(parents=True, exist_ok=True)
+    output_flags = ("-shared", "-fPIC") if shared else ()
     failure = ""
     for compiler in _compilers():
         for flags in _FLAG_SETS:
             handle = tempfile.NamedTemporaryFile(
-                dir=str(target.parent), suffix=".so", delete=False
+                dir=str(target.parent), suffix=target.suffix, delete=False
             )
             handle.close()
             tmp = Path(handle.name)
@@ -309,9 +312,8 @@ def _compile(
                 *flags,
                 *extra_flags,
                 *declared_flags(header),
-                "-shared",
-                "-fPIC",
-                str(source),
+                *output_flags,
+                *map(str, sources),
                 "-o",
                 str(tmp),
             ]
@@ -334,7 +336,7 @@ def _compile(
                 return None
             tmp.unlink(missing_ok=True)
             failure = _failure(compiler, result)
-            if _located(result, source, header):
+            if _located(result, *sources, header):
                 return failure
     return failure
 
@@ -984,7 +986,7 @@ def load_kernel() -> NativeKernel:
         failure = None
         if not so_path.exists():
             failure = _compile(
-                _SOURCE_PATH,
+                (_SOURCE_PATH,),
                 so_path,
                 write_header(KERNEL_EXPORTS, _BUILD_DIR, "kernel"),
                 sanitize_cflags(selection),

@@ -106,9 +106,9 @@ class ExpansionBackend(abc.ABC):
     #: Human-readable name used in benchmark tables.
     name: str = "abstract"
 
-    #: The ``tier`` label of the ``repro_kernel_*`` metrics: the
-    #: bottom-up loop sums a query's ``LevelOutcome.counters`` and
-    #: records them once under it. ``None`` for a backend that counts
+    #: The ``tier`` label of the ``repro_kernel_*`` metrics: a
+    #: :class:`~repro.service.SearchService` sums a served query's
+    #: ``LevelOutcome.counters`` and records them once under it. ``None`` for a backend that counts
     #: nothing.
     counter_tier: Optional[str] = None
 

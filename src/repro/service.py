@@ -12,8 +12,8 @@ Endpoints:
 * ``GET /healthz``              — liveness probe,
 * ``GET /metrics``              — Prometheus text exposition (request
   latency histograms, per-endpoint counters, kernel work counters),
-* ``GET /statz``                — JSON service statistics (per-endpoint
-  counts, last error detail),
+* ``GET /statz``                — JSON service statistics (last error
+  detail, storage accounting, the metrics as JSON),
 * ``GET /debug/queries``        — the query flight recorder's ring
   (recent and slow queries; :mod:`repro.obs.flight`),
 * ``GET /debug/queries/<id>``   — one recorded query in full, including
@@ -41,7 +41,6 @@ import json
 import socket
 import threading
 import time
-from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -50,8 +49,9 @@ from .core.central_graph import SearchAnswer
 from .core.engine import EmptyQueryError, KeywordSearchEngine
 from .core.state import TooManyKeywordsError
 from .graph.csr import KnowledgeGraph
+from .instrumentation import KernelCounters
 from .obs.flight import FlightRecorder
-from .obs.metrics import MetricsRegistry, get_registry
+from .obs.metrics import MetricsRegistry, record_kernel_counters
 from .viz import edge_predicates
 
 #: Bounded endpoint label set — unknown paths collapse to "other" so a
@@ -114,62 +114,43 @@ _PAGE = """<!doctype html>
 """
 
 
-@dataclass
-class ServiceStats:
-    """Rolling counters exposed for monitoring.
+#: One reply: status, content type, body, and for an error reply the
+#: JSON payload its body encodes (``error``, and for a failed query its
+#: ``query_id`` and ``phase``).
+_Reply = Tuple[int, str, str, Optional[Dict]]
 
-    ``queries``/``errors`` keep their original meaning (search queries
-    attempted / search queries that failed); the per-endpoint maps and
-    ``last_error`` are the ``/statz`` detail view.
 
-    Attributes:
-        queries: search queries attempted (successful or not).
-        errors: search queries that returned an error payload.
-        requests_by_endpoint: HTTP GETs served, keyed by endpoint label
-            (unknown paths collapse to ``"other"``).
-        errors_by_endpoint: non-2xx responses, keyed the same way.
-        last_error: detail of the most recent error response —
-            ``{"endpoint", "status", "message", "query_id", "phase",
-            "unix_time"}`` — or ``None`` when no error has occurred yet.
-            ``query_id`` is the flight-recorder record id (fetch the
-            full trace at ``/debug/queries/<id>``) and ``phase`` the
-            engine phase that failed; both are ``None`` for errors that
-            never reached the engine.
-        started_unix: service construction time (epoch seconds).
-    """
-
-    queries: int = 0
-    errors: int = 0
-    requests_by_endpoint: Dict[str, int] = field(default_factory=dict)
-    errors_by_endpoint: Dict[str, int] = field(default_factory=dict)
-    last_error: Optional[Dict] = None
-    started_unix: float = 0.0
-
-    def as_dict(self) -> Dict:
-        """JSON-serializable snapshot (the ``/statz`` payload)."""
-        return {
-            "queries": self.queries,
-            "errors": self.errors,
-            "requests_by_endpoint": dict(self.requests_by_endpoint),
-            "errors_by_endpoint": dict(self.errors_by_endpoint),
-            "last_error": dict(self.last_error) if self.last_error else None,
-            "started_unix": self.started_unix,
-            "uptime_seconds": time.time() - self.started_unix,
-        }
+def _json_error(status: int, message: str) -> _Reply:
+    payload = {"error": message}
+    return status, "application/json", json.dumps(payload), payload
 
 
 class SearchService:
     """HTTP-agnostic query service wrapping one engine.
 
+    The service is the only writer of its metrics: every GET it serves
+    counts once in ``repro_http_*``, and every query it answers adds
+    its kernel work, summed over its levels, to ``repro_kernel_*``
+    once. Several services over one engine keep separate counts.
+
     Args:
         engine: the search engine answering ``/search``.
-        registry: metrics destination; defaults to the process registry,
-            so kernel work counters recorded by the backends land in the
-            same ``/metrics`` output as the HTTP series.
+        registry: metrics destination; a fresh :class:`MetricsRegistry`
+            when omitted.
         flight: query flight recorder backing ``/debug/queries``. When
             omitted, the engine's attached recorder is adopted (so
             several services sharing one engine expose one ring), else
             a fresh env-configured recorder is built and attached.
+
+    Attributes:
+        last_error: detail of the most recent error reply —
+            ``{"endpoint", "status", "message", "query_id", "phase",
+            "unix_time"}`` — or ``None`` before the first. ``query_id``
+            is the flight-recorder record id (fetch the full trace at
+            ``/debug/queries/<id>``) and ``phase`` the engine phase that
+            failed; both are ``None`` for errors that never reached the
+            engine. Replaced whole on each error reply, never mutated.
+        started_unix: service construction time (epoch seconds).
     """
 
     def __init__(
@@ -180,8 +161,7 @@ class SearchService:
     ) -> None:
         self.engine = engine
         self.graph: KnowledgeGraph = engine.graph
-        self.stats = ServiceStats(started_unix=time.time())
-        self.registry = registry if registry is not None else get_registry()
+        self.registry = registry if registry is not None else MetricsRegistry()
         if flight is not None:
             self.flight = flight
         elif engine.flight is not None:
@@ -189,47 +169,20 @@ class SearchService:
         else:
             self.flight = FlightRecorder.from_env()
         engine.flight = self.flight
-        self._lock = threading.Lock()
+        self.last_error: Optional[Dict] = None
+        self.started_unix = time.time()
 
-    def _record_request(
-        self,
-        endpoint: str,
-        status: int,
-        seconds: float,
-        message: str = "",
-        query_id: Optional[int] = None,
-        phase: Optional[str] = None,
-    ) -> None:
-        """Update stats + metrics for one served GET."""
-        with self._lock:
-            self.stats.requests_by_endpoint[endpoint] = (
-                self.stats.requests_by_endpoint.get(endpoint, 0) + 1
-            )
-            if status >= 400:
-                self.stats.errors_by_endpoint[endpoint] = (
-                    self.stats.errors_by_endpoint.get(endpoint, 0) + 1
-                )
-                self.stats.last_error = {
-                    "endpoint": endpoint,
-                    "status": status,
-                    "message": message,
-                    "query_id": query_id,
-                    "phase": phase,
-                    "unix_time": time.time(),
-                }
-        self.registry.counter(
-            METRIC_HTTP_REQUESTS, "HTTP GETs served",
-            endpoint=endpoint,
-        ).inc()
-        self.registry.histogram(
-            METRIC_HTTP_REQUEST_SECONDS, "HTTP request latency",
-            endpoint=endpoint,
-        ).observe(seconds)
-        if status >= 400:
-            self.registry.counter(
-                METRIC_HTTP_ERRORS, "HTTP error responses",
-                endpoint=endpoint,
-            ).inc()
+    def _record_kernel_work(self, level_profile: List) -> None:
+        """Add one answered query's kernel counters, summed over its
+        levels, to the registry under the backend's tier."""
+        tier = self.engine.backend.counter_tier
+        if tier is None:
+            return
+        totals = KernelCounters()
+        for outcome in level_profile:
+            if outcome.counters is not None:
+                totals.add(outcome.counters)
+        record_kernel_counters(totals, tier, self.registry)
 
     # ------------------------------------------------------------------
     # Pure request logic (unit-testable)
@@ -276,7 +229,8 @@ class SearchService:
         k: int = 5,
         alpha: float = 0.1,
     ) -> "tuple[int, Dict]":
-        """Run one query; returns (http_status, json_payload)."""
+        """Run one query; returns (http_status, json_payload). An
+        answered query adds its kernel work to the registry."""
         if not query.strip():
             return 400, {"error": "missing query parameter 'q'"}
         if not (1 <= k <= 100):
@@ -285,17 +239,11 @@ class SearchService:
             return 400, {"error": "alpha must lie strictly in (0, 1)"}
         from .text.suggest import suggest_for_dropped
 
-        with self._lock:
-            self.stats.queries += 1
         try:
             result = self.engine.search(query, k=k, alpha=alpha)
         except TooManyKeywordsError as error:
-            with self._lock:
-                self.stats.errors += 1
             return 400, {"error": str(error)}
         except EmptyQueryError as error:
-            with self._lock:
-                self.stats.errors += 1
             # "Did you mean": nearby vocabulary for the unmatched terms.
             suggestions = suggest_for_dropped(
                 self.engine.index, query.split()
@@ -308,6 +256,7 @@ class SearchService:
                 "query_id": getattr(error, "query_id", None),
                 "phase": getattr(error, "phase", None),
             }
+        self._record_kernel_work(result.level_profile)
         payload = {
             "query": query,
             "query_id": result.query_id,
@@ -329,86 +278,89 @@ class SearchService:
     def handle_path(self, path: str) -> "tuple[int, str, str]":
         """Dispatch one GET path; returns (status, content_type, body).
 
-        Every dispatch lands in the request counters and the latency
-        histogram (labelled by endpoint), and error responses update
-        ``stats.last_error``.
+        Every dispatch lands in the request counter and the latency
+        histogram (labelled by endpoint); an error reply also counts in
+        the error counter and replaces ``last_error``.
         """
         parsed = urlparse(path)
         endpoint = _endpoint_label(parsed.path)
         start = time.perf_counter()
-        status, content_type, body = self._dispatch(parsed)
-        message = ""
-        query_id: Optional[int] = None
-        phase: Optional[str] = None
-        if status >= 400 and content_type == "application/json":
-            try:
-                detail = json.loads(body)
-                message = detail.get("error", "")
-                query_id = detail.get("query_id")
-                phase = detail.get("phase")
-            except (ValueError, AttributeError):  # pragma: no cover
-                message = ""
-        self._record_request(
-            endpoint,
-            status,
-            time.perf_counter() - start,
-            message,
-            query_id=query_id,
-            phase=phase,
-        )
+        status, content_type, body, error = self._dispatch(parsed)
+        seconds = time.perf_counter() - start
+        self.registry.counter(
+            METRIC_HTTP_REQUESTS, "HTTP GETs served",
+            endpoint=endpoint,
+        ).inc()
+        self.registry.histogram(
+            METRIC_HTTP_REQUEST_SECONDS, "HTTP request latency",
+            endpoint=endpoint,
+        ).observe(seconds)
+        if error is not None:
+            self.registry.counter(
+                METRIC_HTTP_ERRORS, "HTTP error responses",
+                endpoint=endpoint,
+            ).inc()
+            # One assignment publishes the whole record: a /statz reader
+            # sees the previous error or this one, never a mix.
+            self.last_error = {
+                "endpoint": endpoint,
+                "status": status,
+                "message": error["error"],
+                "query_id": error.get("query_id"),
+                "phase": error.get("phase"),
+                "unix_time": time.time(),
+            }
         return status, content_type, body
 
-    def _dispatch(self, parsed) -> "tuple[int, str, str]":
+    def _dispatch(self, parsed) -> _Reply:
         if parsed.path == "/":
-            return 200, "text/html; charset=utf-8", self.index_page()
+            return 200, "text/html; charset=utf-8", self.index_page(), None
         if parsed.path == "/healthz":
+            queries = self.registry.value(METRIC_HTTP_REQUESTS, endpoint="/search")
             return 200, "application/json", json.dumps(
-                {"status": "ok", "queries": self.stats.queries}
-            )
+                {"status": "ok", "queries": int(queries)}
+            ), None
         if parsed.path == "/metrics":
-            return 200, PROMETHEUS_CONTENT_TYPE, self.registry.render_prometheus()
+            return (
+                200, PROMETHEUS_CONTENT_TYPE,
+                self.registry.render_prometheus(), None,
+            )
         if parsed.path == "/statz":
             # Graph storage accounting: mmap-backed stores report their
             # resident page estimate alongside the full CSR size, so an
-            # operator can tell page cache from heap. Computed outside
-            # the stats lock — it may touch mmap pages.
-            storage = self.graph.memory_report()
-            # The stats are copied under the service lock, the metrics
-            # snapshotted after it is released: no lock in the shell is
-            # acquired while another is held. A /search finishing between
-            # the two reads shows up in one half and not yet the other.
-            with self._lock:
-                stats = replace(
-                    self.stats,
-                    requests_by_endpoint=dict(self.stats.requests_by_endpoint),
-                    errors_by_endpoint=dict(self.stats.errors_by_endpoint),
-                )
+            # operator can tell page cache from heap. The request and
+            # error counts are the metrics snapshot's.
+            last_error = self.last_error
             payload = {
-                "service": stats.as_dict(),
-                "storage": storage,
+                "service": {
+                    "last_error": dict(last_error) if last_error else None,
+                    "started_unix": self.started_unix,
+                    "uptime_seconds": time.time() - self.started_unix,
+                },
+                "storage": self.graph.memory_report(),
                 "metrics": self.registry.snapshot(),
             }
-            return 200, "application/json", json.dumps(payload)
+            return 200, "application/json", json.dumps(payload), None
         if parsed.path == "/debug/queries":
             return 200, "application/json", json.dumps(
                 self.flight.debug_payload()
-            )
+            ), None
         if parsed.path.startswith("/debug/queries/"):
             raw_id = parsed.path[len("/debug/queries/"):]
             try:
                 query_id = int(raw_id)
             except ValueError:
-                return 400, "application/json", json.dumps(
-                    {"error": f"query id must be an integer, got {raw_id!r}"}
+                return _json_error(
+                    400, f"query id must be an integer, got {raw_id!r}"
                 )
             record = self.flight.get(query_id)
             if record is None:
-                return 404, "application/json", json.dumps(
-                    {"error": f"no flight record for query id {query_id}"}
+                return _json_error(
+                    404, f"no flight record for query id {query_id}"
                 )
             return 200, "application/json", json.dumps(
                 record.as_dict(include_trace=True)
-            )
+            ), None
         if parsed.path == "/search":
             params = parse_qs(parsed.query)
             query = params.get("q", [""])[0]
@@ -416,13 +368,14 @@ class SearchService:
                 k = int(params.get("k", ["5"])[0])
                 alpha = float(params.get("alpha", ["0.1"])[0])
             except ValueError:
-                return 400, "application/json", json.dumps(
-                    {"error": "k and alpha must be numeric"}
-                )
+                return _json_error(400, "k and alpha must be numeric")
             status, payload = self.handle_search(query, k=k, alpha=alpha)
             indent = 2 if params.get("pretty") else None
-            return status, "application/json", json.dumps(payload, indent=indent)
-        return 404, "application/json", json.dumps({"error": "not found"})
+            return (
+                status, "application/json", json.dumps(payload, indent=indent),
+                payload if status >= 400 else None,
+            )
+        return _json_error(404, "not found")
 
 
 class _DeadlineReader(io.RawIOBase):

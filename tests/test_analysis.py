@@ -400,7 +400,7 @@ def test_rpr009_allows_non_csr_copies_and_cold_code():
         @hot_path
         def kernel(graph, chunk):
             chunk = np.ascontiguousarray(chunk)
-            return graph.adj.indices64
+            return graph.adj.degree_array
 
         def cold_path(graph):
             return np.asarray(graph.adj.indices)
@@ -496,13 +496,11 @@ def test_rpr012_inline_metric_names_flagged():
             registry.counter(f"repro_{field}_total", "help").inc()
         """
     )
-    # Inline string literal, get_registry() receiver, name= keyword.
+    # Inline string literal on a service's registry, name= keyword.
     assert "RPR012" in _rules_of(
         """
-        from repro.obs.metrics import get_registry
-
-        def emit():
-            get_registry().counter("repro_inflight_queries_total").inc()
+        def emit(service):
+            service.registry.counter("repro_inflight_queries_total").inc()
         """
     )
     assert "RPR012" in _rules_of(
@@ -725,6 +723,45 @@ def test_tsan_inject_reported():
     result = sanitize.run_tsan_inject()
     assert result.ok, result.detail
     assert result.sanitizer_report
+
+
+def test_a_missing_cc_falls_back_like_the_kernel_build(monkeypatch, tmp_path):
+    """``CC`` naming no program leaves the sanitizer tiers on the next
+    compiler the kernel build would use: the toolchain is found and the
+    TSan harness builds and runs, instead of a SKIP."""
+    from repro.analysis import sanitize
+
+    monkeypatch.delenv("CC", raising=False)
+    if not sanitize.toolchain_available(sanitize.THREAD_SELECTION):
+        pytest.skip("TSan toolchain unavailable")
+    monkeypatch.setenv("CC", "no-such-cc")
+    monkeypatch.setattr(sanitize, "_BUILD_DIR", tmp_path)
+    assert sanitize.toolchain_available()
+    assert sanitize.toolchain_available(sanitize.THREAD_SELECTION)
+    result = sanitize.run_tsan_inject()
+    assert result.ok and not result.skipped, result.detail
+
+
+def test_a_harness_that_does_not_compile_reports_the_diagnostic(
+    monkeypatch, tmp_path
+):
+    """A TSan harness the compiler rejects fails the tier with the
+    compiler's error, located at the file and line."""
+    from repro.analysis import sanitize
+
+    if not sanitize.toolchain_available(sanitize.THREAD_SELECTION):
+        pytest.skip("TSan toolchain unavailable")
+    source = sanitize._HARNESS_SOURCE.read_text(encoding="utf-8")
+    broken = tmp_path / "_tsan_harness.c"
+    broken.write_text(source + "int broken = ;\n", encoding="utf-8")
+    line = source.count("\n") + 1
+    monkeypatch.setattr(sanitize, "_HARNESS_SOURCE", broken)
+    monkeypatch.setattr(sanitize, "_BUILD_DIR", tmp_path / "build")
+    for run in (sanitize.run_tsan_inject, sanitize.run_tsan_parity):
+        result = run()
+        assert not result.ok and not result.skipped
+        assert "failed to compile the TSan harness" in result.detail
+        assert f"{broken}:{line}:" in result.detail, result.detail
 
 
 # ---------------------------------------------------------------------------

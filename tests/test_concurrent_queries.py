@@ -50,7 +50,7 @@ from repro.parallel import (
     ThreadPoolBackend,
     VectorizedBackend,
 )
-from repro.service import SearchService, create_server
+from repro.service import METRIC_HTTP_REQUESTS, SearchService, create_server
 
 N_THREADS = 3
 N_QUERIES = 60
@@ -169,6 +169,10 @@ def _assert_threads_get_serial_results(engine, expected):
     for query in queries:
         _, payload = service.handle_search(query, k=K)
         serial_levels[query] = _levels(service, payload)
+    # The service's kernel counters after one serial pass (none on a
+    # route without a counter tier).
+    serial_counts = service.registry.snapshot()
+    assert bool(serial_counts) == (engine.backend.counter_tier is not None)
     wrong = []
 
     def client(i):
@@ -185,7 +189,12 @@ def _assert_threads_get_serial_results(engine, expected):
     errors = _run_clients(client, N_THREADS)
     assert not errors, errors
     assert not wrong, f"{len(wrong)} of {N_THREADS * N_QUERIES} answers differ: {wrong[:3]}"
-    assert service.stats.queries == (N_THREADS + 1) * len(queries)
+    # Each answered query added its kernel work once: no increment was
+    # lost or doubled between the request threads.
+    assert service.registry.snapshot() == {
+        name: {labels: value * (N_THREADS + 1) for labels, value in family.items()}
+        for name, family in serial_counts.items()
+    }
     # The level buffers and the bound whole-level call stayed with each
     # query's state: the shared backend carries nothing.
     assert not vars(engine.backend)
@@ -312,7 +321,7 @@ def test_http_clients_through_the_worker_set_get_reference_answers(
         server.server_close()
     assert not errors, errors
     assert not wrong, f"{len(wrong)} of {N_THREADS * N_HTTP_QUERIES} answers differ: {wrong[:3]}"
-    assert server.service.stats.requests_by_endpoint["/search"] == (
-        N_THREADS * N_HTTP_QUERIES
-    )
+    assert server.service.registry.value(
+        METRIC_HTTP_REQUESTS, endpoint="/search"
+    ) == N_THREADS * N_HTTP_QUERIES
     assert not vars(engine.backend)

@@ -163,18 +163,8 @@ def test_base_arrays_are_frozen_after_construction():
             array[0] = 0
 
 
-def test_cached_views_are_frozen_including_already_int64_indices():
+def test_cached_degree_view_is_frozen():
     adj = _adjacency_from(4, [(0, 1, 0), (0, 2, 1), (2, 3, 0)])
     assert not adj.degree_array.flags.writeable
-    assert not adj.indices64.flags.writeable
     with pytest.raises(ValueError):
-        adj.indices64[0] = 99
-    # An adjacency whose stored indices are already int64 must hand back
-    # the (frozen) stored array, not a fresh writable one.
-    wide = CSRAdjacency(
-        indptr=np.array([0, 1], dtype=np.int64),
-        indices=np.array([0], dtype=np.int64),
-        labels=np.array([0], dtype=np.int32),
-    )
-    assert wide.indices64 is wide.indices
-    assert not wide.indices64.flags.writeable
+        adj.degree_array[0] = 99

@@ -209,20 +209,22 @@ def test_threads_missing_the_same_alpha_get_equal_arrays(tiny_kb):
             ]
 
 
-def test_engine_construction_leaves_no_kernel_metrics(tiny_kb, monkeypatch):
+def test_a_fresh_service_reports_no_kernel_metrics_before_its_first_search(
+    tiny_kb,
+):
     """Distance sampling drives the expansion kernel at set-up; that is
-    not query work and must not show up in ``repro_kernel_*``."""
-    from repro.obs import MetricsRegistry, metrics
+    not query work and must not show up in ``repro_kernel_*``: a fresh
+    service's ``/metrics`` has none until it serves a ``/search``."""
+    from repro.service import SearchService
 
-    registry = MetricsRegistry()
-    monkeypatch.setattr(metrics, "_DEFAULT_REGISTRY", registry)
     graph, _ = tiny_kb
     engine = KeywordSearchEngine(graph)
     assert engine.average_distance > 0  # the sampler did run
-    assert "repro_kernel_" not in registry.render_prometheus()
-    result = engine.search("machine learning", k=60)
-    assert any(outcome.expanded for outcome in result.level_profile)
-    text = registry.render_prometheus()
+    service = SearchService(engine)
+    assert "repro_kernel_" not in service.handle_path("/metrics")[2]
+    status, _, _ = service.handle_path("/search?q=machine+learning&k=60")
+    assert status == 200
+    text = service.handle_path("/metrics")[2]
     assert "repro_kernel_edges_gathered_total" in text
     assert "repro_kernel_pairs_hit_total" in text
 
@@ -245,6 +247,25 @@ def test_timer_has_all_phases(engine):
     ):
         assert phase in ms
     assert ms["total"] >= ms["expansion"]
+
+
+@pytest.mark.parametrize(
+    "route", [SequentialBackend, VectorizedBackend, ThreadPoolBackend]
+)
+def test_every_route_times_all_six_phases(tiny_kb, route):
+    """Every completed search's timer carries each of ``ALL_PHASES`` on
+    each stage-one route, a search that stops at level 0 included: so
+    a per-phase mean over search timers never mixes absent with 0 ms."""
+    from repro.instrumentation import ALL_PHASES
+
+    graph, _ = tiny_kb
+    backend = route()
+    engine = KeywordSearchEngine(graph, backend=backend)
+    with backend:
+        for query, k in (("machine", 1), ("graph database", 3),
+                         ("machine learning", 60)):
+            result = engine.search(query, k=k)
+            assert set(result.timer.seconds) == set(ALL_PHASES), route
 
 
 def test_storage_report_scales_with_knum(engine):

@@ -11,7 +11,6 @@ from repro.instrumentation import (
     PHASE_TOTAL,
     KernelCounters,
     PhaseTimer,
-    summarize_timers,
 )
 from repro.obs import (
     ENV_FLIGHT_N,
@@ -312,14 +311,36 @@ def test_record_kernel_counters():
     assert "duplicates_elided" not in text
 
 
+def test_the_search_core_imports_no_metrics():
+    """Only a service writes metrics: no module of ``repro.core``
+    imports ``repro.obs.metrics``, so no engine shares a registry."""
+    import ast
+    from pathlib import Path
+
+    import repro.core
+
+    core = Path(repro.core.__file__).parent
+    importers = []
+    for path in sorted(core.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any("obs.metrics" in name for name in names):
+                importers.append(path.name)
+    assert importers == []
+
+
 @pytest.mark.parametrize("route", ["whole-level", "threads"])
 def test_kernel_counters_are_recorded_once_per_query(tiny_kb, monkeypatch, route):
-    """A query's expanded levels reach the registry in one update, under
-    the route's tier, and the totals are the sums of its level
-    counters — the same totals per-level recording gave."""
-    from repro.core import bottom_up
+    """A served query's expanded levels reach the service's registry in
+    one update, under the route's tier, and the totals are the sums of
+    its level counters. A query that raises records none."""
+    from repro import service as service_module
     from repro.core.engine import KeywordSearchEngine
-    from repro.obs import metrics
     from repro.parallel import ThreadPoolBackend, VectorizedBackend
 
     graph, _ = tiny_kb
@@ -329,25 +350,33 @@ def test_kernel_counters_are_recorded_once_per_query(tiny_kb, monkeypatch, route
         else ThreadPoolBackend(n_threads=2, chunks_per_thread=2)
     )
     engine = KeywordSearchEngine(graph, backend=backend)
-    registry = MetricsRegistry()
-    monkeypatch.setattr(metrics, "_DEFAULT_REGISTRY", registry)
-    calls = []
-    real = bottom_up.record_kernel_counters
+    service = service_module.SearchService(engine)
+    calls, results = [], []
+    real_record = service_module.record_kernel_counters
     monkeypatch.setattr(
-        bottom_up,
+        service_module,
         "record_kernel_counters",
-        lambda counters, tier: calls.append(tier) or real(counters, tier),
+        lambda counters, tier, registry: calls.append(tier)
+        or real_record(counters, tier, registry),
     )
-    want = KernelCounters()
+    real_search = engine.search
+    monkeypatch.setattr(
+        engine,
+        "search",
+        lambda *args, **kwargs: results.append(real_search(*args, **kwargs))
+        or results[-1],
+    )
     with backend:
-        for query in ("machine learning", "graph database query"):
-            result = engine.search(query, k=60)
-            levels = [o for o in result.level_profile if o.counters]
-            assert len(levels) > 1  # several levels, one update
-            for outcome in levels:
-                want.add(outcome.counters)
+        for query in ("machine+learning", "graph+database+query", "zzzzqqq"):
+            service.handle_path(f"/search?q={query}&k=60")
     assert calls == [route, route]
-    text = registry.render_prometheus()
+    want = KernelCounters()
+    for result in results:
+        levels = [o for o in result.level_profile if o.counters]
+        assert len(levels) > 1  # several levels, one update
+        for outcome in levels:
+            want.add(outcome.counters)
+    text = service.registry.render_prometheus()
     for field, value in want.as_dict().items():
         line = f'repro_kernel_{field}_total{{tier="{route}"}} {value}'
         assert (line in text) == bool(value), field
@@ -465,22 +494,6 @@ def test_phase_timer_without_tracer_opens_no_span_context(monkeypatch):
     with disabled.phase("a"):
         pass
     assert set(timer.seconds) == set(disabled.seconds) == {"a"}
-
-
-# ---------------------------------------------------------------------------
-# summarize_timers (average_timers companion)
-# ---------------------------------------------------------------------------
-def test_summarize_timers_reports_counts():
-    a = PhaseTimer({"x": 1.0})
-    b = PhaseTimer({"x": 3.0, "y": 1.0})
-    summary = summarize_timers([a, b])
-    assert summary["x"].mean_ms == 2000.0
-    assert summary["x"].count == 2
-    assert summary["y"].mean_ms == 500.0          # matches average_timers
-    assert summary["y"].mean_present_ms == 1000.0  # absent != zero
-    assert summary["y"].count == 1
-    assert summary["y"].n_timers == 2
-    assert summarize_timers([]) == {}
 
 
 # ---------------------------------------------------------------------------

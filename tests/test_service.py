@@ -18,7 +18,6 @@ import pytest
 from repro import service as service_module
 from repro.analysis.lint import package_root
 from repro.core.engine import KeywordSearchEngine
-from repro.obs import metrics
 from repro.service import SearchService, create_server
 
 from conftest import keyword_star
@@ -85,11 +84,75 @@ def test_handle_path_routing(service):
 
 
 def test_stats_counters(engine):
+    """``/healthz``'s ``queries`` is the ``/search`` request counter;
+    reading it before the first ``/search`` registers no series."""
     service = SearchService(engine)
-    service.handle_search("machine learning")
-    service.handle_search("zzzz")
-    assert service.stats.queries == 2
-    assert service.stats.errors == 1
+    assert json.loads(service.handle_path("/healthz")[2])["queries"] == 0
+    assert '"/search"' not in service.registry.render_prometheus()
+    service.handle_path("/search?q=machine+learning")
+    service.handle_path("/search?q=zzzz")
+    assert json.loads(service.handle_path("/healthz")[2])["queries"] == 2
+    registry = service.registry
+    assert registry.value(
+        service_module.METRIC_HTTP_REQUESTS, endpoint="/search"
+    ) == 2
+    assert registry.value(
+        service_module.METRIC_HTTP_ERRORS, endpoint="/search"
+    ) == 1
+    assert registry.value(
+        service_module.METRIC_HTTP_ERRORS, endpoint="/healthz"
+    ) == 0
+
+
+def test_services_over_one_engine_keep_separate_counts(engine):
+    """Each service owns its registry: a query served by one shows in
+    its ``/metrics`` only, kernel counters included, and ``/statz``
+    reports the same counts as ``/metrics``."""
+    first, second = SearchService(engine), SearchService(engine)
+    assert first.registry is not second.registry
+    for _ in range(3):
+        # k=60 takes the search past level 0, so the kernel does work.
+        first.handle_path("/search?q=machine+learning&k=60")
+    second.handle_path("/search?q=zzzzqqq")
+    first_text = first.handle_path("/metrics")[2]
+    second_text = second.handle_path("/metrics")[2]
+    assert 'repro_http_requests_total{endpoint="/search"} 3' in first_text
+    assert 'repro_http_errors_total' not in first_text
+    assert 'repro_http_requests_total{endpoint="/search"} 1' in second_text
+    assert 'repro_http_errors_total{endpoint="/search"} 1' in second_text
+    assert "repro_kernel_" in first_text
+    assert "repro_kernel_" not in second_text
+    for service in (first, second):
+        assert _statz_counts(service) == _metrics_counts(service)
+
+
+def _statz_counts(service):
+    """Every counter of a ``/statz`` reply, keyed as ``/metrics`` keys
+    them, plus the ``/statz`` GET itself (counted after its reply)."""
+    snapshot = json.loads(service.handle_path("/statz")[2])["metrics"]
+    counts = {
+        name + labels: value
+        for name, family in snapshot.items()
+        if name.endswith("_total")
+        for labels, value in family.items()
+    }
+    key = 'repro_http_requests_total{endpoint="/statz"}'
+    counts[key] = counts.get(key, 0.0) + 1
+    return counts
+
+
+def _metrics_counts(service):
+    """Every counter line of a ``/metrics`` reply."""
+    rows = (
+        line.rsplit(" ", 1)
+        for line in service.handle_path("/metrics")[2].splitlines()
+        if not line.startswith("#")
+    )
+    return {
+        key: float(value)
+        for key, value in rows
+        if key.split("{")[0].endswith("_total")
+    }
 
 
 def test_metrics_endpoint_prometheus_format(engine):
@@ -123,15 +186,17 @@ def test_statz_endpoint_per_endpoint_counts_and_last_error(engine):
     assert content_type == "application/json"
     payload = json_module.loads(body)
     stats = payload["service"]
-    assert stats["requests_by_endpoint"]["/search"] == 2
-    assert stats["requests_by_endpoint"]["other"] == 1
-    assert stats["errors_by_endpoint"]["/search"] == 1
-    assert stats["errors_by_endpoint"]["other"] == 1
+    assert set(stats) == {"last_error", "started_unix", "uptime_seconds"}
     assert stats["last_error"]["endpoint"] == "other"
     assert stats["last_error"]["status"] == 404
-    assert stats["queries"] == 2 and stats["errors"] == 1
+    assert stats["last_error"]["message"] == "not found"
     assert stats["uptime_seconds"] >= 0
-    assert "repro_http_requests_total" in payload["metrics"]
+    requests = payload["metrics"]["repro_http_requests_total"]
+    errors = payload["metrics"]["repro_http_errors_total"]
+    assert requests['{endpoint="/search"}'] == 2
+    assert requests['{endpoint="other"}'] == 1
+    assert errors['{endpoint="/search"}'] == 1
+    assert errors['{endpoint="other"}'] == 1
 
 
 def test_error_metrics_recorded(engine):
@@ -193,7 +258,7 @@ def test_last_error_links_to_flight_record(engine):
     assert error_payload["query_id"] is not None
     assert error_payload["phase"] == "initialization"
 
-    last_error = service.stats.last_error
+    last_error = service.last_error
     assert last_error["query_id"] == error_payload["query_id"]
     assert last_error["phase"] == "initialization"
     # The linked record is servable.
@@ -324,8 +389,6 @@ class _LockRecorder:
             return untimed_get(queue_, block, timeout)
 
         monkeypatch.setattr(queue.Queue, "get", get)
-        # Built at import, before the recorder: swap in a fresh one.
-        monkeypatch.setattr(metrics, "_DEFAULT_REGISTRY", metrics.MetricsRegistry())
 
     def held(self):
         """This thread's stack of held recording locks."""
@@ -376,10 +439,15 @@ def test_debug_endpoints_under_concurrency(engine, lock_recorder):
         )
     lock_recorder.assert_flat()
     assert statuses.count(200) == len(paths)
-    assert service.stats.requests_by_endpoint["/search"] == n_search
-    assert service.stats.requests_by_endpoint["/metrics"] == n_read // 3
-    assert service.stats.requests_by_endpoint["/statz"] == n_read // 3
-    assert service.stats.requests_by_endpoint["/debug/queries"] == n_read // 3
+    for endpoint, count in (
+        ("/search", n_search),
+        ("/metrics", n_read // 3),
+        ("/statz", n_read // 3),
+        ("/debug/queries", n_read // 3),
+    ):
+        assert service.registry.value(
+            service_module.METRIC_HTTP_REQUESTS, endpoint=endpoint
+        ) == count
     # Every search was recorded exactly once; the ring stayed bounded.
     assert service.flight.completed == n_search
     listing = service.flight.debug_payload()
@@ -537,7 +605,9 @@ def test_http_metrics_and_statz(server):
     assert "repro_http_requests_total" in body
     status, body = _get(server, "/statz")
     assert status == 200
-    assert "requests_by_endpoint" in json.loads(body)["service"]
+    assert json.loads(body)["metrics"]["repro_http_requests_total"][
+        '{endpoint="/metrics"}'
+    ] >= 1
 
 
 def test_http_debug_queries_roundtrip(server):
@@ -762,7 +832,6 @@ def test_replies_match_the_recorded_goldens(tiny_kb, monkeypatch):
     from repro.core.results import SearchResult
 
     golden = json.loads(HTTP_GOLDENS.read_text())["replies"]
-    monkeypatch.setattr(metrics, "_DEFAULT_REGISTRY", metrics.MetricsRegistry())
     monkeypatch.setattr(
         SearchResult,
         "milliseconds",

@@ -69,7 +69,6 @@ def _assert_graphs_bitwise_equal(actual, expected):
     assert np.array_equal(
         actual.adj.degree_array, expected.adj.degree_array
     )
-    assert np.array_equal(actual.adj.indices64, expected.adj.indices64)
     assert list(actual.node_text) == list(expected.node_text)
     assert actual.predicates.to_list() == expected.predicates.to_list()
 
@@ -321,6 +320,11 @@ def test_memory_report_distinguishes_mmap_from_heap(kb_graph, store_path):
     in_ram = kb_graph.memory_report()
     assert in_ram["mmap"] is False
     assert in_ram["resident_nbytes"] == in_ram["csr_nbytes"]
+    # The CSR arrays and the degree view: no int64 copy of the indices.
+    assert in_ram["csr_nbytes"] == (
+        kb_graph.out.nbytes + kb_graph.inc.nbytes + kb_graph.adj.nbytes
+        + kb_graph.adj.degree_array.nbytes
+    )
     assert in_ram["store_path"] is None
 
     mapped = open_store(store_path).memory_report()
@@ -393,8 +397,8 @@ def test_statz_reports_storage_section(store_path):
 def _kernel_view_problems():
     """What breaks the store sections the kernel is handed as raw
     pointers: the CSR sections must hold the element types the kernel
-    declares for ``indptr`` / ``indices`` (``adj_indices64`` and
-    ``adj_degree`` are the int64 fancy-index and degree views),
+    declares for ``indptr`` / ``indices`` (``adj_indices64``, written
+    for format 2 and never read, and ``adj_degree`` are int64),
     little-endian, and every section must start aligned to its items."""
     from repro.parallel._native import KERNEL_EXPORTS, _ctype
 
