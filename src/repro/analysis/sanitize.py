@@ -51,7 +51,6 @@ pthreads racing on the shared ``M``/``FIdentifier`` arrays:
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import os
 import re
@@ -307,12 +306,13 @@ def write_suppressions(path: Optional[Path] = None) -> Path:
 
 def tsan_harness_path(exports: _native.Exports) -> Path:
     """Where the harness built against ``exports`` is cached: named by
-    the harness, the kernel and the rendered header."""
-    digest = hashlib.sha256(
-        _HARNESS_SOURCE.read_bytes()
-        + _KERNEL_SOURCE.read_bytes()
-        + _native.render_header(exports).encode()
-    ).hexdigest()[:16]
+    its :func:`~repro.parallel._native.build_digest`."""
+    digest = _native.build_digest(
+        (_HARNESS_SOURCE, _KERNEL_SOURCE),
+        exports,
+        _native.sanitize_cflags(THREAD_SELECTION),
+        shared=False,
+    )
     return _BUILD_DIR / f"tsan-harness-{digest}"
 
 

@@ -13,6 +13,7 @@ the thread-pool backend, "CPU-Par-d" the locked dynamic-memory variant,
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -368,42 +369,46 @@ def measure_obs_overhead(
     seed: int = 5,
     dataset: Optional[BenchDataset] = None,
 ) -> Dict[str, float]:
-    """Best-of timing of the untraced path vs. the flight-recorded one.
+    """Best-of timing of a served query with and without flight recording.
 
-    The always-on flight-recorder path (a per-query owned tracer plus
-    one ring commit, the serving default) is measured against the
-    untraced engine on a tiny workload, so CI can watch its cost.
+    ``SearchService.handle_search`` over one engine, with the serving
+    default (a flight recorder of capacity 128) against a recorder of
+    capacity 0, on a tiny workload, so CI can watch what recording
+    costs a served query.
 
     Returns:
         ``{"plain_ms", "flight_ms", "flight_ratio"}`` — best-of-``repeats``
-        total milliseconds, and flight-recorded/plain.
+        total milliseconds, and recorded/unrecorded.
     """
     from ..obs.flight import FlightRecorder
+    from ..service import SearchService
 
     if dataset is None:
         dataset = build_dataset(tiny_config())
     workload = KeywordWorkload(dataset.index, seed=seed)
     queries = workload.sample_queries(knum, n_queries)
+    engine = KeywordSearchEngine(
+        dataset.graph,
+        index=dataset.index,
+        weights=dataset.weights,
+        average_distance=dataset.distance.average,
+        config=EngineConfig(topk=topk),
+    )
 
-    def best_of(flight: "Optional[FlightRecorder]") -> float:
-        engine = KeywordSearchEngine(
-            dataset.graph,
-            index=dataset.index,
-            weights=dataset.weights,
-            average_distance=dataset.distance.average,
-            config=EngineConfig(topk=topk),
+    def best_of(capacity: int) -> float:
+        service = SearchService(
+            engine, flight=FlightRecorder(max_records=capacity, slow_ms=0)
         )
-        engine.flight = flight
         best = float("inf")
         for _ in range(repeats):
-            elapsed = 0.0
+            started = time.perf_counter()
             for query in queries:
-                elapsed += engine.search(query, k=topk).timer.get(PHASE_TOTAL)
-            best = min(best, elapsed)
+                service.handle_search(query, k=topk)
+            best = min(best, time.perf_counter() - started)
         return best
 
-    plain = best_of(None)
-    flight = best_of(FlightRecorder(max_records=128, slow_ms=0))
+    plain = best_of(0)
+    flight = best_of(128)
     return {
         "plain_ms": plain * 1e3,
         "flight_ms": flight * 1e3,

@@ -49,6 +49,7 @@ free until a lane closes, then one O(|V|) pass per level.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -233,6 +234,7 @@ class BottomUpSearch:
                 tracer.span("level", level=level) if trace_on else NULL_CONTEXT
             )
             with level_ctx as level_span:
+                started = time.perf_counter()
                 outcome = self.backend.run_level(
                     self.graph,
                     state,
@@ -241,6 +243,7 @@ class BottomUpSearch:
                     level < self.lmax and not closed,
                     timer,
                 )
+                outcome.seconds = time.perf_counter() - started
                 if outcome.frontier_size == 0:
                     terminated = TERMINATED_FRONTIER_EMPTY
                     break

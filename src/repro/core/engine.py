@@ -17,12 +17,11 @@ Typical use::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..instrumentation import (
-    PHASE_INITIALIZATION,
     PHASE_TOTAL,
     PhaseTimer,
     StorageReport,
@@ -43,7 +42,6 @@ from .top_down import TopDownConfig, bind_graph, process_top_down
 from .weights import node_weights
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..obs.flight import FlightRecorder
     from ..parallel._native import BoundGraph
 
 #: Activation mappings kept per engine, most recently used last. Each is
@@ -126,11 +124,6 @@ class KeywordSearchEngine:
     ) -> None:
         self.graph = graph
         self.tracer = tracer
-        #: Optional query flight recorder (:mod:`repro.obs.flight`).
-        #: ``None`` (default) records nothing and costs one attribute
-        #: load per query; :class:`~repro.service.SearchService` attaches
-        #: one so every served query leaves a ``QueryRecord``.
-        self.flight: "Optional[FlightRecorder]" = None
         self.config = config or EngineConfig()
         self.index = index or InvertedIndex.from_graph(graph, tokenizer)
         # Normalised once, here: stage two's kernel reads ``double*``.
@@ -219,8 +212,73 @@ class KeywordSearchEngine:
         from ..text.query_parser import parse_query, resolve_keyword_groups
 
         pairs = resolve_keyword_groups(parse_query(query), self.index)
-        return self._search_pairs(
-            pairs, k, alpha, lam, activation_override, query_text=query
+        k = k if k is not None else self.config.topk
+        alpha = alpha if alpha is not None else self.config.alpha
+        lam = lam if lam is not None else self.config.lam
+
+        keywords = tuple(term for term, nodes in pairs if len(nodes) > 0)
+        dropped = tuple(term for term, nodes in pairs if len(nodes) == 0)
+        node_sets = [nodes for _, nodes in pairs if len(nodes) > 0]
+
+        if not node_sets:
+            raise EmptyQueryError(dropped)
+        if activation_override is not None:
+            activation = np.asarray(activation_override, dtype=np.int32)
+            max_activation = None
+        else:
+            activation, max_activation = self._activation(alpha)
+
+        tracer = self.tracer if self.tracer is not None else get_global_tracer()
+        # With a disabled tracer (none attached, none installed) the
+        # timer opens no span context.
+        timer = PhaseTimer(tracer=tracer)
+        with tracer.span(
+            "query", knum=len(keywords), k=k, alpha=alpha
+        ) as query_span:
+            with timer.phase(PHASE_TOTAL):
+                bottom_up = self._searcher.run(
+                    node_sets,
+                    activation,
+                    k,
+                    timer=timer,
+                    max_activation=max_activation,
+                )
+                ranked = process_top_down(
+                    self.graph,
+                    bottom_up.state,
+                    self.weights,
+                    config=TopDownConfig(
+                        k=k,
+                        lam=lam,
+                        apply_level_cover=self.config.apply_level_cover,
+                        deduplicate=self.config.deduplicate,
+                        single_path=self.config.single_path,
+                        n_threads=self.config.top_down_threads,
+                        native=self.config.top_down_native,
+                    ),
+                    timer=timer,
+                    bound_graph=self._bound_graph,
+                )
+            query_span.set_attrs(
+                {
+                    "depth": bottom_up.depth,
+                    "n_central_nodes": bottom_up.state.n_central_nodes,
+                    "n_answers": len(ranked),
+                    "terminated": bottom_up.terminated,
+                }
+            )
+        answers = [SearchAnswer(graph=g, keywords=keywords) for g in ranked]
+        return SearchResult(
+            answers=answers,
+            keywords=keywords,
+            dropped_terms=dropped,
+            depth=bottom_up.depth,
+            n_central_nodes=bottom_up.state.n_central_nodes,
+            terminated=bottom_up.terminated,
+            timer=timer,
+            peak_state_nbytes=bottom_up.peak_state_nbytes,
+            stage_two_nbytes=bottom_up.state.stage_two_nbytes,
+            level_profile=bottom_up.level_profile,
         )
 
     def search_terms(
@@ -233,117 +291,6 @@ class KeywordSearchEngine:
     ) -> SearchResult:
         """Like :meth:`search` for an already-split list of terms."""
         return self.search(" ".join(terms), k, alpha, lam, activation_override)
-
-    def _search_pairs(
-        self,
-        pairs: "List[tuple[str, np.ndarray]]",
-        k: Optional[int],
-        alpha: Optional[float],
-        lam: Optional[float],
-        activation_override: Optional[np.ndarray],
-        query_text: str = "",
-    ) -> SearchResult:
-        k = k if k is not None else self.config.topk
-        alpha = alpha if alpha is not None else self.config.alpha
-        lam = lam if lam is not None else self.config.lam
-
-        keywords = tuple(term for term, nodes in pairs if len(nodes) > 0)
-        dropped = tuple(term for term, nodes in pairs if len(nodes) == 0)
-        node_sets = [nodes for _, nodes in pairs if len(nodes) > 0]
-
-        flight = self.flight
-        recording = None
-        if flight is not None and flight.enabled:
-            recording = flight.begin(
-                query_text or " ".join(keywords + dropped),
-                keywords=keywords,
-                dropped_terms=dropped,
-                backend=getattr(self.backend, "name", ""),
-            )
-        if not node_sets:
-            error = EmptyQueryError(
-                "no query term matches any node "
-                f"(dropped: {', '.join(dropped) or '<empty query>'})"
-            )
-            if recording is not None:
-                error.query_id = recording.query_id  # type: ignore[attr-defined]
-                error.phase = PHASE_INITIALIZATION  # type: ignore[attr-defined]
-                recording.fail(error, phase=PHASE_INITIALIZATION)
-            raise error
-        if activation_override is not None:
-            activation = np.asarray(activation_override, dtype=np.int32)
-            max_activation = None
-        else:
-            activation, max_activation = self._activation(alpha)
-
-        tracer = self.tracer if self.tracer is not None else get_global_tracer()
-        if recording is not None and not tracer.enabled:
-            # Flight recording brings its own per-query tracer, so the
-            # record carries a span tree even when neither REPRO_TRACE
-            # nor an engine tracer is configured.
-            tracer = recording.tracer
-        # With a disabled tracer (none attached, none installed) the
-        # timer opens no span context.
-        timer = PhaseTimer(tracer=tracer)
-        try:
-            with tracer.span(
-                "query", knum=len(keywords), k=k, alpha=alpha
-            ) as query_span:
-                with timer.phase(PHASE_TOTAL):
-                    bottom_up = self._searcher.run(
-                        node_sets,
-                        activation,
-                        k,
-                        timer=timer,
-                        max_activation=max_activation,
-                    )
-                    ranked = process_top_down(
-                        self.graph,
-                        bottom_up.state,
-                        self.weights,
-                        config=TopDownConfig(
-                            k=k,
-                            lam=lam,
-                            apply_level_cover=self.config.apply_level_cover,
-                            deduplicate=self.config.deduplicate,
-                            single_path=self.config.single_path,
-                            n_threads=self.config.top_down_threads,
-                            native=self.config.top_down_native,
-                        ),
-                        timer=timer,
-                        bound_graph=self._bound_graph,
-                    )
-                query_span.set_attrs(
-                    {
-                        "depth": bottom_up.depth,
-                        "n_central_nodes": bottom_up.state.n_central_nodes,
-                        "n_answers": len(ranked),
-                        "terminated": bottom_up.terminated,
-                    }
-                )
-        except Exception as error:
-            if recording is not None:
-                error.query_id = recording.query_id  # type: ignore[attr-defined]
-                error.phase = PHASE_TOTAL  # type: ignore[attr-defined]
-                recording.fail(error, phase=PHASE_TOTAL, tracer=tracer)
-            raise
-        answers = [SearchAnswer(graph=g, keywords=keywords) for g in ranked]
-        result = SearchResult(
-            answers=answers,
-            keywords=keywords,
-            dropped_terms=dropped,
-            depth=bottom_up.depth,
-            n_central_nodes=bottom_up.state.n_central_nodes,
-            terminated=bottom_up.terminated,
-            timer=timer,
-            peak_state_nbytes=bottom_up.peak_state_nbytes,
-            stage_two_nbytes=bottom_up.state.stage_two_nbytes,
-            level_profile=bottom_up.level_profile,
-            query_id=recording.query_id if recording is not None else None,
-        )
-        if recording is not None:
-            recording.complete(result, query_span)
-        return result
 
     # ------------------------------------------------------------------
     # Storage accounting (Table IV)

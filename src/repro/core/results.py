@@ -9,7 +9,7 @@ the variants interchangeably.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..instrumentation import PhaseTimer
 from .central_graph import SearchAnswer
@@ -19,7 +19,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class EmptyQueryError(ValueError):
-    """Raised when no query term matches any node in the graph."""
+    """Raised when no query term matches any node in the graph.
+
+    Attributes:
+        dropped_terms: the normalized terms that matched nothing (empty
+            for a query with no term left after tokenizing).
+    """
+
+    def __init__(self, dropped_terms: Tuple[str, ...] = ()) -> None:
+        super().__init__(
+            "no query term matches any node "
+            f"(dropped: {', '.join(dropped_terms) or '<empty query>'})"
+        )
+        self.dropped_terms = tuple(dropped_terms)
 
 
 @dataclass
@@ -48,10 +60,6 @@ class SearchResult:
             returned (frontier size, edges scanned, new hits, new Central
             Nodes, kernel counters); empty for engine variants that do
             not record it.
-        query_id: the flight-recorder id of this query's
-            :class:`~repro.obs.flight.QueryRecord` (the
-            ``/debug/queries/<id>`` key), or ``None`` when no recorder
-            was attached.
     """
 
     answers: List[SearchAnswer]
@@ -64,7 +72,6 @@ class SearchResult:
     peak_state_nbytes: int
     stage_two_nbytes: int = 0
     level_profile: "List[LevelOutcome]" = field(default_factory=list)
-    query_id: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.answers)

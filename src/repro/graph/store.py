@@ -89,6 +89,10 @@ SECTION_DTYPES = (
     ("meta", "|u1"),
 )
 
+#: CSR sections no reader maps: ``meta`` is decoded once, and
+#: ``adj_indices64`` is never read (module docstring).
+UNMAPPED_SECTIONS = ("meta", "adj_indices64")
+
 #: Derived section name -> dtype string, on disk after the CSR sections of a
 #: version-2 store, in this order.
 DERIVED_SECTION_DTYPES = (
@@ -146,12 +150,13 @@ class StoreInfo:
 
     @property
     def array_bytes(self) -> int:
-        """Total bytes of the numeric CSR sections (excludes text, meta and
-        the derived sections): the heap a materialized graph would need."""
+        """Total bytes of the numeric CSR sections a reader maps (excludes
+        text, :data:`UNMAPPED_SECTIONS` and the derived sections): the
+        heap a materialized graph would need."""
         return sum(
             self.sections[name].nbytes
             for name, _ in SECTION_DTYPES
-            if name not in ("text_data", "text_offsets", "meta")
+            if name not in ("text_data", "text_offsets") + UNMAPPED_SECTIONS
         )
 
     @property
@@ -670,10 +675,8 @@ def _warn_rebuild(problem: str) -> None:
 
 
 def _open_graph(info: StoreInfo, mmap: bool) -> KnowledgeGraph:
-    # adj_indices64 is never read (module docstring).
     names = [
-        name for name, _ in SECTION_DTYPES
-        if name not in ("meta", "adj_indices64")
+        name for name, _ in SECTION_DTYPES if name not in UNMAPPED_SECTIONS
     ]
     if info.derived_revision == DERIVED_REVISION:
         names += [name for name, _ in DERIVED_SECTION_DTYPES]

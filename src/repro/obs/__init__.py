@@ -11,8 +11,9 @@ One API for all telemetry:
 * :mod:`repro.obs.config` — every ``REPRO_*`` switch, the
   ``REPRO_TRACE`` bench-run trace hook among them.
 * :mod:`repro.obs.flight` — the query flight recorder: a ring buffer of
-  the last N completed :class:`~repro.obs.flight.QueryRecord`\\ s plus
-  a slow-query log (``REPRO_FLIGHT_N`` / ``REPRO_SLOW_MS``).
+  the last N served :class:`~repro.obs.flight.QueryRecord`\\ s, each a
+  view of one query's ``SearchResult``, plus a slow-query log
+  (``REPRO_FLIGHT_N`` / ``REPRO_SLOW_MS``).
 
 See ``docs/OBSERVABILITY.md`` for the span model, metric naming scheme,
 and how to scrape/open the exports.
@@ -26,7 +27,7 @@ from .config import (
     maybe_install_env_tracer,
     slow_query_threshold_ms,
 )
-from .flight import FlightRecorder, QueryRecord, QueryRecording
+from .flight import FlightRecorder, QueryRecord
 from .metrics import (
     Counter,
     Histogram,
@@ -53,7 +54,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_TRACER",
     "QueryRecord",
-    "QueryRecording",
     "Span",
     "Tracer",
     "flight_recorder_size",

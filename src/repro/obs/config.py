@@ -17,8 +17,8 @@ registration):
   benchmark harness; read by :mod:`repro.bench.datasets`.
 * ``REPRO_SLOW_MS`` — slow-query threshold (milliseconds) for the query
   flight recorder (:mod:`repro.obs.flight`): a completed query slower
-  than this is promoted to the slow-query log with its full Chrome
-  trace persisted. ``0`` disables the slow log.
+  than this is also kept in the slow-query log. ``0`` disables the slow
+  log.
 * ``REPRO_FLIGHT_N`` — ring-buffer capacity of the flight recorder
   (how many recent :class:`~repro.obs.flight.QueryRecord`\\ s are kept).
   ``0`` disables flight recording entirely.
@@ -45,8 +45,7 @@ ENV_DATASET_CACHE = "REPRO_DATASET_CACHE"
 
 #: Slow-query threshold in milliseconds for the query flight recorder
 #: (:mod:`repro.obs.flight`). Queries at or above the threshold land in
-#: the slow-query log with their full Chrome trace persisted; ``0``
-#: disables the slow log. Unset defaults to
+#: the slow-query log too; ``0`` disables the slow log. Unset defaults to
 #: :data:`DEFAULT_SLOW_QUERY_MS`.
 ENV_SLOW_MS = "REPRO_SLOW_MS"
 

@@ -15,8 +15,7 @@ Design:
   tracer's epoch, thread id, attribute dict). Finished spans accumulate
   under one lock; nothing is exported until asked.
 * Export targets: **Chrome trace-event JSON** (open in Perfetto /
-  ``chrome://tracing``) via :meth:`Tracer.to_chrome_trace` (one
-  module-level writer, :func:`chrome_trace_of`, over any span list), and a
+  ``chrome://tracing``) via :meth:`Tracer.to_chrome_trace`, and a
   human-readable **flame summary** via :meth:`Tracer.flame_summary`.
 * A disabled tracer (``Tracer(enabled=False)``, and the process-global
   default until one is installed) short-circuits ``span()`` to a
@@ -34,23 +33,13 @@ Typical use::
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import os
 import threading
 import time
 from types import TracebackType
-from typing import (
-    Any,
-    Callable,
-    ContextManager,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Type,
-)
+from typing import Any, ContextManager, Dict, List, Optional, Type
 
 class Span:
     """One finished (or open) named interval.
@@ -202,35 +191,6 @@ class Tracer:
             return NULL_CONTEXT
         return _SpanContext(self, name, parent, attrs)
 
-    def traced(
-        self, name: Optional[str] = None
-    ) -> Callable[[Callable], Callable]:
-        """Decorator: run the wrapped function inside a span.
-
-        >>> tracer = Tracer(enabled=True)
-        >>> @tracer.traced("work")
-        ... def work(x):
-        ...     return x + 1
-        >>> work(1)
-        2
-        >>> tracer.finished_spans()[0].name
-        'work'
-        """
-
-        def decorate(fn: Callable) -> Callable:
-            label = name or fn.__qualname__
-
-            @functools.wraps(fn)
-            def wrapper(*args: object, **kwargs: object) -> object:
-                if not self.enabled:
-                    return fn(*args, **kwargs)
-                with self.span(label):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
-
     # ------------------------------------------------------------------
     # Introspection / export
     # ------------------------------------------------------------------
@@ -244,9 +204,45 @@ class Tracer:
             self._finished.clear()
 
     def to_chrome_trace(self) -> Dict[str, object]:
-        """The collected spans as a Chrome trace-event JSON object
-        (:func:`chrome_trace_of`)."""
-        return chrome_trace_of(self.finished_spans())
+        """The collected spans as a Chrome trace-event JSON object.
+
+        Complete (``"ph": "X"``) events carry microsecond timestamps
+        relative to the tracer epoch plus the span attributes (and span
+        ids) under ``args``; thread-name metadata events label each
+        participating thread. Load the serialized form in Perfetto
+        (https://ui.perfetto.dev) or ``chrome://tracing``.
+        """
+        pid = os.getpid()
+        events: List[Dict[str, object]] = []
+        threads: Dict[int, str] = {}
+        for span in self.finished_spans():
+            threads.setdefault(span.tid, span.thread_name)
+            args = dict(span.attrs)
+            args["span_id"] = span.span_id
+            args["parent_id"] = span.parent_id
+            events.append(
+                {
+                    "name": span.name,
+                    "cat": "repro",
+                    "ph": "X",
+                    "ts": span.start_ns / 1e3,
+                    "dur": span.duration_ns / 1e3,
+                    "pid": pid,
+                    "tid": span.tid,
+                    "args": args,
+                }
+            )
+        for tid, thread_name in sorted(threads.items()):
+            events.append(
+                {
+                    "name": "thread_name",
+                    "ph": "M",
+                    "pid": pid,
+                    "tid": tid,
+                    "args": {"name": thread_name},
+                }
+            )
+        return {"traceEvents": events, "displayTimeUnit": "ms"}
 
     def write_chrome_trace(self, path: str) -> None:
         """Serialize :meth:`to_chrome_trace` to ``path`` (validated)."""
@@ -371,50 +367,6 @@ def uninstall_global_tracer() -> None:
 def get_global_tracer() -> Tracer:
     """The process-default tracer (:data:`NULL_TRACER` until installed)."""
     return _GLOBAL_TRACER
-
-
-def chrome_trace_of(spans: Iterable[Span]) -> Dict[str, object]:
-    """``spans`` as a Chrome trace-event JSON object.
-
-    Complete (``"ph": "X"``) events carry microsecond timestamps
-    relative to the tracer epoch plus the span attributes (and span
-    ids) under ``args``; thread-name metadata events label each
-    participating thread. Load the serialized form in Perfetto
-    (https://ui.perfetto.dev) or ``chrome://tracing``. The one writer
-    behind :meth:`Tracer.to_chrome_trace` and the flight recorder's
-    per-query slice (:meth:`repro.obs.flight.QueryRecord.chrome_trace`).
-    """
-    pid = os.getpid()
-    events: List[Dict[str, object]] = []
-    threads: Dict[int, str] = {}
-    for span in spans:
-        threads.setdefault(span.tid, span.thread_name)
-        args = dict(span.attrs)
-        args["span_id"] = span.span_id
-        args["parent_id"] = span.parent_id
-        events.append(
-            {
-                "name": span.name,
-                "cat": "repro",
-                "ph": "X",
-                "ts": span.start_ns / 1e3,
-                "dur": span.duration_ns / 1e3,
-                "pid": pid,
-                "tid": span.tid,
-                "args": args,
-            }
-        )
-    for tid, thread_name in sorted(threads.items()):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "args": {"name": thread_name},
-            }
-        )
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
 def validate_chrome_trace(payload: Dict[str, object]) -> None:

@@ -283,6 +283,30 @@ def _located(
     return any(line.startswith(prefixes) for line in result.stderr.splitlines())
 
 
+def _output_flags(shared: bool) -> "tuple[str, ...]":
+    """What makes a build a shared object rather than an executable."""
+    return ("-shared", "-fPIC") if shared else ()
+
+
+def build_digest(
+    sources: "tuple[Path, ...]",
+    exports: Exports,
+    extra_flags: "tuple[str, ...]" = (),
+    shared: bool = True,
+) -> str:
+    """The cache key of one :func:`_compile` build: the ``sources``, the
+    header rendered from ``exports``, and the recipe — every flag set
+    it may try, ``extra_flags`` and the output kind. A build made under
+    another recipe is never reused."""
+    recipe = repr((_FLAG_SETS, tuple(extra_flags), _output_flags(shared)))
+    digest = hashlib.sha256()
+    for source in sources:
+        digest.update(source.read_bytes())
+    digest.update(render_header(exports).encode())
+    digest.update(recipe.encode())
+    return digest.hexdigest()[:16]
+
+
 def _compile(
     sources: "tuple[Path, ...]",
     target: Path,
@@ -298,7 +322,7 @@ def _compile(
     that does not run moves on to the next pair: the first diagnostic
     located in a source or ``header`` ends the search."""
     target.parent.mkdir(parents=True, exist_ok=True)
-    output_flags = ("-shared", "-fPIC") if shared else ()
+    output_flags = _output_flags(shared)
     failure = ""
     for compiler in _compilers():
         for flags in _FLAG_SETS:
@@ -956,10 +980,10 @@ def shared_object_path(
     exports: Exports, selection: "tuple[str, ...]" = ()
 ) -> Path:
     """Where the kernel built against ``exports`` with ``selection``'s
-    sanitizers is cached: named by the source and the rendered header."""
-    digest = hashlib.sha256(
-        _SOURCE_PATH.read_bytes() + render_header(exports).encode()
-    ).hexdigest()[:16]
+    sanitizers is cached: named by its :func:`build_digest`."""
+    digest = build_digest(
+        (_SOURCE_PATH,), exports, sanitize_cflags(selection)
+    )
     tag = ("-" + "-".join(selection)) if selection else ""
     return _BUILD_DIR / f"fused_expand-{digest}{tag}.so"
 

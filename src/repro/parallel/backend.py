@@ -78,6 +78,10 @@ class LevelOutcome:
             loop stops on that (:mod:`repro.core.bottom_up`).
             :data:`~repro.core.state.ALL_LANES` when the level did not
             expand or its backend does not track lanes.
+        seconds: the level's wall time, ``run_level`` end to end, set by
+            :meth:`~repro.core.bottom_up.BottomUpSearch.run`. A
+            measurement, so two outcomes equal in everything else
+            compare equal.
     """
 
     level: int
@@ -88,6 +92,7 @@ class LevelOutcome:
     edges_scanned: int = 0
     counters: Optional[KernelCounters] = None
     live_lanes: int = ALL_LANES
+    seconds: float = field(default=0.0, compare=False)
 
     def as_span_attributes(self) -> "dict[str, int]":
         """The level's accounting as flat span attributes (Chrome trace

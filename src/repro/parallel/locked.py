@@ -133,9 +133,7 @@ class LockedDictEngine:
         dropped = tuple(term for term, nodes in pairs if len(nodes) == 0)
         node_sets = [nodes for _, nodes in pairs if len(nodes) > 0]
         if not node_sets:
-            raise EmptyQueryError(
-                f"no query term matches any node (dropped: {', '.join(dropped)})"
-            )
+            raise EmptyQueryError(dropped)
         timer = PhaseTimer()
         with timer.phase(PHASE_TOTAL):
             state, terminated, depth, peak = self._bottom_up(

@@ -16,8 +16,8 @@ Endpoints:
   detail, storage accounting, the metrics as JSON),
 * ``GET /debug/queries``        — the query flight recorder's ring
   (recent and slow queries; :mod:`repro.obs.flight`),
-* ``GET /debug/queries/<id>``   — one recorded query in full, including
-  its Chrome-trace span tree.
+* ``GET /debug/queries/<id>``   — one recorded query in full (phases,
+  per-level accounting and wall times, outcome).
 
 The query logic lives in :class:`SearchService`, a plain object that is
 fully testable without sockets; the HTTP handler is a thin shell.
@@ -49,7 +49,7 @@ from .core.central_graph import SearchAnswer
 from .core.engine import EmptyQueryError, KeywordSearchEngine
 from .core.state import TooManyKeywordsError
 from .graph.csr import KnowledgeGraph
-from .instrumentation import KernelCounters
+from .instrumentation import PHASE_INITIALIZATION, PHASE_TOTAL, KernelCounters
 from .obs.flight import FlightRecorder
 from .obs.metrics import MetricsRegistry, record_kernel_counters
 from .viz import edge_predicates
@@ -128,19 +128,20 @@ def _json_error(status: int, message: str) -> _Reply:
 class SearchService:
     """HTTP-agnostic query service wrapping one engine.
 
-    The service is the only writer of its metrics: every GET it serves
-    counts once in ``repro_http_*``, and every query it answers adds
-    its kernel work, summed over its levels, to ``repro_kernel_*``
-    once. Several services over one engine keep separate counts.
+    The service is the only writer of its metrics and of its flight
+    records: every GET it serves counts once in ``repro_http_*``; every
+    query it answers adds its kernel work, summed over its levels, to
+    ``repro_kernel_*`` once; and every query it runs, answered or
+    failed, leaves one record, a view of its ``SearchResult`` or of the
+    exception. Several services over one engine keep separate counts
+    and separate records.
 
     Args:
         engine: the search engine answering ``/search``.
         registry: metrics destination; a fresh :class:`MetricsRegistry`
             when omitted.
-        flight: query flight recorder backing ``/debug/queries``. When
-            omitted, the engine's attached recorder is adopted (so
-            several services sharing one engine expose one ring), else
-            a fresh env-configured recorder is built and attached.
+        flight: query flight recorder backing ``/debug/queries``; a
+            fresh env-configured :class:`FlightRecorder` when omitted.
 
     Attributes:
         last_error: detail of the most recent error reply —
@@ -162,13 +163,7 @@ class SearchService:
         self.engine = engine
         self.graph: KnowledgeGraph = engine.graph
         self.registry = registry if registry is not None else MetricsRegistry()
-        if flight is not None:
-            self.flight = flight
-        elif engine.flight is not None:
-            self.flight = engine.flight
-        else:
-            self.flight = FlightRecorder.from_env()
-        engine.flight = self.flight
+        self.flight = flight if flight is not None else FlightRecorder()
         self.last_error: Optional[Dict] = None
         self.started_unix = time.time()
 
@@ -229,8 +224,9 @@ class SearchService:
         k: int = 5,
         alpha: float = 0.1,
     ) -> "tuple[int, Dict]":
-        """Run one query; returns (http_status, json_payload). An
-        answered query adds its kernel work to the registry."""
+        """Run one query; returns (http_status, json_payload). Every
+        query that reaches the engine leaves a flight record; an
+        answered one also adds its kernel work to the registry."""
         if not query.strip():
             return 400, {"error": "missing query parameter 'q'"}
         if not (1 <= k <= 100):
@@ -239,11 +235,21 @@ class SearchService:
             return 400, {"error": "alpha must lie strictly in (0, 1)"}
         from .text.suggest import suggest_for_dropped
 
+        backend = self.engine.backend.name
+        start = time.perf_counter()
         try:
             result = self.engine.search(query, k=k, alpha=alpha)
-        except TooManyKeywordsError as error:
-            return 400, {"error": str(error)}
-        except EmptyQueryError as error:
+        except Exception as error:
+            empty = isinstance(error, EmptyQueryError)
+            phase = PHASE_INITIALIZATION if empty else PHASE_TOTAL
+            record = self.flight.record_error(
+                query, error, phase,
+                (time.perf_counter() - start) * 1e3, backend,
+            )
+            if isinstance(error, TooManyKeywordsError):
+                return 400, {"error": str(error)}
+            if not empty:
+                raise
             # "Did you mean": nearby vocabulary for the unmatched terms.
             suggestions = suggest_for_dropped(
                 self.engine.index, query.split()
@@ -252,14 +258,15 @@ class SearchService:
                 "error": str(error),
                 "suggestions": suggestions,
                 # Flight-recorder linkage: the failed query's record id
-                # and failing phase (None when recording was off).
-                "query_id": getattr(error, "query_id", None),
-                "phase": getattr(error, "phase", None),
+                # and failing phase (None when recording is off).
+                "query_id": record.query_id if record else None,
+                "phase": phase if record else None,
             }
+        record = self.flight.record(query, result, backend)
         self._record_kernel_work(result.level_profile)
         payload = {
             "query": query,
-            "query_id": result.query_id,
+            "query_id": record.query_id if record else None,
             "keywords": list(result.keywords),
             "dropped_terms": list(result.dropped_terms),
             "depth": result.depth,
@@ -358,9 +365,7 @@ class SearchService:
                 return _json_error(
                     404, f"no flight record for query id {query_id}"
                 )
-            return 200, "application/json", json.dumps(
-                record.as_dict(include_trace=True)
-            ), None
+            return 200, "application/json", json.dumps(record.as_dict()), None
         if parsed.path == "/search":
             params = parse_qs(parsed.query)
             query = params.get("q", [""])[0]

@@ -300,3 +300,27 @@ def test_a_declared_type_is_part_of_the_cache_key():
     assert sanitize.tsan_harness_path(drifted) != sanitize.tsan_harness_path(
         KERNEL_EXPORTS
     )
+
+
+def test_a_changed_build_recipe_is_part_of_the_cache_key(monkeypatch):
+    """A build made with other flags is never reused: the flag sets, the
+    sanitizer flags and the output kind are all in the cache key."""
+    kernel = _native.shared_object_path(KERNEL_EXPORTS)
+    sanitized = _native.shared_object_path(KERNEL_EXPORTS, ("address",))
+    harness = sanitize.tsan_harness_path(KERNEL_EXPORTS)
+    monkeypatch.setattr(_native, "_FLAG_SETS", (("-O1",),))
+    assert _native.shared_object_path(KERNEL_EXPORTS) != kernel
+    assert _native.shared_object_path(KERNEL_EXPORTS, ("address",)) != sanitized
+    assert sanitize.tsan_harness_path(KERNEL_EXPORTS) != harness
+    monkeypatch.undo()
+    monkeypatch.setattr(
+        _native,
+        "sanitize_cflags",
+        lambda selection: ("-fsanitize=thread",) if selection else (),
+    )
+    assert _native.shared_object_path(KERNEL_EXPORTS) == kernel
+    assert sanitize.tsan_harness_path(KERNEL_EXPORTS) != harness
+    sources = (_native._SOURCE_PATH,)
+    assert _native.build_digest(
+        sources, KERNEL_EXPORTS, shared=True
+    ) != _native.build_digest(sources, KERNEL_EXPORTS, shared=False)

@@ -105,11 +105,13 @@ def test_stats_counters(engine):
 
 
 def test_services_over_one_engine_keep_separate_counts(engine):
-    """Each service owns its registry: a query served by one shows in
-    its ``/metrics`` only, kernel counters included, and ``/statz``
-    reports the same counts as ``/metrics``."""
+    """Each service owns its registry and its flight recorder: a query
+    served by one shows in its ``/metrics`` and ``/debug/queries`` only,
+    kernel counters included, and ``/statz`` reports the same counts as
+    ``/metrics``."""
     first, second = SearchService(engine), SearchService(engine)
     assert first.registry is not second.registry
+    assert first.flight is not second.flight
     for _ in range(3):
         # k=60 takes the search past level 0, so the kernel does work.
         first.handle_path("/search?q=machine+learning&k=60")
@@ -124,6 +126,11 @@ def test_services_over_one_engine_keep_separate_counts(engine):
     assert "repro_kernel_" not in second_text
     for service in (first, second):
         assert _statz_counts(service) == _metrics_counts(service)
+    # Separate records, each numbered from 1.
+    assert [r.query_id for r in first.flight.recent()] == [3, 2, 1]
+    assert {r.outcome for r in first.flight.recent()} == {"ok"}
+    (failed,) = second.flight.recent()
+    assert (failed.query_id, failed.outcome) == (1, "error")
 
 
 def _statz_counts(service):
@@ -241,8 +248,9 @@ def test_debug_queries_listing_and_detail(engine):
     detail = json.loads(body)
     assert detail["query"] == "machine learning"
     assert detail["phases"]["total"] > 0
-    assert detail["spans"], "record carries a span tree"
-    assert detail["trace"]["traceEvents"]
+    assert detail["levels"] and all("ms" in row for row in detail["levels"])
+    # A record is a view of the result: no span tree, no trace.
+    assert "spans" not in detail and "trace" not in detail
 
     status, _, _ = service.handle_path("/debug/queries/notanumber")
     assert status == 400
@@ -270,9 +278,42 @@ def test_last_error_links_to_flight_record(engine):
 
 
 def test_services_on_one_engine_share_the_recorder(engine):
+    """Two services share a recorder only when both are handed it: their
+    queries then go into one ring, numbered in one sequence, and either
+    service serves the other's records."""
     first = _debug_service(engine)
-    second = SearchService(engine)  # adopts engine.flight
+    second = SearchService(engine, flight=first.flight)
     assert second.flight is first.flight
+    first.handle_path("/search?q=machine+learning&k=2")
+    second.handle_path("/search?q=zzzzqqq")
+    assert [r.query_id for r in first.flight.recent()] == [2, 1]
+    status, _, body = first.handle_path("/debug/queries/2")
+    assert status == 200
+    assert json.loads(body)["outcome"] == "error"
+    # Left to itself, a service on the same engine keeps its own records.
+    assert SearchService(engine).flight is not first.flight
+
+
+def test_text_empty_after_stemming_is_a_recorded_404(engine):
+    """Only stop words: nothing is left to search for. The 404 links to
+    an ``error`` record of phase ``initialization`` with no keywords,
+    and ``last_error`` links to the same record."""
+    service = _debug_service(engine)
+    status, _, body = service.handle_path("/search?q=the+of+and")
+    assert status == 404
+    payload = json.loads(body)
+    assert payload["phase"] == "initialization"
+    status, _, body = service.handle_path(
+        f"/debug/queries/{payload['query_id']}"
+    )
+    assert status == 200
+    record = json.loads(body)
+    assert record["outcome"] == "error"
+    assert record["error_phase"] == "initialization"
+    assert record["keywords"] == [] and record["dropped_terms"] == []
+    assert service.flight.get(payload["query_id"]).keywords == ()
+    assert service.last_error["query_id"] == payload["query_id"]
+    assert service.last_error["phase"] == "initialization"
 
 
 #: Lock constructors the recorder swaps for recording ones.
@@ -473,11 +514,13 @@ def test_every_lock_in_src_is_flat_under_every_endpoint(
     """Every lock ``src/repro`` constructs — found by the recorder, and
     matched against the construction sites in the source — is acquired
     with no other lock held and no blocking call under it, while every
-    HTTP endpoint is served to concurrent clients and the locked
+    HTTP endpoint is served to concurrent clients, a traced query runs
+    (a served one opens no span, so builds no tracer) and the locked
     ablation engine runs on two threads."""
     from concurrent.futures import ThreadPoolExecutor
 
     from repro.core.activation import activation_levels
+    from repro.obs.tracing import Tracer
     from repro.parallel import LockedDictEngine
 
     graph, _ = tiny_kb
@@ -508,6 +551,10 @@ def test_every_lock_in_src_is_flat_under_every_endpoint(
     finally:
         _stop(server)
     assert got == list(paths.values()) * 3
+
+    engine.tracer = Tracer(enabled=True)
+    assert engine.search("machine learning", k=2).answers
+    assert engine.tracer.finished_spans()
 
     locked = LockedDictEngine(graph, engine.weights, engine.index, n_threads=2)
     activation = activation_levels(engine.weights, 3.0, 0.1)
@@ -798,11 +845,19 @@ def test_a_burst_behind_a_held_worker_waits_in_the_backlog(
     assert all(reply.startswith(b"HTTP/1.0 200 OK\r\n") for reply in replies)
 
 
-def test_query_spans_run_on_request_workers(server):
-    _, body = _get(server, "/search?q=machine+learning&k=1")
-    record = server.service.flight.get(json.loads(body)["query_id"])
-    names = {span.thread_name for span in record.spans}
-    assert names and all(name.startswith("repro-http-") for name in names)
+def test_queries_run_on_request_workers(server, monkeypatch):
+    engine = server.service.engine
+    search, threads = engine.search, []
+
+    def recording_search(*args, **kwargs):
+        threads.append(threading.current_thread().name)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "search", recording_search)
+    for _ in range(3):
+        assert _get(server, "/search?q=machine+learning&k=1")[0] == 200
+    assert len(threads) == 3
+    assert all(name.startswith("repro-http-") for name in threads)
 
 
 # ---------------------------------------------------------------------------

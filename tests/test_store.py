@@ -117,14 +117,16 @@ def test_read_info_reports_sections(store_path, kb_graph):
     assert "adj_indices" in info.sections
     assert info.version == 2
     assert {"index_postings", "node_weights", "distance"} <= set(info.sections)
-    # The out-of-core heap cap: CSR arrays only, never the derived sections.
+    # The out-of-core heap cap: the CSR arrays a reader maps, never the
+    # derived sections nor the unread int64 copy of adj_indices.
     assert info.array_bytes == sum(
         info.sections[name].nbytes
         for name in ("out_indptr", "out_indices", "out_labels",
                      "inc_indptr", "inc_indices", "inc_labels",
                      "adj_indptr", "adj_indices", "adj_labels",
-                     "adj_degree", "adj_indices64")
+                     "adj_degree")
     )
+    assert "adj_indices64" in info.sections
 
 
 # ---------------------------------------------------------------------------
