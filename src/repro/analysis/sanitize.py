@@ -686,18 +686,14 @@ class _ExtractSpy:
     def __getattr__(self, name):
         return getattr(self._bound, name)
 
-    def extract(self, columns, apply_level_cover, marks, *buffers) -> bool:
-        fitted = self._bound.extract(
-            columns, apply_level_cover, marks, *buffers
-        )
-        self.exits.append((fitted, not marks.any()))
+    def extract(self, columns, apply_level_cover, scratch) -> bool:
+        fitted = self._bound.extract(columns, apply_level_cover, scratch)
+        self.exits.append((fitted, not scratch.arrays["marks"].any()))
         return fitted
 
-    def rank(self, columns, nodes, edges, deduplicate, k, marks, masks) -> int:
-        survivors = self._bound.rank(
-            columns, nodes, edges, deduplicate, k, marks, masks
-        )
-        self.rank_exits.append(not marks.any())
+    def rank(self, columns, scratch, *arguments) -> int:
+        survivors = self._bound.rank(columns, scratch, *arguments)
+        self.rank_exits.append(not scratch.arrays["marks"].any())
         return survivors
 
 

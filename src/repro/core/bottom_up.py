@@ -72,6 +72,7 @@ from .state import (
     TERMINATED_FRONTIER_EMPTY,
     TERMINATED_LEVEL_CAP,
     TERMINATED_NO_MORE_CENTRAL,
+    SearchArena,
     SearchState,
 )
 
@@ -173,6 +174,7 @@ class BottomUpSearch:
         timer: Optional[PhaseTimer] = None,
         *,
         max_activation: Optional[int] = None,
+        arena: Optional[SearchArena] = None,
     ) -> BottomUpResult:
         """Search until at least ``k`` Central Nodes are identified.
 
@@ -189,6 +191,10 @@ class BottomUpSearch:
                 query's state so pool chunks attach child spans.
             max_activation: ``activation.max()``, when the caller keeps
                 it (:meth:`SearchState.initialize` computes it otherwise).
+            arena: a leased :class:`~repro.core.state.SearchArena` for
+                the graph, which the state is built in (the state gets
+                one of its own when omitted). The result's state then
+                lives in it and is valid only until the lease ends.
 
         Raises:
             ValueError: if ``k < 1`` or any keyword set is empty.
@@ -215,6 +221,7 @@ class BottomUpSearch:
                 keyword_node_sets,
                 activation,
                 max_activation,
+                arena=arena,
             )
         state.tracer = tracer
         # Only the frontier (and a store-backed array's residency) changes

@@ -37,7 +37,7 @@ from .bottom_up import BottomUpSearch
 from .central_graph import SearchAnswer
 from .results import EmptyQueryError, SearchResult
 from .scoring import DEFAULT_LAMBDA
-from .state import SearchState
+from .state import ArenaPool, SearchState
 from .top_down import TopDownConfig, bind_graph, process_top_down
 from .weights import node_weights
 
@@ -149,6 +149,9 @@ class KeywordSearchEngine:
         # Stage two's binding of the graph and weights, made once. It
         # loads the kernel, so a host without one fails here.
         self._bound_graph: BoundGraph = bind_graph(graph, self.weights)
+        #: The search arenas :meth:`search` leases, one per query in
+        #: flight (:meth:`ArenaPool.report` sizes them).
+        self.arenas = ArenaPool(graph.n_nodes)
 
     # ------------------------------------------------------------------
     # Offline pieces
@@ -206,8 +209,13 @@ class KeywordSearchEngine:
                 with explicit per-node activation levels (used to replay
                 the paper's Fig. 4 trace and by ablations).
 
+        The query runs in a search arena leased from :attr:`arenas`
+        and returned when the call ends, raised or not: a thread
+        calling this alone uses one arena, concurrent callers one each.
+
         Raises:
             EmptyQueryError: when no term matches any node.
+            TooManyKeywordsError: more than 64 keyword groups match.
         """
         from ..text.query_parser import parse_query, resolve_keyword_groups
 
@@ -236,29 +244,33 @@ class KeywordSearchEngine:
             "query", knum=len(keywords), k=k, alpha=alpha
         ) as query_span:
             with timer.phase(PHASE_TOTAL):
-                bottom_up = self._searcher.run(
-                    node_sets,
-                    activation,
-                    k,
-                    timer=timer,
-                    max_activation=max_activation,
-                )
-                ranked = process_top_down(
-                    self.graph,
-                    bottom_up.state,
-                    self.weights,
-                    config=TopDownConfig(
-                        k=k,
-                        lam=lam,
-                        apply_level_cover=self.config.apply_level_cover,
-                        deduplicate=self.config.deduplicate,
-                        single_path=self.config.single_path,
-                        n_threads=self.config.top_down_threads,
-                        native=self.config.top_down_native,
-                    ),
-                    timer=timer,
-                    bound_graph=self._bound_graph,
-                )
+                # The query's arrays live in the leased arena until the
+                # block ends; nothing returned below refers to them.
+                with self.arenas.lease() as arena:
+                    bottom_up = self._searcher.run(
+                        node_sets,
+                        activation,
+                        k,
+                        timer=timer,
+                        max_activation=max_activation,
+                        arena=arena,
+                    )
+                    ranked = process_top_down(
+                        self.graph,
+                        bottom_up.state,
+                        self.weights,
+                        config=TopDownConfig(
+                            k=k,
+                            lam=lam,
+                            apply_level_cover=self.config.apply_level_cover,
+                            deduplicate=self.config.deduplicate,
+                            single_path=self.config.single_path,
+                            n_threads=self.config.top_down_threads,
+                            native=self.config.top_down_native,
+                        ),
+                        timer=timer,
+                        bound_graph=self._bound_graph,
+                    )
             query_span.set_attrs(
                 {
                     "depth": bottom_up.depth,

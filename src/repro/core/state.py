@@ -22,15 +22,28 @@ current level + 1), which is exactly what makes the procedure lock-free
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
 from ..obs.tracing import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:
-    from ..parallel._native import BoundWholeLevel
+    from ..parallel._native import BoundWholeLevel, StageTwoScratch
+
+_Bound = TypeVar("_Bound")
 
 INFINITE_LEVEL = np.uint8(255)
 MAX_LEVEL = 254
@@ -53,6 +66,180 @@ ALL_LANES = -1
 
 class TooManyKeywordsError(ValueError):
     """A query has more than :data:`MAX_KEYWORDS` keyword groups."""
+
+
+class ArenaLeaseError(RuntimeError):
+    """A search arena was leased while already leased, or returned
+    while not leased: two queries would share its buffers."""
+
+
+class SearchArena:
+    """The memory a query runs in, kept from one query to the next.
+
+    For a graph of ``n_nodes`` nodes it holds M (reallocated only when
+    q changes), the five per-node arrays (FIdentifier, CIdentifier, the
+    keyword mask, the central levels, the finite counts), the
+    whole-level call's three output buffers, the calls bound to them
+    (:meth:`binding`) and stage two's per-chunk scratch
+    (:meth:`scratches`). A query leases it through
+    :meth:`ArenaPool.lease`; while leased it is that query's alone, and
+    :meth:`reset` fills it as a fresh allocation would be. The lease
+    ends with :meth:`release`, which frees stage-two buffers grown past
+    their starting capacities, so its size between queries is bounded
+    by q and the graph: :attr:`nbytes`.
+    """
+
+    def __init__(self, n_nodes: int) -> None:
+        self.n_nodes = n_nodes
+        # Filled by reset() at every lease.
+        self.matrix = np.empty((n_nodes, 0), dtype=np.uint8)
+        self.f_identifier = np.empty(n_nodes, dtype=np.uint8)
+        self.c_identifier = np.empty(n_nodes, dtype=np.uint8)
+        self.keyword_node = np.empty(n_nodes, dtype=bool)
+        self.central_level = np.empty(n_nodes, dtype=np.int16)
+        self.finite_count = np.empty(n_nodes, dtype=np.int32)
+        #: The whole-level call's ``(frontier_out, central_out,
+        #: stats_out)``, which it writes before any read.
+        self.outputs = (
+            np.empty(n_nodes, dtype=np.int64),
+            np.empty(n_nodes, dtype=np.int64),
+            np.zeros(8, dtype=np.int64),
+        )
+        self.leased = False
+        self._bindings: Dict[str, Tuple[tuple, object]] = {}
+        self._scratches: List["StageTwoScratch"] = []
+
+    def acquire(self) -> None:
+        if self.leased:
+            raise ArenaLeaseError("search arena leased twice")
+        self.leased = True
+
+    def release(self) -> None:
+        if not self.leased:
+            raise ArenaLeaseError("search arena returned but not leased")
+        for scratch in self._scratches:
+            scratch.shrink()
+        self.leased = False
+
+    def reset(self, q: int) -> Tuple[np.ndarray, ...]:
+        """M for ``q`` keywords and the five per-node arrays, filled as
+        :meth:`SearchState.initialize` allocates them: ``(matrix,
+        f_identifier, c_identifier, keyword_node, central_level,
+        finite_count)``."""
+        if self.matrix.shape[1] != q:
+            self.matrix = np.empty((self.n_nodes, q), dtype=np.uint8)
+        self.matrix.fill(INFINITE_LEVEL)
+        self.f_identifier.fill(0)
+        self.c_identifier.fill(0)
+        self.keyword_node.fill(False)
+        self.central_level.fill(-1)
+        self.finite_count.fill(0)
+        return (
+            self.matrix,
+            self.f_identifier,
+            self.c_identifier,
+            self.keyword_node,
+            self.central_level,
+            self.finite_count,
+        )
+
+    def binding(
+        self, name: str, key: Tuple[object, ...], bind: Callable[[], _Bound]
+    ) -> _Bound:
+        """The call bound as ``name`` for exactly the objects in ``key``
+        (compared by identity); ``bind()`` makes it the first time and
+        whenever one of them changed — q (a new M), the α's activation
+        array or the graph."""
+        held = self._bindings.get(name)
+        if held is None or len(held[0]) != len(key) or any(
+            mine is not theirs for mine, theirs in zip(held[0], key)
+        ):
+            held = (key, bind())
+            self._bindings[name] = held
+        return held[1]  # type: ignore[return-value]
+
+    def scratches(
+        self,
+        count: int,
+        capacities: Tuple[int, int, int],
+        make: Callable[[Tuple[int, int, int]], "StageTwoScratch"],
+    ) -> List["StageTwoScratch"]:
+        """Stage two's scratch for ``count`` concurrent chunks, one
+        each, started at ``(nodes, edges, pairs)`` ``capacities``;
+        ``make(capacities)`` adds what is missing. Scratch started at
+        other capacities is dropped first."""
+        if any(held.capacities != capacities for held in self._scratches):
+            self._scratches = []
+        while len(self._scratches) < count:
+            self._scratches.append(make(capacities))
+        return self._scratches[:count]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of every array the arena holds."""
+        arrays = [
+            self.matrix,
+            self.f_identifier,
+            self.c_identifier,
+            self.keyword_node,
+            self.central_level,
+            self.finite_count,
+            *self.outputs,
+        ]
+        total = sum(int(array.nbytes) for array in arrays)
+        for scratch in list(self._scratches):
+            total += scratch.nbytes + scratch.columns_nbytes
+        return total
+
+
+class ArenaPool:
+    """The search arenas of one graph, one leased per query.
+
+    A lease takes a free arena or makes one, so there are never more
+    arenas than queries ever ran at once — two request workers leave at
+    most two — and process memory is arenas × arena size + graph
+    (:meth:`report`). The free list is a plain list: ``pop`` and
+    ``append`` are atomic, so leasing takes no lock.
+    """
+
+    def __init__(self, n_nodes: int) -> None:
+        self.n_nodes = n_nodes
+        self._free: List[SearchArena] = []
+        self._arenas: List[SearchArena] = []
+
+    @contextmanager
+    def lease(self) -> Iterator[SearchArena]:
+        """An arena that is the caller's alone until the block exits,
+        normally or by an exception.
+
+        Raises:
+            ArenaLeaseError: the arena taken was leased already.
+        """
+        try:
+            arena = self._free.pop()
+        except IndexError:
+            arena = SearchArena(self.n_nodes)
+            self._arenas.append(arena)
+        arena.acquire()
+        try:
+            yield arena
+        finally:
+            arena.release()
+            self._free.append(arena)
+
+    @property
+    def leased(self) -> int:
+        """How many arenas are leased right now."""
+        return sum(arena.leased for arena in list(self._arenas))
+
+    def report(self) -> Dict[str, int]:
+        """``{"search_arenas", "search_arena_bytes"}``: how many arenas
+        exist and the bytes they hold together."""
+        arenas = list(self._arenas)
+        return {
+            "search_arenas": len(arenas),
+            "search_arena_bytes": sum(arena.nbytes for arena in arenas),
+        }
 
 
 @dataclass
@@ -88,6 +275,9 @@ class SearchState:
     keyword_node: np.ndarray
     activation: np.ndarray
     max_activation: int
+    #: The arena the state's arrays live in (leased, or the state's
+    #: own), whose bound calls and stage-two scratch the query reuses.
+    arena: SearchArena
     central_level: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int16)
     )
@@ -100,10 +290,11 @@ class SearchState:
     )
     #: The native whole-level call with this query's arrays and its own
     #: output buffers bound (:meth:`repro.parallel._native.NativeKernel.
-    #: bind_whole_level`), made on the first native level. It lives here
-    #: and never on the backend, which every request thread shares.
-    #: ``frontier`` is then a view of its frontier buffer; only the live
-    #: length is charged by :meth:`nbytes`, the rest is never touched.
+    #: bind_whole_level`), set on the first native level: the arena's
+    #: call. It lives here and never on the backend, which every
+    #: request thread shares. ``frontier`` is then a view of its
+    #: frontier buffer; only the live length is charged by
+    #: :meth:`nbytes`.
     whole_level: Optional[BoundWholeLevel] = None
     #: Destination of this query's expansion spans (``chunk`` under each
     #: ``level``); set by the bottom-up loop, a no-op otherwise.
@@ -127,6 +318,7 @@ class SearchState:
         keyword_node_sets: Sequence[np.ndarray],
         activation: np.ndarray,
         max_activation: Optional[int] = None,
+        arena: Optional[SearchArena] = None,
     ) -> "SearchState":
         """Set up M, FIdentifier and CIdentifier for one query.
 
@@ -137,7 +329,9 @@ class SearchState:
         |V| nodes or all |V|·q cells — provided the caller passes
         ``max_activation``, ``activation``'s maximum, which an engine
         computes once per α. Without it, one pass over ``activation``
-        computes it here.
+        computes it here. The arrays are ``arena``'s (a leased
+        :class:`SearchArena` for ``n_nodes`` nodes), reset as a fresh
+        allocation would be; without one the state gets its own.
 
         Raises:
             TooManyKeywordsError: more than :data:`MAX_KEYWORDS` sets.
@@ -153,10 +347,14 @@ class SearchState:
             )
         if len(activation) != n_nodes:
             raise ValueError("activation array must have one entry per node")
-        matrix = np.full((n_nodes, q), INFINITE_LEVEL, dtype=np.uint8)
-        f_identifier = np.zeros(n_nodes, dtype=np.uint8)
-        keyword_node = np.zeros(n_nodes, dtype=bool)
-        finite_count = np.zeros(n_nodes, dtype=np.int32)
+        if arena is None:
+            arena = SearchArena(n_nodes)
+        elif arena.n_nodes != n_nodes:
+            raise ValueError("the arena is sized for another graph")
+        (
+            matrix, f_identifier, c_identifier, keyword_node,
+            central_level, finite_count,
+        ) = arena.reset(q)
         for column, nodes in enumerate(keyword_node_sets):
             nodes = np.asarray(nodes, dtype=np.int64)
             matrix[nodes, column] = 0
@@ -171,12 +369,13 @@ class SearchState:
         return cls(
             matrix=matrix,
             f_identifier=f_identifier,
-            c_identifier=np.zeros(n_nodes, dtype=np.uint8),
+            c_identifier=c_identifier,
             keyword_node=keyword_node,
             activation=activation,
             max_activation=max_activation,
-            central_level=np.full(n_nodes, -1, dtype=np.int16),
+            central_level=central_level,
             finite_count=finite_count,
+            arena=arena,
         )
 
     # ------------------------------------------------------------------

@@ -55,6 +55,7 @@ from ..parallel._native import (
     BoundStageTwo,
     Columns,
     NativeKernel,
+    StageTwoScratch,
 )
 from ..parallel.vectorized import _native_kernel
 from .central_graph import CentralGraph
@@ -377,44 +378,33 @@ class _GraphBatch(NamedTuple):
     columns: Columns  # centrals, node/edge/raw counts, mass, needed
     nodes: np.ndarray
     edges: np.ndarray
-    marks: np.ndarray  # the call's zeroed scratch, zero again
+    scratch: StageTwoScratch  # the call's; its marks are zero again
     nbytes: int  # scratch and output buffers of the call that fitted
 
 
 def _extract_batch(
     bound: BoundStageTwo,
+    scratch: StageTwoScratch,
     centrals: np.ndarray,
     apply_level_cover: bool,
-    capacities: Tuple[int, int, int],
 ) -> _GraphBatch:
-    """One ``extract_graphs`` call over ``centrals`` (two if a buffer of
-    the ``(nodes, edges, pairs)`` ``capacities`` was too small: the
-    kernel says what it needs, and a call with that much always fits).
-    All scratch is allocated here, so concurrent calls share nothing."""
-    n = bound.n
-    marks = np.zeros(n, dtype=np.int32)
-    stack = np.empty(n, dtype=np.int64)
-    members = np.empty(n, dtype=np.int64)
-    columns = bound.extract_columns(len(centrals))
+    """One ``extract_graphs`` call over ``centrals`` with ``scratch``
+    (two if one of its buffers was too small: the kernel says what it
+    needs, the scratch grows to that, and a call with that much always
+    fits). Concurrent calls must each have their own scratch."""
+    columns = scratch.extract_columns(len(centrals))
     columns["centrals"][:] = centrals
     for _ in range(2):
-        out_nodes, out_edges, pairs = (
-            np.empty(capacity, dtype=np.int64) for capacity in capacities
-        )
-        buffers = (marks, stack, members, pairs, out_nodes, out_edges)
-        if bound.extract(columns, apply_level_cover, *buffers):
+        if bound.extract(columns, apply_level_cover, scratch):
             n_nodes, n_edges, _ = columns["needed"].tolist()
             return _GraphBatch(
                 columns,
-                out_nodes[:n_nodes],
-                out_edges[:n_edges],
-                marks,
-                sum(buffer.nbytes for buffer in buffers)
-                + columns.buffer.nbytes,
+                scratch.arrays["out_nodes"][:n_nodes],
+                scratch.arrays["out_edges"][:n_edges],
+                scratch,
+                scratch.nbytes + columns.nbytes,
             )
-        capacities = tuple(
-            np.maximum(capacities, columns["needed"]).tolist()
-        )
+        scratch.grow(columns["needed"].tolist())
     raise RuntimeError("extract_graphs overflowed the capacities it asked for")
 
 
@@ -433,13 +423,14 @@ def _batch_stage_two(
     """The batch route: ranked answers and the stage's counts.
 
     ``extract_graphs`` runs once per chunk of Central Nodes (one chunk
-    per ``config.n_threads``, on threads), then ``rank_graphs`` once on
-    the concatenated batch; objects are made for the ranked graphs
-    only, over copies of their kernel arrays. ``bound_graph`` is the
-    graph's binding when the caller keeps one (:func:`bind_graph`); the
-    graph is bound here otherwise. The keyword-only capacities are where
-    the buffers start, for tests that force the overflow exit; callers
-    leave them alone.
+    per ``config.n_threads``, on threads, each with its own scratch),
+    then ``rank_graphs`` once on the concatenated batch; objects are
+    made for the ranked graphs only, over copies of their kernel arrays.
+    ``bound_graph`` is the graph's binding when the caller keeps one
+    (:func:`bind_graph`); the graph is bound here otherwise. The calls
+    bound to the state and the scratch are its arena's. The keyword-only
+    capacities are where the scratch starts, for tests that force the
+    overflow exit; callers leave them alone.
     """
     if config.k < 1:
         raise ValueError("k must be at least 1")
@@ -458,31 +449,44 @@ def _batch_stage_two(
         adj.indptr, adj.indices, weights
     ):
         bound_graph = kernel.bind_graph(adj.indptr, adj.indices, weights)
-    bound = kernel.bind_stage_two(
-        bound_graph,
-        state.matrix,
-        state.activation,
-        state.keyword_node,
-        state.central_level,
-        state.whole_level,
+    arena = state.arena
+    bound = arena.binding(
+        "stage_two",
+        (
+            kernel, bound_graph, state.matrix, state.activation,
+            state.keyword_node, state.central_level,
+        ),
+        lambda: kernel.bind_stage_two(
+            bound_graph,
+            state.matrix,
+            state.activation,
+            state.keyword_node,
+            state.central_level,
+            state.whole_level,
+        ),
+    )
+    n_chunks = min(config.n_threads, n_graphs)
+    scratches = arena.scratches(
+        n_chunks,
+        (_node_capacity, _edge_capacity, _pair_capacity),
+        bound.scratch,
     )
     centrals, depths = np.array(state.central_nodes, dtype=np.int64).T
 
-    def extract(chunk: np.ndarray) -> _GraphBatch:
-        return _extract_batch(
-            bound, chunk, config.apply_level_cover,
-            (_node_capacity, _edge_capacity, _pair_capacity),
-        )
+    def extract(scratch: StageTwoScratch, chunk: np.ndarray) -> _GraphBatch:
+        return _extract_batch(bound, scratch, chunk, config.apply_level_cover)
 
-    n_chunks = min(config.n_threads, n_graphs)
     if n_chunks > 1:
         with ThreadPoolExecutor(max_workers=n_chunks) as pool:
-            chunks = list(pool.map(extract, np.array_split(centrals, n_chunks)))
+            chunks = list(
+                pool.map(extract, scratches, np.array_split(centrals, n_chunks))
+            )
     else:
-        chunks = [extract(centrals)]
+        chunks = [extract(scratches[0], centrals)]
 
+    first = chunks[0].scratch
     n_depths = int(depths.max()) + 1
-    columns = bound.rank_columns(n_graphs, n_depths)
+    columns = first.rank_columns(n_graphs, n_depths)
     columns["centrals"][:] = centrals
     columns["depths"][:] = depths
     # Eq. 6 as ``central_graph_score`` computes it: the Python-float power
@@ -494,21 +498,22 @@ def _batch_stage_two(
         np.concatenate(
             [chunk.columns[name] for chunk in chunks], out=columns[name]
         )
-    nbytes = columns.buffer.nbytes + sum(chunk.nbytes for chunk in chunks)
+    nbytes = columns.nbytes + sum(chunk.nbytes for chunk in chunks)
+    runs = None
     if len(chunks) == 1:
         nodes, edges = chunks[0].nodes, chunks[0].edges
     else:
         nodes = np.concatenate([chunk.nodes for chunk in chunks])
         edges = np.concatenate([chunk.edges for chunk in chunks])
+        runs = (nodes, edges)
         nbytes += nodes.nbytes + edges.nbytes
     masks = np.empty(len(nodes), dtype=np.uint64)
     survivors = bound.rank(
-        columns, nodes, edges, config.deduplicate, config.k,
-        chunks[0].marks, masks,
+        columns, first, config.deduplicate, config.k, masks, runs
     )
 
-    # Each answer copies its slices out: the batch buffers are freed
-    # with this call, and its sets are built only if someone reads them.
+    # Each answer copies its slices out: the batch buffers are reused by
+    # the next query, and its sets are built only if someone reads them.
     n = bound.n
     ranked = columns["order"][: min(config.k, survivors)]
     answers = []

@@ -424,24 +424,43 @@ class Columns:
     ``ndpointer`` check and address are taken once. Column ``name`` is
     ``self[name]`` (an ``int64`` view; ``.view(np.float64)`` /
     ``.view(np.uint64)`` for the kernel's ``double`` / ``uint64``
-    columns) at address ``self.address(name)``. The growable outputs
-    and the one-cell-per-node scratch are separate arrays, so a
-    sanitizer sees each of their bounds.
+    columns) at address ``self.address(name)``. :meth:`carve` lays out
+    each batch's columns over the same buffer, which is replaced (and
+    checked, by ``check``) only when the batch needs more. ``nbytes`` is
+    what the current columns span. The growable outputs and the
+    one-cell-per-node scratch are separate arrays, so a sanitizer sees
+    each of their bounds.
     """
 
-    __slots__ = ("buffer", "_base", "_spans")
+    __slots__ = ("buffer", "nbytes", "_check", "_base", "_spans")
 
-    def __init__(
-        self, check: "Callable[[np.ndarray], int]", **lengths: int
-    ) -> None:
+    def __init__(self, check: "Callable[[np.ndarray], int]") -> None:
+        self._check = check
+        self.buffer: Optional[np.ndarray] = None
+        self._spans: Dict[str, Tuple[int, int]] = {}
+        self.nbytes = 0
+
+    def carve(self, **lengths: int) -> "Columns":
+        """Lay the columns ``lengths`` out afresh; returns ``self``."""
         spans = {}
         total = 0
         for name, length in lengths.items():
             spans[name] = (total, total + length)
             total += length
-        self.buffer = np.empty(total, dtype=np.int64)
-        self._base = check(self.buffer)
+        if self.buffer is None or total > len(self.buffer):
+            self.buffer = np.empty(total, dtype=np.int64)
+            self._base = self._check(self.buffer)
         self._spans = spans
+        self.nbytes = 8 * total
+        return self
+
+    def trim(self, limit: int) -> None:
+        """Free a buffer longer than ``limit`` cells; the next
+        :meth:`carve` allocates afresh."""
+        if self.buffer is not None and len(self.buffer) > limit:
+            self.buffer = None
+            self._spans = {}
+            self.nbytes = 0
 
     def __getitem__(self, name: str) -> np.ndarray:
         start, end = self._spans[name]
@@ -457,9 +476,10 @@ class BoundWholeLevel:
     Built by :meth:`NativeKernel.bind_whole_level`. A call takes only the
     per-level scalars and returns the frontier size. The instance holds
     the bound arrays, so their addresses stay valid for as long as it
-    lives. It belongs to one query (``SearchState.whole_level``), never
-    to a backend: a backend is shared by every request thread, and the
-    call runs with the GIL released.
+    lives. It belongs to one query (``SearchState.whole_level``) or to
+    the search arena that query leased, never to a backend: a backend
+    is shared by every request thread, and the call runs with the GIL
+    released.
     """
 
     __slots__ = ("_step", "_head", "_tail", "arrays")
@@ -546,14 +566,124 @@ class BoundGraph:
         )
 
 
+class StageTwoScratch:
+    """One ``extract_graphs`` caller's arrays, each checked once, where
+    it is allocated: the one-cell-per-node ``marks`` (zero between
+    calls), ``stack`` and ``members``, and the growable ``pairs``,
+    ``out_nodes`` and ``out_edges``, plus the per-graph
+    :class:`Columns` of its ``extract`` and ``rank`` calls
+    (:meth:`extract_columns`, :meth:`rank_columns`).
+
+    :meth:`grow` replaces a buffer the kernel asked more of;
+    :meth:`shrink` frees what grew past the capacities it was made
+    with. A search arena keeps one per stage-two chunk across queries;
+    whoever holds it is its only user.
+    """
+
+    __slots__ = (
+        "arrays", "addresses", "capacities", "_extract", "_rank", "_kernel",
+    )
+
+    #: The growable buffers, in the order of ``needed`` and capacities.
+    GROWABLE = ("out_nodes", "out_edges", "pairs")
+
+    def __init__(self, kernel: "NativeKernel", **arrays: np.ndarray) -> None:
+        self._kernel = kernel
+        self.arrays: Dict[str, np.ndarray] = {}
+        self.addresses: Dict[str, int] = {}
+        for name, array in arrays.items():
+            self._put(name, array)
+        self.capacities = tuple(len(self.arrays[name]) for name in self.GROWABLE)
+        # Each columns buffer is checked as the int64 array it is passed
+        # as first.
+        self._extract = Columns(
+            lambda buffer: kernel._address("extract_graphs", "centrals", buffer)
+        )
+        self._rank = Columns(
+            lambda buffer: kernel._address("rank_graphs", "centrals", buffer)
+        )
+
+    def _put(self, name: str, array: np.ndarray) -> None:
+        self.addresses[name] = self._kernel._address(
+            "extract_graphs", name, array
+        )
+        self.arrays[name] = array
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays, the columns aside."""
+        return sum(array.nbytes for array in self.arrays.values())
+
+    @property
+    def columns_nbytes(self) -> int:
+        """Bytes of the two columns buffers."""
+        return sum(
+            columns.buffer.nbytes
+            for columns in (self._extract, self._rank)
+            if columns.buffer is not None
+        )
+
+    def extract_columns(self, n_graphs: int) -> Columns:
+        """The per-graph fields of one ``extract`` call: ``centrals``
+        (filled by the caller), ``node_counts``, ``edge_counts``,
+        ``raw_counts``, ``mass`` (``float64``) and ``needed`` (3)."""
+        return self._extract.carve(
+            centrals=n_graphs,
+            node_counts=n_graphs,
+            edge_counts=n_graphs,
+            raw_counts=n_graphs,
+            mass=n_graphs,
+            needed=3,
+        )
+
+    def rank_columns(self, n_graphs: int, n_depths: int) -> Columns:
+        """The per-graph fields of the ``rank`` call. The caller fills
+        ``centrals``, ``depths``, ``node_counts``, ``edge_counts``,
+        ``mass`` and ``factors`` (``n_depths`` entries, ``float64``); the
+        call writes ``order``, ``node_offsets`` / ``edge_offsets``
+        (``n_graphs + 1`` each), ``scores`` (``float64``) and rewrites
+        the ranked graphs' ``edge_counts``; ``sketch`` is scratch."""
+        return self._rank.carve(
+            centrals=n_graphs,
+            depths=n_graphs,
+            node_counts=n_graphs,
+            edge_counts=n_graphs,
+            mass=n_graphs,
+            order=n_graphs,
+            sketch=n_graphs,
+            node_offsets=n_graphs + 1,
+            edge_offsets=n_graphs + 1,
+            scores=n_graphs,
+            factors=n_depths,
+        )
+
+    def grow(self, needed: "Tuple[int, int, int]") -> None:
+        """Make each growable buffer at least ``needed`` (nodes, edges,
+        pairs) long — what an overflowed ``extract`` asked for."""
+        for name, size in zip(self.GROWABLE, needed):
+            if len(self.arrays[name]) < size:
+                self._put(name, np.empty(size, dtype=np.int64))
+
+    def shrink(self) -> None:
+        """Free every buffer grown past the capacity it was made with,
+        and per-graph columns longer than the node capacity, so one
+        large query does not pin its peak."""
+        for name, capacity in zip(self.GROWABLE, self.capacities):
+            if len(self.arrays[name]) > capacity:
+                self._put(name, np.empty(capacity, dtype=np.int64))
+        for columns in (self._extract, self._rank):
+            columns.trim(self.capacities[0])
+
+
 class BoundStageTwo:
     """``extract_graphs`` and ``rank_graphs`` with one query's graph and
     state arrays bound (:meth:`NativeKernel.bind_stage_two`).
 
-    A call binds only its own scratch and outputs: each separate array
-    through the declared ``ndpointer`` check, each batch's per-graph
-    fields as one :class:`Columns` buffer. Like :class:`BoundWholeLevel`
-    it belongs to one query, never to a backend.
+    A call passes its scratch and outputs by the addresses a
+    :class:`StageTwoScratch` checked when it allocated them, and each
+    batch's per-graph fields as one :class:`Columns` buffer. Like
+    :class:`BoundWholeLevel` it belongs to one query (or to the search
+    arena that query leased), never to a backend.
     """
 
     __slots__ = ("_kernel", "_head", "n", "arrays")
@@ -571,81 +701,56 @@ class BoundStageTwo:
         self.n = head[0]
         self.arrays = arrays
 
-    def _extract_address(self, parameter: str, array: np.ndarray) -> int:
-        return self._kernel._address("extract_graphs", parameter, array)
-
     def _rank_address(self, parameter: str, array: np.ndarray) -> int:
         return self._kernel._address("rank_graphs", parameter, array)
 
-    def extract_columns(self, n_graphs: int) -> Columns:
-        """The per-graph fields of one ``extract`` call: ``centrals``
-        (filled by the caller), ``node_counts``, ``edge_counts``,
-        ``raw_counts``, ``mass`` (``float64``) and ``needed`` (3)."""
-        # The buffer is checked as the int64 array it is passed as first.
-        return Columns(
-            lambda buffer: self._extract_address("centrals", buffer),
-            centrals=n_graphs,
-            node_counts=n_graphs,
-            edge_counts=n_graphs,
-            raw_counts=n_graphs,
-            mass=n_graphs,
-            needed=3,
-        )
-
-    def rank_columns(self, n_graphs: int, n_depths: int) -> Columns:
-        """The per-graph fields of the ``rank`` call. The caller fills
-        ``centrals``, ``depths``, ``node_counts``, ``edge_counts``,
-        ``mass`` and ``factors`` (``n_depths`` entries, ``float64``); the
-        call writes ``order``, ``node_offsets`` / ``edge_offsets``
-        (``n_graphs + 1`` each), ``scores`` (``float64``) and rewrites
-        the ranked graphs' ``edge_counts``; ``sketch`` is scratch."""
-        return Columns(
-            lambda buffer: self._rank_address("centrals", buffer),
-            centrals=n_graphs,
-            depths=n_graphs,
-            node_counts=n_graphs,
-            edge_counts=n_graphs,
-            mass=n_graphs,
-            order=n_graphs,
-            sketch=n_graphs,
-            node_offsets=n_graphs + 1,
-            edge_offsets=n_graphs + 1,
-            scores=n_graphs,
-            factors=n_depths,
+    def scratch(self, capacities: "Tuple[int, int, int]") -> StageTwoScratch:
+        """Fresh scratch for this graph: zeroed ``marks``, ``stack`` and
+        ``members`` of one cell per node, and ``out_nodes``,
+        ``out_edges`` and ``pairs`` of ``capacities`` cells."""
+        n = self.n
+        nodes, edges, pairs = capacities
+        return StageTwoScratch(
+            self._kernel,
+            marks=np.zeros(n, dtype=np.int32),
+            stack=np.empty(n, dtype=np.int64),
+            members=np.empty(n, dtype=np.int64),
+            pairs=np.empty(pairs, dtype=np.int64),
+            out_nodes=np.empty(nodes, dtype=np.int64),
+            out_edges=np.empty(edges, dtype=np.int64),
         )
 
     def extract(
         self,
         columns: Columns,
         apply_level_cover: bool,
-        marks: np.ndarray,
-        stack: np.ndarray,
-        members: np.ndarray,
-        pairs: np.ndarray,
-        out_nodes: np.ndarray,
-        out_edges: np.ndarray,
+        scratch: StageTwoScratch,
     ) -> bool:
         """``extract_graphs`` (:meth:`NativeKernel.bind_stage_two`) over
-        ``columns["centrals"]`` (from :meth:`extract_columns`), which
-        also receives the per-graph outputs and ``needed``; ``True``
-        when everything fitted."""
-        if not len(marks) == len(stack) == len(members) == self.n:
+        ``columns["centrals"]`` (from
+        :meth:`StageTwoScratch.extract_columns`), which also receives
+        the per-graph outputs and ``needed``, with ``scratch``'s arrays;
+        ``True`` when everything fitted."""
+        arrays, address = scratch.arrays, scratch.addresses
+        if not (
+            len(arrays["marks"]) == len(arrays["stack"])
+            == len(arrays["members"]) == self.n
+        ):
             raise ValueError("marks, stack and members need one cell per node")
-        address = self._extract_address
         status = self._kernel._bound_extract(
             *self._head,
             len(columns["centrals"]),
             columns.address("centrals"),
             1 if apply_level_cover else 0,
-            address("marks", marks),
-            address("stack", stack),
-            address("members", members),
-            address("pairs", pairs),
-            len(pairs),
-            address("out_nodes", out_nodes),
-            len(out_nodes),
-            address("out_edges", out_edges),
-            len(out_edges),
+            address["marks"],
+            address["stack"],
+            address["members"],
+            address["pairs"],
+            len(arrays["pairs"]),
+            address["out_nodes"],
+            len(arrays["out_nodes"]),
+            address["out_edges"],
+            len(arrays["out_edges"]),
             columns.address("node_counts"),
             columns.address("edge_counts"),
             columns.address("raw_counts"),
@@ -657,28 +762,35 @@ class BoundStageTwo:
     def rank(
         self,
         columns: Columns,
-        nodes: np.ndarray,
-        edges: np.ndarray,
+        scratch: StageTwoScratch,
         deduplicate: bool,
         k: int,
-        marks: np.ndarray,
         masks: np.ndarray,
+        runs: "Optional[Tuple[np.ndarray, np.ndarray]]" = None,
     ) -> int:
         """``rank_graphs`` (:meth:`NativeKernel.bind_stage_two`) on the
         batch whose per-graph fields are ``columns`` (from
-        :meth:`rank_columns`) and whose runs are ``nodes`` / ``edges``;
-        returns the survivors of the dedup. ``masks`` needs one cell per
-        entry of ``nodes``."""
-        if len(marks) != self.n or len(masks) < len(nodes):
+        :meth:`StageTwoScratch.rank_columns`) and whose node and edge
+        runs are ``scratch``'s ``out_nodes`` / ``out_edges`` — or
+        ``runs``, a ``(nodes, edges)`` pair concatenated over several
+        scratches; ``scratch``'s ``marks`` are the call's. Returns the
+        survivors of the dedup. ``masks`` needs one cell per node run
+        entry."""
+        if runs is None:
+            nodes, edges = scratch.arrays["out_nodes"], scratch.arrays["out_edges"]
+            nodes_address = scratch.addresses["out_nodes"]
+            edges_address = scratch.addresses["out_edges"]
+        else:
+            nodes, edges = runs
+            nodes_address = self._rank_address("nodes", nodes)
+            edges_address = self._rank_address("edges", edges)
+        kept = columns["node_counts"].sum()
+        if len(scratch.arrays["marks"]) != self.n or len(masks) < kept:
             raise ValueError(
-                "marks needs one cell per node, masks one per entry of nodes"
+                "marks needs one cell per node, masks one per run entry"
             )
-        if (
-            columns["node_counts"].sum() > len(nodes)
-            or columns["edge_counts"].sum() > len(edges)
-        ):
+        if kept > len(nodes) or columns["edge_counts"].sum() > len(edges):
             raise ValueError("the runs' counts overrun nodes or edges")
-        address = self._rank_address
         head = self._head
         return self._kernel._bound_rank(
             head[0],
@@ -688,20 +800,20 @@ class BoundStageTwo:
             columns.address("centrals"),
             columns.address("depths"),
             columns.address("factors"),
-            address("nodes", nodes),
+            nodes_address,
             columns.address("node_counts"),
-            address("edges", edges),
+            edges_address,
             columns.address("edge_counts"),
             columns.address("mass"),
             1 if deduplicate else 0,
             k,
-            address("marks", marks),
+            scratch.addresses["marks"],
             columns.address("order"),
             columns.address("sketch"),
             columns.address("node_offsets"),
             columns.address("edge_offsets"),
             columns.address("scores"),
-            address("masks", masks),
+            self._rank_address("masks", masks),
         )
 
 
@@ -710,11 +822,12 @@ class NativeKernel:
 
     Exposes the per-chunk ``fused_expand`` and the per-level
     ``whole_level_step`` (Algorithm 1's enqueue + identify + expansion
-    fused into one call, bound once per query by
+    fused into one call, bound once per query or search arena by
     :meth:`bind_whole_level`), plus stage two's ``extract_graphs`` (every
     Central Node of a chunk in one call) and ``rank_graphs`` (dedup,
     Eq. 6 and the top-k cut over the whole batch, then the k answers'
-    edges), both bound once per query by :meth:`bind_stage_two`.
+    edges), both bound once per query or search arena by
+    :meth:`bind_stage_two`.
     Each symbol is typed from :data:`KERNEL_EXPORTS` (``ndpointer``
     argtypes for its arrays); a bound call goes through a second
     function object derived from that declaration (:func:`_by_address`),
@@ -818,7 +931,8 @@ class NativeKernel:
         central_out: np.ndarray,
         stats_out: np.ndarray,
     ) -> BoundWholeLevel:
-        """One query's ``whole_level_step``, its 12 arrays bound once.
+        """One query's ``whole_level_step``, its 12 arrays bound once (a
+        search arena keeps it for the queries that lease the arena).
 
         Each array goes through its declared ``ndpointer``'s
         ``from_param`` here, which raises the ``TypeError`` a direct call

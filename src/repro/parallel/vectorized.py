@@ -42,7 +42,7 @@ from ..instrumentation import (
     hot_path,
 )
 from . import _native
-from ._native import NativeKernel
+from ._native import BoundWholeLevel, NativeKernel
 from .backend import ExpansionBackend, LevelOutcome
 
 #: Adjacency entries per chunk of a :func:`lane_bfs_levels` level.
@@ -144,26 +144,40 @@ def _bind_whole_level(
 ) -> None:
     """Give ``state`` its bound whole-level call, output buffers included.
 
-    It belongs to the query: one backend serves every request thread,
-    and the native call runs with the GIL released.
+    The call is the state's arena's, never the backend's (one backend
+    serves every request thread, and the native call runs with the GIL
+    released). It writes the arena's outputs and is rebound only when
+    the graph, q (a new M) or the α's activation array changed.
     """
-    n = state.n_nodes
     adj = graph.adj
-    state.whole_level = kernel.bind_whole_level(
+    arena = state.arena
+    arrays = (
         adj.indptr,
         adj.indices,
-        state.matrix.reshape(-1),
-        state.n_keywords,
+        state.matrix,
         state.f_identifier,
         state.c_identifier,
-        state.keyword_node.view(np.uint8),
+        state.keyword_node,
         state.activation,
         state.central_level,
         state.finite_count,
-        np.empty(n, dtype=np.int64),
-        np.empty(n, dtype=np.int64),
-        np.zeros(8, dtype=np.int64),
     )
+
+    def bind() -> BoundWholeLevel:
+        indptr, indices, matrix, fid, cid, keyword_node, *rest = arrays
+        return kernel.bind_whole_level(
+            indptr,
+            indices,
+            matrix.reshape(-1),
+            state.n_keywords,
+            fid,
+            cid,
+            keyword_node.view(np.uint8),
+            *rest,  # activation, central_level, finite_count
+            *arena.outputs,
+        )
+
+    state.whole_level = arena.binding("whole_level", arrays, bind)
 
 
 def apply_hit_keys(state: SearchState, keys: np.ndarray) -> None:

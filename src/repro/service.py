@@ -3,7 +3,7 @@
 The paper ships its engine as an always-on web service ("We provide an
 online query service and name it WikiSearch"). This module is the
 reproduction's equivalent: a small JSON-over-HTTP API plus a minimal
-HTML page, built on :mod:`http.server` so it carries no dependencies.
+HTML page, served from plain sockets so it carries no dependencies.
 
 Endpoints:
 
@@ -20,7 +20,8 @@ Endpoints:
   per-level accounting and wall times, outcome).
 
 The query logic lives in :class:`SearchService`, a plain object that is
-fully testable without sockets; the HTTP handler is a thin shell.
+fully testable without sockets; the request shell around it reads a
+request head, splits the request line and writes one reply.
 
 :func:`create_server` serves HTTP/1.0, one connection per request, from
 a fixed set of :data:`REQUEST_WORKERS` request workers started with the
@@ -29,19 +30,22 @@ the kernel's listen backlog is the queue: a connection waits there until
 a worker is free, and none is turned away. A worker gives a connection
 :data:`REQUEST_TIMEOUT` seconds in all to deliver its request, so a
 client that sends nothing, or sends it a byte at a time, holds a worker
-no longer. A reply leaves in one write when it fits the handler's write
-buffer. ``server_close()`` shuts the listening socket down, which wakes
-every worker blocked in ``accept()``, then joins the workers.
+no longer. Status line, headers and body leave in one ``sendall``.
+``server_close()`` shuts the listening socket down, which wakes every
+worker blocked in ``accept()``, then joins the workers.
 """
 
 from __future__ import annotations
 
-import io
 import json
+import re
 import socket
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import traceback
+from email.utils import formatdate
+from http import HTTPStatus
 from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
@@ -246,8 +250,14 @@ class SearchService:
                 query, error, phase,
                 (time.perf_counter() - start) * 1e3, backend,
             )
+            # Flight-recorder linkage: the failed query's record id and
+            # failing phase (None when recording is off).
+            linkage = {
+                "query_id": record.query_id if record else None,
+                "phase": phase if record else None,
+            }
             if isinstance(error, TooManyKeywordsError):
-                return 400, {"error": str(error)}
+                return 400, {"error": str(error), **linkage}
             if not empty:
                 raise
             # "Did you mean": nearby vocabulary for the unmatched terms.
@@ -257,10 +267,7 @@ class SearchService:
             return 404, {
                 "error": str(error),
                 "suggestions": suggestions,
-                # Flight-recorder linkage: the failed query's record id
-                # and failing phase (None when recording is off).
-                "query_id": record.query_id if record else None,
-                "phase": phase if record else None,
+                **linkage,
             }
         record = self.flight.record(query, result, backend)
         self._record_kernel_work(result.level_profile)
@@ -335,7 +342,9 @@ class SearchService:
         if parsed.path == "/statz":
             # Graph storage accounting: mmap-backed stores report their
             # resident page estimate alongside the full CSR size, so an
-            # operator can tell page cache from heap. The request and
+            # operator can tell page cache from heap; beside it the
+            # engine's search arenas, whose count times size plus the
+            # graph is the process's query memory. The request and
             # error counts are the metrics snapshot's.
             last_error = self.last_error
             payload = {
@@ -344,7 +353,10 @@ class SearchService:
                     "started_unix": self.started_unix,
                     "uptime_seconds": time.time() - self.started_unix,
                 },
-                "storage": self.graph.memory_report(),
+                "storage": {
+                    **self.graph.memory_report(),
+                    **self.engine.arenas.report(),
+                },
                 "metrics": self.registry.snapshot(),
             }
             return 200, "application/json", json.dumps(payload), None
@@ -383,88 +395,91 @@ class SearchService:
         return _json_error(404, "not found")
 
 
-class _DeadlineReader(io.RawIOBase):
-    """A socket's receive side that gives up at a fixed deadline.
+#: The ``Server`` header of every reply.
+SERVER_VERSION = "BaseHTTP/0.6 Python/" + sys.version.split()[0]
 
-    A socket timeout bounds each ``recv`` on its own, so a client that
-    sends a byte just inside it keeps the reader waiting for as long as
-    it likes. Here every ``recv`` waits at most until ``deadline`` (a
-    ``time.monotonic()`` value); past it a read raises ``TimeoutError``,
-    which the request handler answers by dropping the connection.
-    """
+#: The most bytes a request head (request line and header fields) may
+#: take: a request line still unfinished past it is answered 414, a
+#: head whose blank line does not end within it 431.
+MAX_REQUEST_HEAD = 1 << 16
 
-    def __init__(self, connection: socket.socket, deadline: float) -> None:
-        super().__init__()
-        self._connection = connection
-        self._deadline = deadline
+#: A header field that announces a request body.
+_BODY_FIELD = re.compile(rb"\n(content-length|transfer-encoding)[ \t]*:", re.I)
 
-    def readable(self) -> bool:
-        return True
 
-    def readinto(self, buffer) -> int:
-        left = self._deadline - time.monotonic()
+def _reply_bytes(status: int, content_type: str, body: str) -> bytes:
+    """Status line, headers and body of one HTTP/1.0 reply."""
+    encoded = body.encode("utf-8")
+    head = (
+        f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\n"
+        f"Server: {SERVER_VERSION}\r\n"
+        f"Date: {formatdate(usegmt=True)}\r\n"
+        f"Content-Type: {content_type}\r\n"
+        f"Content-Length: {len(encoded)}\r\n\r\n"
+    )
+    return head.encode("latin-1") + encoded
+
+
+def _read_head(connection: socket.socket, deadline: float) -> Optional[bytes]:
+    """The request head, read until its blank line, end of input or
+    :data:`MAX_REQUEST_HEAD` bytes, whichever comes first; ``None`` if
+    the client sent nothing or ``deadline`` (a ``time.monotonic()``
+    value) passed first. A socket timeout bounds each ``recv`` on its
+    own, so every ``recv`` here waits at most until the deadline:
+    however the client paces its bytes, the head arrives in time or
+    the connection is dropped."""
+    head = b""
+    while True:
+        left = deadline - time.monotonic()
         if left <= 0:
-            raise TimeoutError("request not received in time")
-        self._connection.settimeout(left)
-        return self._connection.recv_into(buffer)
+            return None
+        connection.settimeout(left)
+        try:
+            chunk = connection.recv(MAX_REQUEST_HEAD)
+        except OSError:  # the deadline's timeout, or a reset
+            return None
+        if not chunk:
+            return head or None
+        # Resume the search for the blank line just before the new bytes.
+        start = max(0, len(head) - 3)
+        head += chunk
+        if (
+            head.find(b"\r\n\r\n", start) >= 0
+            or head.find(b"\n\n", start) >= 0
+            or len(head) >= MAX_REQUEST_HEAD
+        ):
+            return head
 
 
-class _Handler(BaseHTTPRequestHandler):
-    service: SearchService  # injected by create_server
-
-    #: Buffered replies are flushed once: status line, headers and a
-    #: body that fits leave in one ``send``. 16 KiB holds nine in ten
-    #: short-query replies; 32 KiB and up read a higher peak RSS.
-    wbufsize = 1 << 14
-
-    def setup(self) -> None:
-        super().setup()
-        # The whole request must arrive within ``timeout`` of the worker
-        # taking the connection, however the client paces its bytes.
-        self.rfile.close()
-        self.rfile = io.BufferedReader(
-            _DeadlineReader(self.connection, time.monotonic() + self.timeout)
-        )
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        # The reply gets a timeout of its own, not what the request left.
-        self.connection.settimeout(self.timeout)
-        status, content_type, body = self.service.handle_path(self.path)
-        encoded = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(encoded)))
-        self.end_headers()
-        self.wfile.write(encoded)
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        pass  # keep test output quiet; hook in real logging if needed
-
-
-class SearchServer(HTTPServer):
-    """An :class:`HTTPServer` whose requests run on a fixed worker set.
+class SearchServer:
+    """An HTTP/1.0 server whose requests run on a fixed worker set.
 
     :data:`REQUEST_WORKERS` daemon threads, started here, each accept a
-    connection and handle it, then the next. They serve from the start;
-    ``serve_forever()`` only blocks until ``shutdown()``.
+    connection on the listening socket and serve it
+    (:meth:`handle_connection`), then the next. They serve from the
+    start; ``serve_forever()`` only blocks until ``shutdown()``.
 
     Attributes:
         service: the :class:`SearchService` every worker answers from.
+        server_address: the bound ``(host, port)``.
+        socket: the listening socket.
         workers: the request worker threads.
     """
 
-    #: The backlog is the only queue: if a burst overflows it, the kernel
-    #: drops SYNs and the clients wait out a retransmit of ≥ 1 s.
-    request_queue_size = socket.SOMAXCONN
-
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        handler: type,
-        service: SearchService,
-    ) -> None:
-        super().__init__(address, handler)
+    def __init__(self, address: Tuple[str, int], service: SearchService) -> None:
         self.service = service
+        self.socket = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        try:
+            self.socket.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            self.socket.bind(address)
+            # The backlog is the only queue: if a burst overflows it, the
+            # kernel drops SYNs and the clients wait out a retransmit of
+            # ≥ 1 s.
+            self.socket.listen(socket.SOMAXCONN)
+        except OSError:
+            self.socket.close()
+            raise
+        self.server_address: Tuple[str, int] = self.socket.getsockname()[:2]
         self._stopped = threading.Event()
         self.workers: List[threading.Thread] = [
             threading.Thread(
@@ -475,7 +490,7 @@ class SearchServer(HTTPServer):
         for worker in self.workers:
             worker.start()
 
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
+    def serve_forever(self) -> None:
         """Block until :meth:`shutdown`; the workers do the serving."""
         self._stopped.wait()
 
@@ -484,10 +499,83 @@ class SearchServer(HTTPServer):
         self._stopped.set()
 
     def _work(self) -> None:
-        # socketserver's step: a blocking accept, then finish_request,
-        # handle_error on a failure and shutdown_request.
         while not self._stopped.is_set():
-            self._handle_request_noblock()
+            try:
+                connection, _ = self.socket.accept()
+            except OSError:
+                continue  # shut down by server_close, or a failed accept
+            try:
+                self.handle_connection(connection)
+            except OSError:
+                pass  # the client went away mid-reply
+            except Exception:
+                # As socketserver did: report it and take the next
+                # connection, so no request can end a worker.
+                traceback.print_exc()
+            finally:
+                connection.close()
+
+    def handle_connection(self, connection: socket.socket) -> None:
+        """Serve one connection: read its request head within
+        :data:`REQUEST_TIMEOUT`, answer it, then shut the connection
+        down (the caller closes it).
+
+        The request line is split here and a GET's target dispatched
+        through :meth:`SearchService.handle_path`. The shell answers
+        itself, with a JSON ``{"error"}`` body: 400 for a malformed
+        request line, 501 for any method but GET, 414 / 431 for a head
+        past :data:`MAX_REQUEST_HEAD`, and 500 when ``handle_path``
+        raises. Status line, headers and body leave in one ``sendall``;
+        a head that does not arrive in time gets no reply. After a reply
+        to a request that may have bytes unread (a head cut short, or
+        one declaring a body), the rest is read and dropped, within
+        :data:`REQUEST_TIMEOUT`, before the connection closes: closing
+        on unread bytes resets it, and the client could lose the reply.
+        """
+        head = _read_head(connection, time.monotonic() + REQUEST_TIMEOUT)
+        if head is None:
+            return
+        line_end = head.find(b"\n")
+        blank = [head.find(mark) for mark in (b"\r\n\r\n", b"\n\n")]
+        head_end = min((at for at in blank if at >= 0), default=-1)
+        # Unless the head was read whole and declares no body, request
+        # bytes may still be in flight.
+        unread = True
+        if line_end < 0 or line_end >= MAX_REQUEST_HEAD:
+            reply = _json_error(414, "request line too long") if len(
+                head
+            ) >= MAX_REQUEST_HEAD else _json_error(400, "malformed request line")
+        elif head_end >= MAX_REQUEST_HEAD or (
+            head_end < 0 and len(head) >= MAX_REQUEST_HEAD
+        ):
+            reply = _json_error(431, "request header fields too large")
+        else:
+            fields_end = head_end + 1 if head_end >= 0 else len(head)
+            unread = _BODY_FIELD.search(head, 0, fields_end) is not None
+            reply = self._answer(head[:line_end].decode("latin-1").split())
+        status, content_type, body, _ = reply
+        # The reply gets a timeout of its own, not what the request left.
+        deadline = time.monotonic() + REQUEST_TIMEOUT
+        connection.settimeout(REQUEST_TIMEOUT)
+        connection.sendall(_reply_bytes(status, content_type, body))
+        connection.shutdown(socket.SHUT_WR)
+        if unread:
+            while _read_head(connection, deadline):
+                pass
+
+    def _answer(self, words: List[str]) -> _Reply:
+        """The reply to a request line split into ``words``."""
+        if len(words) not in (2, 3) or (
+            len(words) == 3 and not words[2].startswith("HTTP/")
+        ):
+            return _json_error(400, "malformed request line")
+        if words[0] != "GET":
+            return _json_error(501, f"unsupported method {words[0]!r}")
+        try:
+            return (*self.service.handle_path(words[1]), None)
+        except Exception:
+            traceback.print_exc()
+            return _json_error(500, "internal error")
 
     def server_close(self) -> None:
         """Stop accepting, join the workers, close the listening socket.
@@ -501,11 +589,11 @@ class SearchServer(HTTPServer):
         try:
             self.socket.shutdown(socket.SHUT_RDWR)
         except OSError:
-            pass  # not listening: closed already, or never activated
+            pass  # not listening: closed already
         deadline = time.monotonic() + REQUEST_TIMEOUT
         for worker in self.workers:
             worker.join(max(0.0, deadline - time.monotonic()))
-        super().server_close()
+        self.socket.close()
 
 
 def create_server(
@@ -523,10 +611,4 @@ def create_server(
     >>> threading.Thread(target=server.serve_forever, daemon=True).start()
     >>> server.shutdown(); server.server_close()  # doctest: +SKIP
     """
-    service = SearchService(engine)
-    handler = type(
-        "BoundHandler",
-        (_Handler,),
-        {"service": service, "timeout": REQUEST_TIMEOUT},
-    )
-    return SearchServer((host, port), handler, service)
+    return SearchServer((host, port), SearchService(engine))

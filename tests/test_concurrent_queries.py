@@ -16,8 +16,8 @@ swap level profiles; the inherited level is checked for that on
 ``SequentialBackend``.
 Stage two is checked the same way — every ranked answer's node and edge
 sets, not only its Central-Node id: the batched ``extract_graphs``
-call allocates its ``marks`` / stack / member / pair scratch and its
-output buffers inside ``_extract_batch``, once per call, and
+call's ``marks`` / stack / member / pair scratch and its output
+buffers belong to the search arena the query leased, and
 ``rank_graphs`` works on those and on buffers of its own, so two
 requests walking back at the same moment (the calls run with the GIL
 released) have nothing of each other's to see. And for where a level's

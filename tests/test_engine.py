@@ -155,9 +155,9 @@ def test_state_takes_the_activation_maximum_cached_per_alpha(
     passed = []
     real = SearchState.initialize.__func__
 
-    def spy(cls, n_nodes, sets, activation, max_activation=None):
+    def spy(cls, n_nodes, sets, activation, max_activation=None, **arena):
         passed.append(max_activation)
-        return real(cls, n_nodes, sets, activation, max_activation)
+        return real(cls, n_nodes, sets, activation, max_activation, **arena)
 
     monkeypatch.setattr(SearchState, "initialize", classmethod(spy))
     for alpha in (0.1, 0.4, 0.1):

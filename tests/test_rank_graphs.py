@@ -25,6 +25,7 @@ from repro.core.top_down import (
     deduplicate_by_containment,
     process_top_down,
 )
+from repro.parallel._native import StageTwoScratch
 from repro.parallel.vectorized import _native_kernel
 
 from test_top_down import N_SPREAD_CASES, N_STAGE_TWO_CASES, _stage_two_case
@@ -72,7 +73,7 @@ def _prepare(batch):
         np.full(n, -1, np.int16),
     )
     n_depths = max(spec.depth for spec in specs) + 1
-    columns = bound.rank_columns(len(specs), n_depths)
+    columns = _scratch(np.zeros(n, np.int32)).rank_columns(len(specs), n_depths)
     columns["centrals"][:] = [spec.central for spec in specs]
     columns["depths"][:] = [spec.depth for spec in specs]
     columns["factors"].view(np.float64)[:] = [
@@ -91,6 +92,24 @@ def _prepare(batch):
     return bound, columns, nodes, edges
 
 
+def _scratch(marks):
+    """A stage-two scratch whose ``marks`` are ``marks``."""
+    n = len(marks)
+    return StageTwoScratch(
+        _native_kernel(), marks=marks, stack=np.empty(n, np.int64),
+        members=np.empty(n, np.int64), pairs=np.empty(1, np.int64),
+        out_nodes=np.empty(1, np.int64), out_edges=np.empty(1, np.int64),
+    )
+
+
+def _rank(bound, columns, nodes, edges, deduplicate, k, marks, masks):
+    """``rank_graphs`` on the runs ``nodes`` / ``edges``, with ``marks``
+    as its scratch's."""
+    return bound.rank(
+        columns, _scratch(marks), deduplicate, k, masks, (nodes, edges)
+    )
+
+
 def _run(batch, k, deduplicate=True):
     """``rank_graphs`` on ``batch``: (ranked, survivors), each ranked
     graph as (central, score, nodes, edges, contributions, whether its
@@ -99,7 +118,7 @@ def _run(batch, k, deduplicate=True):
     bound, columns, nodes, edges = _prepare(batch)
     marks = np.zeros(n, np.int32)
     masks = np.empty(len(nodes), np.uint64)
-    survivors = bound.rank(columns, nodes, edges, deduplicate, k, marks, masks)
+    survivors = _rank(bound, columns, nodes, edges, deduplicate, k, marks, masks)
     assert not marks.any()
 
     offsets, edge_offsets = columns["node_offsets"], columns["edge_offsets"]
@@ -315,7 +334,7 @@ def test_ranking_time_grows_n_log_n_in_the_graph_count():
         for _ in range(3):
             columns.buffer[:] = inputs  # the call rewrites edge counts
             started = time.perf_counter()
-            bound.rank(columns, nodes, edges, True, 20, marks, masks)
+            _rank(bound, columns, nodes, edges, True, 20, marks, masks)
             best = min(best, time.perf_counter() - started)
         return best
 
@@ -435,13 +454,14 @@ def _extract_buffers(n=6):
 @SPOILERS
 def test_extract_binds_its_scratch_with_the_same_checks(name, spoil):
     bound = _bind(**_graph_and_state())
-    columns = bound.extract_columns(1)
-    columns["centrals"][:] = [0]
+    kernel = _native_kernel()
     buffers = _extract_buffers()
-    assert bound.extract(columns, True, **buffers)
+    columns = StageTwoScratch(kernel, **buffers).extract_columns(1)
+    columns["centrals"][:] = [0]
+    assert bound.extract(columns, True, StageTwoScratch(kernel, **buffers))
     buffers[name] = spoil(buffers[name])
     with pytest.raises((TypeError, ValueError)):
-        bound.extract(columns, True, **buffers)
+        bound.extract(columns, True, StageTwoScratch(kernel, **buffers))
 
 
 @pytest.mark.parametrize("name", ["nodes", "edges", "marks", "masks"])
@@ -453,10 +473,10 @@ def test_rank_binds_its_arrays_with_the_same_checks(name, spoil):
         nodes=nodes, edges=edges, marks=np.zeros(6, np.int32),
         masks=np.empty(len(nodes), np.uint64),
     )
-    assert bound.rank(columns, deduplicate=True, k=1, **arrays) == 1
+    assert _rank(bound, columns, deduplicate=True, k=1, **arrays) == 1
     arrays[name] = spoil(arrays[name])
     with pytest.raises((TypeError, ValueError)):
-        bound.rank(columns, deduplicate=True, k=1, **arrays)
+        _rank(bound, columns, deduplicate=True, k=1, **arrays)
 
 
 def test_stage_two_reuses_what_the_engine_and_the_whole_level_call_bound():

@@ -632,6 +632,27 @@ def test_a_query_over_64_keywords_gets_400_with_the_limit():
         _stop(server)
 
 
+def test_a_query_over_64_keywords_links_its_flight_record():
+    """The 400 for too many keywords carries the failed query's record
+    id and phase, as the 404 does, so ``/statz`` leads to the record."""
+    graph, words = keyword_star(65)
+    service = SearchService(KeywordSearchEngine(graph, average_distance=2.0))
+    status, _, body = service.handle_path(
+        "/search?q=" + "+".join(words) + "&k=1"
+    )
+    assert status == 400
+    payload = json.loads(body)
+    (record,) = service.flight.debug_payload()["recent"]
+    assert record["outcome"] == "error"
+    assert payload["query_id"] == record["query_id"]
+    assert payload["phase"] == "total"
+    last_error = json.loads(service.handle_path("/statz")[2])["service"][
+        "last_error"
+    ]
+    assert last_error["query_id"] == record["query_id"] is not None
+    assert last_error["phase"] == "total"
+
+
 def test_http_index_page(server):
     status, body = _get(server, "/")
     assert status == 200
@@ -678,15 +699,18 @@ def _idle(server):
 
 
 def _taken(monkeypatch):
-    """An event set whenever a request worker takes a connection."""
+    """An event set whenever a request worker takes a connection, before
+    it reads the request."""
     taken = threading.Event()
-    setup = service_module._Handler.setup
+    handle = service_module.SearchServer.handle_connection
 
-    def setup_and_note(handler):
-        setup(handler)
+    def note_and_handle(server, connection):
         taken.set()
+        handle(server, connection)
 
-    monkeypatch.setattr(service_module._Handler, "setup", setup_and_note)
+    monkeypatch.setattr(
+        service_module.SearchServer, "handle_connection", note_and_handle
+    )
     return taken
 
 
@@ -845,6 +869,137 @@ def test_a_burst_behind_a_held_worker_waits_in_the_backlog(
     assert all(reply.startswith(b"HTTP/1.0 200 OK\r\n") for reply in replies)
 
 
+def test_two_workers_serving_at_once_leave_at_most_two_arenas(tiny_kb):
+    """Each query leases a search arena and returns it: four clients
+    against the two request workers leave one or two arenas, which
+    ``/statz`` reports beside the graph's storage."""
+    engine = KeywordSearchEngine(tiny_kb[0])
+    server = _serve(engine)
+    errors = []
+
+    def client():
+        try:
+            for _ in range(10):
+                _get(server, "/search?q=machine+learning&k=3")
+        except Exception as error:  # reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=client) for _ in range(4)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        storage = json.loads(_get(server, "/statz")[1])["storage"]
+    finally:
+        _stop(server)
+    assert not errors, errors
+    assert 1 <= storage["search_arenas"] <= service_module.REQUEST_WORKERS == 2
+    assert storage["search_arena_bytes"] == (
+        engine.arenas.report()["search_arena_bytes"]
+    )
+    assert storage["search_arena_bytes"] >= storage["search_arenas"] * (
+        engine.graph.n_nodes * (1 + 1 + 1 + 1 + 2 + 4 + 8 + 8)
+    )
+    assert engine.arenas.leased == 0
+
+
+def _raw_request(server, request):
+    """Send ``request`` bytes on one connection: the reply's status
+    line and JSON body."""
+    with socket.create_connection(server.server_address, timeout=10) as client:
+        client.sendall(request)
+        chunks = []
+        while chunk := client.recv(65536):
+            chunks.append(chunk)
+    head, body = b"".join(chunks).split(b"\r\n\r\n", 1)
+    return head.split(b"\r\n", 1)[0].decode(), json.loads(body)
+
+
+@pytest.mark.parametrize("request_line, status", [
+    (b"GET\r\n\r\n", "400 Bad Request"),
+    (b"GET /healthz HTTP/1.0 extra\r\n\r\n", "400 Bad Request"),
+    (b"GET /healthz NOTHTTP\r\n\r\n", "400 Bad Request"),
+    (b"POST /search HTTP/1.0\r\nContent-Length: 0\r\n\r\n",
+     "501 Not Implemented"),
+    (b"HEAD / HTTP/1.0\r\n\r\n", "501 Not Implemented"),
+    # A body far past the first read: it is drained, not reset away.
+    (b"POST /search HTTP/1.0\r\nContent-Length: 300000\r\n\r\n"
+     + b"x" * 300000, "501 Not Implemented"),
+], ids=[
+    "no-target", "extra-word", "not-http", "post", "head", "post-large-body",
+])
+def test_the_shell_answers_what_it_cannot_dispatch(
+    server, request_line, status
+):
+    got, payload = _raw_request(server, request_line)
+    assert got == f"HTTP/1.0 {status}"
+    assert set(payload) == {"error"}
+
+
+def test_an_oversize_head_gets_414_or_431(server):
+    line = b"GET /search?q=" + b"a" * service_module.MAX_REQUEST_HEAD
+    status, payload = _raw_request(server, line + b" HTTP/1.0\r\n\r\n")
+    assert status == "HTTP/1.0 414 Request-URI Too Long"
+    assert "request line" in payload["error"]
+    fields = b"".join(
+        b"X-Filler-%d: %s\r\n" % (number, b"b" * 1000) for number in range(80)
+    )
+    status, payload = _raw_request(
+        server, b"GET /healthz HTTP/1.0\r\n" + fields + b"\r\n"
+    )
+    assert status == "HTTP/1.0 431 Request Header Fields Too Large"
+    assert "header" in payload["error"]
+    # A small head whose body fills the first read is not oversize.
+    status, payload = _raw_request(
+        server,
+        b"GET /healthz HTTP/1.0\r\nContent-Length: 70000\r\n\r\n"
+        + b"x" * 70000,
+    )
+    assert status == "HTTP/1.0 200 OK" and payload["status"] == "ok"
+    # The worker is free again.
+    assert _get(server, "/healthz")[0] == 200
+
+
+def test_a_worker_outlives_an_exception_outside_the_reply(
+    engine, monkeypatch, capsys
+):
+    """A request whose handling raises past ``handle_path``'s guard
+    loses its reply, not its worker: after more such requests than
+    there are workers, the next request is still answered."""
+    handle = service_module.SearchServer.handle_connection
+    failures = [service_module.REQUEST_WORKERS + 1]
+
+    def fail_then_handle(server, connection):
+        if failures[0]:
+            failures[0] -= 1
+            raise RuntimeError("planted worker failure")
+        handle(server, connection)
+
+    monkeypatch.setattr(
+        service_module.SearchServer, "handle_connection", fail_then_handle
+    )
+    server = _serve(engine)
+    try:
+        for _ in range(service_module.REQUEST_WORKERS + 1):
+            with socket.create_connection(
+                server.server_address, timeout=10
+            ) as client:
+                client.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+                try:
+                    assert client.recv(65536) == b""
+                except ConnectionResetError:
+                    pass  # closed with the request unread
+        assert _get(server, "/healthz")[0] == 200
+        assert all(worker.is_alive() for worker in server.workers)
+    finally:
+        _stop(server)
+    err = capsys.readouterr().err
+    assert err.count("RuntimeError: planted worker failure") == (
+        service_module.REQUEST_WORKERS + 1
+    )
+
+
 def test_queries_run_on_request_workers(server, monkeypatch):
     engine = server.service.engine
     search, threads = engine.search, []
@@ -900,9 +1055,8 @@ def test_replies_match_the_recorded_goldens(tiny_kb, monkeypatch):
         replies = [_raw_get(server, row["path"]) for row in golden]
     finally:
         _stop(server)
-    assert any(
-        row["body_length"] > service_module._Handler.wbufsize for row in golden
-    )
+    # One body is larger than a socket's default send buffer.
+    assert any(row["body_length"] > 1 << 16 for row in golden)
     python = sys.version.split()[0]
     for row, reply in zip(golden, replies):
         head, body = reply.split(b"\r\n\r\n", 1)
@@ -918,9 +1072,9 @@ def test_replies_match_the_recorded_goldens(tiny_kb, monkeypatch):
         assert hashlib.sha256(body).hexdigest() == row["body_sha256"], row["path"]
 
 
-def test_a_reply_that_fits_the_buffer_leaves_in_one_send(server, monkeypatch):
-    """Status line, headers and body go to the socket in one ``send``;
-    a body past the buffer follows the headers in writes of its own."""
+def test_every_reply_leaves_in_one_send(server, monkeypatch):
+    """Status line, headers and body go to the socket in one ``sendall``,
+    a reply far larger than a socket buffer too."""
     sent = []
     for method in ("send", "sendall"):
         original = getattr(socket.socket, method)
@@ -931,11 +1085,12 @@ def test_a_reply_that_fits_the_buffer_leaves_in_one_send(server, monkeypatch):
             return _original(sock, data, *args)
 
         monkeypatch.setattr(socket.socket, method, record)
-    for path in ("/healthz", "/search?q=machine+learning&k=3"):
+    for path in (
+        "/healthz",
+        "/search?q=machine+learning&k=3",
+        "/search?q=machine+learning+knowledge+graph&k=50&pretty=1",
+    ):
         sent.clear()
         reply = _raw_get(server, path)
-        assert sent == [("send", len(reply))], path
-    sent.clear()
-    reply = _raw_get(server, "/search?q=machine+learning+knowledge+graph&k=50&pretty=1")
-    assert len(reply) > service_module._Handler.wbufsize
-    assert len(sent) > 1 and sum(size for _, size in sent) == len(reply)
+        assert sent == [("sendall", len(reply))], path
+    assert len(reply) > 1 << 16

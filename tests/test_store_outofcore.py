@@ -9,8 +9,11 @@ The claim under test is the whole point of the mmap tier: a process
 whose *heap* is hard-capped below the CSR's byte size can still open the
 store (read-only file-backed mappings are exempt from ``RLIMIT_DATA``)
 and answer queries bitwise-identically to an unconstrained in-RAM run.
-The child first proves the cap bites — a heap allocation of the CSR's
-size must raise ``MemoryError`` — so a pass cannot come from an
+The cap counts from the child's own data segment: the interpreter with
+NumPy and ``repro`` imported already holds tens of MB of ``VmData``, so
+the child measures it and may grow it by ``CAP_FRACTION`` of the CSR
+bytes. The child first proves the cap bites — a heap allocation of the
+CSR's size must raise ``MemoryError`` — so a pass cannot come from an
 unenforced limit; kernels too old to enforce ``RLIMIT_DATA`` (< 4.7)
 report themselves and the test skips.
 """
@@ -25,8 +28,9 @@ import pytest
 
 pytestmark = pytest.mark.ooc_smoke
 
-#: Heap cap as a fraction of the CSR array bytes — comfortably below 1.0
-#: so the "materialize into heap" escape hatch cannot fit.
+#: Heap growth allowed past the child's own data segment, as a fraction
+#: of the CSR array bytes — comfortably below 1.0 so the "materialize
+#: into heap" escape hatch cannot fit.
 CAP_FRACTION = 0.85
 
 _CHILD_SCRIPT = """
@@ -37,8 +41,16 @@ import numpy as np
 from repro.core.bottom_up import BottomUpSearch
 from repro.graph.store import open_store, read_info
 
-path, cap = sys.argv[1], int(sys.argv[2])
+path, fraction = sys.argv[1], float(sys.argv[2])
 info = read_info(path)
+# The cap counts from this interpreter's own data segment.
+with open("/proc/self/status") as status:
+    (baseline,) = [
+        int(line.split()[1]) * 1024
+        for line in status
+        if line.startswith("VmData:")
+    ]
+cap = baseline + int(fraction * info.array_bytes)
 resource.setrlimit(resource.RLIMIT_DATA, (cap, cap))
 try:
     resource.setrlimit(resource.RLIMIT_RSS, (cap, cap))
@@ -75,7 +87,10 @@ for seed in (3, 11):
             result.state.matrix.tobytes()
         ).hexdigest(),
     })
-print(json.dumps({"status": "ok", "signatures": signatures}))
+print(json.dumps({
+    "status": "ok", "signatures": signatures, "baseline": baseline,
+    "cap": cap,
+}))
 """
 
 
@@ -135,13 +150,12 @@ def _unconstrained_signatures(path):
 def test_capped_process_answers_match_unconstrained(smoke_store, tmp_path):
     path, build = smoke_store
     array_bytes = int(build["array_bytes"])
-    cap = int(array_bytes * CAP_FRACTION)
-    assert cap < array_bytes
+    assert CAP_FRACTION < 1
 
     script = tmp_path / "capped_query.py"
     script.write_text(_CHILD_SCRIPT, encoding="utf-8")
     completed = subprocess.run(
-        [sys.executable, str(script), path, str(cap)],
+        [sys.executable, str(script), path, str(CAP_FRACTION)],
         env=_child_env(), capture_output=True, text=True, timeout=600,
     )
     assert completed.returncode == 0, completed.stderr
@@ -149,6 +163,7 @@ def test_capped_process_answers_match_unconstrained(smoke_store, tmp_path):
     if payload["status"] == "limit-unenforced":
         pytest.skip("kernel does not enforce RLIMIT_DATA")
     assert payload["status"] == "ok"
+    assert payload["cap"] - payload["baseline"] < array_bytes
     assert payload["signatures"] == _unconstrained_signatures(path)
 
 

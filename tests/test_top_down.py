@@ -24,6 +24,7 @@ from repro.instrumentation import PhaseTimer
 from repro.obs.tracing import Tracer
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import chain_graph, random_graph
+from repro.parallel._native import StageTwoScratch
 from repro.parallel.vectorized import _native_kernel
 
 from conftest import zero_activation
@@ -535,18 +536,25 @@ def test_extract_graphs_never_writes_past_its_capacities():
         state.matrix, state.activation, state.keyword_node,
         state.central_level,
     )
-    columns = bound.extract_columns(len(centrals))
-    columns["centrals"][:] = centrals
     marks = np.zeros(n, np.int32)
+
+    def scratch(out_nodes, out_edges, pairs):
+        return StageTwoScratch(
+            kernel, marks=marks, stack=np.empty(n, np.int64),
+            members=np.empty(n, np.int64), pairs=pairs,
+            out_nodes=out_nodes, out_edges=out_edges,
+        )
+
+    ample = [np.empty(1 << 16, np.int64) for _ in range(3)]
+    columns = scratch(*ample).extract_columns(len(centrals))
+    columns["centrals"][:] = centrals
     needed = columns["needed"]
 
     def call(out_nodes, out_edges, pairs):
         return bound.extract(
-            columns, True, marks, np.empty(n, np.int64),
-            np.empty(n, np.int64), pairs, out_nodes, out_edges,
+            columns, True, scratch(out_nodes, out_edges, pairs)
         )
 
-    ample = [np.empty(1 << 16, np.int64) for _ in range(3)]
     assert call(*ample)
     assert (needed > 4).all() and (needed <= 1 << 16).all()
     assert columns["node_counts"].sum() == needed[0]
