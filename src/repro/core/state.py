@@ -38,6 +38,7 @@ from typing import (
 
 import numpy as np
 
+from ..graph.store import allocated_nbytes, memmap_base
 from ..obs.tracing import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:
@@ -106,6 +107,10 @@ class SearchArena:
             np.zeros(8, dtype=np.int64),
         )
         self.leased = False
+        #: Bytes of the six arrays :meth:`reset` returns: heap by
+        #: construction and fixed until the next reset, so a query's
+        #: Table IV accounting charges them from here, once.
+        self.state_nbytes = 0
         self._bindings: Dict[str, Tuple[tuple, object]] = {}
         self._scratches: List["StageTwoScratch"] = []
 
@@ -134,7 +139,7 @@ class SearchArena:
         self.keyword_node.fill(False)
         self.central_level.fill(-1)
         self.finite_count.fill(0)
-        return (
+        arrays = (
             self.matrix,
             self.f_identifier,
             self.c_identifier,
@@ -142,6 +147,8 @@ class SearchArena:
             self.central_level,
             self.finite_count,
         )
+        self.state_nbytes = sum(int(array.nbytes) for array in arrays)
+        return arrays
 
     def binding(
         self, name: str, key: Tuple[object, ...], bind: Callable[[], _Bound]
@@ -188,7 +195,9 @@ class SearchArena:
         ]
         total = sum(int(array.nbytes) for array in arrays)
         for scratch in list(self._scratches):
-            total += scratch.nbytes + scratch.columns_nbytes
+            total += scratch.columns_nbytes + sum(
+                int(array.nbytes) for array in scratch.arrays.values()
+            )
         return total
 
 
@@ -493,26 +502,15 @@ class SearchState:
 
         Returns the heap bytes of every per-query array but the frontier
         (constant for the query) and the store-backed ones among them,
-        whose resident charge can change from level to level.
+        whose resident charge can change from level to level. M and the
+        five per-node arrays are the arena's, heap by construction and
+        charged as :attr:`SearchArena.state_nbytes`; only ``activation``
+        (the caller's, possibly a store map) is looked at.
         """
-        from ..graph.store import memmap_base
-
-        heap = 0
-        mapped = []
-        for array in (
-            self.matrix,
-            self.f_identifier,
-            self.c_identifier,
-            self.keyword_node,
-            self.central_level,
-            self.activation,
-            self.finite_count,
-        ):
-            if memmap_base(array) is None:
-                heap += int(array.nbytes)
-            else:
-                mapped.append(array)
-        return heap, tuple(mapped)
+        heap = self.arena.state_nbytes
+        if memmap_base(self.activation) is not None:
+            return heap, (self.activation,)
+        return heap + int(self.activation.nbytes), ()
 
     def nbytes(
         self, fixed: Optional[Tuple[int, Tuple[np.ndarray, ...]]] = None
@@ -534,11 +532,7 @@ class SearchState:
             fixed: this query's :meth:`fixed_nbytes`, when the caller
                 measures every level and has it already.
         """
-        from ..graph.store import allocated_nbytes
-
         heap, mapped = self.fixed_nbytes() if fixed is None else fixed
-        return (
-            heap
-            + sum(allocated_nbytes(array) for array in mapped)
-            + int(self.frontier.nbytes)
-        )
+        for array in mapped:
+            heap += allocated_nbytes(array)
+        return heap + int(self.frontier.nbytes)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Dict,
     FrozenSet,
@@ -471,7 +472,14 @@ def _batch_stage_two(
         (_node_capacity, _edge_capacity, _pair_capacity),
         bound.scratch,
     )
-    centrals, depths = np.array(state.central_nodes, dtype=np.int64).T
+    # The (node, depth) pairs read flat, without a 2-D object conversion.
+    centrals, depths = (
+        np.fromiter(
+            chain.from_iterable(state.central_nodes), np.int64, 2 * n_graphs
+        )
+        .reshape(n_graphs, 2)
+        .T
+    )
 
     def extract(scratch: StageTwoScratch, chunk: np.ndarray) -> _GraphBatch:
         return _extract_batch(bound, scratch, chunk, config.apply_level_cover)

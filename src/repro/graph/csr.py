@@ -16,9 +16,10 @@ matrix, frontier flags) can be manipulated with vectorized NumPy kernels.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +27,10 @@ from .labels import Vocabulary
 
 if TYPE_CHECKING:
     from .store import StoreHandle
+
+#: Rows :meth:`CSRAdjacency.__post_init__` checks for monotonicity per
+#: step, so the check's temporaries stay bounded on any graph.
+_MONOTONE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -50,8 +55,13 @@ class CSRAdjacency:
             raise ValueError("indptr must start at 0")
         if self.indptr[-1] != len(self.indices):
             raise ValueError("indptr must end at len(indices)")
-        if np.any(np.diff(self.indptr) < 0):
-            raise ValueError("indptr must be non-decreasing")
+        # Block by block: one bool per row of a block, where np.diff
+        # would make an int64 and a bool temporary as long as indptr.
+        indptr = self.indptr
+        for lo in range(0, len(indptr) - 1, _MONOTONE_BLOCK):
+            hi = min(lo + _MONOTONE_BLOCK, len(indptr) - 1)
+            if (indptr[lo + 1:hi + 1] < indptr[lo:hi]).any():
+                raise ValueError("indptr must be non-decreasing")
         # The adjacency is shared by every backend (including fork-based
         # worker pools) and all cached views alias it, so the base arrays
         # are frozen: an accidental in-place edit after construction
@@ -99,6 +109,19 @@ class CSRAdjacency:
         degrees = np.diff(self.indptr)
         degrees.setflags(write=False)
         return degrees
+
+    @cached_property
+    def rows(self) -> Tuple[memoryview, memoryview, memoryview]:
+        """``indptr``, ``indices`` and ``labels`` as memoryviews (built
+        once per adjacency). An item of one is a Python int and a slice
+        is another memoryview, with no NumPy call: what a lookup that
+        reads a few rows per answer (:meth:`KnowledgeGraph.
+        edge_predicates`) indexes."""
+        return (
+            memoryview(self.indptr),
+            memoryview(self.indices),
+            memoryview(self.labels),
+        )
 
     @property
     def nbytes(self) -> int:
@@ -231,6 +254,47 @@ class KnowledgeGraph:
 
     def predicate_name(self, predicate_id: int) -> str:
         return self.predicates[predicate_id]
+
+    def edge_predicates(
+        self, edges: Sequence[Tuple[int, int]]
+    ) -> List[List[str]]:
+        """The predicate names realizing each ``(source, target)`` pair.
+
+        For each pair: the name of every directed edge source → target,
+        then ``"^"`` + the name of every edge target → source (RDF-style
+        inverse notation, since the traversal is bi-directed), each in
+        the out-rows' (neighbor, label) order.
+
+        One lookup for all the pairs, on the out-rows of their endpoints
+        read through :attr:`CSRAdjacency.rows`: each endpoint's row is
+        sliced once, in place, and each pair is a binary search on each
+        endpoint's row. No NumPy call is made and nothing is copied out
+        of a row.
+        """
+        indptr, indices, labels = self.out.rows
+        name_of = self.predicates.__getitem__
+        rows = {}
+        for edge in edges:
+            for node in edge:
+                if node not in rows:
+                    lo, hi = indptr[node], indptr[node + 1]
+                    rows[node] = (indices[lo:hi], labels[lo:hi])
+
+        found = []
+        for source, target in edges:
+            neighbors, row_labels = rows[source]
+            first = bisect_left(neighbors, target)
+            last = bisect_right(neighbors, target, first)
+            names_of = [name_of(label) for label in row_labels[first:last]]
+            neighbors, row_labels = rows[target]
+            first = bisect_left(neighbors, source)
+            last = bisect_right(neighbors, source, first)
+            if last > first:
+                names_of += [
+                    "^" + name_of(label) for label in row_labels[first:last]
+                ]
+            found.append(names_of)
+        return found
 
     def degree(self, node: int) -> int:
         """Bi-directed degree (counting parallel edges)."""

@@ -562,16 +562,23 @@ class TextBlob(Sequence[str]):
 
     Decoding happens per access, so a 2M-node store does not materialize
     2M Python strings at open time. Slices return real lists.
+
+    An item is read through memoryviews of the two sections, made once:
+    an offset is a Python int and the text's bytes a buffer slice that
+    decodes in place, so a read makes no NumPy call (a served answer
+    reads one text per node).
     """
 
-    __slots__ = ("_offsets", "_data")
+    __slots__ = ("_offsets", "_data", "_bounds", "_bytes")
 
     def __init__(self, offsets: np.ndarray, data: np.ndarray) -> None:
         self._offsets = offsets
         self._data = data
+        self._bounds = memoryview(offsets)
+        self._bytes = memoryview(data)
 
     def __len__(self) -> int:
-        return len(self._offsets) - 1
+        return len(self._bounds) - 1
 
     @overload
     def __getitem__(self, index: int) -> str: ...
@@ -583,12 +590,13 @@ class TextBlob(Sequence[str]):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         i = int(index)
+        bounds = self._bounds
+        n = len(bounds) - 1
         if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
+            i += n
+        if not 0 <= i < n:
             raise IndexError("node text index out of range")
-        start, stop = int(self._offsets[i]), int(self._offsets[i + 1])
-        return bytes(self._data[start:stop]).decode("utf-8")
+        return str(self._bytes[bounds[i]:bounds[i + 1]], "utf-8")
 
     def __iter__(self) -> Iterator[str]:
         # One offsets slice and one bytes copy per block instead of bounds

@@ -65,7 +65,10 @@ class QueryRecord:
         duration_ms: total query wall time (the ``total`` phase, or the
             service's own measurement for a failed query).
         phases: ``PhaseTimer`` milliseconds per phase.
-        counters: the ``levels`` accounting summed over the query.
+        counters: the ``levels`` accounting summed over the query, and
+            beside it the kernel work counters (``KernelCounters``'
+            four fields) summed likewise: what the serving service
+            added to ``repro_kernel_*`` for this query.
         levels: per-BFS-level expansion accounting, one dict per level,
             its wall time under ``ms``.
         depth / n_central_nodes / n_answers / terminated: stage-one and
@@ -162,26 +165,21 @@ class FlightRecorder:
     # Recording
     # ------------------------------------------------------------------
     def record(
-        self, query: str, result: "SearchResult", backend: str = ""
+        self,
+        query: str,
+        result: "SearchResult",
+        backend: str,
+        levels: List[Dict[str, float]],
+        counters: Dict[str, int],
     ) -> Optional[QueryRecord]:
         """Record one answered query from its
-        :class:`~repro.core.results.SearchResult`; returns the committed
+        :class:`~repro.core.results.SearchResult` and the ``levels``
+        rows and ``counters`` its service summed from the result's
+        ``level_profile`` (:class:`QueryRecord`); returns the committed
         record, or ``None`` when the recorder is off."""
         if not self.enabled:
             return None
         phases = result.timer.milliseconds()
-        levels: List[Dict[str, float]] = []
-        counters: Dict[str, int] = {}
-        for outcome in result.level_profile:
-            attrs = {
-                key: int(value)
-                for key, value in outcome.as_span_attributes().items()
-            }
-            row: Dict[str, float] = {"level": int(outcome.level), **attrs}
-            row["ms"] = outcome.seconds * 1e3
-            levels.append(row)
-            for key, value in attrs.items():
-                counters[key] = counters.get(key, 0) + value
         duration_ms = phases.get("total", 0.0)
         return self._commit(
             QueryRecord(

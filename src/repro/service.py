@@ -56,7 +56,7 @@ from .graph.csr import KnowledgeGraph
 from .instrumentation import PHASE_INITIALIZATION, PHASE_TOTAL, KernelCounters
 from .obs.flight import FlightRecorder
 from .obs.metrics import MetricsRegistry, record_kernel_counters
-from .viz import edge_predicates
+from .parallel.backend import LevelOutcome
 
 #: Bounded endpoint label set — unknown paths collapse to "other" so a
 #: scanner cannot explode the metric cardinality.
@@ -124,6 +124,34 @@ _PAGE = """<!doctype html>
 _Reply = Tuple[int, str, str, Optional[Dict]]
 
 
+def _account_levels(
+    level_profile: List[LevelOutcome],
+) -> Tuple[List[Dict[str, float]], Dict[str, int], KernelCounters]:
+    """One pass over a served query's ``level_profile``: its flight
+    record's ``levels`` rows (the level, its span attributes and its
+    wall time under ``ms``), the ``counters`` those rows and the kernel
+    work counters sum to, and the kernel counters as the
+    :class:`KernelCounters` the service adds to ``repro_kernel_*`` — so
+    the metrics and the records agree by construction."""
+    levels: List[Dict[str, float]] = []
+    counters: Dict[str, int] = {}
+    kernel = KernelCounters()
+    for outcome in level_profile:
+        attrs = {
+            key: int(value)
+            for key, value in outcome.as_span_attributes().items()
+        }
+        levels.append(
+            {"level": int(outcome.level), **attrs, "ms": outcome.seconds * 1e3}
+        )
+        for key, value in attrs.items():
+            counters[key] = counters.get(key, 0) + value
+        if outcome.counters is not None:
+            kernel.add(outcome.counters)
+    counters.update(kernel.as_dict())
+    return levels, counters, kernel
+
+
 def _json_error(status: int, message: str) -> _Reply:
     payload = {"error": message}
     return status, "application/json", json.dumps(payload), payload
@@ -171,18 +199,6 @@ class SearchService:
         self.last_error: Optional[Dict] = None
         self.started_unix = time.time()
 
-    def _record_kernel_work(self, level_profile: List) -> None:
-        """Add one answered query's kernel counters, summed over its
-        levels, to the registry under the backend's tier."""
-        tier = self.engine.backend.counter_tier
-        if tier is None:
-            return
-        totals = KernelCounters()
-        for outcome in level_profile:
-            if outcome.counters is not None:
-                totals.add(outcome.counters)
-        record_kernel_counters(totals, tier, self.registry)
-
     # ------------------------------------------------------------------
     # Pure request logic (unit-testable)
     # ------------------------------------------------------------------
@@ -192,33 +208,41 @@ class SearchService:
         )
 
     def answer_payload(self, answer: SearchAnswer) -> Dict:
-        """JSON-serializable view of one ranked answer."""
+        """JSON-serializable view of one ranked answer.
+
+        Read from the answer's sorted views (node ids with their
+        contribution masks, edge keys) and one
+        :meth:`KnowledgeGraph.edge_predicates` lookup for all its edges;
+        no set is built."""
         graph = self.graph
+        text = graph.node_text
         central = answer.graph
+        keywords = answer.keywords
+        n_keywords = len(keywords)
+        edges = central.sorted_edges()
         return {
             "central_node": central.central_node,
-            "central_text": graph.node_text[central.central_node],
+            "central_text": text[central.central_node],
             "depth": central.depth,
             "score": answer.score,
             "nodes": [
                 {
                     "id": node,
-                    "text": graph.node_text[node],
+                    "text": text[node],
+                    # Most members carry no keyword: no comprehension.
                     "keywords": [
-                        answer.keywords[column]
+                        keywords[column]
                         for column in columns
-                        if column < len(answer.keywords)
-                    ],
+                        if column < n_keywords
+                    ] if columns else [],
                 }
                 for node, columns in central.member_columns()
             ],
             "edges": [
-                {
-                    "source": source,
-                    "target": target,
-                    "predicates": edge_predicates(graph, source, target),
-                }
-                for source, target in central.sorted_edges()
+                {"source": source, "target": target, "predicates": predicates}
+                for (source, target), predicates in zip(
+                    edges, graph.edge_predicates(edges)
+                )
             ],
         }
 
@@ -269,8 +293,12 @@ class SearchService:
                 "suggestions": suggestions,
                 **linkage,
             }
-        record = self.flight.record(query, result, backend)
-        self._record_kernel_work(result.level_profile)
+        # The levels are summed once, for the record and the metrics.
+        levels, counters, kernel = _account_levels(result.level_profile)
+        record = self.flight.record(query, result, backend, levels, counters)
+        tier = self.engine.backend.counter_tier
+        if tier is not None:
+            record_kernel_counters(kernel, tier, self.registry)
         payload = {
             "query": query,
             "query_id": record.query_id if record else None,
@@ -388,8 +416,12 @@ class SearchService:
                 return _json_error(400, "k and alpha must be numeric")
             status, payload = self.handle_search(query, k=k, alpha=alpha)
             indent = 2 if params.get("pretty") else None
+            # The payload is built afresh for this reply and holds no
+            # cycle, so the encoder's cycle check (a marker per dict and
+            # list) would find nothing; the bytes are the same without.
+            body = json.dumps(payload, indent=indent, check_circular=False)
             return (
-                status, "application/json", json.dumps(payload, indent=indent),
+                status, "application/json", body,
                 payload if status >= 400 else None,
             )
         return _json_error(404, "not found")

@@ -21,16 +21,10 @@ def edge_predicates(graph: KnowledgeGraph, source: int, target: int) -> List[str
 
     Both orientations are reported (the traversal is bi-directed); the
     reverse direction is marked with a ``^`` prefix, RDF-style inverse
-    notation.
+    notation. One pair of :meth:`KnowledgeGraph.edge_predicates`, which
+    renders every edge of an answer in one lookup.
     """
-    names: List[str] = []
-    for neighbor, label in graph.out.edges_of(source):
-        if neighbor == target:
-            names.append(graph.predicate_name(label))
-    for neighbor, label in graph.out.edges_of(target):
-        if neighbor == source:
-            names.append("^" + graph.predicate_name(label))
-    return names
+    return graph.edge_predicates([(source, target)])[0]
 
 
 def _dot_escape(text: str) -> str:
@@ -76,8 +70,8 @@ def central_graph_to_dot(
                     f'label="{_node_label(graph, node)}\\n[{_dot_escape(carried)}]"'
                 )
         lines.append(f"  n{node} [{', '.join(attributes)}];")
-    for source, target in sorted(answer.edges):
-        predicates = edge_predicates(graph, source, target)
+    edges = answer.sorted_edges()
+    for (source, target), predicates in zip(edges, graph.edge_predicates(edges)):
         label = _dot_escape("; ".join(predicates[:2]))
         lines.append(f'  n{source} -> n{target} [label="{label}"];')
     lines.append("}")
@@ -94,8 +88,8 @@ def answer_tree_to_dot(
         if node == tree.root:
             attributes.append("peripheries=2")
         lines.append(f"  n{node} [{', '.join(attributes)}];")
-    for source, target in sorted(tree.edges):
-        predicates = edge_predicates(graph, source, target)
+    edges = sorted(tree.edges)
+    for (source, target), predicates in zip(edges, graph.edge_predicates(edges)):
         label = _dot_escape("; ".join(predicates[:2]))
         lines.append(f'  n{source} -> n{target} [label="{label}"];')
     lines.append("}")
@@ -127,8 +121,9 @@ def explain_answer(
             carried = ", ".join(f"t{column}" for column in columns)
         lines.append(f"  carries [{carried}]: v{node} {graph.node_text[node]!r}")
     lines.append("  hitting paths:")
-    for source, target in sorted(answer.edges):
-        predicates = "; ".join(edge_predicates(graph, source, target)) or "?"
+    edges = answer.sorted_edges()
+    for (source, target), names in zip(edges, graph.edge_predicates(edges)):
+        predicates = "; ".join(names) or "?"
         lines.append(
             f"    v{source} --{predicates}--> v{target}"
         )

@@ -93,6 +93,46 @@ def _snapshot(result):
     )
 
 
+def test_peak_state_nbytes_is_the_state_plus_its_widest_frontier(graph, queries):
+    """Table IV's peak, charged once per query from the arena: M, the
+    five per-node arrays and the activation, plus the widest frontier an
+    expanded level left, on arenas reused across q."""
+    from repro.core.bottom_up import BottomUpSearch
+    from repro.text.query_parser import parse_query, resolve_keyword_groups
+
+    engine = KeywordSearchEngine(graph)
+    search = BottomUpSearch(graph)
+    pool = ArenaPool(graph.n_nodes)
+    activation, max_activation = engine._activation(0.1)
+    for knum in (2, 6, 3, 5):
+        for query in queries[knum][:2]:
+            sets = [
+                nodes
+                for _, nodes in resolve_keyword_groups(
+                    parse_query(query), engine.index
+                )
+                if len(nodes)
+            ]
+            with pool.lease() as arena:
+                result = search.run(
+                    sets, activation, K, max_activation=max_activation,
+                    arena=arena,
+                )
+                state = result.state
+                arrays = (
+                    state.matrix, state.f_identifier, state.c_identifier,
+                    state.keyword_node, state.central_level,
+                    state.activation, state.finite_count,
+                )
+                widest = max(
+                    (o.frontier_size for o in result.level_profile if o.expanded),
+                    default=0,
+                )
+                assert result.peak_state_nbytes == (
+                    sum(a.nbytes for a in arrays) + 8 * widest
+                ), query
+
+
 def _arena_arrays(arena):
     arrays = {
         "matrix": arena.matrix,

@@ -14,6 +14,7 @@ import pytest
 from repro.analysis.lint import package_root
 from repro.core.engine import KeywordSearchEngine
 from repro.obs import FlightRecorder
+from repro.instrumentation import KernelCounters
 from repro.obs.tracing import NULL_TRACER
 from repro.service import SearchService
 
@@ -122,11 +123,47 @@ def test_record_payload_is_a_view_of_the_result(engine, monkeypatch):
     assert list(payload["levels"][0]) == LEVEL_KEYS + ["ms"]
     assert all(row["ms"] > 0 for row in payload["levels"])
     assert sum(row["ms"] for row in payload["levels"]) <= payload["duration_ms"]
+    kernel = KernelCounters()
+    for outcome in result.level_profile:
+        if outcome.counters is not None:
+            kernel.add(outcome.counters)
     assert payload["counters"] == {
-        key: sum(row[key] for row in payload["levels"])
-        for key in LEVEL_KEYS[1:]
+        **{
+            key: sum(row[key] for row in payload["levels"])
+            for key in LEVEL_KEYS[1:]
+        },
+        **kernel.as_dict(),
     }
     json.dumps(payload)
+
+
+def test_metrics_kernel_counters_equal_the_records_sums(engine):
+    """After N served queries the ``repro_kernel_*`` counters of
+    ``/metrics`` equal the sums of the ``/debug/queries/<id>`` records'
+    counters: the service sums each query's levels once and feeds both
+    from that sum."""
+    service = _service(engine, max_records=16)
+    queries = [
+        "machine learning", "graph database query", "knowledge base sparql",
+        "xml rdf sql", "machine learning translation",
+    ]
+    for query in queries:
+        assert _search(service, query, k=60)[0] == 200
+    listing = json.loads(service.handle_path("/debug/queries")[2])
+    assert len(listing["recent"]) == len(queries)
+    totals = dict.fromkeys(KernelCounters().as_dict(), 0)
+    for row in listing["recent"]:
+        record = json.loads(
+            service.handle_path(f"/debug/queries/{row['query_id']}")[2]
+        )
+        for field in totals:
+            totals[field] += record["counters"][field]
+    assert totals["edges_gathered"] and totals["pairs_hit"]
+    text = service.handle_path("/metrics")[2]
+    tier = engine.backend.counter_tier
+    for field, value in totals.items():
+        line = f'repro_kernel_{field}_total{{tier="{tier}"}} {value}'
+        assert (line in text) == bool(value), field
 
 
 def test_ring_evicts_but_count_is_exact(engine):

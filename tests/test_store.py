@@ -289,6 +289,90 @@ def test_textblob_iterates_in_blocks_like_it_indexes(tmp_path, monkeypatch):
     assert list(TextBlob(np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.uint8))) == []
 
 
+@pytest.mark.parametrize("mmap", [True, False])
+def test_textblob_reads_each_index_as_it_iterates(tmp_path, mmap):
+    """Item reads go through memoryviews of the sections: every index,
+    negative ones and NumPy integers too, gives the text iteration
+    gives; slices are lists; an index out of range raises."""
+    builder = GraphBuilder()
+    texts = ["İstanbul", "", "naïve café", "日本語 テキスト", "x", "€ 5"] * 3
+    for text in texts:
+        builder.add_node(text)
+    builder.add_edge(0, 1, "p")
+    path = tmp_path / ("blob" + STORE_SUFFIX)
+    save_store(builder.build(), path)
+    blob = open_store(path, mmap=mmap).node_text
+    n = len(texts)
+    assert list(blob) == texts
+    assert [blob[i] for i in range(n)] == texts
+    assert [blob[i] for i in range(-n, 0)] == texts
+    assert blob[np.int64(3)] == texts[3] and blob[np.int32(-1)] == texts[-1]
+    for window in (slice(2, 9), slice(None, None, -2), slice(-4, None), slice(5, 2)):
+        assert blob[window] == texts[window]
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            blob[index]
+
+
+def test_opening_a_store_allocates_less_than_a_byte_per_node(tmp_path):
+    """Opening maps the sections and checks them; the indptr
+    monotonicity check runs block by block, so the open's heap peak
+    (tracemalloc) stays under one byte per node. Checked with
+    ``np.diff`` it held an int64 and a bool temporary as long as
+    ``indptr``: 9 bytes per node, for each of the three adjacencies."""
+    import tracemalloc
+
+    from repro.graph.csr import CSRAdjacency, KnowledgeGraph
+    from repro.graph.labels import Vocabulary
+
+    n = 150_000
+    rng = np.random.default_rng(19)
+    sources, targets = rng.integers(0, n, (2, 2 * n))
+    labels = np.zeros(2 * n, np.int32)
+    both = (
+        np.concatenate([sources, targets]),
+        np.concatenate([targets, sources]),
+        np.concatenate([labels, labels]),
+    )
+    graph = KnowledgeGraph(
+        CSRAdjacency.from_edge_arrays(n, sources, targets, labels),
+        CSRAdjacency.from_edge_arrays(n, targets, sources, labels),
+        CSRAdjacency.from_edge_arrays(n, *both),
+        [""] * n,
+        Vocabulary(["p"]),
+    )
+    path = tmp_path / ("wide" + STORE_SUFFIX)
+    save_store(graph, path)
+    open_store(path)  # imports and first-use caches outside the window
+    tracemalloc.start()
+    try:
+        opened = open_store(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert opened.n_nodes == n
+    assert peak < n, peak
+
+
+def test_a_decreasing_indptr_is_refused_in_any_block():
+    """The blockwise check finds a decrease inside a block and across a
+    block boundary."""
+    from repro.graph.csr import _MONOTONE_BLOCK, CSRAdjacency
+
+    n = 2 * _MONOTONE_BLOCK + 10
+    for at in (5, _MONOTONE_BLOCK, _MONOTONE_BLOCK + 1, n - 1):
+        indptr = np.arange(n + 1, dtype=np.int64)
+        indptr[at] = indptr[at - 1] - 1 if at > 1 else 0
+        indptr[-1] = n
+        indices = np.zeros(n, np.int32)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            CSRAdjacency(indptr, indices, np.zeros(n, np.int32))
+    CSRAdjacency(
+        np.arange(n + 1, dtype=np.int64), np.zeros(n, np.int32),
+        np.zeros(n, np.int32),
+    )
+
+
 def test_npz_and_store_give_the_same_index_and_distance(kb_graph, store_path, tmp_path):
     npz_path = str(tmp_path / "kb")
     save_graph(kb_graph, npz_path)
@@ -370,6 +454,34 @@ def test_search_state_nbytes_counts_heap_exactly():
         )
     )
     assert state.nbytes() == expected
+
+
+def test_a_mapped_activation_is_charged_at_its_resident_bytes(tmp_path):
+    """M and the per-node arrays are the arena's and charged from it;
+    an activation array that is a store map is still looked at, and
+    charged at its resident page estimate, not its size."""
+    n = 64 * 1024  # 256 KiB of int32: many pages
+    path = tmp_path / "activation.i32"
+    np.zeros(n, np.int32).tofile(path)
+    activation = np.memmap(path, dtype=np.int32, mode="r", shape=(n,))
+    state = SearchState.initialize(
+        n, [np.array([0]), np.array([5, 9])], activation, max_activation=0
+    )
+    heap, mapped = state.fixed_nbytes()
+    assert len(mapped) == 1 and mapped[0] is state.activation
+    assert memmap_base(state.activation) is activation
+    assert heap == state.arena.state_nbytes == sum(
+        a.nbytes
+        for a in (
+            state.matrix, state.f_identifier, state.c_identifier,
+            state.keyword_node, state.central_level, state.finite_count,
+        )
+    )
+    assert state.nbytes() == heap + allocated_nbytes(state.activation)
+    estimate = resident_nbytes(state.activation)
+    if estimate is not None:  # mincore may be unavailable on some libcs
+        assert allocated_nbytes(state.activation) == estimate
+        assert estimate <= activation.nbytes
 
 
 def test_statz_reports_storage_section(store_path):
