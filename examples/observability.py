@@ -1,52 +1,58 @@
 """Trace a query end to end and inspect the collected telemetry.
 
-Builds the small synthetic KB, runs one traced query, and shows the
-three faces of the observability layer:
+Builds the small synthetic KB, runs one query, and shows the three faces
+of the observability layer, every one of them read from what the query
+returned or what a service counted:
 
-1. the **flame summary** — the span tree (query → phases → BFS levels →
-   expansion chunks) with inclusive milliseconds;
-2. the **Chrome trace export** — written to ``query.trace.json``; open
-   it in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``;
+1. the **result's own account** — phase milliseconds, stage two's
+   counts and the Fig. 4-style level text;
+2. the **Chrome trace** — rendered from the result and written to
+   ``query.trace.json``; open it in Perfetto (https://ui.perfetto.dev)
+   or ``chrome://tracing``;
 3. the **metrics registry** — a search service's ``/metrics``: its
    request counters and the kernel work counters of the queries it
    served, as Prometheus text.
 
 The equivalent one-liner is ``python -m repro profile "query" --trace
-query.trace.json``. An engine with no tracer attached (and none
-installed globally) records no spans at all.
+query.trace.json``. Rendering happens after the search returns, so a
+traced query runs exactly the code any other query runs.
 
 Run:  python examples/observability.py
 """
 
-from repro import KeywordSearchEngine, Tracer
+import json
+
+from repro import KeywordSearchEngine
+from repro.core.bottom_up import describe_levels
 from repro.graph.generators import wiki_like_kb
+from repro.obs.tracing import render_chrome_trace, validate_chrome_trace
 from repro.service import SearchService
 
 
 def main() -> None:
     graph, _ = wiki_like_kb()
-    tracer = Tracer(enabled=True)
-    engine = KeywordSearchEngine(
-        graph, tracer=tracer
-    )
+    engine = KeywordSearchEngine(graph)
 
     result = engine.search("knowledge base rdf sparql", k=5)
-    print(f"{len(result.answers)} answers, depth {result.depth}, "
-          f"{len(tracer.finished_spans())} spans recorded\n")
+    print(f"{len(result.answers)} answers, depth {result.depth}\n")
+    for phase, ms in result.milliseconds().items():
+        print(f"  {phase:28} {ms:8.3f} ms")
+    print(f"  stage two: {result.stage_two.as_dict()}\n")
+    print(describe_levels(result.level_profile))
 
-    print("flame summary:")
-    print(tracer.flame_summary(min_ms=0.01))
+    trace = render_chrome_trace(result, k=5)
+    validate_chrome_trace(trace)
+    with open("query.trace.json", "w", encoding="utf-8") as handle:
+        json.dump(trace, handle, indent=1)
+    print(f"\nwrote query.trace.json ({len(trace['traceEvents'])} events) — "
+          "load it in https://ui.perfetto.dev")
 
-    tracer.write_chrome_trace("query.trace.json")
-    print("\nwrote query.trace.json — load it in https://ui.perfetto.dev")
-
-    # The level spans carry the kernel work counters as attributes ...
-    levels = [s for s in tracer.finished_spans() if s.name == "level"]
-    expanded = [s for s in levels if "edges_gathered" in s.attrs]
+    # The level events carry the kernel work counters as args ...
+    levels = [e for e in trace["traceEvents"] if e["name"] == "level"]
+    expanded = [e for e in levels if "edges_gathered" in e["args"]]
     if expanded:
-        span = expanded[0]
-        print(f"\nlevel {span.attrs['level']} span attributes: "
-              f"{span.attrs}")
+        event = expanded[0]
+        print(f"\nlevel {event['args']['level']} event args: {event['args']}")
 
     # ... and a search service adds each served query's counters, summed
     # over its levels, to its own registry, served at GET /metrics.

@@ -27,7 +27,7 @@ from .core.engine import (
 from .core.state import TooManyKeywordsError
 from .graph.builder import GraphBuilder, graph_from_triples
 from .graph.csr import KnowledgeGraph
-from .obs import MetricsRegistry, Tracer
+from .obs import MetricsRegistry
 from .parallel import (
     LockedDictEngine,
     NativeKernelUnavailable,
@@ -57,7 +57,6 @@ __all__ = [
     "SequentialBackend",
     "ThreadPoolBackend",
     "TooManyKeywordsError",
-    "Tracer",
     "VectorizedBackend",
     "graph_from_triples",
     "__version__",

@@ -13,8 +13,7 @@ repo-specific coding contracts that protect it — into machine checks:
 * :mod:`~repro.analysis.lint` — AST lint rules ``RPR001``–``RPR012``
   encoding the repo's contracts (no locks / Python per-edge loops in
   ``@hot_path`` kernels, int64 fancy-index dtype, registered ``REPRO_*``
-  env vars, explicit span parents in pool workers, read-only
-  store-backed arrays, constant metric names, ...);
+  env vars, read-only store-backed arrays, constant metric names, ...);
 * :mod:`~repro.analysis.sanitize` — ASan/UBSan wiring for the compiled
   kernel tier (``REPRO_SANITIZE=address,undefined``) plus the TSan race
   tier: an instrumented pthread harness racing the real kernel under

@@ -22,10 +22,6 @@ RPR003    int64 dtype contract on fancy-index operands: no per-call
 RPR004    Every ``REPRO_*`` environment variable literal in ``src`` must
           be registered in :mod:`repro.obs.config`, the single place
           where telemetry/kernel switches are documented.
-RPR005    Pool-worker spans must pass explicit ``parent=``: inside
-          ``repro.parallel``, a ``.span(...)`` call in a nested function
-          (the closures handed to worker pools) without ``parent=``
-          would attach to the *worker's* empty span stack.
 RPR006    No bare ``except:`` — it swallows ``KeyboardInterrupt`` and
           ``SystemExit`` in long-running search services.
 RPR007    No mutable default arguments.
@@ -77,7 +73,6 @@ RULES = {
     "RPR002": "Python per-edge loop inside @hot_path kernel code",
     "RPR003": "per-call dtype conversion on fancy-index operands in @hot_path code",
     "RPR004": "REPRO_* env var not registered in repro.obs.config",
-    "RPR005": "pool-worker span without explicit parent=",
     "RPR006": "bare except:",
     "RPR007": "mutable default argument",
     "RPR008": "wall-clock time.time() in a figure-producing path",
@@ -200,14 +195,12 @@ class _FileLinter(ast.NodeVisitor):
         self,
         path: str,
         registered_env: Set[str],
-        in_parallel: bool,
         figure_scope: bool,
         is_registry: bool,
         store_writer_scope: bool = False,
     ) -> None:
         self.path = path
         self.registered_env = registered_env
-        self.in_parallel = in_parallel
         self.figure_scope = figure_scope
         self.is_registry = is_registry
         self.store_writer_scope = store_writer_scope
@@ -234,10 +227,6 @@ class _FileLinter(ast.NodeVisitor):
     @property
     def _in_hot(self) -> bool:
         return any(self._hot_stack)
-
-    @property
-    def _in_nested_function(self) -> bool:
-        return len(self._hot_stack) >= 2
 
     # ------------------------------------------------------------------
     def _check_defaults(self, node: ast.AST, args: ast.arguments) -> None:
@@ -459,20 +448,6 @@ class _FileLinter(ast.NodeVisitor):
                             "contract maps sections read-only",
                         )
         if (
-            self.in_parallel
-            and self._in_nested_function
-            and isinstance(node.func, ast.Attribute)
-            and name == "span"
-        ):
-            if not any(k.arg == "parent" for k in node.keywords):
-                self._emit(
-                    node,
-                    "RPR005",
-                    "span opened inside a pool-worker closure without "
-                    "explicit parent=; worker threads have empty span "
-                    "stacks, so parentage must be handed over",
-                )
-        if (
             isinstance(node.func, ast.Attribute)
             and name in _METRIC_FACTORY_METHODS
             and self._is_registry_receiver(node.func.value)
@@ -628,7 +603,7 @@ def lint_source(
             one parsed from :mod:`repro.obs.config`).
         relative_to_package: the module's path relative to the ``repro``
             package root, which determines scope-sensitive rules
-            (parallel-package span rule, figure-path wall-clock rule).
+            (figure-path wall-clock rule, store-writer scope).
             ``None`` applies every scope — the strictest interpretation,
             right for fixtures.
     """
@@ -638,14 +613,12 @@ def lint_source(
             config_path.read_text(encoding="utf-8")
         )
     rel = relative_to_package
-    in_parallel = rel is None or rel.startswith("parallel")
     figure_scope = rel is None or rel.startswith(_FIGURE_SCOPES)
     is_registry = rel is not None and rel.endswith("obs/config.py")
     store_writer_scope = rel is not None and rel in _STORE_WRITER_SCOPES
     linter = _FileLinter(
         path=path,
         registered_env=registered_env,
-        in_parallel=in_parallel,
         figure_scope=figure_scope,
         is_registry=is_registry,
         store_writer_scope=store_writer_scope,

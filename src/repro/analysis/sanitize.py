@@ -734,7 +734,7 @@ def stage_two_overflow_failures(kernel, cases) -> List[str]:
         want = signature(
             process_top_down(
                 graph, state, weights, TopDownConfig(k=k, native=False)
-            )
+            )[0]
         )
         for position, capacities in enumerate(forced):
             where = f"case {number}, capacities {capacities or 'default'}"

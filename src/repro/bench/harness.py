@@ -35,11 +35,6 @@ from ..instrumentation import (
     StorageReport,
     average_timers,
 )
-from ..obs.config import maybe_install_env_tracer
-
-# ``REPRO_TRACE=<path>`` traces every engine query run through the
-# harness and dumps one Chrome trace JSON at interpreter exit.
-maybe_install_env_tracer()
 
 METHOD_GPU_SIM = "GPU-Par(sim)"
 METHOD_CPU_PAR = "CPU-Par"

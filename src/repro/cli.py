@@ -12,9 +12,9 @@ Commands:
 * ``search``   — run a keyword query and print ranked Central Graphs,
   optionally with predicate-level explanations or GraphViz DOT output;
 * ``bench``    — a quick single-machine profile (mini Fig. 6 row);
-* ``profile``  — run one query under the span tracer and emit a Chrome
-  trace-event JSON (open in Perfetto / ``chrome://tracing``) or a text
-  flame summary;
+* ``profile``  — run one query and emit its Chrome trace-event JSON
+  (open in Perfetto / ``chrome://tracing``), rendered from the query's
+  result, or a text summary of the same result;
 * ``check``    — the analysis gate: repo-specific lint, lock-free
   invariant fuzz through ``CheckedBackend``, and the ASan/UBSan-rebuilt
   kernel tier (see ``docs/ANALYSIS.md``).
@@ -157,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     profile = commands.add_parser(
         "profile",
-        help="trace one query (Chrome trace JSON / flame summary)",
+        help="trace one query (Chrome trace JSON / text summary)",
     )
     profile.add_argument("query", help='query string; quotes mark phrases')
     profile.add_argument("--graph", help="saved graph path (default: generate)")
@@ -170,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--format", choices=("chrome", "summary"), default="chrome",
         help="what to print: the Chrome trace JSON (default) or a "
-             "text flame summary",
+             "text summary: phase times, stage-two counts, the levels",
     )
 
     serve = commands.add_parser(
@@ -266,18 +266,8 @@ def _cmd_build_graph(args: argparse.Namespace) -> int:
     import json
     import resource
 
-    from .obs.tracing import Tracer, install_global_tracer, uninstall_global_tracer
-
-    # The derived-section pass runs inside a "store.derived" span.
-    tracer = Tracer(enabled=True)
-    install_global_tracer(tracer)
-    try:
-        info, source, build_ms = _build_store(args)
-    finally:
-        uninstall_global_tracer()
-    derived_ms = sum(
-        span.duration_ms for span in tracer.finished_spans() if span.name == "store.derived"
-    )
+    info, source, build_ms = _build_store(args)
+    derived_ms = info.derived_ms
     # ru_maxrss is KiB on Linux; includes every resident page the builder
     # ever touched, which is exactly the out-of-core acceptance metric.
     peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
@@ -425,15 +415,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     import json
 
-    from .obs.tracing import Tracer
+    from .core.bottom_up import describe_levels
+    from .instrumentation import ALL_PHASES
+    from .obs.tracing import render_chrome_trace, validate_chrome_trace
 
     graph, index = _load_or_generate(args.graph)
     backend = _BACKENDS[args.backend]()
-    tracer = Tracer(enabled=True)
     engine = KeywordSearchEngine(
         graph, backend=backend, index=index,
         config=EngineConfig(topk=args.topk, alpha=args.alpha),
-        tracer=tracer,
     )
     try:
         result = engine.search(args.query, k=args.topk, alpha=args.alpha)
@@ -442,17 +432,27 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return 2
     finally:
         backend.close()
+    trace = render_chrome_trace(result, k=args.topk, alpha=args.alpha)
+    validate_chrome_trace(trace)
     ms = result.milliseconds()
     print(f"{len(result.answers)} answers in {ms['total']:.1f} ms "
           f"(d={result.depth}, {result.n_central_nodes} central nodes, "
-          f"{len(tracer.finished_spans())} spans)", file=sys.stderr)
+          f"{len(result.level_profile)} levels)", file=sys.stderr)
     if args.trace:
-        tracer.write_chrome_trace(args.trace)
+        with open(args.trace, "w", encoding="utf-8") as handle:
+            json.dump(trace, handle, indent=1)
+            handle.write("\n")
         print(f"wrote Chrome trace to {args.trace}", file=sys.stderr)
     if args.format == "summary":
-        print(tracer.flame_summary())
+        print("phase                          ms")
+        for phase in ALL_PHASES:
+            print(f"{phase:28} {ms.get(phase, 0.0):8.3f}")
+        print("stage two: " + ", ".join(
+            f"{name}={value}" for name, value in result.stage_two.as_dict().items()
+        ))
+        print(describe_levels(result.level_profile))
     else:
-        print(json.dumps(tracer.to_chrome_trace(), indent=2))
+        print(json.dumps(trace, indent=2))
     return 0
 
 

@@ -63,7 +63,6 @@ from ..instrumentation import (
     PhaseTimer,
 )
 from ..graph.csr import KnowledgeGraph
-from ..obs.tracing import NULL_CONTEXT
 from ..parallel.backend import ExpansionBackend, LevelOutcome
 from ..parallel.vectorized import VectorizedBackend
 from .state import (
@@ -184,11 +183,7 @@ class BottomUpSearch:
             activation: per-node minimum activation levels for this α.
             k: the top-k target; the stage collects *all* Central Nodes of
                 depth ≤ d for the smallest sufficient d (Definition 4).
-            timer: receives the stage's phases. When it carries an
-                enabled tracer, each BFS level also runs inside a
-                ``level`` span with the level's accounting and kernel
-                counters as attributes, and the tracer rides on the
-                query's state so pool chunks attach child spans.
+            timer: receives the stage's phases and their windows.
             max_activation: ``activation.max()``, when the caller keeps
                 it (:meth:`SearchState.initialize` computes it otherwise).
             arena: a leased :class:`~repro.core.state.SearchArena` for
@@ -208,8 +203,6 @@ class BottomUpSearch:
                     "drop unmatched keywords before searching"
                 )
         timer = timer or PhaseTimer()
-        tracer = timer.tracer
-        trace_on = tracer.enabled
         # Seed every loop phase so short-circuited searches (e.g. all
         # sources already central at level 0) still report a full profile.
         for phase in (PHASE_ENQUEUE, PHASE_IDENTIFY, PHASE_EXPANSION):
@@ -223,7 +216,6 @@ class BottomUpSearch:
                 max_activation,
                 arena=arena,
             )
-        state.tracer = tracer
         # Only the frontier (and a store-backed array's residency) changes
         # size between levels: charge the rest once.
         fixed_nbytes = state.fixed_nbytes()
@@ -237,38 +229,30 @@ class BottomUpSearch:
         closed = False
         profile: List[LevelOutcome] = []
         while level <= self.lmax:
-            level_ctx = (
-                tracer.span("level", level=level) if trace_on else NULL_CONTEXT
+            started = time.perf_counter()
+            outcome = self.backend.run_level(
+                self.graph,
+                state,
+                level,
+                k,
+                level < self.lmax and not closed,
+                timer,
             )
-            with level_ctx as level_span:
-                started = time.perf_counter()
-                outcome = self.backend.run_level(
-                    self.graph,
-                    state,
-                    level,
-                    k,
-                    level < self.lmax and not closed,
-                    timer,
-                )
-                outcome.seconds = time.perf_counter() - started
-                if outcome.frontier_size == 0:
-                    terminated = TERMINATED_FRONTIER_EMPTY
-                    break
-                profile.append(outcome)
-                if trace_on:
-                    level_span.set_attrs(outcome.as_span_attributes())
-                    if outcome.counters is not None:
-                        level_span.set_attrs(outcome.counters.as_dict())
-                if not outcome.expanded:
-                    if state.n_central_nodes >= k:
-                        terminated = TERMINATED_ENOUGH_ANSWERS
-                    elif closed:
-                        terminated = TERMINATED_NO_MORE_CENTRAL
-                    break
-                levels_executed += 1
-                peak_nbytes = max(peak_nbytes, state.nbytes(fixed_nbytes))
-                closed = state.no_central_node_can_follow(outcome.live_lanes)
-                level += 1
+            outcome.seconds = time.perf_counter() - started
+            if outcome.frontier_size == 0:
+                terminated = TERMINATED_FRONTIER_EMPTY
+                break
+            profile.append(outcome)
+            if not outcome.expanded:
+                if state.n_central_nodes >= k:
+                    terminated = TERMINATED_ENOUGH_ANSWERS
+                elif closed:
+                    terminated = TERMINATED_NO_MORE_CENTRAL
+                break
+            levels_executed += 1
+            peak_nbytes = max(peak_nbytes, state.nbytes(fixed_nbytes))
+            closed = state.no_central_node_can_follow(outcome.live_lanes)
+            level += 1
 
         if state.central_nodes:
             depth = max(found_depth for _, found_depth in state.central_nodes)

@@ -28,7 +28,6 @@ from ..instrumentation import (
 )
 from ..graph.csr import KnowledgeGraph
 from ..graph.sampling import estimate_average_distance
-from ..obs.tracing import Tracer, get_global_tracer
 from ..parallel.backend import ExpansionBackend
 from ..text.inverted_index import InvertedIndex
 from ..text.tokenizer import Tokenizer
@@ -104,11 +103,6 @@ class KeywordSearchEngine:
         index: a prebuilt inverted index (built from the graph if omitted).
         weights: precomputed normalized weights (computed if omitted).
         average_distance: precomputed A (sampled if omitted).
-        tracer: span destination for queries. ``None`` (default) follows
-            the process-global tracer (a no-op unless one was installed,
-            e.g. by ``REPRO_TRACE``); pass an enabled
-            :class:`~repro.obs.tracing.Tracer` to record
-            query→phase→level spans for this engine.
     """
 
     def __init__(
@@ -120,10 +114,8 @@ class KeywordSearchEngine:
         weights: Optional[np.ndarray] = None,
         average_distance: Optional[float] = None,
         tokenizer: Optional[Tokenizer] = None,
-        tracer: Optional[Tracer] = None,
     ) -> None:
         self.graph = graph
-        self.tracer = tracer
         self.config = config or EngineConfig()
         self.index = index or InvertedIndex.from_graph(graph, tokenizer)
         # Normalised once, here: stage two's kernel reads ``double*``.
@@ -236,49 +228,35 @@ class KeywordSearchEngine:
         else:
             activation, max_activation = self._activation(alpha)
 
-        tracer = self.tracer if self.tracer is not None else get_global_tracer()
-        # With a disabled tracer (none attached, none installed) the
-        # timer opens no span context.
-        timer = PhaseTimer(tracer=tracer)
-        with tracer.span(
-            "query", knum=len(keywords), k=k, alpha=alpha
-        ) as query_span:
-            with timer.phase(PHASE_TOTAL):
-                # The query's arrays live in the leased arena until the
-                # block ends; nothing returned below refers to them.
-                with self.arenas.lease() as arena:
-                    bottom_up = self._searcher.run(
-                        node_sets,
-                        activation,
-                        k,
-                        timer=timer,
-                        max_activation=max_activation,
-                        arena=arena,
-                    )
-                    ranked = process_top_down(
-                        self.graph,
-                        bottom_up.state,
-                        self.weights,
-                        config=TopDownConfig(
-                            k=k,
-                            lam=lam,
-                            apply_level_cover=self.config.apply_level_cover,
-                            deduplicate=self.config.deduplicate,
-                            single_path=self.config.single_path,
-                            n_threads=self.config.top_down_threads,
-                            native=self.config.top_down_native,
-                        ),
-                        timer=timer,
-                        bound_graph=self._bound_graph,
-                    )
-            query_span.set_attrs(
-                {
-                    "depth": bottom_up.depth,
-                    "n_central_nodes": bottom_up.state.n_central_nodes,
-                    "n_answers": len(ranked),
-                    "terminated": bottom_up.terminated,
-                }
-            )
+        timer = PhaseTimer()
+        with timer.phase(PHASE_TOTAL):
+            # The query's arrays live in the leased arena until the
+            # block ends; nothing returned below refers to them.
+            with self.arenas.lease() as arena:
+                bottom_up = self._searcher.run(
+                    node_sets,
+                    activation,
+                    k,
+                    timer=timer,
+                    max_activation=max_activation,
+                    arena=arena,
+                )
+                ranked, stage_two = process_top_down(
+                    self.graph,
+                    bottom_up.state,
+                    self.weights,
+                    config=TopDownConfig(
+                        k=k,
+                        lam=lam,
+                        apply_level_cover=self.config.apply_level_cover,
+                        deduplicate=self.config.deduplicate,
+                        single_path=self.config.single_path,
+                        n_threads=self.config.top_down_threads,
+                        native=self.config.top_down_native,
+                    ),
+                    timer=timer,
+                    bound_graph=self._bound_graph,
+                )
         answers = [SearchAnswer(graph=g, keywords=keywords) for g in ranked]
         return SearchResult(
             answers=answers,
@@ -289,7 +267,7 @@ class KeywordSearchEngine:
             terminated=bottom_up.terminated,
             timer=timer,
             peak_state_nbytes=bottom_up.peak_state_nbytes,
-            stage_two_nbytes=bottom_up.state.stage_two_nbytes,
+            stage_two=stage_two,
             level_profile=bottom_up.level_profile,
         )
 

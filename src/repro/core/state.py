@@ -39,7 +39,6 @@ from typing import (
 import numpy as np
 
 from ..graph.store import allocated_nbytes, memmap_base
-from ..obs.tracing import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:
     from ..parallel._native import BoundWholeLevel, StageTwoScratch
@@ -305,17 +304,10 @@ class SearchState:
     #: frontier buffer; only the live length is charged by
     #: :meth:`nbytes`.
     whole_level: Optional[BoundWholeLevel] = None
-    #: Destination of this query's expansion spans (``chunk`` under each
-    #: ``level``); set by the bottom-up loop, a no-op otherwise.
-    tracer: Tracer = NULL_TRACER
     #: The lanes the last expansion left open (bit i: BFS instance i may
     #: still be written at a later level), set by the backend that ran
     #: it; :data:`ALL_LANES` when the backend does not track them.
     live_lanes: int = ALL_LANES
-    #: Bytes of stage two's native buffers (scratch plus output
-    #: capacities), left here by ``process_top_down``; 0 on the
-    #: reference route. Table IV's :meth:`nbytes` does not include it.
-    stage_two_nbytes: int = 0
 
     # ------------------------------------------------------------------
     # Construction (the "Initialization" phase of Fig. 6/7)

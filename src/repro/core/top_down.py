@@ -60,6 +60,7 @@ from ..parallel._native import (
 )
 from ..parallel.vectorized import _native_kernel
 from .central_graph import CentralGraph
+from .results import StageTwoCounts
 from .scoring import DEFAULT_LAMBDA, TopKHeap, central_graph_score, depth_factor
 from .state import INFINITE_LEVEL, SearchState
 
@@ -420,7 +421,7 @@ def _batch_stage_two(
     _node_capacity: int = _NODE_CAPACITY,
     _edge_capacity: int = _EDGE_CAPACITY,
     _pair_capacity: int = _PAIR_CAPACITY,
-) -> Tuple[List[CentralGraph], Dict[str, int]]:
+) -> Tuple[List[CentralGraph], StageTwoCounts]:
     """The batch route: ranked answers and the stage's counts.
 
     ``extract_graphs`` runs once per chunk of Central Nodes (one chunk
@@ -436,15 +437,8 @@ def _batch_stage_two(
     if config.k < 1:
         raise ValueError("k must be at least 1")
     n_graphs = len(state.central_nodes)
-    counts = {
-        "central_graphs": n_graphs,
-        "extracted_nodes": 0,
-        "kept_after_dedup": 0,
-        "answers": 0,
-        "stage_two_nbytes": 0,
-    }
     if n_graphs == 0:
-        return [], counts
+        return [], StageTwoCounts()
     adj = graph.adj
     if bound_graph is None or not bound_graph.binds(
         adj.indptr, adj.indices, weights
@@ -551,15 +545,15 @@ def _batch_stage_two(
                 pruned=config.apply_level_cover,
             )
         )
-    counts.update(
+    return answers, StageTwoCounts(
+        central_graphs=n_graphs,
         extracted_nodes=sum(
             int(chunk.columns["raw_counts"].sum()) for chunk in chunks
         ),
         kept_after_dedup=survivors,
         answers=len(answers),
-        stage_two_nbytes=nbytes + masks.nbytes,
+        nbytes=nbytes + masks.nbytes,
     )
-    return answers, counts
 
 
 def rank_central_graphs(
@@ -592,7 +586,7 @@ def _reference_stage_two(
     state: SearchState,
     weights: np.ndarray,
     config: TopDownConfig,
-) -> Tuple[List[CentralGraph], Dict[str, int]]:
+) -> Tuple[List[CentralGraph], StageTwoCounts]:
     """The reference route: one :class:`CentralGraph` per Central Node."""
     central_nodes = state.central_nodes
     dag = HittingDAG(graph, state) if central_nodes else None
@@ -600,16 +594,16 @@ def _reference_stage_two(
         extract_central_graph(graph, state, node, depth, dag, config.single_path)
         for node, depth in central_nodes
     ]
-    counts = {
-        "central_graphs": len(extracted),
-        "extracted_nodes": sum(answer.n_nodes for answer in extracted),
-        "stage_two_nbytes": 0,
-    }
+    extracted_nodes = sum(answer.n_nodes for answer in extracted)
     ranked, kept = rank_central_graphs(
         extracted, state.n_keywords, weights, config
     )
-    counts.update(kept_after_dedup=kept, answers=len(ranked))
-    return ranked, counts
+    return ranked, StageTwoCounts(
+        central_graphs=len(extracted),
+        extracted_nodes=extracted_nodes,
+        kept_after_dedup=kept,
+        answers=len(ranked),
+    )
 
 
 def bind_graph(graph: KnowledgeGraph, weights: np.ndarray) -> BoundGraph:
@@ -635,7 +629,7 @@ def process_top_down(
     timer: Optional[PhaseTimer] = None,
     *,
     bound_graph: Optional[BoundGraph] = None,
-) -> List[CentralGraph]:
+) -> Tuple[List[CentralGraph], StageTwoCounts]:
     """Run stage two over every identified Central Node.
 
     The batch route answers unless ``config`` pins the reference route
@@ -652,26 +646,16 @@ def process_top_down(
             other arrays).
 
     Returns:
-        The final top-k answers, best (lowest score) first. The bytes of
-        the batch route's native buffers (scratch plus output
-        capacities; 0 on the reference route) are left in
-        ``state.stage_two_nbytes``.
+        The final top-k answers, best (lowest score) first, and the
+        stage's :class:`~repro.core.results.StageTwoCounts`.
     """
     config = config or TopDownConfig()
     timer = timer or PhaseTimer()
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     with timer.phase(PHASE_TOP_DOWN):
         if config.native is False or config.single_path:
-            ranked, counts = _reference_stage_two(
-                graph, state, weights, config
-            )
-        else:
-            ranked, counts = _batch_stage_two(
-                _native_kernel(), graph, state, weights, config,
-                bound_graph=bound_graph,
-            )
-        state.stage_two_nbytes = counts["stage_two_nbytes"]
-        tracer = timer.tracer
-        if tracer.enabled:
-            tracer.current_span().set_attrs(counts)
-        return ranked
+            return _reference_stage_two(graph, state, weights, config)
+        return _batch_stage_two(
+            _native_kernel(), graph, state, weights, config,
+            bound_graph=bound_graph,
+        )

@@ -52,8 +52,9 @@ import ctypes.util
 import json
 import mmap as _mmap_module
 import os
+import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union, overload
 
 import numpy as np
@@ -147,6 +148,10 @@ class StoreInfo:
     #: :data:`DERIVED_REVISION` the derived sections were written under;
     #: ``None`` in a version-1 store.
     derived_revision: Optional[int] = None
+    #: Milliseconds :func:`write_derived_sections` took to compute and
+    #: commit the derived sections, on the info it returns; 0 on an
+    #: info read from a header.
+    derived_ms: float = field(default=0.0, compare=False)
 
     @property
     def array_bytes(self) -> int:
@@ -415,13 +420,12 @@ def write_derived_sections(info: StoreInfo) -> StoreInfo:
     Sections are appended at aligned offsets after the CSR and made
     durable (``fsync``) before the fixed header block is rewritten and
     synced in turn, so until the new header is on disk the file is a
-    valid version-1 store. The pass runs inside a ``store.derived`` span
-    of the global tracer (``repro build-graph --json`` reports it).
+    valid version-1 store. The returned info carries the pass's time
+    as ``derived_ms`` (``repro build-graph --json`` reports it).
     """
     # Imported here: these packages import this one.
     from ..core.engine import EngineConfig
     from ..core.weights import node_weights
-    from ..obs.tracing import get_global_tracer
     from ..text.index_io import encode_index
     from ..text.inverted_index import InvertedIndex
     from .sampling import estimate_average_distance
@@ -436,7 +440,8 @@ def write_derived_sections(info: StoreInfo) -> StoreInfo:
     graph = _open_graph(info, mmap=True)
     # Opening validated every indptr; none of the steps needs them all.
     graph.release_pages()
-    with get_global_tracer().span("store.derived"), open(info.path, "r+b") as handle:
+    started = time.perf_counter()
+    with open(info.path, "r+b") as handle:
 
         def append(name: str, blocks: Sequence[np.ndarray]) -> None:
             nonlocal cursor
@@ -486,7 +491,7 @@ def write_derived_sections(info: StoreInfo) -> StoreInfo:
         handle.write(_encode_header(derived))
         handle.flush()
         os.fsync(handle.fileno())
-    return derived
+    return replace(derived, derived_ms=(time.perf_counter() - started) * 1e3)
 
 
 def read_info(path: Union[str, os.PathLike]) -> StoreInfo:

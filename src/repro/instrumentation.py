@@ -17,11 +17,10 @@ from typing import (
     Dict,
     List,
     Optional,
+    Tuple,
     Type,
     TypeVar,
 )
-
-from .obs.tracing import NULL_TRACER, Tracer
 
 _F = TypeVar("_F", bound=Callable)
 
@@ -57,22 +56,15 @@ ALL_PHASES = (
 
 
 class _Phase:
-    """One ``PhaseTimer.phase(name)`` entry: the timed window, inside a
-    ``phase:<name>`` span when the timer's tracer is enabled."""
+    """One ``PhaseTimer.phase(name)`` entry: the timed window."""
 
-    __slots__ = ("_timer", "_name", "_span", "_start")
+    __slots__ = ("_timer", "_name", "_start")
 
     def __init__(self, timer: "PhaseTimer", name: str) -> None:
         self._timer = timer
         self._name = name
 
     def __enter__(self) -> None:
-        tracer = self._timer.tracer
-        if tracer.enabled:
-            self._span = tracer.span("phase:" + self._name)
-            self._span.__enter__()
-        else:
-            self._span = None
         self._start = time.perf_counter()
 
     def __exit__(
@@ -81,11 +73,13 @@ class _Phase:
         exc: Optional[BaseException],
         tb: Optional[TracebackType],
     ) -> bool:
-        elapsed = time.perf_counter() - self._start
-        seconds = self._timer.seconds
-        seconds[self._name] = seconds.get(self._name, 0.0) + elapsed
-        if self._span is not None:
-            self._span.__exit__(exc_type, exc, tb)
+        end = time.perf_counter()
+        name = self._name
+        start = self._start
+        timer = self._timer
+        timer.windows.append((name, start, end))
+        seconds = timer.seconds
+        seconds[name] = seconds.get(name, 0.0) + (end - start)
         return False
 
 
@@ -97,21 +91,27 @@ class PhaseTimer:
     enqueue/identify/expand once per BFS level); durations accumulate.
 
     Attributes:
-        seconds: accumulated wall-clock seconds per phase name.
-        tracer: the query's span tracer. When it is enabled every phase
-            entry also opens one ``phase:<name>`` span around the timed
-            window — a per-level slice in the Chrome trace while
-            ``seconds`` keeps the figure totals; the window itself is
-            the same with or without it (a fake-clock test pins this).
+        seconds: accumulated wall-clock seconds per phase name: the sum
+            of that name's ``windows`` (plus what :meth:`add` charged).
+        windows: every phase entry's ``(name, start, end)``
+            ``time.perf_counter()`` readings, in exit order (an inner
+            phase before the one around it) — the timed windows
+            ``seconds`` sums, kept so a query's Chrome trace can be
+            rendered from its result
+            (:func:`repro.obs.tracing.chrome_trace`).
     """
 
     seconds: Dict[str, float] = field(default_factory=dict)
-    tracer: Tracer = field(default=NULL_TRACER, repr=False, compare=False)
+    windows: List[Tuple[str, float, float]] = field(
+        default_factory=list, repr=False, compare=False
+    )
 
     def phase(self, name: str) -> ContextManager[None]:
         return _Phase(self, name)
 
     def add(self, name: str, seconds: float) -> None:
+        """Charge ``seconds`` to ``name`` without a window (the search
+        loops seed their phases at 0 so every profile lists them)."""
         self.seconds[name] = self.seconds.get(name, 0.0) + seconds
 
     def get(self, name: str) -> float:

@@ -5,10 +5,6 @@ this module so spelling, ownership, and defaults live in exactly one
 place (the ``RPR004`` lint rule in :mod:`repro.analysis.lint` enforces
 registration):
 
-* ``REPRO_TRACE`` — when set to a file path, a process-global tracer is
-  installed at benchmark-harness import and the collected spans are
-  written there as Chrome trace-event JSON at interpreter exit, so any
-  ``benchmarks/bench_*.py`` run can dump a trace without code changes.
 * ``REPRO_SANITIZE`` — comma-separated sanitizer selection
   (``address``, ``undefined``) for the compiled kernel, which every
   search route runs on; read by :mod:`repro.parallel._native` (an
@@ -26,12 +22,8 @@ registration):
 
 from __future__ import annotations
 
-import atexit
 import os
 from typing import Optional
-
-#: Chrome-trace output path for benchmark runs (empty/unset = no trace).
-ENV_TRACE = "REPRO_TRACE"
 
 #: Sanitizer selection for the compiled kernel tier, e.g.
 #: ``REPRO_SANITIZE=address,undefined``; parsed by
@@ -60,11 +52,6 @@ DEFAULT_SLOW_QUERY_MS = 500.0
 
 #: Default ``REPRO_FLIGHT_N`` when the variable is unset or unparsable.
 DEFAULT_FLIGHT_RECORDS = 128
-
-
-def trace_path() -> Optional[str]:
-    """The ``REPRO_TRACE`` output path, or ``None``."""
-    return os.environ.get(ENV_TRACE) or None
 
 
 def sanitize_value() -> str:
@@ -105,32 +92,3 @@ def flight_recorder_size() -> int:
         return DEFAULT_FLIGHT_RECORDS
     return value if value >= 0 else DEFAULT_FLIGHT_RECORDS
 
-
-def maybe_install_env_tracer() -> "Optional[object]":
-    """Install a process-global tracer when ``REPRO_TRACE`` is set.
-
-    Idempotent: repeated calls return the already-installed tracer. The
-    collected spans are written to the configured path as Chrome
-    trace-event JSON when the interpreter exits. Returns the installed
-    :class:`~repro.obs.tracing.Tracer`, or ``None`` when no trace was
-    requested.
-    """
-    path = trace_path()
-    if not path:
-        return None
-    from . import tracing
-
-    installed = tracing.get_global_tracer()
-    if installed.enabled:
-        return installed
-    tracer = tracing.Tracer(enabled=True)
-    tracing.install_global_tracer(tracer)
-
-    def _dump(tracer: "tracing.Tracer" = tracer, path: str = path) -> None:
-        try:
-            tracer.write_chrome_trace(path)
-        except OSError:  # pragma: no cover - unwritable path at exit
-            pass
-
-    atexit.register(_dump)
-    return tracer

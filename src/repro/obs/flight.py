@@ -1,9 +1,10 @@
 """The query flight recorder: the last N served queries, always on.
 
-Spans answer "where did *this traced run* spend its time", but only if
-someone attached a tracer before the query ran. In a serving process a
-slow or failed query leaves no artifact — by the time an operator looks,
-the evidence is gone. The flight recorder fixes that: a lock-protected
+A query's Chrome trace (``repro profile --trace``) answers "where did
+*this* run spend its time", but only for a query run from the command
+line. In a serving process a slow or failed query would leave no
+artifact — by the time an operator looks, the evidence is gone. The
+flight recorder fixes that: a lock-protected
 ring buffer of the last N :class:`QueryRecord`\\ s (query text,
 normalized keywords, phase times, per-level accounting with each level's
 wall time, backend tier, outcome/error), plus a slow-query log of those
@@ -13,7 +14,7 @@ A record is a view of one query's
 :class:`~repro.core.results.SearchResult`, or of the exception its
 search raised; nothing is measured for it that the result does not
 already hold, so a recorded query costs one dict build and one ring
-append, and opens no span.
+append.
 
 Wiring: :class:`~repro.service.SearchService` builds one recorder per
 service from the env knobs (``REPRO_FLIGHT_N`` capacity,
@@ -21,9 +22,8 @@ service from the env knobs (``REPRO_FLIGHT_N`` capacity,
 :meth:`FlightRecorder.record` after the engine answers and
 :meth:`FlightRecorder.record_error` when it raises. ``GET
 /debug/queries`` serves the ring and ``GET /debug/queries/<id>`` one
-record. The engine knows no recorder. A query's span tree comes from a
-traced run instead: ``repro profile --trace``, or an engine built with
-``tracer=``. ``REPRO_FLIGHT_N=0`` turns recording off.
+record. The engine knows no recorder. ``REPRO_FLIGHT_N=0`` turns
+recording off.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class QueryRecord:
         depth / n_central_nodes / n_answers / terminated: stage-one and
             ranking outcomes.
         stage_two_nbytes: bytes of stage two's native buffers
-            (``SearchResult.stage_two_nbytes``).
+            (``SearchResult.stage_two.nbytes``).
         slow: whether ``duration_ms`` met the slow-query threshold.
     """
 
@@ -197,7 +197,7 @@ class FlightRecorder:
                 n_central_nodes=int(result.n_central_nodes),
                 n_answers=len(result.answers),
                 terminated=str(result.terminated),
-                stage_two_nbytes=int(result.stage_two_nbytes),
+                stage_two_nbytes=int(result.stage_two.nbytes),
             )
         )
 

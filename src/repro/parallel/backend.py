@@ -21,11 +21,9 @@ keys, the native whole level in place), because Central Node
 identification is a 1-D compare on it.
 
 Everything a level reports travels on its :class:`LevelOutcome` and
-nowhere else: the loop decides termination from it, keeps it as the
-query's per-level record (``SearchResult.level_profile``) and copies it
-onto the ``level`` span. Expansion spans go to the query's own tracer
-(``SearchState.tracer``), so nothing about a query is kept on the
-backend that concurrent queries share.
+nowhere else: the loop decides termination from it and keeps it as the
+query's per-level record (``SearchResult.level_profile``), so nothing
+about a query is kept on the backend that concurrent queries share.
 """
 
 from __future__ import annotations
@@ -51,8 +49,9 @@ class LevelOutcome:
     """One bottom-up level, as :meth:`ExpansionBackend.run_level` reports it.
 
     The only per-level record of a query: the loop decides termination
-    from it and keeps it in ``level_profile``; the ``level`` span, the
-    flight recorder's ``levels`` rows and the Fig. 4 text
+    from it and keeps it in ``level_profile``; the Chrome trace's
+    ``level`` events, the flight recorder's ``levels`` rows and the
+    Fig. 4 text
     (:func:`~repro.core.bottom_up.describe_levels`) are views of it.
 
     Attributes:
@@ -94,9 +93,10 @@ class LevelOutcome:
     live_lanes: int = ALL_LANES
     seconds: float = field(default=0.0, compare=False)
 
-    def as_span_attributes(self) -> "dict[str, int]":
-        """The level's accounting as flat span attributes (Chrome trace
-        ``args``; also the flight recorder's ``levels`` row)."""
+    def account(self) -> "dict[str, int]":
+        """The level's accounting as a flat mapping: the flight
+        recorder's ``levels`` row and the Chrome trace ``level`` event's
+        ``args``."""
         return {
             "frontier_size": self.frontier_size,
             "edges_scanned": self.edges_scanned,

@@ -87,9 +87,6 @@ class SequentialBackend(ComposedBackend):
     name = "sequential"
 
     def expand(self, graph: KnowledgeGraph, state: SearchState, level: int) -> None:
-        with state.tracer.span(
-            "expand:sequential", frontier_size=len(state.frontier)
-        ):
-            state.live_lanes = expand_frontier_chunk(
-                graph, state, level, state.frontier
-            )
+        state.live_lanes = expand_frontier_chunk(
+            graph, state, level, state.frontier
+        )

@@ -111,24 +111,10 @@ class ThreadPoolBackend(ComposedBackend):
             frontier, self.n_threads, self.chunks_per_thread
         )
         chunk_counters = [KernelCounters() for _ in chunks]
-        tracer = state.tracer
-        # Pool workers run on their own threads, whose thread-local span
-        # stacks are empty — hand them the expansion span as an explicit
-        # parent so chunk spans nest under this level (no-ops untraced).
-        parent = tracer.current_span()
-
-        def run_chunk(
-            chunk: np.ndarray, chunk_counter: KernelCounters
-        ) -> np.ndarray:
-            with tracer.span(
-                "chunk", parent=parent, chunk_size=len(chunk), level=level
-            ):
-                return fused_expand_chunk(
-                    graph, state, level, chunk, chunk_counter
-                )
-
         futures = [
-            self._pool.submit(run_chunk, chunk, chunk_counter)
+            self._pool.submit(
+                fused_expand_chunk, graph, state, level, chunk, chunk_counter
+            )
             for chunk, chunk_counter in zip(chunks, chunk_counters)
         ]
         # Surface worker exceptions instead of swallowing them.

@@ -128,7 +128,7 @@ def _account_levels(
     level_profile: List[LevelOutcome],
 ) -> Tuple[List[Dict[str, float]], Dict[str, int], KernelCounters]:
     """One pass over a served query's ``level_profile``: its flight
-    record's ``levels`` rows (the level, its span attributes and its
+    record's ``levels`` rows (the level, its account and its
     wall time under ``ms``), the ``counters`` those rows and the kernel
     work counters sum to, and the kernel counters as the
     :class:`KernelCounters` the service adds to ``repro_kernel_*`` — so
@@ -139,7 +139,7 @@ def _account_levels(
     for outcome in level_profile:
         attrs = {
             key: int(value)
-            for key, value in outcome.as_span_attributes().items()
+            for key, value in outcome.account().items()
         }
         levels.append(
             {"level": int(outcome.level), **attrs, "ms": outcome.seconds * 1e3}

@@ -99,7 +99,7 @@ def test_views_and_lazy_sets_equal_the_reference_route():
             (ranked, TopDownConfig(k=k)),
         ):
             with _no_builds():
-                answers = process_top_down(graph, state, weights, config)
+                answers = process_top_down(graph, state, weights, config)[0]
                 assert _view_signature(answers) == want, seed
                 for answer, (_, _, nodes, edges, contributions, _) in zip(
                     answers, want
@@ -151,7 +151,7 @@ def test_answers_own_their_arrays():
     """Each answer holds its own copies, not views that would keep the
     batch's node, edge and mask buffers alive."""
     graph, state, weights, k = _stage_two_case(6)
-    answers = process_top_down(graph, state, weights, TopDownConfig(k=k))
+    answers = process_top_down(graph, state, weights, TopDownConfig(k=k))[0]
     assert len(answers) > 1
     for answer in answers:
         arrays = (answer._node_ids, answer._edge_keys, answer._masks)
@@ -165,10 +165,10 @@ def test_set_built_answers_serialise_like_array_answers():
     """The sorted views of an answer made from sets (reference route)
     equal those of the same answer made from arrays (batch route)."""
     graph, state, weights, k = _stage_two_case(60)
-    batch = process_top_down(graph, state, weights, TopDownConfig(k=k))
+    batch = process_top_down(graph, state, weights, TopDownConfig(k=k))[0]
     reference = process_top_down(
         graph, state, weights, TopDownConfig(k=k, native=False)
-    )
+    )[0]
     assert _view_signature(batch) == _view_signature(reference)
     assert any(answer.pruned for answer in batch)
 

@@ -81,7 +81,7 @@ def _snapshot(result):
         result.n_central_nodes,
         result.terminated,
         result.peak_state_nbytes,
-        result.stage_two_nbytes,
+        result.stage_two,
         [
             (
                 outcome.level, outcome.frontier_size, outcome.new_central,

@@ -221,10 +221,10 @@ def _run_both(graph, backend, sets, activation, k):
     config = TopDownConfig(k=k)
     assert [
         (g.central_node, g.depth, sorted(g.nodes), sorted(g.edges), g.score)
-        for g in process_top_down(graph, result.state, weights, config)
+        for g in process_top_down(graph, result.state, weights, config)[0]
     ] == [
         (g.central_node, g.depth, sorted(g.nodes), sorted(g.edges), g.score)
-        for g in process_top_down(graph, reference, weights, config)
+        for g in process_top_down(graph, reference, weights, config)[0]
     ]
     return result, levels
 

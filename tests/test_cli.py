@@ -121,22 +121,30 @@ def test_generate_from_wikidata_dump(tmp_path, capsys):
 def test_profile_writes_valid_chrome_trace(saved_kb, tmp_path, capsys):
     import json
 
-    from repro.obs import validate_chrome_trace
+    from repro.obs.tracing import validate_chrome_trace
 
     trace_path = str(tmp_path / "profile.trace.json")
     code = main(["profile", "--graph", saved_kb, "machine learning",
                  "-k", "3", "--trace", trace_path, "--format", "chrome"])
     assert code == 0
     captured = capsys.readouterr()
-    assert "spans" in captured.err
+    assert "levels)" in captured.err
     # stdout carries the Chrome trace JSON itself.
     payload = json.loads(captured.out)
     validate_chrome_trace(payload)
     names = {e["name"] for e in payload["traceEvents"]}
     assert {"query", "phase:total", "level"} <= names
+    (top_down,) = [
+        e for e in payload["traceEvents"]
+        if e["name"] == "phase:top_down_processing"
+    ]
+    assert {"central_graphs", "answers"} <= set(top_down["args"])
     with open(trace_path) as handle:
         written = json.load(handle)
     validate_chrome_trace(written)
+    assert [e["name"] for e in written["traceEvents"]] == [
+        e["name"] for e in payload["traceEvents"]
+    ]
 
 
 def test_profile_summary_format(saved_kb, capsys):
@@ -144,8 +152,10 @@ def test_profile_summary_format(saved_kb, capsys):
                  "-k", "2", "--format", "summary"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "query" in out
-    assert "total_ms" in out
+    # Phase milliseconds, stage two's counts, then the Fig. 4 levels.
+    assert "top_down_processing" in out
+    assert "stage two: central_graphs=" in out
+    assert "level  frontier  new_hits  central_nodes" in out
 
 
 def test_profile_unmatched_query_exit_code(saved_kb, capsys):
@@ -158,7 +168,7 @@ def test_profile_trace_flag_with_summary_format(saved_kb, tmp_path, capsys):
     """``--trace`` writes the file whatever ``--format`` prints."""
     import json
 
-    from repro.obs import validate_chrome_trace
+    from repro.obs.tracing import validate_chrome_trace
 
     trace_path = str(tmp_path / "search.trace.json")
     code = main(["profile", "--graph", saved_kb, "machine learning",
@@ -166,7 +176,7 @@ def test_profile_trace_flag_with_summary_format(saved_kb, tmp_path, capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert "wrote Chrome trace" in captured.err
-    assert "query" in captured.out
+    assert "stage two:" in captured.out
     with open(trace_path) as handle:
         validate_chrome_trace(json.load(handle))
 

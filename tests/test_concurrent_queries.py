@@ -20,12 +20,8 @@ call's ``marks`` / stack / member / pair scratch and its output
 buffers belong to the search arena the query leased, and
 ``rank_graphs`` works on those and on buffers of its own, so two
 requests walking back at the same moment (the calls run with the GIL
-released) have nothing of each other's to see. And for where a level's
-spans go: the tracer used to be an attribute the bottom-up loop set on
-the shared backend, so a traced query's ``chunk`` spans landed in the
-tree of whichever query started last; it travels on the query's
-``SearchState`` now. The last test runs the same check over real HTTP,
-through the server's worker set.
+released) have nothing of each other's to see. The last test runs the
+same check over real HTTP, through the server's worker set.
 """
 
 import json
@@ -34,22 +30,13 @@ import threading
 import urllib.request
 from urllib.parse import quote
 
-import numpy as np
 import pytest
 
-from repro.core.bottom_up import BottomUpSearch
 from repro.core.engine import KeywordSearchEngine
 from repro.eval.queries import KeywordWorkload
 from repro.graph.generators import wiki2018_config, wiki_like_kb
-from repro.instrumentation import PhaseTimer
 from repro.obs.flight import FlightRecorder
-from repro.obs.tracing import Tracer
-from repro.parallel import (
-    ExpansionBackend,
-    SequentialBackend,
-    ThreadPoolBackend,
-    VectorizedBackend,
-)
+from repro.parallel import SequentialBackend, VectorizedBackend
 from repro.service import METRIC_HTTP_REQUESTS, SearchService, create_server
 
 N_THREADS = 3
@@ -213,88 +200,6 @@ def test_threads_sharing_the_inherited_level_get_serial_level_profiles(
     sequential_engine, expected
 ):
     _assert_threads_get_serial_results(sequential_engine, expected)
-
-
-def _chunk_spans(tracer):
-    """``(level, chunk_size)`` of every ``chunk`` span of ``tracer``, each
-    checked to hang (through its ``phase:expansion``) under a ``level``
-    span of the same tree and level."""
-    spans = {span.span_id: span for span in tracer.finished_spans()}
-    found = []
-    for span in spans.values():
-        if span.name != "chunk":
-            continue
-        phase = spans.get(span.parent_id)
-        assert phase is not None and phase.name == "phase:expansion", span
-        parent = spans.get(phase.parent_id)
-        assert parent is not None and parent.name == "level", span
-        assert parent.attrs["level"] == span.attrs["level"], span
-        found.append((span.attrs["level"], span.attrs["chunk_size"]))
-    return sorted(found)
-
-
-class _Rendezvous(ExpansionBackend):
-    """One search's handle on the shared pool: delegates every level to
-    it, and holds the search after its first level until the other
-    search has run its first level too."""
-
-    def __init__(self, shared, mine, theirs):
-        self.shared, self.mine, self.theirs = shared, mine, theirs
-
-    def expand(self, graph, state, level):
-        raise AssertionError("levels go to the shared backend")
-
-    def run_level(self, graph, state, level, k, may_expand, timer):
-        outcome = self.shared.run_level(
-            graph, state, level, k, may_expand, timer
-        )
-        self.mine.set()
-        assert self.theirs.wait(timeout=60)
-        return outcome
-
-
-def test_traced_queries_sharing_a_thread_pool_keep_their_own_chunk_spans(engine):
-    graph = engine.graph
-    rng = np.random.default_rng(21)
-    activation = np.zeros(graph.n_nodes, dtype=np.int32)
-    problems = [
-        [rng.choice(graph.n_nodes, size=4, replace=False) for _ in range(q)]
-        for q in (2, 3)
-    ]
-    with ThreadPoolBackend(n_threads=2) as backend:
-        searcher = BottomUpSearch(graph, backend=backend)
-        serial = []
-        for sets in problems:
-            tracer = Tracer(enabled=True)
-            searcher.run(
-                sets, activation, k=K, timer=PhaseTimer(tracer=tracer)
-            )
-            serial.append(_chunk_spans(tracer))
-            # Chunks at several levels, or the overlap below shows nothing.
-            assert len({level for level, _ in serial[-1]}) >= 2
-
-        started = [threading.Event(), threading.Event()]
-        tracers = [Tracer(enabled=True), Tracer(enabled=True)]
-        errors = []
-
-        def client(i):
-            try:
-                held = _Rendezvous(backend, started[i], started[1 - i])
-                BottomUpSearch(graph, backend=held).run(
-                    problems[i], activation, k=K,
-                    timer=PhaseTimer(tracer=tracers[i]),
-                )
-            except Exception as error:  # reported by the main thread below
-                errors.append(error)
-
-        threads = [threading.Thread(target=client, args=(i,)) for i in (0, 1)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=120)
-        assert not any(thread.is_alive() for thread in threads)
-    assert not errors, errors
-    assert [_chunk_spans(tracer) for tracer in tracers] == serial
 
 
 N_HTTP_QUERIES = 20

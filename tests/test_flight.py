@@ -3,7 +3,7 @@
 Covers the ring-buffer/slow-log mechanics and the service integration:
 every query the service runs leaves one record, a view of its
 ``SearchResult`` (or of the exception), errors linked by query id and
-phase; the engine knows no recorder and a served query opens no span.
+phase; the engine knows no recorder.
 """
 
 import ast
@@ -15,7 +15,6 @@ from repro.analysis.lint import package_root
 from repro.core.engine import KeywordSearchEngine
 from repro.obs import FlightRecorder
 from repro.instrumentation import KernelCounters
-from repro.obs.tracing import NULL_TRACER
 from repro.service import SearchService
 
 LEVEL_KEYS = ["level", "frontier_size", "edges_scanned", "new_hits", "new_central"]
@@ -76,16 +75,6 @@ def test_service_records_every_query(engine, monkeypatch):
     assert "total" in record.phases
 
 
-def test_a_served_query_opens_no_span(engine, monkeypatch):
-    """Recording reads the result; it swaps in no tracer, so the query
-    runs on the untraced path."""
-    service = _service(engine, max_records=8)
-    results = _served_results(service, monkeypatch)
-    assert _search(service, "machine learning")[0] == 200
-    assert service.flight.completed == 1
-    assert results[0].timer.tracer is NULL_TRACER
-
-
 def test_the_engine_knows_no_recorder(engine):
     assert not hasattr(engine, "flight")
     assert not hasattr(engine.search("machine learning", k=1), "query_id")
@@ -101,7 +90,7 @@ def test_the_engine_knows_no_recorder(engine):
 def test_record_payload_is_a_view_of_the_result(engine, monkeypatch):
     """``as_dict()`` keeps the ``/debug/queries/<id>`` shape: the key
     set, and one ``levels`` row per ``level_profile`` entry with the
-    span attribute keys and the level's wall time."""
+    level's account keys and its wall time."""
     service = _service(engine, max_records=4)
     results = _served_results(service, monkeypatch)
     _, served = _search(service, "machine learning")
@@ -115,9 +104,9 @@ def test_record_payload_is_a_view_of_the_result(engine, monkeypatch):
         "n_central_nodes", "terminated", "stage_two_nbytes",
     }
     assert payload["phases"] == result.timer.milliseconds()
-    assert payload["stage_two_nbytes"] == result.stage_two_nbytes
+    assert payload["stage_two_nbytes"] == result.stage_two.nbytes
     assert payload["levels"] == [
-        {"level": o.level, **o.as_span_attributes(), "ms": o.seconds * 1e3}
+        {"level": o.level, **o.account(), "ms": o.seconds * 1e3}
         for o in result.level_profile
     ]
     assert list(payload["levels"][0]) == LEVEL_KEYS + ["ms"]

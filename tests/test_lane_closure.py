@@ -97,7 +97,7 @@ def _answers(graph, state, weights, k):
         )
         for answer in process_top_down(
             graph, state, weights, TopDownConfig(k=k)
-        )
+        )[0]
     ]
 
 

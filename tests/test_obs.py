@@ -1,6 +1,10 @@
-"""The repro.obs observability layer: tracing, metrics, config, phase spans."""
+"""The repro.obs observability layer: the Chrome trace rendered from a
+query's result, metrics, config, phase windows."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -16,90 +20,42 @@ from repro.obs import (
     ENV_FLIGHT_N,
     FlightRecorder,
     MetricsRegistry,
-    Span,
-    Tracer,
-    install_global_tracer,
     record_kernel_counters,
-    uninstall_global_tracer,
-    validate_chrome_trace,
 )
-from repro.obs.tracing import NULL_CONTEXT, NULL_SPAN, NULL_TRACER
+from repro.obs.tracing import render_chrome_trace, validate_chrome_trace
 
 
 # ---------------------------------------------------------------------------
-# Tracer: spans, nesting, threads
+# Chrome trace: a rendering of the query's SearchResult
 # ---------------------------------------------------------------------------
-def test_span_nesting_and_attrs():
-    tracer = Tracer(enabled=True)
-    with tracer.span("outer", k=3) as outer:
-        with tracer.span("inner") as inner:
-            inner.set_attr("x", 1)
-        assert tracer.current_span() is outer
-    spans = tracer.finished_spans()
-    assert [s.name for s in spans] == ["inner", "outer"]
-    inner, outer = spans
-    assert inner.parent_id == outer.span_id
-    assert outer.parent_id == 0
-    assert outer.attrs["k"] == 3
-    assert inner.attrs["x"] == 1
-    assert inner.duration_ns >= 0
-    assert outer.duration_ns >= inner.duration_ns
+@pytest.fixture(scope="module")
+def traced_search(request):
+    from repro.core.engine import KeywordSearchEngine
+
+    graph, _ = request.getfixturevalue("tiny_kb")
+    engine = KeywordSearchEngine(graph)
+    result = engine.search("machine learning", k=3)
+    return result, render_chrome_trace(result, k=3)
 
 
-def test_span_records_on_exception():
-    tracer = Tracer(enabled=True)
-    with pytest.raises(RuntimeError):
-        with tracer.span("boom"):
-            raise RuntimeError("x")
-    assert [s.name for s in tracer.finished_spans()] == ["boom"]
-    assert tracer.current_span() is None
+def _complete(payload, name):
+    return [e for e in payload["traceEvents"] if e["ph"] == "X" and e["name"] == name]
 
 
-def test_disabled_tracer_records_nothing():
-    tracer = Tracer(enabled=False)
-    ctx = tracer.span("x")
-    assert ctx is NULL_CONTEXT
-    with ctx as span:
-        assert span is NULL_SPAN
-        span.set_attr("ignored", 1)  # no-op, no error
-    assert tracer.finished_spans() == []
-
-
-def test_cross_thread_parenting_via_explicit_parent():
-    tracer = Tracer(enabled=True)
-    with tracer.span("coordinator") as parent:
-        def work():
-            # The worker thread's stack is empty: without parent= this
-            # span would become a root.
-            with tracer.span("chunk", parent=parent):
-                pass
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            list(pool.map(lambda _: work(), range(4)))
-    spans = tracer.finished_spans()
-    chunks = [s for s in spans if s.name == "chunk"]
-    coordinator = next(s for s in spans if s.name == "coordinator")
-    assert len(chunks) == 4
-    assert all(c.parent_id == coordinator.span_id for c in chunks)
-    assert any(c.tid != coordinator.tid for c in chunks)
-
-
-def test_chrome_trace_export_and_validation(tmp_path):
-    tracer = Tracer(enabled=True)
-    with tracer.span("query", k=5):
-        with tracer.span("phase:total"):
-            pass
-    payload = tracer.to_chrome_trace()
+def test_chrome_trace_export_and_validation(tmp_path, traced_search):
+    result, payload = traced_search
     validate_chrome_trace(payload)
     events = payload["traceEvents"]
     complete = [e for e in events if e["ph"] == "X"]
     meta = [e for e in events if e["ph"] == "M"]
-    assert {e["name"] for e in complete} == {"query", "phase:total"}
+    assert {"query", "phase:total", "level"} <= {e["name"] for e in complete}
     assert meta and meta[0]["name"] == "thread_name"
-    query = next(e for e in complete if e["name"] == "query")
-    assert query["args"]["k"] == 5
+    (query,) = _complete(payload, "query")
+    assert query["args"]["k"] == 3
+    assert query["args"]["n_answers"] == len(result.answers)
+    assert query["args"]["depth"] == result.depth
     path = tmp_path / "trace.json"
-    tracer.write_chrome_trace(str(path))
+    path.write_text(json.dumps(payload))
     validate_chrome_trace(json.loads(path.read_text()))
 
 
@@ -125,17 +81,101 @@ def test_validate_chrome_trace_rejects_malformed():
         )
 
 
-def test_flame_summary_aggregates_siblings():
-    tracer = Tracer(enabled=True)
-    with tracer.span("query"):
-        for level in range(3):
-            with tracer.span("level", level=level):
-                pass
-    summary = tracer.flame_summary()
-    assert "query" in summary
-    # Three sibling "level" spans collapse to one row with calls=3.
-    level_line = next(l for l in summary.splitlines() if "level" in l)
-    assert level_line.rstrip().endswith("3")
+def test_engine_emits_nested_query_phase_level_spans(traced_search):
+    """``query`` spans ``phase:total``; every ``level`` event lies
+    inside it and carries the level's account (kernel counters too,
+    on an expanded level)."""
+    result, payload = traced_search
+    (query,) = _complete(payload, "query")
+    (total,) = _complete(payload, "phase:" + PHASE_TOTAL)
+    assert (query["ts"], query["dur"]) == (total["ts"], total["dur"])
+    levels = _complete(payload, "level")
+    assert [e["args"]["level"] for e in levels] == [
+        o.level for o in result.level_profile
+    ]
+    for event in levels:
+        assert total["ts"] <= event["ts"]
+        assert event["ts"] + event["dur"] <= total["ts"] + total["dur"]
+        for key in ("frontier_size", "edges_scanned", "new_hits", "new_central"):
+            assert key in event["args"]
+    expanded = [e for e in levels if "edges_gathered" in e["args"]]
+    assert len(levels) - len(expanded) <= 1
+    if result.depth > 0:
+        assert expanded
+        assert all(e["args"]["pairs_hit"] >= 0 for e in expanded)
+
+
+def test_rendered_phases_sum_to_the_timer(traced_search):
+    """One ``phase:<name>`` event per timed entry: per phase, the
+    durations add up to ``timer.seconds`` (within 1 µs)."""
+    result, payload = traced_search
+    seconds = result.timer.seconds
+    for name, value in seconds.items():
+        total_us = sum(e["dur"] for e in _complete(payload, "phase:" + name))
+        assert abs(total_us - value * 1e6) < 1.0, name
+    assert len(
+        [e for e in payload["traceEvents"] if e["name"].startswith("phase:")]
+    ) == len(result.timer.windows)
+
+
+def test_top_down_phase_carries_the_stage_two_counts(traced_search):
+    result, payload = traced_search
+    (top_down,) = _complete(payload, "phase:top_down_processing")
+    assert top_down["args"] == result.stage_two.as_dict()
+    assert top_down["args"]["central_graphs"] == result.n_central_nodes
+    assert top_down["args"]["answers"] == len(result.answers)
+    assert top_down["args"]["stage_two_nbytes"] == result.stage_two.nbytes > 0
+
+
+@pytest.mark.parametrize("route", ["vectorized", "threads", "sequential"])
+def test_level_events_are_placed_one_after_another(request, route):
+    """On a whole-level route (one phase per level) and on the composed
+    ones (enqueue / identify / expand), each level event opens at its
+    first phase window and ends before the next level's."""
+    from repro.core.engine import KeywordSearchEngine
+    from repro.parallel import (
+        SequentialBackend,
+        ThreadPoolBackend,
+        VectorizedBackend,
+    )
+
+    backends = {
+        "vectorized": VectorizedBackend,
+        "threads": lambda: ThreadPoolBackend(n_threads=2),
+        "sequential": SequentialBackend,
+    }
+    graph, _ = request.getfixturevalue("tiny_kb")
+    with backends[route]() as backend:
+        engine = KeywordSearchEngine(graph, backend=backend)
+        result = engine.search("graph database query", k=60)
+    payload = render_chrome_trace(result)
+    validate_chrome_trace(payload)
+    levels = _complete(payload, "level")
+    assert len(levels) == len(result.level_profile) > 1
+    (total,) = _complete(payload, "phase:" + PHASE_TOTAL)
+    ends = [total["ts"]] + [e["ts"] + e["dur"] for e in levels]
+    for event, previous_end in zip(levels, ends):
+        assert event["ts"] >= previous_end
+    assert ends[-1] <= total["ts"] + total["dur"]
+
+
+def test_importing_the_engine_loads_no_tracing_module():
+    """The trace renderer is imported by ``repro profile`` alone: the
+    engine's import closure holds no ``repro.obs.tracing`` and no more
+    than 40 ``repro`` modules."""
+    probe = (
+        "import sys, repro.core.engine; "
+        "names = [n for n in sys.modules if n.split('.')[0] == 'repro']; "
+        "print(len(names), 'repro.obs.tracing' in names)"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out[1] == "False"
+    assert int(out[0]) <= 40
 
 
 # ---------------------------------------------------------------------------
@@ -376,17 +416,14 @@ def test_kernel_counters_are_recorded_once_per_query(tiny_kb, monkeypatch, route
 # Config
 # ---------------------------------------------------------------------------
 def test_env_switches(monkeypatch):
-    """``REPRO_FLIGHT_N=0`` turns flight recording off; no switch turns a
-    tracer off: it records once attached, and only then."""
+    """``REPRO_FLIGHT_N=0`` turns flight recording off."""
     monkeypatch.setenv(ENV_FLIGHT_N, "0")
     assert not FlightRecorder().enabled
     monkeypatch.setenv(ENV_FLIGHT_N, "4")
     assert FlightRecorder().enabled
-    assert Tracer().enabled
-    assert not Tracer(enabled=False).enabled
 
 
-def test_registered_env_switches_are_exactly_these_five():
+def test_registered_env_switches_are_exactly_these_four():
     """Every ``REPRO_*`` switch is one more configuration to cover: a
     new one must be added here on purpose, a retired one removed."""
     import inspect
@@ -395,7 +432,6 @@ def test_registered_env_switches_are_exactly_these_five():
     from repro.obs import config
 
     assert registered_env_vars(inspect.getsource(config)) == {
-        "REPRO_TRACE",
         "REPRO_SANITIZE",
         "REPRO_DATASET_CACHE",
         "REPRO_SLOW_MS",
@@ -403,32 +439,12 @@ def test_registered_env_switches_are_exactly_these_five():
     }
 
 
-def test_maybe_install_env_tracer(monkeypatch, tmp_path):
-    from repro.obs.config import maybe_install_env_tracer
-
-    uninstall_global_tracer()
-    monkeypatch.delenv("REPRO_TRACE", raising=False)
-    assert maybe_install_env_tracer() is None
-    path = tmp_path / "bench.trace.json"
-    monkeypatch.setenv("REPRO_TRACE", str(path))
-    tracer = maybe_install_env_tracer()
-    try:
-        assert tracer is not None and tracer.enabled
-        # Idempotent: the second call returns the installed tracer.
-        assert maybe_install_env_tracer() is tracer
-        from repro.obs.tracing import get_global_tracer
-
-        assert get_global_tracer() is tracer
-    finally:
-        uninstall_global_tracer()
-
-
 # ---------------------------------------------------------------------------
-# PhaseTimer: the same numbers with or without a tracer
+# PhaseTimer: one clock, the windows its seconds sum
 # ---------------------------------------------------------------------------
 def test_tracing_phase_timer_matches_phase_timer(monkeypatch):
-    """Under a fake clock a tracer-carrying timer accumulates the same
-    seconds as a plain one, and opens one span per phase entry."""
+    """Under a fake clock each phase entry keeps the two readings it
+    was timed by, and ``seconds`` is their sum per phase."""
     ticks = {"now": 0.0}
 
     def fake_perf_counter():
@@ -438,135 +454,29 @@ def test_tracing_phase_timer_matches_phase_timer(monkeypatch):
     import repro.instrumentation as instrumentation
 
     monkeypatch.setattr(instrumentation.time, "perf_counter", fake_perf_counter)
-    tracer = Tracer(enabled=True)
-    plain = PhaseTimer()
-    traced = PhaseTimer(tracer=tracer)
-    for timer in (plain, traced):
-        with timer.phase("a"):
-            pass
-        with timer.phase("a"):
-            pass
-        with timer.phase("b"):
-            pass
-    assert traced.seconds == plain.seconds
-    assert plain.seconds == {"a": 1.0, "b": 0.5}
-    assert [s.name for s in tracer.finished_spans()] == [
-        "phase:a", "phase:a", "phase:b",
-    ]
-    assert traced == plain  # the tracer is not part of a timer's value
+    timer = PhaseTimer()
+    with timer.phase("a"):
+        pass
+    with timer.phase("a"):
+        pass
+    with timer.phase("b"):
+        pass
+    assert timer.seconds == {"a": 1.0, "b": 0.5}
+    assert timer.windows == [("a", 0.5, 1.0), ("a", 1.5, 2.0), ("b", 2.5, 3.0)]
+    assert timer == PhaseTimer({"a": 1.0, "b": 0.5})  # windows: not a value
 
 
 def test_tracing_phase_timer_emits_spans():
-    tracer = Tracer(enabled=True)
-    timer = PhaseTimer(tracer=tracer)
+    """Nested entries are kept in exit order, the inner one first, and
+    the outer window contains the inner."""
+    timer = PhaseTimer()
     with timer.phase(PHASE_TOTAL):
         with timer.phase("expansion"):
             pass
-    names = [s.name for s in tracer.finished_spans()]
-    assert names == ["phase:expansion", f"phase:{PHASE_TOTAL}"]
-    assert timer.get(PHASE_TOTAL) > 0
-
-
-def test_phase_timer_without_tracer_opens_no_span_context(monkeypatch):
-    """The disabled path: ``phase`` must not call ``span`` at all."""
-
-    def boom(*args, **kwargs):
-        raise AssertionError("span() called on the disabled path")
-
-    monkeypatch.setattr(NULL_TRACER, "span", boom)
-    timer = PhaseTimer()
-    assert timer.tracer is NULL_TRACER
-    with timer.phase("a"):
-        pass
-    disabled = PhaseTimer(tracer=Tracer(enabled=False))
-    monkeypatch.setattr(disabled.tracer, "span", boom)
-    with disabled.phase("a"):
-        pass
-    assert set(timer.seconds) == set(disabled.seconds) == {"a"}
-
-
-# ---------------------------------------------------------------------------
-# Engine integration: query -> phase -> level spans
-# ---------------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def traced_search(request):
-    from repro.core.engine import KeywordSearchEngine
-
-    graph, _ = request.getfixturevalue("tiny_kb")
-    tracer = Tracer(enabled=True)
-    engine = KeywordSearchEngine(graph, tracer=tracer)
-    result = engine.search("machine learning", k=3)
-    return tracer, result
-
-
-def test_engine_emits_nested_query_phase_level_spans(traced_search):
-    tracer, result = traced_search
-    spans = tracer.finished_spans()
-    by_name = {}
-    for span in spans:
-        by_name.setdefault(span.name, []).append(span)
-    query = by_name["query"][0]
-    total = next(s for s in by_name["phase:total"])
-    levels = by_name["level"]
-    assert query.parent_id == 0
-    assert total.parent_id == query.span_id
-    assert all(level.parent_id == total.span_id for level in levels)
-    assert query.attrs["n_answers"] == len(result.answers)
-    assert query.attrs["depth"] == result.depth
-    # Expanded levels carry profile + kernel-counter attributes.
-    expanded = [l for l in levels if "edges_gathered" in l.attrs]
-    terminal = [l for l in levels if "edges_gathered" not in l.attrs]
-    for level in levels:
-        assert "frontier_size" in level.attrs
-    assert len(terminal) <= 1
-    if result.depth > 0:
-        assert expanded
-        assert all(l.attrs["pairs_hit"] >= 0 for l in expanded)
-    payload = tracer.to_chrome_trace()
-    validate_chrome_trace(payload)
-
-
-def test_engine_with_disabled_tracer_uses_plain_timer(request):
-    from repro.core.engine import KeywordSearchEngine
-
-    graph, _ = request.getfixturevalue("tiny_kb")
-    engine = KeywordSearchEngine(graph)
-    result = engine.search("machine learning", k=2)
-    assert result.timer.tracer is NULL_TRACER
-    assert result.answers
-
-
-def test_engine_uses_installed_global_tracer(request):
-    from repro.core.engine import KeywordSearchEngine
-
-    graph, _ = request.getfixturevalue("tiny_kb")
-    tracer = Tracer(enabled=True)
-    install_global_tracer(tracer)
-    try:
-        engine = KeywordSearchEngine(graph)
-        engine.search("machine learning", k=2)
-    finally:
-        uninstall_global_tracer()
-    assert any(s.name == "query" for s in tracer.finished_spans())
-
-
-def test_threaded_backend_attaches_chunk_spans(request):
-    from repro.core.engine import KeywordSearchEngine
-    from repro.parallel import ThreadPoolBackend
-
-    graph, _ = request.getfixturevalue("tiny_kb")
-    tracer = Tracer(enabled=True)
-    with ThreadPoolBackend(n_threads=2) as backend:
-        engine = KeywordSearchEngine(graph, backend=backend, tracer=tracer)
-        engine.search("machine learning paper", k=5)
-    spans = tracer.finished_spans()
-    chunks = [s for s in spans if s.name == "chunk"]
-    if chunks:  # small frontiers may take the single-chunk fast path
-        expansions = {
-            s.span_id for s in spans if s.name == "phase:expansion"
-        }
-        assert all(c.parent_id in expansions for c in chunks)
-    validate_chrome_trace(tracer.to_chrome_trace())
+    (inner, inner_start, inner_end), (outer, start, end) = timer.windows
+    assert (inner, outer) == ("expansion", PHASE_TOTAL)
+    assert start <= inner_start <= inner_end <= end
+    assert timer.get(PHASE_TOTAL) == end - start > 0
 
 
 # ---------------------------------------------------------------------------

@@ -355,7 +355,7 @@ def _answers(graph, state, weights, **config):
         )
         for answer in process_top_down(
             graph, state, weights, TopDownConfig(**config)
-        )
+        )[0]
     ]
 
 

@@ -53,7 +53,7 @@ def _engine(seed, level_cover, deduplicate, k, **config):
                 deduplicate=deduplicate,
                 **config,
             ),
-        )
+        )[0]
     )
 
 
@@ -107,10 +107,10 @@ def test_keyword_column_order_does_not_change_the_answers():
                     pruned,
                 )
                 for central, score, nodes, edges, contributions, pruned
-                in _signature(process_top_down(graph, state, weights, config))
+                in _signature(process_top_down(graph, state, weights, config)[0])
             ]
             assert moved == _signature(
-                process_top_down(graph, permuted, weights, config)
+                process_top_down(graph, permuted, weights, config)[0]
             ), (seed, native)
 
 

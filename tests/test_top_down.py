@@ -20,8 +20,6 @@ from repro.core.top_down import (
     rank_central_graphs,
 )
 from repro.core.weights import node_weights
-from repro.instrumentation import PhaseTimer
-from repro.obs.tracing import Tracer
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import chain_graph, random_graph
 from repro.parallel._native import StageTwoScratch
@@ -215,7 +213,7 @@ def test_process_top_down_ranks_by_score(chain5):
     weights = np.linspace(0.1, 0.5, 5)
     ranked = process_top_down(
         chain5, result.state, weights, TopDownConfig(k=3)
-    )
+    )[0]
     assert ranked
     scores = [answer.score for answer in ranked]
     assert scores == sorted(scores)
@@ -230,10 +228,10 @@ def test_process_top_down_thread_parallelism_matches_serial(random20):
     weights = np.linspace(0, 1, random20.n_nodes)
     serial = process_top_down(
         random20, result.state, weights, TopDownConfig(k=5, n_threads=1)
-    )
+    )[0]
     threaded = process_top_down(
         random20, result.state, weights, TopDownConfig(k=5, n_threads=3)
-    )
+    )[0]
     assert [a.central_node for a in serial] == [
         a.central_node for a in threaded
     ]
@@ -375,7 +373,7 @@ def _every_central_graph(graph, state, weights, **config):
         TopDownConfig(
             k=10**6, apply_level_cover=False, deduplicate=False, **config
         ),
-    )
+    )[0]
     assert len(answers) == len(state.central_nodes)
     return _signature(answers)
 
@@ -386,7 +384,7 @@ def _reference_stage_two(seed):
     graph, state, weights, k = _stage_two_case(seed)
     ranked = process_top_down(
         graph, state, weights, TopDownConfig(k=k, native=False)
-    )
+    )[0]
     return (
         _every_central_graph(graph, state, weights, native=False),
         _signature(ranked),
@@ -406,7 +404,7 @@ def test_native_stage_two_matches_numpy_on_fuzz_corpus(n_threads):
         ), seed
         ranked = process_top_down(
             graph, state, weights, TopDownConfig(k=k, n_threads=n_threads)
-        )
+        )[0]
         assert _signature(ranked) == ranked_reference, seed
 
 
@@ -438,33 +436,23 @@ def test_batch_route_builds_objects_for_the_answers_only(monkeypatch):
         "from_arrays",
         lambda *args, **fields: built.append(1) or real(*args, **fields),
     )
-    ranked = process_top_down(graph, state, weights, TopDownConfig(k=3))
+    ranked = process_top_down(graph, state, weights, TopDownConfig(k=3))[0]
     assert len(ranked) == len(built) == 3
 
 
 def test_both_routes_report_the_same_stage_two_counts():
-    """``process_top_down`` puts its own counts on the
-    ``phase:top_down_processing`` span, equal on the two routes (but for
-    the bytes of the batch route's native buffers, which the reference
-    route does not have), and opens no span when the timer's tracer is
-    disabled."""
+    """``process_top_down`` returns its counts beside the answers, equal
+    on the two routes but for the bytes of the batch route's native
+    buffers, which the reference route does not have."""
     graph, state, weights, k = _stage_two_case(60)  # level-cover prunes here
-
-    def traced(native):
-        tracer = Tracer(enabled=True)
-        ranked = process_top_down(
-            graph, state, weights, TopDownConfig(k=k, native=native),
-            timer=PhaseTimer(tracer=tracer),
-        )
-        (span,) = tracer.finished_spans()
-        assert span.name == "phase:top_down_processing"
-        return ranked, dict(span.attrs)
-
-    ranked, batch_counts = traced(None)
-    _, reference_counts = traced(False)
-    assert batch_counts.pop("stage_two_nbytes") > 0
-    assert reference_counts.pop("stage_two_nbytes") == 0
-    assert batch_counts == reference_counts
+    ranked, batch = process_top_down(graph, state, weights, TopDownConfig(k=k))
+    _, reference = process_top_down(
+        graph, state, weights, TopDownConfig(k=k, native=False)
+    )
+    assert batch.nbytes > 0
+    assert reference.nbytes == 0
+    assert dataclasses.replace(batch, nbytes=0) == reference
+    batch_counts = batch.as_dict()
     central_graphs = len(state.central_nodes)
     assert batch_counts["central_graphs"] == central_graphs > 100
     assert batch_counts["answers"] == len(ranked)
@@ -472,13 +460,33 @@ def test_both_routes_report_the_same_stage_two_counts():
     raw = process_top_down(
         graph, state, weights,
         TopDownConfig(k=10**6, apply_level_cover=False, deduplicate=False),
-    )
+    )[0]
     assert batch_counts["extracted_nodes"] == sum(a.n_nodes for a in raw)
     assert batch_counts["extracted_nodes"] > sum(
         a.n_nodes for a in process_top_down(
             graph, state, weights, TopDownConfig(k=10**6, deduplicate=False)
-        )
+        )[0]
     )
+
+
+def test_search_results_carry_the_same_stage_two_counts_on_both_routes(tiny_kb):
+    """The engine puts stage two's counts on the ``SearchResult``: the
+    batch and reference routes agree on all but the bytes."""
+    from repro.core.engine import EngineConfig, KeywordSearchEngine
+
+    graph, _ = tiny_kb
+    results = [
+        KeywordSearchEngine(
+            graph, config=EngineConfig(top_down_native=native)
+        ).search("graph database query", k=5)
+        for native in (None, False)
+    ]
+    batch, reference = (result.stage_two for result in results)
+    assert batch.central_graphs == results[0].n_central_nodes > 5
+    assert batch.answers == len(results[0].answers) == 5
+    assert batch.nbytes > 0
+    assert reference.nbytes == 0
+    assert dataclasses.replace(batch, nbytes=0) == reference
 
 
 @pytest.mark.parametrize(
@@ -497,7 +505,7 @@ def test_weights_the_kernel_cannot_read_are_converted_at_entry(
     assert odd.dtype != np.float64 or not odd.flags.c_contiguous
     want = process_top_down(
         graph, state, odd.astype(np.float64), TopDownConfig(k=k, native=False)
-    )
+    )[0]
     batch = top_down._batch_stage_two
     calls = []
 
@@ -506,7 +514,7 @@ def test_weights_the_kernel_cannot_read_are_converted_at_entry(
         return batch(kernel, graph, state, weights, config, **kwargs)
 
     monkeypatch.setattr(top_down, "_batch_stage_two", spy)
-    got = process_top_down(graph, state, odd, TopDownConfig(k=k))
+    got = process_top_down(graph, state, odd, TopDownConfig(k=k))[0]
     assert len(calls) == 1
     assert calls[0].dtype == np.float64 and calls[0].flags.c_contiguous
     assert np.array_equal(calls[0], odd)
@@ -582,7 +590,7 @@ def test_extract_graphs_never_writes_past_its_capacities():
 
 
 def test_stage_two_nbytes_counts_the_native_buffers():
-    """``stage_two_nbytes`` is what the two native calls were handed:
+    """``StageTwoCounts.nbytes`` is what the two native calls were handed:
     per-node scratch, the three growable buffers, both calls' per-graph
     columns and one contribution-mask cell per kept node. It grows with
     the number of Central Graphs and not with k."""
@@ -591,13 +599,12 @@ def test_stage_two_nbytes_counts_the_native_buffers():
     assert (n, nc) == (707, 25)
 
     def nbytes(state, k):
-        process_top_down(graph, state, weights, TopDownConfig(k=k))
-        return state.stage_two_nbytes
+        return process_top_down(graph, state, weights, TopDownConfig(k=k))[1].nbytes
 
     kept = sum(
         answer.n_nodes for answer in process_top_down(
             graph, state, weights, TopDownConfig(k=10**6, deduplicate=False)
-        )
+        )[0]
     )
     n_depths = 1 + max(depth for _, depth in state.central_nodes)
     capacities = (
@@ -615,5 +622,7 @@ def test_stage_two_nbytes_counts_the_native_buffers():
     fewer = dataclasses.replace(state, central_nodes=state.central_nodes[:5])
     assert nbytes(fewer, k) < nbytes(state, k)
     assert nbytes(dataclasses.replace(state, central_nodes=[]), k) == 0
-    process_top_down(graph, state, weights, TopDownConfig(k=k, native=False))
-    assert state.stage_two_nbytes == 0
+    _, reference = process_top_down(
+        graph, state, weights, TopDownConfig(k=k, native=False)
+    )
+    assert reference.nbytes == 0

@@ -9,9 +9,10 @@ the same story, text included.
 import numpy as np
 
 from repro.core.bottom_up import BottomUpSearch, describe_levels
+from repro.core.results import SearchResult
 from repro.graph.generators import chain_graph
-from repro.instrumentation import KernelCounters, PhaseTimer
-from repro.obs.tracing import Tracer
+from repro.instrumentation import KernelCounters
+from repro.obs.tracing import render_chrome_trace
 from repro.parallel import SequentialBackend, ThreadPoolBackend, VectorizedBackend
 
 from conftest import zero_activation
@@ -117,20 +118,6 @@ def test_trace_describe_format(fig1):
     assert len(text.splitlines()) == len(result.level_profile) + 1
 
 
-def test_tracer_on_the_timer_changes_nothing(fig1):
-    plain = BottomUpSearch(fig1.graph).run(
-        _sets(*fig1.keyword_nodes), fig1.activation, k=1
-    )
-    traced = BottomUpSearch(fig1.graph).run(
-        _sets(*fig1.keyword_nodes), fig1.activation, k=1,
-        timer=PhaseTimer(tracer=Tracer(enabled=True)),
-    )
-    assert plain.central_nodes == traced.central_nodes
-    assert np.array_equal(plain.state.matrix, traced.state.matrix)
-    assert plain.level_profile == traced.level_profile
-    assert list(plain.timer.seconds) == list(traced.timer.seconds)
-
-
 def test_describe_levels_collapses_long_central_lists():
     from repro.parallel.backend import LevelOutcome
 
@@ -142,23 +129,34 @@ def test_describe_levels_collapses_long_central_lists():
 
 
 def test_level_spans_carry_the_level_profile(fig1):
-    """The ``level`` spans are a view of ``level_profile``: same rows,
-    same keys, kernel counters appended on counting backends."""
-    tracer = Tracer(enabled=True)
-    result = BottomUpSearch(fig1.graph).run(
-        _sets(*fig1.keyword_nodes),
-        fig1.activation,
-        k=1,
-        timer=PhaseTimer(tracer=tracer),
+    """The trace's ``level`` events are a view of ``level_profile``:
+    same rows, same keys, kernel counters appended on counting
+    backends."""
+    run = BottomUpSearch(fig1.graph).run(
+        _sets(*fig1.keyword_nodes), fig1.activation, k=1
     )
-    spans = [s for s in tracer.finished_spans() if s.name == "level"]
-    assert len(spans) == len(result.level_profile)
-    for span, outcome in zip(spans, result.level_profile):
-        expected = {"level": outcome.level, **outcome.as_span_attributes()}
+    result = SearchResult(
+        answers=[],
+        keywords=tuple(f"k{i}" for i in range(len(fig1.keyword_nodes))),
+        dropped_terms=(),
+        depth=run.depth,
+        n_central_nodes=run.state.n_central_nodes,
+        terminated=run.terminated,
+        timer=run.timer,
+        peak_state_nbytes=run.peak_state_nbytes,
+        level_profile=run.level_profile,
+    )
+    events = [
+        e for e in render_chrome_trace(result)["traceEvents"]
+        if e["name"] == "level"
+    ]
+    assert len(events) == len(run.level_profile)
+    for event, outcome in zip(events, run.level_profile):
+        expected = {"level": outcome.level, **outcome.account()}
         if outcome.counters is not None:
             expected.update(outcome.counters.as_dict())
-        assert span.attrs == expected
-        assert list(span.attrs)[:5] == [
+        assert event["args"] == expected
+        assert list(event["args"])[:5] == [
             "level", "frontier_size", "edges_scanned", "new_hits", "new_central",
         ]
-    assert KernelCounters().as_dict().keys() <= spans[0].attrs.keys()
+    assert KernelCounters().as_dict().keys() <= events[0]["args"].keys()
