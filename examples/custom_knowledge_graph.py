@@ -1,8 +1,9 @@
 """Index and search your own knowledge graph from RDF-style triples.
 
 Shows the full bring-your-own-data path: build a graph from
-``(subject, predicate, object)`` triples, persist/reload it in the NPZ
-format, and run the engine with per-query parameters. The triples below
+``(subject, predicate, object)`` triples, persist it as a ``.csrstore``
+and reopen it memory-mapped, and run the engine with per-query
+parameters. The triples below
 sketch a tiny movie knowledge base.
 
 Run:  python examples/custom_knowledge_graph.py
@@ -57,21 +58,21 @@ def main() -> None:
     print(f"built graph: {graph.n_nodes} nodes, {graph.n_edges} edges, "
           f"{len(graph.predicates)} predicates")
 
-    # Persist and reload — the NPZ round-trip used by the dataset cache.
+    # Persist and reopen: the store carries the inverted index, the
+    # Eq. 2 weights and A, so the engine below computes none of them.
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "movies.npz")
-        save_graph(graph, path)
+        path = save_graph(graph, os.path.join(tmp, "movies"))
         graph = load_graph(path)
         print(f"round-tripped through {os.path.basename(path)}")
 
-    engine = KeywordSearchEngine(graph)
-    for query in ("scott ford runner", "alien weaver fiction",
-                  "dick androids scott"):
-        result = engine.search(query, k=2, alpha=0.2)
-        print(f"\nquery: {query!r} → keywords {result.keywords} "
-              f"(dropped {result.dropped_terms or 'none'})")
-        for answer in result.answers:
-            print(answer.graph.describe(graph.node_text))
+        engine = KeywordSearchEngine(graph)
+        for query in ("scott ford runner", "alien weaver fiction",
+                      "dick androids scott"):
+            result = engine.search(query, k=2, alpha=0.2)
+            print(f"\nquery: {query!r} → keywords {result.keywords} "
+                  f"(dropped {result.dropped_terms or 'none'})")
+            for answer in result.answers:
+                print(answer.graph.describe(graph.node_text))
 
 
 if __name__ == "__main__":

@@ -6,8 +6,11 @@ Eq. 2 weights and sampled average distances, exactly like the paper keeps
 two loaded dumps around for all experiments.
 
 Set the ``REPRO_DATASET_CACHE`` environment variable to a directory to
-additionally persist built datasets on disk (graph NPZ + index NPZ +
-metadata JSON), so repeated benchmark sessions skip regeneration.
+additionally persist built datasets on disk, so repeated benchmark
+sessions skip regeneration: each is one ``<name>.csrstore`` (the graph
+with its inverted index and Eq. 2 weights, memory-mapped on reload)
+plus a ``<name>.dataset.json`` holding the generator's ground truth and
+the dataset's own sampled distance.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from ..graph.generators import (
 from ..graph.io import load_graph, save_graph
 from ..graph.sampling import DistanceEstimate, estimate_average_distance
 from ..obs.config import dataset_cache_dir
-from ..text.index_io import load_index, save_index
 from ..text.inverted_index import InvertedIndex
 
 
@@ -129,9 +131,15 @@ def dataset_from_graph(
 # Disk persistence (opt-in via REPRO_DATASET_CACHE)
 # ---------------------------------------------------------------------------
 def save_dataset(dataset: BenchDataset, path_prefix: str) -> None:
-    """Persist a prepared dataset under ``path_prefix`` (three files)."""
+    """Persist a prepared dataset under ``path_prefix``: the store
+    ``path_prefix + '.csrstore'`` and ``path_prefix + '.dataset.json'``.
+
+    The store derives its own index and weights (the ones
+    :func:`build_dataset` made, bit for bit); the distance is kept in
+    the JSON, since it was sampled at the dataset's seed, not the
+    store's.
+    """
     save_graph(dataset.graph, path_prefix)
-    save_index(dataset.index, path_prefix + ".index")
     metadata = dataset.metadata
     payload = {
         "name": dataset.name,
@@ -155,14 +163,13 @@ def save_dataset(dataset: BenchDataset, path_prefix: str) -> None:
 def load_dataset(path_prefix: str) -> BenchDataset:
     """Reload a dataset written by :func:`save_dataset`.
 
-    Eq. 2 weights are recomputed (a fast vectorized pass) rather than
-    stored, so they can never drift from the graph.
+    The graph opens memory-mapped, and its index and Eq. 2 weights are
+    read from the store's sections: a reload tokenizes nothing.
 
     Raises:
-        FileNotFoundError: if any of the three files is missing.
+        FileNotFoundError: if either file is missing.
     """
     graph = load_graph(path_prefix)
-    index = load_index(path_prefix + ".index")
     with open(path_prefix + ".dataset.json", "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     metadata = KBMetadata(
@@ -181,7 +188,7 @@ def load_dataset(path_prefix: str) -> BenchDataset:
         name=payload["name"],
         graph=graph,
         metadata=metadata,
-        index=index,
+        index=InvertedIndex.from_graph(graph),
         weights=node_weights(graph),
         distance=distance,
     )

@@ -2,8 +2,9 @@
 
 Commands:
 
-* ``generate`` — build a Wikidata-style synthetic KB and save it (graph
-  NPZ + inverted index) for later sessions;
+* ``generate`` — build a Wikidata-style synthetic KB and save it as a
+  ``.csrstore`` (graph, inverted index, Eq. 2 weights and A) for later
+  sessions;
 * ``build-graph`` — stream-build an on-disk ``.csrstore`` (bounded-memory
   external sort; the out-of-core path for ``wiki2018-xl`` scale) that
   every ``--graph`` option then opens memory-mapped;
@@ -48,7 +49,6 @@ from .graph.io import load_graph, save_graph
 from .graph.sampling import estimate_average_distance
 from .graph.store import StoreInfo
 from .parallel import SequentialBackend, ThreadPoolBackend, VectorizedBackend
-from .text.index_io import load_index, save_index
 from .text.inverted_index import InvertedIndex
 from .viz import central_graph_to_dot, explain_answer
 
@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "generate", help="generate or import a KB and save it"
     )
     generate.add_argument("--out", required=True,
-                          help="output path prefix (writes <out>.npz etc.)")
+                          help="output path prefix (writes <out>.csrstore)")
     generate.add_argument("--scale", choices=sorted(_SCALES), default="wiki2017")
     generate.add_argument("--seed", type=int, default=None)
     generate.add_argument(
@@ -221,11 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_or_generate(path: Optional[str]) -> "tuple[KnowledgeGraph, InvertedIndex]":
     if path:
         graph = load_graph(path)
-        try:
-            index = load_index(path + ".index")
-        except FileNotFoundError:
-            index = InvertedIndex.from_graph(graph)
-        return graph, index
+        # A store's own index section; tokenized only for a legacy NPZ.
+        return graph, InvertedIndex.from_graph(graph)
     graph, _ = wiki_like_kb()
     return graph, InvertedIndex.from_graph(graph)
 
@@ -252,13 +249,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         )
         graph, _ = wiki_like_kb(config)
         source = f"generated {config.name}"
-    index = InvertedIndex.from_graph(graph)
-    save_graph(graph, args.out)
-    save_index(index, args.out + ".index")
+    path = save_graph(graph, args.out)
+    index = InvertedIndex.from_graph(load_graph(path))
     elapsed = time.perf_counter() - start
     print(f"{source}: {graph.n_nodes} nodes, "
           f"{graph.n_edges} edges, {index.n_terms} terms "
-          f"({elapsed:.1f}s) -> {args.out}.npz")
+          f"({elapsed:.1f}s) -> {path}")
     return 0
 
 

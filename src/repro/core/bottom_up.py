@@ -238,6 +238,7 @@ class BottomUpSearch:
                 level < self.lmax and not closed,
                 timer,
             )
+            outcome.started = started
             outcome.seconds = time.perf_counter() - started
             if outcome.frontier_size == 0:
                 terminated = TERMINATED_FRONTIER_EMPTY

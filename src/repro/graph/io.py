@@ -1,25 +1,27 @@
 """Serialization and text-format loaders for knowledge graphs.
 
-Two on-disk representations are supported:
+One on-disk format is written: :func:`save_graph` writes a version-2
+:mod:`repro.graph.store` file (``.csrstore``) — the CSR arrays and node
+text, plus the inverted index, the Eq. 2 weights and the sampled A — and
+:func:`load_graph` opens it memory-mapped, so the engine reads those
+three from the file instead of computing them. Every CLI path that takes
+``--graph`` goes through :func:`load_graph`.
 
-* a binary ``.npz`` bundle holding the CSR arrays plus a JSON sidecar with
-  node text and the predicate vocabulary — the fast path used by the
-  benchmark dataset cache, and
-* a line-oriented TSV triple format (``subject<TAB>predicate<TAB>object``)
-  covering the "knowledge graphs can all be represented in an RDF graph"
-  loading path of the paper.
+:func:`load_graph` still reads the NPZ bundle (``<path>.npz`` plus a
+``<path>.meta.json`` sidecar) that earlier versions wrote. Nothing writes
+it any more; such a graph loads into RAM, and the engine computes the
+index, weights and A from it as before.
 
-:func:`load_graph` additionally recognizes the memory-mapped
-:mod:`repro.graph.store` format (``.csrstore``) by magic bytes and opens it
-read-only via ``np.memmap`` — every CLI path that takes ``--graph``
-therefore accepts either representation transparently.
+A line-oriented TSV triple format (``subject<TAB>predicate<TAB>object``)
+covers the "knowledge graphs can all be represented in an RDF graph"
+loading path of the paper.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -27,34 +29,41 @@ from .builder import GraphBuilder
 from .csr import CSRAdjacency, KnowledgeGraph
 from .labels import Vocabulary
 
-_FORMAT_VERSION = 1
+#: Sidecar version of the read-only legacy NPZ bundle.
+_NPZ_FORMAT_VERSION = 1
 
 
-def save_graph(graph: KnowledgeGraph, path: str) -> None:
-    """Persist ``graph`` to ``path`` (``.npz``) plus ``path + '.meta.json'``.
+def _base(path: str) -> str:
+    """``path`` without a ``.npz`` suffix."""
+    return path[:-4] if path.endswith(".npz") else path
 
-    The NPZ holds only numeric CSR arrays; strings (node text, predicate
-    names) live in the JSON sidecar so they stay human-inspectable.
+
+def save_graph(graph: KnowledgeGraph, path: str) -> str:
+    """Write ``graph`` as a version-2 store and return the file's path.
+
+    The file is ``path`` itself when it ends in ``.csrstore``, else
+    ``path + '.csrstore'`` (a ``.npz`` suffix is dropped first). It holds
+    the derived sections too (:func:`~repro.graph.store.save_store`), so
+    a graph reopened with :func:`load_graph` needs no tokenizing, no
+    weight pass and no distance sampling.
+
+    The store is written beside the target and renamed over it, so a
+    graph mapped from an earlier file there (``graph`` itself, say)
+    keeps reading that file.
     """
-    np.savez_compressed(
-        path,
-        out_indptr=graph.out.indptr,
-        out_indices=graph.out.indices,
-        out_labels=graph.out.labels,
-        inc_indptr=graph.inc.indptr,
-        inc_indices=graph.inc.indices,
-        inc_labels=graph.inc.labels,
-        adj_indptr=graph.adj.indptr,
-        adj_indices=graph.adj.indices,
-        adj_labels=graph.adj.labels,
-    )
-    meta = {
-        "version": _FORMAT_VERSION,
-        "node_text": list(graph.node_text),
-        "predicates": graph.predicates.to_list(),
-    }
-    with open(_meta_path(path), "w", encoding="utf-8") as handle:
-        json.dump(meta, handle)
+    # Imported here, as load_graph imports open_store.
+    from .store import STORE_SUFFIX, save_store
+
+    target = path if path.endswith(STORE_SUFFIX) else _base(path) + STORE_SUFFIX
+    partial = f"{target}.partial-{os.getpid()}"
+    try:
+        save_store(graph, partial)
+        os.replace(partial, target)
+    except BaseException:
+        if os.path.exists(partial):
+            os.unlink(partial)
+        raise
+    return target
 
 
 def _is_store_file(path: str) -> bool:
@@ -69,15 +78,20 @@ def _is_store_file(path: str) -> bool:
 
 
 def load_graph(path: str, mmap: bool = True) -> KnowledgeGraph:
-    """Load a graph previously written by :func:`save_graph` or
-    :func:`repro.graph.store.save_store`.
+    """Load the graph at ``path``, looking in this order:
 
-    Store files (detected by magic bytes, or by ``path + '.csrstore'``
-    existing) open memory-mapped by default; pass ``mmap=False`` to
-    materialize them into RAM. NPZ bundles always load into RAM.
+    1. ``path`` itself, when it is a store file (by its magic bytes);
+    2. ``path + '.csrstore'`` (what :func:`save_graph` writes; a ``.npz``
+       suffix on ``path`` is dropped first);
+    3. a legacy NPZ bundle, ``path + '.npz'`` plus ``path + '.meta.json'``.
+
+    So a prefix holding both a store and an NPZ bundle opens the store.
+    A store opens memory-mapped by default (``mmap=False`` materializes
+    it into RAM); an NPZ bundle always loads into RAM.
 
     Raises:
-        FileNotFoundError: if either the NPZ or the JSON sidecar is missing.
+        FileNotFoundError: if none of the three exists, or the NPZ
+            bundle lacks its JSON sidecar.
         ValueError: if the sidecar format version is unsupported (or, via
             :class:`~repro.graph.store.CSRStoreError`, the store is corrupt).
     """
@@ -85,29 +99,32 @@ def load_graph(path: str, mmap: bool = True) -> KnowledgeGraph:
 
     if _is_store_file(path):
         return open_store(path, mmap=mmap)
-    npz_path = path if path.endswith(".npz") else path + ".npz"
-    if not os.path.exists(npz_path) and _is_store_file(path + STORE_SUFFIX):
-        return open_store(path + STORE_SUFFIX, mmap=mmap)
-    with np.load(npz_path) as data:
-        out = CSRAdjacency(
-            indptr=data["out_indptr"],
-            indices=data["out_indices"],
-            labels=data["out_labels"],
+    base = _base(path)
+    if _is_store_file(base + STORE_SUFFIX):
+        return open_store(base + STORE_SUFFIX, mmap=mmap)
+    if not os.path.exists(base + ".npz"):
+        raise FileNotFoundError(
+            f"no graph at {path!r}: neither {base + STORE_SUFFIX!r} nor "
+            f"{base + '.npz'!r} exists"
         )
-        inc = CSRAdjacency(
-            indptr=data["inc_indptr"],
-            indices=data["inc_indices"],
-            labels=data["inc_labels"],
-        )
-        adj = CSRAdjacency(
-            indptr=data["adj_indptr"],
-            indices=data["adj_indices"],
-            labels=data["adj_labels"],
-        )
-    with open(_meta_path(path), "r", encoding="utf-8") as handle:
+    return _load_npz(base)
+
+
+def _load_npz(base: str) -> KnowledgeGraph:
+    """The read-only legacy reader: ``base.npz`` + ``base.meta.json``."""
+    with open(base + ".meta.json", "r", encoding="utf-8") as handle:
         meta = json.load(handle)
-    if meta.get("version") != _FORMAT_VERSION:
+    if meta.get("version") != _NPZ_FORMAT_VERSION:
         raise ValueError(f"unsupported graph format version: {meta.get('version')}")
+    with np.load(base + ".npz") as data:
+        out, inc, adj = (
+            CSRAdjacency(
+                indptr=data[f"{name}_indptr"],
+                indices=data[f"{name}_indices"],
+                labels=data[f"{name}_labels"],
+            )
+            for name in ("out", "inc", "adj")
+        )
     return KnowledgeGraph(
         out=out,
         inc=inc,
@@ -115,11 +132,6 @@ def load_graph(path: str, mmap: bool = True) -> KnowledgeGraph:
         node_text=meta["node_text"],
         predicates=Vocabulary.from_list(meta["predicates"]),
     )
-
-
-def _meta_path(path: str) -> str:
-    base = path[:-4] if path.endswith(".npz") else path
-    return base + ".meta.json"
 
 
 def load_tsv_triples(
@@ -161,8 +173,8 @@ def dump_tsv_triples(graph: KnowledgeGraph, path: str) -> int:
     """Write the graph's directed edges as TSV triples; returns edge count.
 
     Node keys are ``n<id>`` and a header comment records node text mapping
-    hints, keeping round-trips lossless for structure (text is carried via
-    a second file written by :func:`save_graph` when needed).
+    hints, keeping round-trips lossless for structure (the node text is
+    carried by the store :func:`save_graph` writes, when needed).
     """
     count = 0
     with open(path, "w", encoding="utf-8") as handle:
@@ -173,10 +185,3 @@ def dump_tsv_triples(graph: KnowledgeGraph, path: str) -> int:
             )
             count += 1
     return count
-
-
-def dataset_cache_path(cache_dir: str, name: str) -> Tuple[str, bool]:
-    """Return the NPZ cache path for dataset ``name`` and whether it exists."""
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"{name}.npz")
-    return path, os.path.exists(path) and os.path.exists(_meta_path(path))

@@ -594,14 +594,13 @@ class TextBlob(Sequence[str]):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        i = int(index)
         bounds = self._bounds
         n = len(bounds) - 1
-        if i < 0:
-            i += n
+        i = index if index >= 0 else index + n
         if not 0 <= i < n:
             raise IndexError("node text index out of range")
-        return str(self._bytes[bounds[i]:bounds[i + 1]], "utf-8")
+        # ``tobytes().decode`` halves ``str(memoryview, ...)``'s cost.
+        return self._bytes[bounds[i]:bounds[i + 1]].tobytes().decode("utf-8")
 
     def __iter__(self) -> Iterator[str]:
         # One offsets slice and one bytes copy per block instead of bounds

@@ -22,19 +22,10 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING, Dict, List
 
-from ..instrumentation import (
-    PHASE_ENQUEUE,
-    PHASE_EXPANSION,
-    PHASE_IDENTIFY,
-    PHASE_TOP_DOWN,
-    PHASE_TOTAL,
-)
+from ..instrumentation import PHASE_TOP_DOWN, PHASE_TOTAL
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.results import SearchResult
-
-#: The phases a bottom-up level enters; a level's first window opens it.
-_LEVEL_PHASES = frozenset((PHASE_ENQUEUE, PHASE_IDENTIFY, PHASE_EXPANSION))
 
 
 def _event(name: str, start: float, end: float, epoch: float, args: dict) -> dict:
@@ -65,9 +56,8 @@ def render_chrome_trace(
       durations sum to ``result.timer.seconds[name]``;
       ``phase:top_down_processing`` carries stage two's counts;
     * ``level`` — one per ``result.level_profile`` entry, with the
-      level's account and kernel counters as ``args``. A level starts
-      at its first phase window and lasts its ``seconds``, cut short at
-      the next level's first window.
+      level's account and kernel counters as ``args``, from the
+      level's ``started`` for its ``seconds``.
     """
     windows = result.timer.windows
     epoch = min((start for _, start, _ in windows), default=0.0)
@@ -94,25 +84,12 @@ def render_chrome_trace(
         args = dict(stage_two) if name == PHASE_TOP_DOWN else {}
         events.append(_event("phase:" + name, start, end, epoch, args))
 
-    level_starts = sorted(
-        start for name, start, _ in windows if name in _LEVEL_PHASES
-    )
-    n_starts = len(level_starts)
-    cursor = 0
     for outcome in result.level_profile:
-        if cursor == n_starts:
-            break
-        start = level_starts[cursor]
-        end = start + outcome.seconds
-        cursor += 1
-        while cursor < n_starts and level_starts[cursor] < end:
-            cursor += 1
-        if cursor < n_starts:
-            end = min(end, level_starts[cursor])
         args = {"level": outcome.level, **outcome.account()}
         if outcome.counters is not None:
             args.update(outcome.counters.as_dict())
-        events.append(_event("level", start, end, epoch, args))
+        start = outcome.started
+        events.append(_event("level", start, start + outcome.seconds, epoch, args))
 
     # Parents before children: earlier first, longer first on a tie.
     events.sort(key=lambda event: (event["ts"], -event["dur"]))
@@ -134,15 +111,13 @@ def validate_chrome_trace(payload: Dict[str, object]) -> None:
     Raises:
         ValueError: on a malformed payload — missing ``traceEvents``,
             events without the required keys, negative durations, or
-            ``parent_id`` references to spans that do not exist.
+            ``args`` that are not an object.
     """
     if not isinstance(payload, dict):
         raise ValueError("trace payload must be a JSON object")
     events = payload.get("traceEvents")
     if not isinstance(events, list):
         raise ValueError("traceEvents must be a list")
-    span_ids = set()
-    parent_refs = []
     for event in events:
         if not isinstance(event, dict):
             raise ValueError("every trace event must be an object")
@@ -156,12 +131,5 @@ def validate_chrome_trace(payload: Dict[str, object]) -> None:
                     raise ValueError(
                         f"complete event {key!r} must be non-negative"
                     )
-            args = event.get("args", {})
-            if not isinstance(args, dict):
+            if not isinstance(event.get("args", {}), dict):
                 raise ValueError("event args must be an object")
-            if "span_id" in args:
-                span_ids.add(args["span_id"])
-                parent_refs.append(args.get("parent_id", 0))
-    for parent_id in parent_refs:
-        if parent_id and parent_id not in span_ids:
-            raise ValueError(f"parent_id {parent_id} references no span")

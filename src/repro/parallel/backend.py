@@ -77,10 +77,12 @@ class LevelOutcome:
             loop stops on that (:mod:`repro.core.bottom_up`).
             :data:`~repro.core.state.ALL_LANES` when the level did not
             expand or its backend does not track lanes.
-        seconds: the level's wall time, ``run_level`` end to end, set by
-            :meth:`~repro.core.bottom_up.BottomUpSearch.run`. A
-            measurement, so two outcomes equal in everything else
-            compare equal.
+        started: the ``time.perf_counter()`` reading just before
+            ``run_level`` was called, set by
+            :meth:`~repro.core.bottom_up.BottomUpSearch.run`.
+        seconds: the level's wall time, ``run_level`` end to end, set
+            there too. Both are measurements, so two outcomes equal in
+            everything else compare equal.
     """
 
     level: int
@@ -91,6 +93,7 @@ class LevelOutcome:
     edges_scanned: int = 0
     counters: Optional[KernelCounters] = None
     live_lanes: int = ALL_LANES
+    started: float = field(default=0.0, compare=False)
     seconds: float = field(default=0.0, compare=False)
 
     def account(self) -> "dict[str, int]":

@@ -207,3 +207,14 @@ def test_search_bodies_match_the_goldens(tiny_kb):
     golden = json.loads(GOLDENS.read_text())
     assert golden["requests"] == [list(request) for request in SEARCH_REQUESTS]
     assert search_body_digests(tiny_kb[0]) == golden["digests"]
+
+
+def test_search_bodies_from_a_saved_graph_match_the_goldens(tiny_kb, tmp_path):
+    """The same bytes from the store ``save_graph`` writes, with the
+    index, weights and A read from its sections."""
+    from repro.graph.io import load_graph, save_graph
+
+    golden = json.loads(GOLDENS.read_text())
+    graph = load_graph(save_graph(tiny_kb[0], str(tmp_path / "tiny")))
+    assert graph.store is not None
+    assert search_body_digests(graph) == golden["digests"]

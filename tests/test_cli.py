@@ -6,9 +6,8 @@ import pytest
 
 from repro.cli import main
 from repro.graph.generators import WikiKBConfig, wiki_like_kb
-from repro.graph.io import save_graph
-from repro.text.index_io import save_index
-from repro.text.inverted_index import InvertedIndex
+from repro.graph.io import load_graph, save_graph
+from repro.graph.store import read_info, stored_json
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +21,6 @@ def saved_kb(tmp_path_factory):
     graph, _ = wiki_like_kb(config)
     path = str(tmp_path_factory.mktemp("cli") / "kb")
     save_graph(graph, path)
-    save_index(InvertedIndex.from_graph(graph), path + ".index")
     return path
 
 
@@ -33,11 +31,14 @@ def test_generate_writes_files(tmp_path, capsys):
     code = main(["generate", "--out", out, "--scale", "wiki2017",
                  "--seed", "3"])
     assert code == 0
-    assert os.path.exists(out + ".npz")
-    assert os.path.exists(out + ".meta.json")
-    assert os.path.exists(out + ".index.npz")
+    # One file: the version-2 store, which carries the index and A.
+    assert os.listdir(tmp_path) == ["generated.csrstore"]
+    info = read_info(out + ".csrstore")
+    assert info.version == 2
+    assert stored_json(load_graph(out), "distance")["estimate"] is not None
     captured = capsys.readouterr()
     assert "generated wiki2017-sim" in captured.out
+    assert captured.out.rstrip().endswith(f"-> {out}.csrstore")
 
 
 def test_stats_on_saved_graph(saved_kb, capsys):

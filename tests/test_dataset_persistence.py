@@ -10,8 +10,11 @@ from repro.bench.datasets import (
     load_dataset,
     save_dataset,
 )
+from repro.core import weights as weights_module
+from repro.graph import sampling
 from repro.graph.generators import WikiKBConfig
 from repro.obs.config import ENV_DATASET_CACHE
+from repro.text.inverted_index import InvertedIndex
 
 
 @pytest.fixture()
@@ -48,15 +51,30 @@ def test_disk_cache_used_when_env_set(tmp_path, small_config, monkeypatch):
     monkeypatch.setenv(ENV_DATASET_CACHE, str(tmp_path))
     clear_cache()
     first = _cached(small_config)
-    # The dataset files must now exist on disk.
-    assert (tmp_path / "persist-test.npz").exists()
-    assert (tmp_path / "persist-test.dataset.json").exists()
-    # A fresh in-process cache loads from disk instead of rebuilding.
+    # The dataset is two files: the store and the ground-truth JSON.
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "persist-test.csrstore",
+        "persist-test.dataset.json",
+    ]
+    # A fresh in-process cache loads from disk instead of rebuilding:
+    # the graph maps, and the index and weights are the store's sections.
     clear_cache()
-    second = _cached(small_config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cache hit computed what the store holds")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(InvertedIndex, "build", refuse)
+        patch.setattr(weights_module, "raw_degree_of_summary", refuse)
+        patch.setattr(sampling, "largest_component_nodes", refuse)
+        second = _cached(small_config)
     assert second is not first
+    assert second.graph.store is not None
     assert second.graph.n_nodes == first.graph.n_nodes
     assert second.metadata.gold_papers == first.metadata.gold_papers
+    assert second.distance == first.distance
+    assert second.weights.tobytes() == first.weights.tobytes()
+    assert list(second.index.terms) == list(first.index.terms)
     clear_cache()
 
 

@@ -5,10 +5,12 @@ item; these meta-tests keep that true as the codebase evolves, and check
 the packaging markers downstream users rely on.
 """
 
+import glob
 import importlib
 import inspect
 import os
 import pkgutil
+import re
 
 import pytest
 
@@ -67,3 +69,42 @@ def test_repository_docs_exist():
     repo_root = os.path.dirname(root)
     for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
         assert os.path.exists(os.path.join(repo_root, doc)), doc
+
+
+def _named_repro_paths(text):
+    """Every ``repro/…`` path a document names, without trailing
+    punctuation."""
+    return {
+        match.rstrip(".,:;)")
+        for match in re.findall(r"repro/[A-Za-z0-9_./]*", text)
+    }
+
+
+def test_named_repro_paths_exist():
+    """Every ``repro/…`` path named in DESIGN.md, README.md and
+    ``docs/*.md`` exists under ``src/`` — except build output the
+    ``.gitignore`` lists, which the first run makes."""
+    repo_root = os.path.dirname(os.path.dirname(os.path.dirname(repro.__file__)))
+    with open(os.path.join(repo_root, ".gitignore"), encoding="utf-8") as handle:
+        ignored = [
+            line.strip().rstrip("/")
+            for line in handle
+            if line.strip().startswith("src/repro/")
+        ]
+    docs = [os.path.join(repo_root, name) for name in ("DESIGN.md", "README.md")]
+    docs += glob.glob(os.path.join(repo_root, "docs", "*.md"))
+    missing = []
+    checked = 0
+    for doc in docs:
+        with open(doc, encoding="utf-8") as handle:
+            named = _named_repro_paths(handle.read())
+        checked += len(named)
+        for path in sorted(named):
+            relative = "src/" + path.rstrip("/")
+            if any(relative == entry or relative.startswith(entry + "/") for entry in ignored):
+                continue
+            if not os.path.exists(os.path.join(repo_root, relative)):
+                missing.append(f"{os.path.basename(doc)}: {path}")
+    assert checked > 30
+    assert not missing, missing
+

@@ -26,7 +26,6 @@ from repro.core.weights import node_weights
 from repro.graph.generators import random_graph
 from repro.graph.io import load_graph, save_graph
 from repro.service import SearchService
-from repro.text.index_io import load_index, save_index
 from repro.text.inverted_index import InvertedIndex
 
 
@@ -39,10 +38,11 @@ def test_full_persistence_pipeline(tmp_path, tiny_kb):
 
     graph_path = str(tmp_path / "kb")
     save_graph(graph, graph_path)
-    save_index(index, graph_path + ".index")
 
+    # The store carries the index: reloading it tokenizes nothing.
     reloaded_graph = load_graph(graph_path)
-    reloaded_index = load_index(graph_path + ".index")
+    reloaded_index = InvertedIndex.from_graph(reloaded_graph)
+    assert list(reloaded_index.terms) == list(index.terms)
 
     original = KeywordSearchEngine(
         graph, index=index, average_distance=3.0

@@ -95,17 +95,21 @@ def test_round_trip_bitwise_identical(kb_graph, store_path, mmap):
 def test_load_graph_dispatches_on_magic_and_suffix(kb_graph, store_path, tmp_path):
     by_magic = load_graph(store_path)
     assert by_magic.store is not None and by_magic.store.mmap
-    # Prefix form: <prefix>.csrstore is found when no NPZ exists.
+    # Prefix form: <prefix>.csrstore is found.
     prefix = store_path[: -len(STORE_SUFFIX)]
     by_suffix = load_graph(prefix)
     assert by_suffix.store is not None
-    # NPZ keeps precedence when both exist at the same prefix.
-    both = tmp_path / "both"
-    save_graph(kb_graph, str(both))
-    save_store(kb_graph, str(both) + STORE_SUFFIX)
-    npz_loaded = load_graph(str(both))
-    assert npz_loaded.store is None
-    _assert_graphs_bitwise_equal(npz_loaded, kb_graph)
+    # The store wins over a legacy NPZ bundle at the same prefix, also
+    # when the path names the bundle.
+    both = str(tmp_path / "both")
+    np.savez(both + ".npz", not_a_graph=np.zeros(1))
+    with open(both + ".meta.json", "w") as handle:
+        json.dump({"version": 1}, handle)
+    assert save_graph(kb_graph, both + ".npz") == both + STORE_SUFFIX
+    for path in (both, both + ".npz", both + STORE_SUFFIX):
+        loaded = load_graph(path)
+        assert loaded.store is not None, path
+        _assert_graphs_bitwise_equal(loaded, kb_graph)
 
 
 def test_read_info_reports_sections(store_path, kb_graph):
@@ -374,29 +378,32 @@ def test_a_decreasing_indptr_is_refused_in_any_block():
 
 
 def test_npz_and_store_give_the_same_index_and_distance(kb_graph, store_path, tmp_path):
-    npz_path = str(tmp_path / "kb")
-    save_graph(kb_graph, npz_path)
-    from_npz = load_graph(npz_path)
+    """The graph in RAM (what an NPZ bundle loads into) and the store
+    ``save_graph`` writes agree on the index, the giant component and
+    sampled A, at the stored ``(n_pairs, seed)`` and at others."""
+    from_save = load_graph(save_graph(kb_graph, str(tmp_path / "kb")))
     from_store = load_graph(store_path)
-    assert from_store.store is not None and from_npz.store is None
+    assert from_store.store is not None and from_save.store is not None
+    assert kb_graph.store is None
 
-    npz_index = InvertedIndex.from_graph(from_npz)
-    store_index = InvertedIndex.from_graph(from_store)
-    assert list(store_index.terms) == list(npz_index.terms)
-    assert store_index.n_nodes == npz_index.n_nodes
-    for term in npz_index.terms:
-        ours = store_index.nodes_for_normalized_term(term)
-        theirs = npz_index.nodes_for_normalized_term(term)
-        assert ours.dtype == theirs.dtype == np.int64
-        assert np.array_equal(ours, theirs)
+    in_ram_index = InvertedIndex.from_graph(kb_graph)
+    for graph in (from_store, from_save):
+        index = InvertedIndex.from_graph(graph)
+        assert list(index.terms) == list(in_ram_index.terms)
+        assert index.n_nodes == in_ram_index.n_nodes
+        for term in in_ram_index.terms:
+            ours = index.nodes_for_normalized_term(term)
+            theirs = in_ram_index.nodes_for_normalized_term(term)
+            assert ours.dtype == theirs.dtype == np.int64
+            assert np.array_equal(ours, theirs)
 
-    assert np.array_equal(
-        largest_component_nodes(from_store), largest_component_nodes(from_npz)
-    )
-    for seed in (0, 5):
-        assert estimate_average_distance(
-            from_store, n_pairs=300, seed=seed
-        ) == estimate_average_distance(from_npz, n_pairs=300, seed=seed)
+        assert np.array_equal(
+            largest_component_nodes(graph), largest_component_nodes(kb_graph)
+        )
+        for pairs, seed in ((300, 0), (300, 5), (2000, 0)):
+            assert estimate_average_distance(
+                graph, n_pairs=pairs, seed=seed
+            ) == estimate_average_distance(kb_graph, n_pairs=pairs, seed=seed)
 
 
 # ---------------------------------------------------------------------------

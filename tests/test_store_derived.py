@@ -2,8 +2,9 @@
 Eq. 2 weights and Table II's sampled A, stored beside the CSR.
 
 The contract is that a restart reads what it would otherwise compute, and
-nothing else changes: an NPZ graph, a version-1 store (CSR only, computed
-in memory) and a version-2 store give equal postings, bitwise-equal
+nothing else changes: a graph in RAM (built, or loaded from a legacy NPZ
+bundle), a version-1 store (CSR only, computed in memory) and a
+version-2 store give equal postings, bitwise-equal
 weights, equal ``DistanceEstimate`` s and ``==`` ranked answers and
 scores. A request the stored results were not made for — another
 tokenizer config, another ``(n_pairs, seed)`` — is computed, and a
@@ -49,6 +50,8 @@ from test_fused_kernel import _fuzz_kb
 #: Written by the version-1 ``save_store`` (the format before derived
 #: sections): 48 nodes, 180 edges, one ``venue`` hub.
 V1_STORE = Path(__file__).parent / "data" / "v1-tiny.csrstore"
+#: The same graph as the NPZ bundle ``save_graph`` wrote before the store.
+LEGACY_NPZ = str(Path(__file__).parent / "data" / "legacy-tiny")
 DERIVED = [name for name, _ in DERIVED_SECTION_DTYPES]
 
 
@@ -145,9 +148,7 @@ def test_version_1_store_opens_warns_once_and_answers_identically(tmp_path, monk
     v2_path = tmp_path / "v2.csrstore"
     save_store(v1, v2_path)
     v2 = open_store(v2_path)
-    npz_path = str(tmp_path / "npz")
-    save_graph(v1, npz_path)
-    npz = load_graph(npz_path)
+    npz = load_graph(LEGACY_NPZ)
 
     engines = [KeywordSearchEngine(graph) for graph in (npz, v1, v2)]
     queries = ["graph keyword", "parallel index query", "summary weight central", "node item3"]
@@ -162,25 +163,22 @@ def test_version_1_store_opens_warns_once_and_answers_identically(tmp_path, monk
 
 
 # ---------------------------------------------------------------------------
-# NPZ = version 1 = version 2, on the fuzz graphs
+# In RAM = version 1 = version 2, on the fuzz graphs
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_npz_v1_and_v2_agree_bitwise(tmp_path, monkeypatch, seed):
     graph = _fuzz_kb(seed)
-    npz_path = str(tmp_path / "g")
-    save_graph(graph, npz_path)
-    npz = load_graph(npz_path)
     v1 = _quiet_open(_save_v1(graph, tmp_path / "v1.csrstore", monkeypatch))
-    v2_path = tmp_path / "v2.csrstore"
-    assert save_store(graph, v2_path).version == 2
+    v2_path = save_graph(graph, str(tmp_path / "v2"))
+    assert read_info(v2_path).version == 2
     before = _digest(v2_path)
     v2 = open_store(v2_path)
 
     config = EngineConfig()
     pairs, sample_seed = config.distance_sample_pairs, config.seed
-    expected_index = InvertedIndex.from_graph(npz)
-    expected_weights = weights_module.node_weights(npz)
-    expected_distance = estimate_average_distance(npz, n_pairs=pairs, seed=sample_seed)
+    expected_index = InvertedIndex.from_graph(graph)
+    expected_weights = weights_module.node_weights(graph)
+    expected_distance = estimate_average_distance(graph, n_pairs=pairs, seed=sample_seed)
     for graph_ in (v1, v2):
         _assert_same_index(InvertedIndex.from_graph(graph_), expected_index)
         weights = weights_module.node_weights(graph_)
@@ -192,7 +190,7 @@ def test_npz_v1_and_v2_agree_bitwise(tmp_path, monkeypatch, seed):
         )
 
     queries = _queries(expected_index, seed)
-    reference = _answers(KeywordSearchEngine(npz), queries)
+    reference = _answers(KeywordSearchEngine(graph), queries)
     assert any(reference)
     for graph_ in (v1, v2):
         assert _answers(KeywordSearchEngine(graph_), queries) == reference

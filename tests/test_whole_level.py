@@ -18,7 +18,6 @@ import pytest
 from repro.core.bottom_up import BottomUpSearch
 from repro.core.state import TERMINATED_ENOUGH_ANSWERS
 from repro.graph.generators import WikiKBConfig, wiki_like_kb
-from repro.graph.io import load_graph, save_graph
 from repro.graph.store import open_store, save_store
 from repro.instrumentation import (
     PHASE_ENQUEUE,
@@ -122,14 +121,13 @@ def test_duplicates_elided_whole_level_chunk_parity(seed, tmp_path):
     """The whole-level call must report the same work counters as the
     per-chunk call, level by level (``duplicates_elided`` once came out
     0), for every lane count q = 1..8 of one lane word and for two and
-    three words, on a graph loaded from NPZ and on the same graph
-    memory-mapped from a ``.csrstore``.
+    three words, on a graph in RAM and on the same graph memory-mapped
+    from a ``.csrstore``.
     """
     generated = _fuzz_kb(seed + 50)
-    save_graph(generated, str(tmp_path / "from-npz"))
     save_store(generated, tmp_path / "kb.csrstore", name="whole", seed=seed)
     graphs = {
-        "npz": load_graph(str(tmp_path / "from-npz")),
+        "in-ram": generated,
         "csrstore": open_store(tmp_path / "kb.csrstore"),
     }
 
@@ -159,8 +157,8 @@ def test_duplicates_elided_whole_level_chunk_parity(seed, tmp_path):
                 )
             assert native == chunked, f"q={q} on the {form} graph"
             per_graph[form] = native
-        assert per_graph["npz"] == per_graph["csrstore"], f"q={q}"
-        for row in per_graph["npz"]:
+        assert per_graph["in-ram"] == per_graph["csrstore"], f"q={q}"
+        for row in per_graph["in-ram"]:
             for name, value in row.items():
                 totals[name] += value
     assert totals["edges_gathered"] > 0
